@@ -3,12 +3,10 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::AaaError;
 
 /// Handle to an operation of an [`AlgorithmGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub(crate) usize);
 
 impl OpId {
@@ -25,7 +23,7 @@ impl fmt::Display for OpId {
 }
 
 /// The role of an operation in the control loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Input acquisition: samples one controller input (a measure). The
     /// completion instant of a sensor operation is the `I_j(k)` of the
@@ -42,7 +40,7 @@ pub enum OpKind {
 /// Conditioning of an operation (paper §3.2.2): the operation executes only
 /// when the *condition variable* (the integer value produced by `variable`)
 /// selects its `branch`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Condition {
     /// The operation producing the branch-selection value.
     pub variable: OpId,
@@ -50,7 +48,7 @@ pub struct Condition {
     pub branch: usize,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct OpNode {
     pub(crate) name: String,
     pub(crate) kind: OpKind,
@@ -60,7 +58,7 @@ pub(crate) struct OpNode {
 /// A data dependency `src → dst` carrying `data_units` abstract data units
 /// (the unit is whatever the media tariffs are expressed in, typically
 /// bytes or words).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataEdge {
     /// Producing operation.
     pub src: OpId,
@@ -88,7 +86,7 @@ pub struct DataEdge {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AlgorithmGraph {
     pub(crate) nodes: Vec<OpNode>,
     pub(crate) edges: Vec<DataEdge>,
@@ -426,18 +424,5 @@ mod tests {
         g.add_edge(cond, f, 2).unwrap();
         g.set_condition(f, cond, 1).unwrap();
         assert_eq!(g.edges().len(), 1);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let (g, _, _, _) = chain();
-        let json = serde_json_roundtrip(&g);
-        assert_eq!(json.len(), g.len());
-    }
-
-    fn serde_json_roundtrip(g: &AlgorithmGraph) -> AlgorithmGraph {
-        // serde_json is not a dependency; use the internal derive through
-        // a bincode-free trick: clone suffices to check derives compile.
-        g.clone()
     }
 }

@@ -3,12 +3,11 @@
 use std::fmt;
 
 use ecl_sim::TimeNs;
-use serde::{Deserialize, Serialize};
 
 use crate::AaaError;
 
 /// Handle to a processor of an [`ArchitectureGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcId(pub(crate) usize);
 
 impl ProcId {
@@ -25,7 +24,7 @@ impl fmt::Display for ProcId {
 }
 
 /// Handle to a communication medium of an [`ArchitectureGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MediumId(pub(crate) usize);
 
 impl MediumId {
@@ -42,7 +41,7 @@ impl fmt::Display for MediumId {
 }
 
 /// The sharing semantics of a medium.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MediumKind {
     /// A broadcast bus (CAN-like): one transfer at a time, every connected
     /// processor observes the data.
@@ -51,13 +50,13 @@ pub enum MediumKind {
     PointToPoint,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Processor {
     pub(crate) name: String,
     pub(crate) kind: String,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Medium {
     pub(crate) name: String,
     pub(crate) kind: MediumKind,
@@ -88,7 +87,7 @@ pub(crate) struct Medium {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ArchitectureGraph {
     pub(crate) procs: Vec<Processor>,
     pub(crate) media: Vec<Medium>,

@@ -1,16 +1,19 @@
-//! Content-addressed caching of adequation results.
+//! Content-addressed memoization of lifecycle stages.
 //!
 //! A scenario sweep re-runs the lifecycle hundreds of times, but many
 //! scenarios perturb only the plant, the disturbance seed or the sampling
 //! period — inputs the list scheduler never sees. The schedule they need
 //! is exactly the one already computed for the same (algorithm graph,
-//! architecture, WCET table, policy) quadruple. [`ScheduleCache`] keys
-//! schedules by a structural digest of that quadruple, so such scenarios
-//! skip the scheduler entirely; [`adequation`] is deterministic, so a
-//! cache hit returns a schedule byte-identical to a fresh run.
+//! architecture, WCET table, policy) quadruple. [`DigestMemo`] is the one
+//! thread-safe memo table every stage shares, keyed by a stable
+//! [`Fnv1a`] digest of the stage's inputs; [`ScheduleCache`] is that memo
+//! keyed by [`schedule_digest`], so such scenarios skip the scheduler
+//! entirely. [`adequation`] is deterministic, so a cache hit returns a
+//! schedule byte-identical to a fresh run.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{hash_map, HashMap};
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::adequation::{adequation, AdequationOptions, MappingPolicy};
 use crate::algorithm::AlgorithmGraph;
@@ -24,8 +27,8 @@ use crate::AaaError;
 /// digests built on this hasher must be reproducible so cache statistics
 /// (and any persisted keys) mean the same thing on every toolchain.
 ///
-/// Public so other content-addressed memo tables (e.g. the ideal-run
-/// memo in `ecl-core`) key on the exact same hash family as
+/// Public so the other [`DigestMemo`] key functions (e.g. the ideal-run
+/// digest in `ecl-core`) use the exact same hash family as
 /// [`schedule_digest`].
 #[derive(Debug)]
 pub struct Fnv1a(u64);
@@ -184,44 +187,223 @@ pub fn schedule_digest(
     h.0
 }
 
-/// A cached schedule plus the number of times it was looked up.
+/// One memoized value plus its bookkeeping.
 #[derive(Debug)]
-struct CacheSlot {
-    schedule: Arc<Schedule>,
+struct Memoized<V> {
+    value: Arc<V>,
+    /// Lookups of this digest; seeding is not a lookup.
     lookups: u64,
+    /// Whether the value is already in the on-disk store: seeded entries
+    /// start saved, computed ones wait for [`DigestMemo::mark_saved`].
+    saved: bool,
 }
 
-/// Map plus the count of lookups that *observed* a local miss (and so
-/// ran the scheduler). Exceeding the number of distinct digests means
-/// workers raced to compute the same key and the losers' results were
-/// discarded — wasted work that is scheduling-dependent, so it feeds
-/// profiler sidecars only, never deterministic artifacts.
-#[derive(Debug, Default)]
-struct CacheState {
-    map: HashMap<u64, CacheSlot>,
+/// The map plus the count of lookups that *observed* a local miss (and
+/// so ran the computation). Beyond one per distinct digest, those are
+/// racing double-computes whose results were discarded.
+#[derive(Debug)]
+struct Table<V> {
+    map: HashMap<u64, Memoized<V>>,
     local_misses: u64,
 }
 
-/// A thread-safe memo table from [`schedule_digest`] keys to schedules.
+/// A thread-safe, content-addressed memo table from `u64` digests to
+/// shared values — the one memo discipline behind every cache of the
+/// lifecycle: adequation schedules ([`ScheduleCache`] keyed by
+/// [`schedule_digest`]), ideal and scheduled co-simulations and latency
+/// reports (keyed by their own digest functions in `ecl-core` and the
+/// fleet). A kind of cache is only its key function plus the compute
+/// closure it hands to [`get_or_compute`](DigestMemo::get_or_compute).
 ///
-/// Shared by the sweep workers via `Arc`; the lock is held only around
-/// the map lookup/insert, never across the scheduler itself, so a miss
-/// on one worker does not serialize the others (two workers may race to
-/// compute the same key — both produce the identical deterministic
-/// schedule, and the second insert is a no-op).
+/// The lock is held only around the map lookup/insert, never across the
+/// computation, so a miss on one worker does not serialize the others.
+/// Two workers may race to compute the same key: both produce the
+/// identical deterministic value, and the second insert is a no-op.
 ///
-/// The [`hits`](ScheduleCache::hits)/[`misses`](ScheduleCache::misses)
-/// counters are *derived from per-digest lookup counts* rather than
-/// incremented per observation: `misses` is the number of distinct
-/// digests ever looked up and `hits` is every lookup beyond the first of
-/// its digest. Under the race above, a per-observation counter would
-/// depend on which worker won (worker-count-dependent bytes in sweep
-/// summaries); the derived form depends only on the multiset of digests
-/// looked up, so it is identical for any worker count and claim order.
-/// Which worker *observed* a hit is still reported per lookup by
-/// [`get_or_compute_traced`](ScheduleCache::get_or_compute_traced) — that
-/// observation belongs in wall-clock profiler sidecars, never in
-/// deterministic artifacts.
+/// [`hits`](DigestMemo::hits)/[`misses`](DigestMemo::misses) are
+/// *derived from per-digest lookup counts* rather than incremented per
+/// observation: `misses` is the number of distinct digests ever looked
+/// up and `hits` is every lookup beyond the first of its digest. They
+/// depend only on the multiset of digests looked up, so they are
+/// identical for any worker count and claim order. Which lookup
+/// *observed* a hit, [`races`](DigestMemo::races) and
+/// [`computes`](DigestMemo::computes) depend on thread interleaving and
+/// belong in wall-clock profiler sidecars only, never in deterministic
+/// artifacts.
+///
+/// # Examples
+///
+/// ```
+/// use ecl_aaa::DigestMemo;
+/// let memo: DigestMemo<String> = DigestMemo::new();
+/// let (a, hit) = memo.get_or_compute(7, || Ok::<_, ()>("seven".to_string())).unwrap();
+/// assert!(!hit);
+/// let (b, hit) = memo.get_or_compute(7, || Ok::<_, ()>("other".to_string())).unwrap();
+/// assert!(hit && std::sync::Arc::ptr_eq(&a, &b));
+/// assert_eq!((memo.hits(), memo.misses(), memo.computes()), (1, 1, 1));
+/// ```
+#[derive(Debug)]
+pub struct DigestMemo<V> {
+    table: Mutex<Table<V>>,
+}
+
+impl<V> Default for DigestMemo<V> {
+    fn default() -> Self {
+        DigestMemo {
+            table: Mutex::new(Table {
+                map: HashMap::new(),
+                local_misses: 0,
+            }),
+        }
+    }
+}
+
+impl<V> DigestMemo<V> {
+    /// An empty memo table.
+    pub fn new() -> Self {
+        DigestMemo::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Table<V>> {
+        self.table.lock().expect("digest memo lock")
+    }
+
+    /// The value under `key`, running `compute` (outside the lock) only
+    /// when the key is not resident. Also returns whether *this* lookup
+    /// was answered from the table — the caller's local observation:
+    /// two workers racing on one digest both observe a miss, so the
+    /// flag may only feed wall-clock sidecars.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `compute` errors; failures are not cached.
+    pub fn get_or_compute<E>(
+        &self,
+        key: u64,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(Arc<V>, bool), E> {
+        if let Some(entry) = self.lock().map.get_mut(&key) {
+            entry.lookups += 1;
+            return Ok((Arc::clone(&entry.value), true));
+        }
+        let value = Arc::new(compute()?);
+        let mut table = self.lock();
+        table.local_misses += 1;
+        let entry = table.map.entry(key).or_insert_with(|| Memoized {
+            value,
+            lookups: 0,
+            saved: false,
+        });
+        entry.lookups += 1;
+        Ok((Arc::clone(&entry.value), false))
+    }
+
+    /// Lookups beyond the first of their digest — every lookup a serial
+    /// run would have answered from the table. Order-invariant.
+    pub fn hits(&self) -> u64 {
+        self.lock()
+            .map
+            .values()
+            .map(|entry| entry.lookups.saturating_sub(1))
+            .sum()
+    }
+
+    /// Distinct digests resident in the table — the computations a
+    /// serial run would have performed (a [`seed`](DigestMemo::seed)ed
+    /// key counts as if a prior process had paid for it).
+    /// Order-invariant.
+    pub fn misses(&self) -> u64 {
+        self.len() as u64
+    }
+
+    /// Total lookups across all digests (`hits + misses` once every
+    /// resident key has been looked up).
+    pub fn lookups(&self) -> u64 {
+        self.lock().map.values().map(|entry| entry.lookups).sum()
+    }
+
+    /// Racing double-computes: lookups that observed a local miss beyond
+    /// the first of their digest. The losers' values were discarded —
+    /// pure wasted work. Interleaving-dependent: sidecar-only.
+    pub fn races(&self) -> u64 {
+        let table = self.lock();
+        table.local_misses.saturating_sub(table.map.len() as u64)
+    }
+
+    /// Lookups that actually ran the computation in *this* process —
+    /// unlike [`misses`](DigestMemo::misses) it excludes keys answered
+    /// from a [`seed`](DigestMemo::seed)ed value, so a warm-started
+    /// daemon can assert it recomputed nothing. Includes racing
+    /// double-computes, so it is sidecar-only (its zero/non-zero
+    /// distinction is deterministic for serial executors).
+    pub fn computes(&self) -> u64 {
+        self.lock().local_misses
+    }
+
+    /// Inserts a value computed by an earlier process — the warm-start
+    /// path of the on-disk cache layer. The entry starts saved. Returns
+    /// `false` (and keeps the resident entry) when the digest is already
+    /// present. Seeding is neither a lookup nor a compute.
+    pub fn seed(&self, digest: u64, value: V) -> bool {
+        match self.lock().map.entry(digest) {
+            hash_map::Entry::Occupied(_) => false,
+            hash_map::Entry::Vacant(slot) => {
+                slot.insert(Memoized {
+                    value: Arc::new(value),
+                    lookups: 0,
+                    saved: true,
+                });
+                true
+            }
+        }
+    }
+
+    /// Every resident `(digest, value)` pair, sorted by digest.
+    pub fn snapshot(&self) -> Vec<(u64, Arc<V>)> {
+        self.collect(|_| true)
+    }
+
+    /// The resident pairs not yet [`mark_saved`](DigestMemo::mark_saved),
+    /// sorted by digest — what the on-disk layer still has to write.
+    pub fn unsaved(&self) -> Vec<(u64, Arc<V>)> {
+        self.collect(|entry| !entry.saved)
+    }
+
+    fn collect(&self, keep: impl Fn(&Memoized<V>) -> bool) -> Vec<(u64, Arc<V>)> {
+        let mut out: Vec<_> = self
+            .lock()
+            .map
+            .iter()
+            .filter(|(_, entry)| keep(entry))
+            .map(|(&digest, entry)| (digest, Arc::clone(&entry.value)))
+            .collect();
+        out.sort_by_key(|&(digest, _)| digest);
+        out
+    }
+
+    /// Records that `digest`'s value is in the on-disk store, so later
+    /// [`unsaved`](DigestMemo::unsaved) calls skip it.
+    pub fn mark_saved(&self, digest: u64) {
+        if let Some(entry) = self.lock().map.get_mut(&digest) {
+            entry.saved = true;
+        }
+    }
+
+    /// Number of distinct digests resident.
+    pub fn len(&self) -> usize {
+        self.lock().map.len()
+    }
+
+    /// `true` when nothing is resident.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// The adequation memo: a [`DigestMemo`] of schedules keyed by
+/// [`schedule_digest`]. [`adequation`] is deterministic, so a hit returns
+/// a schedule byte-identical to a fresh run. The memo's counters,
+/// seeding and snapshots are reached through `Deref`.
 ///
 /// # Examples
 ///
@@ -243,8 +425,14 @@ struct CacheState {
 /// # }
 /// ```
 #[derive(Debug, Default)]
-pub struct ScheduleCache {
-    state: Mutex<CacheState>,
+pub struct ScheduleCache(DigestMemo<Schedule>);
+
+impl Deref for ScheduleCache {
+    type Target = DigestMemo<Schedule>;
+
+    fn deref(&self) -> &DigestMemo<Schedule> {
+        &self.0
+    }
 }
 
 impl ScheduleCache {
@@ -272,14 +460,8 @@ impl ScheduleCache {
 
     /// Like [`get_or_compute`](ScheduleCache::get_or_compute), also
     /// returning the [`schedule_digest`] key and whether *this* lookup
-    /// was answered from the cache.
-    ///
-    /// The hit flag is this caller's local observation: two workers
-    /// racing on the same digest both observe a miss, so the flag is
-    /// scheduling-dependent and must only feed wall-clock sidecars (the
-    /// fleet profiler), never deterministic artifacts — those use the
-    /// order-invariant [`hits`](ScheduleCache::hits)/
-    /// [`misses`](ScheduleCache::misses) instead.
+    /// was answered from the cache (a sidecar-only observation, see
+    /// [`DigestMemo::get_or_compute`]).
     ///
     /// # Errors
     ///
@@ -292,120 +474,10 @@ impl ScheduleCache {
         options: AdequationOptions,
     ) -> Result<(Arc<Schedule>, u64, bool), AaaError> {
         let key = schedule_digest(alg, arch, db, options);
-        if let Some(slot) = self.state.lock().expect("cache lock").map.get_mut(&key) {
-            slot.lookups += 1;
-            return Ok((Arc::clone(&slot.schedule), key, true));
-        }
-        // Computed outside the lock: adequation can be the sweep's most
-        // expensive non-simulation phase.
-        let schedule = Arc::new(adequation(alg, arch, db, options)?);
-        let mut state = self.state.lock().expect("cache lock");
-        state.local_misses += 1;
-        let slot = state.map.entry(key).or_insert_with(|| CacheSlot {
-            schedule,
-            lookups: 0,
-        });
-        slot.lookups += 1;
-        Ok((Arc::clone(&slot.schedule), key, false))
-    }
-
-    /// Number of lookups beyond the first of their digest — every lookup
-    /// that a serial run would have answered from the cache. Derived from
-    /// per-digest lookup counts, so identical for any worker count.
-    pub fn hits(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("cache lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups.saturating_sub(1))
-            .sum()
-    }
-
-    /// Number of distinct digests ever looked up — the lookups a serial
-    /// run would have sent to the scheduler. Derived, order-invariant.
-    pub fn misses(&self) -> u64 {
-        self.len() as u64
-    }
-
-    /// Total lookups across all digests (`hits + misses`).
-    pub fn lookups(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("cache lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups)
-            .sum()
-    }
-
-    /// Racing double-computes: lookups that observed a local miss (and
-    /// ran the scheduler) beyond the first of their digest. The losing
-    /// workers' schedules were discarded, so this is pure wasted work.
-    /// The value depends on thread interleaving — report it only in
-    /// wall-clock profiler sidecars, never in deterministic artifacts.
-    pub fn races(&self) -> u64 {
-        let state = self.state.lock().expect("cache lock");
-        state.local_misses.saturating_sub(state.map.len() as u64)
-    }
-
-    /// Number of lookups that actually ran the scheduler in *this*
-    /// process — unlike [`misses`](ScheduleCache::misses) it excludes
-    /// entries answered from a [`seed`](ScheduleCache::seed)ed (on-disk)
-    /// schedule, so a warm-started daemon can assert it recomputed
-    /// nothing. Includes racing double-computes, so it is
-    /// scheduling-dependent and belongs in sidecars only (its zero/
-    /// non-zero distinction is deterministic for serial executors).
-    pub fn computes(&self) -> u64 {
-        self.state.lock().expect("cache lock").local_misses
-    }
-
-    /// Inserts a schedule computed by an earlier process under its
-    /// [`schedule_digest`] key — the warm-start path of the on-disk
-    /// cache layer. Returns `false` (and keeps the resident entry) when
-    /// the digest is already cached.
-    ///
-    /// Seeding does not count as a lookup or a compute: a later lookup
-    /// of the digest counts toward [`misses`](ScheduleCache::misses)
-    /// exactly as if a prior process had paid the first-of-its-digest
-    /// compute, while [`computes`](ScheduleCache::computes) stays at
-    /// zero for seeded keys.
-    pub fn seed(&self, digest: u64, schedule: Schedule) -> bool {
-        let mut state = self.state.lock().expect("cache lock");
-        match state.map.entry(digest) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(CacheSlot {
-                    schedule: Arc::new(schedule),
-                    lookups: 0,
-                });
-                true
-            }
-        }
-    }
-
-    /// Every cached `(digest, schedule)` pair, sorted by digest — the
-    /// write-back path of the on-disk cache layer. Deterministic
-    /// ordering, so persisting a snapshot is reproducible.
-    pub fn snapshot(&self) -> Vec<(u64, Arc<Schedule>)> {
-        let state = self.state.lock().expect("cache lock");
-        let mut out: Vec<_> = state
-            .map
-            .iter()
-            .map(|(&digest, slot)| (digest, Arc::clone(&slot.schedule)))
-            .collect();
-        out.sort_by_key(|&(digest, _)| digest);
-        out
-    }
-
-    /// Number of distinct schedules currently cached.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("cache lock").map.len()
-    }
-
-    /// `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let (schedule, hit) = self
+            .0
+            .get_or_compute(key, || adequation(alg, arch, db, options))?;
+        Ok((schedule, key, hit))
     }
 }
 
@@ -689,19 +761,6 @@ mod tests {
     }
 
     #[test]
-    fn races_are_zero_without_concurrent_misses() {
-        let (alg, arch, db) = setup();
-        let cache = ScheduleCache::new();
-        let opts = AdequationOptions::default();
-        for _ in 0..5 {
-            cache.get_or_compute(&alg, &arch, &db, opts).unwrap();
-        }
-        // Serial lookups can never double-compute.
-        assert_eq!(cache.races(), 0);
-        assert_eq!((cache.hits(), cache.misses()), (4, 1));
-    }
-
-    #[test]
     fn cache_hits_return_identical_schedule() {
         let (alg, arch, db) = setup();
         let cache = ScheduleCache::new();
@@ -726,97 +785,142 @@ mod tests {
         assert_eq!(cache.misses(), 2);
     }
 
-    #[test]
-    fn cache_is_shareable_across_threads_with_exact_counters() {
-        let (alg, arch, db) = setup();
-        let cache = Arc::new(ScheduleCache::new());
-        let opts = AdequationOptions::default();
+    /// Replays `keys` against a fresh memo on `threads` workers (worker
+    /// `w` takes every `threads`-th key starting at `w`), computing each
+    /// value as the key itself.
+    fn replay(keys: &[u64], threads: usize) -> DigestMemo<u64> {
+        let memo = DigestMemo::new();
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = Arc::clone(&cache);
-                let (alg, arch, db) = (&alg, &arch, &db);
+            for w in 0..threads {
+                let memo = &memo;
                 scope.spawn(move || {
-                    for _ in 0..8 {
-                        cache.get_or_compute(alg, arch, db, opts).unwrap();
+                    for &k in keys.iter().skip(w).step_by(threads) {
+                        let (v, _) = memo.get_or_compute(k, || Ok::<_, ()>(k)).unwrap();
+                        assert_eq!(*v, k);
                     }
                 });
             }
         });
+        memo
+    }
+
+    fn counters(memo: &DigestMemo<u64>) -> (u64, u64, u64) {
+        (memo.hits(), memo.misses(), memo.lookups())
+    }
+
+    #[test]
+    fn races_are_zero_serially() {
+        let memo = replay(&[1, 1, 2, 1, 2, 3], 1);
+        // Serial lookups can never double-compute.
+        assert_eq!(memo.races(), 0);
+        assert_eq!(memo.computes(), memo.misses());
+        assert_eq!(counters(&memo), (3, 3, 6));
+    }
+
+    #[test]
+    fn counters_are_exact_under_four_threads() {
         // Digest-derived counters are exact even under racing lookups:
         // 32 lookups of one digest are 1 miss + 31 hits, regardless of
-        // which thread computed the schedule or how many raced on the
+        // which thread computed the value or how many raced on the
         // initial miss.
-        assert_eq!((cache.hits(), cache.misses()), (31, 1));
-        assert_eq!(cache.lookups(), 32);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn traced_lookup_reports_digest_and_local_observation() {
-        let (alg, arch, db) = setup();
-        let cache = ScheduleCache::new();
-        let opts = AdequationOptions::default();
-        let expected = schedule_digest(&alg, &arch, &db, opts);
-        let (a, d1, hit1) = cache.get_or_compute_traced(&alg, &arch, &db, opts).unwrap();
-        let (b, d2, hit2) = cache.get_or_compute_traced(&alg, &arch, &db, opts).unwrap();
-        assert_eq!((d1, d2), (expected, expected));
-        assert!(!hit1);
-        assert!(hit2);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    }
-
-    /// Seeding a cache from a prior process's snapshot answers lookups
-    /// without running the scheduler: `computes()` stays zero while the
-    /// served schedule is byte-identical to the fresh one.
-    #[test]
-    fn seeded_cache_serves_without_computing() {
-        let (alg, arch, db) = setup();
-        let opts = AdequationOptions::default();
-        // A first process computes and snapshots.
-        let warm = ScheduleCache::new();
-        warm.get_or_compute(&alg, &arch, &db, opts).unwrap();
-        assert_eq!(warm.computes(), 1);
-        let snapshot = warm.snapshot();
-        assert_eq!(snapshot.len(), 1);
-
-        // A restarted process seeds from the snapshot (round-tripped
-        // through the on-disk byte codec) and never runs the scheduler.
-        let cold = ScheduleCache::new();
-        for (digest, schedule) in &snapshot {
-            let bytes = schedule.to_bytes();
-            assert!(cold.seed(*digest, Schedule::from_bytes(&bytes).unwrap()));
-            // Re-seeding the same digest is refused.
-            assert!(!cold.seed(*digest, Schedule::from_bytes(&bytes).unwrap()));
-        }
-        let (served, digest, hit) = cold.get_or_compute_traced(&alg, &arch, &db, opts).unwrap();
-        assert!(hit, "seeded digest must answer from the cache");
-        assert_eq!(digest, snapshot[0].0);
-        assert_eq!(cold.computes(), 0);
-        let fresh = adequation(&alg, &arch, &db, opts).unwrap();
-        assert_eq!(served.ops(), fresh.ops());
-        assert_eq!(served.comms(), fresh.comms());
+        let memo = replay(&[5; 32], 4);
+        assert_eq!(counters(&memo), (31, 1, 32));
+        assert_eq!(memo.len(), 1);
+        // Races are bounded by the losing local misses: at most one per
+        // thread beyond the winner.
+        assert!(memo.races() <= 3);
     }
 
     /// The counters depend only on the multiset of digests looked up,
-    /// not on lookup interleaving: replaying the same lookups in reverse
-    /// order yields identical hits/misses.
+    /// not on lookup order.
     #[test]
     fn counters_are_order_invariant() {
-        let (alg, arch, db) = setup();
-        let mut db2 = db.clone();
-        db2.set_default(crate::OpId(0), TimeNs::from_micros(50));
-        let opts = AdequationOptions::default();
-        let run = |tables: &[&TimingDb]| {
-            let cache = ScheduleCache::new();
-            for t in tables {
-                cache.get_or_compute(&alg, &arch, t, opts).unwrap();
-            }
-            (cache.hits(), cache.misses())
-        };
-        let forward = run(&[&db, &db, &db2, &db, &db2]);
-        let reverse = run(&[&db2, &db, &db2, &db, &db]);
-        assert_eq!(forward, (3, 2));
+        let forward = counters(&replay(&[1, 1, 2, 1, 2], 1));
+        let reverse = counters(&replay(&[2, 1, 2, 1, 1], 1));
+        assert_eq!(forward, (3, 2, 5));
         assert_eq!(forward, reverse);
+    }
+
+    /// Seeding from a prior process's snapshot answers lookups without
+    /// computing, and seeded entries start saved.
+    #[test]
+    fn seeded_keys_serve_without_computing() {
+        let memo: DigestMemo<u64> = DigestMemo::new();
+        assert!(memo.seed(9, 90));
+        // Re-seeding the same digest is refused and keeps the resident value.
+        assert!(!memo.seed(9, 91));
+        let (v, hit) = memo
+            .get_or_compute(9, || Err::<u64, _>("must not compute"))
+            .unwrap();
+        assert_eq!((*v, hit), (90, true));
+        assert_eq!(memo.computes(), 0);
+        assert_eq!((memo.hits(), memo.misses()), (0, 1));
+        assert!(memo.unsaved().is_empty());
+    }
+
+    #[test]
+    fn traced_hit_flag_is_the_local_observation() {
+        let memo: DigestMemo<u64> = DigestMemo::new();
+        let (a, hit1) = memo.get_or_compute(3, || Ok::<_, ()>(30)).unwrap();
+        let (b, hit2) = memo.get_or_compute(3, || Ok::<_, ()>(31)).unwrap();
+        assert!(!hit1);
+        assert!(hit2);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!((memo.hits(), memo.misses()), (1, 1));
+    }
+
+    #[test]
+    fn failures_are_not_cached() {
+        let memo: DigestMemo<u64> = DigestMemo::new();
+        assert_eq!(memo.get_or_compute(4, || Err("boom")), Err("boom"));
+        assert!(memo.is_empty());
+        assert_eq!(memo.computes(), 0);
+        let (v, hit) = memo.get_or_compute(4, || Ok::<_, &str>(40)).unwrap();
+        assert_eq!((*v, hit), (40, false));
+    }
+
+    /// Computed entries stay unsaved until marked; an entry whose save
+    /// failed (never marked) is offered again.
+    #[test]
+    fn unsaved_lists_computed_entries_until_marked() {
+        let memo = replay(&[3, 1, 2, 1], 1);
+        memo.seed(0, 0);
+        let digests = |v: Vec<(u64, Arc<u64>)>| v.into_iter().map(|(d, _)| d).collect::<Vec<_>>();
+        assert_eq!(digests(memo.snapshot()), vec![0, 1, 2, 3]);
+        assert_eq!(digests(memo.unsaved()), vec![1, 2, 3]);
+        memo.mark_saved(1);
+        memo.mark_saved(3);
+        assert_eq!(digests(memo.unsaved()), vec![2]);
+        memo.get_or_compute(4, || Ok::<_, ()>(4)).unwrap();
+        assert_eq!(digests(memo.unsaved()), vec![2, 4]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// A random key multiset replayed in a random order on one and
+        /// on four threads yields identical hits/misses/lookups, and a
+        /// serial replay computes exactly once per distinct key.
+        #[test]
+        fn counters_are_worker_count_and_order_invariant(
+            keys in proptest::collection::vec(0u64..12, 1..80),
+            shuffle_seed in 0u64..u64::MAX,
+        ) {
+            let mut shuffled = keys.clone();
+            let mut state = shuffle_seed;
+            for i in (1..shuffled.len()).rev() {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                shuffled.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+            }
+            let serial = replay(&keys, 1);
+            let parallel = replay(&shuffled, 4);
+            proptest::prop_assert_eq!(counters(&serial), counters(&parallel));
+            proptest::prop_assert_eq!(serial.lookups(), keys.len() as u64);
+            proptest::prop_assert_eq!(serial.computes(), serial.misses());
+            proptest::prop_assert_eq!(serial.races(), 0);
+        }
     }
 }

@@ -23,7 +23,6 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use ecl_sim::TimeNs;
-use serde::{Deserialize, Serialize};
 
 use crate::algorithm::AlgorithmGraph;
 use crate::architecture::{ArchitectureGraph, MediumId, ProcId};
@@ -31,7 +30,7 @@ use crate::schedule::Schedule;
 use crate::{AaaError, OpId};
 
 /// One executive instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
     /// Execute operation `op` (worst case `wcet`).
     Compute {
@@ -63,7 +62,7 @@ pub enum Instr {
 }
 
 /// The synchronized instruction sequence of one processor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Executive {
     /// The processor this executive runs on.
     pub proc: ProcId,
@@ -72,7 +71,7 @@ pub struct Executive {
 }
 
 /// One transfer of a medium's communication sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferSlot {
     /// Producer whose output moves.
     pub src_op: OpId,
@@ -86,7 +85,7 @@ pub struct TransferSlot {
 }
 
 /// The ordered communication sequence of one medium.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MediumSequence {
     /// The medium this sequence drives.
     pub medium: MediumId,

@@ -24,7 +24,8 @@
 //!   seeded-random policies for ablation;
 //! * [`Schedule`] — validated static schedule with makespan, utilization
 //!   and I/O-instant analysis;
-//! * [`ScheduleCache`] — content-addressed memoization of adequation
+//! * [`DigestMemo`] — the content-addressed memo table every lifecycle
+//!   cache is built on, and [`ScheduleCache`], that memo over adequation
 //!   results keyed by [`schedule_digest`], for scenario sweeps that
 //!   re-schedule identical (algorithm, architecture, WCET, policy) inputs;
 //! * [`codegen`] — per-processor synchronized executives with a
@@ -77,7 +78,7 @@ mod timing;
 pub use adequation::{adequation, AdequationOptions, MappingPolicy};
 pub use algorithm::{AlgorithmGraph, Condition, OpId, OpKind};
 pub use architecture::{ArchitectureGraph, MediumId, MediumKind, ProcId};
-pub use cache::{schedule_digest, Fnv1a, ScheduleCache};
+pub use cache::{schedule_digest, DigestMemo, Fnv1a, ScheduleCache};
 pub use error::AaaError;
 pub use schedule::{Schedule, ScheduledComm, ScheduledOp};
 pub use timing::TimingDb;

@@ -2,7 +2,6 @@
 
 use ecl_sim::TimeNs;
 use ecl_telemetry::bytes::{ByteReader, ByteWriter, CodecError};
-use serde::{Deserialize, Serialize};
 
 use crate::algorithm::{AlgorithmGraph, OpId, OpKind};
 use crate::architecture::{ArchitectureGraph, MediumId, ProcId};
@@ -15,7 +14,7 @@ const SCHEDULE_VERSION: u32 = 1;
 
 /// One computation slot: operation `op` executes on `proc` during
 /// `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledOp {
     /// The scheduled operation.
     pub op: OpId,
@@ -29,7 +28,7 @@ pub struct ScheduledOp {
 
 /// One communication slot: the data produced by `src_op` moves from `from`
 /// to `to` over `medium` during `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledComm {
     /// The operation whose output is transferred.
     pub src_op: OpId,
@@ -60,7 +59,7 @@ impl ScheduledComm {
 /// Produced by [`adequation`](crate::adequation); consumed by the paper's
 /// graph-of-delays translation (`ecl-core`) and by
 /// [`codegen`](crate::codegen).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Schedule {
     pub(crate) ops: Vec<ScheduledOp>,
     pub(crate) comms: Vec<ScheduledComm>,
@@ -287,9 +286,8 @@ impl Schedule {
 
     /// Serializes the schedule for the content-addressed on-disk cache
     /// (`results/cache/schedules/`): magic + version, then every slot
-    /// field little-endian. The `serde` shims are no-ops in this offline
-    /// workspace, so persistence is hand-rolled on
-    /// [`ecl_telemetry::bytes`]. Invalidation is by digest: files are
+    /// field little-endian, hand-rolled on [`ecl_telemetry::bytes`].
+    /// Invalidation is by digest: files are
     /// named by [`schedule_digest`](crate::schedule_digest), so a cached
     /// schedule can never be served for changed scheduler inputs.
     pub fn to_bytes(&self) -> Vec<u8> {

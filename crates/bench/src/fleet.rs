@@ -33,7 +33,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ecl_aaa::{
-    codegen, AdequationOptions, Fnv1a, MappingPolicy, Schedule, ScheduleCache, TimeNs, TimingDb,
+    codegen, AdequationOptions, DigestMemo, Fnv1a, MappingPolicy, Schedule, ScheduleCache, TimeNs,
+    TimingDb,
 };
 use ecl_core::cosim::{self, CosimPhases, IdealRunCache, LoopResult, LoopSpec, ScheduledRunCache};
 use ecl_core::faults::{FaultConfig, FaultFamily, FaultPlan};
@@ -413,28 +414,28 @@ pub struct SweepOutput {
     /// readings.
     pub profile: Option<ProfileReport>,
     /// Ideal-run memo lookups answered from the cache
-    /// ([`IdealRunCache::hits`] — digest-derived, worker-count
+    /// ([`DigestMemo::hits`] — digest-derived, worker-count
     /// invariant). Carried beside the summary, never inside it: the
     /// summary's rendered bytes predate the memo and must stay
     /// byte-identical, so these counters belong to experiment sidecars.
     pub ideal_hits: u64,
-    /// Distinct ideal runs actually simulated ([`IdealRunCache::misses`]).
+    /// Distinct ideal runs actually simulated ([`DigestMemo::misses`]).
     pub ideal_misses: u64,
     /// Scheduled-run memo lookups answered from the cache
-    /// ([`ScheduledRunCache::hits`] — digest-derived, worker-count
+    /// ([`DigestMemo::hits`] — digest-derived, worker-count
     /// invariant). Same sidecar contract as [`SweepOutput::ideal_hits`]:
     /// beside the summary, never inside it.
     pub scheduled_hits: u64,
     /// Distinct `(loop × schedule × fault-plan)` co-simulations actually
-    /// run ([`ScheduledRunCache::misses`]).
+    /// run ([`DigestMemo::misses`]).
     pub scheduled_misses: u64,
-    /// Report-memo lookups answered from the cache ([`ReportCache::hits`]
+    /// Report-memo lookups answered from the cache ([`DigestMemo::hits`]
     /// — digest-derived, worker-count invariant). Same sidecar contract
     /// as [`SweepOutput::ideal_hits`]: beside the summary, never inside
     /// it. Zero unless [`SweepConfig::memoize_reports`] is set.
     pub report_hits: u64,
     /// Distinct `(run digest, bound)` report extractions actually
-    /// performed ([`ReportCache::misses`]).
+    /// performed ([`DigestMemo::misses`]).
     pub report_misses: u64,
     /// Racing double-computes observed by the schedule cache, the
     /// ideal-run memo, the scheduled-run memo and the report memo, in
@@ -792,19 +793,6 @@ pub struct ReportEntry {
     pub overruns: usize,
 }
 
-/// A cached report entry plus the number of times it was looked up.
-#[derive(Debug)]
-struct ReportSlot {
-    entry: Arc<ReportEntry>,
-    lookups: u64,
-}
-
-#[derive(Debug, Default)]
-struct ReportState {
-    map: HashMap<u64, ReportSlot>,
-    local_misses: u64,
-}
-
 /// The key of one memoized report extraction: the
 /// [`cosim::scheduled_run_digest`] of the run (which covers the loop
 /// spec, the schedule inputs and the fault plan — and therefore also the
@@ -818,102 +806,10 @@ pub fn report_digest(run_digest: u64, bound_ns: i64) -> u64 {
     h.finish()
 }
 
-/// A thread-safe memo table from [`report_digest`] keys to Metrics-phase
-/// yields ([`ReportEntry`]).
-///
-/// Same discipline as [`ScheduledRunCache`] and its siblings: the lock is
-/// held only around the map lookup/insert, never across the extraction
-/// (racing workers both derive the identical entry; the second insert is
-/// a no-op), and [`hits`](ReportCache::hits)/
-/// [`misses`](ReportCache::misses) are derived from per-digest lookup
-/// counts, so they are identical for any worker count and claim order.
-/// They still belong beside — never inside — byte-compared sweep
-/// artifacts.
-#[derive(Debug, Default)]
-pub struct ReportCache {
-    state: Mutex<ReportState>,
-}
-
-impl ReportCache {
-    /// An empty memo table.
-    pub fn new() -> Self {
-        ReportCache::default()
-    }
-
-    /// The entry for `digest`, building it with `build` only on a miss.
-    /// Returns the shared entry and whether *this* lookup was answered
-    /// from the cache (a wall-clock observation — sidecar-only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `build` errors; failures are not cached.
-    pub fn get_or_build<F>(
-        &self,
-        digest: u64,
-        build: F,
-    ) -> Result<(Arc<ReportEntry>, bool), CoreError>
-    where
-        F: FnOnce() -> Result<ReportEntry, CoreError>,
-    {
-        if let Some(slot) = self
-            .state
-            .lock()
-            .expect("report memo lock")
-            .map
-            .get_mut(&digest)
-        {
-            slot.lookups += 1;
-            return Ok((Arc::clone(&slot.entry), true));
-        }
-        // Extracted outside the lock: latency extraction walks every
-        // period of the run and must not serialize the pool.
-        let entry = Arc::new(build()?);
-        let mut state = self.state.lock().expect("report memo lock");
-        state.local_misses += 1;
-        let slot = state
-            .map
-            .entry(digest)
-            .or_insert_with(|| ReportSlot { entry, lookups: 0 });
-        slot.lookups += 1;
-        Ok((Arc::clone(&slot.entry), false))
-    }
-
-    /// Lookups beyond the first of their digest — derived from per-digest
-    /// lookup counts, so identical for any worker count.
-    pub fn hits(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("report memo lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups.saturating_sub(1))
-            .sum()
-    }
-
-    /// Distinct digests ever looked up — the report extractions a serial
-    /// sweep would actually have performed. Derived, order-invariant.
-    pub fn misses(&self) -> u64 {
-        self.len() as u64
-    }
-
-    /// Racing double-extractions: local-miss observations beyond the
-    /// first of their digest. Thread-interleaving-dependent —
-    /// sidecar-only.
-    pub fn races(&self) -> u64 {
-        let state = self.state.lock().expect("report memo lock");
-        state.local_misses.saturating_sub(state.map.len() as u64)
-    }
-
-    /// Number of distinct entries currently cached.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("report memo lock").map.len()
-    }
-
-    /// `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+/// The latency-report memo: a [`DigestMemo`] of Metrics-phase yields
+/// ([`ReportEntry`]) keyed by [`report_digest`]. Its counters belong
+/// beside — never inside — byte-compared sweep artifacts.
+pub type ReportCache = DigestMemo<ReportEntry>;
 
 /// The shared memo tables one sweep (or one resident daemon) threads
 /// through every scenario: adequation schedules, stroboscopic ideal
@@ -1421,7 +1317,7 @@ pub fn run_scenario(
             );
             let (entry, _local_hit) = caches
                 .reports
-                .get_or_build(key, || build_report_entry(&run, lenient, bound))?;
+                .get_or_compute(key, || build_report_entry(&run, lenient, bound))?;
             scratch.merge(&entry.hist);
             Ok::<_, CoreError>((
                 outcome_for(entry.worst_actuation_ns, entry.overruns),

@@ -9,10 +9,10 @@
 //! instants of the distributed implementation, exposing its impact on
 //! control performance *before any code runs on a target*.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
+use std::sync::Arc;
 
-use ecl_aaa::{timeline, AlgorithmGraph, ArchitectureGraph, Fnv1a, Schedule, TimeNs};
+use ecl_aaa::{timeline, AlgorithmGraph, ArchitectureGraph, DigestMemo, Fnv1a, Schedule, TimeNs};
 use ecl_blocks::{add_clock, Constant, DiscreteStateSpace, SampleHold, SampledNoise, StateSpaceCt};
 use ecl_control::metrics;
 use ecl_control::StateSpace;
@@ -974,53 +974,17 @@ pub fn loop_spec_digest(spec: &LoopSpec) -> u64 {
     h.finish()
 }
 
-/// A cached ideal run plus the number of times it was looked up.
-#[derive(Debug)]
-struct IdealSlot {
-    result: Arc<LoopResult>,
-    lookups: u64,
-}
-
-/// Memo map plus the count of lookups that *observed* a local miss and
-/// therefore simulated. Beyond one per distinct digest, those are racing
-/// double-computes whose losing results were discarded — wasted work,
-/// scheduling-dependent, sidecar-only (see
-/// [`IdealRunCache::races`]/[`ScheduledRunCache::races`]).
-#[derive(Debug)]
-struct MemoState<S> {
-    map: HashMap<u64, S>,
-    local_misses: u64,
-}
-
-impl<S> Default for MemoState<S> {
-    fn default() -> Self {
-        MemoState {
-            map: HashMap::new(),
-            local_misses: 0,
-        }
-    }
-}
-
-/// A thread-safe memo table from [`loop_spec_digest`] keys to
-/// [`run_ideal`] results.
+/// The ideal-run memo: a [`DigestMemo`] of [`run_ideal`] results keyed
+/// by [`loop_spec_digest`].
 ///
 /// A scenario sweep re-simulates the stroboscopic reference once per
 /// scenario, but the reference depends only on the loop spec — and the
 /// sweep varies that spec along a single axis (the sampling period). A
 /// 10⁵-scenario sweep therefore needs only as many ideal runs as it has
 /// distinct periods; this table, shared by the sweep workers beside the
-/// [`ecl_aaa::ScheduleCache`], answers the rest from memory.
-///
-/// Same discipline as the schedule cache: the lock is held only around
-/// the map lookup/insert, never across the simulation, so a miss on one
-/// worker does not serialize the others (two workers racing on one key
-/// both compute the identical deterministic result; the second insert is
-/// a no-op). The [`hits`](IdealRunCache::hits)/
-/// [`misses`](IdealRunCache::misses) counters are derived from
-/// per-digest lookup counts, so they depend only on the multiset of
-/// digests looked up — identical for any worker count and claim order.
-/// They still must never enter a byte-compared sweep report that predates
-/// the memo; experiment sidecars are their place.
+/// [`ecl_aaa::ScheduleCache`], answers the rest from memory. Counters,
+/// seeding and snapshots are the memo's, reached through `Deref`; they
+/// belong beside — never inside — byte-compared sweep artifacts.
 ///
 /// # Examples
 ///
@@ -1057,8 +1021,14 @@ impl<S> Default for MemoState<S> {
 /// # }
 /// ```
 #[derive(Debug, Default)]
-pub struct IdealRunCache {
-    state: Mutex<MemoState<IdealSlot>>,
+pub struct IdealRunCache(DigestMemo<LoopResult>);
+
+impl Deref for IdealRunCache {
+    type Target = DigestMemo<LoopResult>;
+
+    fn deref(&self) -> &DigestMemo<LoopResult> {
+        &self.0
+    }
 }
 
 impl IdealRunCache {
@@ -1073,147 +1043,10 @@ impl IdealRunCache {
     ///
     /// Propagates [`run_ideal`] errors; failures are not cached.
     pub fn get_or_run(&self, spec: &LoopSpec) -> Result<Arc<LoopResult>, CoreError> {
-        self.get_or_run_traced(spec).map(|(result, _, _)| result)
+        self.0
+            .get_or_compute(loop_spec_digest(spec), || run_ideal(spec))
+            .map(|(result, _)| result)
     }
-
-    /// Like [`get_or_run`](IdealRunCache::get_or_run), also returning the
-    /// [`loop_spec_digest`] key and whether *this* lookup was answered
-    /// from the cache.
-    ///
-    /// The hit flag is the caller's local observation (racing workers
-    /// both observe a miss), so it may only feed wall-clock sidecars;
-    /// deterministic artifacts use the order-invariant
-    /// [`hits`](IdealRunCache::hits)/[`misses`](IdealRunCache::misses).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`run_ideal`] errors; failures are not cached.
-    pub fn get_or_run_traced(
-        &self,
-        spec: &LoopSpec,
-    ) -> Result<(Arc<LoopResult>, u64, bool), CoreError> {
-        let key = loop_spec_digest(spec);
-        if let Some(slot) = self
-            .state
-            .lock()
-            .expect("ideal memo lock")
-            .map
-            .get_mut(&key)
-        {
-            slot.lookups += 1;
-            return Ok((Arc::clone(&slot.result), key, true));
-        }
-        // Simulated outside the lock: the ideal run is a full
-        // co-simulation and must not serialize the pool.
-        let result = Arc::new(run_ideal(spec)?);
-        let mut state = self.state.lock().expect("ideal memo lock");
-        state.local_misses += 1;
-        let slot = state
-            .map
-            .entry(key)
-            .or_insert_with(|| IdealSlot { result, lookups: 0 });
-        slot.lookups += 1;
-        Ok((Arc::clone(&slot.result), key, false))
-    }
-
-    /// Lookups beyond the first of their digest — what a serial run would
-    /// have answered from the cache. Derived from per-digest lookup
-    /// counts, so identical for any worker count.
-    pub fn hits(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("ideal memo lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups.saturating_sub(1))
-            .sum()
-    }
-
-    /// Distinct digests ever looked up — the ideal runs a serial sweep
-    /// would actually have simulated. Derived, order-invariant.
-    pub fn misses(&self) -> u64 {
-        self.len() as u64
-    }
-
-    /// Total lookups across all digests (`hits + misses`).
-    pub fn lookups(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("ideal memo lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups)
-            .sum()
-    }
-
-    /// Racing double-computes: lookups that observed a local miss (and
-    /// simulated) beyond the first of their digest. The losers' results
-    /// were discarded — pure wasted work. Thread-interleaving-dependent,
-    /// so report it only in wall-clock sidecars, never in deterministic
-    /// artifacts.
-    pub fn races(&self) -> u64 {
-        let state = self.state.lock().expect("ideal memo lock");
-        state.local_misses.saturating_sub(state.map.len() as u64)
-    }
-
-    /// Lookups that actually simulated in *this* process — unlike
-    /// [`misses`](IdealRunCache::misses) it excludes entries answered
-    /// from a [`seed`](IdealRunCache::seed)ed (on-disk) result, so a
-    /// warm-started daemon can assert it re-simulated nothing. Includes
-    /// racing double-computes — sidecar-only.
-    pub fn computes(&self) -> u64 {
-        self.state.lock().expect("ideal memo lock").local_misses
-    }
-
-    /// Inserts a run computed by an earlier process under its
-    /// [`loop_spec_digest`] key — the warm-start path of the on-disk
-    /// cache layer (typically a metrics-grade
-    /// [`LoopResult::from_metric_bytes`] decode). Returns `false` and
-    /// keeps the resident entry when the digest is already cached.
-    /// Seeding is not a lookup and not a compute.
-    pub fn seed(&self, digest: u64, result: LoopResult) -> bool {
-        let mut state = self.state.lock().expect("ideal memo lock");
-        match state.map.entry(digest) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(IdealSlot {
-                    result: Arc::new(result),
-                    lookups: 0,
-                });
-                true
-            }
-        }
-    }
-
-    /// Every cached `(digest, run)` pair, sorted by digest — the
-    /// write-back path of the on-disk cache layer.
-    pub fn snapshot(&self) -> Vec<(u64, Arc<LoopResult>)> {
-        let state = self.state.lock().expect("ideal memo lock");
-        let mut out: Vec<_> = state
-            .map
-            .iter()
-            .map(|(&digest, slot)| (digest, Arc::clone(&slot.result)))
-            .collect();
-        out.sort_by_key(|&(digest, _)| digest);
-        out
-    }
-
-    /// Number of distinct ideal runs currently cached.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("ideal memo lock").map.len()
-    }
-
-    /// `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A cached scheduled run plus the number of times it was looked up.
-#[derive(Debug)]
-struct ScheduledSlot {
-    result: Arc<LoopResult>,
-    lookups: u64,
 }
 
 /// Content digest of one scheduled (possibly faulty) co-simulation:
@@ -1245,8 +1078,9 @@ pub fn scheduled_run_digest(
     h.finish()
 }
 
-/// A thread-safe memo table from [`scheduled_run_digest`] keys to
-/// [`run_scheduled`]/[`run_scheduled_faulty`] results.
+/// The scheduled-run memo: a [`DigestMemo`] of
+/// [`run_scheduled`]/[`run_scheduled_faulty`] results keyed by
+/// [`scheduled_run_digest`].
 ///
 /// The exp16 profiler attributes ~93% of sweep time to scheduled
 /// co-simulation, and a fault-axis sweep pigeonholes heavily on
@@ -1255,19 +1089,17 @@ pub fn scheduled_run_digest(
 /// zero-rate fault axes collapse onto the nominal plan. Most of that 93%
 /// is therefore recomputation of byte-identical [`LoopResult`]s — this
 /// table, shared by the sweep workers beside [`IdealRunCache`] and
-/// [`ecl_aaa::ScheduleCache`], answers them from memory.
-///
-/// Same discipline as its two siblings: the lock is held only around the
-/// map lookup/insert, never across the co-simulation (racing workers
-/// both compute the identical deterministic result; the second insert is
-/// a no-op), and [`hits`](ScheduledRunCache::hits)/
-/// [`misses`](ScheduledRunCache::misses) are derived from per-digest
-/// lookup counts, so they are identical for any worker count and claim
-/// order. They still belong beside — never inside — byte-compared sweep
-/// artifacts.
+/// [`ecl_aaa::ScheduleCache`], answers them from memory. Counters,
+/// seeding and snapshots are the memo's, reached through `Deref`.
 #[derive(Debug, Default)]
-pub struct ScheduledRunCache {
-    state: Mutex<MemoState<ScheduledSlot>>,
+pub struct ScheduledRunCache(DigestMemo<LoopResult>);
+
+impl Deref for ScheduledRunCache {
+    type Target = DigestMemo<LoopResult>;
+
+    fn deref(&self) -> &DigestMemo<LoopResult> {
+        &self.0
+    }
 }
 
 impl ScheduledRunCache {
@@ -1303,13 +1135,8 @@ impl ScheduledRunCache {
     /// Like [`get_or_run`](ScheduledRunCache::get_or_run), also returning
     /// the [`scheduled_run_digest`] key, whether *this* lookup was
     /// answered from the cache, and the synthesis/simulation wall-clock
-    /// split of the run (zero on a hit — nothing was simulated).
-    ///
-    /// The hit flag and the phase split are this caller's wall-clock
-    /// observations (racing workers both observe a miss), so they may
-    /// only feed profiler sidecars; deterministic artifacts use the
-    /// order-invariant [`hits`](ScheduledRunCache::hits)/
-    /// [`misses`](ScheduledRunCache::misses).
+    /// split of the run (zero on a hit — nothing was simulated). The hit
+    /// flag and the split are wall-clock observations: sidecar-only.
     ///
     /// # Errors
     ///
@@ -1326,117 +1153,16 @@ impl ScheduledRunCache {
         plan: Option<&FaultPlan>,
     ) -> Result<(Arc<LoopResult>, u64, bool, CosimPhases), CoreError> {
         let key = scheduled_run_digest(spec, schedule_digest, plan);
-        if let Some(slot) = self
-            .state
-            .lock()
-            .expect("scheduled memo lock")
-            .map
-            .get_mut(&key)
-        {
-            slot.lookups += 1;
-            return Ok((Arc::clone(&slot.result), key, true, CosimPhases::default()));
-        }
-        // Co-simulated outside the lock: this is the sweep's dominant
-        // phase and must not serialize the pool.
-        let (result, phases) = run_scheduled_phased(spec, alg, io, schedule, arch, plan.cloned())?;
-        let result = Arc::new(result);
-        let mut state = self.state.lock().expect("scheduled memo lock");
-        state.local_misses += 1;
-        let slot = state
-            .map
-            .entry(key)
-            .or_insert_with(|| ScheduledSlot { result, lookups: 0 });
-        slot.lookups += 1;
-        Ok((Arc::clone(&slot.result), key, false, phases))
-    }
-
-    /// Lookups beyond the first of their digest — what a serial run would
-    /// have answered from the cache. Derived from per-digest lookup
-    /// counts, so identical for any worker count.
-    pub fn hits(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("scheduled memo lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups.saturating_sub(1))
-            .sum()
-    }
-
-    /// Distinct digests ever looked up — the scheduled runs a serial
-    /// sweep would actually have co-simulated. Derived, order-invariant.
-    pub fn misses(&self) -> u64 {
-        self.len() as u64
-    }
-
-    /// Total lookups across all digests (`hits + misses`).
-    pub fn lookups(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("scheduled memo lock")
-            .map
-            .values()
-            .map(|slot| slot.lookups)
-            .sum()
-    }
-
-    /// Racing double-computes: local-miss observations beyond the first
-    /// of their digest. Thread-interleaving-dependent — sidecar-only.
-    pub fn races(&self) -> u64 {
-        let state = self.state.lock().expect("scheduled memo lock");
-        state.local_misses.saturating_sub(state.map.len() as u64)
-    }
-
-    /// Lookups that actually co-simulated in *this* process — unlike
-    /// [`misses`](ScheduledRunCache::misses) it excludes entries answered
-    /// from a [`seed`](ScheduledRunCache::seed)ed (on-disk) result, so a
-    /// warm-started daemon can assert it re-simulated nothing. Includes
-    /// racing double-computes — sidecar-only.
-    pub fn computes(&self) -> u64 {
-        self.state.lock().expect("scheduled memo lock").local_misses
-    }
-
-    /// Inserts a run computed by an earlier process under its
-    /// [`scheduled_run_digest`] key — the warm-start path of the on-disk
-    /// cache layer (typically a metrics-grade
-    /// [`LoopResult::from_metric_bytes`] decode). Returns `false` and
-    /// keeps the resident entry when the digest is already cached.
-    /// Seeding is not a lookup and not a compute.
-    pub fn seed(&self, digest: u64, result: LoopResult) -> bool {
-        let mut state = self.state.lock().expect("scheduled memo lock");
-        match state.map.entry(digest) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(ScheduledSlot {
-                    result: Arc::new(result),
-                    lookups: 0,
-                });
-                true
-            }
-        }
-    }
-
-    /// Every cached `(digest, run)` pair, sorted by digest — the
-    /// write-back path of the on-disk cache layer.
-    pub fn snapshot(&self) -> Vec<(u64, Arc<LoopResult>)> {
-        let state = self.state.lock().expect("scheduled memo lock");
-        let mut out: Vec<_> = state
-            .map
-            .iter()
-            .map(|(&digest, slot)| (digest, Arc::clone(&slot.result)))
-            .collect();
-        out.sort_by_key(|&(digest, _)| digest);
-        out
-    }
-
-    /// Number of distinct scheduled runs currently cached.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("scheduled memo lock").map.len()
-    }
-
-    /// `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let mut phases = CosimPhases::default();
+        let (result, hit) = self.0.get_or_compute(key, || {
+            run_scheduled_phased(spec, alg, io, schedule, arch, plan.cloned()).map(
+                |(result, split)| {
+                    phases = split;
+                    result
+                },
+            )
+        })?;
+        Ok((result, key, hit, phases))
     }
 }
 
@@ -1761,22 +1487,6 @@ mod tests {
                 "cut {cut}"
             );
         }
-
-        // A cache seeded from the bytes answers without simulating.
-        let digest = loop_spec_digest(&spec);
-        let cache = IdealRunCache::new();
-        assert!(cache.seed(digest, LoopResult::from_metric_bytes(&bytes).unwrap()));
-        assert!(!cache.seed(digest, LoopResult::from_metric_bytes(&bytes).unwrap()));
-        let (served, key, hit) = cache.get_or_run_traced(&spec).unwrap();
-        assert!(hit);
-        assert_eq!(key, digest);
-        assert_eq!(cache.computes(), 0);
-        assert_eq!(served.cost.to_bits(), fresh.cost.to_bits());
-        // The snapshot reproduces the seeded entry, sorted by digest.
-        let snap = cache.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].0, digest);
-        assert_eq!(snap[0].1.to_metric_bytes(), bytes);
     }
 
     #[test]
@@ -1910,29 +1620,6 @@ mod tests {
         let other = cache.get_or_run(&scaled).unwrap();
         assert_ne!(other.cost.to_bits(), memo.cost.to_bits());
         assert_eq!(cache.len(), 2);
-    }
-
-    /// Digest-derived memo counters are exact under racing lookups,
-    /// mirroring the `ScheduleCache` guarantee the sweep relies on.
-    #[test]
-    fn ideal_memo_counters_are_thread_exact() {
-        let mut spec = dc_motor_spec();
-        spec.horizon = 0.25;
-        let cache = Arc::new(IdealRunCache::new());
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = Arc::clone(&cache);
-                let spec = &spec;
-                scope.spawn(move || {
-                    for _ in 0..4 {
-                        cache.get_or_run(spec).unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!((cache.hits(), cache.misses()), (15, 1));
-        assert_eq!(cache.lookups(), 16);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -2190,34 +1877,6 @@ mod tests {
             scheduled_run_digest(&spec, 1, Some(&other_plan)),
             "plans with different digests must key differently"
         );
-    }
-
-    /// Digest-derived memo counters are exact under racing lookups,
-    /// mirroring the `ScheduleCache`/`IdealRunCache` guarantee.
-    #[test]
-    fn scheduled_memo_counters_are_thread_exact() {
-        let (mut spec, alg, io, schedule, arch) = split_fixture();
-        spec.horizon = 0.25;
-        let cache = Arc::new(ScheduledRunCache::new());
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = Arc::clone(&cache);
-                let (spec, alg, io, schedule, arch) = (&spec, &alg, &io, &schedule, &arch);
-                scope.spawn(move || {
-                    for _ in 0..4 {
-                        cache
-                            .get_or_run(spec, alg, io, schedule, arch, 7, None)
-                            .unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!((cache.hits(), cache.misses()), (15, 1));
-        assert_eq!(cache.lookups(), 16);
-        assert_eq!(cache.len(), 1);
-        // Races are bounded by the losing local misses: at most one per
-        // thread beyond the winner.
-        assert!(cache.races() <= 3);
     }
 
     #[test]

@@ -548,7 +548,7 @@ impl SweepSummary {
     }
 
     /// Renders the sweep as a JSON document (deterministic bytes, no
-    /// timestamps; hand-rolled so the offline serde shim is not needed).
+    /// timestamps; hand-rolled, the workspace has no serialization crate).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!(

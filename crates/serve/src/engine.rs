@@ -24,10 +24,10 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use ecl_aaa::{AdequationOptions, Fnv1a, MappingPolicy, Schedule, TimeNs};
+use ecl_aaa::{AdequationOptions, DigestMemo, Fnv1a, MappingPolicy, Schedule, TimeNs};
 use ecl_bench::fleet::{
     run_scenario, sweep_bound_ns, FaultAxes, FleetPool, SweepAccumulator, SweepCaches, SweepConfig,
     SWEEP_BUCKETS,
@@ -90,21 +90,31 @@ pub struct JobReport {
     pub payload_digest: u64,
     /// Where the payload came from this time.
     pub source: ResponseSource,
-    /// Schedules computed by this engine since construction
-    /// ([`ecl_aaa::ScheduleCache::computes`]); stays 0 on a warm-started
-    /// engine answering known requests.
+    /// Schedules computed by this engine since construction (the
+    /// schedule memo's [`ecl_aaa::DigestMemo::computes`]); stays 0 on a
+    /// warm-started engine answering known requests.
     pub sched_computes: u64,
 }
 
 /// One memoized response.
 #[derive(Debug)]
-struct ResponseSlot {
+struct Response {
     payload: Arc<Vec<u8>>,
     payload_digest: u64,
     /// Seeded from disk at construction (reports as
     /// [`ResponseSource::Disk`]) vs computed this lifetime
     /// ([`ResponseSource::Memory`]).
     disk_seeded: bool,
+}
+
+impl Response {
+    fn new(payload: Vec<u8>, disk_seeded: bool) -> Response {
+        Response {
+            payload_digest: payload_digest(&payload),
+            payload: Arc::new(payload),
+            disk_seeded,
+        }
+    }
 }
 
 /// Monotonic engine counters (wall-clock-free).
@@ -126,7 +136,7 @@ pub struct Engine {
     caches: Arc<SweepCaches>,
     pool: FleetPool,
     store: Option<DiskStore>,
-    responses: Mutex<HashMap<u64, ResponseSlot>>,
+    responses: DigestMemo<Response>,
     metrics: EngineMetrics,
 }
 
@@ -179,40 +189,27 @@ impl Engine {
             None => None,
         };
         let caches = Arc::new(SweepCaches::new());
-        let mut responses = HashMap::new();
+        let responses = DigestMemo::new();
         if let Some(store) = &store {
-            for (digest, bytes) in store.load_all(KIND_SCHEDULES) {
-                if let Ok(schedule) = Schedule::from_bytes(&bytes) {
-                    caches.schedule.seed(digest, schedule);
-                }
-            }
-            for (digest, bytes) in store.load_all(KIND_IDEAL) {
-                if let Ok(run) = LoopResult::from_metric_bytes(&bytes) {
-                    caches.ideal.seed(digest, run);
-                }
-            }
-            for (digest, bytes) in store.load_all(KIND_SCHEDULED) {
-                if let Ok(run) = LoopResult::from_metric_bytes(&bytes) {
-                    caches.scheduled.seed(digest, run);
-                }
-            }
-            for (digest, payload) in store.load_all(KIND_RESPONSES) {
-                responses.insert(
-                    digest,
-                    ResponseSlot {
-                        payload_digest: payload_digest(&payload),
-                        payload: Arc::new(payload),
-                        disk_seeded: true,
-                    },
-                );
-            }
+            store.warm_start(KIND_SCHEDULES, &caches.schedule, |bytes| {
+                Schedule::from_bytes(&bytes).ok()
+            });
+            store.warm_start(KIND_IDEAL, &caches.ideal, |bytes| {
+                LoopResult::from_metric_bytes(&bytes).ok()
+            });
+            store.warm_start(KIND_SCHEDULED, &caches.scheduled, |bytes| {
+                LoopResult::from_metric_bytes(&bytes).ok()
+            });
+            store.warm_start(KIND_RESPONSES, &responses, |payload| {
+                Some(Response::new(payload, true))
+            });
         }
         Ok(Engine {
             deployments,
             caches,
             pool: FleetPool::new(config.workers),
             store,
-            responses: Mutex::new(responses),
+            responses,
             metrics: EngineMetrics::default(),
         })
     }
@@ -352,32 +349,25 @@ impl Engine {
         s.into_bytes()
     }
 
-    /// Write-through persistence after a computed job: the response
-    /// payload and a snapshot of every memo table. Saves are atomic and
-    /// idempotent (content-addressed), so re-saving an existing entry
-    /// rewrites identical bytes. Best-effort: a full disk degrades the
-    /// daemon to memory-only and bumps `persist_errors`, it never fails
-    /// a job that already has its answer.
-    fn persist(&self, digest: u64, payload: &[u8]) {
+    /// Write-through persistence after a computed job: every memo entry
+    /// (the new response included) not yet in the store. Entries seeded
+    /// from disk or saved by an earlier job are skipped, so the cost
+    /// tracks what the job added, not the daemon's lifetime. Saves are
+    /// atomic. Best-effort: a failed save bumps `persist_errors` and
+    /// leaves its entry unsaved for the next job to retry; it never
+    /// fails a job that already has its answer.
+    fn persist(&self) {
         let Some(store) = &self.store else {
             return;
         };
-        let mut failed = 0u64;
-        let mut save = |kind: &str, key: u64, bytes: &[u8]| {
-            if store.save(kind, key, bytes).is_err() {
-                failed += 1;
-            }
-        };
-        save(KIND_RESPONSES, digest, payload);
-        for (key, schedule) in self.caches.schedule.snapshot() {
-            save(KIND_SCHEDULES, key, &schedule.to_bytes());
-        }
-        for (key, run) in self.caches.ideal.snapshot() {
-            save(KIND_IDEAL, key, &run.to_metric_bytes());
-        }
-        for (key, run) in self.caches.scheduled.snapshot() {
-            save(KIND_SCHEDULED, key, &run.to_metric_bytes());
-        }
+        let failed = store.write_back(KIND_RESPONSES, &self.responses, |r| r.payload.to_vec())
+            + store.write_back(KIND_SCHEDULES, &self.caches.schedule, Schedule::to_bytes)
+            + store.write_back(KIND_IDEAL, &self.caches.ideal, LoopResult::to_metric_bytes)
+            + store.write_back(
+                KIND_SCHEDULED,
+                &self.caches.scheduled,
+                LoopResult::to_metric_bytes,
+            );
         self.metrics
             .persist_errors
             .fetch_add(failed, Ordering::Relaxed);
@@ -392,35 +382,45 @@ impl Engine {
     ///
     /// [`CoreError::InvalidInput`] for an unregistered case; otherwise
     /// the lowest-index scenario failure, if any.
-    pub fn run_job<F>(&self, req: &SweepRequest, mut progress: F) -> Result<JobReport, CoreError>
+    pub fn run_job<F>(&self, req: &SweepRequest, progress: F) -> Result<JobReport, CoreError>
     where
         F: FnMut(usize, usize, i64, u64),
     {
         self.metrics.jobs.fetch_add(1, Ordering::Relaxed);
         let digest = req.digest();
-        if let Some(slot) = self.responses.lock().expect("response memo").get(&digest) {
-            let source = if slot.disk_seeded {
-                self.metrics.disk_hits.fetch_add(1, Ordering::Relaxed);
-                ResponseSource::Disk
-            } else {
-                self.metrics.memory_hits.fetch_add(1, Ordering::Relaxed);
-                ResponseSource::Memory
-            };
-            return Ok(JobReport {
-                digest,
-                payload: Arc::clone(&slot.payload),
-                payload_digest: slot.payload_digest,
-                source,
-                sched_computes: self.caches.schedule.computes(),
-            });
+        let (response, hit) = self
+            .responses
+            .get_or_compute(digest, || self.compute(req, progress))?;
+        let (source, counter) = match (hit, response.disk_seeded) {
+            (false, _) => (ResponseSource::Computed, &self.metrics.computed),
+            (true, true) => (ResponseSource::Disk, &self.metrics.disk_hits),
+            (true, false) => (ResponseSource::Memory, &self.metrics.memory_hits),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if !hit {
+            self.persist();
         }
+        Ok(JobReport {
+            digest,
+            payload: Arc::clone(&response.payload),
+            payload_digest: response.payload_digest,
+            source,
+            sched_computes: self.caches.schedule.computes(),
+        })
+    }
+
+    /// Computes `req`'s response by sharding the sweep across the
+    /// resident pool (see [`run_job`](Engine::run_job)).
+    fn compute<F>(&self, req: &SweepRequest, mut progress: F) -> Result<Response, CoreError>
+    where
+        F: FnMut(usize, usize, i64, u64),
+    {
         let deployment =
             self.deployments
                 .get(&req.case)
                 .ok_or_else(|| CoreError::InvalidInput {
                     reason: format!("unknown deployment case {:?}", req.case),
                 })?;
-        self.metrics.computed.fetch_add(1, Ordering::Relaxed);
         let config = Arc::new(self.config_for(req));
         let bound = sweep_bound_ns(&deployment.spec, &config);
         let total = config.scenario_count;
@@ -478,24 +478,10 @@ impl Engine {
             progress(start, total, worst, overruns);
         }
         let (summary, _traces) = acc.finish();
-        let payload = Arc::new(Self::render_payload(&summary, &merged));
-        let payload_dig = payload_digest(&payload);
-        self.persist(digest, &payload);
-        self.responses.lock().expect("response memo").insert(
-            digest,
-            ResponseSlot {
-                payload: Arc::clone(&payload),
-                payload_digest: payload_dig,
-                disk_seeded: false,
-            },
-        );
-        Ok(JobReport {
-            digest,
-            payload,
-            payload_digest: payload_dig,
-            source: ResponseSource::Computed,
-            sched_computes: self.caches.schedule.computes(),
-        })
+        Ok(Response::new(
+            Self::render_payload(&summary, &merged),
+            false,
+        ))
     }
 
     /// The counter sidecar, in fixed order. Every value is digest- or
@@ -521,10 +507,7 @@ impl Engine {
                 "response_disk_hits".into(),
                 self.metrics.disk_hits.load(Ordering::Relaxed),
             ),
-            (
-                "responses_cached".into(),
-                self.responses.lock().expect("response memo").len() as u64,
-            ),
+            ("responses_cached".into(), self.responses.len() as u64),
             ("schedule_computes".into(), caches.schedule.computes()),
             ("schedule_entries".into(), caches.schedule.len() as u64),
             ("ideal_entries".into(), caches.ideal.len() as u64),

@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ecl_aaa::Fnv1a;
+use ecl_aaa::{DigestMemo, Fnv1a};
 use ecl_telemetry::bytes::{ByteReader, ByteWriter, CodecError};
 
 /// Envelope magic of one cache file.
@@ -134,6 +134,42 @@ impl DiskStore {
                 None
             }
         }
+    }
+
+    /// Seeds `memo` with every valid entry of `kind` that `decode`
+    /// accepts — a restarted daemon's warm start. Seeded entries start
+    /// saved, so [`write_back`](DiskStore::write_back) never rewrites them.
+    pub fn warm_start<V>(
+        &self,
+        kind: &str,
+        memo: &DigestMemo<V>,
+        decode: impl Fn(Vec<u8>) -> Option<V>,
+    ) {
+        for (digest, payload) in self.load_all(kind) {
+            if let Some(value) = decode(payload) {
+                memo.seed(digest, value);
+            }
+        }
+    }
+
+    /// Saves every entry of `memo` not yet in the store under `kind`,
+    /// encoded by `encode`, and marks it saved. A failed save leaves its
+    /// entry unsaved, so the next call retries it. Returns the number of
+    /// failed saves.
+    pub fn write_back<V>(
+        &self,
+        kind: &str,
+        memo: &DigestMemo<V>,
+        encode: impl Fn(&V) -> Vec<u8>,
+    ) -> u64 {
+        let mut failed = 0;
+        for (digest, value) in memo.unsaved() {
+            match self.save(kind, digest, &encode(&value)) {
+                Ok(()) => memo.mark_saved(digest),
+                Err(_) => failed += 1,
+            }
+        }
+        failed
     }
 
     /// Every valid `(digest, payload)` of `kind`, sorted by digest so

@@ -413,7 +413,7 @@ pub enum ServerMsg {
     /// Job finished; `sched_computes` is the daemon's lifetime count of
     /// schedules actually computed (0 on a fully warm-started daemon).
     Done {
-        /// [`ecl_aaa::ScheduleCache::computes`] after this job.
+        /// [`ecl_aaa::DigestMemo::computes`] of the schedule memo after this job.
         sched_computes: u64,
     },
     /// Counter sidecar, as `name value` pairs.

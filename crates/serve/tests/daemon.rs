@@ -130,6 +130,59 @@ fn restart_serves_new_requests_without_recomputing_schedules() {
     assert_eq!(counter(&stats, "jobs_computed"), 1);
 }
 
+/// Persistence writes only what a job added: a second cold job that
+/// reuses the first job's schedules leaves every file the first job
+/// wrote in place. Saves go through temp-then-rename, so a rewritten
+/// file would carry a new inode.
+#[cfg(unix)]
+#[test]
+fn persist_never_rewrites_saved_entries() {
+    use std::os::unix::fs::MetadataExt;
+    let store = TempStore::new("inode");
+    let engine = Engine::new(EngineConfig {
+        workers: 2,
+        store_dir: Some(store.dir.clone()),
+    })
+    .expect("engine");
+    let inodes = || {
+        let mut out = std::collections::BTreeMap::new();
+        for kind in std::fs::read_dir(&store.dir).expect("store root").flatten() {
+            for file in std::fs::read_dir(kind.path()).expect("kind dir").flatten() {
+                let ino = file.metadata().expect("file metadata").ino();
+                out.insert(file.path(), ino);
+            }
+        }
+        out
+    };
+
+    engine
+        .run_job(&request(), |_, _, _, _| {})
+        .expect("first job");
+    let before = inodes();
+    let schedules = store.dir.join("schedules");
+    assert!(before.keys().any(|path| path.starts_with(&schedules)));
+
+    let half = SweepRequest {
+        scenarios: 6, // strict subset of the first job's index range
+        ..request()
+    };
+    let second = engine.run_job(&half, |_, _, _, _| {}).expect("second job");
+    assert_eq!(second.source, ResponseSource::Computed);
+    let after = inodes();
+    for (path, ino) in &before {
+        assert_eq!(
+            after.get(path),
+            Some(ino),
+            "{} was rewritten",
+            path.display()
+        );
+    }
+    assert!(
+        after.len() > before.len(),
+        "the second response was not saved"
+    );
+}
+
 /// `priority` and `chunk` steer scheduling only — two engines given the
 /// same request with different knobs produce identical bytes and share
 /// one request digest.

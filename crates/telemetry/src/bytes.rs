@@ -1,7 +1,7 @@
 //! Minimal little-endian byte codec for content-addressed persistence.
 //!
-//! The workspace builds offline against no-op `serde` shims, so every
-//! durable artifact is hand-rolled. This module is the shared substrate:
+//! The workspace builds offline without a serialization framework, so
+//! every durable artifact is hand-rolled. This module is the shared substrate:
 //! a [`ByteWriter`] that appends fixed-width little-endian scalars and
 //! length-prefixed strings to a `Vec<u8>`, and a [`ByteReader`] that
 //! consumes the same layout and reports structural problems as typed

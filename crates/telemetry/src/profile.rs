@@ -39,7 +39,7 @@ const PHASE_BUCKETS: usize = 32;
 pub enum Phase {
     /// Scenario derivation: PRNG draws and the jittered WCET table.
     Derive,
-    /// Schedule lookup/computation (the `ScheduleCache` + list scheduler).
+    /// Schedule lookup/computation (the schedule `DigestMemo` + list scheduler).
     Adequation,
     /// Fault-envelope abstract interpretation (static sweep pruning).
     Envelope,

@@ -19,6 +19,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test (workspace) =="
 cargo test --workspace -q --offline
 
+# The benchmark (`benchmark/`, a Cargo workspace of its own) builds
+# against the library crates by path, so no workspace gate compiles it.
+# Its tests cover the statistics, the metric registry and a `--quick`
+# smoke run of every workload; an API change that breaks it fails here.
+echo "== benchmark crate tests + --quick smoke run =="
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # The fleet/histogram/latency tests assert worker-count invariance; run
 # them again single-threaded so a scheduling-dependent bug cannot hide
 # behind the default parallel test harness.
