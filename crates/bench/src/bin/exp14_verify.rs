@@ -14,7 +14,7 @@
 //! * on a fleet sweep of randomly perturbed DC-motor implementations
 //!   (`SweepConfig::verify_static`): every scenario's schedule verifies
 //!   with zero errors and the measured co-simulation latencies
-//!   (including `run_scheduled_traced` scenarios) never exceed the
+//!   (including traced scenarios) never exceed the
 //!   static bounds.
 //!
 //! The usual worker-invariance gate applies: `ECL_FLEET_WORKERS=<n>`

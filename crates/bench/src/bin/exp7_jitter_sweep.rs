@@ -10,9 +10,10 @@ use ecl_aaa::{adequation, AdequationOptions, AlgorithmGraph, ArchitectureGraph, 
 use ecl_bench::{lqr_loop, table};
 use ecl_blocks::Sine;
 use ecl_control::plants;
-use ecl_core::cosim;
+use ecl_core::cosim::{self, Activation};
 use ecl_core::delays::{ConditionSource, DelayGraphConfig};
 use ecl_core::translate::IoMap;
+use ecl_telemetry::Collector;
 
 struct Case {
     alg: AlgorithmGraph,
@@ -83,13 +84,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for spread_frac in [0.0, 0.2, 0.4, 0.6, 0.8] {
         let case = conditioned_case(period, mean_frac, spread_frac);
         let mode = case.mode;
-        let run = cosim::run_scheduled_with(
-            &spec,
-            &case.alg,
-            &case.io,
-            &case.schedule,
-            &case.arch,
-            |model| {
+        let activation = Activation::Scheduled {
+            alg: &case.alg,
+            io: &case.io,
+            schedule: &case.schedule,
+            arch: &case.arch,
+            configure: Box::new(|model| {
                 // Branch alternates each period.
                 let osc = model.add_block(
                     "mode_signal",
@@ -105,8 +105,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     },
                 );
                 Ok(cfg)
-            },
-        )?;
+            }),
+        };
+        let (run, _) = cosim::simulate(&spec, activation, &mut Collector::noop(), "")?;
         let rep = run.latency_report()?;
         let stats = rep.actuation[0].stats().expect("non-empty");
         rows.push(vec![

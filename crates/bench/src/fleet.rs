@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -36,7 +36,7 @@ use ecl_aaa::{
     codegen, AdequationOptions, DigestMemo, Fnv1a, MappingPolicy, Schedule, ScheduleCache, TimeNs,
     TimingDb,
 };
-use ecl_core::cosim::{self, CosimPhases, IdealRunCache, LoopResult, LoopSpec, ScheduledRunCache};
+use ecl_core::cosim::{self, Activation, IdealRunCache, LoopResult, LoopSpec, ScheduledRunCache};
 use ecl_core::faults::{FaultConfig, FaultFamily, FaultPlan};
 use ecl_core::latency::LatencyReport;
 use ecl_core::report::{
@@ -475,47 +475,77 @@ where
     F: Fn(usize, &mut W) -> R + Sync,
 {
     let workers = workers.clamp(1, count.max(1));
-    let batch = claim_batch(count, workers);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..count).map(|_| None).collect());
-    let states: Mutex<Vec<Option<W>>> = Mutex::new((0..workers).map(|_| None).collect());
+    let lanes = Lanes::new(count, workers);
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let (next, slots, states, init, f) = (&next, &slots, &states, &init, &f);
-            scope.spawn(move || {
-                let mut state = init(w);
-                let mut local: Vec<(usize, R)> = Vec::with_capacity(batch);
-                loop {
-                    let start = next.fetch_add(batch, Ordering::Relaxed);
-                    if start >= count {
-                        break;
-                    }
-                    let end = (start + batch).min(count);
-                    for i in start..end {
-                        local.push((i, f(i, &mut state)));
-                    }
-                    let mut slots = slots.lock().expect("result slots");
-                    for (i, r) in local.drain(..) {
-                        slots[i] = Some(r);
-                    }
-                }
-                states.lock().expect("worker states")[w] = Some(state);
-            });
+            let (lanes, init, f) = (&lanes, &init, &f);
+            scope.spawn(move || lanes.run(w, init, f));
         }
     });
-    let results = slots
-        .into_inner()
-        .expect("result slots")
-        .into_iter()
-        .map(|r| r.expect("every index produced a result"))
-        .collect();
-    let states = states
-        .into_inner()
-        .expect("worker states")
-        .into_iter()
-        .map(|s| s.expect("every worker parked its state"))
-        .collect();
-    (results, states)
+    lanes.into_parts()
+}
+
+/// The shared state of one indexed map over `0..count`: the claim
+/// counter, the index-addressed result slots and the per-lane states.
+/// Both [`map_indexed_with`] and [`FleetPool::run_with`] drive it.
+struct Lanes<R, W> {
+    count: usize,
+    batch: usize,
+    next: AtomicUsize,
+    slots: Mutex<Vec<Option<R>>>,
+    states: Mutex<Vec<Option<W>>>,
+}
+
+impl<R, W> Lanes<R, W> {
+    fn new(count: usize, lanes: usize) -> Self {
+        Lanes {
+            count,
+            batch: claim_batch(count, lanes),
+            next: AtomicUsize::new(0),
+            slots: Mutex::new((0..count).map(|_| None).collect()),
+            states: Mutex::new((0..lanes).map(|_| None).collect()),
+        }
+    }
+
+    /// One lane's life: claim a batch of indices, compute it, publish its
+    /// results under one lock acquisition, until no index is left; then
+    /// park the lane's state.
+    fn run<G, F>(&self, lane: usize, init: &G, f: &F)
+    where
+        G: Fn(usize) -> W,
+        F: Fn(usize, &mut W) -> R,
+    {
+        let mut state = init(lane);
+        let mut local: Vec<(usize, R)> = Vec::with_capacity(self.batch);
+        loop {
+            let start = self.next.fetch_add(self.batch, Ordering::Relaxed);
+            if start >= self.count {
+                break;
+            }
+            for i in start..(start + self.batch).min(self.count) {
+                local.push((i, f(i, &mut state)));
+            }
+            let mut slots = self.slots.lock().expect("result slots");
+            for (i, r) in local.drain(..) {
+                slots[i] = Some(r);
+            }
+        }
+        self.states.lock().expect("lane states")[lane] = Some(state);
+    }
+
+    /// The results in index order and the lane states in lane order, once
+    /// every lane has run.
+    fn into_parts(self) -> (Vec<R>, Vec<W>) {
+        let slots = self.slots.into_inner().expect("result slots");
+        let parked = self.states.into_inner().expect("lane states");
+        let results = slots
+            .into_iter()
+            .map(|r| r.expect("every index produced a result"));
+        let states = parked
+            .into_iter()
+            .map(|s| s.expect("every lane parked its state"));
+        (results.collect(), states.collect())
+    }
 }
 
 /// Runs `f` over `0..count` on `workers` self-scheduling threads and
@@ -566,19 +596,6 @@ pub fn workers_from_env() -> Result<Option<usize>, CoreError> {
 
 /// A boxed unit of pool work.
 type PoolTask = Box<dyn FnOnce() + Send + 'static>;
-
-/// Shared state of one [`FleetPool::run_with`] call: the claim counter,
-/// the index-addressed result slots, the per-lane states and the
-/// completion latch.
-struct PoolJob<R, W> {
-    count: usize,
-    batch: usize,
-    next: AtomicUsize,
-    slots: Mutex<Vec<Option<R>>>,
-    states: Mutex<Vec<Option<W>>>,
-    remaining: Mutex<usize>,
-    done: Condvar,
-}
 
 /// A resident fleet: long-lived worker threads fed from an MPSC inbox.
 ///
@@ -659,69 +676,37 @@ impl FleetPool {
         F: Fn(usize, &mut W) -> R + Send + Sync + 'static,
     {
         let lanes = self.workers.clamp(1, count.max(1));
-        let job = Arc::new(PoolJob::<R, W> {
-            count,
-            batch: claim_batch(count, lanes),
-            next: AtomicUsize::new(0),
-            slots: Mutex::new((0..count).map(|_| None).collect()),
-            states: Mutex::new((0..lanes).map(|_| None).collect()),
-            remaining: Mutex::new(lanes),
-            done: Condvar::new(),
-        });
+        let job = Arc::new(Lanes::new(count, lanes));
         let init = Arc::new(init);
         let f = Arc::new(f);
         let sender = self.sender.as_ref().expect("pool inbox open");
+        // Completion latch: one message per finished lane.
+        let (done, finished) = mpsc::channel::<()>();
         for lane in 0..lanes {
-            let job = Arc::clone(&job);
-            let init = Arc::clone(&init);
-            let f = Arc::clone(&f);
+            let (job, init, f, done) = (
+                Arc::clone(&job),
+                Arc::clone(&init),
+                Arc::clone(&f),
+                done.clone(),
+            );
             sender
                 .send(Box::new(move || {
-                    let mut state = init(lane);
-                    let mut local: Vec<(usize, R)> = Vec::with_capacity(job.batch);
-                    loop {
-                        let start = job.next.fetch_add(job.batch, Ordering::Relaxed);
-                        if start >= job.count {
-                            break;
-                        }
-                        let end = (start + job.batch).min(job.count);
-                        for i in start..end {
-                            local.push((i, f(i, &mut state)));
-                        }
-                        let mut slots = job.slots.lock().expect("pool result slots");
-                        for (i, r) in local.drain(..) {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    job.states.lock().expect("pool lane states")[lane] = Some(state);
-                    let mut remaining = job.remaining.lock().expect("pool latch");
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        job.done.notify_all();
-                    }
+                    job.run(lane, &*init, &*f);
+                    // Release the job before signalling, so the caller
+                    // holds the last handle once every lane has reported.
+                    drop(job);
+                    let _ = done.send(());
                 }))
                 .expect("fleet pool worker hung up");
         }
-        let mut remaining = job.remaining.lock().expect("pool latch");
-        while *remaining > 0 {
-            remaining = job.done.wait(remaining).expect("pool latch");
+        drop(done);
+        for _ in 0..lanes {
+            finished.recv().expect("a fleet pool lane panicked");
         }
-        drop(remaining);
-        let results = job
-            .slots
-            .lock()
-            .expect("pool result slots")
-            .iter_mut()
-            .map(|r| r.take().expect("every index produced a result"))
-            .collect();
-        let states = job
-            .states
-            .lock()
-            .expect("pool lane states")
-            .iter_mut()
-            .map(|s| s.take().expect("every lane parked its state"))
-            .collect();
-        (results, states)
+        match Arc::try_unwrap(job) {
+            Ok(job) => job.into_parts(),
+            Err(_) => unreachable!("every lane released the job before reporting"),
+        }
     }
 }
 
@@ -972,46 +957,17 @@ impl SweepAccumulator {
     }
 }
 
-/// Records the synthesis/simulation wall-clock split of one
-/// [`cosim::run_scheduled_phased`] call as two back-to-back profile
-/// spans starting at `start_ns`.
-fn push_cosim_spans(wp: &mut WorkerProfile, scenario: usize, start_ns: u64, phases: CosimPhases) {
-    let synthesized = start_ns + phases.synthesis_wall_ns;
-    wp.push_span(scenario, Phase::Synthesis, start_ns, synthesized);
-    wp.push_span(
-        scenario,
-        Phase::Cosim,
-        synthesized,
-        synthesized + phases.simulation_wall_ns,
-    );
-}
-
-/// Attributes one memoized co-simulation lookup that started at
-/// `start_ns`: a miss carries real synthesis/simulation phases; a hit
-/// charges the lookup itself (digest + lock + `Arc` clone) to the
-/// co-simulation phase, so the profile shows what the memo reduced the
-/// phase *to* rather than dropping the time on the floor.
-fn push_memo_spans(
-    wp: &mut WorkerProfile,
-    scenario: usize,
-    start_ns: u64,
-    hit: bool,
-    phases: CosimPhases,
-) {
-    if hit {
-        let end = wp.now_ns();
-        wp.push_span(scenario, Phase::Cosim, start_ns, end);
-    } else {
-        push_cosim_spans(wp, scenario, start_ns, phases);
-    }
-}
-
 /// One untraced graph-of-delays co-simulation with its profile spans.
 /// With [`SweepConfig::memoize_scheduled`] the lookup goes through the
 /// shared [`ScheduledRunCache`] and reports on the profiler's memo
 /// channel; without it the co-simulation runs fresh — the pre-memo
 /// fleet pipeline, kept for baseline benchmarks and for the
 /// byte-identity tests that pin the memoized artifacts against it.
+///
+/// A run's measured synthesis/simulation split becomes two back-to-back
+/// spans; a memo hit charges the lookup itself (digest + lock + `Arc`
+/// clone) to the co-simulation phase, so the profile shows what the memo
+/// reduced the phase *to* rather than dropping the time on the floor.
 #[allow(clippy::too_many_arguments)]
 fn scheduled_cosim(
     config: &SweepConfig,
@@ -1025,31 +981,28 @@ fn scheduled_cosim(
     wp: &mut WorkerProfile,
 ) -> Result<Arc<LoopResult>, CoreError> {
     let t0 = wp.now_ns();
-    if config.memoize_scheduled {
-        let (run, key, hit, phases) = scheduled_memo.get_or_run_phased(
-            spec2,
-            &base.alg,
-            &base.io,
-            schedule,
-            &base.arch,
-            schedule_digest,
-            plan,
-        )?;
+    let (run, hit, phases) = if config.memoize_scheduled {
+        let (alg, io, arch) = (&base.alg, &base.io, &base.arch);
+        let (run, key, hit, phases) =
+            scheduled_memo.get_or_run(spec2, alg, io, schedule, arch, schedule_digest, plan)?;
         wp.memo_event(index, key, hit);
-        push_memo_spans(wp, index, t0, hit, phases);
-        Ok(run)
+        (run, hit, phases)
     } else {
-        let (run, phases) = cosim::run_scheduled_phased(
-            spec2,
-            &base.alg,
-            &base.io,
-            schedule,
-            &base.arch,
-            plan.cloned(),
-        )?;
-        push_cosim_spans(wp, index, t0, phases);
-        Ok(Arc::new(run))
+        let activation =
+            Activation::scheduled(&base.alg, &base.io, schedule, &base.arch, plan.cloned());
+        let (run, phases) = cosim::simulate(spec2, activation, &mut Collector::noop(), "")?;
+        (Arc::new(run), false, phases)
+    };
+    if hit {
+        let end = wp.now_ns();
+        wp.push_span(index, Phase::Cosim, t0, end);
+    } else {
+        let synthesized = t0 + phases.synthesis_wall_ns;
+        let simulated = synthesized + phases.simulation_wall_ns;
+        wp.push_span(index, Phase::Synthesis, t0, synthesized);
+        wp.push_span(index, Phase::Cosim, synthesized, simulated);
     }
+    Ok(run)
 }
 
 /// The latency report a scenario's verification phase reads: freshly
@@ -1232,45 +1185,32 @@ pub fn run_scenario(
             })
         })
         .transpose()?;
+    let untraced_cosim = |plan: Option<&FaultPlan>, wp: &mut WorkerProfile| {
+        let scheduled = &caches.scheduled;
+        scheduled_cosim(
+            config, scheduled, &spec2, base, &schedule, digest, plan, index, wp,
+        )
+    };
     let (run, degradation, sink) = if let Some(plan) = &plan {
         // Faulty scenarios compare against a fault-free twin on the same
         // schedule; they never contribute telemetry traces (tracing the
         // degraded replay would double the sink for no new information).
-        let baseline = scheduled_cosim(
-            config,
-            &caches.scheduled,
-            &spec2,
-            base,
-            &schedule,
-            digest,
-            None,
-            index,
-            wp,
-        )?;
-        let faulty = scheduled_cosim(
-            config,
-            &caches.scheduled,
-            &spec2,
-            base,
-            &schedule,
-            digest,
-            Some(plan),
-            index,
-            wp,
-        )?;
+        let baseline = untraced_cosim(None, wp)?;
+        let faulty = untraced_cosim(Some(plan), wp)?;
         let degradation = wp.phase(index, Phase::Metrics, |_| {
             DegradationSummary::from_runs(index, plan, &baseline, &faulty, config.cost_bound_ratio)
         })?;
         (faulty, Some(degradation), RecordingSink::default())
     } else if traced {
-        // The traced driver interleaves synthesis, timeline emission and
-        // simulation, so the whole run is attributed to co-simulation.
+        // Timeline emission, synthesis and simulation are all attributed
+        // to co-simulation.
         let (run, sink) = wp.phase(index, Phase::Cosim, |_| {
             let sink = PrefixSink::new(format!("s{index}:"), RecordingSink::default());
             let mut tel = Collector::new(sink);
-            let run = cosim::run_scheduled_traced(
-                &spec2, &base.alg, &base.io, &schedule, &base.arch, &mut tel,
-            )?;
+            let (alg, arch) = (&base.alg, &base.arch);
+            cosim::emit_schedule_timeline(&mut tel, &schedule, alg, arch, spec2.ts, spec2.horizon)?;
+            let activation = Activation::scheduled(alg, &base.io, &schedule, arch, None);
+            let (run, _) = cosim::simulate(&spec2, activation, &mut tel, "")?;
             // Surface the hot-loop engine counters into the same stream:
             // sim-derived, deterministic, stamped at the horizon.
             let horizon_ns = TimeNs::from_secs_f64(spec2.horizon).as_nanos();
@@ -1281,18 +1221,7 @@ pub fn run_scenario(
         })?;
         (Arc::new(run), None, sink)
     } else {
-        let run = scheduled_cosim(
-            config,
-            &caches.scheduled,
-            &spec2,
-            base,
-            &schedule,
-            digest,
-            None,
-            index,
-            wp,
-        )?;
-        (run, None, RecordingSink::default())
+        (untraced_cosim(None, wp)?, None, RecordingSink::default())
     };
 
     let bound = sweep_bound_ns(spec, config);
@@ -2424,8 +2353,8 @@ mod tests {
                     Some(&plan),
                 )
             };
-            let first = lookup().unwrap();
-            let second = lookup().unwrap();
+            let (first, ..) = lookup().unwrap();
+            let (second, ..) = lookup().unwrap();
             prop_assert_eq!((memo.hits(), memo.misses()), (1, 1));
             let fresh = cosim::run_scheduled_faulty(
                 &spec,

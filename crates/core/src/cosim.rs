@@ -1,16 +1,16 @@
-//! Closed-loop co-simulation drivers.
-//!
-//! [`run_ideal`] simulates the loop under the *stroboscopic model* (paper
-//! Fig. 2): one activation clock samples every input, runs the controller,
-//! and applies every output at the same instant — the assumption control
-//! engineers design under. [`run_scheduled`] simulates the same loop with
+//! Closed-loop co-simulation: [`simulate`] runs a full-state
+//! [`LoopSpec`] or an output-feedback [`OutputLoopSpec`] under either
+//! [`Activation`]. [`Activation::Ideal`] is the *stroboscopic model*
+//! (paper Fig. 2) control engineers design under: one clock samples,
+//! computes and actuates at the same instant. [`Activation::Scheduled`] is
 //! the **graph of delays** (paper Fig. 3) synthesized from a SynDEx
-//! schedule: sampling, computation and actuation are re-activated at the
-//! instants of the distributed implementation, exposing its impact on
-//! control performance *before any code runs on a target*.
+//! schedule: each stage is re-activated at the distributed
+//! implementation's instants, exposing its impact on control performance
+//! *before any code runs on a target*.
 
 use std::ops::Deref;
 use std::sync::Arc;
+use std::time::Instant;
 
 use ecl_aaa::{timeline, AlgorithmGraph, ArchitectureGraph, DigestMemo, Fnv1a, Schedule, TimeNs};
 use ecl_blocks::{add_clock, Constant, DiscreteStateSpace, SampleHold, SampledNoise, StateSpaceCt};
@@ -23,7 +23,7 @@ use ecl_telemetry::{Collector, Event, Histogram, Sink};
 
 use crate::delays::{self, DelayGraphConfig};
 use crate::faults::FaultPlan;
-use crate::latency::{latencies, latencies_strict, LatencyReport};
+use crate::latency::{latencies, latencies_strict, period_origin, LatencyReport, LatencySeries};
 use crate::translate::IoMap;
 use crate::CoreError;
 
@@ -75,22 +75,12 @@ pub struct LoopSpec {
 }
 
 impl LoopSpec {
-    fn validate(&self) -> Result<(), CoreError> {
+    /// Checks the gains' shapes and builds the controller block
+    /// implementing the law.
+    fn controller(&self) -> Result<DiscreteStateSpace, CoreError> {
         let n = self.plant.state_dim();
+        let m = self.n_controls;
         let bad = |reason: String| Err(CoreError::InvalidInput { reason });
-        if self.n_controls == 0 || self.n_controls > self.plant.input_dim() {
-            return bad(format!(
-                "n_controls = {} out of range for a plant with {} inputs",
-                self.n_controls,
-                self.plant.input_dim()
-            ));
-        }
-        if self.x0.len() != n {
-            return bad(format!(
-                "x0 has {} entries, plant has {n} states",
-                self.x0.len()
-            ));
-        }
         if self.feedback.shape() != (self.n_controls, n) {
             return bad(format!(
                 "feedback gain must be {}x{n}, got {}x{}",
@@ -109,16 +99,6 @@ impl LoopSpec {
                 ));
             }
         }
-        if !(self.ts > 0.0) || !(self.horizon > 0.0) {
-            return bad("ts and horizon must be positive".into());
-        }
-        Ok(())
-    }
-
-    /// Builds the controller block implementing the law.
-    fn controller(&self) -> Result<DiscreteStateSpace, CoreError> {
-        let n = self.plant.state_dim();
-        let m = self.n_controls;
         let neg_k: Vec<f64> = self.feedback.as_slice().iter().map(|v| -v).collect();
         let blk = match &self.input_memory {
             None => DiscreteStateSpace::static_gain(m, n, neg_k)?,
@@ -183,15 +163,7 @@ impl LoopResult {
     /// input side), or any series is unsorted or causally impossible
     /// (negative latency).
     pub fn latency_report(&self) -> Result<LatencyReport, CoreError> {
-        let period = TimeNs::from_secs_f64(self.ts);
-        let mut rep = LatencyReport::default();
-        for s in &self.sample_instants {
-            rep.sampling.push(latencies_strict(s, period)?);
-        }
-        for a in &self.actuation_instants {
-            rep.actuation.push(latencies(a, period)?);
-        }
-        Ok(rep)
+        self.report(latencies_strict)
     }
 
     /// Like [`latency_report`](Self::latency_report), but lenient on the
@@ -206,15 +178,23 @@ impl LoopResult {
     /// Returns [`CoreError::InvalidInput`] only for unsorted or causally
     /// impossible series (negative latency), or a period-origin overflow.
     pub fn latency_report_lenient(&self) -> Result<LatencyReport, CoreError> {
+        self.report(latencies)
+    }
+
+    /// The report with `sampling` applied to the sampling series; the
+    /// actuation series always accept cross-period completions.
+    fn report(&self, sampling: LatencyFn) -> Result<LatencyReport, CoreError> {
         let period = TimeNs::from_secs_f64(self.ts);
-        let mut rep = LatencyReport::default();
-        for s in &self.sample_instants {
-            rep.sampling.push(latencies(s, period)?);
-        }
-        for a in &self.actuation_instants {
-            rep.actuation.push(latencies(a, period)?);
-        }
-        Ok(rep)
+        let series = |instants: &[Vec<TimeNs>], f: LatencyFn| {
+            instants
+                .iter()
+                .map(|s| f(s, period))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        Ok(LatencyReport {
+            sampling: series(&self.sample_instants, sampling)?,
+            actuation: series(&self.actuation_instants, latencies)?,
+        })
     }
 
     /// The run's hot-loop counters as telemetry [`Event::Counter`]s at
@@ -390,25 +370,375 @@ impl LoopResult {
     }
 }
 
+/// [`latencies`] or [`latencies_strict`].
+type LatencyFn = fn(&[TimeNs], TimeNs) -> Result<LatencySeries, CoreError>;
+
 /// Magic tag of the [`LoopResult::to_metric_bytes`] layout.
 const LOOP_RESULT_MAGIC: &[u8] = b"ECLR";
 /// Version of the [`LoopResult::to_metric_bytes`] layout; bump on change.
 const LOOP_RESULT_VERSION: u32 = 1;
 
-/// Wall-clock split of one scheduled run, measured by
-/// [`run_scheduled_phased`]: model assembly + graph-of-delays synthesis
-/// versus the simulation itself. Profiler sidecar data — never part of a
+/// Wall-clock split of one [`simulate`] call: model assembly plus
+/// activation wiring (graph-of-delays synthesis, for a scheduled run)
+/// versus the simulation itself. Measured on every call from three
+/// monotonic-clock reads; profiler sidecar data that never enters a
 /// deterministic artifact.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CosimPhases {
-    /// Wall time of [`wire_scheduled`]: assembly + delay-graph synthesis.
+    /// Wall time of assembly + activation wiring.
     pub synthesis_wall_ns: u64,
     /// Wall time of the simulation (including latency extraction).
     pub simulation_wall_ns: u64,
 }
 
-/// The blocks shared by the ideal and scheduled assemblies.
-pub(crate) struct LoopModel {
+/// Description of a sampled-data loop closed through *measured outputs*
+/// (output feedback): the controller is an arbitrary discrete compensator
+/// mapping the plant's `p` outputs to its `m` controls — typically the
+/// LQG compensator from [`ecl_control::lqg::compensator`].
+#[derive(Debug, Clone)]
+pub struct OutputLoopSpec {
+    /// Continuous plant; its real `C`/`D` define what is measured.
+    pub plant: StateSpace,
+    /// Number of control inputs (prefix of the plant inputs).
+    pub n_controls: usize,
+    /// Initial plant state.
+    pub x0: Vec<f64>,
+    /// The discrete compensator (`p` measurement inputs → `m` control
+    /// outputs); its sampling period must equal `ts`.
+    pub compensator: ecl_control::DiscreteSs,
+    /// Sampling period (seconds).
+    pub ts: f64,
+    /// Simulation horizon (seconds).
+    pub horizon: f64,
+    /// Output weight of the quadratic evaluation cost.
+    pub q_weight: f64,
+    /// Control weight of the quadratic evaluation cost.
+    pub r_weight: f64,
+    /// Disturbance on the non-control plant inputs.
+    pub disturbance: DisturbanceKind,
+}
+
+impl OutputLoopSpec {
+    /// Checks the compensator against the loop and builds its block.
+    fn controller(&self) -> Result<DiscreteStateSpace, CoreError> {
+        let (comp, p, m) = (&self.compensator, self.plant.output_dim(), self.n_controls);
+        let bad = |reason: String| Err(CoreError::InvalidInput { reason });
+        if comp.input_dim() != p {
+            return bad(format!(
+                "compensator consumes {} measurements, plant produces {p}",
+                comp.input_dim()
+            ));
+        }
+        if comp.output_dim() != m {
+            return bad(format!(
+                "compensator produces {} controls, loop needs {m}",
+                comp.output_dim()
+            ));
+        }
+        if (comp.ts() - self.ts).abs() > 1e-12 {
+            return bad(format!(
+                "compensator period {} disagrees with loop period {}",
+                comp.ts(),
+                self.ts
+            ));
+        }
+        Ok(DiscreteStateSpace::new(
+            comp.state_dim(),
+            p,
+            m,
+            comp.a().as_slice().to_vec(),
+            comp.b().as_slice().to_vec(),
+            comp.c().as_slice().to_vec(),
+            comp.d().as_slice().to_vec(),
+            vec![0.0; comp.state_dim()],
+        )?)
+    }
+}
+
+/// The loop a co-simulation closes: a borrowed [`LoopSpec`] or
+/// [`OutputLoopSpec`]. Both convert with `into()`, so [`simulate`] takes
+/// either spec directly.
+#[derive(Debug, Clone, Copy)]
+pub enum Loop<'a> {
+    /// Full-state feedback.
+    State(&'a LoopSpec),
+    /// Output feedback through a discrete compensator.
+    Output(&'a OutputLoopSpec),
+}
+
+impl<'a> From<&'a LoopSpec> for Loop<'a> {
+    fn from(spec: &'a LoopSpec) -> Self {
+        Loop::State(spec)
+    }
+}
+
+impl<'a> From<&'a OutputLoopSpec> for Loop<'a> {
+    fn from(spec: &'a OutputLoopSpec) -> Self {
+        Loop::Output(spec)
+    }
+}
+
+/// A field both spec flavours share, read through a [`Loop`].
+macro_rules! shared {
+    ($lp:expr, $field:ident) => {
+        match $lp {
+            Loop::State(spec) => &spec.$field,
+            Loop::Output(spec) => &spec.$field,
+        }
+    };
+}
+
+/// Extends the model (e.g. with the block producing a condition
+/// variable's value) and returns the [`DelayGraphConfig`] to synthesize
+/// with: nominal, faulty, or conditioned (paper §3.2.2).
+pub type Configure<'a> = Box<dyn FnOnce(&mut Model) -> Result<DelayGraphConfig, CoreError> + 'a>;
+
+/// How [`simulate`] activates the loop's Sample/Holds and controller.
+pub enum Activation<'a> {
+    /// The stroboscopic model (paper Fig. 2): one clock activates
+    /// sampling, control and actuation at the same instant.
+    Ideal,
+    /// The graph of delays synthesized from `schedule` (paper Fig. 3).
+    Scheduled {
+        /// The translated algorithm graph.
+        alg: &'a AlgorithmGraph,
+        /// Its sensors and actuators: one sensor per sampled plant signal
+        /// (state or measured output), one actuator per control.
+        io: &'a IoMap,
+        /// The adequation's schedule of `alg` on `arch`.
+        schedule: &'a Schedule,
+        /// The target architecture.
+        arch: &'a ArchitectureGraph,
+        /// Called on the assembled model just before synthesis.
+        configure: Configure<'a>,
+    },
+}
+
+impl<'a> Activation<'a> {
+    /// [`Activation::Scheduled`] with the default [`DelayGraphConfig`],
+    /// replayed under `faults` when given (see [`run_scheduled_faulty`]).
+    pub fn scheduled(
+        alg: &'a AlgorithmGraph,
+        io: &'a IoMap,
+        schedule: &'a Schedule,
+        arch: &'a ArchitectureGraph,
+        faults: Option<FaultPlan>,
+    ) -> Self {
+        Activation::Scheduled {
+            alg,
+            io,
+            schedule,
+            arch,
+            configure: Box::new(move |_| {
+                Ok(DelayGraphConfig {
+                    faults,
+                    ..DelayGraphConfig::default()
+                })
+            }),
+        }
+    }
+}
+
+/// Co-simulates `lp` under `activation`, returning the run and its
+/// wall-clock [`CosimPhases`].
+///
+/// `tel` receives one latency [`Event::Counter`] per I/O per period, in
+/// simulated time, on `{track_prefix}Ls[j]` / `{track_prefix}La[j]`
+/// tracks: runs sharing a collector need distinct prefixes, as each
+/// restarts at time 0. Call [`emit_schedule_timeline`] first to record
+/// the schedule too. Tracing never changes the result.
+///
+/// # Errors
+///
+/// * [`CoreError::InvalidInput`] if the spec is malformed (shapes, or a
+///   `ts`/`horizon` that is not a positive whole-nanosecond time), `io`
+///   does not match the loop shape, or the schedule overruns the period.
+/// * Whatever `configure` returns; propagated wiring/simulation errors.
+pub fn simulate<'a, S: Sink>(
+    lp: impl Into<Loop<'a>>,
+    activation: Activation<'a>,
+    tel: &mut Collector<S>,
+    track_prefix: &str,
+) -> Result<(LoopResult, CosimPhases), CoreError> {
+    let start = Instant::now();
+    let lp = lp.into();
+    let mut lm = assemble(lp.lower()?)?;
+    wire(&mut lm, activation, TimeNs::from_secs_f64(*shared!(lp, ts)))?;
+    let wired = Instant::now();
+    let run = finish_traced(lp, lm, track_prefix, tel)?;
+    let phases = CosimPhases {
+        synthesis_wall_ns: (wired - start).as_nanos() as u64,
+        simulation_wall_ns: wired.elapsed().as_nanos() as u64,
+    };
+    Ok((run, phases))
+}
+
+/// Simulates the loop under the stroboscopic model (paper Fig. 2),
+/// untraced.
+///
+/// # Errors
+///
+/// Same as [`simulate`].
+pub fn run_ideal(spec: &LoopSpec) -> Result<LoopResult, CoreError> {
+    simulate(spec, Activation::Ideal, &mut Collector::noop(), "").map(|(run, _)| run)
+}
+
+/// Simulates the loop with the graph of delays synthesized from
+/// `schedule` (paper Fig. 3), untraced: each Sample/Hold and the
+/// controller are re-activated at the distributed implementation's
+/// instants.
+///
+/// # Errors
+///
+/// Same as [`simulate`].
+pub fn run_scheduled(
+    spec: &LoopSpec,
+    alg: &AlgorithmGraph,
+    io: &IoMap,
+    schedule: &Schedule,
+    arch: &ArchitectureGraph,
+) -> Result<LoopResult, CoreError> {
+    let activation = Activation::scheduled(alg, io, schedule, arch, None);
+    simulate(spec, activation, &mut Collector::noop(), "").map(|(run, _)| run)
+}
+
+/// Like [`run_scheduled`], but replays the schedule under a
+/// [`FaultPlan`]: lost frames stretch or drop communication slots, dead
+/// processors silence their operations, and every synchronization gains a
+/// timeout arm so the loop degrades (Sample/Holds keep stale values, the
+/// existing overrun accounting counts the damage) instead of
+/// deadlocking.
+///
+/// A [trivial](FaultPlan::is_trivial) plan takes the exact
+/// [`run_scheduled`] code path — same blocks, same wiring, bit-identical
+/// results — so a zero-rate fault sweep is guaranteed to reproduce the
+/// fault-free baseline.
+///
+/// Use [`LoopResult::latency_report_lenient`] on the result: forced
+/// rendezvous can push sampling past the period boundary, which the
+/// strict report rejects.
+///
+/// # Errors
+///
+/// Same as [`simulate`].
+pub fn run_scheduled_faulty(
+    spec: &LoopSpec,
+    alg: &AlgorithmGraph,
+    io: &IoMap,
+    schedule: &Schedule,
+    arch: &ArchitectureGraph,
+    plan: FaultPlan,
+) -> Result<LoopResult, CoreError> {
+    let activation = Activation::scheduled(alg, io, schedule, arch, Some(plan));
+    simulate(spec, activation, &mut Collector::noop(), "").map(|(run, _)| run)
+}
+
+/// Emits the schedule's per-period timeline ([`Event::Slice`] per
+/// operation and communication on `proc:*` / `bus:*` tracks, one replica
+/// per period over `horizon`) into the collector. Traced callers emit it
+/// before [`simulate`], so the slices precede the latency counters. A
+/// no-op for a disabled collector.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidInput`] if `ts` or `horizon` is not a positive
+/// whole-nanosecond time.
+pub fn emit_schedule_timeline<S: Sink>(
+    tel: &mut Collector<S>,
+    schedule: &Schedule,
+    alg: &AlgorithmGraph,
+    arch: &ArchitectureGraph,
+    ts: f64,
+    horizon: f64,
+) -> Result<(), CoreError> {
+    check_times(ts, horizon)?;
+    if !tel.enabled() {
+        return Ok(());
+    }
+    let periods = (horizon / ts).floor() as u32;
+    let period = TimeNs::from_secs_f64(ts);
+    for ev in timeline::trace_events(schedule, alg, arch, period, periods) {
+        tel.emit(|| ev);
+    }
+    Ok(())
+}
+
+/// Checks that `ts` and `horizon` are positive whole-nanosecond
+/// [`TimeNs`] values, so no later conversion of either can panic.
+fn check_times(ts: f64, horizon: f64) -> Result<(), CoreError> {
+    for (name, secs) in [("ts", ts), ("horizon", horizon)] {
+        if TimeNs::checked_from_secs_f64(secs).is_none_or(|t| t <= TimeNs::ZERO) {
+            return Err(CoreError::InvalidInput {
+                reason: format!("{name} = {secs} s is not a positive whole-nanosecond time"),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Either loop flavour, lowered to one description of what [`assemble`]
+/// places; the fields both flavours share are read from `lp`.
+struct Lowered<'a> {
+    lp: Loop<'a>,
+    /// Output matrices of the plant block: its outputs are what the loop
+    /// samples.
+    c: Vec<f64>,
+    d: Vec<f64>,
+    /// Initial value of each sampling S/H.
+    sample_seeds: Vec<f64>,
+    /// `sample_x` (states) or `sample_y` (measured outputs).
+    sample_stem: &'static str,
+    controller: DiscreteStateSpace,
+    /// `controller` (state feedback) or `compensator` (output feedback).
+    controller_name: &'static str,
+}
+
+impl<'a> Loop<'a> {
+    /// Validates the spec and lowers it: a full-state loop samples the
+    /// whole state (`C = I`, `D = 0`) into holds seeded with `x0`; an
+    /// output-feedback loop samples the plant's real outputs into
+    /// zero-seeded holds.
+    fn lower(self) -> Result<Lowered<'a>, CoreError> {
+        let plant = shared!(self, plant);
+        let x0 = shared!(self, x0);
+        let mc = *shared!(self, n_controls);
+        let (n, m) = (plant.state_dim(), plant.input_dim());
+        let bad = |reason: String| Err(CoreError::InvalidInput { reason });
+        if mc == 0 || mc > m {
+            return bad(format!(
+                "n_controls = {mc} out of range for a plant with {m} inputs"
+            ));
+        }
+        if x0.len() != n {
+            return bad(format!("x0 has {} entries, plant has {n} states", x0.len()));
+        }
+        check_times(*shared!(self, ts), *shared!(self, horizon))?;
+        Ok(match self {
+            Loop::State(spec) => Lowered {
+                lp: self,
+                c: Mat::identity(n).into_vec(),
+                d: vec![0.0; n * m],
+                sample_seeds: x0.clone(),
+                sample_stem: "sample_x",
+                controller: spec.controller()?,
+                controller_name: "controller",
+            },
+            Loop::Output(spec) => Lowered {
+                lp: self,
+                c: plant.c().as_slice().to_vec(),
+                d: plant.d().as_slice().to_vec(),
+                sample_seeds: vec![0.0; plant.output_dim()],
+                sample_stem: "sample_y",
+                controller: spec.controller()?,
+                controller_name: "compensator",
+            },
+        })
+    }
+}
+
+/// The assembled loop: its model and the blocks activation wiring
+/// targets.
+struct LoopModel {
     model: Model,
     sample_sh: Vec<BlockId>,
     controller: BlockId,
@@ -417,48 +747,47 @@ pub(crate) struct LoopModel {
     base_clock: BlockId,
 }
 
-/// Builds plant + S/H + controller and the probes; activation wiring is
-/// left to the caller.
-fn assemble(spec: &LoopSpec) -> Result<LoopModel, CoreError> {
-    spec.validate()?;
-    let n = spec.plant.state_dim();
-    let m_total = spec.plant.input_dim();
-    let mc = spec.n_controls;
+/// Places plant, sampling S/Hs, controller, output holds, disturbance
+/// sources and probes; activation wiring is left to [`wire`].
+fn assemble(low: Lowered<'_>) -> Result<LoopModel, CoreError> {
+    let (plant_ss, x0) = (shared!(low.lp, plant), shared!(low.lp, x0));
+    let (n, m_total, p) = (
+        plant_ss.state_dim(),
+        plant_ss.input_dim(),
+        low.sample_seeds.len(),
+    );
     let mut model = Model::new();
-    let period = TimeNs::from_secs_f64(spec.ts);
+    let period = TimeNs::from_secs_f64(*shared!(low.lp, ts));
     let base_clock = add_clock(&mut model, "base_clock", period, TimeNs::ZERO)?;
-
-    // Plant with full-state output (C = I, D = 0) so the controller can
-    // sample the state; evaluation metrics read the same probes.
     let plant = model.add_block(
         "plant",
         StateSpaceCt::new(
             n,
             m_total,
-            n,
-            spec.plant.a().as_slice().to_vec(),
-            spec.plant.b().as_slice().to_vec(),
-            Mat::identity(n).into_vec(),
-            vec![0.0; n * m_total],
-            spec.x0.clone(),
+            p,
+            plant_ss.a().as_slice().to_vec(),
+            plant_ss.b().as_slice().to_vec(),
+            low.c,
+            low.d,
+            x0.clone(),
         )?,
     );
 
-    // Input samplers: one S/H per plant state.
-    let mut sample_sh = Vec::with_capacity(n);
-    for j in 0..n {
-        let sh = model.add_block(format!("sample_x{j}"), SampleHold::new(spec.x0[j]));
+    // Input samplers: one S/H per sampled plant output.
+    let mut sample_sh = Vec::with_capacity(p);
+    for (j, &seed) in low.sample_seeds.iter().enumerate() {
+        let sh = model.add_block(format!("{}{j}", low.sample_stem), SampleHold::new(seed));
         model.connect(plant, j, sh, 0)?;
         sample_sh.push(sh);
     }
 
-    // Controller.
-    let controller = model.add_block("controller", spec.controller()?);
+    let controller = model.add_block(low.controller_name, low.controller);
     for (j, &sh) in sample_sh.iter().enumerate() {
         model.connect(sh, 0, controller, j)?;
     }
 
     // Output holds: one per control, feeding the plant.
+    let mc = *shared!(low.lp, n_controls);
     let mut act_sh = Vec::with_capacity(mc);
     for j in 0..mc {
         let sh = model.add_block(format!("hold_u{j}"), SampleHold::new(0.0));
@@ -469,7 +798,7 @@ fn assemble(spec: &LoopSpec) -> Result<LoopModel, CoreError> {
 
     // Disturbance inputs.
     for j in mc..m_total {
-        match spec.disturbance {
+        match *shared!(low.lp, disturbance) {
             DisturbanceKind::None => {
                 let z = model.add_block(format!("dist{j}"), Constant::new(0.0));
                 model.connect(z, 0, plant, j)?;
@@ -485,8 +814,9 @@ fn assemble(spec: &LoopSpec) -> Result<LoopModel, CoreError> {
         }
     }
 
-    // Probes.
-    for j in 0..n {
+    // Probes: the sampled outputs as `x{j}` (the cost reads them
+    // uniformly for either loop flavour) and the controls.
+    for j in 0..p {
         model.probe(format!("x{j}"), plant, j)?;
     }
     for (j, &sh) in act_sh.iter().enumerate() {
@@ -502,39 +832,58 @@ fn assemble(spec: &LoopSpec) -> Result<LoopModel, CoreError> {
     })
 }
 
-/// The shape parameters `finish_traced` needs from either spec flavour.
-struct CostSpec {
-    /// Probes `x0..x{n_outputs}` weighted by `q_weight` in the cost.
-    n_outputs: usize,
-    n_controls: usize,
-    q_weight: f64,
-    r_weight: f64,
-    ts: f64,
-    horizon: f64,
-}
-
-impl CostSpec {
-    fn of(spec: &LoopSpec) -> Self {
-        CostSpec {
-            n_outputs: spec.plant.state_dim(),
-            n_controls: spec.n_controls,
-            q_weight: spec.q_weight,
-            r_weight: spec.r_weight,
-            ts: spec.ts,
-            horizon: spec.horizon,
+/// Wires what activates the sampling S/Hs, the controller and the output
+/// holds: the base clock, or the graph of delays' completion events.
+fn wire(lm: &mut LoopModel, activation: Activation<'_>, period: TimeNs) -> Result<(), CoreError> {
+    match activation {
+        Activation::Ideal => {
+            // Activation order at each tick: sample all inputs, run the
+            // controller, apply all outputs — deliveries happen in wiring
+            // order.
+            for &block in lm
+                .sample_sh
+                .iter()
+                .chain([&lm.controller])
+                .chain(&lm.act_sh)
+            {
+                lm.model.connect_event(lm.base_clock, 0, block, 0)?;
+            }
+        }
+        Activation::Scheduled {
+            alg,
+            io,
+            schedule,
+            arch,
+            configure,
+        } => {
+            let (sensors, actuators) = (io.sensors.len(), io.actuators.len());
+            if (sensors, actuators) != (lm.sample_sh.len(), lm.act_sh.len()) {
+                return Err(CoreError::InvalidInput {
+                    reason: format!(
+                        "law has {sensors} sensors and {actuators} actuators, but the loop \
+                         samples {} signals and drives {} controls",
+                        lm.sample_sh.len(),
+                        lm.act_sh.len()
+                    ),
+                });
+            }
+            let compute = *io.stages.last().ok_or_else(|| CoreError::InvalidInput {
+                reason: "law has no computation stage".into(),
+            })?;
+            let config = configure(&mut lm.model)?;
+            let dg = delays::build(&mut lm.model, alg, arch, schedule, period, config)?;
+            let targets = io
+                .sensors
+                .iter()
+                .zip(&lm.sample_sh)
+                .chain([(&compute, &lm.controller)])
+                .chain(io.actuators.iter().zip(&lm.act_sh));
+            for (&op, &block) in targets {
+                dg.activate_on_completion(&mut lm.model, op, block, 0)?;
+            }
         }
     }
-
-    fn of_output(spec: &OutputLoopSpec) -> Self {
-        CostSpec {
-            n_outputs: spec.plant.output_dim(),
-            n_controls: spec.n_controls,
-            q_weight: spec.q_weight,
-            r_weight: spec.r_weight,
-            ts: spec.ts,
-            horizon: spec.horizon,
-        }
-    }
+    Ok(())
 }
 
 /// Number of fixed-width buckets of each latency histogram (over
@@ -544,52 +893,40 @@ const LATENCY_BUCKETS: usize = 64;
 /// Runs the assembled loop and extracts cost, instants, hot-loop
 /// counters and latency histograms. One latency observation per period
 /// is streamed into the histograms and, when the collector is enabled,
-/// emitted as an [`Event::Counter`] (simulated time — deterministic).
-///
-/// `track_prefix` namespaces the counter tracks (`{prefix}Ls[j]` /
-/// `{prefix}La[j]`): every simulation restarts at simulated time 0, so
-/// when several runs share one collector (the lifecycle's ideal /
-/// implemented / calibrated runs) distinct prefixes keep per-track
-/// timestamps monotone in the exported Chrome trace.
+/// emitted as an [`Event::Counter`] (simulated time — deterministic) on
+/// a `track_prefix`ed track (see [`simulate`]).
 fn finish_traced<S: Sink>(
-    cs: &CostSpec,
+    lp: Loop<'_>,
     lm: LoopModel,
     track_prefix: &str,
     tel: &mut Collector<S>,
 ) -> Result<LoopResult, CoreError> {
+    let ts = *shared!(lp, ts);
     let mut sim = Simulator::new(lm.model, SimOptions::default())?;
-    sim.run(TimeNs::from_secs_f64(cs.horizon))?;
+    sim.run(TimeNs::from_secs_f64(*shared!(lp, horizon)))?;
     let stats = sim.stats().clone();
     // Borrow the trace for the metric passes; ownership is taken at the
     // very end (`into_result`) without copying it.
     let result = sim.result();
 
+    let weighted = (0..lm.sample_sh.len())
+        .map(|j| (format!("x{j}"), *shared!(lp, q_weight)))
+        .chain((0..lm.act_sh.len()).map(|j| (format!("u{j}"), *shared!(lp, r_weight))));
     let mut cost = 0.0;
-    for j in 0..cs.n_outputs {
-        let sig = result
-            .signal(&format!("x{j}"))
-            .expect("probe registered in assemble");
-        cost += cs.q_weight * metrics::ise(sig.times(), sig.values(), 0.0);
-    }
-    for j in 0..cs.n_controls {
-        let sig = result
-            .signal(&format!("u{j}"))
-            .expect("probe registered in assemble");
-        cost += cs.r_weight * metrics::ise(sig.times(), sig.values(), 0.0);
+    for (probe, weight) in weighted {
+        let sig = result.signal(&probe).expect("probe registered in assemble");
+        cost += weight * metrics::ise(sig.times(), sig.values(), 0.0);
     }
 
-    let sample_instants: Vec<Vec<TimeNs>> = lm
-        .sample_sh
-        .iter()
-        .map(|&sh| result.activation_times(sh, Some(0)))
-        .collect();
-    let actuation_instants: Vec<Vec<TimeNs>> = lm
-        .act_sh
-        .iter()
-        .map(|&sh| result.activation_times(sh, Some(0)))
-        .collect();
+    let instants = |holds: &[BlockId]| -> Vec<Vec<TimeNs>> {
+        holds
+            .iter()
+            .map(|&sh| result.activation_times(sh, Some(0)))
+            .collect()
+    };
+    let (sample_instants, actuation_instants) = (instants(&lm.sample_sh), instants(&lm.act_sh));
 
-    let period = TimeNs::from_secs_f64(cs.ts);
+    let period = TimeNs::from_secs_f64(ts);
     let bound = period.as_nanos().max(1);
     let feed = |label: &'static str,
                 instants: &[Vec<TimeNs>],
@@ -601,18 +938,7 @@ fn finish_traced<S: Sink>(
             .map(|(j, series)| {
                 let mut h = Histogram::new(bound, LATENCY_BUCKETS);
                 for (k, &t) in series.iter().enumerate() {
-                    // Same guarded arithmetic as `latencies`: the period
-                    // origin k·Ts must not silently wrap in release at
-                    // huge horizons.
-                    let origin =
-                        period
-                            .checked_mul(k as i64)
-                            .ok_or_else(|| CoreError::InvalidInput {
-                                reason: format!(
-                                    "period origin {k}·{period} overflows the i64 nanosecond range"
-                                ),
-                            })?;
-                    let lat = (t - origin).as_nanos();
+                    let lat = (t - period_origin(period, k)?).as_nanos();
                     h.record(lat);
                     tel.emit(|| Event::Counter {
                         track: format!("{track_prefix}{label}[{j}]"),
@@ -649,277 +975,12 @@ fn finish_traced<S: Sink>(
         cost,
         sample_instants,
         actuation_instants,
-        ts: cs.ts,
+        ts,
         stats,
         sampling_hist,
         actuation_hist,
         activity,
     })
-}
-
-fn finish(spec: &LoopSpec, lm: LoopModel) -> Result<LoopResult, CoreError> {
-    finish_traced(&CostSpec::of(spec), lm, "", &mut Collector::noop())
-}
-
-/// Description of a sampled-data loop closed through *measured outputs*
-/// (output feedback): the controller is an arbitrary discrete compensator
-/// mapping the plant's `p` outputs to its `m` controls — typically the
-/// LQG compensator from [`ecl_control::lqg::compensator`].
-#[derive(Debug, Clone)]
-pub struct OutputLoopSpec {
-    /// Continuous plant; its real `C`/`D` define what is measured.
-    pub plant: StateSpace,
-    /// Number of control inputs (prefix of the plant inputs).
-    pub n_controls: usize,
-    /// Initial plant state.
-    pub x0: Vec<f64>,
-    /// The discrete compensator (`p` measurement inputs → `m` control
-    /// outputs); its sampling period must equal `ts`.
-    pub compensator: ecl_control::DiscreteSs,
-    /// Sampling period (seconds).
-    pub ts: f64,
-    /// Simulation horizon (seconds).
-    pub horizon: f64,
-    /// Output weight of the quadratic evaluation cost.
-    pub q_weight: f64,
-    /// Control weight of the quadratic evaluation cost.
-    pub r_weight: f64,
-    /// Disturbance on the non-control plant inputs.
-    pub disturbance: DisturbanceKind,
-}
-
-impl OutputLoopSpec {
-    fn validate(&self) -> Result<(), CoreError> {
-        let bad = |reason: String| Err(CoreError::InvalidInput { reason });
-        if self.n_controls == 0 || self.n_controls > self.plant.input_dim() {
-            return bad(format!(
-                "n_controls = {} out of range for a plant with {} inputs",
-                self.n_controls,
-                self.plant.input_dim()
-            ));
-        }
-        if self.x0.len() != self.plant.state_dim() {
-            return bad(format!(
-                "x0 has {} entries, plant has {} states",
-                self.x0.len(),
-                self.plant.state_dim()
-            ));
-        }
-        if self.compensator.input_dim() != self.plant.output_dim() {
-            return bad(format!(
-                "compensator consumes {} measurements, plant produces {}",
-                self.compensator.input_dim(),
-                self.plant.output_dim()
-            ));
-        }
-        if self.compensator.output_dim() != self.n_controls {
-            return bad(format!(
-                "compensator produces {} controls, loop needs {}",
-                self.compensator.output_dim(),
-                self.n_controls
-            ));
-        }
-        if !(self.ts > 0.0) || !(self.horizon > 0.0) {
-            return bad("ts and horizon must be positive".into());
-        }
-        if (self.compensator.ts() - self.ts).abs() > 1e-12 {
-            return bad(format!(
-                "compensator period {} disagrees with loop period {}",
-                self.compensator.ts(),
-                self.ts
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Builds plant (real outputs) + measurement S/H + compensator + holds.
-fn assemble_output(spec: &OutputLoopSpec) -> Result<LoopModel, CoreError> {
-    spec.validate()?;
-    let n = spec.plant.state_dim();
-    let p = spec.plant.output_dim();
-    let m_total = spec.plant.input_dim();
-    let mc = spec.n_controls;
-    let mut model = Model::new();
-    let period = TimeNs::from_secs_f64(spec.ts);
-    let base_clock = add_clock(&mut model, "base_clock", period, TimeNs::ZERO)?;
-
-    let plant = model.add_block(
-        "plant",
-        StateSpaceCt::new(
-            n,
-            m_total,
-            p,
-            spec.plant.a().as_slice().to_vec(),
-            spec.plant.b().as_slice().to_vec(),
-            spec.plant.c().as_slice().to_vec(),
-            spec.plant.d().as_slice().to_vec(),
-            spec.x0.clone(),
-        )?,
-    );
-
-    let mut sample_sh = Vec::with_capacity(p);
-    for j in 0..p {
-        let sh = model.add_block(format!("sample_y{j}"), SampleHold::new(0.0));
-        model.connect(plant, j, sh, 0)?;
-        sample_sh.push(sh);
-    }
-
-    let comp = &spec.compensator;
-    let controller = model.add_block(
-        "compensator",
-        DiscreteStateSpace::new(
-            comp.state_dim(),
-            p,
-            mc,
-            comp.a().as_slice().to_vec(),
-            comp.b().as_slice().to_vec(),
-            comp.c().as_slice().to_vec(),
-            comp.d().as_slice().to_vec(),
-            vec![0.0; comp.state_dim()],
-        )?,
-    );
-    for (j, &sh) in sample_sh.iter().enumerate() {
-        model.connect(sh, 0, controller, j)?;
-    }
-
-    let mut act_sh = Vec::with_capacity(mc);
-    for j in 0..mc {
-        let sh = model.add_block(format!("hold_u{j}"), SampleHold::new(0.0));
-        model.connect(controller, j, sh, 0)?;
-        model.connect(sh, 0, plant, j)?;
-        act_sh.push(sh);
-    }
-
-    for j in mc..m_total {
-        match spec.disturbance {
-            DisturbanceKind::None => {
-                let z = model.add_block(format!("dist{j}"), Constant::new(0.0));
-                model.connect(z, 0, plant, j)?;
-            }
-            DisturbanceKind::Noise { std_dev, seed } => {
-                let nz = model.add_block(
-                    format!("dist{j}"),
-                    SampledNoise::new(0.0, std_dev, seed.wrapping_add(j as u64)),
-                );
-                model.connect(nz, 0, plant, j)?;
-                model.connect_event(base_clock, 0, nz, 0)?;
-            }
-        }
-    }
-
-    // Probe the measured outputs (as `x{j}` so `finish` computes the cost
-    // over them uniformly) and the controls.
-    for j in 0..p {
-        model.probe(format!("x{j}"), plant, j)?;
-    }
-    for (j, &sh) in act_sh.iter().enumerate() {
-        model.probe(format!("u{j}"), sh, 0)?;
-    }
-
-    Ok(LoopModel {
-        model,
-        sample_sh,
-        controller,
-        act_sh,
-        base_clock,
-    })
-}
-
-fn finish_output(spec: &OutputLoopSpec, lm: LoopModel) -> Result<LoopResult, CoreError> {
-    finish_traced(&CostSpec::of_output(spec), lm, "", &mut Collector::noop())
-}
-
-/// Simulates an output-feedback loop under the stroboscopic model.
-///
-/// # Errors
-///
-/// Propagates specification-validation and simulation errors.
-pub fn run_output_ideal(spec: &OutputLoopSpec) -> Result<LoopResult, CoreError> {
-    let mut lm = assemble_output(spec)?;
-    for &sh in &lm.sample_sh.clone() {
-        lm.model.connect_event(lm.base_clock, 0, sh, 0)?;
-    }
-    lm.model.connect_event(lm.base_clock, 0, lm.controller, 0)?;
-    for &sh in &lm.act_sh.clone() {
-        lm.model.connect_event(lm.base_clock, 0, sh, 0)?;
-    }
-    finish_output(spec, lm)
-}
-
-/// Simulates an output-feedback loop re-activated by the graph of delays
-/// synthesized from `schedule`. There must be one sensor operation per
-/// plant output and one actuator per control.
-///
-/// # Errors
-///
-/// Same as [`run_scheduled`].
-pub fn run_output_scheduled(
-    spec: &OutputLoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-) -> Result<LoopResult, CoreError> {
-    let p = spec.plant.output_dim();
-    if io.sensors.len() != p {
-        return Err(CoreError::InvalidInput {
-            reason: format!(
-                "law has {} sensors but the plant has {p} measured outputs",
-                io.sensors.len()
-            ),
-        });
-    }
-    if io.actuators.len() != spec.n_controls {
-        return Err(CoreError::InvalidInput {
-            reason: format!(
-                "law has {} actuators but the loop has {} controls",
-                io.actuators.len(),
-                spec.n_controls
-            ),
-        });
-    }
-    let mut lm = assemble_output(spec)?;
-    let period = TimeNs::from_secs_f64(spec.ts);
-    let dg = delays::build(
-        &mut lm.model,
-        alg,
-        arch,
-        schedule,
-        period,
-        DelayGraphConfig::default(),
-    )?;
-    for (j, &op) in io.sensors.iter().enumerate() {
-        dg.activate_on_completion(&mut lm.model, op, lm.sample_sh[j], 0)?;
-    }
-    let compute = *io.stages.last().ok_or_else(|| CoreError::InvalidInput {
-        reason: "law has no computation stage".into(),
-    })?;
-    dg.activate_on_completion(&mut lm.model, compute, lm.controller, 0)?;
-    for (j, &op) in io.actuators.iter().enumerate() {
-        dg.activate_on_completion(&mut lm.model, op, lm.act_sh[j], 0)?;
-    }
-    finish_output(spec, lm)
-}
-
-/// Simulates the loop under the stroboscopic model (paper Fig. 2): one
-/// clock activates sampling, control and actuation simultaneously.
-///
-/// # Errors
-///
-/// Propagates specification-validation and simulation errors.
-pub fn run_ideal(spec: &LoopSpec) -> Result<LoopResult, CoreError> {
-    let mut lm = assemble(spec)?;
-    // Activation order at each tick: sample all inputs, run the
-    // controller, apply all outputs — deliveries happen in wiring order.
-    for &sh in &lm.sample_sh.clone() {
-        lm.model.connect_event(lm.base_clock, 0, sh, 0)?;
-    }
-    lm.model.connect_event(lm.base_clock, 0, lm.controller, 0)?;
-    for &sh in &lm.act_sh.clone() {
-        lm.model.connect_event(lm.base_clock, 0, sh, 0)?;
-    }
-    finish(spec, lm)
 }
 
 /// Content digest of every input [`run_ideal`] reads: all [`LoopSpec`]
@@ -1114,35 +1175,16 @@ impl ScheduledRunCache {
     /// when a simulation actually runs). `schedule_digest` must be the
     /// adequation digest of the inputs that produced `schedule`.
     ///
+    /// Beside the run, returns its [`scheduled_run_digest`] key, whether
+    /// *this* lookup was answered from the memo, and the run's
+    /// [`CosimPhases`] (zero on a hit — nothing was simulated). The hit
+    /// flag and the phases are wall-clock observations: sidecar-only.
+    ///
     /// # Errors
     ///
-    /// Propagates [`run_scheduled`] errors; failures are not cached.
+    /// Propagates [`simulate`] errors; failures are not cached.
     #[allow(clippy::too_many_arguments)]
     pub fn get_or_run(
-        &self,
-        spec: &LoopSpec,
-        alg: &AlgorithmGraph,
-        io: &IoMap,
-        schedule: &Schedule,
-        arch: &ArchitectureGraph,
-        schedule_digest: u64,
-        plan: Option<&FaultPlan>,
-    ) -> Result<Arc<LoopResult>, CoreError> {
-        self.get_or_run_phased(spec, alg, io, schedule, arch, schedule_digest, plan)
-            .map(|(result, _, _, _)| result)
-    }
-
-    /// Like [`get_or_run`](ScheduledRunCache::get_or_run), also returning
-    /// the [`scheduled_run_digest`] key, whether *this* lookup was
-    /// answered from the cache, and the synthesis/simulation wall-clock
-    /// split of the run (zero on a hit — nothing was simulated). The hit
-    /// flag and the split are wall-clock observations: sidecar-only.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`run_scheduled`] errors; failures are not cached.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_or_run_phased(
         &self,
         spec: &LoopSpec,
         alg: &AlgorithmGraph,
@@ -1155,261 +1197,14 @@ impl ScheduledRunCache {
         let key = scheduled_run_digest(spec, schedule_digest, plan);
         let mut phases = CosimPhases::default();
         let (result, hit) = self.0.get_or_compute(key, || {
-            run_scheduled_phased(spec, alg, io, schedule, arch, plan.cloned()).map(
-                |(result, split)| {
-                    phases = split;
-                    result
-                },
-            )
+            let activation = Activation::scheduled(alg, io, schedule, arch, plan.cloned());
+            simulate(spec, activation, &mut Collector::noop(), "").map(|(result, split)| {
+                phases = split;
+                result
+            })
         })?;
         Ok((result, key, hit, phases))
     }
-}
-
-/// Simulates the loop with the graph of delays synthesized from
-/// `schedule` (paper Fig. 3): each Sample/Hold and the controller are
-/// re-activated at the distributed implementation's instants.
-///
-/// `io` maps the translated algorithm graph's sensors/actuators to the
-/// loop's inputs/outputs: there must be one sensor per plant state and one
-/// actuator per control.
-///
-/// # Errors
-///
-/// * [`CoreError::InvalidInput`] if `io` does not match the loop shape or
-///   the schedule overruns the period.
-/// * Propagated wiring/simulation errors.
-pub fn run_scheduled(
-    spec: &LoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-) -> Result<LoopResult, CoreError> {
-    run_scheduled_with(spec, alg, io, schedule, arch, |_| {
-        Ok(DelayGraphConfig::default())
-    })
-}
-
-/// Like [`run_scheduled`], but replays the schedule under a
-/// [`FaultPlan`]: lost frames stretch or drop communication slots, dead
-/// processors silence their operations, and every synchronization gains a
-/// timeout arm so the loop degrades (Sample/Holds keep stale values, the
-/// existing overrun accounting counts the damage) instead of
-/// deadlocking.
-///
-/// A [trivial](FaultPlan::is_trivial) plan takes the exact
-/// [`run_scheduled`] code path — same blocks, same wiring, bit-identical
-/// results — so a zero-rate fault sweep is guaranteed to reproduce the
-/// fault-free baseline.
-///
-/// Use [`LoopResult::latency_report_lenient`] on the result: forced
-/// rendezvous can push sampling past the period boundary, which the
-/// strict report rejects.
-///
-/// # Errors
-///
-/// Same as [`run_scheduled`].
-pub fn run_scheduled_faulty(
-    spec: &LoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-    plan: FaultPlan,
-) -> Result<LoopResult, CoreError> {
-    run_scheduled_with(spec, alg, io, schedule, arch, move |_| {
-        Ok(DelayGraphConfig {
-            faults: Some(plan),
-            ..DelayGraphConfig::default()
-        })
-    })
-}
-
-/// Like [`run_scheduled`], but lets the caller extend the model (e.g. add
-/// the block producing a condition variable's value) and supply the
-/// [`DelayGraphConfig`] — required when the algorithm graph contains
-/// conditioned operations (paper §3.2.2).
-///
-/// # Errors
-///
-/// Same as [`run_scheduled`], plus whatever `configure` returns.
-pub fn run_scheduled_with(
-    spec: &LoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-    configure: impl FnOnce(&mut Model) -> Result<DelayGraphConfig, CoreError>,
-) -> Result<LoopResult, CoreError> {
-    let lm = wire_scheduled(spec, alg, io, schedule, arch, configure)?;
-    finish(spec, lm)
-}
-
-/// Like [`run_scheduled`] / [`run_scheduled_faulty`] (chosen by whether
-/// `faults` is given), additionally measuring the wall-clock split
-/// between delay-graph synthesis and the simulation itself for the fleet
-/// profiler. The returned [`LoopResult`] is byte-identical to the
-/// unphased drivers' — the measurement only reads the monotonic clock
-/// around the two stages.
-///
-/// # Errors
-///
-/// Same as [`run_scheduled`].
-pub fn run_scheduled_phased(
-    spec: &LoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-    faults: Option<FaultPlan>,
-) -> Result<(LoopResult, CosimPhases), CoreError> {
-    let t0 = std::time::Instant::now();
-    let lm = wire_scheduled(spec, alg, io, schedule, arch, move |_| {
-        Ok(DelayGraphConfig {
-            faults,
-            ..DelayGraphConfig::default()
-        })
-    })?;
-    let synthesis_wall_ns = t0.elapsed().as_nanos() as u64;
-    let t1 = std::time::Instant::now();
-    let result = finish(spec, lm)?;
-    let simulation_wall_ns = t1.elapsed().as_nanos() as u64;
-    Ok((
-        result,
-        CosimPhases {
-            synthesis_wall_ns,
-            simulation_wall_ns,
-        },
-    ))
-}
-
-/// Assembles the loop model and synthesizes the graph of delays from the
-/// schedule — everything up to (but excluding) the simulation itself, so
-/// the lifecycle can time delay-graph synthesis and co-simulation as
-/// separate phases.
-pub(crate) fn wire_scheduled(
-    spec: &LoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-    configure: impl FnOnce(&mut Model) -> Result<DelayGraphConfig, CoreError>,
-) -> Result<LoopModel, CoreError> {
-    let n = spec.plant.state_dim();
-    if io.sensors.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: format!(
-                "law has {} sensors but the plant has {n} sampled states",
-                io.sensors.len()
-            ),
-        });
-    }
-    if io.actuators.len() != spec.n_controls {
-        return Err(CoreError::InvalidInput {
-            reason: format!(
-                "law has {} actuators but the loop has {} controls",
-                io.actuators.len(),
-                spec.n_controls
-            ),
-        });
-    }
-    let mut lm = assemble(spec)?;
-    let period = TimeNs::from_secs_f64(spec.ts);
-    let config = configure(&mut lm.model)?;
-    let dg = delays::build(&mut lm.model, alg, arch, schedule, period, config)?;
-    for (j, &op) in io.sensors.iter().enumerate() {
-        dg.activate_on_completion(&mut lm.model, op, lm.sample_sh[j], 0)?;
-    }
-    let compute = *io.stages.last().ok_or_else(|| CoreError::InvalidInput {
-        reason: "law has no computation stage".into(),
-    })?;
-    dg.activate_on_completion(&mut lm.model, compute, lm.controller, 0)?;
-    for (j, &op) in io.actuators.iter().enumerate() {
-        dg.activate_on_completion(&mut lm.model, op, lm.act_sh[j], 0)?;
-    }
-    Ok(lm)
-}
-
-/// Finishes a wired loop with telemetry (used by the lifecycle to wrap
-/// the simulation in its own span). `track_prefix` namespaces the latency
-/// counter tracks when several runs share one collector.
-pub(crate) fn finish_loop<S: Sink>(
-    spec: &LoopSpec,
-    lm: LoopModel,
-    track_prefix: &str,
-    tel: &mut Collector<S>,
-) -> Result<LoopResult, CoreError> {
-    finish_traced(&CostSpec::of(spec), lm, track_prefix, tel)
-}
-
-/// Emits the schedule's per-period timeline ([`Event::Slice`] per
-/// operation and communication, one replica per period over `horizon`)
-/// into the collector. A no-op for a disabled collector.
-pub(crate) fn emit_schedule_timeline<S: Sink>(
-    tel: &mut Collector<S>,
-    schedule: &Schedule,
-    alg: &AlgorithmGraph,
-    arch: &ArchitectureGraph,
-    ts: f64,
-    horizon: f64,
-) {
-    if !tel.enabled() {
-        return;
-    }
-    let periods = (horizon / ts).floor() as u32;
-    let period = TimeNs::from_secs_f64(ts);
-    for ev in timeline::trace_events(schedule, alg, arch, period, periods) {
-        tel.emit(|| ev);
-    }
-}
-
-/// Like [`run_ideal`], but streams telemetry into `tel`: one latency
-/// [`Event::Counter`] per I/O per period (simulated time), on
-/// `ideal:Ls[j]` / `ideal:La[j]` tracks so an ideal run can share a
-/// collector with a scheduled run without mixing tracks. With a
-/// [`ecl_telemetry::NoopSink`] collector this is exactly [`run_ideal`].
-///
-/// # Errors
-///
-/// Same as [`run_ideal`].
-pub fn run_ideal_traced<S: Sink>(
-    spec: &LoopSpec,
-    tel: &mut Collector<S>,
-) -> Result<LoopResult, CoreError> {
-    let mut lm = assemble(spec)?;
-    for &sh in &lm.sample_sh.clone() {
-        lm.model.connect_event(lm.base_clock, 0, sh, 0)?;
-    }
-    lm.model.connect_event(lm.base_clock, 0, lm.controller, 0)?;
-    for &sh in &lm.act_sh.clone() {
-        lm.model.connect_event(lm.base_clock, 0, sh, 0)?;
-    }
-    finish_traced(&CostSpec::of(spec), lm, "ideal:", tel)
-}
-
-/// Like [`run_scheduled`], but streams telemetry into `tel`: the
-/// schedule's per-period timeline as [`Event::Slice`]s on `proc:*` /
-/// `bus:*` tracks, then one latency [`Event::Counter`] per I/O per
-/// period. All events carry simulated time, so two identical runs record
-/// byte-identical streams.
-///
-/// # Errors
-///
-/// Same as [`run_scheduled`].
-pub fn run_scheduled_traced<S: Sink>(
-    spec: &LoopSpec,
-    alg: &AlgorithmGraph,
-    io: &IoMap,
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-    tel: &mut Collector<S>,
-) -> Result<LoopResult, CoreError> {
-    let lm = wire_scheduled(spec, alg, io, schedule, arch, |_| {
-        Ok(DelayGraphConfig::default())
-    })?;
-    emit_schedule_timeline(tel, schedule, alg, arch, spec.ts, spec.horizon);
-    finish_traced(&CostSpec::of(spec), lm, "", tel)
 }
 
 #[cfg(test)]
@@ -1793,12 +1588,16 @@ mod tests {
         let cache = ScheduledRunCache::new();
         assert!(cache.is_empty());
 
-        let memo = cache
+        let (memo, key, hit, _) = cache
             .get_or_run(&spec, &alg, &io, &schedule, &arch, sched_digest, None)
             .unwrap();
-        let again = cache
+        assert_eq!(key, scheduled_run_digest(&spec, sched_digest, None));
+        assert!(!hit);
+        let (again, _, hit, phases) = cache
             .get_or_run(&spec, &alg, &io, &schedule, &arch, sched_digest, None)
             .unwrap();
+        assert!(hit);
+        assert_eq!(phases.synthesis_wall_ns + phases.simulation_wall_ns, 0);
         assert!(Arc::ptr_eq(&memo, &again));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         let fresh = run_scheduled(&spec, &alg, &io, &schedule, &arch).unwrap();
@@ -1824,7 +1623,7 @@ mod tests {
         )
         .unwrap();
         assert!(!plan.is_trivial());
-        let faulty_memo = cache
+        let (faulty_memo, ..) = cache
             .get_or_run(
                 &spec,
                 &alg,
@@ -1899,7 +1698,10 @@ mod tests {
 
         let run_once = || {
             let mut tel = Collector::new(RecordingSink::default());
-            let r = run_scheduled_traced(&spec, &alg, &io, &schedule, &arch, &mut tel).unwrap();
+            emit_schedule_timeline(&mut tel, &schedule, &alg, &arch, spec.ts, spec.horizon)
+                .unwrap();
+            let activation = Activation::scheduled(&alg, &io, &schedule, &arch, None);
+            let (r, _) = simulate(&spec, activation, &mut tel, "").unwrap();
             (r, tel.into_sink())
         };
         let (r, sink) = run_once();
@@ -1964,6 +1766,75 @@ mod tests {
         assert_eq!(r.stats, r2.stats);
     }
 
+    /// A recording collector only observes: for every activation and
+    /// loop flavour, the traced run is bit-identical to the untraced one.
+    #[test]
+    fn tracing_changes_no_result_bit() {
+        use crate::faults::{FaultConfig, FaultPlan};
+        use ecl_telemetry::RecordingSink;
+        let (spec, alg, io, schedule, arch) = split_fixture();
+        let periods = (spec.horizon / spec.ts).floor() as u32;
+        let lossy = FaultConfig {
+            seed: 5,
+            frame_loss_rate: 0.5,
+            max_retries: 1,
+            ..FaultConfig::default()
+        };
+        let plan = FaultPlan::generate(&lossy, &schedule, &arch, periods).unwrap();
+        assert!(!plan.is_trivial());
+        let lqg = lqg_spec();
+        let law = ControlLawSpec::monolithic("lqg", 1, 1);
+        let (lqg_alg, lqg_io) = law.to_algorithm().unwrap();
+        let mut lqg_arch = ArchitectureGraph::new();
+        lqg_arch.add_processor("ecu0", "arm");
+        let db = uniform_timing(&lqg_alg, &lqg_io, us(200), TimeNs::from_millis(5));
+        let lqg_schedule =
+            adequation(&lqg_alg, &lqg_arch, &db, AdequationOptions::default()).unwrap();
+
+        type Case<'a> = (&'a str, Loop<'a>, Box<dyn Fn() -> Activation<'a> + 'a>);
+        let cases: Vec<Case<'_>> = vec![
+            ("ideal", (&spec).into(), Box::new(|| Activation::Ideal)),
+            (
+                "scheduled",
+                (&spec).into(),
+                Box::new(|| Activation::scheduled(&alg, &io, &schedule, &arch, None)),
+            ),
+            (
+                "faulty",
+                (&spec).into(),
+                Box::new(|| Activation::scheduled(&alg, &io, &schedule, &arch, Some(plan.clone()))),
+            ),
+            (
+                "output ideal",
+                (&lqg).into(),
+                Box::new(|| Activation::Ideal),
+            ),
+            (
+                "output scheduled",
+                (&lqg).into(),
+                Box::new(|| {
+                    Activation::scheduled(&lqg_alg, &lqg_io, &lqg_schedule, &lqg_arch, None)
+                }),
+            ),
+        ];
+        for (label, lp, activation) in cases {
+            let (plain, _) = simulate(lp, activation(), &mut Collector::noop(), "").unwrap();
+            let mut tel = Collector::new(RecordingSink::default());
+            let (traced, _) = simulate(lp, activation(), &mut tel, "t:").unwrap();
+            assert!(!tel.sink().events().is_empty(), "{label}: nothing recorded");
+            assert_eq!(traced.cost.to_bits(), plain.cost.to_bits(), "{label}");
+            assert_eq!(traced.sample_instants, plain.sample_instants, "{label}");
+            assert_eq!(
+                traced.actuation_instants, plain.actuation_instants,
+                "{label}"
+            );
+            assert_eq!(traced.stats, plain.stats, "{label}");
+            assert_eq!(traced.sampling_hist, plain.sampling_hist, "{label}");
+            assert_eq!(traced.actuation_hist, plain.actuation_hist, "{label}");
+            assert_eq!(traced.activity, plain.activity, "{label}");
+        }
+    }
+
     #[test]
     fn spec_validation_catches_shape_errors() {
         let mut spec = dc_motor_spec();
@@ -1976,11 +1847,18 @@ mod tests {
         spec.n_controls = 5;
         assert!(run_ideal(&spec).is_err());
         let mut spec = dc_motor_spec();
-        spec.ts = 0.0;
-        assert!(run_ideal(&spec).is_err());
-        let mut spec = dc_motor_spec();
         spec.input_memory = Some(Mat::zeros(2, 2));
         assert!(run_ideal(&spec).is_err());
+        // Periods and horizons that are not positive whole-nanosecond
+        // times are refused, not panicked on.
+        for bad in [0.0, 1e-12, -1.0, f64::NAN, f64::INFINITY, 1e10] {
+            let mut spec = dc_motor_spec();
+            spec.ts = bad;
+            assert!(run_ideal(&spec).is_err(), "ts = {bad}");
+            let mut spec = dc_motor_spec();
+            spec.horizon = bad;
+            assert!(run_ideal(&spec).is_err(), "horizon = {bad}");
+        }
     }
 
     #[test]
@@ -2053,10 +1931,25 @@ mod tests {
         }
     }
 
+    fn lqg_ideal(spec: &OutputLoopSpec) -> Result<LoopResult, CoreError> {
+        simulate(spec, Activation::Ideal, &mut Collector::noop(), "").map(|(r, _)| r)
+    }
+
+    fn lqg_scheduled(
+        spec: &OutputLoopSpec,
+        alg: &AlgorithmGraph,
+        io: &IoMap,
+        schedule: &Schedule,
+        arch: &ArchitectureGraph,
+    ) -> Result<LoopResult, CoreError> {
+        let activation = Activation::scheduled(alg, io, schedule, arch, None);
+        simulate(spec, activation, &mut Collector::noop(), "").map(|(r, _)| r)
+    }
+
     #[test]
     fn lqg_output_feedback_regulates() {
         let spec = lqg_spec();
-        let r = run_output_ideal(&spec).unwrap();
+        let r = lqg_ideal(&spec).unwrap();
         let y = r.result.signal("x0").unwrap();
         assert!(y.values()[0] > 0.9);
         assert!(
@@ -2073,7 +1966,7 @@ mod tests {
     #[test]
     fn lqg_scheduled_shows_latency_degradation() {
         let spec = lqg_spec();
-        let ideal = run_output_ideal(&spec).unwrap();
+        let ideal = lqg_ideal(&spec).unwrap();
         // One sensor (the measured speed), one actuator, over the split
         // 2-ECU target with heavy latency.
         let law = ControlLawSpec::monolithic("lqg", 1, 1);
@@ -2089,7 +1982,7 @@ mod tests {
         }
         db.forbid(io.stages[0], p0);
         let schedule = adequation(&alg, &arch, &db, AdequationOptions::default()).unwrap();
-        let run = run_output_scheduled(&spec, &alg, &io, &schedule, &arch).unwrap();
+        let run = lqg_scheduled(&spec, &alg, &io, &schedule, &arch).unwrap();
         assert!(
             run.cost > ideal.cost,
             "ideal {} vs implemented {}",
@@ -2105,13 +1998,21 @@ mod tests {
         let good = lqg_spec();
         let mut bad = good.clone();
         bad.n_controls = 2;
-        assert!(run_output_ideal(&bad).is_err());
+        assert!(lqg_ideal(&bad).is_err());
         let mut bad = good.clone();
         bad.x0 = vec![0.0];
-        assert!(run_output_ideal(&bad).is_err());
+        assert!(lqg_ideal(&bad).is_err());
         let mut bad = good.clone();
         bad.ts = good.ts * 2.0; // disagrees with the compensator period
-        assert!(run_output_ideal(&bad).is_err());
+        assert!(lqg_ideal(&bad).is_err());
+        for horizon in [0.0, f64::NAN, f64::INFINITY, 1e10] {
+            let mut bad = good.clone();
+            bad.horizon = horizon;
+            assert!(lqg_ideal(&bad).is_err(), "horizon = {horizon}");
+        }
+        let mut bad = good.clone();
+        bad.ts = f64::INFINITY;
+        assert!(lqg_ideal(&bad).is_err());
         // Sensor-count mismatch in the scheduled variant.
         let law = ControlLawSpec::monolithic("lqg", 2, 1); // 2 sensors != 1 output
         let (alg, io) = law.to_algorithm().unwrap();
@@ -2119,6 +2020,6 @@ mod tests {
         arch.add_processor("ecu0", "arm");
         let db = uniform_timing(&alg, &io, us(10), us(10));
         let schedule = adequation(&alg, &arch, &db, AdequationOptions::default()).unwrap();
-        assert!(run_output_scheduled(&good, &alg, &io, &schedule, &arch).is_err());
+        assert!(lqg_scheduled(&good, &alg, &io, &schedule, &arch).is_err());
     }
 }

@@ -122,6 +122,16 @@ pub fn latencies_strict(
     latencies_impl(activations, period, true)
 }
 
+/// The grid instant `k·Ts`, guarded so it cannot silently wrap in
+/// release at huge horizons.
+pub(crate) fn period_origin(period: TimeNs, k: usize) -> Result<TimeNs, CoreError> {
+    period
+        .checked_mul(k as i64)
+        .ok_or_else(|| CoreError::InvalidInput {
+            reason: format!("period origin {k}·{period} overflows the i64 nanosecond range"),
+        })
+}
+
 fn latencies_impl(
     activations: &[TimeNs],
     period: TimeNs,
@@ -142,11 +152,7 @@ fn latencies_impl(
             });
         }
         prev = Some(t);
-        let origin = period
-            .checked_mul(k as i64)
-            .ok_or_else(|| CoreError::InvalidInput {
-                reason: format!("period origin {k}·{period} overflows the i64 nanosecond range"),
-            })?;
+        let origin = period_origin(period, k)?;
         let lat = t - origin;
         if lat.is_negative() {
             return Err(CoreError::InvalidInput {

@@ -5,13 +5,13 @@
 //! shorten:
 //!
 //! 1. **Design** — LQR synthesis on the ideally sampled plant, validated
-//!    under the stroboscopic model ([`cosim::run_ideal`]);
+//!    under the stroboscopic model ([`cosim::Activation::Ideal`]);
 //! 2. **Adequation** — the control law is translated to an algorithm
 //!    graph and distributed over the architecture by
 //!    [`ecl_aaa::adequation`];
 //! 3. **Co-simulation** — the graph of delays replays the schedule's
 //!    temporal behaviour against the continuous plant
-//!    ([`cosim::run_scheduled`]), measuring the latency report and the
+//!    ([`cosim::Activation::Scheduled`]), measuring the latency report and the
 //!    control-performance degradation;
 //! 4. **Calibration** — the measured mean actuation latency feeds a
 //!    delay-aware redesign ([`ecl_control::c2d_zoh_delayed`] +
@@ -22,9 +22,9 @@
 use ecl_aaa::{adequation, codegen, AdequationOptions, ArchitectureGraph, Schedule, TimingDb};
 use ecl_control::{c2d_zoh, c2d_zoh_delayed, dlqr, StateSpace};
 use ecl_linalg::Mat;
-use ecl_telemetry::{Collector, Sink};
+use ecl_telemetry::{Collector, Event, Sink};
 
-use crate::cosim::{self, DisturbanceKind, LoopResult, LoopSpec};
+use crate::cosim::{self, Activation, DisturbanceKind, LoopResult, LoopSpec};
 use crate::latency::LatencyReport;
 use crate::translate::ControlLawSpec;
 use crate::CoreError;
@@ -153,7 +153,7 @@ pub fn run_with<S: Sink>(
             r_weight: inputs.r_weight,
             disturbance: inputs.disturbance,
         };
-        let ideal = cosim::run_ideal_traced(&spec, tel)?;
+        let (ideal, _) = cosim::simulate(&spec, Activation::Ideal, tel, "ideal:")?;
         Ok((spec, ideal))
     })?;
 
@@ -166,15 +166,27 @@ pub fn run_with<S: Sink>(
     })?;
 
     // --- step 3: co-simulation of the implementation ---
-    let lm = tel.span("delay-graph synthesis", |_| {
-        cosim::wire_scheduled(&spec, &alg, &io, &schedule, &inputs.arch, |_| {
-            Ok(crate::delays::DelayGraphConfig::default())
-        })
-    })?;
-    let implemented = tel.span("co-simulation", |tel| {
-        cosim::emit_schedule_timeline(tel, &schedule, &alg, &inputs.arch, spec.ts, spec.horizon);
-        cosim::finish_loop(&spec, lm, "", tel)
-    })?;
+    cosim::emit_schedule_timeline(tel, &schedule, &alg, &inputs.arch, spec.ts, spec.horizon)?;
+    let start = tel.elapsed_ns();
+    let activation = Activation::scheduled(&alg, &io, &schedule, &inputs.arch, None);
+    let (implemented, phases) = cosim::simulate(&spec, activation, tel, "")?;
+    // One call synthesizes the graph of delays and simulates; its
+    // measured split becomes two back-to-back phase spans.
+    let synthesized = start + phases.synthesis_wall_ns;
+    let end = tel.elapsed_ns().max(synthesized);
+    for (name, begin_ns, end_ns) in [
+        ("delay-graph synthesis", start, synthesized),
+        ("co-simulation", synthesized, end),
+    ] {
+        tel.emit(|| Event::SpanBegin {
+            name: name.into(),
+            wall_ns: begin_ns,
+        });
+        tel.emit(|| Event::SpanEnd {
+            name: name.into(),
+            wall_ns: end_ns,
+        });
+    }
     let latency = implemented.latency_report()?;
 
     // --- step 4: calibration (delay-aware redesign) ---
@@ -193,12 +205,11 @@ pub fn run_with<S: Sink>(
             input_memory: Some(ku),
             ..spec.clone()
         };
-        let lm = cosim::wire_scheduled(&spec_cal, &alg, &io, &schedule, &inputs.arch, |_| {
-            Ok(crate::delays::DelayGraphConfig::default())
-        })?;
         // Distinct track prefix: this second simulation restarts at
         // simulated time 0, and a shared track would regress in the trace.
-        cosim::finish_loop(&spec_cal, lm, "cal:", tel)
+        let activation = Activation::scheduled(&alg, &io, &schedule, &inputs.arch, None);
+        let (calibrated, _) = cosim::simulate(&spec_cal, activation, tel, "cal:")?;
+        Ok(calibrated)
     })?;
 
     // --- step 5: executive generation ---

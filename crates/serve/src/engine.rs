@@ -40,7 +40,7 @@ use ecl_core::CoreError;
 use ecl_telemetry::{Histogram, WorkerProfile};
 
 use crate::store::DiskStore;
-use crate::wire::{Policy, ResponseSource, SweepRequest};
+use crate::wire::{Policy, RequestDefect, ResponseSource, SweepRequest};
 
 /// Store kinds the engine persists under.
 const KIND_SCHEDULES: &str = "schedules";
@@ -224,6 +224,36 @@ impl Engine {
         self.deployments.contains_key(case)
     }
 
+    /// [`SweepRequest::validate`] plus the check that needs the request's
+    /// deployment: every scaled period `ts × scale` must be a positive
+    /// whole-nanosecond [`TimeNs`] no longer than the horizon. A longer
+    /// period samples the loop at most once, and the sweep's histogram
+    /// bounds (twice the period) would overflow long before `TimeNs`
+    /// does. An unknown case adds no defect here (it is refused by name).
+    pub fn validate(&self, req: &SweepRequest) -> Vec<RequestDefect> {
+        let mut defects = req.validate();
+        let Some(deployment) = self.deployments.get(&req.case) else {
+            return defects;
+        };
+        let (ts, horizon) = (deployment.spec.ts, deployment.spec.horizon);
+        let unfit = |scale: &f64| {
+            TimeNs::checked_from_secs_f64(ts * scale).is_none_or(|period| {
+                period <= TimeNs::ZERO || period > TimeNs::from_secs_f64(horizon)
+            })
+        };
+        let flagged = defects.iter().any(|d| d.code == "bad_period_scales");
+        if !flagged && req.period_scales.iter().any(unfit) {
+            defects.push(RequestDefect {
+                code: "bad_period_scales",
+                detail: format!(
+                    "every scaled period ts × scale (ts = {ts} s) must be a positive \
+                     whole-nanosecond time no longer than the {horizon} s horizon"
+                ),
+            });
+        }
+        defects
+    }
+
     /// Static admission control (DESIGN.md §15): evaluates the
     /// fault-envelope of the request's deployment at every requested
     /// `(policy, period_scale)` combination on the *unjittered*
@@ -238,7 +268,8 @@ impl Engine {
     /// only deployments no scenario could satisfy.
     ///
     /// Codes are sorted and deduplicated, so the reply bytes are a pure
-    /// function of the request.
+    /// function of the request. The request must have passed
+    /// [`Engine::validate`].
     ///
     /// # Errors
     ///

@@ -18,7 +18,7 @@
 //! Admission is three gates, each typed, each leaving the connection
 //! usable: a per-connection [`TokenBucket`] (one token per submit,
 //! stats and shutdown are free) rejects over-rate submits with
-//! `rate_limited`; [`SweepRequest::validate`] rejects semantically
+//! `rate_limited`; [`Engine::validate`] rejects semantically
 //! out-of-range requests with [`ServerMsg::Rejected`] listing every
 //! defect code; and the engine's fault-envelope admission control
 //! ([`Engine::admission_codes`]) rejects deployments that are
@@ -30,7 +30,7 @@ use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -79,6 +79,18 @@ struct Job {
 struct QueueState {
     queue: Mutex<JobQueue<Job>>,
     available: Condvar,
+}
+
+impl QueueState {
+    /// Raises `shutdown` and wakes the executor. The flag is set under
+    /// the queue lock, under which the executor checks it before waiting,
+    /// so the wake-up cannot land between that check and the wait.
+    fn stop(&self, shutdown: &AtomicBool) {
+        let guard = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        shutdown.store(true, Ordering::Relaxed);
+        drop(guard);
+        self.available.notify_all();
+    }
 }
 
 /// A running daemon; dropping it shuts everything down and joins every
@@ -206,7 +218,7 @@ fn serve_connection(
                 // Semantic validation: a parseable request with
                 // out-of-range fields is *rejected* (typed, with every
                 // defect code), not treated as a protocol error.
-                let defects = req.validate();
+                let defects = engine.validate(&req);
                 if !defects.is_empty() {
                     engine.note_rejected();
                     let codes = defects.iter().map(|d| d.code.to_string()).collect();
@@ -285,8 +297,7 @@ fn serve_connection(
                 }
             }
             ClientMsg::Shutdown => {
-                shutdown.store(true, Ordering::Relaxed);
-                queue.available.notify_all();
+                queue.stop(&shutdown);
                 return;
             }
         }
@@ -470,8 +481,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        self.queue.available.notify_all();
+        self.queue.stop(&self.shutdown);
         // A throwaway connection unblocks the accept loop so it can
         // observe the flag.
         let _ = TcpStream::connect(self.addr);

@@ -318,9 +318,10 @@ fn infeasible_period_is_rejected_by_envelope_admission() {
     let srv = server(1, None);
     let mut client = Client::connect(srv.addr()).expect("connect");
     // Fault-free family: the envelope is exact, so a period far below
-    // the schedule makespan yields a conclusive lower-bound violation.
+    // the schedule makespan (50 ns) yields a conclusive lower-bound
+    // violation.
     let infeasible = SweepRequest {
-        period_scales: vec![1e-9],
+        period_scales: vec![1e-6],
         frame_loss: vec![],
         ..request()
     };
@@ -338,6 +339,36 @@ fn infeasible_period_is_rejected_by_envelope_admission() {
         ..request()
     };
     client.submit(&sane).expect("feasible request is admitted");
+}
+
+/// A scale whose scaled period no nanosecond time can hold — 0.05 s ×
+/// 1e12 overflows `i64`, 0.05 s × 1e-12 rounds to 0 ns — or that
+/// outlasts the horizon is a typed `bad_period_scales` rejection, and the
+/// connection stays usable.
+#[test]
+fn unrepresentable_period_scale_is_rejected_with_a_typed_code() {
+    let srv = server(1, None);
+    let mut client = Client::connect(srv.addr()).expect("connect");
+    for scale in [1e12, 1e-12, 1e11] {
+        let bad = SweepRequest {
+            period_scales: vec![1.0, scale],
+            ..request()
+        };
+        match client.submit(&bad) {
+            Err(ClientError::Rejected { codes, .. }) => assert_eq!(codes, ["bad_period_scales"]),
+            other => panic!("scale {scale}: expected typed rejection, got {other:?}"),
+        }
+    }
+    let stats = client.stats().expect("stats after rejection");
+    assert_eq!(counter(&stats, "jobs"), 0, "rejected submit must not run");
+    assert_eq!(counter(&stats, "jobs_rejected"), 3);
+    let small = SweepRequest {
+        scenarios: 2,
+        ..request()
+    };
+    client
+        .submit(&small)
+        .expect("connection must survive a rejection");
 }
 
 /// Two clients sharing one daemon both get correct, digest-verified

@@ -69,6 +69,13 @@ impl TimeNs {
         TimeNs(ns as i64)
     }
 
+    /// Like [`from_secs_f64`](Self::from_secs_f64), but `None` where that
+    /// panics: `s` is not finite or overflows the nanosecond range.
+    pub fn checked_from_secs_f64(s: f64) -> Option<Self> {
+        let ns = (s * 1e9).round();
+        (ns >= i64::MIN as f64 && ns <= i64::MAX as f64).then_some(TimeNs(ns as i64))
+    }
+
     /// Raw nanosecond count.
     pub const fn as_nanos(self) -> i64 {
         self.0
@@ -285,5 +292,16 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn from_secs_f64_rejects_nan() {
         let _ = TimeNs::from_secs_f64(f64::NAN);
+    }
+
+    #[test]
+    fn checked_from_secs_f64_refuses_what_from_secs_f64_panics_on() {
+        assert_eq!(
+            TimeNs::checked_from_secs_f64(0.05),
+            Some(TimeNs::from_millis(50))
+        );
+        for s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e10, -1e10] {
+            assert_eq!(TimeNs::checked_from_secs_f64(s), None, "{s}");
+        }
     }
 }

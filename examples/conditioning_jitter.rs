@@ -14,10 +14,11 @@ use eclipse_codesign::aaa::{
 };
 use eclipse_codesign::blocks::Sine;
 use eclipse_codesign::control::{c2d_zoh, dlqr, plants};
-use eclipse_codesign::core::cosim::{self, DisturbanceKind, LoopSpec};
+use eclipse_codesign::core::cosim::{self, Activation, DisturbanceKind, LoopSpec};
 use eclipse_codesign::core::delays::{ConditionSource, DelayGraphConfig};
 use eclipse_codesign::core::translate::IoMap;
 use eclipse_codesign::linalg::Mat;
+use eclipse_codesign::telemetry::Collector;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plant = plants::cruise_control();
@@ -81,22 +82,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The mode alternates every period: a sinusoid sampled at kTs flips
     // sign each period; the condition mapping sends positives to eco.
-    let implemented = cosim::run_scheduled_with(&spec, &alg, &io, &schedule, &arch, |model| {
-        let osc = model.add_block(
-            "mode_signal",
-            Sine::new(1.0, 1.0 / (2.0 * ts)).with_phase(std::f64::consts::FRAC_PI_4),
-        );
-        let mut cfg = DelayGraphConfig::default();
-        cfg.condition_sources.insert(
-            mode,
-            ConditionSource {
-                block: osc,
-                output: 0,
-                mapping: Box::new(|v| usize::from(v < 0.0)),
-            },
-        );
-        Ok(cfg)
-    })?;
+    let activation = Activation::Scheduled {
+        alg: &alg,
+        io: &io,
+        schedule: &schedule,
+        arch: &arch,
+        configure: Box::new(|model| {
+            let osc = model.add_block(
+                "mode_signal",
+                Sine::new(1.0, 1.0 / (2.0 * ts)).with_phase(std::f64::consts::FRAC_PI_4),
+            );
+            let mut cfg = DelayGraphConfig::default();
+            cfg.condition_sources.insert(
+                mode,
+                ConditionSource {
+                    block: osc,
+                    output: 0,
+                    mapping: Box::new(|v| usize::from(v < 0.0)),
+                },
+            );
+            Ok(cfg)
+        }),
+    };
+    let (implemented, _) = cosim::simulate(&spec, activation, &mut Collector::noop(), "")?;
 
     let report = implemented.latency_report()?;
     println!("latency report (note La jitter = sport − eco ≈ 28 ms):");

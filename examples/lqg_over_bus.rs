@@ -10,9 +10,10 @@
 
 use eclipse_codesign::aaa::{adequation, AdequationOptions, ArchitectureGraph, TimeNs};
 use eclipse_codesign::control::{c2d_zoh, dlqr, frequency, kalman, lqg, plants, stability};
-use eclipse_codesign::core::cosim::{self, DisturbanceKind, OutputLoopSpec};
+use eclipse_codesign::core::cosim::{self, Activation, DisturbanceKind, OutputLoopSpec};
 use eclipse_codesign::core::translate::{uniform_timing, ControlLawSpec};
 use eclipse_codesign::linalg::Mat;
+use eclipse_codesign::telemetry::Collector;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plant = plants::dc_motor();
@@ -65,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         r_weight: 1e-2,
         disturbance: DisturbanceKind::None,
     };
-    let ideal = cosim::run_output_ideal(&spec)?;
+    let (ideal, _) = cosim::simulate(&spec, Activation::Ideal, &mut Collector::noop(), "")?;
     println!("\nideal (stroboscopic) cost      : {:.6}", ideal.cost);
 
     // -- distribute: sensor+actuator on one ECU, compensator remote --------
@@ -89,7 +90,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     schedule.validate(&alg, &arch)?;
     println!("\nschedule:\n{}", schedule.render(&alg, &arch));
 
-    let implemented = cosim::run_output_scheduled(&spec, &alg, &io, &schedule, &arch)?;
+    let activation = Activation::scheduled(&alg, &io, &schedule, &arch, None);
+    let (implemented, _) = cosim::simulate(&spec, activation, &mut Collector::noop(), "")?;
     println!("implemented (co-simulated) cost: {:.6}", implemented.cost);
     println!(
         "degradation                    : {:+.1}%",

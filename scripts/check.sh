@@ -34,6 +34,15 @@ cargo test -q --offline -p ecl-bench fleet -- --test-threads=1
 cargo test -q --offline -p ecl-telemetry -- --test-threads=1
 cargo test -q --offline -p ecl-core latency -- --test-threads=1
 
+# The figure/experiment binaries that drive every co-simulation path
+# (stroboscopic, graph of delays, conditioned, the lifecycle's ideal:/
+# cal: runs) must reproduce their archived reports byte for byte.
+echo "== co-simulation binaries reproduce their archived stdout =="
+for bin in fig1_latency_trace fig2_ideal_loop fig3_graph_of_delays \
+    exp6_latency_sweep exp7_jitter_sweep exp8_calibration; do
+    cargo run -q --offline --release -p ecl-bench --bin "$bin" | diff - "results/$bin.txt"
+done
+
 # E11-MC asserts 1-worker vs 4-worker byte-identity and archives the
 # sweep report + wall-clock numbers under results/ (BENCH_exp11.json).
 echo "== E11-MC determinism check + bench artifact =="

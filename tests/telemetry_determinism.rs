@@ -8,7 +8,7 @@ use eclipse_codesign::aaa::{
     adequation, timeline, AdequationOptions, ArchitectureGraph, Schedule, TimeNs,
 };
 use eclipse_codesign::control::{c2d_zoh, dlqr, plants};
-use eclipse_codesign::core::cosim::{self, DisturbanceKind, LoopResult, LoopSpec};
+use eclipse_codesign::core::cosim::{self, Activation, DisturbanceKind, LoopResult, LoopSpec};
 use eclipse_codesign::core::translate::{uniform_timing, ControlLawSpec, IoMap};
 use eclipse_codesign::linalg::Mat;
 use eclipse_codesign::telemetry::{json, trace, Collector, Event, RecordingSink};
@@ -62,7 +62,9 @@ fn fixture() -> (
 fn traced_run() -> (LoopResult, RecordingSink) {
     let (spec, alg, io, schedule, arch) = fixture();
     let mut tel = Collector::new(RecordingSink::default());
-    let run = cosim::run_scheduled_traced(&spec, &alg, &io, &schedule, &arch, &mut tel).unwrap();
+    cosim::emit_schedule_timeline(&mut tel, &schedule, &alg, &arch, spec.ts, spec.horizon).unwrap();
+    let activation = Activation::scheduled(&alg, &io, &schedule, &arch, None);
+    let (run, _) = cosim::simulate(&spec, activation, &mut tel, "").unwrap();
     (run, tel.into_sink())
 }
 
