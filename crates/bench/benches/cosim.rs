@@ -1,5 +1,7 @@
 //! Criterion benches of the co-simulation pipeline: ideal loop, graph-of-
-//! delays synthesis, and the scheduled end-to-end run.
+//! delays synthesis, and the scheduled end-to-end run — over a 1 s
+//! horizon, and in the shape every fleet scenario runs (exp17's 50 ms
+//! loop on the 200 µs split deployment).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecl_aaa::{adequation, AdequationOptions, TimeNs};
@@ -48,15 +50,40 @@ fn bench_delay_graph_build(c: &mut Criterion) {
 }
 
 fn bench_scheduled(c: &mut Criterion) {
-    let spec = dc_motor_loop(1.0).expect("valid");
-    let scenario = split_scenario(
-        2,
-        1,
-        TimeNs::from_millis(4),
-        TimeNs::from_micros(200),
-        TimeNs::from_millis(10),
-    )
-    .expect("valid");
+    scheduled_case(
+        c,
+        "cosim_scheduled_1s",
+        1.0,
+        [
+            TimeNs::from_millis(4),
+            TimeNs::from_micros(200),
+            TimeNs::from_millis(10),
+        ],
+    );
+}
+
+/// The fleet's per-scenario co-simulation (exp17, `ecl-benchmark`'s
+/// sweeps): a 50 ms horizon on `split_scenario(2, 1, 200 µs, 50 µs,
+/// 500 µs)`.
+fn bench_scheduled_exp17(c: &mut Criterion) {
+    scheduled_case(
+        c,
+        "cosim_scheduled_exp17_50ms",
+        0.05,
+        [
+            TimeNs::from_micros(200),
+            TimeNs::from_micros(50),
+            TimeNs::from_micros(500),
+        ],
+    );
+}
+
+/// Benches `run_scheduled` of the DC-motor loop over `horizon_s` on the
+/// split deployment with `[bus latency, I/O WCET, compute WCET]`.
+fn scheduled_case(c: &mut Criterion, name: &str, horizon_s: f64, timings: [TimeNs; 3]) {
+    let spec = dc_motor_loop(horizon_s).expect("valid");
+    let [bus, io, compute] = timings;
+    let scenario = split_scenario(2, 1, bus, io, compute).expect("valid");
     let schedule = adequation(
         &scenario.alg,
         &scenario.arch,
@@ -64,7 +91,7 @@ fn bench_scheduled(c: &mut Criterion) {
         AdequationOptions::default(),
     )
     .expect("ok");
-    c.bench_function("cosim_scheduled_1s", |bench| {
+    c.bench_function(name, |bench| {
         bench.iter(|| {
             cosim::run_scheduled(
                 &spec,
@@ -82,6 +109,7 @@ criterion_group!(
     benches,
     bench_ideal,
     bench_delay_graph_build,
-    bench_scheduled
+    bench_scheduled,
+    bench_scheduled_exp17
 );
 criterion_main!(benches);

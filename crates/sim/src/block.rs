@@ -127,6 +127,9 @@ pub struct EventCtx<'a> {
 /// 1. **Output pass** — [`Block::outputs`] maps (time, continuous state,
 ///    inputs) to outputs. Must be *idempotent*: it may be called many times
 ///    per instant (once per ODE stage) and must not advance logical state.
+///    The engine skips the pass while nothing it reads has changed, so
+///    outputs may depend only on those arguments and the block's own
+///    state.
 /// 2. **Derivative pass** — [`Block::derivatives`] fills `dx` for blocks
 ///    with continuous state ([`Block::num_states`] > 0).
 /// 3. **Event pass** — [`Block::on_event`] runs when an activation event

@@ -5,7 +5,7 @@ use crate::block::{EventActions, EventCtx};
 use crate::error::SimError;
 use crate::event::EventCalendar;
 use crate::model::{BlockId, Entry, Model};
-use crate::ode::{self, Integrator, OdeRhs};
+use crate::ode::{self, Integrator, OdeRhs, OdeWorkspace};
 use crate::stats::EngineStats;
 use crate::time::TimeNs;
 use crate::trace::{EventRecord, Signal, SimResult};
@@ -48,20 +48,16 @@ impl Default for SimOptions {
 pub struct Simulator {
     model: Model,
     opts: SimOptions,
-    /// Per-block offset into the flat input value buffer.
-    in_off: Vec<usize>,
-    /// Per-block offset into the flat output value buffer.
-    out_off: Vec<usize>,
-    /// Per-block offset into the flat continuous state vector.
-    state_off: Vec<usize>,
+    wiring: Wiring,
     /// Flat input values (rewritten on every output pass).
     inputs: Vec<f64>,
     /// Flat output values.
     outputs: Vec<f64>,
-    /// For each flat input index, the flat output index driving it.
-    input_src: Vec<Option<usize>>,
-    /// Block evaluation order (topological over feedthrough edges).
-    eval_order: Vec<usize>,
+    /// `true` while `inputs`/`outputs` hold the committed pass at `now`
+    /// and the current block states. Cleared by an integrated span (the
+    /// RHS passes overwrite both buffers), by a delivery to a block with
+    /// signal outputs, and by [`Simulator::model_mut`].
+    outputs_fresh: bool,
     /// `evt_routes[block][out_port]` lists `(target, event_in)` pairs.
     evt_routes: Vec<Vec<Vec<(usize, usize)>>>,
     /// For each probe, the flat output index it reads (structure-of-arrays
@@ -69,6 +65,9 @@ pub struct Simulator {
     probe_src: Vec<usize>,
     /// Joint continuous state.
     x: Vec<f64>,
+    /// Integrator buffers, sized for `x` once (growth bumps
+    /// `EngineStats::hot_allocs`).
+    ode: OdeWorkspace,
     calendar: EventCalendar,
     now: TimeNs,
     started: bool,
@@ -91,14 +90,15 @@ impl Simulator {
         let mut in_off = Vec::with_capacity(n);
         let mut out_off = Vec::with_capacity(n);
         let mut state_off = Vec::with_capacity(n);
+        let n_states: Vec<usize> = model.entries.iter().map(|e| e.block.num_states()).collect();
         let (mut ni, mut no, mut ns) = (0usize, 0usize, 0usize);
-        for e in &model.entries {
+        for (e, &k) in model.entries.iter().zip(&n_states) {
             in_off.push(ni);
             out_off.push(no);
             state_off.push(ns);
             ni += e.spec.inputs;
             no += e.spec.outputs;
-            ns += e.block.num_states();
+            ns += k;
         }
 
         // Map each flat input to its driving flat output.
@@ -118,6 +118,7 @@ impl Simulator {
                 }
             }
         }
+        let input_src: Vec<usize> = input_src.into_iter().flatten().collect();
 
         // Topological sort over feedthrough edges (Kahn, stable order).
         let mut indeg = vec![0usize; n];
@@ -150,6 +151,17 @@ impl Simulator {
                 .collect();
             return Err(SimError::AlgebraicLoop { blocks: cyclic });
         }
+        // Blocks without signal outputs write nothing a pass reads, so the
+        // passes walk only the blocks that have some.
+        let output_order: Vec<usize> = eval_order
+            .into_iter()
+            .filter(|&b| model.entries[b].spec.outputs > 0)
+            .collect();
+        let stateful: Vec<usize> = (0..n).filter(|&b| n_states[b] > 0).collect();
+        let state_inputs = stateful
+            .iter()
+            .flat_map(|&b| in_off[b]..in_off[b] + model.entries[b].spec.inputs)
+            .collect();
 
         // Event routing table.
         let mut evt_routes: Vec<Vec<Vec<(usize, usize)>>> = model
@@ -163,11 +175,11 @@ impl Simulator {
 
         // Continuous state initialization.
         let mut x = vec![0.0; ns];
-        for (b, e) in model.entries.iter().enumerate() {
-            let k = e.block.num_states();
-            if k > 0 {
-                e.block.init_states(&mut x[state_off[b]..state_off[b] + k]);
-            }
+        for &b in &stateful {
+            let k = n_states[b];
+            model.entries[b]
+                .block
+                .init_states(&mut x[state_off[b]..state_off[b] + k]);
         }
 
         let result = SimResult {
@@ -189,15 +201,22 @@ impl Simulator {
             stats: EngineStats::new(n),
             model,
             opts,
-            in_off,
-            out_off,
-            state_off,
+            wiring: Wiring {
+                in_off,
+                out_off,
+                state_off,
+                n_states,
+                input_src,
+                output_order,
+                stateful,
+                state_inputs,
+            },
             inputs: vec![0.0; ni],
             outputs: vec![0.0; no],
-            input_src,
-            eval_order,
+            outputs_fresh: false,
             evt_routes,
             probe_src,
+            ode: OdeWorkspace::new(ns),
             x,
             calendar: EventCalendar::new(),
             now: TimeNs::ZERO,
@@ -212,8 +231,10 @@ impl Simulator {
         &self.model
     }
 
-    /// Mutable access to the wrapped model's blocks.
+    /// Mutable access to the wrapped model's blocks. A retuned block is
+    /// seen by the next output pass, which this call forces.
     pub fn model_mut(&mut self) -> &mut Model {
+        self.outputs_fresh = false;
         &mut self.model
     }
 
@@ -264,7 +285,6 @@ impl Simulator {
                 self.schedule_actions(b, &mut actions)?;
                 self.scratch_actions = actions;
             }
-            self.eval_outputs_committed();
             self.record_probes();
         }
 
@@ -310,7 +330,7 @@ impl Simulator {
     fn integrate_span(&mut self, t_end: TimeNs) -> Result<(), SimError> {
         if self.x.is_empty() {
             self.now = t_end;
-            self.eval_outputs_committed();
+            self.outputs_fresh = false;
             self.record_probes();
             return Ok(());
         }
@@ -318,23 +338,28 @@ impl Simulator {
         while self.now < t_end {
             let chunk_end = self.now.saturating_add(dt).min(t_end);
             let (a, b) = (self.now.as_secs_f64(), chunk_end.as_secs_f64());
-            {
-                let mut rhs = EngineRhs {
-                    entries: &mut self.model.entries,
-                    eval_order: &self.eval_order,
-                    in_off: &self.in_off,
-                    out_off: &self.out_off,
-                    state_off: &self.state_off,
-                    inputs: &mut self.inputs,
-                    outputs: &mut self.outputs,
-                    input_src: &self.input_src,
-                };
-                let ode_stats = ode::integrate(&mut rhs, a, b, &mut self.x, self.opts.integrator)?;
-                self.stats.ode.merge(ode_stats);
-                self.stats.integration_spans += 1;
+            let mut rhs = EngineRhs {
+                entries: &mut self.model.entries,
+                wiring: &self.wiring,
+                inputs: &mut self.inputs,
+                outputs: &mut self.outputs,
+            };
+            let cap = self.ode.capacity();
+            let ode_stats = ode::integrate_in(
+                &mut self.ode,
+                &mut rhs,
+                a,
+                b,
+                &mut self.x,
+                self.opts.integrator,
+            )?;
+            if self.ode.capacity() != cap {
+                self.stats.hot_allocs += 1;
             }
+            self.stats.ode.merge(ode_stats);
+            self.stats.integration_spans += 1;
+            self.outputs_fresh = false;
             self.now = chunk_end;
-            self.eval_outputs_committed();
             self.record_probes();
         }
         Ok(())
@@ -365,9 +390,9 @@ impl Simulator {
                         limit: self.opts.cascade_limit,
                     });
                 }
-                // Refresh signal values so the activated block sees current
-                // inputs (including effects of earlier same-instant events).
-                self.eval_outputs_committed();
+                // The activated block must see current inputs, including
+                // the effects of earlier same-instant deliveries.
+                self.refresh_outputs();
                 let spec = self.model.entries[dst].spec;
                 let mut actions = std::mem::take(&mut self.scratch_actions);
                 let cap = actions.emissions.capacity();
@@ -375,11 +400,16 @@ impl Simulator {
                     // `inputs` is a shared borrow of the flat input buffer,
                     // `block` a mutable borrow of the model — disjoint
                     // fields, so no defensive copy is needed.
+                    let io = self.wiring.in_off[dst];
                     let mut ctx = EventCtx {
-                        inputs: &self.inputs[self.in_off[dst]..self.in_off[dst] + spec.inputs],
+                        inputs: &self.inputs[io..io + spec.inputs],
                         actions: &mut actions,
                     };
                     self.model.entries[dst].block.on_event(port, now, &mut ctx);
+                }
+                // Only a block's own outputs can read its discrete state.
+                if spec.outputs > 0 {
+                    self.outputs_fresh = false;
                 }
                 if actions.emissions.capacity() != cap {
                     self.stats.hot_allocs += 1;
@@ -396,7 +426,6 @@ impl Simulator {
             }
         }
         self.stats.max_cascade = self.stats.max_cascade.max(deliveries);
-        self.eval_outputs_committed();
         self.record_probes();
         Ok(())
     }
@@ -428,24 +457,31 @@ impl Simulator {
         Ok(())
     }
 
-    /// Evaluates every block's outputs at the committed state and current
-    /// time, in topological order.
-    fn eval_outputs_committed(&mut self) {
-        eval_outputs(
+    /// Runs the committed output pass at the current time and state,
+    /// unless the buffers already hold it.
+    fn refresh_outputs(&mut self) {
+        if self.outputs_fresh {
+            return;
+        }
+        self.wiring.output_pass(
             &mut self.model.entries,
-            &self.eval_order,
-            &self.in_off,
-            &self.out_off,
-            &self.state_off,
             &mut self.inputs,
             &mut self.outputs,
-            &self.input_src,
             self.now.as_secs_f64(),
             &self.x,
         );
+        // Non-feedthrough inputs may be pulled before their drivers run,
+        // and blocks without outputs pull nothing: refresh every input
+        // from the final outputs so event passes see consistent values.
+        for (input, &src) in self.inputs.iter_mut().zip(&self.wiring.input_src) {
+            *input = self.outputs[src];
+        }
+        self.outputs_fresh = true;
     }
 
+    /// Records every probe at `now`, after the committed pass if stale.
     fn record_probes(&mut self) {
+        self.refresh_outputs();
         let t = self.now.as_secs_f64();
         for (i, &src) in self.probe_src.iter().enumerate() {
             self.result.signals[i].1.push(t, self.outputs[src]);
@@ -453,91 +489,84 @@ impl Simulator {
     }
 }
 
-/// Shared output-pass implementation, usable with borrowed engine pieces
-/// (needed so the ODE right-hand side can evaluate trial states while the
-/// state vector itself is mutably borrowed by the integrator).
-#[allow(clippy::too_many_arguments)]
-fn eval_outputs(
-    entries: &mut [Entry],
-    eval_order: &[usize],
-    in_off: &[usize],
-    out_off: &[usize],
-    state_off: &[usize],
-    inputs: &mut [f64],
-    outputs: &mut [f64],
-    input_src: &[Option<usize>],
-    t: f64,
-    x: &[f64],
-) {
-    for &b in eval_order {
-        let spec = entries[b].spec;
-        // Pull this block's inputs from the driving outputs.
-        for p in 0..spec.inputs {
-            let gi = in_off[b] + p;
-            if let Some(go) = input_src[gi] {
-                inputs[gi] = outputs[go];
+/// Wiring tables frozen by [`Simulator::new`].
+#[derive(Debug)]
+struct Wiring {
+    /// Per-block offset into the flat input value buffer.
+    in_off: Vec<usize>,
+    /// Per-block offset into the flat output value buffer.
+    out_off: Vec<usize>,
+    /// Per-block offset into the flat continuous state vector.
+    state_off: Vec<usize>,
+    /// Per-block continuous state count.
+    n_states: Vec<usize>,
+    /// For each flat input index, the flat output index driving it.
+    input_src: Vec<usize>,
+    /// Blocks with signal outputs, in evaluation order (topological over
+    /// feedthrough edges).
+    output_order: Vec<usize>,
+    /// Blocks with continuous state, in block order.
+    stateful: Vec<usize>,
+    /// Flat indices of the inputs of `stateful` blocks — the only inputs
+    /// the derivative pass reads.
+    state_inputs: Vec<usize>,
+}
+
+impl Wiring {
+    /// Evaluates every block's outputs at time `t` and state `x`, in
+    /// topological order, each block first pulling its inputs from the
+    /// driving outputs.
+    fn output_pass(
+        &self,
+        entries: &mut [Entry],
+        inputs: &mut [f64],
+        outputs: &mut [f64],
+        t: f64,
+        x: &[f64],
+    ) {
+        for &b in &self.output_order {
+            let spec = entries[b].spec;
+            let (io, oo, so) = (self.in_off[b], self.out_off[b], self.state_off[b]);
+            for gi in io..io + spec.inputs {
+                inputs[gi] = outputs[self.input_src[gi]];
             }
-        }
-        if spec.outputs == 0 {
-            continue;
-        }
-        let ns = entries[b].block.num_states();
-        let xs = &x[state_off[b]..state_off[b] + ns];
-        // `ins` borrows `inputs` immutably while `outs` borrows `outputs`
-        // mutably — distinct buffers, so no defensive copy is needed.
-        let (ins, outs) = (
-            &inputs[in_off[b]..in_off[b] + spec.inputs],
-            &mut outputs[out_off[b]..out_off[b] + spec.outputs],
-        );
-        entries[b].block.outputs(t, xs, ins, outs);
-    }
-    // Refresh every input from the now-final outputs: non-feedthrough
-    // blocks may be ordered before their drivers, so the values pulled
-    // during the pass can be stale; derivative and event passes must see
-    // inputs consistent with the final outputs.
-    for (gi, src) in input_src.iter().enumerate() {
-        if let Some(go) = src {
-            inputs[gi] = outputs[*go];
+            // `inputs` and `outputs` are distinct buffers, so no defensive
+            // copy is needed.
+            entries[b].block.outputs(
+                t,
+                &x[so..so + self.n_states[b]],
+                &inputs[io..io + spec.inputs],
+                &mut outputs[oo..oo + spec.outputs],
+            );
         }
     }
 }
 
 /// ODE right-hand side over the block diagram: evaluate outputs at the
-/// trial state, then collect per-block derivatives.
+/// trial state, then collect the derivatives of the stateful blocks.
+///
+/// Only the inputs the derivative pass reads are refreshed; the others
+/// are left for the committed pass, which runs before anything else reads
+/// them.
 struct EngineRhs<'a> {
     entries: &'a mut [Entry],
-    eval_order: &'a [usize],
-    in_off: &'a [usize],
-    out_off: &'a [usize],
-    state_off: &'a [usize],
+    wiring: &'a Wiring,
     inputs: &'a mut [f64],
     outputs: &'a mut [f64],
-    input_src: &'a [Option<usize>],
 }
 
 impl OdeRhs for EngineRhs<'_> {
     fn eval(&mut self, t: f64, x: &[f64], dx: &mut [f64]) {
-        eval_outputs(
-            self.entries,
-            self.eval_order,
-            self.in_off,
-            self.out_off,
-            self.state_off,
-            self.inputs,
-            self.outputs,
-            self.input_src,
-            t,
-            x,
-        );
-        for (b, e) in self.entries.iter().enumerate() {
-            let ns = e.block.num_states();
-            if ns == 0 {
-                continue;
-            }
-            let so = self.state_off[b];
-            let spec = e.spec;
-            let ins = &self.inputs[self.in_off[b]..self.in_off[b] + spec.inputs];
-            e.block
+        let w = self.wiring;
+        w.output_pass(self.entries, self.inputs, self.outputs, t, x);
+        for &gi in &w.state_inputs {
+            self.inputs[gi] = self.outputs[w.input_src[gi]];
+        }
+        for &b in &w.stateful {
+            let (io, so, ns) = (w.in_off[b], w.state_off[b], w.n_states[b]);
+            let ins = &self.inputs[io..io + self.entries[b].spec.inputs];
+            self.entries[b]
+                .block
                 .derivatives(t, &x[so..so + ns], ins, &mut dx[so..so + ns]);
         }
     }
@@ -1085,14 +1114,15 @@ mod tests {
         assert_eq!(sim.stats().integration_spans, 1_000_000);
     }
 
-    /// The event hot path must not allocate in steady state: route walks,
-    /// input staging and the emission queue all reuse engine-owned
-    /// buffers, so the regression counter stays at zero across a run
-    /// with thousands of deliveries.
+    /// The hot paths must not allocate in steady state: route walks,
+    /// input staging, the emission queue and the ODE workspace all reuse
+    /// engine-owned buffers, so the regression counter stays at zero
+    /// across a run with thousands of deliveries and integrated spans.
     #[test]
     fn hot_path_is_allocation_free() {
         let (mut m, clk) = clocked(1);
         let c = m.add_block("c", Const(3.0));
+        let i = m.add_block("i", Integ { x0: 0.0 });
         let s = m.add_block(
             "s",
             Sampler {
@@ -1100,17 +1130,21 @@ mod tests {
                 samples: vec![],
             },
         );
-        m.connect(c, 0, s, 0).unwrap();
+        m.connect(c, 0, i, 0).unwrap();
+        m.connect(i, 0, s, 0).unwrap();
         m.connect_event(clk, 0, s, 0).unwrap();
         let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
+        let cap = sim.ode.capacity();
         sim.run(TimeNs::from_secs(2)).unwrap();
         assert!(sim.stats().events_delivered > 4000);
+        assert!(sim.stats().integration_spans > 1000);
         assert_eq!(
             sim.stats().hot_allocs,
             0,
-            "event hot path allocated {} times",
+            "hot path allocated {} times",
             sim.stats().hot_allocs
         );
+        assert_eq!(sim.ode.capacity(), cap);
     }
 
     #[test]
@@ -1127,5 +1161,120 @@ mod tests {
         let r = sim.run(TimeNs::from_secs(1)).unwrap();
         let x_end = r.signal("x").unwrap().last().unwrap().1;
         assert!((x_end - 1.5).abs() < 1e-6, "{x_end}");
+    }
+
+    /// Two sample-holds fire at the same instant and the second samples
+    /// the first: the delivery to the first makes the output pass stale,
+    /// so the second sees the value the first just latched.
+    #[test]
+    fn same_instant_delivery_sees_the_previous_holds_new_output() {
+        let (mut m, clk) = clocked(100);
+        let c = m.add_block("c", Const(5.0));
+        let hold = |m: &mut Model, name: &str| {
+            m.add_block(
+                name,
+                Sampler {
+                    held: 0.0,
+                    samples: vec![],
+                },
+            )
+        };
+        let (s1, s2) = (hold(&mut m, "s1"), hold(&mut m, "s2"));
+        m.connect(c, 0, s1, 0).unwrap();
+        m.connect(s1, 0, s2, 0).unwrap();
+        m.connect_event(clk, 0, s1, 0).unwrap();
+        m.connect_event(clk, 0, s2, 0).unwrap();
+        let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
+        sim.run(TimeNs::from_millis(300)).unwrap();
+        let second = &sim.model().block_as::<Sampler>(s2).unwrap().samples;
+        assert_eq!(second.len(), 4);
+        assert!(second.iter().all(|&(_, v)| v == 5.0), "{second:?}");
+    }
+
+    /// A constant retuned through `model_mut` is seen by an event at the
+    /// exact instant the next `run` resumes. Here a block fails the first
+    /// run mid-instant, leaving a second clock's delivery at t = 0 in the
+    /// calendar; nothing else runs an output pass before that delivery,
+    /// so only `model_mut` marking the pass stale makes it see the retune.
+    #[test]
+    fn model_mut_retune_is_seen_at_the_instant_the_next_run_resumes() {
+        /// Emits on an event output it does not have, once.
+        struct FailOnce(bool);
+        impl Block for FailOnce {
+            fn type_name(&self) -> &'static str {
+                "FailOnce"
+            }
+            fn ports(&self) -> PortSpec {
+                PortSpec::event_sink(1)
+            }
+            fn on_event(&mut self, _p: usize, _t: TimeNs, ctx: &mut EventCtx<'_>) {
+                if !std::mem::replace(&mut self.0, true) {
+                    ctx.actions.emit(0, TimeNs::ZERO);
+                }
+            }
+            impl_block_any!();
+        }
+        let (mut m, first) = clocked(250);
+        let fail = m.add_block("fail", FailOnce(false));
+        m.connect_event(first, 0, fail, 0).unwrap();
+        let second = m.add_block(
+            "clk2",
+            Clock {
+                period: TimeNs::from_millis(250),
+            },
+        );
+        m.connect_event(second, 0, second, 0).unwrap();
+        let c = m.add_block("c", Const(1.0));
+        let s = m.add_block(
+            "s",
+            Sampler {
+                held: 0.0,
+                samples: vec![],
+            },
+        );
+        m.connect(c, 0, s, 0).unwrap();
+        m.connect_event(second, 0, s, 0).unwrap();
+        let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
+        assert!(matches!(
+            sim.run(TimeNs::from_millis(250)),
+            Err(SimError::InvalidEmit { .. })
+        ));
+        assert_eq!(sim.now(), TimeNs::ZERO);
+        sim.model_mut().block_as_mut::<Const>(c).unwrap().0 = 2.0;
+        sim.run(TimeNs::from_millis(250)).unwrap();
+        let samples = &sim.model().block_as::<Sampler>(s).unwrap().samples;
+        assert_eq!(
+            samples,
+            &[(TimeNs::ZERO, 2.0), (TimeNs::from_millis(250), 2.0)]
+        );
+    }
+
+    /// A model of event-only blocks has nothing for an output pass to
+    /// evaluate: no block's `outputs` is ever called.
+    #[test]
+    fn event_only_model_never_calls_outputs() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        struct Counted(Arc<AtomicUsize>);
+        impl Block for Counted {
+            fn type_name(&self) -> &'static str {
+                "Counted"
+            }
+            fn ports(&self) -> PortSpec {
+                PortSpec::event_sink(1)
+            }
+            fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], _y: &mut [f64]) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+            impl_block_any!();
+        }
+        let calls = Arc::new(AtomicUsize::new(0));
+        let (mut m, clk) = clocked(10);
+        let sink = m.add_block("sink", Counted(Arc::clone(&calls)));
+        m.connect_event(clk, 0, sink, 0).unwrap();
+        let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
+        sim.run(TimeNs::from_secs(1)).unwrap();
+        assert_eq!(sim.stats().activations(sink), 101);
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
     }
 }

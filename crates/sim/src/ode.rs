@@ -58,34 +58,60 @@ impl Default for Integrator {
     }
 }
 
+/// Reusable integrator buffers: the seven Dormand–Prince stages, the stage
+/// input and the 5th-order candidate. RK4 uses the first four stages and
+/// the stage input.
+///
+/// A buffer grows only when a state longer than any before is integrated;
+/// [`capacity`](OdeWorkspace::capacity) changes exactly then, which is how
+/// the engine counts integrator allocations in `EngineStats::hot_allocs`.
+#[derive(Debug, Default)]
+pub(crate) struct OdeWorkspace {
+    k: [Vec<f64>; 7],
+    xs: Vec<f64>,
+    x5: Vec<f64>,
+}
+
+impl OdeWorkspace {
+    /// A workspace sized for states of length `n`.
+    pub(crate) fn new(n: usize) -> Self {
+        let mut ws = OdeWorkspace::default();
+        ws.fit(n);
+        ws
+    }
+
+    /// Total element capacity of the buffers.
+    pub(crate) fn capacity(&self) -> usize {
+        self.k.iter().map(Vec::capacity).sum::<usize>() + self.xs.capacity() + self.x5.capacity()
+    }
+
+    fn fit(&mut self, n: usize) {
+        for v in self.k.iter_mut().chain([&mut self.xs, &mut self.x5]) {
+            v.resize(n, 0.0);
+        }
+    }
+}
+
 /// One classic RK4 step of size `h` from `(t, x)`, writing the result back
 /// into `x`.
-///
-/// # Panics
-///
-/// Panics if `x` and the work buffers disagree in length (cannot happen via
-/// the public [`integrate`] entry point).
-pub fn rk4_step<F: OdeRhs>(f: &mut F, t: f64, x: &mut [f64], h: f64) {
+fn rk4_step<F: OdeRhs>(ws: &mut OdeWorkspace, f: &mut F, t: f64, x: &mut [f64], h: f64) {
     let n = x.len();
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
+    let [k1, k2, k3, k4, ..] = &mut ws.k;
+    let tmp = &mut ws.xs;
 
-    f.eval(t, x, &mut k1);
+    f.eval(t, x, k1);
     for i in 0..n {
         tmp[i] = x[i] + 0.5 * h * k1[i];
     }
-    f.eval(t + 0.5 * h, &tmp, &mut k2);
+    f.eval(t + 0.5 * h, tmp, k2);
     for i in 0..n {
         tmp[i] = x[i] + 0.5 * h * k2[i];
     }
-    f.eval(t + 0.5 * h, &tmp, &mut k3);
+    f.eval(t + 0.5 * h, tmp, k3);
     for i in 0..n {
         tmp[i] = x[i] + h * k3[i];
     }
-    f.eval(t + h, &tmp, &mut k4);
+    f.eval(t + h, tmp, k4);
     for i in 0..n {
         x[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
     }
@@ -153,7 +179,10 @@ const MIN_STEP_FRACTION: f64 = 1e-14;
 ///
 /// Dispatches on the [`Integrator`] choice; `x` is updated to the state at
 /// `t1`. For `Rk45`, step-size control follows the standard PI-free
-/// `0.9·(tol/err)^(1/5)` rule with a [2⁻⁴, 4] growth clamp.
+/// `0.9·(tol/err)^(1/5)` rule with a [2⁻⁴, 4] growth clamp, and the last
+/// stage of an accepted step is reused as the first stage of the next
+/// (first-same-as-last). This wrapper allocates fresh integrator buffers;
+/// the engine keeps one set per simulator so its spans allocate nothing.
 ///
 /// # Errors
 ///
@@ -182,6 +211,18 @@ pub fn integrate<F: OdeRhs>(
     x: &mut [f64],
     method: Integrator,
 ) -> Result<OdeStepStats, SimError> {
+    integrate_in(&mut OdeWorkspace::default(), f, t0, t1, x, method)
+}
+
+/// [`integrate`] on `ws`'s buffers.
+pub(crate) fn integrate_in<F: OdeRhs>(
+    ws: &mut OdeWorkspace,
+    f: &mut F,
+    t0: f64,
+    t1: f64,
+    x: &mut [f64],
+    method: Integrator,
+) -> Result<OdeStepStats, SimError> {
     if t1 < t0 {
         return Err(SimError::IntegrationFailure {
             time: t0,
@@ -191,6 +232,7 @@ pub fn integrate<F: OdeRhs>(
     if t1 == t0 || x.is_empty() {
         return Ok(OdeStepStats::default());
     }
+    ws.fit(x.len());
     match method {
         Integrator::Rk4 { h } => {
             if !(h > 0.0) {
@@ -203,7 +245,7 @@ pub fn integrate<F: OdeRhs>(
             let mut t = t0;
             while t < t1 {
                 let step = h.min(t1 - t);
-                rk4_step(f, t, x, step);
+                rk4_step(ws, f, t, x, step);
                 stats.steps_accepted += 1;
                 stats.rhs_evals += 4;
                 if x.iter().any(|v| !v.is_finite()) {
@@ -216,11 +258,15 @@ pub fn integrate<F: OdeRhs>(
             }
             Ok(stats)
         }
-        Integrator::Rk45 { rtol, atol, h_max } => integrate_rk45(f, t0, t1, x, rtol, atol, h_max),
+        Integrator::Rk45 { rtol, atol, h_max } => {
+            integrate_rk45(ws, f, t0, t1, x, rtol, atol, h_max)
+        }
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn integrate_rk45<F: OdeRhs>(
+    ws: &mut OdeWorkspace,
     f: &mut F,
     t0: f64,
     t1: f64,
@@ -229,21 +275,21 @@ fn integrate_rk45<F: OdeRhs>(
     atol: f64,
     h_max: f64,
 ) -> Result<OdeStepStats, SimError> {
+    let OdeWorkspace { k, xs, x5 } = ws;
     let n = x.len();
     let span = t1 - t0;
     let h_min = span * MIN_STEP_FRACTION;
     let mut t = t0;
     let mut h = (span / 10.0).min(h_max).max(h_min);
-    let mut k = vec![vec![0.0; n]; 7];
-    let mut xs = vec![0.0; n];
-    let mut x5 = vec![0.0; n];
-    let mut x4 = vec![0.0; n];
     let mut stats = OdeStepStats::default();
+    // `k[0]` already holds f(t, x): after a rejection (t and x are
+    // unchanged), or after an accepted step whose last stage was
+    // evaluated at exactly the new (t, x).
+    let mut have_k1 = false;
 
     while t < t1 {
         h = h.min(t1 - t).min(h_max);
-        // Evaluate the 7 stages.
-        for s in 0..7 {
+        for s in usize::from(have_k1)..7 {
             for i in 0..n {
                 let mut acc = x[i];
                 for (j, kj) in k.iter().enumerate().take(s) {
@@ -251,12 +297,12 @@ fn integrate_rk45<F: OdeRhs>(
                 }
                 xs[i] = acc;
             }
-            let (head, tail) = k.split_at_mut(s);
-            let _ = head;
-            f.eval(t + DP_C[s] * h, &xs, &mut tail[0]);
+            f.eval(t + DP_C[s] * h, xs, &mut k[s]);
+            stats.rhs_evals += 1;
         }
-        stats.rhs_evals += 7;
-        // 5th and embedded 4th order solutions.
+        // 5th-order solution and the scaled error norm against the
+        // embedded 4th-order one.
+        let mut err: f64 = 0.0;
         for i in 0..n {
             let mut acc5 = x[i];
             let mut acc4 = x[i];
@@ -265,13 +311,8 @@ fn integrate_rk45<F: OdeRhs>(
                 acc4 += h * DP_B4[s] * ks[i];
             }
             x5[i] = acc5;
-            x4[i] = acc4;
-        }
-        // Scaled error norm.
-        let mut err: f64 = 0.0;
-        for i in 0..n {
-            let scale = atol + rtol * x[i].abs().max(x5[i].abs());
-            err = err.max(((x5[i] - x4[i]) / scale).abs());
+            let scale = atol + rtol * x[i].abs().max(acc5.abs());
+            err = err.max(((acc5 - acc4) / scale).abs());
         }
         if !err.is_finite() {
             return Err(SimError::IntegrationFailure {
@@ -280,9 +321,18 @@ fn integrate_rk45<F: OdeRhs>(
             });
         }
         if err <= 1.0 {
-            // Accept.
+            // Accept. The last stage ran at `t + 1·h` on `xs`, whose
+            // weights are the 5th-order ones, so it is f at the new
+            // `(t, x5)` whenever rounding left `xs` equal to `x5`.
             t += h;
-            x.copy_from_slice(&x5);
+            have_k1 = xs
+                .iter()
+                .zip(x5.iter())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            if have_k1 {
+                k.swap(0, 6);
+            }
+            x.copy_from_slice(x5);
             stats.steps_accepted += 1;
             if x.iter().any(|v| !v.is_finite()) {
                 return Err(SimError::IntegrationFailure {
@@ -292,6 +342,7 @@ fn integrate_rk45<F: OdeRhs>(
             }
         } else {
             stats.steps_rejected += 1;
+            have_k1 = true;
         }
         // Step-size update (both on accept and reject).
         let factor = if err == 0.0 {
@@ -457,6 +508,12 @@ mod tests {
         let mut y = vec![1.0];
         let s45 = integrate(&mut decay, 0.0, 1.0, &mut y, Integrator::default()).unwrap();
         assert!(s45.steps_accepted > 0);
-        assert_eq!(s45.rhs_evals, 7 * (s45.steps_accepted + s45.steps_rejected));
+        // First-same-as-last: every attempt after the first reuses its
+        // first stage, either from the accepted step before it or from
+        // the rejected attempt at the same (t, x).
+        assert_eq!(
+            s45.rhs_evals,
+            6 * (s45.steps_accepted + s45.steps_rejected) + 1
+        );
     }
 }

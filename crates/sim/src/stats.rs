@@ -15,7 +15,10 @@ pub struct OdeStepStats {
     /// Adaptive steps rejected and retried with a smaller `h` (always 0
     /// for fixed-step RK4).
     pub steps_rejected: u64,
-    /// Right-hand-side evaluations (7 per RK45 attempt, 4 per RK4 step).
+    /// Right-hand-side evaluations actually made: 4 per RK4 step; 6 per
+    /// RK45 attempt, plus 1 whenever its first stage cannot be reused — at
+    /// the start of a span, and after an accepted step whose last-stage
+    /// input differs from the accepted state in any bit.
     pub rhs_evals: u64,
 }
 
@@ -52,12 +55,12 @@ pub struct EngineStats {
     pub max_cascade: usize,
     /// Continuous spans handed to the ODE integrator.
     pub integration_spans: u64,
-    /// Heap allocations observed on the event hot path — growths of the
-    /// engine's reusable scratch buffers (the per-delivery emission
-    /// queue). The kernel pre-sizes those buffers, so this stays 0 in
-    /// steady state; a nonzero delta between identical runs is an
-    /// allocation regression and is asserted against in tests and the
-    /// E16 gate.
+    /// Heap allocations observed on the hot paths — growths of the
+    /// engine's reusable scratch buffers: the per-delivery emission queue
+    /// and the ODE workspace every integrated span runs on. The kernel
+    /// pre-sizes those buffers, so this stays 0 in steady state; a nonzero
+    /// delta between identical runs is an allocation regression and is
+    /// asserted against in tests and the E16/E17 gates.
     pub hot_allocs: u64,
     /// Accumulated integrator counters.
     pub ode: OdeStepStats,

@@ -4,6 +4,222 @@ use ecl_sim::ode::{integrate, Integrator};
 use ecl_sim::{BlockId, EventCalendar, TimeNs};
 use proptest::prelude::*;
 
+/// Dormand–Prince 5(4) as a textbook implementation: all seven stages on
+/// every attempt, nothing reused, same step controller as
+/// [`integrate`]. Returns `(steps_accepted, steps_rejected)`.
+fn reference_dopri(
+    f: &mut impl FnMut(f64, &[f64], &mut [f64]),
+    t0: f64,
+    t1: f64,
+    x: &mut [f64],
+    (rtol, atol, h_max): (f64, f64, f64),
+) -> (u64, u64) {
+    const C: [f64; 7] = [0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0];
+    const A: [[f64; 6]; 7] = [
+        [0.0; 6],
+        [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
+        [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
+        [
+            19372.0 / 6561.0,
+            -25360.0 / 2187.0,
+            64448.0 / 6561.0,
+            -212.0 / 729.0,
+            0.0,
+            0.0,
+        ],
+        [
+            9017.0 / 3168.0,
+            -355.0 / 33.0,
+            46732.0 / 5247.0,
+            49.0 / 176.0,
+            -5103.0 / 18656.0,
+            0.0,
+        ],
+        [
+            35.0 / 384.0,
+            0.0,
+            500.0 / 1113.0,
+            125.0 / 192.0,
+            -2187.0 / 6784.0,
+            11.0 / 84.0,
+        ],
+    ];
+    const B5: [f64; 7] = [
+        35.0 / 384.0,
+        0.0,
+        500.0 / 1113.0,
+        125.0 / 192.0,
+        -2187.0 / 6784.0,
+        11.0 / 84.0,
+        0.0,
+    ];
+    const B4: [f64; 7] = [
+        5179.0 / 57600.0,
+        0.0,
+        7571.0 / 16695.0,
+        393.0 / 640.0,
+        -92097.0 / 339200.0,
+        187.0 / 2100.0,
+        1.0 / 40.0,
+    ];
+    let n = x.len();
+    let span = t1 - t0;
+    let h_min = span * 1e-14;
+    let (mut t, mut h) = (t0, (span / 10.0).min(h_max).max(h_min));
+    let (mut accepted, mut rejected) = (0, 0);
+    let mut k = vec![vec![0.0; n]; 7];
+    let mut xs = vec![0.0; n];
+    while t < t1 {
+        h = h.min(t1 - t).min(h_max);
+        for s in 0..7 {
+            for i in 0..n {
+                let mut acc = x[i];
+                for j in 0..s {
+                    acc += h * A[s][j] * k[j][i];
+                }
+                xs[i] = acc;
+            }
+            f(t + C[s] * h, &xs, &mut k[s]);
+        }
+        let mut x5 = vec![0.0; n];
+        let mut err: f64 = 0.0;
+        for i in 0..n {
+            let (mut acc5, mut acc4) = (x[i], x[i]);
+            for s in 0..7 {
+                acc5 += h * B5[s] * k[s][i];
+                acc4 += h * B4[s] * k[s][i];
+            }
+            x5[i] = acc5;
+            let scale = atol + rtol * x[i].abs().max(acc5.abs());
+            err = err.max(((acc5 - acc4) / scale).abs());
+        }
+        assert!(err.is_finite(), "reference diverged at t = {t}");
+        if err <= 1.0 {
+            t += h;
+            x.copy_from_slice(&x5);
+            accepted += 1;
+        } else {
+            rejected += 1;
+        }
+        h *= if err == 0.0 {
+            4.0
+        } else {
+            (0.9 * err.powf(-0.2)).clamp(1.0 / 16.0, 4.0)
+        };
+        assert!(h >= h_min || t >= t1, "reference step underflow at t = {t}");
+    }
+    (accepted, rejected)
+}
+
+/// A stable linear system `ẋ = A·x + b·cos t` of dimension `n ≤ 4`:
+/// off-diagonal couplings from `coupling`, and a diagonal that dominates
+/// its row by `decay[i]`, so every eigenvalue has real part ≤ −decay.
+fn linear_system(
+    n: usize,
+    decay: &[f64],
+    coupling: &[f64],
+    forcing: &[f64],
+) -> impl Fn(f64, &[f64], &mut [f64]) {
+    let mut a = vec![0.0; n * n];
+    for i in 0..n {
+        let mut row = 0.0;
+        for j in (0..n).filter(|&j| j != i) {
+            a[i * n + j] = coupling[i * n + j];
+            row += coupling[i * n + j].abs();
+        }
+        a[i * n + i] = -(decay[i] + row);
+    }
+    let b = forcing[..n].to_vec();
+    move |t: f64, x: &[f64], dx: &mut [f64]| {
+        for i in 0..n {
+            let mut acc = b[i] * t.cos();
+            for j in 0..n {
+                acc += a[i * n + j] * x[j];
+            }
+            dx[i] = acc;
+        }
+    }
+}
+
+/// What one integration produced: the final state's bits, the step
+/// counts and the right-hand-side calls made.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    bits: Vec<u64>,
+    accepted: u64,
+    rejected: u64,
+    calls: u64,
+}
+
+/// Runs [`integrate`] (first) and [`reference_dopri`] (second) on the same
+/// problem.
+fn against_reference(
+    f: impl Fn(f64, &[f64], &mut [f64]),
+    t0: f64,
+    t1: f64,
+    x0: &[f64],
+    tol: (f64, f64, f64),
+) -> (Outcome, Outcome) {
+    let (rtol, atol, h_max) = tol;
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    let mut calls = 0u64;
+    let mut x = x0.to_vec();
+    let mut counted = |t: f64, x: &[f64], dx: &mut [f64]| {
+        calls += 1;
+        f(t, x, dx)
+    };
+    let s = integrate(
+        &mut counted,
+        t0,
+        t1,
+        &mut x,
+        Integrator::Rk45 { rtol, atol, h_max },
+    )
+    .expect("a stable linear system integrates");
+    assert_eq!(s.rhs_evals, calls, "rhs_evals counts the calls made");
+    let fsal = Outcome {
+        bits: bits(&x),
+        accepted: s.steps_accepted,
+        rejected: s.steps_rejected,
+        calls,
+    };
+    let mut calls = 0u64;
+    let mut y = x0.to_vec();
+    let mut counted = |t: f64, x: &[f64], dx: &mut [f64]| {
+        calls += 1;
+        f(t, x, dx)
+    };
+    let (accepted, rejected) = reference_dopri(&mut counted, t0, t1, &mut y, tol);
+    let reference = Outcome {
+        bits: bits(&y),
+        accepted,
+        rejected,
+        calls,
+    };
+    (fsal, reference)
+}
+
+/// A stiff-ish system at a tight tolerance: the first step (a tenth of
+/// the span) fails its error test, so the rejected-step path of the
+/// first-stage reuse is exercised deterministically.
+#[test]
+fn fsal_rk45_is_bit_identical_to_reference_through_rejections() {
+    let f = linear_system(2, &[40.0, 0.5], &[0.0, 0.8, -0.6, 0.0], &[1.0, -0.5]);
+    let (fsal, reference) = against_reference(f, 0.25, 1.75, &[1.0, -1.0], (1e-12, 1e-14, 0.5));
+    let attempts = fsal.accepted + fsal.rejected;
+    assert!(fsal.rejected > 0, "the tolerance must force rejections");
+    assert_eq!(reference.calls, 7 * attempts);
+    assert_eq!(fsal.calls, 6 * attempts + 1);
+    assert_eq!(
+        fsal,
+        Outcome {
+            calls: fsal.calls,
+            ..reference
+        }
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -92,5 +308,35 @@ proptest! {
         prop_assert!((a[0] - b[0]).abs() < 1e-5, "{} vs {}", a[0], b[0]);
         // Both match the analytic cos(w t).
         prop_assert!((a[0] - (2.0 * omega).cos()).abs() < 1e-4);
+    }
+
+    /// RK45 with first-stage reuse ends on exactly the state a textbook
+    /// Dormand–Prince reaches, through the same accepted and rejected
+    /// steps, with strictly fewer right-hand-side calls.
+    #[test]
+    fn fsal_rk45_matches_reference_dopri_bit_for_bit(
+        n in 1usize..5,
+        decay in proptest::collection::vec(0.05f64..50.0, 4),
+        coupling in proptest::collection::vec(-2.0f64..2.0, 16),
+        forcing in proptest::collection::vec(-1.0f64..1.0, 4),
+        x0 in proptest::collection::vec(-2.0f64..2.0, 4),
+        t0 in 0.0f64..5.0,
+        span in 1e-4f64..3.0,
+        tol_exp in 3i32..13,
+        h_max in 1e-3f64..1.0,
+    ) {
+        let f = linear_system(n, &decay, &coupling, &forcing);
+        let rtol = 10f64.powi(-tol_exp);
+        let tol = (rtol, rtol * 1e-2, h_max);
+        let (fsal, reference) = against_reference(f, t0, t0 + span, &x0[..n], tol);
+        prop_assert_eq!(&fsal.bits, &reference.bits);
+        prop_assert_eq!(
+            (fsal.accepted, fsal.rejected),
+            (reference.accepted, reference.rejected)
+        );
+        prop_assert!(
+            fsal.calls < reference.calls,
+            "{} calls vs {} without reuse", fsal.calls, reference.calls
+        );
     }
 }
