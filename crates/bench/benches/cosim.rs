@@ -1,7 +1,7 @@
 //! Criterion benches of the co-simulation pipeline: ideal loop, graph-of-
 //! delays synthesis, and the scheduled end-to-end run — over a 1 s
 //! horizon, and in the shape every fleet scenario runs (exp17's 50 ms
-//! loop on the 200 µs split deployment).
+//! loop, ideal and on the 200 µs split deployment).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecl_aaa::{adequation, AdequationOptions, TimeNs};
@@ -11,8 +11,19 @@ use ecl_core::delays::{self, DelayGraphConfig};
 use ecl_sim::Model;
 
 fn bench_ideal(c: &mut Criterion) {
-    let spec = dc_motor_loop(1.0).expect("valid");
-    c.bench_function("cosim_ideal_1s", |bench| {
+    ideal_case(c, "cosim_ideal_1s", 1.0);
+}
+
+/// The fleet's per-scenario ideal reference (exp17, `ecl-benchmark`'s
+/// sweeps): the same 50 ms loop as `cosim_scheduled_exp17_50ms`.
+fn bench_ideal_exp17(c: &mut Criterion) {
+    ideal_case(c, "cosim_ideal_50ms", 0.05);
+}
+
+/// Benches `run_ideal` of the DC-motor loop over `horizon_s`.
+fn ideal_case(c: &mut Criterion, name: &str, horizon_s: f64) {
+    let spec = dc_motor_loop(horizon_s).expect("valid");
+    c.bench_function(name, |bench| {
         bench.iter(|| cosim::run_ideal(&spec).expect("ok"))
     });
 }
@@ -108,6 +119,7 @@ fn scheduled_case(c: &mut Criterion, name: &str, horizon_s: f64, timings: [TimeN
 criterion_group!(
     benches,
     bench_ideal,
+    bench_ideal_exp17,
     bench_delay_graph_build,
     bench_scheduled,
     bench_scheduled_exp17

@@ -43,6 +43,9 @@ impl Block for UnitDelay {
     fn feedthrough(&self, _input: usize) -> bool {
         false
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
         y[0] = self.held;
     }
@@ -173,6 +176,9 @@ impl Block for DiscreteStateSpace {
     }
     fn feedthrough(&self, _input: usize) -> bool {
         false // outputs are latched at activation
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
         y.copy_from_slice(&self.y);
@@ -310,6 +316,9 @@ impl Block for PidBlock {
         PortSpec::new(2, 1, 1, 0)
     }
     fn feedthrough(&self, _input: usize) -> bool {
+        false
+    }
+    fn depends_on_time(&self) -> bool {
         false
     }
     fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {

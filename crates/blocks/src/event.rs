@@ -527,6 +527,9 @@ impl Block for SampleHold {
     fn feedthrough(&self, _input: usize) -> bool {
         false
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
         y[0] = self.held;
     }

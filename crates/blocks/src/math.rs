@@ -29,6 +29,9 @@ impl Block for Gain {
     fn ports(&self) -> PortSpec {
         PortSpec::siso(1, 1)
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn outputs(&mut self, _t: f64, _x: &[f64], u: &[f64], y: &mut [f64]) {
         y[0] = self.k * u[0];
     }
@@ -74,6 +77,9 @@ impl Block for Sum {
     }
     fn ports(&self) -> PortSpec {
         PortSpec::siso(self.gains.len(), 1)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn outputs(&mut self, _t: f64, _x: &[f64], u: &[f64], y: &mut [f64]) {
         y[0] = self.gains.iter().zip(u).map(|(g, v)| g * v).sum();
@@ -122,6 +128,9 @@ impl Block for Saturation {
     fn ports(&self) -> PortSpec {
         PortSpec::siso(1, 1)
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn outputs(&mut self, _t: f64, _x: &[f64], u: &[f64], y: &mut [f64]) {
         y[0] = u[0].clamp(self.min, self.max);
     }
@@ -160,6 +169,9 @@ impl Block for Quantizer {
     }
     fn ports(&self) -> PortSpec {
         PortSpec::siso(1, 1)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn outputs(&mut self, _t: f64, _x: &[f64], u: &[f64], y: &mut [f64]) {
         y[0] = (u[0] / self.step).round() * self.step;

@@ -37,6 +37,9 @@ impl Block for DeadZone {
     fn ports(&self) -> PortSpec {
         PortSpec::siso(1, 1)
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn outputs(&mut self, _t: f64, _x: &[f64], u: &[f64], y: &mut [f64]) {
         let v = u[0];
         y[0] = if v > self.width {
@@ -95,6 +98,9 @@ impl Block for RateLimiter {
         PortSpec::new(1, 1, 1, 0)
     }
     fn feedthrough(&self, _input: usize) -> bool {
+        false
+    }
+    fn depends_on_time(&self) -> bool {
         false
     }
     fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
@@ -156,6 +162,9 @@ impl Block for SampledDelayLine {
         PortSpec::new(1, 1, 1, 0)
     }
     fn feedthrough(&self, _input: usize) -> bool {
+        false
+    }
+    fn depends_on_time(&self) -> bool {
         false
     }
     fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
@@ -220,6 +229,9 @@ impl Block for Relay {
         PortSpec::new(1, 1, 1, 0)
     }
     fn feedthrough(&self, _input: usize) -> bool {
+        false
+    }
+    fn depends_on_time(&self) -> bool {
         false
     }
     fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {

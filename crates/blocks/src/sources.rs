@@ -35,6 +35,9 @@ impl Block for Constant {
     fn ports(&self) -> PortSpec {
         PortSpec::source(1)
     }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
     fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
         y[0] = self.value;
     }
@@ -229,6 +232,9 @@ impl Block for SampledNoise {
     }
     fn ports(&self) -> PortSpec {
         PortSpec::new(0, 1, 1, 0)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
     }
     fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
         y[0] = self.held;

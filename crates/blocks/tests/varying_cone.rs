@@ -1,0 +1,252 @@
+//! Differential test of the engine's varying cone: the RHS pass skips the
+//! blocks whose outputs cannot move within an integration span. A random
+//! diagram run as built must give exactly the bits of the same diagram
+//! with every block declaring `depends_on_time() == true`, for which the
+//! RHS pass re-evaluates every block the derivatives read.
+
+use std::any::Any;
+
+use ecl_blocks::{
+    Clock, Constant, DiscreteStateSpace, Gain, Integrator, Ramp, SampleHold, Saturation, Sine,
+    StateSpaceCt, Step, Sum,
+};
+use ecl_sim::{
+    Block, BlockId, EngineStats, EventActions, EventCtx, EventRecord, Model, PortSpec, SimOptions,
+    Simulator, TimeNs,
+};
+use proptest::prelude::*;
+
+/// Forwards every call to `B` but declares that its outputs depend on
+/// time, which puts it in the cone whenever a derivative reads it.
+struct FullPass<B>(B);
+
+impl<B: Block> Block for FullPass<B> {
+    fn type_name(&self) -> &'static str {
+        self.0.type_name()
+    }
+    fn ports(&self) -> PortSpec {
+        self.0.ports()
+    }
+    fn feedthrough(&self, input: usize) -> bool {
+        self.0.feedthrough(input)
+    }
+    fn depends_on_time(&self) -> bool {
+        true
+    }
+    fn num_states(&self) -> usize {
+        self.0.num_states()
+    }
+    fn init_states(&self, x: &mut [f64]) {
+        self.0.init_states(x)
+    }
+    fn derivatives(&self, t: f64, x: &[f64], u: &[f64], dx: &mut [f64]) {
+        self.0.derivatives(t, x, u, dx)
+    }
+    fn outputs(&mut self, t: f64, x: &[f64], u: &[f64], y: &mut [f64]) {
+        self.0.outputs(t, x, u, y)
+    }
+    fn on_start(&mut self, actions: &mut EventActions) {
+        self.0.on_start(actions)
+    }
+    fn on_event(&mut self, port: usize, t: TimeNs, ctx: &mut EventCtx<'_>) {
+        self.0.on_event(port, t, ctx)
+    }
+    // Downcasts see through the shim, so both runs retune the same way.
+    fn as_any(&self) -> &dyn Any {
+        self.0.as_any()
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.0.as_any_mut()
+    }
+}
+
+fn add<B: Block>(m: &mut Model, full_pass: bool, name: String, block: B) -> BlockId {
+    if full_pass {
+        m.add_block(name, FullPass(block))
+    } else {
+        m.add_block(name, block)
+    }
+}
+
+/// One node of a random diagram: `(kind, a, b, src0, src1, clock)`.
+type Node = (usize, f64, f64, usize, usize, usize);
+
+/// Builds the diagram `nodes` describe, on two clocks of the given
+/// periods. Feedthrough blocks read signals made before them; blocks
+/// without feedthrough (holds, discrete state space, integrators) read
+/// any signal, their own included, so the diagram has feedback loops but
+/// no algebraic loop. Returns the model and its retunable constant.
+fn build(nodes: &[Node], periods_us: [i64; 2], full_pass: bool) -> (Model, BlockId) {
+    let mut m = Model::new();
+    let mut clocks = Vec::new();
+    for (k, &p) in periods_us.iter().enumerate() {
+        let period = TimeNs::from_micros(p);
+        let offset = TimeNs::from_micros(p * k as i64 / 3);
+        let clk = add(
+            &mut m,
+            full_pass,
+            format!("clk{k}"),
+            Clock::new(period, offset).expect("valid clock"),
+        );
+        m.connect_event(clk, 0, clk, 0).expect("self-loop");
+        clocks.push(clk);
+    }
+    let knob = add(&mut m, full_pass, "knob".into(), Constant::new(1.0));
+    let mut signals = vec![knob];
+    let mut deferred = Vec::new();
+    for (i, &(kind, a, b, s0, s1, clk)) in nodes.iter().enumerate() {
+        let name = format!("n{i}");
+        let pick = |s: usize| signals[s % signals.len()];
+        let (u0, u1) = (pick(s0), pick(s1));
+        let clock = clocks[clk % clocks.len()];
+        let id = match kind {
+            0 => add(&mut m, full_pass, name, Constant::new(2.0 * a)),
+            1 => add(
+                &mut m,
+                full_pass,
+                name,
+                Sine::new(a, 5.0 + 20.0 * b).with_phase(b),
+            ),
+            2 => add(&mut m, full_pass, name, Step::new(0.02 + 0.1 * b, a, -a)),
+            3 => add(&mut m, full_pass, name, Ramp::new(0.1 * b, a)),
+            4 => {
+                let id = add(&mut m, full_pass, name, Gain::new(1.2 * a));
+                m.connect(u0, 0, id, 0).expect("wire");
+                id
+            }
+            5 => {
+                let sum = Sum::new(vec![a, b - 0.5]).expect("two inputs");
+                let id = add(&mut m, full_pass, name, sum);
+                m.connect(u0, 0, id, 0).expect("wire");
+                m.connect(u1, 0, id, 1).expect("wire");
+                id
+            }
+            6 => {
+                let sat = Saturation::symmetric(0.2 + b).expect("positive");
+                let id = add(&mut m, full_pass, name, sat);
+                m.connect(u0, 0, id, 0).expect("wire");
+                id
+            }
+            7 => {
+                let id = add(
+                    &mut m,
+                    full_pass,
+                    name,
+                    StateSpaceCt::new(
+                        1,
+                        1,
+                        1,
+                        vec![-1.0 - 4.0 * b],
+                        vec![1.0],
+                        vec![1.0],
+                        vec![a],
+                        vec![b],
+                    )
+                    .expect("1×1 plant"),
+                );
+                m.connect(u0, 0, id, 0).expect("wire");
+                id
+            }
+            8 => {
+                let id = add(&mut m, full_pass, name, SampleHold::new(a));
+                m.connect_event(clock, 0, id, 0).expect("wire");
+                deferred.push((id, s0));
+                id
+            }
+            9 => {
+                let dss = DiscreteStateSpace::new(
+                    1,
+                    1,
+                    1,
+                    vec![0.5 * a],
+                    vec![1.0],
+                    vec![1.0],
+                    vec![0.0],
+                    vec![b],
+                )
+                .expect("1×1 filter");
+                let id = add(&mut m, full_pass, name, dss);
+                m.connect_event(clock, 0, id, 0).expect("wire");
+                deferred.push((id, s0));
+                id
+            }
+            _ => {
+                let id = add(&mut m, full_pass, name, Integrator::new(a));
+                deferred.push((id, s0));
+                id
+            }
+        };
+        signals.push(id);
+    }
+    for (id, s) in deferred {
+        m.connect(signals[s % signals.len()], 0, id, 0)
+            .expect("wire");
+    }
+    for (k, &id) in signals.iter().enumerate() {
+        m.probe(format!("y{k}"), id, 0).expect("probe");
+    }
+    (m, knob)
+}
+
+/// Every probe sample as bits, the event log and the engine counters.
+type Observed = (
+    Vec<(String, Vec<u64>, Vec<u64>)>,
+    Vec<EventRecord>,
+    EngineStats,
+);
+
+/// Runs the diagram to 60 ms, retunes the constant through `model_mut`,
+/// and resumes to 120 ms.
+fn observe(nodes: &[Node], periods_us: [i64; 2], rk4: bool, full_pass: bool) -> Observed {
+    let (model, knob) = build(nodes, periods_us, full_pass);
+    let opts = SimOptions {
+        integrator: if rk4 {
+            ecl_sim::Integrator::Rk4 { h: 2e-4 }
+        } else {
+            ecl_sim::Integrator::default()
+        },
+        ..SimOptions::default()
+    };
+    let mut sim = Simulator::new(model, opts).expect("valid diagram");
+    sim.run(TimeNs::from_millis(60)).expect("first run");
+    *sim.model_mut()
+        .block_as_mut::<Constant>(knob)
+        .expect("the knob is a constant") = Constant::new(-2.0);
+    sim.run(TimeNs::from_millis(120)).expect("resumed run");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let signals = sim
+        .result()
+        .signals()
+        .map(|(name, s)| (name.to_string(), bits(s.times()), bits(s.values())))
+        .collect();
+    (
+        signals,
+        sim.result().event_log().to_vec(),
+        sim.stats().clone(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Skipping the blocks outside the varying cone changes no probe
+    /// sample, event or engine counter, across a `model_mut` retune.
+    #[test]
+    fn varying_cone_matches_the_full_pass(
+        nodes in proptest::collection::vec(
+            (0usize..11, -1.0f64..1.0, 0.0f64..1.0, 0usize..64, 0usize..64, 0usize..2),
+            1..14,
+        ),
+        p0 in 2_000i64..20_000,
+        p1 in 2_000i64..20_000,
+        rk4 in 0usize..4,
+    ) {
+        let periods = [p0, p1];
+        let rk4 = rk4 == 0;
+        let cone = observe(&nodes, periods, rk4, false);
+        let full = observe(&nodes, periods, rk4, true);
+        prop_assert_eq!(&cone.0, &full.0);
+        prop_assert_eq!(&cone.1, &full.1);
+        prop_assert_eq!(&cone.2, &full.2);
+    }
+}

@@ -298,6 +298,18 @@ impl LoopResult {
         })
     }
 
+    /// The run as the memo tables keep it: only what
+    /// [`to_metric_bytes`](LoopResult::to_metric_bytes) persists, so an
+    /// entry computed here and one warmed from disk are the same value.
+    /// The raw trace and the per-`BlockId` activation vector are dropped.
+    fn into_metric_grade(self) -> LoopResult {
+        LoopResult {
+            result: SimResult::default(),
+            stats: self.stats.without_activations(),
+            ..self
+        }
+    }
+
     // `EngineStats` keeps its per-block activation vector private, so the
     // counters are necessarily rebuilt field-by-field on a `default()`.
     #[allow(clippy::field_reassign_with_default)]
@@ -1046,6 +1058,8 @@ pub fn loop_spec_digest(spec: &LoopSpec) -> u64 {
 /// [`ecl_aaa::ScheduleCache`], answers the rest from memory. Counters,
 /// seeding and snapshots are the memo's, reached through `Deref`; they
 /// belong beside — never inside — byte-compared sweep artifacts.
+/// Entries hold only the metrics-grade state
+/// [`LoopResult::to_metric_bytes`] persists: no raw trace.
 ///
 /// # Examples
 ///
@@ -1105,7 +1119,9 @@ impl IdealRunCache {
     /// Propagates [`run_ideal`] errors; failures are not cached.
     pub fn get_or_run(&self, spec: &LoopSpec) -> Result<Arc<LoopResult>, CoreError> {
         self.0
-            .get_or_compute(loop_spec_digest(spec), || run_ideal(spec))
+            .get_or_compute(loop_spec_digest(spec), || {
+                run_ideal(spec).map(LoopResult::into_metric_grade)
+            })
             .map(|(result, _)| result)
     }
 }
@@ -1152,6 +1168,8 @@ pub fn scheduled_run_digest(
 /// table, shared by the sweep workers beside [`IdealRunCache`] and
 /// [`ecl_aaa::ScheduleCache`], answers them from memory. Counters,
 /// seeding and snapshots are the memo's, reached through `Deref`.
+/// Entries hold only the metrics-grade state
+/// [`LoopResult::to_metric_bytes`] persists: no raw trace.
 #[derive(Debug, Default)]
 pub struct ScheduledRunCache(DigestMemo<LoopResult>);
 
@@ -1200,7 +1218,7 @@ impl ScheduledRunCache {
             let activation = Activation::scheduled(alg, io, schedule, arch, plan.cloned());
             simulate(spec, activation, &mut Collector::noop(), "").map(|(result, split)| {
                 phases = split;
-                result
+                result.into_metric_grade()
             })
         })?;
         Ok((result, key, hit, phases))
@@ -1282,6 +1300,26 @@ mod tests {
                 "cut {cut}"
             );
         }
+    }
+
+    /// A computed memo entry and the same entry round-tripped through the
+    /// disk codec are one value, field for field, in both run memos.
+    #[test]
+    fn memo_entries_have_one_form() {
+        let same_as_decoded = |entry: &LoopResult| {
+            let back = LoopResult::from_metric_bytes(&entry.to_metric_bytes()).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{entry:?}"));
+            assert!(entry.result.event_log().is_empty());
+            assert!(entry.stats.activation_counts().is_empty());
+        };
+        let ideal = IdealRunCache::new();
+        same_as_decoded(&ideal.get_or_run(&dc_motor_spec()).unwrap());
+        let (spec, alg, io, schedule, arch) = split_fixture();
+        let scheduled = ScheduledRunCache::new();
+        let (entry, ..) = scheduled
+            .get_or_run(&spec, &alg, &io, &schedule, &arch, 7, None)
+            .unwrap();
+        same_as_decoded(&entry);
     }
 
     #[test]
@@ -1384,8 +1422,8 @@ mod tests {
         check("disturbance seed", &s);
     }
 
-    /// A memoized ideal run is bit-identical to a fresh [`run_ideal`]:
-    /// same cost bits, same instants, same engine counters, same trace.
+    /// A memoized ideal run is bit-identical to a fresh [`run_ideal`] in
+    /// every metrics-grade field: cost bits, instants, engine totals.
     #[test]
     fn ideal_memo_equals_fresh_run() {
         let mut spec = dc_motor_spec();
@@ -1402,12 +1440,8 @@ mod tests {
         assert_eq!(memo.cost.to_bits(), fresh.cost.to_bits());
         assert_eq!(memo.sample_instants, fresh.sample_instants);
         assert_eq!(memo.actuation_instants, fresh.actuation_instants);
-        assert_eq!(memo.stats, fresh.stats);
+        assert_eq!(memo.stats, fresh.stats.clone().without_activations());
         assert_eq!(memo.activity, fresh.activity);
-        assert_eq!(
-            memo.result.event_log().len(),
-            fresh.result.event_log().len()
-        );
 
         // A different period is a distinct entry, not a stale hit.
         let mut scaled = spec.clone();
@@ -1604,7 +1638,7 @@ mod tests {
         assert_eq!(memo.cost.to_bits(), fresh.cost.to_bits());
         assert_eq!(memo.sample_instants, fresh.sample_instants);
         assert_eq!(memo.actuation_instants, fresh.actuation_instants);
-        assert_eq!(memo.stats, fresh.stats);
+        assert_eq!(memo.stats, fresh.stats.without_activations());
         assert_eq!(memo.activity, fresh.activity);
 
         // A faulty run of the same deployment is a distinct slot and
@@ -1643,7 +1677,7 @@ mod tests {
             faulty_memo.actuation_instants,
             faulty_fresh.actuation_instants
         );
-        assert_eq!(faulty_memo.stats, faulty_fresh.stats);
+        assert_eq!(faulty_memo.stats, faulty_fresh.stats.without_activations());
 
         // A different schedule digest must not alias, even with an
         // identical spec and plan.

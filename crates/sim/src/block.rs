@@ -129,12 +129,29 @@ pub struct EventCtx<'a> {
 ///    per instant (once per ODE stage) and must not advance logical state.
 ///    The engine skips the pass while nothing it reads has changed, so
 ///    outputs may depend only on those arguments and the block's own
-///    state.
+///    state. Within an integration span the engine re-evaluates only the
+///    blocks whose outputs can move there and feed the derivative pass;
+///    every other block keeps the outputs of the last pass.
 /// 2. **Derivative pass** — [`Block::derivatives`] fills `dx` for blocks
 ///    with continuous state ([`Block::num_states`] > 0).
 /// 3. **Event pass** — [`Block::on_event`] runs when an activation event
 ///    arrives on one of the block's event inputs; this is where discrete
 ///    state advances and new events are emitted.
+///
+/// Two declarations tell the engine what an output reads; they are
+/// Scicos' `dep_ut = [dep_u, dep_t]` pair:
+///
+/// * [`Block::feedthrough`] is `dep_u` — some output reads an input at
+///   the same instant;
+/// * [`Block::depends_on_time`] is `dep_t` — some output reads `t`, or
+///   anything else that moves within an integration span.
+///
+/// A block is *varying* within a span if it has continuous states, or
+/// depends on time, or has a feedthrough input driven by a varying
+/// block. Between two events the outputs of every other block are
+/// constant, so the RHS pass does not evaluate them. Both declarations
+/// default to `true`, which is always correct; a wrong `false` silently
+/// freezes an output over a span.
 ///
 /// Implementors must also provide the two `as_any` accessors (used to
 /// recover concrete block types after a simulation); the
@@ -158,6 +175,17 @@ pub trait Block: Send + 'static {
     /// sample-and-hold) should return `false`.
     fn feedthrough(&self, input: usize) -> bool {
         let _ = input;
+        true
+    }
+
+    /// `true` if [`Block::outputs`] reads `t` (or anything else that moves
+    /// within a span) — Scicos' `dep_t`. Defaults to `true` (conservative).
+    /// Blocks whose outputs read only latched state and their inputs
+    /// (constants, sample-and-hold, discrete controllers, pure maps such
+    /// as a gain) should return `false`. Continuous states are accounted
+    /// for separately: a block with [`Block::num_states`] > 0 is
+    /// re-evaluated within a span whatever this returns.
+    fn depends_on_time(&self) -> bool {
         true
     }
 
@@ -270,6 +298,7 @@ mod tests {
     fn default_trait_methods() {
         let mut b = Nop;
         assert!(b.feedthrough(0));
+        assert!(b.depends_on_time());
         assert_eq!(b.num_states(), 0);
         let mut x = [1.0, 2.0];
         b.init_states(&mut x);

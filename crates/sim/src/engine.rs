@@ -119,13 +119,26 @@ impl Simulator {
             }
         }
         let input_src: Vec<usize> = input_src.into_iter().flatten().collect();
+        // Per flat input: does its block's output read it at once (`dep_u`)?
+        let feedthrough: Vec<bool> = model
+            .entries
+            .iter()
+            .flat_map(|e| (0..e.spec.inputs).map(|p| e.block.feedthrough(p)))
+            .collect();
+        // Per flat output: the block that writes it.
+        let driver: Vec<usize> = model
+            .entries
+            .iter()
+            .enumerate()
+            .flat_map(|(b, e)| std::iter::repeat_n(b, e.spec.outputs))
+            .collect();
 
         // Topological sort over feedthrough edges (Kahn, stable order).
         let mut indeg = vec![0usize; n];
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
         for c in &model.sig_conns {
             let dst = c.dst.index();
-            if model.entries[dst].block.feedthrough(c.inp) {
+            if feedthrough[in_off[dst] + c.inp] {
                 succ[c.src.index()].push(dst);
                 indeg[dst] += 1;
             }
@@ -151,16 +164,53 @@ impl Simulator {
                 .collect();
             return Err(SimError::AlgebraicLoop { blocks: cyclic });
         }
+        let stateful: Vec<usize> = (0..n).filter(|&b| n_states[b] > 0).collect();
+        let state_inputs: Vec<usize> = stateful
+            .iter()
+            .flat_map(|&b| in_off[b]..in_off[b] + model.entries[b].spec.inputs)
+            .collect();
+        let ft_drivers = |b: usize| {
+            let io = in_off[b];
+            (io..io + model.entries[b].spec.inputs)
+                .filter(|&gi| feedthrough[gi])
+                .map(|gi| driver[input_src[gi]])
+        };
+
+        // The varying cone. A block's outputs can move within an
+        // integration span if it has continuous states, reads `t`, or
+        // reads at once an output that can move; feedthrough drivers come
+        // first in evaluation order, so one forward pass decides it.
+        let mut varying = vec![false; n];
+        for &b in &eval_order {
+            varying[b] = n_states[b] > 0
+                || model.entries[b].block.depends_on_time()
+                || ft_drivers(b).any(|d| varying[d]);
+        }
+        // The derivative pass reads `state_inputs`; walking back from
+        // their drivers through feedthrough edges, in reverse evaluation
+        // order, reaches every block whose outputs it depends on.
+        let mut reached = vec![false; n];
+        for &gi in &state_inputs {
+            reached[driver[input_src[gi]]] = true;
+        }
+        for &b in eval_order.iter().rev() {
+            if reached[b] {
+                for d in ft_drivers(b) {
+                    reached[d] = true;
+                }
+            }
+        }
+        // A reached block drives an input, so it has signal outputs.
+        let rhs_order = eval_order
+            .iter()
+            .copied()
+            .filter(|&b| reached[b] && varying[b])
+            .collect();
         // Blocks without signal outputs write nothing a pass reads, so the
-        // passes walk only the blocks that have some.
+        // committed pass walks only the blocks that have some.
         let output_order: Vec<usize> = eval_order
             .into_iter()
             .filter(|&b| model.entries[b].spec.outputs > 0)
-            .collect();
-        let stateful: Vec<usize> = (0..n).filter(|&b| n_states[b] > 0).collect();
-        let state_inputs = stateful
-            .iter()
-            .flat_map(|&b| in_off[b]..in_off[b] + model.entries[b].spec.inputs)
             .collect();
 
         // Event routing table.
@@ -208,6 +258,7 @@ impl Simulator {
                 n_states,
                 input_src,
                 output_order,
+                rhs_order,
                 stateful,
                 state_inputs,
             },
@@ -334,6 +385,9 @@ impl Simulator {
             self.record_probes();
             return Ok(());
         }
+        // The RHS passes leave the blocks outside `rhs_order` holding
+        // these values.
+        self.refresh_outputs();
         let dt = TimeNs::from_secs_f64(self.opts.record_dt.max(1e-12)).max(TimeNs::from_nanos(1));
         while self.now < t_end {
             let chunk_end = self.now.saturating_add(dt).min(t_end);
@@ -464,6 +518,7 @@ impl Simulator {
             return;
         }
         self.wiring.output_pass(
+            &self.wiring.output_order,
             &mut self.model.entries,
             &mut self.inputs,
             &mut self.outputs,
@@ -505,6 +560,13 @@ struct Wiring {
     /// Blocks with signal outputs, in evaluation order (topological over
     /// feedthrough edges).
     output_order: Vec<usize>,
+    /// The blocks of `output_order` that an RHS evaluation re-runs: those
+    /// whose outputs can move within a span (see [`Block::depends_on_time`])
+    /// and that the derivative pass reads, directly or through
+    /// feedthrough. Every other output is constant over a span.
+    ///
+    /// [`Block::depends_on_time`]: crate::Block::depends_on_time
+    rhs_order: Vec<usize>,
     /// Blocks with continuous state, in block order.
     stateful: Vec<usize>,
     /// Flat indices of the inputs of `stateful` blocks — the only inputs
@@ -513,18 +575,19 @@ struct Wiring {
 }
 
 impl Wiring {
-    /// Evaluates every block's outputs at time `t` and state `x`, in
-    /// topological order, each block first pulling its inputs from the
-    /// driving outputs.
+    /// Evaluates the outputs of the blocks in `order` (a filtered
+    /// evaluation order) at time `t` and state `x`, each block first
+    /// pulling its inputs from the driving outputs.
     fn output_pass(
         &self,
+        order: &[usize],
         entries: &mut [Entry],
         inputs: &mut [f64],
         outputs: &mut [f64],
         t: f64,
         x: &[f64],
     ) {
-        for &b in &self.output_order {
+        for &b in order {
             let spec = entries[b].spec;
             let (io, oo, so) = (self.in_off[b], self.out_off[b], self.state_off[b]);
             for gi in io..io + spec.inputs {
@@ -542,12 +605,14 @@ impl Wiring {
     }
 }
 
-/// ODE right-hand side over the block diagram: evaluate outputs at the
-/// trial state, then collect the derivatives of the stateful blocks.
+/// ODE right-hand side over the block diagram: evaluate the varying
+/// outputs the derivative pass reads at the trial state, then collect the
+/// derivatives of the stateful blocks.
 ///
-/// Only the inputs the derivative pass reads are refreshed; the others
-/// are left for the committed pass, which runs before anything else reads
-/// them.
+/// Every other output holds the committed pass `integrate_span` ran at
+/// the span's start, which is its value throughout the span. Only the
+/// inputs the derivative pass reads are refreshed; the others are left
+/// for the committed pass, which runs before anything else reads them.
 struct EngineRhs<'a> {
     entries: &'a mut [Entry],
     wiring: &'a Wiring,
@@ -558,7 +623,7 @@ struct EngineRhs<'a> {
 impl OdeRhs for EngineRhs<'_> {
     fn eval(&mut self, t: f64, x: &[f64], dx: &mut [f64]) {
         let w = self.wiring;
-        w.output_pass(self.entries, self.inputs, self.outputs, t, x);
+        w.output_pass(&w.rhs_order, self.entries, self.inputs, self.outputs, t, x);
         for &gi in &w.state_inputs {
             self.inputs[gi] = self.outputs[w.input_src[gi]];
         }
@@ -577,6 +642,8 @@ mod tests {
     use super::*;
     use crate::block::{Block, PortSpec};
     use crate::impl_block_any;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     /// Source emitting a constant.
     struct Const(f64);
@@ -587,8 +654,26 @@ mod tests {
         fn ports(&self) -> PortSpec {
             PortSpec::source(1)
         }
+        fn depends_on_time(&self) -> bool {
+            false
+        }
         fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
             y[0] = self.0;
+        }
+        impl_block_any!();
+    }
+
+    /// y = sin(t): the only test source whose output moves within a span.
+    struct Wave;
+    impl Block for Wave {
+        fn type_name(&self) -> &'static str {
+            "Wave"
+        }
+        fn ports(&self) -> PortSpec {
+            PortSpec::source(1)
+        }
+        fn outputs(&mut self, t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
+            y[0] = t.sin();
         }
         impl_block_any!();
     }
@@ -601,6 +686,9 @@ mod tests {
         }
         fn ports(&self) -> PortSpec {
             PortSpec::siso(1, 1)
+        }
+        fn depends_on_time(&self) -> bool {
+            false
         }
         fn outputs(&mut self, _t: f64, _x: &[f64], u: &[f64], y: &mut [f64]) {
             y[0] = self.0 * u[0];
@@ -672,6 +760,9 @@ mod tests {
         fn feedthrough(&self, _i: usize) -> bool {
             false
         }
+        fn depends_on_time(&self) -> bool {
+            false
+        }
         fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
             y[0] = self.held;
         }
@@ -680,6 +771,55 @@ mod tests {
             self.samples.push((t, self.held));
         }
         impl_block_any!();
+    }
+
+    /// Forwards every call to `B`, counting its `outputs` calls.
+    struct Counted<B>(B, Arc<AtomicU64>);
+    impl<B: Block> Block for Counted<B> {
+        fn type_name(&self) -> &'static str {
+            self.0.type_name()
+        }
+        fn ports(&self) -> PortSpec {
+            self.0.ports()
+        }
+        fn feedthrough(&self, input: usize) -> bool {
+            self.0.feedthrough(input)
+        }
+        fn depends_on_time(&self) -> bool {
+            self.0.depends_on_time()
+        }
+        fn num_states(&self) -> usize {
+            self.0.num_states()
+        }
+        fn init_states(&self, x: &mut [f64]) {
+            self.0.init_states(x)
+        }
+        fn derivatives(&self, t: f64, x: &[f64], u: &[f64], dx: &mut [f64]) {
+            self.0.derivatives(t, x, u, dx)
+        }
+        fn outputs(&mut self, t: f64, x: &[f64], u: &[f64], y: &mut [f64]) {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.outputs(t, x, u, y)
+        }
+        fn on_start(&mut self, actions: &mut EventActions) {
+            self.0.on_start(actions)
+        }
+        fn on_event(&mut self, port: usize, t: TimeNs, ctx: &mut EventCtx<'_>) {
+            self.0.on_event(port, t, ctx)
+        }
+        impl_block_any!();
+    }
+
+    /// `inner` wrapped in a [`Counted`], and its call counter.
+    fn counted<B: Block>(inner: B) -> (Counted<B>, Arc<AtomicU64>) {
+        let calls = Arc::new(AtomicU64::new(0));
+        (Counted(inner, Arc::clone(&calls)), calls)
+    }
+
+    /// At most one committed output pass runs per stale mark: the first
+    /// one, one per integrated chunk, one per delivery.
+    fn committed_pass_bound(stats: &EngineStats) -> u64 {
+        1 + stats.integration_spans + stats.events_delivered
     }
 
     fn clocked(period_ms: i64) -> (Model, BlockId) {
@@ -1253,28 +1393,110 @@ mod tests {
     /// evaluate: no block's `outputs` is ever called.
     #[test]
     fn event_only_model_never_calls_outputs() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        struct Counted(Arc<AtomicUsize>);
-        impl Block for Counted {
+        struct Sink;
+        impl Block for Sink {
             fn type_name(&self) -> &'static str {
-                "Counted"
+                "Sink"
             }
             fn ports(&self) -> PortSpec {
                 PortSpec::event_sink(1)
             }
-            fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], _y: &mut [f64]) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
             impl_block_any!();
         }
-        let calls = Arc::new(AtomicUsize::new(0));
+        let (sink_block, calls) = counted(Sink);
         let (mut m, clk) = clocked(10);
-        let sink = m.add_block("sink", Counted(Arc::clone(&calls)));
+        let sink = m.add_block("sink", sink_block);
         m.connect_event(clk, 0, sink, 0).unwrap();
         let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
         sim.run(TimeNs::from_secs(1)).unwrap();
         assert_eq!(sim.stats().activations(sink), 101);
         assert_eq!(calls.load(Ordering::Relaxed), 0);
+    }
+
+    /// `Sampler → Gain → Integ`: the gain reads only a held value, so its
+    /// output is constant between events and no RHS evaluation runs it —
+    /// only committed passes do.
+    #[test]
+    fn held_input_chain_is_not_evaluated_within_a_span() {
+        let (mut m, clk) = clocked(100);
+        let c = m.add_block("c", Const(1.0));
+        let s = m.add_block(
+            "s",
+            Sampler {
+                held: 0.0,
+                samples: vec![],
+            },
+        );
+        let (gain, calls) = counted(Gain(2.0));
+        let g = m.add_block("g", gain);
+        let i = m.add_block("i", Integ { x0: 0.0 });
+        m.connect(c, 0, s, 0).unwrap();
+        m.connect(s, 0, g, 0).unwrap();
+        m.connect(g, 0, i, 0).unwrap();
+        m.connect_event(clk, 0, s, 0).unwrap();
+        m.probe("x", i, 0).unwrap();
+        let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
+        let x = sim.run(TimeNs::from_secs(1)).unwrap().signal("x").unwrap();
+        assert!((x.last().unwrap().1 - 2.0).abs() < 1e-9);
+        let stats = sim.stats();
+        let bound = committed_pass_bound(stats);
+        assert!(
+            stats.ode.rhs_evals > 5 * bound,
+            "the test needs many RHS calls"
+        );
+        assert!(calls.load(Ordering::Relaxed) <= bound);
+    }
+
+    /// `Wave → Gain → Integ`: the gain's input moves with `t`, so every
+    /// RHS evaluation runs it.
+    #[test]
+    fn time_varying_chain_is_evaluated_on_every_rhs_call() {
+        let mut m = Model::new();
+        let w = m.add_block("w", Wave);
+        let (gain, calls) = counted(Gain(2.0));
+        let g = m.add_block("g", gain);
+        let i = m.add_block("i", Integ { x0: 0.0 });
+        m.connect(w, 0, g, 0).unwrap();
+        m.connect(g, 0, i, 0).unwrap();
+        m.probe("x", i, 0).unwrap();
+        let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
+        let x = sim.run(TimeNs::from_secs(1)).unwrap().signal("x").unwrap();
+        // ∫₀¹ 2·sin t dt = 2·(1 − cos 1)
+        assert!((x.last().unwrap().1 - 2.0 * (1.0 - 1f64.cos())).abs() < 1e-9);
+        let stats = sim.stats();
+        let calls = calls.load(Ordering::Relaxed);
+        assert!(calls >= stats.ode.rhs_evals);
+        assert!(calls - stats.ode.rhs_evals <= committed_pass_bound(stats));
+    }
+
+    /// A stateful block whose output feeds only a sampler is read by no
+    /// derivative, so the RHS never evaluates its outputs.
+    #[test]
+    fn stateful_block_feeding_only_samplers_is_not_evaluated_by_the_rhs() {
+        let (mut m, clk) = clocked(100);
+        let c = m.add_block("c", Const(1.0));
+        let (integ, calls) = counted(Integ { x0: 0.0 });
+        let i = m.add_block("i", integ);
+        let s = m.add_block(
+            "s",
+            Sampler {
+                held: 0.0,
+                samples: vec![],
+            },
+        );
+        m.connect(c, 0, i, 0).unwrap();
+        m.connect(i, 0, s, 0).unwrap();
+        m.connect_event(clk, 0, s, 0).unwrap();
+        let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
+        sim.run(TimeNs::from_secs(1)).unwrap();
+        let samples = &sim.model().block_as::<Sampler>(s).unwrap().samples;
+        assert!((samples[10].1 - 1.0).abs() < 1e-9, "{samples:?}");
+        let stats = sim.stats();
+        let bound = committed_pass_bound(stats);
+        assert!(
+            stats.ode.rhs_evals > 5 * bound,
+            "the test needs many RHS calls"
+        );
+        assert!(calls.load(Ordering::Relaxed) <= bound);
     }
 }

@@ -88,6 +88,15 @@ impl EngineStats {
     pub fn activation_counts(&self) -> &[u64] {
         &self.activations
     }
+
+    /// These counters without the per-block delivery counts: every
+    /// [`activations`](Self::activations) query then reads 0.
+    pub fn without_activations(self) -> EngineStats {
+        EngineStats {
+            activations: Vec::new(),
+            ..self
+        }
+    }
 }
 
 #[cfg(test)]
@@ -116,5 +125,16 @@ mod tests {
         let s = EngineStats::new(2);
         assert_eq!(s.activations(BlockId::from_index(5)), 0);
         assert_eq!(s.activation_counts(), &[0, 0]);
+    }
+
+    #[test]
+    fn without_activations_keeps_the_totals() {
+        let mut s = EngineStats::new(2);
+        s.count_activation(1);
+        s.ode.rhs_evals = 7;
+        let t = s.clone().without_activations();
+        assert!(t.activation_counts().is_empty());
+        assert_eq!(t.activations(BlockId::from_index(1)), 0);
+        assert_eq!((t.events_delivered, t.ode), (1, s.ode));
     }
 }

@@ -35,10 +35,12 @@ cargo test -q --offline -p ecl-telemetry -- --test-threads=1
 cargo test -q --offline -p ecl-core latency -- --test-threads=1
 
 # The figure/experiment binaries that drive every co-simulation path
-# (stroboscopic, graph of delays, conditioned, the lifecycle's ideal:/
-# cal: runs) must reproduce their archived reports byte for byte.
+# (stroboscopic, graph of delays, sequenced, conditioned through
+# `EventSelect`, the lifecycle's ideal:/cal: runs) must reproduce their
+# archived reports byte for byte.
 echo "== co-simulation binaries reproduce their archived stdout =="
 for bin in fig1_latency_trace fig2_ideal_loop fig3_graph_of_delays \
+    fig4_sequencing fig5_conditioning \
     exp6_latency_sweep exp7_jitter_sweep exp8_calibration; do
     cargo run -q --offline --release -p ecl-bench --bin "$bin" | diff - "results/$bin.txt"
 done
