@@ -11,6 +11,7 @@
 //! entirely. [`adequation`] is deterministic, so a cache hit returns a
 //! schedule byte-identical to a fresh run.
 
+use std::borrow::Cow;
 use std::collections::{hash_map, HashMap};
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -30,7 +31,7 @@ use crate::AaaError;
 /// Public so the other [`DigestMemo`] key functions (e.g. the ideal-run
 /// digest in `ecl-core`) use the exact same hash family as
 /// [`schedule_digest`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
 
 impl Default for Fnv1a {
@@ -88,103 +89,151 @@ impl Fnv1a {
 /// interdictions) and the mapping policy. Two inputs with equal digests
 /// produce byte-identical schedules; scenario perturbations that leave
 /// all four untouched (plant, period, disturbance) hash identically.
+///
+/// A sweep that digests many tables against one deployment builds the
+/// [`ScheduleKey`] once and calls [`ScheduleKey::digest`] per scenario;
+/// the value is the same.
 pub fn schedule_digest(
     alg: &AlgorithmGraph,
     arch: &ArchitectureGraph,
     db: &TimingDb,
     options: AdequationOptions,
 ) -> u64 {
-    let mut h = Fnv1a::new();
+    ScheduleKey::new(alg, arch).digest(db, options)
+}
 
-    h.write_u64(alg.len() as u64);
-    for op in alg.ops() {
-        h.write_str(alg.name(op));
-        h.write_u64(match alg.kind(op) {
-            crate::OpKind::Sensor => 0,
-            crate::OpKind::Function => 1,
-            crate::OpKind::Actuator => 2,
-        });
-        match alg.condition(op) {
-            None => h.write_u64(u64::MAX),
-            Some(c) => {
-                h.write_u64(c.variable.index() as u64);
-                h.write_u64(c.branch as u64);
+/// The per-deployment half of [`schedule_digest`]: the algorithm graph
+/// and the architecture, hashed once. [`digest`](ScheduleKey::digest)
+/// resumes from that state with the per-scenario half (WCET table and
+/// policy), so a sweep hashes its constant graphs once instead of once
+/// per scenario, and every digest equals [`schedule_digest`] bit for bit.
+///
+/// The key holds its graphs (borrowed, or owned after
+/// [`into_owned`](ScheduleKey::into_owned)) because a
+/// [`ScheduleCache`] miss schedules them.
+#[derive(Debug, Clone)]
+pub struct ScheduleKey<'a> {
+    alg: Cow<'a, AlgorithmGraph>,
+    arch: Cow<'a, ArchitectureGraph>,
+    graphs: Fnv1a,
+}
+
+impl<'a> ScheduleKey<'a> {
+    /// Hashes the ops, edges, processors and media tariffs.
+    pub fn new(alg: &'a AlgorithmGraph, arch: &'a ArchitectureGraph) -> Self {
+        let mut h = Fnv1a::new();
+
+        h.write_u64(alg.len() as u64);
+        for op in alg.ops() {
+            h.write_str(alg.name(op));
+            h.write_u64(match alg.kind(op) {
+                crate::OpKind::Sensor => 0,
+                crate::OpKind::Function => 1,
+                crate::OpKind::Actuator => 2,
+            });
+            match alg.condition(op) {
+                None => h.write_u64(u64::MAX),
+                Some(c) => {
+                    h.write_u64(c.variable.index() as u64);
+                    h.write_u64(c.branch as u64);
+                }
             }
         }
-    }
-    for e in alg.edges() {
-        h.write_u64(e.src.index() as u64);
-        h.write_u64(e.dst.index() as u64);
-        h.write_u64(u64::from(e.data_units));
+        for e in alg.edges() {
+            h.write_u64(e.src.index() as u64);
+            h.write_u64(e.dst.index() as u64);
+            h.write_u64(u64::from(e.data_units));
+        }
+
+        h.write_u64(arch.num_processors() as u64);
+        for p in arch.processors() {
+            h.write_str(arch.proc_name(p));
+            h.write_str(arch.proc_kind(p));
+        }
+        // Tariff sample points: every distinct edge volume in the algorithm
+        // graph, plus 0 and 1 so media still separate on an edgeless graph.
+        // Sampling only {0, 1} (latency + first difference) is sound for an
+        // affine tariff but aliases non-affine media — e.g. two framed buses
+        // that agree on sub-frame transfers and diverge exactly at the
+        // volumes the scheduler actually prices. The scheduler only ever
+        // evaluates `transfer_time` at edge volumes, so media equal at every
+        // sample point produce byte-identical schedules.
+        let mut volumes: Vec<u32> = alg.edges().iter().map(|e| e.data_units).collect();
+        volumes.push(0);
+        volumes.push(1);
+        volumes.sort_unstable();
+        volumes.dedup();
+
+        h.write_u64(arch.num_media() as u64);
+        for m in arch.media() {
+            h.write_str(arch.medium_name(m));
+            h.write_u64(match arch.medium_kind(m) {
+                MediumKind::Bus => 0,
+                MediumKind::PointToPoint => 1,
+            });
+            for &p in arch.medium_procs(m) {
+                h.write_u64(p.index() as u64);
+            }
+            for &u in &volumes {
+                h.write_u64(u64::from(u));
+                h.write_i64(arch.transfer_time(m, u).as_nanos());
+            }
+        }
+        ScheduleKey {
+            alg: Cow::Borrowed(alg),
+            arch: Cow::Borrowed(arch),
+            graphs: h,
+        }
     }
 
-    h.write_u64(arch.num_processors() as u64);
-    for p in arch.processors() {
-        h.write_str(arch.proc_name(p));
-        h.write_str(arch.proc_kind(p));
+    /// The same key holding its own copies of the graphs, for an owner
+    /// that must outlive the borrow (a resident daemon's deployment).
+    pub fn into_owned(self) -> ScheduleKey<'static> {
+        ScheduleKey {
+            alg: Cow::Owned(self.alg.into_owned()),
+            arch: Cow::Owned(self.arch.into_owned()),
+            graphs: self.graphs,
+        }
     }
-    // Tariff sample points: every distinct edge volume in the algorithm
-    // graph, plus 0 and 1 so media still separate on an edgeless graph.
-    // Sampling only {0, 1} (latency + first difference) is sound for an
-    // affine tariff but aliases non-affine media — e.g. two framed buses
-    // that agree on sub-frame transfers and diverge exactly at the
-    // volumes the scheduler actually prices. The scheduler only ever
-    // evaluates `transfer_time` at edge volumes, so media equal at every
-    // sample point produce byte-identical schedules.
-    let mut volumes: Vec<u32> = alg.edges().iter().map(|e| e.data_units).collect();
-    volumes.push(0);
-    volumes.push(1);
-    volumes.sort_unstable();
-    volumes.dedup();
 
-    h.write_u64(arch.num_media() as u64);
-    for m in arch.media() {
-        h.write_str(arch.medium_name(m));
-        h.write_u64(match arch.medium_kind(m) {
-            MediumKind::Bus => 0,
-            MediumKind::PointToPoint => 1,
-        });
-        for &p in arch.medium_procs(m) {
+    /// [`schedule_digest`] of the key's graphs with `db` and `options`:
+    /// the WCET table sections and the policy, hashed onto a copy of the
+    /// graph state.
+    pub fn digest(&self, db: &TimingDb, options: AdequationOptions) -> u64 {
+        let mut h = self.graphs.clone();
+        // TimingDb iterates in HashMap order; sort for a canonical digest.
+        let mut defaults: Vec<_> = db.iter_defaults().collect();
+        defaults.sort_by_key(|&(op, _)| op);
+        for (op, t) in defaults {
+            h.write_u64(op.index() as u64);
+            h.write_i64(t.as_nanos());
+        }
+        h.write_u64(u64::MAX); // section separator
+        let mut specific: Vec<_> = db.iter_specific().collect();
+        specific.sort_by_key(|&(op, p, _)| (op, p));
+        for (op, p, t) in specific {
+            h.write_u64(op.index() as u64);
+            h.write_u64(p.index() as u64);
+            h.write_i64(t.as_nanos());
+        }
+        h.write_u64(u64::MAX);
+        let mut forbidden: Vec<_> = db.iter_forbidden().collect();
+        forbidden.sort();
+        for (op, p) in forbidden {
+            h.write_u64(op.index() as u64);
             h.write_u64(p.index() as u64);
         }
-        for &u in &volumes {
-            h.write_u64(u64::from(u));
-            h.write_i64(arch.transfer_time(m, u).as_nanos());
-        }
-    }
 
-    // TimingDb iterates in HashMap order; sort for a canonical digest.
-    let mut defaults: Vec<_> = db.iter_defaults().collect();
-    defaults.sort_by_key(|&(op, _)| op);
-    for (op, t) in defaults {
-        h.write_u64(op.index() as u64);
-        h.write_i64(t.as_nanos());
-    }
-    h.write_u64(u64::MAX); // section separator
-    let mut specific: Vec<_> = db.iter_specific().collect();
-    specific.sort_by_key(|&(op, p, _)| (op, p));
-    for (op, p, t) in specific {
-        h.write_u64(op.index() as u64);
-        h.write_u64(p.index() as u64);
-        h.write_i64(t.as_nanos());
-    }
-    h.write_u64(u64::MAX);
-    let mut forbidden: Vec<_> = db.iter_forbidden().collect();
-    forbidden.sort();
-    for (op, p) in forbidden {
-        h.write_u64(op.index() as u64);
-        h.write_u64(p.index() as u64);
-    }
-
-    match options.policy {
-        MappingPolicy::SchedulePressure => h.write_u64(0),
-        MappingPolicy::EarliestFinish => h.write_u64(1),
-        MappingPolicy::Random { seed } => {
-            h.write_u64(2);
-            h.write_u64(seed);
+        match options.policy {
+            MappingPolicy::SchedulePressure => h.write_u64(0),
+            MappingPolicy::EarliestFinish => h.write_u64(1),
+            MappingPolicy::Random { seed } => {
+                h.write_u64(2);
+                h.write_u64(seed);
+            }
         }
+        h.finish()
     }
-    h.0
 }
 
 /// One memoized value plus its bookkeeping.
@@ -454,30 +503,29 @@ impl ScheduleCache {
         db: &TimingDb,
         options: AdequationOptions,
     ) -> Result<Arc<Schedule>, AaaError> {
-        self.get_or_compute_traced(alg, arch, db, options)
+        self.get_or_compute_traced(&ScheduleKey::new(alg, arch), db, options)
             .map(|(schedule, _, _)| schedule)
     }
 
-    /// Like [`get_or_compute`](ScheduleCache::get_or_compute), also
-    /// returning the [`schedule_digest`] key and whether *this* lookup
-    /// was answered from the cache (a sidecar-only observation, see
-    /// [`DigestMemo::get_or_compute`]).
+    /// Like [`get_or_compute`](ScheduleCache::get_or_compute) on the
+    /// key's graphs, also returning the [`schedule_digest`] key and
+    /// whether *this* lookup was answered from the cache (a
+    /// sidecar-only observation, see [`DigestMemo::get_or_compute`]).
     ///
     /// # Errors
     ///
     /// Propagates [`adequation`] errors; failures are not cached.
     pub fn get_or_compute_traced(
         &self,
-        alg: &AlgorithmGraph,
-        arch: &ArchitectureGraph,
+        key: &ScheduleKey<'_>,
         db: &TimingDb,
         options: AdequationOptions,
     ) -> Result<(Arc<Schedule>, u64, bool), AaaError> {
-        let key = schedule_digest(alg, arch, db, options);
+        let digest = key.digest(db, options);
         let (schedule, hit) = self
             .0
-            .get_or_compute(key, || adequation(alg, arch, db, options))?;
-        Ok((schedule, key, hit))
+            .get_or_compute(digest, || adequation(&key.alg, &key.arch, db, options))?;
+        Ok((schedule, digest, hit))
     }
 }
 
@@ -510,30 +558,52 @@ mod tests {
         (alg, arch, db)
     }
 
+    /// [`schedule_digest`] of the inputs, asserted equal to the digest
+    /// through `key`: a [`ScheduleKey`] of graphs equal to `alg` and
+    /// `arch`, built once and reused across tables and policies.
+    fn checked(
+        key: &ScheduleKey<'_>,
+        alg: &AlgorithmGraph,
+        arch: &ArchitectureGraph,
+        db: &TimingDb,
+        opts: AdequationOptions,
+    ) -> u64 {
+        let d = schedule_digest(alg, arch, db, opts);
+        assert_eq!(
+            key.digest(db, opts),
+            d,
+            "a reused key must match a fresh one"
+        );
+        d
+    }
+
     #[test]
     fn digest_is_stable_and_input_sensitive() {
         let (alg, arch, db) = setup();
+        let key = ScheduleKey::new(&alg, &arch);
         let opts = AdequationOptions::default();
-        let d1 = schedule_digest(&alg, &arch, &db, opts);
-        let d2 = schedule_digest(&alg, &arch, &db, opts);
+        let d1 = checked(&key, &alg, &arch, &db, opts);
+        let d2 = checked(&key, &alg, &arch, &db, opts);
         assert_eq!(d1, d2);
+        // An owned key keeps the graph state.
+        assert_eq!(key.clone().into_owned().digest(&db, opts), d1);
 
         // A WCET change must change the digest.
         let mut db2 = db.clone();
         db2.set_default(crate::OpId(1), TimeNs::from_micros(101));
-        assert_ne!(d1, schedule_digest(&alg, &arch, &db2, opts));
+        assert_ne!(d1, checked(&key, &alg, &arch, &db2, opts));
 
         // A policy change must change the digest.
         let rnd = AdequationOptions {
             policy: MappingPolicy::Random { seed: 1 },
         };
-        assert_ne!(d1, schedule_digest(&alg, &arch, &db, rnd));
+        assert_ne!(d1, checked(&key, &alg, &arch, &db, rnd));
         let rnd2 = AdequationOptions {
             policy: MappingPolicy::Random { seed: 2 },
         };
         assert_ne!(
-            schedule_digest(&alg, &arch, &db, rnd),
-            schedule_digest(&alg, &arch, &db, rnd2)
+            checked(&key, &alg, &arch, &db, rnd),
+            checked(&key, &alg, &arch, &db, rnd2)
         );
 
         // An architecture change must change the digest.
@@ -548,7 +618,8 @@ mod tests {
                 TimeNs::from_micros(1),
             )
             .unwrap();
-        assert_ne!(d1, schedule_digest(&alg, &arch2, &db, opts));
+        let key2 = ScheduleKey::new(&alg, &arch2);
+        assert_ne!(d1, checked(&key2, &alg, &arch2, &db, opts));
     }
 
     /// Exhaustive digest sensitivity: flipping any single input the
@@ -573,7 +644,9 @@ mod tests {
         let ops: Vec<_> = alg.ops().collect();
         let procs: Vec<_> = arch.processors().collect();
         let opts = AdequationOptions::default();
-        let mut digests = vec![("baseline", schedule_digest(&alg, &arch, &db, opts))];
+        // One key for every fixture whose graphs equal the baseline's.
+        let key = ScheduleKey::new(&alg, &arch);
+        let mut digests = vec![("baseline", checked(&key, &alg, &arch, &db, opts))];
         let mut check = |label: &'static str, d: u64| {
             for (prev, pd) in &digests {
                 assert_ne!(*pd, d, "digest of '{label}' collides with '{prev}'");
@@ -590,7 +663,7 @@ mod tests {
         ] {
             check(
                 label,
-                schedule_digest(&alg, &arch, &db, AdequationOptions { policy }),
+                checked(&key, &alg, &arch, &db, AdequationOptions { policy }),
             );
         }
 
@@ -599,10 +672,7 @@ mod tests {
         for (i, &op) in ops.iter().enumerate() {
             let (alg2, arch2, mut db2) = build();
             db2.set_default(op, TimeNs::from_nanos(100_001));
-            check(
-                default_labels[i],
-                schedule_digest(&alg2, &arch2, &db2, opts),
-            );
+            check(default_labels[i], checked(&key, &alg2, &arch2, &db2, opts));
         }
         // The specific override: value bump, and a brand-new entry.
         {
@@ -610,7 +680,7 @@ mod tests {
             db2.set(ops[1], procs[1], TimeNs::from_nanos(90_001));
             check(
                 "specific wcet value",
-                schedule_digest(&alg2, &arch2, &db2, opts),
+                checked(&key, &alg2, &arch2, &db2, opts),
             );
         }
         {
@@ -618,14 +688,14 @@ mod tests {
             db2.set(ops[2], procs[0], TimeNs::from_micros(90));
             check(
                 "specific wcet new entry",
-                schedule_digest(&alg2, &arch2, &db2, opts),
+                checked(&key, &alg2, &arch2, &db2, opts),
             );
         }
         // The interdiction set.
         {
             let (alg2, arch2, mut db2) = build();
             db2.forbid(ops[2], procs[1]);
-            check("forbidden pair", schedule_digest(&alg2, &arch2, &db2, opts));
+            check("forbidden pair", checked(&key, &alg2, &arch2, &db2, opts));
         }
 
         // Architecture attributes: processor name/kind, medium tariffs
@@ -658,7 +728,10 @@ mod tests {
             ),
             ("medium kind", arch_variant("p0", "arm", us(5), us(1), true)),
         ] {
-            check(label, schedule_digest(&alg, &a2, &db, opts));
+            check(
+                label,
+                checked(&ScheduleKey::new(&alg, &a2), &alg, &a2, &db, opts),
+            );
         }
 
         // Algorithm attributes: op name, edge data volume, conditioning.
@@ -669,7 +742,8 @@ mod tests {
             let a = alg2.add_actuator("a");
             alg2.add_edge(s, f, 1).unwrap();
             alg2.add_edge(f, a, 1).unwrap();
-            check("op name", schedule_digest(&alg2, &arch2, &db2, opts));
+            let key2 = ScheduleKey::new(&alg2, &arch2);
+            check("op name", checked(&key2, &alg2, &arch2, &db2, opts));
         }
         {
             let (mut alg2, arch2, db2) = (AlgorithmGraph::new(), arch.clone(), db.clone());
@@ -678,10 +752,8 @@ mod tests {
             let a = alg2.add_actuator("a");
             alg2.add_edge(s, f, 2).unwrap();
             alg2.add_edge(f, a, 1).unwrap();
-            check(
-                "edge data units",
-                schedule_digest(&alg2, &arch2, &db2, opts),
-            );
+            let key2 = ScheduleKey::new(&alg2, &arch2);
+            check("edge data units", checked(&key2, &alg2, &arch2, &db2, opts));
         }
         {
             let (mut alg2, arch2, db2) = build();
@@ -689,7 +761,8 @@ mod tests {
             // `s` is already a data predecessor of `f`, so conditioning
             // adds no edge — the digest change is the condition alone.
             alg2.set_condition(ops2[1], ops2[0], 1).unwrap();
-            check("condition", schedule_digest(&alg2, &arch2, &db2, opts));
+            let key2 = ScheduleKey::new(&alg2, &arch2);
+            check("condition", checked(&key2, &alg2, &arch2, &db2, opts));
         }
     }
 
@@ -745,19 +818,16 @@ mod tests {
         // ... and diverge at the 3-unit volume the edge transfers.
         assert_ne!(plain.transfer_time(m, 3), framed.transfer_time(m, 3));
         let opts = AdequationOptions::default();
-        assert_ne!(
-            schedule_digest(&alg, &plain, &db, opts),
-            schedule_digest(&alg, &framed, &db, opts)
-        );
+        let digest = |arch: &ArchitectureGraph| {
+            checked(&ScheduleKey::new(&alg, arch), &alg, arch, &db, opts)
+        };
+        assert_ne!(digest(&plain), digest(&framed));
 
         // Media equal at every volume the scheduler can price (the
         // payload covers the largest edge) still hash identically:
         // they are indistinguishable to the scheduler by construction.
         let covered = affine(Some(u32::MAX));
-        assert_eq!(
-            schedule_digest(&alg, &plain, &db, opts),
-            schedule_digest(&alg, &covered, &db, opts)
-        );
+        assert_eq!(digest(&plain), digest(&covered));
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! * [`DigestMemo`] — the content-addressed memo table every lifecycle
 //!   cache is built on, and [`ScheduleCache`], that memo over adequation
 //!   results keyed by [`schedule_digest`], for scenario sweeps that
-//!   re-schedule identical (algorithm, architecture, WCET, policy) inputs;
+//!   re-schedule identical (algorithm, architecture, WCET, policy) inputs
+//!   (a [`ScheduleKey`] hashes the graphs once per sweep);
 //! * [`codegen`] — per-processor synchronized executives with a
 //!   deadlock-freedom check.
 //!
@@ -78,7 +79,7 @@ mod timing;
 pub use adequation::{adequation, AdequationOptions, MappingPolicy};
 pub use algorithm::{AlgorithmGraph, Condition, OpId, OpKind};
 pub use architecture::{ArchitectureGraph, MediumId, MediumKind, ProcId};
-pub use cache::{schedule_digest, DigestMemo, Fnv1a, ScheduleCache};
+pub use cache::{schedule_digest, DigestMemo, Fnv1a, ScheduleCache, ScheduleKey};
 pub use error::AaaError;
 pub use schedule::{Schedule, ScheduledComm, ScheduledOp};
 pub use timing::TimingDb;

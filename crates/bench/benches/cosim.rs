@@ -1,14 +1,22 @@
 //! Criterion benches of the co-simulation pipeline: ideal loop, graph-of-
 //! delays synthesis, and the scheduled end-to-end run — over a 1 s
 //! horizon, and in the shape every fleet scenario runs (exp17's 50 ms
-//! loop, ideal and on the 200 µs split deployment).
+//! loop, ideal and on the 200 µs split deployment) — and of the fleet's
+//! hot path around them, where the memos answer every co-simulation.
+
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecl_aaa::{adequation, AdequationOptions, TimeNs};
+use ecl_bench::fleet::{
+    run_scenario, sweep_bound_ns, SweepAccumulator, SweepCaches, SweepConfig, SweepKeys,
+    SWEEP_BUCKETS,
+};
 use ecl_bench::{dc_motor_loop, split_scenario};
 use ecl_core::cosim;
 use ecl_core::delays::{self, DelayGraphConfig};
 use ecl_sim::Model;
+use ecl_telemetry::{Histogram, WorkerProfile};
 
 fn bench_ideal(c: &mut Criterion) {
     ideal_case(c, "cosim_ideal_1s", 1.0);
@@ -116,12 +124,53 @@ fn scheduled_case(c: &mut Criterion, name: &str, horizon_s: f64, timings: [TimeN
     });
 }
 
+/// The fleet's hot path (`ecl-benchmark`'s `sweep_hot`, 2 000
+/// scenarios on one worker): exp17's deployment with the default axes
+/// (96 memo keys) and both memos on, warmed by one untimed pass, so each
+/// iteration derives, looks up, measures, folds and renders 2 000
+/// scenarios without co-simulating.
+fn bench_fleet_hot_2k(c: &mut Criterion) {
+    let spec = dc_motor_loop(0.05).expect("valid");
+    let base = split_scenario(
+        2,
+        1,
+        TimeNs::from_micros(200),
+        TimeNs::from_micros(50),
+        TimeNs::from_micros(500),
+    )
+    .expect("valid");
+    let config = SweepConfig {
+        scenario_count: 2_000,
+        memoize_scheduled: true,
+        memoize_reports: true,
+        ..SweepConfig::default()
+    };
+    let keys = SweepKeys::new(&spec, &base);
+    let caches = SweepCaches::new();
+    let bound = sweep_bound_ns(&spec, &config);
+    let sweep = || {
+        let mut wp = WorkerProfile::new(0, Instant::now(), false);
+        let mut scratch = Histogram::new(bound, SWEEP_BUCKETS);
+        let mut acc = SweepAccumulator::new(&config);
+        for i in 0..config.scenario_count {
+            acc.push(
+                run_scenario(&keys, &base, &config, &caches, i, &mut wp, &mut scratch).expect("ok"),
+            );
+        }
+        let (summary, _) = acc.finish();
+        (summary.render(), summary.to_json())
+    };
+    sweep();
+    c.bench_function("fleet_hot_2k", |bench| bench.iter(sweep));
+}
+
 criterion_group!(
     benches,
     bench_ideal,
     bench_ideal_exp17,
     bench_delay_graph_build,
     bench_scheduled,
-    bench_scheduled_exp17
+    bench_scheduled_exp17,
+    bench_fleet_hot_2k
 );
 criterion_main!(benches);

@@ -18,6 +18,13 @@
 //!   ([`SweepConfig::wcet_tables`]), so scenarios sharing a table and
 //!   policy present identical adequation inputs and skip the scheduler.
 //!
+//! The memo keys are split in two ([`SweepKeys`]): the loop spec and the
+//! deployment's graphs are hashed once per sweep, and each scenario
+//! hashes only its period, WCET table and policy — one loop digest and
+//! one schedule digest per scenario. The memos look up by those digests
+//! and build the scenario's loop spec only when a co-simulation actually
+//! runs, so the hit path clones no spec.
+//!
 //! With [`SweepConfig::profile`] the sweep additionally records where its
 //! wall time goes: each worker fills a private [`WorkerProfile`] with
 //! per-scenario phase spans (no shared-state writes on the hot path), and
@@ -27,16 +34,19 @@
 //! profiling on or off.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ecl_aaa::{
-    codegen, AdequationOptions, DigestMemo, Fnv1a, MappingPolicy, Schedule, ScheduleCache, TimeNs,
-    TimingDb,
+    codegen, AdequationOptions, DigestMemo, Fnv1a, MappingPolicy, Schedule, ScheduleCache,
+    ScheduleKey, TimeNs, TimingDb,
 };
-use ecl_core::cosim::{self, Activation, IdealRunCache, LoopResult, LoopSpec, ScheduledRunCache};
+use ecl_core::cosim::{
+    self, Activation, IdealRunCache, LoopAt, LoopKey, LoopResult, LoopSpec, ScheduledRunCache,
+};
 use ecl_core::faults::{FaultConfig, FaultFamily, FaultPlan};
 use ecl_core::latency::LatencyReport;
 use ecl_core::report::{
@@ -383,15 +393,24 @@ impl Scenario {
     /// pre-fault sweeps.
     pub fn label(&self) -> String {
         let worst = self.wcet_factors.iter().fold(1.0f64, |acc, &f| acc.max(f));
-        let mut s = format!(
-            "wcet<=x{worst:.3} Ts x{:.2} {:?}",
-            self.period_scale, self.policy
-        );
+        // Room for a fixed policy, the fault rates when present and a
+        // ` pruned:unsafe` suffix, so neither these writes nor the suffix
+        // reallocate.
+        let mut s = String::with_capacity(if self.has_faults() { 104 } else { 56 });
+        let _ = write!(s, "wcet<=x{worst:.3} Ts x{:.2} ", self.period_scale);
+        match self.policy {
+            MappingPolicy::SchedulePressure => s.push_str("SchedulePressure"),
+            MappingPolicy::EarliestFinish => s.push_str("EarliestFinish"),
+            random @ MappingPolicy::Random { .. } => {
+                let _ = write!(s, "{random:?}");
+            }
+        }
         if self.has_faults() {
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 " faults fl{:.3} ol{:.3} pd{:.4}",
                 self.frame_loss_rate, self.link_outage_rate, self.proc_dropout_rate
-            ));
+            );
         }
         s
     }
@@ -823,6 +842,38 @@ impl SweepCaches {
     }
 }
 
+/// The per-deployment halves of the memo keys: the loop spec and the
+/// algorithm/architecture graphs, hashed once. [`run_sweep`] builds them
+/// once per sweep and a daemon once per registered deployment; each
+/// scenario then hashes only what it varies (period, WCET table,
+/// policy) — one loop digest and one schedule digest per scenario.
+#[derive(Debug)]
+pub struct SweepKeys<'a> {
+    /// The swept loop spec, keyed for [`IdealRunCache`] and
+    /// [`ScheduledRunCache`] lookups.
+    pub spec: LoopKey<'a>,
+    /// The deployment's graphs, keyed for [`ScheduleCache`] lookups.
+    pub schedule: ScheduleKey<'a>,
+}
+
+impl<'a> SweepKeys<'a> {
+    /// Hashes the deployment halves of `spec` and `base`.
+    pub fn new(spec: &'a LoopSpec, base: &'a SplitScenario) -> Self {
+        SweepKeys {
+            spec: LoopKey::new(spec),
+            schedule: ScheduleKey::new(&base.alg, &base.arch),
+        }
+    }
+
+    /// The same keys holding their own copies of the spec and graphs.
+    pub fn into_owned(self) -> SweepKeys<'static> {
+        SweepKeys {
+            spec: self.spec.into_owned(),
+            schedule: self.schedule.into_owned(),
+        }
+    }
+}
+
 /// Folds [`ScenarioRecord`]s — **in index order** — into the
 /// deterministic sweep artifacts: the [`SweepSummary`] and the merged
 /// telemetry stream.
@@ -965,33 +1016,37 @@ impl SweepAccumulator {
 /// byte-identity tests that pin the memoized artifacts against it.
 ///
 /// A run's measured synthesis/simulation split becomes two back-to-back
-/// spans; a memo hit charges the lookup itself (digest + lock + `Arc`
+/// spans; a memo hit charges the lookup itself (key + lock + `Arc`
 /// clone) to the co-simulation phase, so the profile shows what the memo
 /// reduced the phase *to* rather than dropping the time on the floor.
+///
+/// Returns the run with its [`cosim::scheduled_run_digest`], which the
+/// report memo keys on.
 #[allow(clippy::too_many_arguments)]
 fn scheduled_cosim(
     config: &SweepConfig,
     scheduled_memo: &ScheduledRunCache,
-    spec2: &LoopSpec,
+    at: LoopAt<'_>,
     base: &SplitScenario,
     schedule: &Schedule,
     schedule_digest: u64,
     plan: Option<&FaultPlan>,
     index: usize,
     wp: &mut WorkerProfile,
-) -> Result<Arc<LoopResult>, CoreError> {
+) -> Result<(Arc<LoopResult>, u64), CoreError> {
     let t0 = wp.now_ns();
-    let (run, hit, phases) = if config.memoize_scheduled {
+    let (run, key, hit, phases) = if config.memoize_scheduled {
         let (alg, io, arch) = (&base.alg, &base.io, &base.arch);
         let (run, key, hit, phases) =
-            scheduled_memo.get_or_run(spec2, alg, io, schedule, arch, schedule_digest, plan)?;
+            scheduled_memo.get_or_run_at(at, alg, io, schedule, arch, schedule_digest, plan)?;
         wp.memo_event(index, key, hit);
-        (run, hit, phases)
+        (run, key, hit, phases)
     } else {
+        let key = cosim::scheduled_run_digest(at.digest(), schedule_digest, plan);
         let activation =
             Activation::scheduled(&base.alg, &base.io, schedule, &base.arch, plan.cloned());
-        let (run, phases) = cosim::simulate(spec2, activation, &mut Collector::noop(), "")?;
-        (Arc::new(run), false, phases)
+        let (run, phases) = cosim::simulate(&at.spec(), activation, &mut Collector::noop(), "")?;
+        (Arc::new(run), key, false, phases)
     };
     if hit {
         let end = wp.now_ns();
@@ -1002,7 +1057,7 @@ fn scheduled_cosim(
         wp.push_span(index, Phase::Synthesis, t0, synthesized);
         wp.push_span(index, Phase::Cosim, synthesized, simulated);
     }
-    Ok(run)
+    Ok((run, key))
 }
 
 /// The latency report a scenario's verification phase reads: freshly
@@ -1075,9 +1130,14 @@ fn build_report_entry(
 /// histograms. `index` is a *global* scenario index — seeds, labels and
 /// trace prefixes derive from it — which is how a daemon shards one
 /// logical sweep into chunks without perturbing a single byte.
+///
+/// `keys` are the per-deployment key halves of the swept spec and of
+/// `base`'s graphs ([`SweepKeys::new`]). The scenario's loop spec is
+/// the keyed spec at the scenario's period; it is built only for a
+/// co-simulation that actually runs, so a memo hit clones no spec.
 #[allow(clippy::too_many_arguments)]
 pub fn run_scenario(
-    spec: &LoopSpec,
+    keys: &SweepKeys<'_>,
     base: &SplitScenario,
     config: &SweepConfig,
     caches: &SweepCaches,
@@ -1085,14 +1145,11 @@ pub fn run_scenario(
     wp: &mut WorkerProfile,
     scratch: &mut Histogram,
 ) -> Result<ScenarioRecord, CoreError> {
-    let (scenario, db, mut spec2) = wp.phase(index, Phase::Derive, |_| {
+    let spec = keys.spec.base();
+    let (scenario, db) = wp.phase(index, Phase::Derive, |_| {
         let scenario = Scenario::derive(config, base, index);
         let db = scenario.jittered_db(base);
-        // The spec clone allocates the loop matrices, so it belongs to
-        // the derivation phase, not to unattributed overhead.
-        let mut spec2 = spec.clone();
-        spec2.ts = spec.ts * scenario.period_scale;
-        (scenario, db, spec2)
+        (scenario, db)
     });
     let options = AdequationOptions {
         policy: scenario.policy,
@@ -1100,16 +1157,17 @@ pub fn run_scenario(
     let (schedule, digest, hit) = wp.phase(index, Phase::Adequation, |_| {
         caches
             .schedule
-            .get_or_compute_traced(&base.alg, &base.arch, &db, options)
+            .get_or_compute_traced(&keys.schedule, &db, options)
             .map_err(CoreError::from)
     })?;
     wp.cache_event(index, digest, hit);
 
     // The delay-graph builder rejects makespan > period; a badly jittered
     // schedule stretches the period just enough (deterministically).
+    let mut ts = spec.ts * scenario.period_scale;
     let makespan_s = schedule.makespan().as_secs_f64();
-    if makespan_s > spec2.ts {
-        spec2.ts = makespan_s * 1.05;
+    if makespan_s > ts {
+        ts = makespan_s * 1.05;
     }
 
     let traced = index < config.trace_scenarios;
@@ -1122,7 +1180,7 @@ pub fn run_scenario(
     // full pipeline and are counted as simulated.
     let prune = if config.prune_static && !traced {
         let family = FaultFamily::from_config(&scenario.fault_config(&config.faults));
-        let period = TimeNs::from_secs_f64(spec2.ts);
+        let period = TimeNs::from_secs_f64(ts);
         let envelope = wp.phase(index, Phase::Envelope, |_| {
             ecl_verify::fault_envelope(&base.alg, &base.arch, &schedule, period, &family, None)
         });
@@ -1130,20 +1188,21 @@ pub fn run_scenario(
         if verdict != ecl_verify::EnvelopeVerdict::Inconclusive {
             let overruns = if verdict == ecl_verify::EnvelopeVerdict::Unsafe {
                 // Every period's actuation can land past the deadline.
-                (spec2.horizon / spec2.ts).floor().max(1.0) as usize
+                (spec.horizon / ts).floor().max(1.0) as usize
             } else {
                 0
             };
-            let suffix = if verdict == ecl_verify::EnvelopeVerdict::Safe {
-                "safe"
+            let mut label = scenario.label();
+            label.push_str(if verdict == ecl_verify::EnvelopeVerdict::Safe {
+                " pruned:safe"
             } else {
-                "unsafe"
-            };
+                " pruned:unsafe"
+            });
             return Ok(ScenarioRecord {
                 outcome: ScenarioOutcome {
                     index,
                     seed: scenario.seed,
-                    label: format!("{} pruned:{suffix}", scenario.label()),
+                    label,
                     cost: 0.0,
                     cost_ratio: 0.0,
                     makespan_ns: schedule.makespan().as_nanos(),
@@ -1163,12 +1222,16 @@ pub fn run_scenario(
         None
     };
 
-    // The stroboscopic reference is pure in `spec2` — and `spec2` varies
-    // only in its period across the sweep — so it is memoized by content
-    // digest: one simulation per distinct period, everything else is an
-    // `Arc` clone out of the shared table.
-    let ideal = wp.phase(index, Phase::IdealSim, |_| caches.ideal.get_or_run(&spec2))?;
-    let periods = (spec2.horizon / spec2.ts).floor().max(1.0) as u32;
+    // The stroboscopic reference is pure in the scenario's loop spec —
+    // which varies only in its period across the sweep — so it is
+    // memoized by content digest: one simulation per distinct period,
+    // everything else is an `Arc` clone out of the shared table. The
+    // period's digest, taken here once, keys the scheduled runs too.
+    let (at, ideal) = wp.phase(index, Phase::IdealSim, |_| {
+        let at = keys.spec.at(ts);
+        caches.ideal.get_or_run_at(at).map(|ideal| (at, ideal))
+    })?;
+    let periods = (spec.horizon / ts).floor().max(1.0) as u32;
     // The plan is a pure function of (config, schedule, arch, periods),
     // so the co-simulation and the virtual executive below are driven by
     // byte-identical fault fates.
@@ -1188,23 +1251,31 @@ pub fn run_scenario(
     let untraced_cosim = |plan: Option<&FaultPlan>, wp: &mut WorkerProfile| {
         let scheduled = &caches.scheduled;
         scheduled_cosim(
-            config, scheduled, &spec2, base, &schedule, digest, plan, index, wp,
+            config, scheduled, at, base, &schedule, digest, plan, index, wp,
         )
     };
-    let (run, degradation, sink) = if let Some(plan) = &plan {
+    // `run_key` is the run's scheduled-run digest, `None` for a traced
+    // run (the report memo never serves those).
+    let (run, run_key, degradation, sink) = if let Some(plan) = &plan {
         // Faulty scenarios compare against a fault-free twin on the same
         // schedule; they never contribute telemetry traces (tracing the
         // degraded replay would double the sink for no new information).
-        let baseline = untraced_cosim(None, wp)?;
-        let faulty = untraced_cosim(Some(plan), wp)?;
+        let (baseline, _) = untraced_cosim(None, wp)?;
+        let (faulty, key) = untraced_cosim(Some(plan), wp)?;
         let degradation = wp.phase(index, Phase::Metrics, |_| {
             DegradationSummary::from_runs(index, plan, &baseline, &faulty, config.cost_bound_ratio)
         })?;
-        (faulty, Some(degradation), RecordingSink::default())
+        (
+            faulty,
+            Some(key),
+            Some(degradation),
+            RecordingSink::default(),
+        )
     } else if traced {
         // Timeline emission, synthesis and simulation are all attributed
         // to co-simulation.
         let (run, sink) = wp.phase(index, Phase::Cosim, |_| {
+            let spec2 = at.spec();
             let sink = PrefixSink::new(format!("s{index}:"), RecordingSink::default());
             let mut tel = Collector::new(sink);
             let (alg, arch) = (&base.alg, &base.arch);
@@ -1219,9 +1290,10 @@ pub fn run_scenario(
             }
             Ok::<_, CoreError>((run, tel.into_sink().into_inner()))
         })?;
-        (Arc::new(run), None, sink)
+        (Arc::new(run), None, None, sink)
     } else {
-        (untraced_cosim(None, wp)?, None, RecordingSink::default())
+        let (run, key) = untraced_cosim(None, wp)?;
+        (run, Some(key), None, RecordingSink::default())
     };
 
     let bound = sweep_bound_ns(spec, config);
@@ -1239,14 +1311,12 @@ pub fn run_scenario(
             worst_actuation_ns: worst,
             overruns,
         };
-        if config.memoize_reports && !traced {
-            let key = report_digest(
-                cosim::scheduled_run_digest(&spec2, digest, plan.as_ref()),
-                bound,
-            );
+        if let Some(run_key) = run_key.filter(|_| config.memoize_reports) {
             let (entry, _local_hit) = caches
                 .reports
-                .get_or_compute(key, || build_report_entry(&run, lenient, bound))?;
+                .get_or_compute(report_digest(run_key, bound), || {
+                    build_report_entry(&run, lenient, bound)
+                })?;
             scratch.merge(&entry.hist);
             Ok::<_, CoreError>((
                 outcome_for(entry.worst_actuation_ns, entry.overruns),
@@ -1277,7 +1347,7 @@ pub fn run_scenario(
         wp.phase(index, Phase::Validation, |_| {
             let generated =
                 codegen::generate(&schedule, &base.alg, &base.arch).map_err(CoreError::from)?;
-            let period = TimeNs::from_secs_f64(spec2.ts);
+            let period = TimeNs::from_secs_f64(ts);
             let opts = ExecOptions {
                 period,
                 periods,
@@ -1309,7 +1379,7 @@ pub fn run_scenario(
     // dominate every latency the co-simulation measured.
     let verification = if config.verify_static {
         wp.phase(index, Phase::Verification, |_| {
-            let period = TimeNs::from_secs_f64(spec2.ts);
+            let period = TimeNs::from_secs_f64(ts);
             let vreport =
                 ecl_verify::verify(&base.alg, &base.arch, &db, &schedule, period, plan.as_ref())
                     .map_err(CoreError::from)?;
@@ -1373,6 +1443,7 @@ pub fn run_sweep(
     config: &SweepConfig,
 ) -> Result<SweepOutput, CoreError> {
     let caches = SweepCaches::new();
+    let keys = SweepKeys::new(spec, base);
     // One shared epoch so every worker's spans share a time base; the
     // buffers themselves are per-worker state — no hot-path sharing.
     let epoch = Instant::now();
@@ -1388,7 +1459,7 @@ pub fn run_sweep(
         },
         |i, state: &mut (WorkerProfile, Histogram)| {
             let (wp, scratch) = state;
-            wp.task(|wp| run_scenario(spec, base, config, &caches, i, wp, scratch))
+            wp.task(|wp| run_scenario(&keys, base, config, &caches, i, wp, scratch))
         },
     );
     let wall_ns = epoch.elapsed().as_nanos() as u64;
@@ -2111,6 +2182,48 @@ mod tests {
         assert_eq!(states.len(), 1);
     }
 
+    /// exp17's first scenario keys the schedule, ideal-run and
+    /// scheduled-run memos under digests pinned from the full,
+    /// single-pass digest functions the split keys replaced, so the memo
+    /// keys and the persisted cache file names cannot move.
+    #[test]
+    fn exp17_first_scenario_memo_keys_are_pinned() {
+        let spec = dc_motor_loop(0.05).unwrap();
+        let base = small_base();
+        let config = SweepConfig {
+            memoize_scheduled: true,
+            memoize_reports: true,
+            ..SweepConfig::default()
+        };
+        let caches = SweepCaches::new();
+        let mut wp = WorkerProfile::new(0, Instant::now(), false);
+        let mut scratch = Histogram::new(sweep_bound_ns(&spec, &config), SWEEP_BUCKETS);
+        let keys = SweepKeys::new(&spec, &base);
+        let record =
+            run_scenario(&keys, &base, &config, &caches, 0, &mut wp, &mut scratch).unwrap();
+        let digests = |memo: Vec<(u64, Arc<LoopResult>)>| -> Vec<u64> {
+            memo.into_iter().map(|(d, _)| d).collect()
+        };
+        const SCHEDULE: u64 = 0x6b1e_3df7_63d2_516f;
+        const LOOP: u64 = 0xdc4f_92cf_e1c5_e3d5;
+        const RUN: u64 = 0xd644_c329_b091_6501;
+        assert_eq!(record.schedule_digest, SCHEDULE);
+        assert_eq!(caches.schedule.snapshot()[0].0, SCHEDULE);
+        assert_eq!(digests(caches.ideal.snapshot()), [LOOP]);
+        assert_eq!(digests(caches.scheduled.snapshot()), [RUN]);
+        assert_eq!(cosim::scheduled_run_digest(LOOP, SCHEDULE, None), RUN);
+        // The full digest functions agree with the split keys.
+        let scenario = Scenario::derive(&config, &base, 0);
+        let options = AdequationOptions {
+            policy: scenario.policy,
+        };
+        let db = scenario.jittered_db(&base);
+        let full = ecl_aaa::schedule_digest(&base.alg, &base.arch, &db, options);
+        assert_eq!(full, SCHEDULE);
+        let ts = spec.ts * scenario.period_scale;
+        assert_eq!(cosim::loop_spec_digest(&LoopSpec { ts, ..spec }), LOOP);
+    }
+
     /// The resident-pool sharding a daemon uses — [`FleetPool::run_with`]
     /// over the public [`run_scenario`] folded by a [`SweepAccumulator`]
     /// — must reproduce [`run_sweep`]'s artifacts byte for byte, cold
@@ -2131,8 +2244,8 @@ mod tests {
 
         let pool = FleetPool::new(4);
         let caches = Arc::new(SweepCaches::new());
-        let spec = Arc::new(spec);
         let base = Arc::new(small_base());
+        let keys = Arc::new(SweepKeys::new(&spec, &base).into_owned());
         let config = Arc::new(config);
         let bound = sweep_bound_ns(&spec, &config);
         let run_pass = || {
@@ -2148,12 +2261,12 @@ mod tests {
                 },
                 {
                     let caches = Arc::clone(&caches);
-                    let spec = Arc::clone(&spec);
+                    let keys = Arc::clone(&keys);
                     let base = Arc::clone(&base);
                     let config = Arc::clone(&config);
                     move |i, state: &mut (WorkerProfile, Histogram)| {
                         let (wp, scratch) = state;
-                        wp.task(|wp| run_scenario(&spec, &base, &config, &caches, i, wp, scratch))
+                        wp.task(|wp| run_scenario(&keys, &base, &config, &caches, i, wp, scratch))
                     }
                 },
             );
@@ -2321,8 +2434,7 @@ mod tests {
             let db = scenario.jittered_db(&base);
             let (schedule, digest, _) = ScheduleCache::new()
                 .get_or_compute_traced(
-                    &base.alg,
-                    &base.arch,
+                    &ScheduleKey::new(&base.alg, &base.arch),
                     &db,
                     AdequationOptions {
                         policy: scenario.policy,

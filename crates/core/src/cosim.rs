@@ -8,6 +8,7 @@
 //! implementation's instants, exposing its impact on control performance
 //! *before any code runs on a target*.
 
+use std::borrow::Cow;
 use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
@@ -1005,46 +1006,136 @@ fn finish_traced<S: Sink>(
 /// byte-identical [`LoopResult`]s. A fleet sweep perturbs only the
 /// sampling period of its ideal reference (period scale × makespan
 /// stretch); every other field is shared, so the digest space collapses
-/// to a handful of keys and the memo table actually hits.
+/// to a handful of keys and the memo table actually hits. Such a sweep
+/// builds the [`LoopKey`] once and digests each period with
+/// [`LoopKey::digest`]; the value is the same.
 pub fn loop_spec_digest(spec: &LoopSpec) -> u64 {
-    let mut h = Fnv1a::new();
-    let mat = |h: &mut Fnv1a, m: &Mat| {
-        h.write_u64(m.rows() as u64);
-        h.write_u64(m.cols() as u64);
-        for &v in m.as_slice() {
+    LoopKey::new(spec).digest(spec.ts)
+}
+
+/// The per-deployment half of [`loop_spec_digest`]: every [`LoopSpec`]
+/// field before `ts` (plant, gains, initial state), hashed once.
+/// [`digest`](LoopKey::digest) resumes from that state with a period
+/// and the fields after it, so a sweep that varies only the period
+/// hashes the loop matrices once, and every digest equals
+/// [`loop_spec_digest`] of the base spec at that period bit for bit.
+///
+/// The key holds its base spec (borrowed, or owned after
+/// [`into_owned`](LoopKey::into_owned)): a memo miss simulates
+/// [`spec_at`](LoopKey::spec_at) the period, and a hit clones nothing.
+#[derive(Debug, Clone)]
+pub struct LoopKey<'a> {
+    base: Cow<'a, LoopSpec>,
+    head: Fnv1a,
+}
+
+impl<'a> LoopKey<'a> {
+    /// Hashes every field of `base` before `ts`.
+    pub fn new(base: &'a LoopSpec) -> Self {
+        let mut h = Fnv1a::new();
+        let mat = |h: &mut Fnv1a, m: &Mat| {
+            h.write_u64(m.rows() as u64);
+            h.write_u64(m.cols() as u64);
+            for &v in m.as_slice() {
+                h.write_f64(v);
+            }
+        };
+        mat(&mut h, base.plant.a());
+        mat(&mut h, base.plant.b());
+        mat(&mut h, base.plant.c());
+        mat(&mut h, base.plant.d());
+        h.write_u64(base.n_controls as u64);
+        h.write_u64(base.x0.len() as u64);
+        for &v in &base.x0 {
             h.write_f64(v);
         }
-    };
-    mat(&mut h, spec.plant.a());
-    mat(&mut h, spec.plant.b());
-    mat(&mut h, spec.plant.c());
-    mat(&mut h, spec.plant.d());
-    h.write_u64(spec.n_controls as u64);
-    h.write_u64(spec.x0.len() as u64);
-    for &v in &spec.x0 {
-        h.write_f64(v);
-    }
-    mat(&mut h, &spec.feedback);
-    match &spec.input_memory {
-        None => h.write_u64(0),
-        Some(ku) => {
-            h.write_u64(1);
-            mat(&mut h, ku);
+        mat(&mut h, &base.feedback);
+        match &base.input_memory {
+            None => h.write_u64(0),
+            Some(ku) => {
+                h.write_u64(1);
+                mat(&mut h, ku);
+            }
+        }
+        LoopKey {
+            base: Cow::Borrowed(base),
+            head: h,
         }
     }
-    h.write_f64(spec.ts);
-    h.write_f64(spec.horizon);
-    h.write_f64(spec.q_weight);
-    h.write_f64(spec.r_weight);
-    match spec.disturbance {
-        DisturbanceKind::None => h.write_u64(0),
-        DisturbanceKind::Noise { std_dev, seed } => {
-            h.write_u64(1);
-            h.write_f64(std_dev);
-            h.write_u64(seed);
+
+    /// The same key holding its own copy of the base spec, for an owner
+    /// that must outlive the borrow (a resident daemon's deployment).
+    pub fn into_owned(self) -> LoopKey<'static> {
+        LoopKey {
+            base: Cow::Owned(self.base.into_owned()),
+            head: self.head,
         }
     }
-    h.finish()
+
+    /// The base spec.
+    pub fn base(&self) -> &LoopSpec {
+        &self.base
+    }
+
+    /// [`loop_spec_digest`] of the base spec with period `ts`: the
+    /// period and every field after it, hashed onto a copy of the head.
+    pub fn digest(&self, ts: f64) -> u64 {
+        let mut h = self.head.clone();
+        h.write_f64(ts);
+        h.write_f64(self.base.horizon);
+        h.write_f64(self.base.q_weight);
+        h.write_f64(self.base.r_weight);
+        match self.base.disturbance {
+            DisturbanceKind::None => h.write_u64(0),
+            DisturbanceKind::Noise { std_dev, seed } => {
+                h.write_u64(1);
+                h.write_f64(std_dev);
+                h.write_u64(seed);
+            }
+        }
+        h.finish()
+    }
+
+    /// The base spec with period `ts` (a clone of the loop matrices).
+    pub fn spec_at(&self, ts: f64) -> LoopSpec {
+        LoopSpec {
+            ts,
+            ..self.base.as_ref().clone()
+        }
+    }
+
+    /// The base spec at period `ts`, digested once for every memo
+    /// lookup of one scenario.
+    pub fn at(&self, ts: f64) -> LoopAt<'_> {
+        LoopAt {
+            key: self,
+            ts,
+            digest: self.digest(ts),
+        }
+    }
+}
+
+/// A [`LoopKey`]'s base spec at one sampling period, with its
+/// [`loop_spec_digest`] computed once — what [`IdealRunCache`] and
+/// [`ScheduledRunCache`] look up by. The spec itself is built only when
+/// a lookup misses.
+#[derive(Debug, Clone, Copy)]
+pub struct LoopAt<'k> {
+    key: &'k LoopKey<'k>,
+    ts: f64,
+    digest: u64,
+}
+
+impl LoopAt<'_> {
+    /// [`loop_spec_digest`] of [`spec`](LoopAt::spec).
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// The base spec with this period (a clone of the loop matrices).
+    pub fn spec(&self) -> LoopSpec {
+        self.key.spec_at(self.ts)
+    }
 }
 
 /// The ideal-run memo: a [`DigestMemo`] of [`run_ideal`] results keyed
@@ -1118,17 +1209,28 @@ impl IdealRunCache {
     ///
     /// Propagates [`run_ideal`] errors; failures are not cached.
     pub fn get_or_run(&self, spec: &LoopSpec) -> Result<Arc<LoopResult>, CoreError> {
+        self.get_or_run_at(LoopKey::new(spec).at(spec.ts))
+    }
+
+    /// The ideal run at `at`, looked up by its precomputed digest; the
+    /// spec is built and simulated only on a cache miss.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`run_ideal`] errors; failures are not cached.
+    pub fn get_or_run_at(&self, at: LoopAt<'_>) -> Result<Arc<LoopResult>, CoreError> {
         self.0
-            .get_or_compute(loop_spec_digest(spec), || {
-                run_ideal(spec).map(LoopResult::into_metric_grade)
+            .get_or_compute(at.digest(), || {
+                run_ideal(&at.spec()).map(LoopResult::into_metric_grade)
             })
             .map(|(result, _)| result)
     }
 }
 
 /// Content digest of one scheduled (possibly faulty) co-simulation:
-/// the [`loop_spec_digest`] (plant, gains, scaled period, horizon,
-/// disturbance — the period *scale* axis lives here), the adequation
+/// the `loop_digest` ([`loop_spec_digest`] of the run's spec: plant,
+/// gains, scaled period, horizon, disturbance — the period *scale* axis
+/// lives here), the adequation
 /// `schedule_digest` from [`ecl_aaa::schedule_digest`] (algorithm graph,
 /// architecture tariffs, WCET table, policy — everything delay-graph
 /// synthesis reads beyond the spec), and the [`FaultPlan::digest`] with
@@ -1138,12 +1240,12 @@ impl IdealRunCache {
 /// produced `schedule` — the fleet already holds it from
 /// [`ecl_aaa::ScheduleCache::get_or_compute_traced`].
 pub fn scheduled_run_digest(
-    spec: &LoopSpec,
+    loop_digest: u64,
     schedule_digest: u64,
     plan: Option<&FaultPlan>,
 ) -> u64 {
     let mut h = Fnv1a::new();
-    h.write_u64(loop_spec_digest(spec));
+    h.write_u64(loop_digest);
     h.write_u64(schedule_digest);
     match plan {
         None => h.write_u64(0),
@@ -1188,15 +1290,8 @@ impl ScheduledRunCache {
     }
 
     /// The scheduled run for the given inputs, co-simulating only on a
-    /// cache miss. `plan: None` is the nominal [`run_scheduled`];
-    /// `Some(plan)` is [`run_scheduled_faulty`] (the plan is cloned only
-    /// when a simulation actually runs). `schedule_digest` must be the
-    /// adequation digest of the inputs that produced `schedule`.
-    ///
-    /// Beside the run, returns its [`scheduled_run_digest`] key, whether
-    /// *this* lookup was answered from the memo, and the run's
-    /// [`CosimPhases`] (zero on a hit — nothing was simulated). The hit
-    /// flag and the phases are wall-clock observations: sidecar-only.
+    /// cache miss: [`get_or_run_at`](ScheduledRunCache::get_or_run_at)
+    /// at `spec`'s own period.
     ///
     /// # Errors
     ///
@@ -1212,11 +1307,49 @@ impl ScheduledRunCache {
         schedule_digest: u64,
         plan: Option<&FaultPlan>,
     ) -> Result<(Arc<LoopResult>, u64, bool, CosimPhases), CoreError> {
-        let key = scheduled_run_digest(spec, schedule_digest, plan);
+        let key = LoopKey::new(spec);
+        self.get_or_run_at(
+            key.at(spec.ts),
+            alg,
+            io,
+            schedule,
+            arch,
+            schedule_digest,
+            plan,
+        )
+    }
+
+    /// The scheduled run of the loop at `at`, looked up by its
+    /// precomputed digest; the spec is built and co-simulated only on a
+    /// cache miss. `plan: None` is the nominal [`run_scheduled`];
+    /// `Some(plan)` is [`run_scheduled_faulty`] (the plan is cloned only
+    /// when a simulation actually runs). `schedule_digest` must be the
+    /// adequation digest of the inputs that produced `schedule`.
+    ///
+    /// Beside the run, returns its [`scheduled_run_digest`] key, whether
+    /// *this* lookup was answered from the memo, and the run's
+    /// [`CosimPhases`] (zero on a hit — nothing was simulated). The hit
+    /// flag and the phases are wall-clock observations: sidecar-only.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`simulate`] errors; failures are not cached.
+    #[allow(clippy::too_many_arguments)]
+    pub fn get_or_run_at(
+        &self,
+        at: LoopAt<'_>,
+        alg: &AlgorithmGraph,
+        io: &IoMap,
+        schedule: &Schedule,
+        arch: &ArchitectureGraph,
+        schedule_digest: u64,
+        plan: Option<&FaultPlan>,
+    ) -> Result<(Arc<LoopResult>, u64, bool, CosimPhases), CoreError> {
+        let key = scheduled_run_digest(at.digest(), schedule_digest, plan);
         let mut phases = CosimPhases::default();
         let (result, hit) = self.0.get_or_compute(key, || {
             let activation = Activation::scheduled(alg, io, schedule, arch, plan.cloned());
-            simulate(spec, activation, &mut Collector::noop(), "").map(|(result, split)| {
+            simulate(&at.spec(), activation, &mut Collector::noop(), "").map(|(result, split)| {
                 phases = split;
                 result.into_metric_grade()
             })
@@ -1341,13 +1474,22 @@ mod tests {
     }
 
     /// Flipping any single [`LoopSpec`] field [`run_ideal`] reads must
-    /// change [`loop_spec_digest`], and no two flips may alias.
+    /// change [`loop_spec_digest`], and no two flips may alias. Every
+    /// digest is also taken through a [`LoopKey`] of the flipped spec, and
+    /// the period flip through the baseline's key, reused.
     #[test]
     fn loop_spec_digest_flips_on_every_field() {
         let base = dc_motor_spec();
+        let base_key = LoopKey::new(&base);
+        assert_eq!(base_key.digest(base.ts), loop_spec_digest(&base));
         let mut digests = vec![("baseline", loop_spec_digest(&base))];
         let mut check = |label: &'static str, spec: &LoopSpec| {
             let d = loop_spec_digest(spec);
+            assert_eq!(
+                LoopKey::new(spec).digest(spec.ts),
+                d,
+                "'{label}' through its key"
+            );
             for (prev, pd) in &digests {
                 assert_ne!(*pd, d, "digest of '{label}' collides with '{prev}'");
             }
@@ -1386,6 +1528,8 @@ mod tests {
 
         let mut s = dc_motor_spec();
         s.ts *= 1.25;
+        assert_eq!(base_key.digest(s.ts), loop_spec_digest(&s));
+        assert_eq!(base_key.at(s.ts).digest(), loop_spec_digest(&s));
         check("ts", &s);
 
         let mut s = dc_motor_spec();
@@ -1625,7 +1769,10 @@ mod tests {
         let (memo, key, hit, _) = cache
             .get_or_run(&spec, &alg, &io, &schedule, &arch, sched_digest, None)
             .unwrap();
-        assert_eq!(key, scheduled_run_digest(&spec, sched_digest, None));
+        assert_eq!(
+            key,
+            scheduled_run_digest(loop_spec_digest(&spec), sched_digest, None)
+        );
         assert!(!hit);
         let (again, _, hit, phases) = cache
             .get_or_run(&spec, &alg, &io, &schedule, &arch, sched_digest, None)
@@ -1696,18 +1843,24 @@ mod tests {
     fn scheduled_run_digest_marks_fault_plan_presence() {
         let spec = dc_motor_spec();
         let trivial = FaultPlan::trivial(10);
-        let nominal = scheduled_run_digest(&spec, 1, None);
-        let faulty = scheduled_run_digest(&spec, 1, Some(&trivial));
+        let nominal = scheduled_run_digest(loop_spec_digest(&spec), 1, None);
+        let faulty = scheduled_run_digest(loop_spec_digest(&spec), 1, Some(&trivial));
         assert_ne!(nominal, faulty);
         // And the key tracks each component.
-        assert_ne!(nominal, scheduled_run_digest(&spec, 2, None));
+        assert_ne!(
+            nominal,
+            scheduled_run_digest(loop_spec_digest(&spec), 2, None)
+        );
         let mut scaled = spec.clone();
         scaled.ts *= 1.25;
-        assert_ne!(nominal, scheduled_run_digest(&scaled, 1, None));
+        assert_ne!(
+            nominal,
+            scheduled_run_digest(loop_spec_digest(&scaled), 1, None)
+        );
         let other_plan = FaultPlan::trivial(11);
         assert_ne!(
             faulty,
-            scheduled_run_digest(&spec, 1, Some(&other_plan)),
+            scheduled_run_digest(loop_spec_digest(&spec), 1, Some(&other_plan)),
             "plans with different digests must key differently"
         );
     }
@@ -2055,5 +2208,29 @@ mod tests {
         let db = uniform_timing(&alg, &io, us(10), us(10));
         let schedule = adequation(&alg, &arch, &db, AdequationOptions::default()).unwrap();
         assert!(lqg_scheduled(&good, &alg, &io, &schedule, &arch).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// A key built once digests any period exactly as the full
+        /// [`loop_spec_digest`] of the spec at that period, for periods
+        /// in range and for arbitrary bit patterns, and
+        /// [`LoopAt::spec`] is that spec.
+        #[test]
+        fn loop_key_digest_equals_full_digest_at_any_period(
+            ts in 1e-4f64..1.0,
+            bits in 0u64..u64::MAX,
+        ) {
+            let s = dc_motor_spec();
+            let key = LoopKey::new(&s);
+            for ts in [ts, f64::from_bits(bits)] {
+                let full = LoopSpec { ts, ..s.clone() };
+                proptest::prop_assert_eq!(key.digest(ts), loop_spec_digest(&full));
+                let at = key.at(ts);
+                proptest::prop_assert_eq!(at.digest(), loop_spec_digest(&full));
+                proptest::prop_assert_eq!(format!("{:?}", at.spec()), format!("{full:?}"));
+            }
+        }
     }
 }

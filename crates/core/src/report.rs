@@ -5,6 +5,8 @@
 //! [`LifecycleReport`] into a
 //! human-readable Markdown summary and machine-readable CSV traces.
 
+use std::fmt::Write as _;
+
 use ecl_aaa::{AlgorithmGraph, ArchitectureGraph};
 use ecl_telemetry::Counts;
 
@@ -350,6 +352,36 @@ pub struct PruneSummary {
     pub simulated: usize,
 }
 
+/// Bytes a [`SweepSummary::render`] scenario row takes beyond its label:
+/// the cells of a typical row (about 80 bytes), rounded up.
+const RENDER_ROW_BYTES: usize = 88;
+
+/// Bytes a [`SweepSummary::to_json`] scenario row takes beyond its label
+/// (about 180 bytes), rounded up.
+const JSON_ROW_BYTES: usize = 192;
+
+/// Bytes of either renderer's headers and aggregate sections.
+const SECTIONS_BYTES: usize = 1024;
+
+/// The `q`-quantile of ascending `sorted` by the nearest-rank method;
+/// `None` when empty.
+fn nearest_rank(sorted: &[f64], q: f64) -> Option<f64> {
+    let n = sorted.len();
+    if n == 0 {
+        return None;
+    }
+    // Nearest rank is ⌈q·n⌉, but the product must be snapped to the
+    // grid first: 0.95 · 20 evaluates to 19.000000000000004 in f64,
+    // whose raw ceil lands on rank 20 instead of 19.
+    let pos = q * n as f64;
+    let rank = if pos <= pos.floor() + 1e-9 {
+        pos.floor()
+    } else {
+        pos.ceil()
+    } as usize;
+    Some(sorted[rank.clamp(1, n) - 1])
+}
+
 /// The sweep-level report: per-scenario rows plus robustness statistics.
 ///
 /// Rendering is deliberately free of wall-clock content — two sweeps over
@@ -417,22 +449,16 @@ impl SweepSummary {
     /// `q = 0` returns the minimum, `q = 1` the maximum, and a
     /// single-scenario sweep returns its only element for every `q`.
     pub fn cost_ratio_quantile(&self, q: f64) -> Option<f64> {
-        if self.scenarios.is_empty() {
-            return None;
-        }
+        nearest_rank(&self.sorted_cost_ratios(), q)
+    }
+
+    /// Every scenario's cost ratio, ascending.
+    fn sorted_cost_ratios(&self) -> Vec<f64> {
         let mut ratios: Vec<f64> = self.scenarios.iter().map(|s| s.cost_ratio).collect();
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("cost ratios are finite"));
-        let n = ratios.len();
-        // Nearest rank is ⌈q·n⌉, but the product must be snapped to the
-        // grid first: 0.95 · 20 evaluates to 19.000000000000004 in f64,
-        // whose raw ceil lands on rank 20 instead of 19.
-        let pos = q * n as f64;
-        let rank = if pos <= pos.floor() + 1e-9 {
-            pos.floor()
-        } else {
-            pos.ceil()
-        } as usize;
-        Some(ratios[rank.clamp(1, n) - 1])
+        // Unstable: equal ratios are interchangeable, and the stable sort
+        // would allocate a scratch buffer as large as the input.
+        ratios.sort_unstable_by(|a, b| a.partial_cmp(b).expect("cost ratios are finite"));
+        ratios
     }
 
     /// Fraction of faulty scenarios the loop *survived* (verdict other
@@ -453,9 +479,10 @@ impl SweepSummary {
     /// Renders the sweep as a Markdown section (deterministic bytes, no
     /// timestamps).
     pub fn render(&self) -> String {
-        let mut s = String::new();
+        let mut s = String::with_capacity(self.rows_capacity(RENDER_ROW_BYTES));
         s.push_str("## Scenario sweep\n\n");
-        s.push_str(&format!(
+        let _ = write!(
+            s,
             "{} scenarios, robustness margin {:.4} (cost ratio bound {:.3}), \
              schedule cache {} hits / {} misses.\n\n",
             self.scenarios.len(),
@@ -463,16 +490,18 @@ impl SweepSummary {
             self.cost_bound_ratio,
             self.cache_hits,
             self.cache_misses
-        ));
+        );
         if let Some(w) = self.worst() {
-            s.push_str(&format!(
-                "Worst scenario: #{} ({}), cost ratio {:.6}.\n",
+            let _ = writeln!(
+                s,
+                "Worst scenario: #{} ({}), cost ratio {:.6}.",
                 w.index, w.label, w.cost_ratio
-            ));
+            );
         }
+        let sorted = self.sorted_cost_ratios();
         for (name, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-            if let Some(v) = self.cost_ratio_quantile(q) {
-                s.push_str(&format!("Cost ratio {name}: {v:.6}\n"));
+            if let Some(v) = nearest_rank(&sorted, q) {
+                let _ = writeln!(s, "Cost ratio {name}: {v:.6}");
             }
         }
         s.push_str(
@@ -480,8 +509,9 @@ impl SweepSummary {
              |---|---|---|---|---|---|---|---|\n",
         );
         for sc in &self.scenarios {
-            s.push_str(&format!(
-                "| {} | {:#018x} | {} | {:.6} | {:.6} | {} | {} | {} |\n",
+            let _ = writeln!(
+                s,
+                "| {} | {:#018x} | {} | {:.6} | {:.6} | {} | {} | {} |",
                 sc.index,
                 sc.seed,
                 sc.label,
@@ -490,23 +520,25 @@ impl SweepSummary {
                 sc.makespan_ns,
                 sc.worst_actuation_ns,
                 sc.overruns
-            ));
+            );
         }
         if !self.degradations.is_empty() {
             s.push_str("\n### Fault degradation\n\n");
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 "{} faulty scenarios, survivable fraction {:.4}.\n\n",
                 self.degradations.len(),
                 self.survivable_fraction().unwrap_or(0.0)
-            ));
+            );
             s.push_str(
                 "| # | periods | skipped I | skipped O | overruns | Ls infl ns | \
                  La infl ns | cost ratio | verdict | injected |\n\
                  |---|---|---|---|---|---|---|---|---|---|\n",
             );
             for d in &self.degradations {
-                s.push_str(&format!(
-                    "| {} | {} | {} | {} | {} | {} | {} | {:.6} | {} | {} |\n",
+                let _ = writeln!(
+                    s,
+                    "| {} | {} | {} | {} | {} | {} | {} | {:.6} | {} | {} |",
                     d.index,
                     d.periods,
                     d.skipped_samples,
@@ -517,32 +549,35 @@ impl SweepSummary {
                     d.cost_ratio,
                     d.verdict.as_str(),
                     d.injected.render()
-                ));
+                );
             }
         }
         if let Some(v) = &self.validation {
             s.push_str("\n### Executive cross-validation\n\n");
-            s.push_str(&format!(
+            let _ = writeln!(
+                s,
                 "{} runs validated against the graph of delays: {} exact, \
-                 max divergence {} ns.\n",
+                 max divergence {} ns.",
                 v.validated, v.exact, v.max_divergence_ns
-            ));
+            );
         }
         if let Some(v) = &self.verification {
             s.push_str("\n### Static verification\n\n");
-            s.push_str(&format!(
+            let _ = writeln!(
+                s,
                 "{} schedules verified: {} error(s), {} warning(s), worst \
-                 bound margin {} ns.\n",
+                 bound margin {} ns.",
                 v.verified, v.errors, v.warnings, v.worst_margin_ns
-            ));
+            );
         }
         if let Some(p) = &self.prune {
             s.push_str("\n### Static pruning\n\n");
-            s.push_str(&format!(
+            let _ = writeln!(
+                s,
                 "{} envelopes evaluated: {} pruned safe, {} pruned unsafe, \
-                 {} co-simulated.\n",
+                 {} co-simulated.",
                 p.evaluated, p.pruned_safe, p.pruned_unsafe, p.simulated
-            ));
+            );
         }
         s
     }
@@ -550,8 +585,10 @@ impl SweepSummary {
     /// Renders the sweep as a JSON document (deterministic bytes, no
     /// timestamps; hand-rolled, the workspace has no serialization crate).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!(
+        let mut s = String::with_capacity(self.rows_capacity(JSON_ROW_BYTES));
+        s.push_str("{\n");
+        let _ = write!(
+            s,
             "  \"scenario_count\": {},\n  \"cost_bound_ratio\": {:.6},\n  \
              \"robustness_margin\": {:.6},\n  \"cache_hits\": {},\n  \
              \"cache_misses\": {},\n  \"scenarios\": [\n",
@@ -560,12 +597,13 @@ impl SweepSummary {
             self.robustness_margin(),
             self.cache_hits,
             self.cache_misses
-        ));
+        );
         for (i, sc) in self.scenarios.iter().enumerate() {
-            s.push_str(&format!(
+            let _ = writeln!(
+                s,
                 "    {{\"index\": {}, \"seed\": {}, \"label\": \"{}\", \
                  \"cost\": {:.9}, \"cost_ratio\": {:.9}, \"makespan_ns\": {}, \
-                 \"worst_actuation_ns\": {}, \"overruns\": {}}}{}\n",
+                 \"worst_actuation_ns\": {}, \"overruns\": {}}}{}",
                 sc.index,
                 sc.seed,
                 sc.label,
@@ -579,22 +617,24 @@ impl SweepSummary {
                 } else {
                     ","
                 }
-            ));
+            );
         }
         if self.degradations.is_empty() {
             s.push_str("  ]");
         } else {
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 "  ],\n  \"survivable_fraction\": {:.6},\n  \"degradations\": [\n",
                 self.survivable_fraction().unwrap_or(0.0)
-            ));
+            );
             for (i, d) in self.degradations.iter().enumerate() {
-                s.push_str(&format!(
+                let _ = writeln!(
+                    s,
                     "    {{\"index\": {}, \"periods\": {}, \"skipped_samples\": {}, \
                      \"skipped_actuations\": {}, \"overruns\": {}, \
                      \"ls_inflation_ns\": {}, \"la_inflation_ns\": {}, \
                      \"cost_ratio\": {:.9}, \"verdict\": \"{}\", \
-                     \"injected\": \"{}\"}}{}\n",
+                     \"injected\": \"{}\"}}{}",
                     d.index,
                     d.periods,
                     d.skipped_samples,
@@ -610,33 +650,45 @@ impl SweepSummary {
                     } else {
                         ","
                     }
-                ));
+                );
             }
             s.push_str("  ]");
         }
         if let Some(v) = &self.validation {
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 ",\n  \"validation\": {{\"validated\": {}, \"exact\": {}, \
                  \"max_divergence_ns\": {}}}",
                 v.validated, v.exact, v.max_divergence_ns
-            ));
+            );
         }
         if let Some(v) = &self.verification {
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 ",\n  \"verification\": {{\"verified\": {}, \"errors\": {}, \
                  \"warnings\": {}, \"worst_margin_ns\": {}}}",
                 v.verified, v.errors, v.warnings, v.worst_margin_ns
-            ));
+            );
         }
         if let Some(p) = &self.prune {
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 ",\n  \"prune\": {{\"evaluated\": {}, \"pruned_safe\": {}, \
                  \"pruned_unsafe\": {}, \"simulated\": {}}}",
                 p.evaluated, p.pruned_safe, p.pruned_unsafe, p.simulated
-            ));
+            );
         }
         s.push_str("\n}\n");
         s
+    }
+
+    /// A byte budget for one renderer's headers and scenario rows:
+    /// `row_bytes` per row beyond its label, plus every label, so a
+    /// fault-free document is written without growing. Degradation rows
+    /// are not budgeted.
+    fn rows_capacity(&self, row_bytes: usize) -> usize {
+        let labels: usize = self.scenarios.iter().map(|sc| sc.label.len()).sum();
+        SECTIONS_BYTES + labels + self.scenarios.len() * row_bytes
     }
 }
 

@@ -22,6 +22,7 @@
 //! one pool worker or with sixteen, in one chunk or many.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,7 +31,7 @@ use std::time::Instant;
 use ecl_aaa::{AdequationOptions, DigestMemo, Fnv1a, MappingPolicy, Schedule, TimeNs};
 use ecl_bench::fleet::{
     run_scenario, sweep_bound_ns, FaultAxes, FleetPool, SweepAccumulator, SweepCaches, SweepConfig,
-    SWEEP_BUCKETS,
+    SweepKeys, SWEEP_BUCKETS,
 };
 use ecl_bench::{dc_motor_loop, split_scenario, SplitScenario};
 use ecl_core::cosim::{LoopResult, LoopSpec};
@@ -49,10 +50,25 @@ const KIND_SCHEDULED: &str = "scheduled";
 const KIND_RESPONSES: &str = "responses";
 
 /// One registered deployment case: the split architecture scenario and
-/// the control loop swept over it.
+/// the memo keys of the control loop swept over it, whose per-deployment
+/// halves are hashed once at registration. The keys own their copies of
+/// the loop spec and graphs: jobs run on the resident pool, which only
+/// takes owned work.
 struct Deployment {
-    spec: LoopSpec,
     base: SplitScenario,
+    keys: SweepKeys<'static>,
+}
+
+impl Deployment {
+    fn new(spec: LoopSpec, base: SplitScenario) -> Deployment {
+        let keys = SweepKeys::new(&spec, &base).into_owned();
+        Deployment { base, keys }
+    }
+
+    /// The swept control loop.
+    fn spec(&self) -> &LoopSpec {
+        self.keys.spec.base()
+    }
 }
 
 impl std::fmt::Debug for Deployment {
@@ -171,16 +187,16 @@ impl Engine {
         let mut deployments = HashMap::new();
         deployments.insert(
             "dc_motor".to_string(),
-            Arc::new(Deployment {
-                spec: dc_motor_loop(0.3)?,
-                base: split_scenario(
+            Arc::new(Deployment::new(
+                dc_motor_loop(0.3)?,
+                split_scenario(
                     2,
                     1,
                     TimeNs::from_micros(200),
                     TimeNs::from_micros(50),
                     TimeNs::from_micros(500),
                 )?,
-            }),
+            )),
         );
         let store = match &config.store_dir {
             Some(dir) => Some(DiskStore::open(dir).map_err(|e| CoreError::InvalidInput {
@@ -235,7 +251,7 @@ impl Engine {
         let Some(deployment) = self.deployments.get(&req.case) else {
             return defects;
         };
-        let (ts, horizon) = (deployment.spec.ts, deployment.spec.horizon);
+        let (ts, horizon) = (deployment.spec().ts, deployment.spec().horizon);
         let unfit = |scale: &f64| {
             TimeNs::checked_from_secs_f64(ts * scale).is_none_or(|period| {
                 period <= TimeNs::ZERO || period > TimeNs::from_secs_f64(horizon)
@@ -297,12 +313,13 @@ impl Engine {
                     Policy::Earliest => MappingPolicy::EarliestFinish,
                 },
             };
-            let (schedule, _digest, _hit) = self
-                .caches
-                .schedule
-                .get_or_compute_traced(&base.alg, &base.arch, &base.db, options)?;
+            let (schedule, _digest, _hit) = self.caches.schedule.get_or_compute_traced(
+                &deployment.keys.schedule,
+                &base.db,
+                options,
+            )?;
             for &scale in &req.period_scales {
-                let period = TimeNs::from_secs_f64(deployment.spec.ts * scale);
+                let period = TimeNs::from_secs_f64(deployment.spec().ts * scale);
                 let report = ecl_verify::fault_envelope(
                     &base.alg, &base.arch, &schedule, period, &family, None,
                 );
@@ -372,11 +389,15 @@ impl Engine {
         s.push_str(&summary.to_json());
         s.push('\n');
         let h = hist.summary();
-        s.push_str(&format!(
+        let _ = writeln!(
+            s,
             "actuation_hist count={} min_ns={} max_ns={} mean_ns={:.3} \
-             p50_ns={} p95_ns={} p99_ns={}\n",
+             p50_ns={} p95_ns={} p99_ns={}",
             h.count, h.min_ns, h.max_ns, h.mean_ns, h.p50_ns, h.p95_ns, h.p99_ns
-        ));
+        );
+        // The response memo keeps the payload for the daemon's life, so
+        // it keeps no growth slack either.
+        s.shrink_to_fit();
         s.into_bytes()
     }
 
@@ -453,7 +474,7 @@ impl Engine {
                     reason: format!("unknown deployment case {:?}", req.case),
                 })?;
         let config = Arc::new(self.config_for(req));
-        let bound = sweep_bound_ns(&deployment.spec, &config);
+        let bound = sweep_bound_ns(deployment.spec(), &config);
         let total = config.scenario_count;
         let chunk = if req.chunk == 0 { total } else { req.chunk };
         let epoch = Instant::now();
@@ -473,7 +494,7 @@ impl Engine {
                     // The *global* index drives seeds, labels and trace
                     // prefixes, so chunking cannot perturb a byte.
                     run_scenario(
-                        &deployment.spec,
+                        &deployment.keys,
                         &deployment.base,
                         &config,
                         &caches,
