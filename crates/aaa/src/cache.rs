@@ -9,7 +9,9 @@
 //! [`Fnv1a`] digest of the stage's inputs; [`ScheduleCache`] is that memo
 //! keyed by [`schedule_digest`], so such scenarios skip the scheduler
 //! entirely. [`adequation`] is deterministic, so a cache hit returns a
-//! schedule byte-identical to a fresh run.
+//! schedule byte-identical to a fresh run. A sweep worker reaches each
+//! shared table through its own [`MemoView`], so a repeated lookup
+//! touches only memory the worker owns.
 
 use std::borrow::Cow;
 use std::collections::{hash_map, HashMap};
@@ -201,25 +203,20 @@ impl<'a> ScheduleKey<'a> {
     /// graph state.
     pub fn digest(&self, db: &TimingDb, options: AdequationOptions) -> u64 {
         let mut h = self.graphs.clone();
-        // TimingDb iterates in HashMap order; sort for a canonical digest.
-        let mut defaults: Vec<_> = db.iter_defaults().collect();
-        defaults.sort_by_key(|&(op, _)| op);
-        for (op, t) in defaults {
+        // TimingDb iterates every section in key order, so the digest is
+        // canonical without a sorted copy.
+        for (op, t) in db.iter_defaults() {
             h.write_u64(op.index() as u64);
             h.write_i64(t.as_nanos());
         }
         h.write_u64(u64::MAX); // section separator
-        let mut specific: Vec<_> = db.iter_specific().collect();
-        specific.sort_by_key(|&(op, p, _)| (op, p));
-        for (op, p, t) in specific {
+        for (op, p, t) in db.iter_specific() {
             h.write_u64(op.index() as u64);
             h.write_u64(p.index() as u64);
             h.write_i64(t.as_nanos());
         }
         h.write_u64(u64::MAX);
-        let mut forbidden: Vec<_> = db.iter_forbidden().collect();
-        forbidden.sort();
-        for (op, p) in forbidden {
+        for (op, p) in db.iter_forbidden() {
             h.write_u64(op.index() as u64);
             h.write_u64(p.index() as u64);
         }
@@ -279,6 +276,17 @@ struct Table<V> {
 /// [`computes`](DigestMemo::computes) depend on thread interleaving and
 /// belong in wall-clock profiler sidecars only, never in deterministic
 /// artifacts.
+///
+/// **Two levels.** A sweep worker does not look up here directly but
+/// through its own [`MemoView`]. The view answers the digests it has
+/// already seen from memory the worker owns, with no lock, no shared
+/// counter and no shared `Arc` refcount. Its first lookup of a digest
+/// falls through to [`get_or_compute`](DigestMemo::get_or_compute), so
+/// computing, racing and [`computes`](DigestMemo::computes) are this
+/// table's. The lookups the view answered itself are added to this
+/// table's per-digest counts when the view is
+/// [`flush`](MemoView::flush)ed at the end of the worker's run, so the
+/// counters are exact once every view has been flushed.
 ///
 /// # Examples
 ///
@@ -371,6 +379,19 @@ impl<V> DigestMemo<V> {
         self.lock().map.values().map(|entry| entry.lookups).sum()
     }
 
+    /// Adds lookups a [`MemoView`] answered itself to their digests'
+    /// counts, under one lock acquisition.
+    fn add_lookups(&self, counts: impl IntoIterator<Item = (u64, u64)>) {
+        let mut table = self.lock();
+        for (digest, lookups) in counts {
+            table
+                .map
+                .get_mut(&digest)
+                .expect("a viewed digest stays resident")
+                .lookups += lookups;
+        }
+    }
+
     /// Racing double-computes: lookups that observed a local miss beyond
     /// the first of their digest. The losers' values were discarded —
     /// pure wasted work. Interleaving-dependent: sidecar-only.
@@ -446,6 +467,116 @@ impl<V> DigestMemo<V> {
     /// `true` when nothing is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// A value lent by a [`MemoView`]: a handle of the view's own on the
+/// shared table's `Arc`. Cloning and dropping it moves only the outer
+/// refcount, which lives in memory the view's worker owns.
+pub type Lent<V> = Arc<Arc<V>>;
+
+/// One worker's view of a shared [`DigestMemo`]: the digests this
+/// worker has already looked up, each with the value it was lent.
+///
+/// A lookup of a digest the view holds reads only the view's own map
+/// and bumps the view's own count. It takes no lock, writes no shared
+/// counter and moves no shared refcount, so workers answering the same
+/// hot keys touch no cache line another worker writes. A lookup the
+/// view cannot answer falls through to
+/// [`DigestMemo::get_or_compute`] unchanged (compute outside the lock,
+/// races, [`computes`](DigestMemo::computes)), and the view keeps the
+/// value it returns. Failures are cached in neither.
+///
+/// The view's own lookups reach the shared per-digest counts only when
+/// [`flush`](MemoView::flush) adds them, so
+/// [`hits`](DigestMemo::hits)/[`misses`](DigestMemo::misses)/[`lookups`](DigestMemo::lookups)
+/// are exact once every view of the table has been flushed. They are
+/// then the same order-invariant totals direct lookups give.
+///
+/// # Examples
+///
+/// ```
+/// use ecl_aaa::{DigestMemo, MemoView};
+/// let memo: DigestMemo<u64> = DigestMemo::new();
+/// let mut view = MemoView::new();
+/// for _ in 0..3 {
+///     view.get_or_compute(&memo, 7, || Ok::<_, ()>(70)).unwrap();
+/// }
+/// // Only the first lookup reached the shared table.
+/// assert_eq!(memo.lookups(), 1);
+/// view.flush(&memo);
+/// assert_eq!((memo.hits(), memo.misses(), memo.lookups()), (2, 1, 3));
+/// ```
+#[derive(Debug)]
+pub struct MemoView<V> {
+    map: HashMap<u64, Viewed<V>>,
+}
+
+/// One digest a [`MemoView`] holds.
+#[derive(Debug)]
+struct Viewed<V> {
+    value: Lent<V>,
+    /// Lookups the view answered itself, not yet added to the table.
+    lookups: u64,
+}
+
+impl<V> Default for MemoView<V> {
+    fn default() -> Self {
+        MemoView {
+            map: HashMap::new(),
+        }
+    }
+}
+
+impl<V> MemoView<V> {
+    /// An empty view.
+    pub fn new() -> Self {
+        MemoView::default()
+    }
+
+    /// The value under `key`: from the view when it holds the digest,
+    /// otherwise from `memo` (see [`DigestMemo::get_or_compute`]). Also
+    /// returns whether *this* lookup was answered without computing, a
+    /// sidecar-only observation like the memo's own flag.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `compute` errors; failures are cached in neither the
+    /// view nor the table.
+    pub fn get_or_compute<E>(
+        &mut self,
+        memo: &DigestMemo<V>,
+        key: u64,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(Lent<V>, bool), E> {
+        match self.map.entry(key) {
+            hash_map::Entry::Occupied(mut slot) => {
+                let viewed = slot.get_mut();
+                viewed.lookups += 1;
+                Ok((Arc::clone(&viewed.value), true))
+            }
+            hash_map::Entry::Vacant(slot) => {
+                let (value, hit) = memo.get_or_compute(key, compute)?;
+                let value = Arc::new(value);
+                slot.insert(Viewed {
+                    value: Arc::clone(&value),
+                    lookups: 0,
+                });
+                Ok((value, hit))
+            }
+        }
+    }
+
+    /// Adds the lookups this view answered itself to `memo`'s per-digest
+    /// counts. `memo` must be the table every lookup through the view
+    /// fell through to.
+    pub fn flush(self, memo: &DigestMemo<V>) {
+        memo.add_lookups(
+            self.map
+                .into_iter()
+                .filter(|(_, viewed)| viewed.lookups > 0)
+                .map(|(digest, viewed)| (digest, viewed.lookups)),
+        );
     }
 }
 
@@ -525,6 +656,26 @@ impl ScheduleCache {
         let (schedule, hit) = self
             .0
             .get_or_compute(digest, || adequation(&key.alg, &key.arch, db, options))?;
+        Ok((schedule, digest, hit))
+    }
+
+    /// Like [`get_or_compute_traced`](ScheduleCache::get_or_compute_traced),
+    /// looked up through a worker's `view` of this cache.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`adequation`] errors; failures are not cached.
+    pub fn get_or_compute_in(
+        &self,
+        view: &mut MemoView<Schedule>,
+        key: &ScheduleKey<'_>,
+        db: &TimingDb,
+        options: AdequationOptions,
+    ) -> Result<(Lent<Schedule>, u64, bool), AaaError> {
+        let digest = key.digest(db, options);
+        let (schedule, hit) = view.get_or_compute(self, digest, || {
+            adequation(&key.alg, &key.arch, db, options)
+        })?;
         Ok((schedule, digest, hit))
     }
 }
@@ -874,6 +1025,26 @@ mod tests {
         memo
     }
 
+    /// Like [`replay`], but each worker looks up through its own
+    /// [`MemoView`] and flushes it when its share is done.
+    fn replay_viewed(keys: &[u64], threads: usize) -> DigestMemo<u64> {
+        let memo = DigestMemo::new();
+        std::thread::scope(|scope| {
+            for w in 0..threads {
+                let memo = &memo;
+                scope.spawn(move || {
+                    let mut view = MemoView::new();
+                    for &k in keys.iter().skip(w).step_by(threads) {
+                        let (v, _) = view.get_or_compute(memo, k, || Ok::<_, ()>(k)).unwrap();
+                        assert_eq!(**v, k);
+                    }
+                    view.flush(memo);
+                });
+            }
+        });
+        memo
+    }
+
     fn counters(memo: &DigestMemo<u64>) -> (u64, u64, u64) {
         (memo.hits(), memo.misses(), memo.lookups())
     }
@@ -949,6 +1120,60 @@ mod tests {
         assert_eq!((*v, hit), (40, false));
     }
 
+    /// A view answers repeats of a digest itself: N lookups make one
+    /// shared lookup until the flush, which brings the counters to those
+    /// of N direct lookups.
+    #[test]
+    fn view_counts_reach_the_table_on_flush() {
+        const N: u64 = 5;
+        let memo: DigestMemo<u64> = DigestMemo::new();
+        let mut view = MemoView::new();
+        let mut hits = Vec::new();
+        for _ in 0..N {
+            let (v, hit) = view.get_or_compute(&memo, 3, || Ok::<_, ()>(30)).unwrap();
+            assert_eq!(**v, 30);
+            hits.push(hit);
+        }
+        assert_eq!(hits, [false, true, true, true, true]);
+        assert_eq!(memo.lookups(), 1, "the view answered every repeat");
+        assert_eq!(memo.computes(), 1);
+        view.flush(&memo);
+        assert_eq!(memo.lookups(), N);
+        assert_eq!(counters(&memo), counters(&replay(&[3; N as usize], 1)));
+    }
+
+    /// A view falls through on the first lookup of a digest, so a key
+    /// another worker already computed is a local hit without a compute,
+    /// and the lent value is the table's.
+    #[test]
+    fn view_falls_through_to_resident_values() {
+        let memo: DigestMemo<u64> = DigestMemo::new();
+        let (shared, _) = memo.get_or_compute(8, || Ok::<_, ()>(80)).unwrap();
+        let mut view = MemoView::new();
+        let (lent, hit) = view
+            .get_or_compute(&memo, 8, || Err::<u64, _>("must not compute"))
+            .unwrap();
+        assert!(hit);
+        assert!(Arc::ptr_eq(&shared, &lent));
+        view.flush(&memo);
+        assert_eq!((counters(&memo), memo.computes()), ((1, 1, 2), 1));
+    }
+
+    #[test]
+    fn view_failures_are_not_cached() {
+        let memo: DigestMemo<u64> = DigestMemo::new();
+        let mut view = MemoView::new();
+        assert_eq!(
+            view.get_or_compute(&memo, 4, || Err("boom")).map(|_| ()),
+            Err("boom")
+        );
+        assert!(view.map.is_empty() && memo.is_empty());
+        let (v, hit) = view.get_or_compute(&memo, 4, || Ok::<_, &str>(40)).unwrap();
+        assert_eq!((**v, hit), (40, false));
+        view.flush(&memo);
+        assert_eq!(counters(&memo), (0, 1, 1));
+    }
+
     /// Computed entries stay unsaved until marked; an entry whose save
     /// failed (never marked) is offered again.
     #[test]
@@ -969,8 +1194,9 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
 
         /// A random key multiset replayed in a random order on one and
-        /// on four threads yields identical hits/misses/lookups, and a
-        /// serial replay computes exactly once per distinct key.
+        /// on four threads, directly or through flushed per-thread views,
+        /// yields identical hits/misses/lookups, and a serial replay
+        /// computes exactly once per distinct key.
         #[test]
         fn counters_are_worker_count_and_order_invariant(
             keys in proptest::collection::vec(0u64..12, 1..80),
@@ -988,6 +1214,8 @@ mod tests {
             let serial = replay(&keys, 1);
             let parallel = replay(&shuffled, 4);
             proptest::prop_assert_eq!(counters(&serial), counters(&parallel));
+            proptest::prop_assert_eq!(counters(&serial), counters(&replay_viewed(&keys, 1)));
+            proptest::prop_assert_eq!(counters(&serial), counters(&replay_viewed(&shuffled, 4)));
             proptest::prop_assert_eq!(serial.lookups(), keys.len() as u64);
             proptest::prop_assert_eq!(serial.computes(), serial.misses());
             proptest::prop_assert_eq!(serial.races(), 0);

@@ -158,14 +158,10 @@ pub fn to_sdx(project: &Project) -> String {
         );
     }
     s.push_str("end\n\ntiming\n");
-    let mut defaults: Vec<_> = project.timing.iter_defaults().collect();
-    defaults.sort_by_key(|&(o, _)| o);
-    for (op, t) in defaults {
+    for (op, t) in project.timing.iter_defaults() {
         let _ = writeln!(s, "  default {} = {}", alg.name(op), fmt_duration(t));
     }
-    let mut specific: Vec<_> = project.timing.iter_specific().collect();
-    specific.sort_by_key(|&(o, p, _)| (o, p));
-    for (op, proc, t) in specific {
+    for (op, proc, t) in project.timing.iter_specific() {
         let _ = writeln!(
             s,
             "  wcet {} @ {} = {}",
@@ -174,9 +170,7 @@ pub fn to_sdx(project: &Project) -> String {
             fmt_duration(t)
         );
     }
-    let mut forbidden: Vec<_> = project.timing.iter_forbidden().collect();
-    forbidden.sort();
-    for (op, proc) in forbidden {
+    for (op, proc) in project.timing.iter_forbidden() {
         let _ = writeln!(s, "  forbid {} @ {}", alg.name(op), arch.proc_name(proc));
     }
     s.push_str("end\n");

@@ -1,6 +1,6 @@
 //! Worst-case execution time characterization.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ecl_sim::TimeNs;
 
@@ -14,6 +14,9 @@ use crate::AaaError;
 /// Lookups fall back from the `(op, processor)`-specific entry to the
 /// operation's default; an operation with neither on a given processor
 /// *cannot execute there* (heterogeneity / placement constraints).
+///
+/// Every section is kept in key order, so the iterators walk it in a
+/// canonical order and a digest of the table needs no sorted copy.
 ///
 /// # Examples
 ///
@@ -32,10 +35,10 @@ use crate::AaaError;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TimingDb {
-    specific: HashMap<(OpId, ProcId), TimeNs>,
-    default: HashMap<OpId, TimeNs>,
+    specific: BTreeMap<(OpId, ProcId), TimeNs>,
+    default: BTreeMap<OpId, TimeNs>,
     /// Processors on which an operation is explicitly forbidden.
-    forbidden: HashMap<(OpId, ProcId), ()>,
+    forbidden: BTreeSet<(OpId, ProcId)>,
 }
 
 impl TimingDb {
@@ -69,14 +72,14 @@ impl TimingDb {
     /// Forbids executing `op` on `proc` (placement constraint), regardless
     /// of defaults.
     pub fn forbid(&mut self, op: OpId, proc: ProcId) {
-        self.forbidden.insert((op, proc), ());
+        self.forbidden.insert((op, proc));
         self.specific.remove(&(op, proc));
     }
 
     /// The WCET of `op` on `proc`, or `None` if the operation cannot
     /// execute there.
     pub fn wcet(&self, op: OpId, proc: ProcId) -> Option<TimeNs> {
-        if self.forbidden.contains_key(&(op, proc)) {
+        if self.forbidden.contains(&(op, proc)) {
             return None;
         }
         self.specific
@@ -85,21 +88,21 @@ impl TimingDb {
             .copied()
     }
 
-    /// Iterates over the per-`(op, processor)` overrides, in unspecified
-    /// order.
+    /// Iterates over the per-`(op, processor)` overrides, in ascending
+    /// `(op, processor)` order.
     pub fn iter_specific(&self) -> impl Iterator<Item = (OpId, ProcId, TimeNs)> + '_ {
         self.specific.iter().map(|(&(o, p), &t)| (o, p, t))
     }
 
-    /// Iterates over the per-operation defaults, in unspecified order.
+    /// Iterates over the per-operation defaults, in ascending op order.
     pub fn iter_defaults(&self) -> impl Iterator<Item = (OpId, TimeNs)> + '_ {
         self.default.iter().map(|(&o, &t)| (o, t))
     }
 
     /// Iterates over the forbidden `(op, processor)` placements, in
-    /// unspecified order.
+    /// ascending `(op, processor)` order.
     pub fn iter_forbidden(&self) -> impl Iterator<Item = (OpId, ProcId)> + '_ {
-        self.forbidden.keys().copied()
+        self.forbidden.iter().copied()
     }
 
     /// The smallest WCET of `op` over the given processors, or an error if

@@ -9,14 +9,14 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecl_aaa::{adequation, AdequationOptions, TimeNs};
 use ecl_bench::fleet::{
-    run_scenario, sweep_bound_ns, SweepAccumulator, SweepCaches, SweepConfig, SweepKeys,
-    SWEEP_BUCKETS,
+    map_indexed_with, run_scenario, sweep_bound_ns, Lane, SweepAccumulator, SweepCaches,
+    SweepConfig, SweepKeys, SWEEP_BUCKETS,
 };
 use ecl_bench::{dc_motor_loop, split_scenario};
 use ecl_core::cosim;
 use ecl_core::delays::{self, DelayGraphConfig};
 use ecl_sim::Model;
-use ecl_telemetry::{Histogram, WorkerProfile};
+use ecl_telemetry::Histogram;
 
 fn bench_ideal(c: &mut Criterion) {
     ideal_case(c, "cosim_ideal_1s", 1.0);
@@ -125,11 +125,25 @@ fn scheduled_case(c: &mut Criterion, name: &str, horizon_s: f64, timings: [TimeN
 }
 
 /// The fleet's hot path (`ecl-benchmark`'s `sweep_hot`, 2 000
-/// scenarios on one worker): exp17's deployment with the default axes
-/// (96 memo keys) and both memos on, warmed by one untimed pass, so each
-/// iteration derives, looks up, measures, folds and renders 2 000
-/// scenarios without co-simulating.
+/// scenarios on one lane of `run_sweep`'s pool): exp17's deployment
+/// with the default axes (96 memo keys) and both memos on, warmed by one
+/// untimed pass, so each iteration derives, looks up, measures, folds
+/// and renders 2 000 scenarios without co-simulating.
 fn bench_fleet_hot_2k(c: &mut Criterion) {
+    fleet_hot_case(c, "fleet_hot_2k", 1);
+}
+
+/// The same hot path on two lanes sharing the warm memos, as a
+/// two-worker sweep runs it. Each lane answers its repeats from its own
+/// views, so beside `fleet_hot_2k` this case shows what the second
+/// worker costs or saves, and a regression in cross-worker sharing.
+fn bench_fleet_hot_2k_w2(c: &mut Criterion) {
+    fleet_hot_case(c, "fleet_hot_2k_w2", 2);
+}
+
+/// Benches 2 000 hot scenarios on `workers` lanes, as `run_sweep` runs
+/// them, over memo tables shared across iterations.
+fn fleet_hot_case(c: &mut Criterion, name: &str, workers: usize) {
     let spec = dc_motor_loop(0.05).expect("valid");
     let base = split_scenario(
         2,
@@ -149,19 +163,26 @@ fn bench_fleet_hot_2k(c: &mut Criterion) {
     let caches = SweepCaches::new();
     let bound = sweep_bound_ns(&spec, &config);
     let sweep = || {
-        let mut wp = WorkerProfile::new(0, Instant::now(), false);
-        let mut scratch = Histogram::new(bound, SWEEP_BUCKETS);
+        let epoch = Instant::now();
+        let (records, lanes) = map_indexed_with(
+            config.scenario_count,
+            workers,
+            |worker| Lane::new(worker, epoch, false, bound),
+            |i, lane: &mut Lane| run_scenario(&keys, &base, &config, &caches, i, lane),
+        );
+        let mut merged = Histogram::new(bound, SWEEP_BUCKETS);
+        for lane in lanes {
+            lane.finish(&caches, &mut merged);
+        }
         let mut acc = SweepAccumulator::new(&config);
-        for i in 0..config.scenario_count {
-            acc.push(
-                run_scenario(&keys, &base, &config, &caches, i, &mut wp, &mut scratch).expect("ok"),
-            );
+        for record in records {
+            acc.push(record.expect("ok"));
         }
         let (summary, _) = acc.finish();
         (summary.render(), summary.to_json())
     };
     sweep();
-    c.bench_function("fleet_hot_2k", |bench| bench.iter(sweep));
+    c.bench_function(name, |bench| bench.iter(sweep));
 }
 
 criterion_group!(
@@ -171,6 +192,7 @@ criterion_group!(
     bench_delay_graph_build,
     bench_scheduled,
     bench_scheduled_exp17,
-    bench_fleet_hot_2k
+    bench_fleet_hot_2k,
+    bench_fleet_hot_2k_w2
 );
 criterion_main!(benches);

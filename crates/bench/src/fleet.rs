@@ -25,6 +25,13 @@
 //! and build the scenario's loop spec only when a co-simulation actually
 //! runs, so the hit path clones no spec.
 //!
+//! Each worker owns a [`Lane`]: its profile buffer, its scratch
+//! histogram and a [`MemoView`] in front of each of the four shared
+//! memos. A lookup the lane has already made is answered from the
+//! lane's own view, so the hot path of a memo-bound sweep takes no lock
+//! and writes no cache line another worker reads; the views add their
+//! lookup counts to the shared tables when the lane finishes.
+//!
 //! With [`SweepConfig::profile`] the sweep additionally records where its
 //! wall time goes: each worker fills a private [`WorkerProfile`] with
 //! per-scenario phase spans (no shared-state writes on the hot path), and
@@ -41,8 +48,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ecl_aaa::{
-    codegen, AdequationOptions, DigestMemo, Fnv1a, MappingPolicy, Schedule, ScheduleCache,
-    ScheduleKey, TimeNs, TimingDb,
+    codegen, AdequationOptions, DigestMemo, Fnv1a, Lent, MappingPolicy, MemoView, Schedule,
+    ScheduleCache, ScheduleKey, TimeNs, TimingDb,
 };
 use ecl_core::cosim::{
     self, Activation, IdealRunCache, LoopAt, LoopKey, LoopResult, LoopSpec, ScheduledRunCache,
@@ -375,14 +382,10 @@ impl Scenario {
             TimeNs::from_nanos(((t.as_nanos() as f64 * f).round() as i64).max(1))
         };
         let mut db = base.db.clone();
-        let mut defaults: Vec<_> = base.db.iter_defaults().collect();
-        defaults.sort_by_key(|&(op, _)| op);
-        for (op, t) in defaults {
+        for (op, t) in base.db.iter_defaults() {
             db.set_default(op, scale(t, self.wcet_factors[op.index()]));
         }
-        let mut specific: Vec<_> = base.db.iter_specific().collect();
-        specific.sort_by_key(|&(op, p, _)| (op, p));
-        for (op, p, t) in specific {
+        for (op, p, t) in base.db.iter_specific() {
             db.set(op, p, scale(t, self.wcet_factors[op.index()]));
         }
         db
@@ -432,26 +435,28 @@ pub struct SweepOutput {
     /// profiling is off. The only sweep output carrying wall-clock
     /// readings.
     pub profile: Option<ProfileReport>,
-    /// Ideal-run memo lookups answered from the cache
-    /// ([`DigestMemo::hits`] — digest-derived, worker-count
-    /// invariant). Carried beside the summary, never inside it: the
-    /// summary's rendered bytes predate the memo and must stay
-    /// byte-identical, so these counters belong to experiment sidecars.
+    /// Ideal-run memo lookups beyond the first of their digest
+    /// ([`DigestMemo::hits`], read after every [`Lane`] has flushed its
+    /// views — digest-derived, worker-count invariant). Carried beside
+    /// the summary, never inside it: the summary's rendered bytes
+    /// predate the memo and must stay byte-identical, so these counters
+    /// belong to experiment sidecars.
     pub ideal_hits: u64,
     /// Distinct ideal runs actually simulated ([`DigestMemo::misses`]).
     pub ideal_misses: u64,
-    /// Scheduled-run memo lookups answered from the cache
-    /// ([`DigestMemo::hits`] — digest-derived, worker-count
-    /// invariant). Same sidecar contract as [`SweepOutput::ideal_hits`]:
-    /// beside the summary, never inside it.
+    /// Scheduled-run memo lookups beyond the first of their digest
+    /// ([`DigestMemo::hits`], after the flush, like
+    /// [`SweepOutput::ideal_hits`]). Same sidecar contract: beside the
+    /// summary, never inside it.
     pub scheduled_hits: u64,
     /// Distinct `(loop × schedule × fault-plan)` co-simulations actually
     /// run ([`DigestMemo::misses`]).
     pub scheduled_misses: u64,
-    /// Report-memo lookups answered from the cache ([`DigestMemo::hits`]
-    /// — digest-derived, worker-count invariant). Same sidecar contract
-    /// as [`SweepOutput::ideal_hits`]: beside the summary, never inside
-    /// it. Zero unless [`SweepConfig::memoize_reports`] is set.
+    /// Report-memo lookups beyond the first of their digest
+    /// ([`DigestMemo::hits`], after the flush, like
+    /// [`SweepOutput::ideal_hits`]). Same sidecar contract: beside the
+    /// summary, never inside it. Zero unless
+    /// [`SweepConfig::memoize_reports`] is set.
     pub report_hits: u64,
     /// Distinct `(run digest, bound)` report extractions actually
     /// performed ([`DigestMemo::misses`]).
@@ -874,6 +879,65 @@ impl<'a> SweepKeys<'a> {
     }
 }
 
+/// One worker's private state for a run of scenarios over one
+/// [`SweepCaches`]: its profile buffer, its scratch actuation histogram
+/// (at the [`sweep_bound_ns`]/[`SWEEP_BUCKETS`] shape) and its
+/// [`MemoView`] of each of the four memos. [`run_scenario`] records
+/// into it and looks up through it; nothing in it is shared, so a
+/// lookup the lane has already made touches no other worker's memory.
+///
+/// [`finish`](Lane::finish) hands the lane's contributions back: the
+/// histogram is merged and the views' lookup counts are added to the
+/// shared tables, so the tables' counters are exact once every lane of
+/// a run has finished.
+#[derive(Debug)]
+pub struct Lane {
+    profile: WorkerProfile,
+    scratch: Histogram,
+    schedule: MemoView<Schedule>,
+    ideal: MemoView<LoopResult>,
+    scheduled: MemoView<LoopResult>,
+    reports: MemoView<ReportEntry>,
+}
+
+impl Lane {
+    /// The state of pool worker `worker`, profiling (when `profile` is
+    /// set) against the run's shared `epoch`, with a scratch histogram
+    /// of bound `bound_ns` ([`sweep_bound_ns`]).
+    pub fn new(worker: usize, epoch: Instant, profile: bool, bound_ns: i64) -> Lane {
+        Lane {
+            profile: WorkerProfile::new(worker, epoch, profile),
+            scratch: Histogram::new(bound_ns, SWEEP_BUCKETS),
+            schedule: MemoView::new(),
+            ideal: MemoView::new(),
+            scheduled: MemoView::new(),
+            reports: MemoView::new(),
+        }
+    }
+
+    /// Runs `f` as one claimed task of the lane's profile (see
+    /// [`WorkerProfile::note_task`]).
+    pub fn task<R>(&mut self, f: impl FnOnce(&mut Lane) -> R) -> R {
+        let start = self.profile.now_ns();
+        let r = f(self);
+        let end = self.profile.now_ns();
+        self.profile.note_task(start, end);
+        r
+    }
+
+    /// Merges the scratch histogram into `merged`, adds the views'
+    /// lookup counts to `caches` (the tables every lookup of the lane
+    /// went to) and returns the profile buffer.
+    pub fn finish(self, caches: &SweepCaches, merged: &mut Histogram) -> WorkerProfile {
+        merged.merge(&self.scratch);
+        self.schedule.flush(&caches.schedule);
+        self.ideal.flush(&caches.ideal);
+        self.scheduled.flush(&caches.scheduled);
+        self.reports.flush(&caches.reports);
+        self.profile
+    }
+}
+
 /// Folds [`ScenarioRecord`]s — **in index order** — into the
 /// deterministic sweep artifacts: the [`SweepSummary`] and the merged
 /// telemetry stream.
@@ -1010,15 +1074,16 @@ impl SweepAccumulator {
 
 /// One untraced graph-of-delays co-simulation with its profile spans.
 /// With [`SweepConfig::memoize_scheduled`] the lookup goes through the
-/// shared [`ScheduledRunCache`] and reports on the profiler's memo
-/// channel; without it the co-simulation runs fresh — the pre-memo
-/// fleet pipeline, kept for baseline benchmarks and for the
+/// lane's view of the shared [`ScheduledRunCache`] and reports on the
+/// profiler's memo channel; without it the co-simulation runs fresh —
+/// the pre-memo fleet pipeline, kept for baseline benchmarks and for the
 /// byte-identity tests that pin the memoized artifacts against it.
 ///
 /// A run's measured synthesis/simulation split becomes two back-to-back
-/// spans; a memo hit charges the lookup itself (key + lock + `Arc`
-/// clone) to the co-simulation phase, so the profile shows what the memo
-/// reduced the phase *to* rather than dropping the time on the floor.
+/// spans; a memo hit charges the lookup itself (the run key and a
+/// lookup in the lane's own view) to the co-simulation phase, so the
+/// profile shows what the memo reduced the phase *to* rather than
+/// dropping the time on the floor.
 ///
 /// Returns the run with its [`cosim::scheduled_run_digest`], which the
 /// report memo keys on.
@@ -1026,6 +1091,7 @@ impl SweepAccumulator {
 fn scheduled_cosim(
     config: &SweepConfig,
     scheduled_memo: &ScheduledRunCache,
+    view: &mut MemoView<LoopResult>,
     at: LoopAt<'_>,
     base: &SplitScenario,
     schedule: &Schedule,
@@ -1033,12 +1099,20 @@ fn scheduled_cosim(
     plan: Option<&FaultPlan>,
     index: usize,
     wp: &mut WorkerProfile,
-) -> Result<(Arc<LoopResult>, u64), CoreError> {
+) -> Result<(Lent<LoopResult>, u64), CoreError> {
     let t0 = wp.now_ns();
     let (run, key, hit, phases) = if config.memoize_scheduled {
         let (alg, io, arch) = (&base.alg, &base.io, &base.arch);
-        let (run, key, hit, phases) =
-            scheduled_memo.get_or_run_at(at, alg, io, schedule, arch, schedule_digest, plan)?;
+        let (run, key, hit, phases) = scheduled_memo.get_or_run_at(
+            view,
+            at,
+            alg,
+            io,
+            schedule,
+            arch,
+            schedule_digest,
+            plan,
+        )?;
         wp.memo_event(index, key, hit);
         (run, key, hit, phases)
     } else {
@@ -1046,7 +1120,7 @@ fn scheduled_cosim(
         let activation =
             Activation::scheduled(&base.alg, &base.io, schedule, &base.arch, plan.cloned());
         let (run, phases) = cosim::simulate(&at.spec(), activation, &mut Collector::noop(), "")?;
-        (Arc::new(run), key, false, phases)
+        (Lent::new(Arc::new(run)), key, false, phases)
     };
     if hit {
         let end = wp.now_ns();
@@ -1064,7 +1138,7 @@ fn scheduled_cosim(
 /// extracted, or shared out of the [`ReportCache`].
 enum ScenarioReport {
     Fresh(LatencyReport),
-    Cached(Arc<ReportEntry>),
+    Cached(Lent<ReportEntry>),
 }
 
 impl ScenarioReport {
@@ -1112,24 +1186,28 @@ fn build_report_entry(
 /// [`SweepConfig::memoize_scheduled`], untraced co-simulations are
 /// answered by the shared [`ScheduledRunCache`] keyed on the
 /// `(loop × schedule × fault-plan)` digest — two scenarios that price
-/// to the same key share one simulation and clone the `Arc`. A scenario with fault rates
+/// to the same key share one simulation. Every memo lookup goes through
+/// the `lane`'s view of its table, so a key the lane has seen before is
+/// answered from the lane's own memory. A scenario with fault rates
 /// also runs its fault-free twin on the same schedule and returns the
 /// degradation delta between the two. With
 /// [`SweepConfig::validate_executive`] it additionally executes the
 /// generated executives on the virtual machine and returns
 /// `(is_exact, max divergence ns)` against the delay-graph prediction.
 ///
-/// Every stage is wrapped in a [`WorkerProfile`] phase; with profiling
-/// off the wrappers are branch-only no-ops and the computation is the
-/// same expression either way, so results cannot depend on the flag.
+/// Every stage is wrapped in a phase of the lane's [`WorkerProfile`];
+/// with profiling off the wrappers are branch-only no-ops and the
+/// computation is the same expression either way, so results cannot
+/// depend on the flag.
 ///
-/// `scratch` is the worker's reused actuation histogram (created once
-/// per worker at the [`sweep_bound_ns`]/[`SWEEP_BUCKETS`] shape): the
-/// scenario's latencies are recorded (or, on a report-memo hit, merged)
-/// into it in place, so the hot loop allocates no per-scenario
-/// histograms. `index` is a *global* scenario index — seeds, labels and
-/// trace prefixes derive from it — which is how a daemon shards one
-/// logical sweep into chunks without perturbing a single byte.
+/// The scenario's latencies are recorded (or, on a report-memo hit,
+/// merged) into the lane's scratch histogram in place, so the hot loop
+/// allocates no per-scenario histograms. A lane serves one `caches`
+/// for its whole life: its views fall through to those tables and
+/// [`Lane::finish`] flushes into them. `index` is a *global* scenario
+/// index — seeds, labels and trace prefixes derive from it — which is
+/// how a daemon shards one logical sweep into chunks without perturbing
+/// a single byte.
 ///
 /// `keys` are the per-deployment key halves of the swept spec and of
 /// `base`'s graphs ([`SweepKeys::new`]). The scenario's loop spec is
@@ -1142,9 +1220,16 @@ pub fn run_scenario(
     config: &SweepConfig,
     caches: &SweepCaches,
     index: usize,
-    wp: &mut WorkerProfile,
-    scratch: &mut Histogram,
+    lane: &mut Lane,
 ) -> Result<ScenarioRecord, CoreError> {
+    let Lane {
+        profile: wp,
+        scratch,
+        schedule: schedule_view,
+        ideal: ideal_view,
+        scheduled: scheduled_view,
+        reports: report_view,
+    } = lane;
     let spec = keys.spec.base();
     let (scenario, db) = wp.phase(index, Phase::Derive, |_| {
         let scenario = Scenario::derive(config, base, index);
@@ -1157,7 +1242,7 @@ pub fn run_scenario(
     let (schedule, digest, hit) = wp.phase(index, Phase::Adequation, |_| {
         caches
             .schedule
-            .get_or_compute_traced(&keys.schedule, &db, options)
+            .get_or_compute_in(schedule_view, &keys.schedule, &db, options)
             .map_err(CoreError::from)
     })?;
     wp.cache_event(index, digest, hit);
@@ -1225,11 +1310,14 @@ pub fn run_scenario(
     // The stroboscopic reference is pure in the scenario's loop spec —
     // which varies only in its period across the sweep — so it is
     // memoized by content digest: one simulation per distinct period,
-    // everything else is an `Arc` clone out of the shared table. The
-    // period's digest, taken here once, keys the scheduled runs too.
+    // everything else is lent by the lane's view of the shared table.
+    // The period's digest, taken here once, keys the scheduled runs too.
     let (at, ideal) = wp.phase(index, Phase::IdealSim, |_| {
         let at = keys.spec.at(ts);
-        caches.ideal.get_or_run_at(at).map(|ideal| (at, ideal))
+        caches
+            .ideal
+            .get_or_run_at(ideal_view, at)
+            .map(|ideal| (at, ideal))
     })?;
     let periods = (spec.horizon / ts).floor().max(1.0) as u32;
     // The plan is a pure function of (config, schedule, arch, periods),
@@ -1248,10 +1336,10 @@ pub fn run_scenario(
             })
         })
         .transpose()?;
-    let untraced_cosim = |plan: Option<&FaultPlan>, wp: &mut WorkerProfile| {
-        let scheduled = &caches.scheduled;
+    let mut untraced_cosim = |plan: Option<&FaultPlan>, wp: &mut WorkerProfile| {
+        let (memo, view) = (&caches.scheduled, &mut *scheduled_view);
         scheduled_cosim(
-            config, scheduled, at, base, &schedule, digest, plan, index, wp,
+            config, memo, view, at, base, &schedule, digest, plan, index, wp,
         )
     };
     // `run_key` is the run's scheduled-run digest, `None` for a traced
@@ -1290,7 +1378,7 @@ pub fn run_scenario(
             }
             Ok::<_, CoreError>((run, tel.into_sink().into_inner()))
         })?;
-        (Arc::new(run), None, None, sink)
+        (Lent::new(Arc::new(run)), None, None, sink)
     } else {
         let (run, key) = untraced_cosim(None, wp)?;
         (run, Some(key), None, RecordingSink::default())
@@ -1312,11 +1400,11 @@ pub fn run_scenario(
             overruns,
         };
         if let Some(run_key) = run_key.filter(|_| config.memoize_reports) {
-            let (entry, _local_hit) = caches
-                .reports
-                .get_or_compute(report_digest(run_key, bound), || {
-                    build_report_entry(&run, lenient, bound)
-                })?;
+            let (entry, _local_hit) = report_view.get_or_compute(
+                &caches.reports,
+                report_digest(run_key, bound),
+                || build_report_entry(&run, lenient, bound),
+            )?;
             scratch.merge(&entry.hist);
             Ok::<_, CoreError>((
                 outcome_for(entry.worst_actuation_ns, entry.overruns),
@@ -1445,33 +1533,24 @@ pub fn run_sweep(
     let caches = SweepCaches::new();
     let keys = SweepKeys::new(spec, base);
     // One shared epoch so every worker's spans share a time base; the
-    // buffers themselves are per-worker state — no hot-path sharing.
+    // lanes themselves are per-worker state — no hot-path sharing.
     let epoch = Instant::now();
     let bound = sweep_bound_ns(spec, config);
-    let (results, buffers) = map_indexed_with(
+    let (results, lanes) = map_indexed_with(
         config.scenario_count,
         config.workers,
-        |worker| {
-            (
-                WorkerProfile::new(worker, epoch, config.profile),
-                Histogram::new(bound, SWEEP_BUCKETS),
-            )
-        },
-        |i, state: &mut (WorkerProfile, Histogram)| {
-            let (wp, scratch) = state;
-            wp.task(|wp| run_scenario(&keys, base, config, &caches, i, wp, scratch))
-        },
+        |worker| Lane::new(worker, epoch, config.profile, bound),
+        |i, lane: &mut Lane| lane.task(|lane| run_scenario(&keys, base, config, &caches, i, lane)),
     );
     let wall_ns = epoch.elapsed().as_nanos() as u64;
     // Bucket sums are commutative and associative, so merging the
     // per-worker scratch histograms (in worker-index order) yields bytes
     // identical to a per-scenario merge for any claim interleaving.
     let mut merged = Histogram::new(bound, SWEEP_BUCKETS);
-    let mut profiles = Vec::with_capacity(buffers.len());
-    for (wp, scratch) in buffers {
-        merged.merge(&scratch);
-        profiles.push(wp);
-    }
+    let profiles: Vec<_> = lanes
+        .into_iter()
+        .map(|lane| lane.finish(&caches, &mut merged))
+        .collect();
     let profile = config
         .profile
         .then(|| ProfileReport::from_workers(wall_ns, profiles));
@@ -2196,11 +2275,9 @@ mod tests {
             ..SweepConfig::default()
         };
         let caches = SweepCaches::new();
-        let mut wp = WorkerProfile::new(0, Instant::now(), false);
-        let mut scratch = Histogram::new(sweep_bound_ns(&spec, &config), SWEEP_BUCKETS);
+        let mut lane = Lane::new(0, Instant::now(), false, sweep_bound_ns(&spec, &config));
         let keys = SweepKeys::new(&spec, &base);
-        let record =
-            run_scenario(&keys, &base, &config, &caches, 0, &mut wp, &mut scratch).unwrap();
+        let record = run_scenario(&keys, &base, &config, &caches, 0, &mut lane).unwrap();
         let digests = |memo: Vec<(u64, Arc<LoopResult>)>| -> Vec<u64> {
             memo.into_iter().map(|(d, _)| d).collect()
         };
@@ -2222,6 +2299,38 @@ mod tests {
         assert_eq!(full, SCHEDULE);
         let ts = spec.ts * scenario.period_scale;
         assert_eq!(cosim::loop_spec_digest(&LoopSpec { ts, ..spec }), LOOP);
+    }
+
+    /// exp17's deployment and axes with both memos on, first 2 000
+    /// scenarios: every memo counter is the same at 1, 2 and 4 workers,
+    /// where each lane answers its repeats from its own views, and equals
+    /// the counts pinned from direct lookups in the shared tables.
+    #[test]
+    fn exp17_memo_counters_survive_lane_views_at_any_worker_count() {
+        let spec = dc_motor_loop(0.05).unwrap();
+        let base = small_base();
+        for workers in [1, 2, 4] {
+            let config = SweepConfig {
+                scenario_count: 2_000,
+                workers,
+                trace_scenarios: 0,
+                memoize_scheduled: true,
+                memoize_reports: true,
+                ..SweepConfig::default()
+            };
+            let out = run_sweep(&spec, &base, &config).unwrap();
+            let counters = [
+                (out.ideal_hits, out.ideal_misses),
+                (out.scheduled_hits, out.scheduled_misses),
+                (out.report_hits, out.report_misses),
+                (out.summary.cache_hits, out.summary.cache_misses),
+            ];
+            assert_eq!(
+                counters,
+                [(1_997, 3), (1_904, 96), (1_904, 96), (1_968, 32)],
+                "{workers} workers"
+            );
+        }
     }
 
     /// The resident-pool sharding a daemon uses — [`FleetPool::run_with`]
@@ -2251,28 +2360,22 @@ mod tests {
         let run_pass = || {
             let epoch = Instant::now();
             let profile_on = config.profile;
-            let (results, buffers) = pool.run_with(
+            let (results, lanes) = pool.run_with(
                 config.scenario_count,
-                move |lane| {
-                    (
-                        WorkerProfile::new(lane, epoch, profile_on),
-                        Histogram::new(bound, SWEEP_BUCKETS),
-                    )
-                },
+                move |worker| Lane::new(worker, epoch, profile_on, bound),
                 {
                     let caches = Arc::clone(&caches);
                     let keys = Arc::clone(&keys);
                     let base = Arc::clone(&base);
                     let config = Arc::clone(&config);
-                    move |i, state: &mut (WorkerProfile, Histogram)| {
-                        let (wp, scratch) = state;
-                        wp.task(|wp| run_scenario(&keys, &base, &config, &caches, i, wp, scratch))
+                    move |i, lane: &mut Lane| {
+                        lane.task(|lane| run_scenario(&keys, &base, &config, &caches, i, lane))
                     }
                 },
             );
             let mut merged = Histogram::new(bound, SWEEP_BUCKETS);
-            for (_wp, scratch) in buffers {
-                merged.merge(&scratch);
+            for lane in lanes {
+                lane.finish(&caches, &mut merged);
             }
             let mut acc = SweepAccumulator::new(&config);
             for result in results {

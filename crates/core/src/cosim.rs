@@ -13,7 +13,10 @@ use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ecl_aaa::{timeline, AlgorithmGraph, ArchitectureGraph, DigestMemo, Fnv1a, Schedule, TimeNs};
+use ecl_aaa::{
+    timeline, AlgorithmGraph, ArchitectureGraph, DigestMemo, Fnv1a, Lent, MemoView, Schedule,
+    TimeNs,
+};
 use ecl_blocks::{add_clock, Constant, DiscreteStateSpace, SampleHold, SampledNoise, StateSpaceCt};
 use ecl_control::metrics;
 use ecl_control::StateSpace;
@@ -1209,21 +1212,32 @@ impl IdealRunCache {
     ///
     /// Propagates [`run_ideal`] errors; failures are not cached.
     pub fn get_or_run(&self, spec: &LoopSpec) -> Result<Arc<LoopResult>, CoreError> {
-        self.get_or_run_at(LoopKey::new(spec).at(spec.ts))
+        let key = LoopKey::new(spec);
+        let at = key.at(spec.ts);
+        self.0
+            .get_or_compute(at.digest(), || Self::run(at))
+            .map(|(result, _)| result)
     }
 
-    /// The ideal run at `at`, looked up by its precomputed digest; the
-    /// spec is built and simulated only on a cache miss.
+    /// The ideal run at `at`, looked up by its precomputed digest through
+    /// a worker's `view` of this memo; the spec is built and simulated
+    /// only on a miss.
     ///
     /// # Errors
     ///
     /// Propagates [`run_ideal`] errors; failures are not cached.
-    pub fn get_or_run_at(&self, at: LoopAt<'_>) -> Result<Arc<LoopResult>, CoreError> {
-        self.0
-            .get_or_compute(at.digest(), || {
-                run_ideal(&at.spec()).map(LoopResult::into_metric_grade)
-            })
+    pub fn get_or_run_at(
+        &self,
+        view: &mut MemoView<LoopResult>,
+        at: LoopAt<'_>,
+    ) -> Result<Lent<LoopResult>, CoreError> {
+        view.get_or_compute(self, at.digest(), || Self::run(at))
             .map(|(result, _)| result)
+    }
+
+    /// The entry a miss at `at` stores.
+    fn run(at: LoopAt<'_>) -> Result<LoopResult, CoreError> {
+        run_ideal(&at.spec()).map(LoopResult::into_metric_grade)
     }
 }
 
@@ -1290,8 +1304,8 @@ impl ScheduledRunCache {
     }
 
     /// The scheduled run for the given inputs, co-simulating only on a
-    /// cache miss: [`get_or_run_at`](ScheduledRunCache::get_or_run_at)
-    /// at `spec`'s own period.
+    /// cache miss: what [`get_or_run_at`](ScheduledRunCache::get_or_run_at)
+    /// returns at `spec`'s own period, looked up directly in the table.
     ///
     /// # Errors
     ///
@@ -1307,27 +1321,26 @@ impl ScheduledRunCache {
         schedule_digest: u64,
         plan: Option<&FaultPlan>,
     ) -> Result<(Arc<LoopResult>, u64, bool, CosimPhases), CoreError> {
-        let key = LoopKey::new(spec);
-        self.get_or_run_at(
-            key.at(spec.ts),
-            alg,
-            io,
-            schedule,
-            arch,
-            schedule_digest,
-            plan,
-        )
+        let loop_key = LoopKey::new(spec);
+        let at = loop_key.at(spec.ts);
+        let key = scheduled_run_digest(at.digest(), schedule_digest, plan);
+        let mut phases = CosimPhases::default();
+        let (result, hit) = self.0.get_or_compute(key, || {
+            Self::run(at, alg, io, schedule, arch, plan, &mut phases)
+        })?;
+        Ok((result, key, hit, phases))
     }
 
     /// The scheduled run of the loop at `at`, looked up by its
-    /// precomputed digest; the spec is built and co-simulated only on a
-    /// cache miss. `plan: None` is the nominal [`run_scheduled`];
-    /// `Some(plan)` is [`run_scheduled_faulty`] (the plan is cloned only
-    /// when a simulation actually runs). `schedule_digest` must be the
+    /// precomputed digest through a worker's `view` of this memo; the
+    /// spec is built and co-simulated only on a miss. `plan: None` is
+    /// the nominal [`run_scheduled`]; `Some(plan)` is
+    /// [`run_scheduled_faulty`] (the plan is cloned only when a
+    /// simulation actually runs). `schedule_digest` must be the
     /// adequation digest of the inputs that produced `schedule`.
     ///
     /// Beside the run, returns its [`scheduled_run_digest`] key, whether
-    /// *this* lookup was answered from the memo, and the run's
+    /// *this* lookup was answered without simulating, and the run's
     /// [`CosimPhases`] (zero on a hit — nothing was simulated). The hit
     /// flag and the phases are wall-clock observations: sidecar-only.
     ///
@@ -1337,6 +1350,7 @@ impl ScheduledRunCache {
     #[allow(clippy::too_many_arguments)]
     pub fn get_or_run_at(
         &self,
+        view: &mut MemoView<LoopResult>,
         at: LoopAt<'_>,
         alg: &AlgorithmGraph,
         io: &IoMap,
@@ -1344,17 +1358,29 @@ impl ScheduledRunCache {
         arch: &ArchitectureGraph,
         schedule_digest: u64,
         plan: Option<&FaultPlan>,
-    ) -> Result<(Arc<LoopResult>, u64, bool, CosimPhases), CoreError> {
+    ) -> Result<(Lent<LoopResult>, u64, bool, CosimPhases), CoreError> {
         let key = scheduled_run_digest(at.digest(), schedule_digest, plan);
         let mut phases = CosimPhases::default();
-        let (result, hit) = self.0.get_or_compute(key, || {
-            let activation = Activation::scheduled(alg, io, schedule, arch, plan.cloned());
-            simulate(&at.spec(), activation, &mut Collector::noop(), "").map(|(result, split)| {
-                phases = split;
-                result.into_metric_grade()
-            })
+        let (result, hit) = view.get_or_compute(self, key, || {
+            Self::run(at, alg, io, schedule, arch, plan, &mut phases)
         })?;
         Ok((result, key, hit, phases))
+    }
+
+    /// The entry a miss stores, with the measured phases of its run.
+    fn run(
+        at: LoopAt<'_>,
+        alg: &AlgorithmGraph,
+        io: &IoMap,
+        schedule: &Schedule,
+        arch: &ArchitectureGraph,
+        plan: Option<&FaultPlan>,
+        phases: &mut CosimPhases,
+    ) -> Result<LoopResult, CoreError> {
+        let activation = Activation::scheduled(alg, io, schedule, arch, plan.cloned());
+        let (result, split) = simulate(&at.spec(), activation, &mut Collector::noop(), "")?;
+        *phases = split;
+        Ok(result.into_metric_grade())
     }
 }
 

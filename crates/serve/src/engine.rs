@@ -30,15 +30,15 @@ use std::time::Instant;
 
 use ecl_aaa::{AdequationOptions, DigestMemo, Fnv1a, MappingPolicy, Schedule, TimeNs};
 use ecl_bench::fleet::{
-    run_scenario, sweep_bound_ns, FaultAxes, FleetPool, SweepAccumulator, SweepCaches, SweepConfig,
-    SweepKeys, SWEEP_BUCKETS,
+    run_scenario, sweep_bound_ns, FaultAxes, FleetPool, Lane, SweepAccumulator, SweepCaches,
+    SweepConfig, SweepKeys, SWEEP_BUCKETS,
 };
 use ecl_bench::{dc_motor_loop, split_scenario, SplitScenario};
 use ecl_core::cosim::{LoopResult, LoopSpec};
 use ecl_core::faults::FaultFamily;
 use ecl_core::report::SweepSummary;
 use ecl_core::CoreError;
-use ecl_telemetry::{Histogram, WorkerProfile};
+use ecl_telemetry::Histogram;
 
 use crate::store::DiskStore;
 use crate::wire::{Policy, RequestDefect, ResponseSource, SweepRequest};
@@ -489,42 +489,32 @@ impl Engine {
                 let deployment = Arc::clone(deployment);
                 let config = Arc::clone(&config);
                 let caches = Arc::clone(&self.caches);
-                move |i: usize, state: &mut (WorkerProfile, Histogram)| {
-                    let (wp, scratch) = state;
+                move |i: usize, lane: &mut Lane| {
                     // The *global* index drives seeds, labels and trace
                     // prefixes, so chunking cannot perturb a byte.
-                    run_scenario(
-                        &deployment.keys,
-                        &deployment.base,
-                        &config,
-                        &caches,
-                        start + i,
-                        wp,
-                        scratch,
-                    )
+                    let (keys, base) = (&deployment.keys, &deployment.base);
+                    run_scenario(keys, base, &config, &caches, start + i, lane)
                 }
             };
-            let (records, states) = self.pool.run_with(
+            let (records, lanes) = self.pool.run_with(
                 count,
-                move |lane| {
-                    (
-                        WorkerProfile::new(lane, epoch, false),
-                        Histogram::new(bound, SWEEP_BUCKETS),
-                    )
-                },
+                move |worker| Lane::new(worker, epoch, false, bound),
                 f,
             );
+            // Lane scratches merge in lane order; histogram merging is
+            // commutative and associative, so chunk x lane slicing can
+            // never show through the merged bytes. The lanes' lookup
+            // counts reach the shared tables here, before a failed
+            // scenario can end the job, so the tables' counters are
+            // exact between chunks.
+            for lane in lanes {
+                lane.finish(&self.caches, &mut merged);
+            }
             for record in records {
                 let record = record?;
                 worst = worst.max(record.outcome.worst_actuation_ns);
                 overruns += record.outcome.overruns as u64;
                 acc.push(record);
-            }
-            // Lane scratches merge in lane order; histogram merging is
-            // commutative and associative, so chunk x lane slicing can
-            // never show through the merged bytes.
-            for (_, scratch) in states {
-                merged.merge(&scratch);
             }
             start += count;
             progress(start, total, worst, overruns);
@@ -574,5 +564,56 @@ impl Engine {
             out.push(("store_corrupt".into(), store.corrupt_seen()));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Total lookups of each of the four shared tables, in
+    /// [`SweepCaches`] field order.
+    fn lookups(engine: &Engine) -> [u64; 4] {
+        let caches = &engine.caches;
+        [
+            caches.schedule.lookups(),
+            caches.ideal.lookups(),
+            caches.scheduled.lookups(),
+            caches.reports.lookups(),
+        ]
+    }
+
+    /// Sharding a job into 16-scenario chunks finishes a set of lanes
+    /// per chunk, each flushing its own views; one unsharded pass
+    /// finishes one set. Both leave the same payload bytes and the same
+    /// lookup totals on every table.
+    #[test]
+    fn chunking_leaves_payload_and_table_lookups_unchanged() {
+        let run = |chunk: usize| {
+            let engine = Engine::new(EngineConfig {
+                workers: 2,
+                store_dir: None,
+            })
+            .unwrap();
+            let req = SweepRequest {
+                seed: 0xc4a_0016,
+                scenarios: 64,
+                chunk,
+                period_scales: vec![1.0, 1.25],
+                frame_loss: vec![0.0, 0.25],
+                ..SweepRequest::default()
+            };
+            let report = engine.run_job(&req, |_, _, _, _| {}).unwrap();
+            (report.payload, lookups(&engine))
+        };
+        let (chunked, chunked_lookups) = run(16);
+        let (whole, whole_lookups) = run(0);
+        assert_eq!(chunked, whole);
+        assert_eq!(chunked_lookups, whole_lookups);
+        // Every scenario looked each table up once, and the faulty ones
+        // the scheduled-run table twice.
+        let [schedule, ideal, scheduled, reports] = whole_lookups;
+        assert_eq!([schedule, ideal, reports], [64; 3]);
+        assert!(scheduled > 64, "{whole_lookups:?}");
     }
 }

@@ -207,22 +207,9 @@ impl WorkerProfile {
         }
     }
 
-    /// Runs `f` as one claimed task: counts it and adds its wall time to
-    /// the busy total. Phases recorded inside nest within the window.
-    pub fn task<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        if !self.enabled {
-            return f(self);
-        }
-        let start = self.now_ns();
-        let r = f(self);
-        let end = self.now_ns();
-        self.note_task(start, end);
-        r
-    }
-
-    /// Records a pre-measured task window (the raw form of [`task`]).
-    ///
-    /// [`task`]: WorkerProfile::task
+    /// Records one claimed task's window: counts the task and adds its
+    /// wall time to the busy total. Phases recorded inside it nest
+    /// within the window.
     pub fn note_task(&mut self, start_ns: u64, end_ns: u64) {
         if !self.enabled {
             return;
@@ -754,13 +741,12 @@ mod tests {
     fn disabled_buffer_records_nothing() {
         let mut wp = WorkerProfile::new(0, Instant::now(), false);
         assert_eq!(wp.now_ns(), 0);
-        let v = wp.task(|wp| {
-            wp.phase(0, Phase::Adequation, |wp| {
-                wp.cache_event(0, 42, true);
-                wp.push_span(0, Phase::Cosim, 0, 10);
-                7
-            })
+        let v = wp.phase(0, Phase::Adequation, |wp| {
+            wp.cache_event(0, 42, true);
+            wp.push_span(0, Phase::Cosim, 0, 10);
+            7
         });
+        wp.note_task(0, 10);
         assert_eq!(v, 7);
         assert_eq!(wp.tasks(), 0);
         assert_eq!(wp.busy_ns(), 0);
@@ -774,12 +760,13 @@ mod tests {
     #[test]
     fn enabled_buffer_nests_phases_inside_tasks() {
         let mut wp = WorkerProfile::new(0, Instant::now(), true);
-        let v = wp.task(|wp| {
-            wp.phase(3, Phase::Adequation, |wp| {
-                wp.cache_event(3, 0xabc, false);
-                1 + 1
-            })
+        let start = wp.now_ns();
+        let v = wp.phase(3, Phase::Adequation, |wp| {
+            wp.cache_event(3, 0xabc, false);
+            1 + 1
         });
+        let end = wp.now_ns();
+        wp.note_task(start, end);
         assert_eq!(v, 2);
         assert_eq!(wp.tasks(), 1);
         assert_eq!(wp.spans().len(), 1);
