@@ -12,7 +12,7 @@ use ecl_bench::fleet::{
     map_indexed_with, run_scenario, sweep_bound_ns, Lane, SweepAccumulator, SweepCaches,
     SweepConfig, SweepKeys, SWEEP_BUCKETS,
 };
-use ecl_bench::{dc_motor_loop, split_scenario};
+use ecl_bench::{dc_motor_loop, split_scenario, standard_split};
 use ecl_core::cosim;
 use ecl_core::delays::{self, DelayGraphConfig};
 use ecl_sim::Model;
@@ -145,14 +145,7 @@ fn bench_fleet_hot_2k_w2(c: &mut Criterion) {
 /// them, over memo tables shared across iterations.
 fn fleet_hot_case(c: &mut Criterion, name: &str, workers: usize) {
     let spec = dc_motor_loop(0.05).expect("valid");
-    let base = split_scenario(
-        2,
-        1,
-        TimeNs::from_micros(200),
-        TimeNs::from_micros(50),
-        TimeNs::from_micros(500),
-    )
-    .expect("valid");
+    let base = standard_split().expect("valid");
     let config = SweepConfig {
         scenario_count: 2_000,
         memoize_scheduled: true,

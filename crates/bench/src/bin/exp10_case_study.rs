@@ -10,7 +10,8 @@
 //! carries the lifecycle phase spans plus the co-simulation schedule
 //! slices and latency counters (open in Perfetto / chrome://tracing),
 //! `results/exp10_timeline.{txt,csv}` the static-schedule Gantt, and
-//! `results/BENCH_exp10.json` the per-phase wall-clock breakdown.
+//! `results/timing/BENCH_exp10.json` (untracked) the per-phase
+//! wall-clock breakdown.
 
 use ecl_aaa::{timeline, AdequationOptions, ArchitectureGraph, TimeNs};
 use ecl_bench::{bench_json, table, write_result};
@@ -104,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )?;
             write_result("exp10_trace.json", &trace::chrome_trace(sink.events()))?;
             write_result(
-                "BENCH_exp10.json",
+                "timing/BENCH_exp10.json",
                 &bench_json("exp10", &sink.span_durations()),
             )?;
             rep
@@ -145,6 +146,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("== generated executives ==\n{exec_text}");
     println!("\ntelemetry: results/exp10_timeline.{{txt,csv}}, results/exp10_trace.json,");
-    println!("results/BENCH_exp10.json (initial-deflection workload, fully traced)");
+    println!("results/timing/BENCH_exp10.json (initial-deflection workload, fully traced)");
     Ok(())
 }

@@ -9,19 +9,18 @@
 //!
 //! Two determinism gates hang off this binary:
 //!
-//! * **Worker invariance** — `ECL_FLEET_WORKERS=<n>` runs the sweep on
-//!   exactly `n` workers; the CI gate runs it at 1 and 4 and diffs
-//!   `results/BENCH_exp12.json`, which therefore contains *no*
-//!   wall-clock content. Without the variable, both counts run in-process
-//!   and the binary asserts byte identity itself.
+//! * **Worker invariance** — the sweep runs on 1 worker and then on 4,
+//!   and the binary asserts that both produce the same report and the
+//!   same `results/BENCH_exp12.json`, which therefore contains *no*
+//!   wall-clock content; `scripts/check.sh` diffs both against the
+//!   committed copies.
 //! * **Zero-rate reproduction** — a sweep whose fault axes are all zero
 //!   must reproduce the fault-free E11-MC report byte-for-byte; when
 //!   `results/exp11_monte_carlo.txt` exists (E11 ran earlier), the
 //!   reproduction is diffed against it.
 
-use ecl_aaa::TimeNs;
-use ecl_bench::fleet::{run_sweep, workers_from_env, FaultAxes, SweepConfig, SweepOutput};
-use ecl_bench::{dc_motor_loop, split_scenario, write_result};
+use ecl_bench::fleet::{run_sweep, FaultAxes, SweepConfig, SweepOutput};
+use ecl_bench::{dc_motor_loop, standard_split, worker_invariant, write_result};
 use ecl_core::report::SweepSummary;
 
 /// The E11-MC sweep configuration, reused verbatim for the zero-rate
@@ -50,20 +49,16 @@ fn fault_config(workers: usize) -> SweepConfig {
 }
 
 fn sweep(config: &SweepConfig, horizon: f64) -> Result<SweepOutput, Box<dyn std::error::Error>> {
-    let base = split_scenario(
-        2,
-        1,
-        TimeNs::from_micros(200),
-        TimeNs::from_micros(50),
-        TimeNs::from_micros(500),
-    )?;
-    let spec = dc_motor_loop(horizon)?;
-    Ok(run_sweep(&spec, &base, config)?)
+    Ok(run_sweep(
+        &dc_motor_loop(horizon)?,
+        &standard_split()?,
+        config,
+    )?)
 }
 
 /// The machine-readable artifact. Deliberately free of wall-clock
-/// content *and* of the worker count: the CI gate diffs these bytes
-/// across `ECL_FLEET_WORKERS` values.
+/// content *and* of the worker count: it is compared across worker
+/// counts and diffed against the committed copy.
 fn bench_json(summary: &SweepSummary, e11_reproduced: Option<bool>) -> String {
     format!(
         "{{\"experiment\":\"exp12_fault_sweep\",\
@@ -108,26 +103,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // Gate 1: worker invariance of the faulty sweep.
-    let summary = match workers_from_env()? {
-        Some(workers) => {
-            println!("fault sweep on {workers} worker(s) (ECL_FLEET_WORKERS)");
-            sweep(&fault_config(workers), 0.3)?.summary
-        }
-        None => {
-            let serial = sweep(&fault_config(1), 0.3)?;
-            let parallel = sweep(&fault_config(4), 0.3)?;
-            assert!(
-                serial.summary.render() == parallel.summary.render()
-                    && serial.summary.to_json() == parallel.summary.to_json()
-                    && serial.actuation_hist == parallel.actuation_hist,
-                "1-worker and 4-worker fault sweeps must produce identical bytes"
-            );
-            println!("1-worker vs 4-worker fault sweep: byte-identical");
-            serial.summary
-        }
-    };
-
-    let md = summary.render();
+    let (out, (md, _, _)) = worker_invariant(
+        |workers| sweep(&fault_config(workers), 0.3),
+        |out| {
+            (
+                out.summary.render(),
+                out.summary.to_json(),
+                out.actuation_hist.clone(),
+            )
+        },
+    )?;
+    println!("1-worker vs 4-worker fault sweep: byte-identical");
+    let summary = out.summary;
     println!("{md}");
     println!(
         "{} of {} scenarios injected faults, survivable fraction {}",

@@ -16,101 +16,24 @@
 //!   blocks.
 //!
 //! A fleet sweep with `validate_executive` then repeats the diff over
-//! perturbed DC-motor implementations, and the usual worker-invariance
-//! gate applies: `ECL_FLEET_WORKERS=<n>` runs the sweep on exactly `n`
-//! workers and CI diffs `results/BENCH_exp13.json` across counts, so
-//! the artifact carries no wall-clock content. Without the variable,
-//! both counts run in-process and the binary asserts byte identity.
+//! perturbed DC-motor implementations, on 1 worker and then on 4; the
+//! binary asserts both sweeps produce the same bytes, so
+//! `results/BENCH_exp13.json` carries no wall-clock content and
+//! `scripts/check.sh` diffs it against the committed copy.
 
-use ecl_aaa::{adequation, codegen, AdequationOptions, ArchitectureGraph, Schedule, TimeNs};
-use ecl_bench::fleet::{run_sweep, workers_from_env, FaultAxes, SweepConfig, SweepOutput};
-use ecl_bench::{dc_motor_loop, split_scenario, write_result};
-use ecl_control::plants;
-use ecl_core::faults::{CommFault, FaultConfig, FaultPlan};
-use ecl_core::translate::{uniform_timing, ControlLawSpec};
+use ecl_aaa::{codegen, ArchitectureGraph, Schedule, TimeNs};
+use ecl_bench::fleet::{run_sweep, FaultAxes, SweepConfig};
+use ecl_bench::{
+    dc_motor_loop, quarter_car_case, retries_only_plan, standard_split, worker_invariant,
+    write_result,
+};
+use ecl_core::faults::FaultPlan;
 use ecl_core::xval;
 use ecl_exec::ExecOptions;
 
 /// How many control periods the executives run for (>= 50 per the
 /// experiment's acceptance bar).
 const PERIODS: u32 = 60;
-
-/// The E10 quarter-car deployment: suspension law on 3 ECUs sharing a
-/// CAN bus, with placement interdictions pinning I/O to its ECU.
-fn quarter_car_case() -> Result<
-    (ecl_aaa::AlgorithmGraph, ArchitectureGraph, Schedule, TimeNs),
-    Box<dyn std::error::Error>,
-> {
-    let plant = plants::quarter_car();
-    let law = ControlLawSpec::filtered("susp", 4, 1).with_data_units(8);
-    let (alg, io) = law.to_algorithm()?;
-
-    let mut arch = ArchitectureGraph::new();
-    let wheel_ecu = arch.add_processor("wheel_ecu", "cortex-m");
-    let body_ecu = arch.add_processor("body_ecu", "cortex-m");
-    let control_ecu = arch.add_processor("control_ecu", "cortex-a");
-    arch.add_bus(
-        "can",
-        &[wheel_ecu, body_ecu, control_ecu],
-        TimeNs::from_micros(120),
-        TimeNs::from_micros(8),
-    )?;
-
-    let mut db = uniform_timing(&alg, &io, TimeNs::from_micros(80), TimeNs::from_micros(600));
-    for &s in &[io.sensors[0], io.sensors[2], io.sensors[3]] {
-        db.forbid(s, body_ecu);
-        db.forbid(s, control_ecu);
-    }
-    db.forbid(io.sensors[1], wheel_ecu);
-    db.forbid(io.sensors[1], control_ecu);
-    let step = *io.stages.last().expect("law has stages");
-    db.forbid(step, wheel_ecu);
-    db.forbid(step, body_ecu);
-    db.forbid(io.actuators[0], body_ecu);
-    db.forbid(io.actuators[0], control_ecu);
-
-    let schedule = adequation(&alg, &arch, &db, AdequationOptions::default())?;
-    Ok((alg, arch, schedule, TimeNs::from_secs_f64(plant.ts)))
-}
-
-/// Scans fault-plan seeds for a retries-only plan: at least one
-/// retransmission, no dropped transfer, no dead processor. Such a plan
-/// perturbs every downstream instant (retry cost is non-zero on the
-/// CAN bus) while staying inside the regime both models define
-/// identically.
-fn retries_only_plan(
-    schedule: &Schedule,
-    arch: &ArchitectureGraph,
-) -> Result<(u64, FaultPlan, u32), Box<dyn std::error::Error>> {
-    for seed in 0..4096u64 {
-        let config = FaultConfig {
-            seed,
-            frame_loss_rate: 0.05,
-            max_retries: 3,
-            ..FaultConfig::default()
-        };
-        let plan = FaultPlan::generate(&config, schedule, arch, PERIODS)?;
-        let n_procs = arch.processors().count();
-        if (0..n_procs).any(|p| plan.proc_dead_from(p).is_some()) {
-            continue;
-        }
-        let mut retries = 0u32;
-        let mut dropped = false;
-        for i in 0..schedule.comms().len() {
-            for k in 0..PERIODS {
-                match plan.comm_fault(i, k) {
-                    CommFault::Ok => {}
-                    CommFault::Retry(r) => retries += r,
-                    CommFault::Drop => dropped = true,
-                }
-            }
-        }
-        if !dropped && retries > 0 {
-            return Ok((seed, plan, retries));
-        }
-    }
-    Err("no retries-only fault plan in 4096 seeds".into())
-}
 
 /// Runs the generated executives on the VM and diffs the measured
 /// completion instants against the delay-graph prediction.
@@ -155,22 +78,10 @@ fn sweep_config(workers: usize) -> SweepConfig {
     }
 }
 
-fn sweep(workers: usize) -> Result<SweepOutput, Box<dyn std::error::Error>> {
-    let base = split_scenario(
-        2,
-        1,
-        TimeNs::from_micros(200),
-        TimeNs::from_micros(50),
-        TimeNs::from_micros(500),
-    )?;
-    let spec = dc_motor_loop(0.3)?;
-    Ok(run_sweep(&spec, &base, &sweep_config(workers))?)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("E13-EXEC — virtual executive vs graph of delays ({PERIODS} periods)\n");
 
-    let (alg, arch, schedule, period) = quarter_car_case()?;
+    let (alg, arch, _, schedule, period) = quarter_car_case()?;
 
     // Gate 1: nominal execution measures exactly the modeled instants.
     let nominal = cross_validate(&alg, &arch, &schedule, period, None)?;
@@ -182,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Gate 2: the same fault plan drives both models to the same instants.
-    let (seed, plan, retries) = retries_only_plan(&schedule, &arch)?;
+    let (seed, plan, retries) = retries_only_plan(&schedule, &arch, PERIODS)?;
     println!("fault plan: seed {seed}, {retries} retransmission(s), no drop, no dead ECU\n");
     let faulty = cross_validate(&alg, &arch, &schedule, period, Some(&plan))?;
     println!("== faulty cross-validation ==\n{}", faulty.render());
@@ -193,23 +104,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Gate 3: worker invariance of the self-validating fleet sweep.
-    let summary = match workers_from_env()? {
-        Some(workers) => {
-            println!("validated sweep on {workers} worker(s) (ECL_FLEET_WORKERS)");
-            sweep(workers)?.summary
-        }
-        None => {
-            let serial = sweep(1)?;
-            let parallel = sweep(4)?;
-            assert!(
-                serial.summary.render() == parallel.summary.render()
-                    && serial.summary.to_json() == parallel.summary.to_json(),
-                "1-worker and 4-worker validated sweeps must produce identical bytes"
-            );
-            println!("1-worker vs 4-worker validated sweep: byte-identical");
-            serial.summary
-        }
-    };
+    let (spec, base) = (dc_motor_loop(0.3)?, standard_split()?);
+    let (out, _) = worker_invariant(
+        |workers| Ok(run_sweep(&spec, &base, &sweep_config(workers))?),
+        |out| (out.summary.render(), out.summary.to_json()),
+    )?;
+    println!("1-worker vs 4-worker validated sweep: byte-identical");
+    let summary = out.summary;
     let validation = summary
         .validation
         .expect("sweep ran with validate_executive");
@@ -230,7 +131,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report_path = write_result("exp13_executive.txt", &md)?;
 
     // The machine-readable artifact: wall-clock-free and worker-count
-    // free, so CI can diff the bytes across ECL_FLEET_WORKERS values.
+    // free, so it can be diffed against the committed copy.
     let bench = format!(
         "{{\"experiment\":\"exp13_executive\",\
          \"periods\":{PERIODS},\

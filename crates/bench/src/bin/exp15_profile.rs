@@ -7,17 +7,17 @@
 //!
 //! * **Deterministic** — `results/exp15_profile.txt` (the sweep report)
 //!   must be byte-identical for any worker count, profiling on or off.
-//!   The usual gate applies: `ECL_FLEET_WORKERS=<n>` runs exactly `n`
-//!   workers and CI diffs the report across counts; without the variable
-//!   the binary runs 1 and 4 workers in-process and asserts identity —
-//!   with profiling *on* both times, so the sidecar provably does not
-//!   leak into the report.
-//! * **Sidecar** — `results/PROFILE_exp15.json` / `.txt` /
-//!   `.trace.json` and `results/BENCH_exp15.json` carry the wall-clock
-//!   attribution: per-phase totals and latency histograms, per-worker
-//!   utilization/idle/claim counters, per-digest schedule-cache lines,
-//!   and a worker-lane Chrome trace mergeable with the per-scenario
-//!   simulation traces.
+//!   The binary runs 1 and then 4 workers and asserts identity — with
+//!   profiling *on* both times, so the sidecar provably does not leak
+//!   into the report — and `scripts/check.sh` diffs the report against
+//!   the committed copy.
+//! * **Sidecar** — `results/timing/PROFILE_exp15.json` / `.txt` /
+//!   `.trace.json` and `results/timing/BENCH_exp15.json` carry the
+//!   wall-clock attribution of the 4-worker run: per-phase totals and
+//!   latency histograms, per-worker utilization/idle/claim counters,
+//!   per-digest schedule-cache lines, and a worker-lane Chrome trace
+//!   mergeable with the per-scenario simulation traces. The repository
+//!   does not track them.
 //!
 //! The binary asserts the two headline claims of the profiler: at least
 //! 95% of worker busy time is attributed to named phases (on one worker,
@@ -25,9 +25,8 @@
 //! reports `cache_hits > 0` (quantized WCET tables make scenarios repeat
 //! adequation inputs).
 
-use ecl_aaa::TimeNs;
-use ecl_bench::fleet::{run_sweep, workers_from_env, FaultAxes, SweepConfig, SweepOutput};
-use ecl_bench::{dc_motor_loop, split_scenario, write_result};
+use ecl_bench::fleet::{run_sweep, FaultAxes, SweepConfig, SweepOutput};
+use ecl_bench::{dc_motor_loop, standard_split, worker_invariant, write_result};
 use ecl_telemetry::{trace, ProfileReport};
 
 /// Attribution threshold asserted by the experiment.
@@ -49,18 +48,6 @@ fn config(workers: usize) -> SweepConfig {
         profile: true,
         ..SweepConfig::default()
     }
-}
-
-fn sweep(workers: usize) -> Result<SweepOutput, Box<dyn std::error::Error>> {
-    let base = split_scenario(
-        2,
-        1,
-        TimeNs::from_micros(200),
-        TimeNs::from_micros(50),
-        TimeNs::from_micros(500),
-    )?;
-    let spec = dc_motor_loop(0.3)?;
-    Ok(run_sweep(&spec, &base, &config(workers))?)
 }
 
 /// The machine-readable sidecar: wall-clock attribution plus the
@@ -88,7 +75,6 @@ fn bench_json(out: &SweepOutput, profile: &ProfileReport) -> String {
          \"busy_ns\":{},\
          \"attributed_ns\":{},\
          \"attributed_fraction\":{fraction:.6},\
-         \"attribution_ge_95\":{},\
          \"utilization\":{:.6},\
          \"cache_hits\":{},\"cache_misses\":{},\"cache_digests\":{},\
          \"phases\":[{phases}]}}\n",
@@ -97,7 +83,6 @@ fn bench_json(out: &SweepOutput, profile: &ProfileReport) -> String {
         profile.wall_ns,
         profile.busy_ns(),
         profile.attributed_ns(),
-        fraction >= ATTRIBUTION_FLOOR,
         profile.utilization(),
         out.summary.cache_hits,
         out.summary.cache_misses,
@@ -135,55 +120,48 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "E15-PROFILE — per-worker, per-phase attribution of sweep wall time (256 scenarios)\n"
     );
 
-    // The deterministic report + the sidecar of the run whose profile we
-    // archive. With ECL_FLEET_WORKERS the CI gate diffs the report file
-    // across counts; without it, both counts run in-process.
-    let out = match workers_from_env()? {
-        Some(workers) => {
-            println!("profiled sweep on {workers} worker(s) (ECL_FLEET_WORKERS)");
-            let out = sweep(workers)?;
+    let (spec, base) = (dc_motor_loop(0.3)?, standard_split()?);
+    let (out, report) = worker_invariant(
+        |workers| {
+            let out = run_sweep(&spec, &base, &config(workers))?;
             check(&out);
-            out
-        }
-        None => {
-            let serial = sweep(1)?;
-            let parallel = sweep(4)?;
-            assert!(
-                serial.summary.render() == parallel.summary.render()
-                    && serial.summary.to_json() == parallel.summary.to_json()
-                    && serial.actuation_hist == parallel.actuation_hist
-                    && serial.traces == parallel.traces,
-                "1-worker and 4-worker profiled sweeps must produce identical \
-                 deterministic artifacts"
-            );
-            println!("1-worker vs 4-worker profiled sweep: deterministic artifacts byte-identical");
-            check(&serial);
-            check(&parallel);
-            serial
-        }
-    };
+            Ok(out)
+        },
+        |out| {
+            (
+                out.summary.render(),
+                out.summary.to_json(),
+                out.actuation_hist.clone(),
+                out.traces.clone(),
+            )
+        },
+    )?;
+    println!("1-worker vs 4-worker profiled sweep: deterministic artifacts byte-identical");
 
     let profile = out.profile.as_ref().expect("profiling was requested");
     let rendered = profile.render();
     println!("{rendered}");
     println!("{}", profile.gantt(96));
 
-    // Deterministic artifact (diffed across worker counts by CI).
-    let report_path = write_result("exp15_profile.txt", &out.summary.render())?;
+    // Deterministic artifact (diffed against the committed copy).
+    let report_path = write_result("exp15_profile.txt", &report.0)?;
 
     // Wall-clock sidecars.
-    let profile_json_path = write_result("PROFILE_exp15.json", &profile.to_json())?;
+    let profile_json_path = write_result("timing/PROFILE_exp15.json", &profile.to_json())?;
     let mut profile_text = rendered;
     profile_text.push('\n');
     profile_text.push_str(&profile.gantt(96));
-    let profile_text_path = write_result("PROFILE_exp15.txt", &profile_text)?;
+    let profile_text_path = write_result("timing/PROFILE_exp15.txt", &profile_text)?;
     // Worker lanes + the traced scenarios' simulation events in one
     // Chrome trace: the sim-kernel counters land in the same timeline as
     // the profiler's wall-clock lanes.
     let mut events = profile.to_events();
     events.extend(out.traces.events().iter().cloned());
-    let trace_path = write_result("PROFILE_exp15.trace.json", &trace::chrome_trace(&events))?;
-    let bench_path = write_result("BENCH_exp15.json", &bench_json(&out, profile))?;
+    let trace_path = write_result(
+        "timing/PROFILE_exp15.trace.json",
+        &trace::chrome_trace(&events),
+    )?;
+    let bench_path = write_result("timing/BENCH_exp15.json", &bench_json(&out, profile))?;
 
     println!(
         "wrote {}, {}, {}, {} and {}",

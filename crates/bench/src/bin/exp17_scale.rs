@@ -2,54 +2,43 @@
 //! `(loop × schedule × fault-plan)` content digest.
 //!
 //! Runs a 1 000 000-scenario sweep of the standard DC-motor split loop
-//! (light pipeline, fleet profiler on) and checks the claims that push
-//! the fleet one order of magnitude past E16-SCALE:
+//! (light pipeline, fleet profiler on) at 1 worker and then at 4, and
+//! checks the claims that push the fleet one order of magnitude past
+//! E16-SCALE:
 //!
 //! * **Scheduled-run memoization** — the graph-of-delays co-simulation
 //!   is pure in `(loop spec, schedule, fault plan)`, and the sweep's
 //!   quantized axes (WCET tables × policies × period scales) bound that
 //!   key space to ≤ 96 digests. The `ScheduledRunCache` therefore
-//!   answers all but ~10⁻⁴ of the 10⁶ lookups with an `Arc` clone.
-//!   Asserted: one lookup per scenario, misses bounded by the axis
-//!   product, hit rate ≥ 99.9%.
-//! * **Throughput** — the profiled 4-worker sweep clears 3× the E16
-//!   baseline (`results/BENCH_exp16.json`: 100 000 scenarios in
-//!   25.751 s → 3883.3 scenarios/s), which still ran one full
-//!   co-simulation per scenario.
+//!   answers all but ~10⁻⁴ of the 10⁶ lookups from each worker's own
+//!   memo view. Asserted: one lookup per scenario, misses bounded by
+//!   the axis product, hit rate ≥ 99.9%.
 //! * **Allocation-free hot loop** — [`ecl_sim::EngineStats::hot_allocs`]
 //!   stays 0 across every co-simulation flavour the fleet uses,
-//!   including the faulty replay, greppable from
-//!   `results/BENCH_exp17.json` by the CI gate.
+//!   including the faulty replay ([`KernelWork::probe`]).
 //!
 //! Artifacts follow the E16 split:
 //!
 //! * **Deterministic** — `results/exp17_scale.txt`, a digest report
 //!   (FNV-64 of the rendered summary, the JSON summary and the merged
-//!   histogram, plus the order-invariant cache/memo counters). CI diffs
-//!   this file across `ECL_FLEET_WORKERS` counts; without the variable
-//!   the binary runs 1 and 4 workers in-process and asserts identity
-//!   directly on the underlying artifacts.
-//! * **Sidecar** — `results/PROFILE_exp17.json` (per-phase wall-clock
-//!   attribution with the scheduled-memo lookup channel) and
-//!   `results/BENCH_exp17.json` (throughput, memo and race evidence vs
-//!   the E16 baseline).
+//!   histogram, the order-invariant cache/memo counters and the probe's
+//!   `kernel_work:` counters). The binary asserts the report is the same
+//!   at 1 and 4 workers, and `scripts/check.sh` diffs it against the
+//!   committed copy.
+//! * **Sidecar** — `results/timing/PROFILE_exp17.json` (per-phase
+//!   wall-clock attribution with the scheduled-memo lookup channel) and
+//!   `results/timing/BENCH_exp17.json` (throughput, memo and race
+//!   evidence) of the 4-worker run, untracked.
 
-use ecl_aaa::{adequation, AdequationOptions, Fnv1a, TimeNs};
-use ecl_bench::fleet::{run_sweep, workers_from_env, SweepConfig, SweepOutput};
-use ecl_bench::{dc_motor_loop, split_scenario, write_result, SplitScenario};
-use ecl_core::cosim::{self, LoopSpec};
-use ecl_core::faults::{FaultConfig, FaultPlan};
+use ecl_bench::fleet::{run_sweep, SweepConfig, SweepOutput};
+use ecl_bench::{
+    phase_mean_ns, scale_loop, standard_split, sweep_digest, worker_invariant, write_result,
+    KernelWork,
+};
 use ecl_telemetry::{Phase, ProfileReport};
 
 /// Scenario count: one order of magnitude past E16-SCALE's 10⁵.
 const SCENARIOS: usize = 1_000_000;
-
-/// E16 baseline throughput from `results/BENCH_exp16.json`: 100 000
-/// scenarios, 4 workers, wall 25.751031615 s.
-const BASELINE_SCENARIOS_PER_S: f64 = 100_000.0 / 25.751_031_615;
-
-/// Required improvement factor for the throughput claim.
-const SPEEDUP_FLOOR: f64 = 3.0;
 
 /// Minimum scheduled-memo hit rate: the quantized axes leave ≤ 96
 /// distinct keys under 10⁶ lookups, so anything below 99.9% means the
@@ -74,50 +63,17 @@ fn key_space(config: &SweepConfig) -> u64 {
     (config.wcet_tables * config.policies.len() * config.period_scales.len()) as u64
 }
 
-fn base() -> Result<SplitScenario, Box<dyn std::error::Error>> {
-    Ok(split_scenario(
-        2,
-        1,
-        TimeNs::from_micros(200),
-        TimeNs::from_micros(50),
-        TimeNs::from_micros(500),
-    )?)
-}
-
-/// The E16 loop: one sampling period per scenario keeps 10⁶ metric
-/// passes (the per-scenario work the memo cannot share) in minutes.
-fn spec() -> Result<LoopSpec, Box<dyn std::error::Error>> {
-    Ok(dc_motor_loop(0.05)?)
-}
-
-fn sweep(workers: usize) -> Result<SweepOutput, Box<dyn std::error::Error>> {
-    Ok(run_sweep(&spec()?, &base()?, &config(workers))?)
-}
-
-fn fnv64(bytes: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(bytes.as_bytes());
-    h.finish()
-}
-
-/// The deterministic digest report (diffed across worker counts by CI).
+/// The deterministic digest report (the same at any worker count).
 /// Race counters are interleaving-dependent and deliberately absent.
-fn digest_report(out: &SweepOutput) -> String {
+fn digest_report(out: &SweepOutput, work: &KernelWork) -> String {
     format!(
-        "E17-SCALE deterministic digest (diffed across ECL_FLEET_WORKERS)\n\
-         scenarios: {}\n\
-         summary_render_fnv64: {:#018x}\n\
-         summary_json_fnv64: {:#018x}\n\
-         actuation_hist_fnv64: {:#018x}\n\
-         robustness_margin: {:.6}\n\
+        "E17-SCALE deterministic digest (identical at 1 and 4 workers)\n\
+         {}\
          schedule_cache: hits={} misses={}\n\
          ideal_memo: hits={} misses={}\n\
-         scheduled_memo: hits={} misses={}\n",
-        out.summary.scenarios.len(),
-        fnv64(&out.summary.render()),
-        fnv64(&out.summary.to_json()),
-        fnv64(&format!("{:?}", out.actuation_hist)),
-        out.summary.robustness_margin(),
+         scheduled_memo: hits={} misses={}\n\
+         {work}\n",
+        sweep_digest(out),
         out.summary.cache_hits,
         out.summary.cache_misses,
         out.ideal_hits,
@@ -127,89 +83,30 @@ fn digest_report(out: &SweepOutput) -> String {
     )
 }
 
-/// Mean wall time of one profile phase, in nanoseconds.
-fn phase_mean_ns(profile: &ProfileReport, phase: Phase) -> f64 {
-    profile
-        .phases
-        .iter()
-        .find(|s| s.phase == phase)
-        .map_or(0.0, |s| s.total_ns as f64 / s.count.max(1) as f64)
-}
-
-/// Runs every co-simulation flavour the sweep uses on this loop —
-/// ideal, scheduled and faulty replay — and returns the summed
-/// `hot_allocs` counter: the machine-checkable evidence that the
-/// kernel's event hot path allocates nothing once its scratch buffers
-/// are warm.
-fn hot_allocs_probe() -> Result<u64, Box<dyn std::error::Error>> {
-    let spec = spec()?;
-    let base = base()?;
-    let mut total = 0;
-    for scale in config(1).period_scales {
-        let mut scaled = spec.clone();
-        scaled.ts = spec.ts * scale;
-        total += cosim::run_ideal(&scaled)?.stats.hot_allocs;
-    }
-    let schedule = adequation(
-        &base.alg,
-        &base.arch,
-        &base.db,
-        AdequationOptions::default(),
-    )?;
-    let run = cosim::run_scheduled(&spec, &base.alg, &base.io, &schedule, &base.arch)?;
-    total += run.stats.hot_allocs;
-    let plan = FaultPlan::generate(
-        &FaultConfig {
-            seed: 0x000e_c117,
-            frame_loss_rate: 0.25,
-            max_retries: 2,
-            link_outage_rate: 0.1,
-            outage_periods: 2,
-            proc_dropout_rate: 0.0,
-        },
-        &schedule,
-        &base.arch,
-        8,
-    )?;
-    let faulty =
-        cosim::run_scheduled_faulty(&spec, &base.alg, &base.io, &schedule, &base.arch, plan)?;
-    total += faulty.stats.hot_allocs;
-    Ok(total)
-}
-
-/// Wall-clock evidence sidecar (never diffed across worker counts).
-fn bench_json(out: &SweepOutput, profile: &ProfileReport, hot_allocs: u64) -> String {
+/// Wall-clock evidence sidecar (never committed).
+fn bench_json(out: &SweepOutput, profile: &ProfileReport) -> String {
     let wall_s = profile.wall_ns as f64 / 1e9;
     let throughput = out.summary.scenarios.len() as f64 / wall_s;
-    let throughput_x = throughput / BASELINE_SCENARIOS_PER_S;
     let lookups = out.scheduled_hits + out.scheduled_misses;
     let hit_rate = out.scheduled_hits as f64 / lookups.max(1) as f64;
-    let cosim_mean_ns = phase_mean_ns(profile, Phase::Cosim);
     format!(
         "{{\"experiment\":\"exp17_scale\",\
          \"scenarios\":{},\
          \"workers\":{},\
          \"wall_ns\":{},\
          \"scenarios_per_s\":{throughput:.1},\
-         \"baseline_scenarios_per_s\":{BASELINE_SCENARIOS_PER_S:.1},\
-         \"throughput_x\":{throughput_x:.2},\
-         \"throughput_ge_3x\":{},\
          \"scheduled_hits\":{},\"scheduled_misses\":{},\
          \"scheduled_hit_rate\":{hit_rate:.6},\
-         \"scheduled_hit_rate_ge_999\":{},\
-         \"cosim_mean_ns\":{cosim_mean_ns:.1},\
+         \"cosim_mean_ns\":{:.1},\
          \"ideal_hits\":{},\"ideal_misses\":{},\
          \"cache_hits\":{},\"cache_misses\":{},\
-         \"schedule_races\":{},\"ideal_races\":{},\"scheduled_races\":{},\
-         \"hot_allocs\":{hot_allocs},\
-         \"hot_allocs_zero\":{}}}\n",
+         \"schedule_races\":{},\"ideal_races\":{},\"scheduled_races\":{}}}\n",
         out.summary.scenarios.len(),
         profile.workers.len(),
         profile.wall_ns,
-        throughput_x >= SPEEDUP_FLOOR,
         out.scheduled_hits,
         out.scheduled_misses,
-        hit_rate >= HIT_RATE_FLOOR,
+        phase_mean_ns(profile, Phase::Cosim),
         out.ideal_hits,
         out.ideal_misses,
         out.summary.cache_hits,
@@ -217,11 +114,10 @@ fn bench_json(out: &SweepOutput, profile: &ProfileReport, hot_allocs: u64) -> St
         out.races[0],
         out.races[1],
         out.races[2],
-        hot_allocs == 0,
     )
 }
 
-/// Worker-count-independent assertions.
+/// Assertions made at every worker count.
 fn check(out: &SweepOutput) {
     assert_eq!(out.summary.scenarios.len(), SCENARIOS);
     assert_eq!(
@@ -266,69 +162,35 @@ fn check(out: &SweepOutput) {
     );
 }
 
-/// Throughput assertion, made only for the 4-worker profiled sweep (the
-/// configuration the E16 baseline was measured with).
-fn check_throughput(out: &SweepOutput) {
-    let profile = out.profile.as_ref().expect("profiling was requested");
-    let throughput = out.summary.scenarios.len() as f64 / (profile.wall_ns as f64 / 1e9);
-    assert!(
-        throughput >= SPEEDUP_FLOOR * BASELINE_SCENARIOS_PER_S,
-        "4-worker sweep at {throughput:.0} scenarios/s is not >= 3x the \
-         {BASELINE_SCENARIOS_PER_S:.0}/s E16 baseline"
-    );
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("E17-SCALE — 10\u{2076}-scenario fleet sweep (memoized scheduled co-simulation)\n");
 
-    let hot_allocs = hot_allocs_probe()?;
+    let work = KernelWork::probe()?;
     assert_eq!(
-        hot_allocs, 0,
-        "the event hot path allocated {hot_allocs} times"
+        work.hot_allocs, 0,
+        "the event hot path allocated {} times",
+        work.hot_allocs
     );
-    println!("hot-path allocation counter across all co-simulation flavours: 0");
+    println!("{work}");
 
-    let out = match workers_from_env()? {
-        Some(workers) => {
-            println!("sweeping {SCENARIOS} scenarios on {workers} worker(s) (ECL_FLEET_WORKERS)");
-            let out = sweep(workers)?;
+    let (spec, base) = (scale_loop()?, standard_split()?);
+    let (out, report) = worker_invariant(
+        |workers| {
+            let out = run_sweep(&spec, &base, &config(workers))?;
             check(&out);
-            if workers == 4 {
-                check_throughput(&out);
-            }
-            out
-        }
-        None => {
-            let serial = sweep(1)?;
-            check(&serial);
-            let parallel = sweep(4)?;
-            check(&parallel);
-            check_throughput(&parallel);
-            assert!(
-                serial.summary == parallel.summary
-                    && serial.summary.render() == parallel.summary.render()
-                    && serial.summary.to_json() == parallel.summary.to_json()
-                    && serial.actuation_hist == parallel.actuation_hist
-                    && serial.traces == parallel.traces,
-                "1-worker and 4-worker sweeps must produce identical \
-                 deterministic artifacts"
-            );
-            println!("1-worker vs 4-worker sweep: deterministic artifacts byte-identical");
-            // Archive the parallel run: its sidecar carries the profile
-            // the throughput claim was checked against.
-            parallel
-        }
-    };
+            Ok(out)
+        },
+        |out| digest_report(out, &work),
+    )?;
+    println!("1-worker vs 4-worker sweep: digest reports byte-identical");
 
     let profile = out.profile.as_ref().expect("profiling was requested");
     let wall_s = profile.wall_ns as f64 / 1e9;
     println!(
-        "{} scenarios in {wall_s:.1} s on {} worker(s): {:.0} scenarios/s \
-         ({:.1}x the E16 baseline)",
+        "{} scenarios in {wall_s:.1} s on {} worker(s): {:.0} scenarios/s",
         out.summary.scenarios.len(),
         profile.workers.len(),
         out.summary.scenarios.len() as f64 / wall_s,
-        out.summary.scenarios.len() as f64 / wall_s / BASELINE_SCENARIOS_PER_S,
     );
     println!(
         "scheduled memo: {} hits / {} misses (hit rate {:.4}%); \
@@ -343,9 +205,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", profile.render());
 
-    let report_path = write_result("exp17_scale.txt", &digest_report(&out))?;
-    let profile_path = write_result("PROFILE_exp17.json", &profile.to_json())?;
-    let bench_path = write_result("BENCH_exp17.json", &bench_json(&out, profile, hot_allocs))?;
+    let report_path = write_result("exp17_scale.txt", &report)?;
+    let profile_path = write_result("timing/PROFILE_exp17.json", &profile.to_json())?;
+    let bench_path = write_result("timing/BENCH_exp17.json", &bench_json(&out, profile))?;
     println!(
         "wrote {}, {} and {}",
         report_path.display(),

@@ -8,7 +8,7 @@
 //! Telemetry artifacts written to `results/`: a Chrome trace of the
 //! per-phase spans (`exp9_trace.json`), the 4-processor Gantt timeline
 //! (`exp9_timeline.{txt,csv}`), and the per-phase wall-clock breakdown
-//! (`BENCH_exp9.json`).
+//! (`timing/BENCH_exp9.json`, untracked).
 
 use ecl_aaa::{
     adequation, timeline, AdequationOptions, AlgorithmGraph, ArchitectureGraph, MappingPolicy,
@@ -115,10 +115,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     write_result("exp9_trace.json", &trace::chrome_trace(sink.events()))?;
     write_result(
-        "BENCH_exp9.json",
+        "timing/BENCH_exp9.json",
         &bench_json("exp9", &sink.span_durations()),
     )?;
     println!("\ntelemetry: results/exp9_timeline.{{txt,csv}}, results/exp9_trace.json,");
-    println!("results/BENCH_exp9.json (4-processor pressure schedule)");
+    println!("results/timing/BENCH_exp9.json (4-processor pressure schedule)");
     Ok(())
 }

@@ -227,12 +227,13 @@ pub struct SweepConfig {
     /// Memoize untraced co-simulations in a shared [`ScheduledRunCache`]
     /// keyed by the `(loop × schedule × fault-plan)` content digest: the
     /// quantized axes pigeonhole large sweeps onto a few distinct keys,
-    /// so all but the first scenario per key clone an `Arc` instead of
-    /// simulating. The memoized result is bit-identical to a fresh run
-    /// (pinned by unit tests, proptests and the byte-identity sweep
-    /// test), so every deterministic artifact is byte-identical with the
-    /// memo on or off. Off by default so baseline benchmarks (E15/E16)
-    /// keep measuring the unmemoized pipeline.
+    /// so all but the first scenario per key are answered by the lane's
+    /// memo view instead of simulating. The memoized result is
+    /// bit-identical to a fresh run (pinned by unit tests, proptests and
+    /// the byte-identity sweep test), so every deterministic artifact is
+    /// byte-identical with the memo on or off. It is still a flag, off by
+    /// default, only because `benchmark/src/sweep.rs` and the daemon set
+    /// it; deleting it waits for a change that may edit the benchmark.
     pub memoize_scheduled: bool,
     /// Memoize per-scenario latency metrics in a shared [`ReportCache`]
     /// keyed by `(scheduled-run digest, histogram bound)`: the latency
@@ -242,7 +243,7 @@ pub struct SweepConfig {
     /// report extraction. The memoized values are identical to freshly
     /// extracted ones (pinned by the byte-identity sweep test), keeping
     /// every deterministic artifact byte-identical with the memo on or
-    /// off. Off by default for the same baseline-benchmark reason as
+    /// off. Off by default for the same reason as
     /// [`memoize_scheduled`](SweepConfig::memoize_scheduled).
     pub memoize_reports: bool,
     /// Statically prune scenarios by fault-envelope abstract
@@ -582,40 +583,6 @@ where
     F: Fn(usize) -> R + Sync,
 {
     map_indexed_with(count, workers, |_| (), |i, ()| f(i)).0
-}
-
-/// Parses an `ECL_FLEET_WORKERS` value: a positive integer worker count.
-///
-/// # Errors
-///
-/// Rejects `0` (a sweep with no workers cannot run) and anything
-/// non-numeric, naming the variable so a typo fails loudly instead of
-/// silently falling back to a default.
-pub fn parse_workers(value: &str) -> Result<usize, CoreError> {
-    let trimmed = value.trim();
-    let workers: usize = trimmed.parse().map_err(|_| CoreError::InvalidInput {
-        reason: format!("ECL_FLEET_WORKERS must be a positive integer, got {trimmed:?}"),
-    })?;
-    if workers == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "ECL_FLEET_WORKERS must be at least 1 (unset it for the default)".into(),
-        });
-    }
-    Ok(workers)
-}
-
-/// The validated worker count from `ECL_FLEET_WORKERS`, or `None` when
-/// the variable is unset.
-///
-/// # Errors
-///
-/// Same as [`parse_workers`] — a set-but-invalid value is an error, never
-/// a silent fallback.
-pub fn workers_from_env() -> Result<Option<usize>, CoreError> {
-    match std::env::var("ECL_FLEET_WORKERS") {
-        Ok(value) => parse_workers(&value).map(Some),
-        Err(_) => Ok(None),
-    }
 }
 
 /// A boxed unit of pool work.
@@ -1399,7 +1366,7 @@ pub fn run_scenario(
             worst_actuation_ns: worst,
             overruns,
         };
-        if let Some(run_key) = run_key.filter(|_| config.memoize_reports) {
+        let measured = if let Some(run_key) = run_key.filter(|_| config.memoize_reports) {
             let (entry, _local_hit) = report_view.get_or_compute(
                 &caches.reports,
                 report_digest(run_key, bound),
@@ -1425,7 +1392,12 @@ pub fn run_scenario(
             }
             let overruns = report.total_overruns();
             Ok((outcome_for(worst, overruns), ScenarioReport::Fresh(report)))
-        }
+        };
+        // An un-memoized run is freed here, so its teardown is metrics
+        // time instead of busy time no phase accounts for.
+        drop(run);
+        drop(ideal);
+        measured
     })?;
 
     // Measured-vs-modeled cross-validation: execute the generated
@@ -1583,18 +1555,11 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dc_motor_loop, split_scenario};
+    use crate::{dc_motor_loop, standard_split};
     use proptest::prelude::*;
 
     fn small_base() -> SplitScenario {
-        split_scenario(
-            2,
-            1,
-            TimeNs::from_micros(200),
-            TimeNs::from_micros(50),
-            TimeNs::from_micros(500),
-        )
-        .unwrap()
+        standard_split().unwrap()
     }
 
     fn small_config(workers: usize) -> SweepConfig {
@@ -1647,20 +1612,6 @@ mod tests {
                 assert_eq!(state.0, w);
             }
             assert_eq!(states.iter().map(|s| s.1).sum::<usize>(), 20);
-        }
-    }
-
-    #[test]
-    fn parse_workers_rejects_zero_and_garbage() {
-        assert_eq!(parse_workers("1").unwrap(), 1);
-        assert_eq!(parse_workers(" 8 ").unwrap(), 8);
-        for bad in ["0", "", "four", "-2", "1.5", "0x4"] {
-            let err = parse_workers(bad).expect_err(bad);
-            let msg = err.to_string();
-            assert!(
-                msg.contains("ECL_FLEET_WORKERS"),
-                "error for {bad:?} must name the variable: {msg}"
-            );
         }
     }
 

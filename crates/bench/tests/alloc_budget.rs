@@ -20,9 +20,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ecl_aaa::TimeNs;
 use ecl_bench::fleet::{run_sweep, SweepConfig};
-use ecl_bench::{dc_motor_loop, split_scenario};
+use ecl_bench::{dc_motor_loop, standard_split};
 
 /// Counts every allocator call that hands out memory: `alloc`,
 /// `alloc_zeroed` and `realloc`.
@@ -83,14 +82,7 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 fn main() {
     let spec = dc_motor_loop(0.05).unwrap();
-    let base = split_scenario(
-        2,
-        1,
-        TimeNs::from_micros(200),
-        TimeNs::from_micros(50),
-        TimeNs::from_micros(500),
-    )
-    .unwrap();
+    let base = standard_split().unwrap();
     let config = SweepConfig {
         scenario_count: SCENARIOS as usize,
         workers: 1,

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 
 use ecl_aaa::{AdequationOptions, ArchitectureGraph, TimeNs};
 use ecl_bench::fleet::{run_sweep, FaultAxes, SweepConfig};
-use ecl_bench::{dc_motor_loop, split_scenario};
+use ecl_bench::{dc_motor_loop, standard_split};
 use ecl_control::plants;
 use ecl_core::cosim::{DisturbanceKind, LoopResult};
 use ecl_core::lifecycle::{self, LifecycleInputs};
@@ -170,14 +170,7 @@ fn lifecycle_quarter_car_bytes_match_seed_kernel() {
 /// two workers — report and JSON bytes pinned against the seed kernel.
 #[test]
 fn fault_sweep_bytes_match_seed_kernel() {
-    let base = split_scenario(
-        2,
-        1,
-        TimeNs::from_micros(200),
-        TimeNs::from_micros(50),
-        TimeNs::from_micros(500),
-    )
-    .expect("scenario");
+    let base = standard_split().expect("scenario");
     let spec = dc_motor_loop(0.2).expect("loop spec");
     let config = SweepConfig {
         scenario_count: 12,

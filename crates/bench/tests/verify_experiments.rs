@@ -9,8 +9,7 @@
 use ecl_aaa::{
     adequation, AdequationOptions, AlgorithmGraph, ArchitectureGraph, Schedule, TimeNs, TimingDb,
 };
-use ecl_bench::split_scenario;
-use ecl_control::plants;
+use ecl_bench::{quarter_car_case, standard_split};
 use ecl_core::translate::{uniform_timing, ControlLawSpec};
 use ecl_verify::Severity;
 
@@ -59,43 +58,14 @@ fn exp9_filter_bank_schedules_verify() {
 /// E10/E13 — the quarter-car suspension on 3 ECUs over one CAN bus.
 #[test]
 fn exp10_quarter_car_schedule_verifies() {
-    let plant = plants::quarter_car();
-    let law = ControlLawSpec::filtered("susp", 4, 1).with_data_units(8);
-    let (alg, io) = law.to_algorithm().expect("translate");
-
-    let mut arch = ArchitectureGraph::new();
-    let wheel_ecu = arch.add_processor("wheel_ecu", "cortex-m");
-    let body_ecu = arch.add_processor("body_ecu", "cortex-m");
-    let control_ecu = arch.add_processor("control_ecu", "cortex-a");
-    arch.add_bus(
-        "can",
-        &[wheel_ecu, body_ecu, control_ecu],
-        TimeNs::from_micros(120),
-        TimeNs::from_micros(8),
-    )
-    .expect("valid");
-
-    let mut db = uniform_timing(&alg, &io, TimeNs::from_micros(80), TimeNs::from_micros(600));
-    for &s in &[io.sensors[0], io.sensors[2], io.sensors[3]] {
-        db.forbid(s, body_ecu);
-        db.forbid(s, control_ecu);
-    }
-    db.forbid(io.sensors[1], wheel_ecu);
-    db.forbid(io.sensors[1], control_ecu);
-    let step = *io.stages.last().expect("law has stages");
-    db.forbid(step, wheel_ecu);
-    db.forbid(step, body_ecu);
-    db.forbid(io.actuators[0], body_ecu);
-    db.forbid(io.actuators[0], control_ecu);
-
-    let schedule = adequation(&alg, &arch, &db, AdequationOptions::default()).expect("ok");
+    let (alg, arch, db, schedule, period) = quarter_car_case().expect("quarter-car case");
     assert_verifies(
         "E10/E13 quarter-car",
         &alg,
         &arch,
         &db,
         &schedule,
-        Some(TimeNs::from_secs_f64(plant.ts)),
+        Some(period),
     );
 }
 
@@ -103,14 +73,7 @@ fn exp10_quarter_car_schedule_verifies() {
 /// perturb.
 #[test]
 fn exp11_split_baseline_schedule_verifies() {
-    let base = split_scenario(
-        2,
-        1,
-        TimeNs::from_micros(200),
-        TimeNs::from_micros(50),
-        TimeNs::from_micros(500),
-    )
-    .expect("scenario");
+    let base = standard_split().expect("scenario");
     let schedule = adequation(
         &base.alg,
         &base.arch,

@@ -7,7 +7,7 @@
 //! * **Concurrent service** — four clients submit eight distinct sweep
 //!   jobs over TCP; every job streams `Queued` → `Delta`* → `Report` →
 //!   `Done` and completes (requests/sec and p99 job latency archived in
-//!   `results/BENCH_exp18.json`).
+//!   `results/timing/BENCH_exp18.json`).
 //! * **Response memoization** — resubmitting all eight requests is
 //!   answered 100% from the response digest cache (`source=memory`),
 //!   with payloads byte-identical to the cold run.
@@ -15,22 +15,23 @@
 //!   store answers all eight from disk (`source=disk`), byte-identical
 //!   again, with its lifetime schedule-compute counter still at zero.
 //! * **Worker invariance** — in-process engines with 1 and 4 pool
-//!   workers produce byte-identical payloads for the same request.
+//!   workers produce byte-identical payloads for the same request, and
+//!   the whole lifecycle above, run once on a 1-worker daemon and once
+//!   on a 4-worker one, yields the same digest report.
 //! * **Admission control** — a bucket of capacity 2 with a negligible
 //!   refill admits two rapid submits and rejects the third with a typed
 //!   `rate_limited` error.
 //!
 //! Artifacts follow the E16/E17 split: `results/exp18_serve.txt` is the
 //! deterministic digest report (request digests, payload digests,
-//! sources — no wall-clock content; CI diffs it across
-//! `ECL_FLEET_WORKERS` counts), `results/BENCH_exp18.json` is the
-//! wall-clock sidecar with the boolean gate flags.
+//! sources — no wall-clock content; `scripts/check.sh` diffs it against
+//! the committed copy), `results/timing/BENCH_exp18.json` is the
+//! untracked wall-clock sidecar of the 4-worker lifecycle.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use ecl_bench::fleet::workers_from_env;
-use ecl_bench::write_result;
+use ecl_bench::{fnv64, worker_invariant, write_result, BenchResult};
 use ecl_serve::wire::Policy;
 use ecl_serve::{
     Client, ClientError, Engine, EngineConfig, JobOutcome, ResponseSource, Server, ServerConfig,
@@ -113,7 +114,7 @@ fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
 
 /// The payload an in-process engine with `workers` pool workers derives
 /// for the first request (no store, fresh caches).
-fn engine_payload(workers: usize) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
+fn engine_payload(workers: usize) -> BenchResult<Vec<u8>> {
     let engine = Engine::new(EngineConfig {
         workers,
         store_dir: None,
@@ -183,24 +184,93 @@ fn rate_limit_probe() -> Result<bool, Box<dyn std::error::Error>> {
     }
 }
 
-/// The deterministic digest report (diffed across `ECL_FLEET_WORKERS`).
+/// What one daemon lifecycle observed: the outcomes and latencies of
+/// its cold, warm and restart phases, and its timings.
+struct Lifecycle {
+    workers: usize,
+    cold: Vec<(JobOutcome, u64)>,
+    warm: Vec<(JobOutcome, u64)>,
+    restart: Vec<(JobOutcome, u64)>,
+    cold_wall_ns: u64,
+    warm_wall_ns: u64,
+}
+
+/// Runs the cold → warm → restart lifecycle on daemons with `workers`
+/// pool workers, over a fresh `results/cache/` store, asserting every
+/// phase's sources and payload bytes.
+fn lifecycle(workers: usize) -> BenchResult<Lifecycle> {
+    let cache_dir = PathBuf::from("results/cache");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let config = || ServerConfig {
+        workers,
+        store_dir: Some(cache_dir.clone()),
+        ..ServerConfig::default()
+    };
+    let reqs = requests();
+
+    // Phase A — cold: concurrent clients, distinct requests.
+    let server = Server::start(config())?;
+    let addr = server.addr();
+    let t0 = Instant::now();
+    let cold = run_clients(addr, &reqs)?;
+    let cold_wall_ns = t0.elapsed().as_nanos() as u64;
+    check_phase("cold", &cold, ResponseSource::Computed, None);
+    println!(
+        "{workers} worker(s), cold: {JOBS} jobs over {CLIENTS} clients in {:.2} s ({:.2} req/s)",
+        cold_wall_ns as f64 / 1e9,
+        JOBS as f64 / (cold_wall_ns as f64 / 1e9)
+    );
+
+    // Phase B — warm: identical requests, answered from the response
+    // digest cache without touching the pool.
+    let t1 = Instant::now();
+    let warm = run_clients(addr, &reqs)?;
+    let warm_wall_ns = t1.elapsed().as_nanos() as u64;
+    check_phase("warm", &warm, ResponseSource::Memory, Some(&cold));
+    println!(
+        "{workers} worker(s), warm: {JOBS}/{JOBS} answered from memory in {:.3} s, \
+         payloads byte-identical",
+        warm_wall_ns as f64 / 1e9
+    );
+    drop(server);
+
+    // Phase C — restart: a fresh daemon on the same store answers from
+    // disk without recomputing a single schedule.
+    let server = Server::start(config())?;
+    let restart = run_clients(server.addr(), &reqs)?;
+    check_phase("restart", &restart, ResponseSource::Disk, Some(&cold));
+    let stats = Client::connect(server.addr())?.stats()?;
+    let restart_sched_computes = stats
+        .iter()
+        .find(|(name, _)| name == "schedule_computes")
+        .map_or(u64::MAX, |&(_, v)| v);
+    assert_eq!(
+        restart_sched_computes, 0,
+        "restarted daemon computed schedules despite the warm store"
+    );
+    println!("{workers} worker(s), restart: {JOBS}/{JOBS} answered from disk, schedule computes 0");
+    Ok(Lifecycle {
+        workers,
+        cold,
+        warm,
+        restart,
+        cold_wall_ns,
+        warm_wall_ns,
+    })
+}
+
+/// The deterministic digest report (the same at any worker count).
 /// Sources and digests only — no wall-clock content.
-fn digest_report(
-    cold: &[(JobOutcome, u64)],
-    warm: &[(JobOutcome, u64)],
-    restart: &[(JobOutcome, u64)],
-    invariant_payload_fnv: u64,
-) -> String {
+fn digest_report(run: &Lifecycle, invariant_payload_fnv: u64) -> String {
     let source_tag = |s: ResponseSource| match s {
         ResponseSource::Computed => "cold",
         ResponseSource::Memory => "memory",
         ResponseSource::Disk => "disk",
     };
-    let mut s = String::from("E18-SERVE deterministic digest (diffed across ECL_FLEET_WORKERS)\n");
+    let mut s = String::from("E18-SERVE deterministic digest (identical at 1 and 4 workers)\n");
     s.push_str(&format!("jobs: {JOBS}\n"));
-    for (i, ((c, _), ((w, _), (r, _)))) in
-        cold.iter().zip(warm.iter().zip(restart.iter())).enumerate()
-    {
+    let phases = run.cold.iter().zip(run.warm.iter().zip(&run.restart));
+    for (i, ((c, _), ((w, _), (r, _)))) in phases.enumerate() {
         s.push_str(&format!(
             "job {i}: request={:#018x} payload={:#018x} phases={}/{}/{}\n",
             c.digest,
@@ -216,71 +286,38 @@ fn digest_report(
     s
 }
 
-#[allow(clippy::too_many_arguments)]
-fn bench_json(
-    workers: usize,
-    cold_wall_ns: u64,
-    cold_latencies: &[u64],
-    warm_wall_ns: u64,
-    warm_hits: usize,
-    restart_hits: usize,
-    restart_sched_computes: u64,
-    worker_invariant: bool,
-    rate_limited: bool,
-) -> String {
-    let mut sorted = cold_latencies.to_vec();
+/// Wall-clock sidecar (never committed).
+fn bench_json(run: &Lifecycle) -> String {
+    let mut sorted: Vec<u64> = run.cold.iter().map(|&(_, l)| l).collect();
     sorted.sort_unstable();
-    let requests_per_s = JOBS as f64 / (cold_wall_ns as f64 / 1e9);
-    let warm_requests_per_s = JOBS as f64 / (warm_wall_ns as f64 / 1e9);
-    let warm_hit_rate = warm_hits as f64 / JOBS as f64;
+    let requests_per_s = JOBS as f64 / (run.cold_wall_ns as f64 / 1e9);
+    let warm_requests_per_s = JOBS as f64 / (run.warm_wall_ns as f64 / 1e9);
     format!(
         "{{\"experiment\":\"exp18_serve\",\
-         \"workers\":{workers},\
+         \"workers\":{},\
          \"jobs\":{JOBS},\
          \"clients\":{CLIENTS},\
-         \"cold_wall_ns\":{cold_wall_ns},\
+         \"cold_wall_ns\":{},\
          \"requests_per_s\":{requests_per_s:.2},\
          \"p50_job_latency_ns\":{},\
          \"p99_job_latency_ns\":{},\
-         \"warm_wall_ns\":{warm_wall_ns},\
-         \"warm_requests_per_s\":{warm_requests_per_s:.2},\
-         \"warm_memory_hits\":{warm_hits},\
-         \"warm_hit_rate\":{warm_hit_rate:.6},\
-         \"warm_hit_rate_100pct\":{},\
-         \"restart_disk_hits\":{restart_hits},\
-         \"restart_all_disk\":{},\
-         \"restart_sched_computes\":{restart_sched_computes},\
-         \"restart_sched_computes_zero\":{},\
-         \"payload_worker_invariant\":{worker_invariant},\
-         \"rate_limit_enforced\":{rate_limited}}}\n",
+         \"warm_wall_ns\":{},\
+         \"warm_requests_per_s\":{warm_requests_per_s:.2}}}\n",
+        run.workers,
+        run.cold_wall_ns,
         percentile(&sorted, 0.50),
         percentile(&sorted, 0.99),
-        warm_hits == JOBS,
-        restart_hits == JOBS,
-        restart_sched_computes == 0,
+        run.warm_wall_ns,
     )
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("E18-SERVE — resident sweep-as-a-service daemon\n");
-    let workers = workers_from_env()?.unwrap_or(4);
-    let cache_dir = PathBuf::from("results/cache");
-    let _ = std::fs::remove_dir_all(&cache_dir);
 
     // Worker invariance, in-process: the same request through 1- and
     // 4-worker engines must yield byte-identical payloads.
-    let payload_1 = engine_payload(1)?;
-    let payload_4 = engine_payload(4)?;
-    let worker_invariant = payload_1 == payload_4;
-    assert!(
-        worker_invariant,
-        "1- and 4-worker engines produced different payload bytes"
-    );
-    let invariant_fnv = {
-        let mut h = ecl_aaa::Fnv1a::new();
-        h.write(&payload_1);
-        h.finish()
-    };
+    let (payload, _) = worker_invariant(engine_payload, Vec::clone)?;
+    let invariant_fnv = fnv64(&payload);
     println!("payload bytes invariant across 1 vs 4 pool workers");
 
     // Admission control.
@@ -288,84 +325,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(rate_limited, "third rapid submit was not rate-limited");
     println!("rate limiter: burst of 2 admitted, third submit rejected");
 
-    // Phase A — cold: concurrent clients, distinct requests.
-    let server = Server::start(ServerConfig {
-        workers,
-        store_dir: Some(cache_dir.clone()),
-        ..ServerConfig::default()
-    })?;
-    let addr = server.addr();
-    let reqs = requests();
-    let t0 = Instant::now();
-    let cold = run_clients(addr, &reqs)?;
-    let cold_wall_ns = t0.elapsed().as_nanos() as u64;
-    check_phase("cold", &cold, ResponseSource::Computed, None);
-    let cold_latencies: Vec<u64> = cold.iter().map(|&(_, l)| l).collect();
-    println!(
-        "cold: {JOBS} jobs over {CLIENTS} clients in {:.2} s ({:.2} req/s)",
-        cold_wall_ns as f64 / 1e9,
-        JOBS as f64 / (cold_wall_ns as f64 / 1e9)
-    );
+    let (run, report) = worker_invariant(lifecycle, |run| digest_report(run, invariant_fnv))?;
+    println!("1-worker vs 4-worker daemon lifecycle: digest reports byte-identical");
 
-    // Phase B — warm: identical requests, answered from the response
-    // digest cache without touching the pool.
-    let t1 = Instant::now();
-    let warm = run_clients(addr, &reqs)?;
-    let warm_wall_ns = t1.elapsed().as_nanos() as u64;
-    check_phase("warm", &warm, ResponseSource::Memory, Some(&cold));
-    let warm_hits = warm
-        .iter()
-        .filter(|(o, _)| o.source == ResponseSource::Memory)
-        .count();
-    println!(
-        "warm: {warm_hits}/{JOBS} answered from memory in {:.3} s, payloads byte-identical",
-        warm_wall_ns as f64 / 1e9
-    );
-    drop(server);
-
-    // Phase C — restart: a fresh daemon on the same store answers from
-    // disk without recomputing a single schedule.
-    let server = Server::start(ServerConfig {
-        workers,
-        store_dir: Some(cache_dir.clone()),
-        ..ServerConfig::default()
-    })?;
-    let restart = run_clients(server.addr(), &reqs)?;
-    check_phase("restart", &restart, ResponseSource::Disk, Some(&cold));
-    let restart_hits = restart
-        .iter()
-        .filter(|(o, _)| o.source == ResponseSource::Disk)
-        .count();
-    let stats = Client::connect(server.addr())?.stats()?;
-    let restart_sched_computes = stats
-        .iter()
-        .find(|(name, _)| name == "schedule_computes")
-        .map_or(u64::MAX, |&(_, v)| v);
-    assert_eq!(
-        restart_sched_computes, 0,
-        "restarted daemon computed schedules despite the warm store"
-    );
-    println!("restart: {restart_hits}/{JOBS} answered from disk, schedule computes still 0");
-    drop(server);
-
-    let report_path = write_result(
-        "exp18_serve.txt",
-        &digest_report(&cold, &warm, &restart, invariant_fnv),
-    )?;
-    let bench_path = write_result(
-        "BENCH_exp18.json",
-        &bench_json(
-            workers,
-            cold_wall_ns,
-            &cold_latencies,
-            warm_wall_ns,
-            warm_hits,
-            restart_hits,
-            restart_sched_computes,
-            worker_invariant,
-            rate_limited,
-        ),
-    )?;
+    let report_path = write_result("exp18_serve.txt", &report)?;
+    let bench_path = write_result("timing/BENCH_exp18.json", &bench_json(&run))?;
     println!(
         "wrote {} and {}",
         report_path.display(),

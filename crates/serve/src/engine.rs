@@ -33,7 +33,7 @@ use ecl_bench::fleet::{
     run_scenario, sweep_bound_ns, FaultAxes, FleetPool, Lane, SweepAccumulator, SweepCaches,
     SweepConfig, SweepKeys, SWEEP_BUCKETS,
 };
-use ecl_bench::{dc_motor_loop, split_scenario, SplitScenario};
+use ecl_bench::{dc_motor_loop, standard_split, SplitScenario};
 use ecl_core::cosim::{LoopResult, LoopSpec};
 use ecl_core::faults::FaultFamily;
 use ecl_core::report::SweepSummary;
@@ -187,16 +187,7 @@ impl Engine {
         let mut deployments = HashMap::new();
         deployments.insert(
             "dc_motor".to_string(),
-            Arc::new(Deployment::new(
-                dc_motor_loop(0.3)?,
-                split_scenario(
-                    2,
-                    1,
-                    TimeNs::from_micros(200),
-                    TimeNs::from_micros(50),
-                    TimeNs::from_micros(500),
-                )?,
-            )),
+            Arc::new(Deployment::new(dc_motor_loop(0.3)?, standard_split()?)),
         );
         let store = match &config.store_dir {
             Some(dir) => Some(DiskStore::open(dir).map_err(|e| CoreError::InvalidInput {

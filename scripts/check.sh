@@ -45,147 +45,81 @@ for bin in fig1_latency_trace fig2_ideal_loop fig3_graph_of_delays \
     cargo run -q --offline --release -p ecl-bench --bin "$bin" | diff - "results/$bin.txt"
 done
 
-# E11-MC asserts 1-worker vs 4-worker byte-identity and archives the
-# sweep report + wall-clock numbers under results/ (BENCH_exp11.json).
-echo "== E11-MC determinism check + bench artifact =="
+# The fleet experiments E11-E19 each run their sweep (E18: its daemon
+# lifecycle) at 1 worker and then at 4, assert in-binary that both runs
+# produce the same deterministic artifact, and write it once under
+# results/. Every other claim is asserted in-binary too, before the
+# artifact is written: attribution floors, memo hit rates, zero
+# hot-path allocations, the VM/static-bound cross-checks, the envelope
+# audit, the daemon's cold/warm/restart sources. Wall-clock sidecars
+# go to the untracked results/timing/; the guard at the end diffs the
+# deterministic artifacts against the committed goldens.
+echo "== E11-MC Monte-Carlo sweep =="
 cargo run -q --offline --release -p ecl-bench --bin exp11_monte_carlo >/dev/null
-test -s results/BENCH_exp11.json
-test -s results/exp11_monte_carlo.txt
 
-# E12-FAULT: the fault-injection sweep must produce byte-identical
-# artifacts for any worker count (the binary also reproduces E11-MC's
-# report bytes from a zero-rate fault plan — asserted internally).
-echo "== E12-FAULT determinism check + bench artifact =="
-ECL_FLEET_WORKERS=1 cargo run -q --offline --release -p ecl-bench --bin exp12_fault_sweep >/dev/null
-cp results/BENCH_exp12.json results/BENCH_exp12.w1.json
-ECL_FLEET_WORKERS=4 cargo run -q --offline --release -p ecl-bench --bin exp12_fault_sweep >/dev/null
-diff results/BENCH_exp12.w1.json results/BENCH_exp12.json
-rm results/BENCH_exp12.w1.json
-test -s results/BENCH_exp12.json
-test -s results/exp12_fault_sweep.txt
+# E12-FAULT also reproduces E11-MC's report bytes from a zero-rate
+# fault plan (asserted internally).
+echo "== E12-FAULT fault-injection sweep =="
+cargo run -q --offline --release -p ecl-bench --bin exp12_fault_sweep >/dev/null
 
 # E13-EXEC: the virtual executive must measure exactly the instants the
-# graph of delays predicts (asserted internally, nominal + fault plan),
-# and the validated sweep must be byte-identical for any worker count.
-# The VM's own determinism is re-asserted single-threaded.
-echo "== E13-EXEC cross-validation + determinism check =="
-ECL_FLEET_WORKERS=1 cargo run -q --offline --release -p ecl-bench --bin exp13_executive >/dev/null
-cp results/BENCH_exp13.json results/BENCH_exp13.w1.json
-ECL_FLEET_WORKERS=4 cargo run -q --offline --release -p ecl-bench --bin exp13_executive >/dev/null
-diff results/BENCH_exp13.w1.json results/BENCH_exp13.json
-rm results/BENCH_exp13.w1.json
-test -s results/BENCH_exp13.json
-test -s results/exp13_executive.txt
+# graph of delays predicts (nominal + fault plan). The VM's own
+# determinism is re-asserted single-threaded.
+echo "== E13-EXEC cross-validation =="
+cargo run -q --offline --release -p ecl-bench --bin exp13_executive >/dev/null
 cargo test -q --offline -p ecl-exec --lib -- --test-threads=1
 
-# E14-VERIFY: the static verifier must lint clean (clippy on the new
-# crate is pinned explicitly), report zero errors on every experiment
-# schedule (verify_experiments test), and the binary asserts internally
-# that the static Ls/La bounds dominate every measured VM / co-sim
-# latency. Its artifact must be byte-identical for any worker count.
-echo "== E14-VERIFY static gate + determinism check =="
+# E14-VERIFY: the static verifier must lint clean (clippy on the crate
+# is pinned explicitly), report zero errors on every experiment
+# schedule (verify_experiments test), and its static Ls/La bounds must
+# dominate every measured VM / co-sim latency (asserted internally).
+echo "== E14-VERIFY static gate =="
 cargo clippy -p ecl-verify --all-targets --offline -- -D warnings
 cargo test -q --offline -p ecl-bench --test verify_experiments
-ECL_FLEET_WORKERS=1 cargo run -q --offline --release -p ecl-bench --bin exp14_verify >/dev/null
-cp results/BENCH_exp14.json results/BENCH_exp14.w1.json
-ECL_FLEET_WORKERS=4 cargo run -q --offline --release -p ecl-bench --bin exp14_verify >/dev/null
-diff results/BENCH_exp14.w1.json results/BENCH_exp14.json
-rm results/BENCH_exp14.w1.json
-test -s results/BENCH_exp14.json
-test -s results/exp14_verify.txt
+cargo run -q --offline --release -p ecl-bench --bin exp14_verify >/dev/null
 cargo test -q --offline -p ecl-verify --lib -- --test-threads=1
 
-# E15-PROFILE: the fleet profiler must attribute >= 95% of worker busy
-# time to named phases (asserted internally and recorded in
-# BENCH_exp15.json), the fault-axis sweep must hit the schedule cache,
-# and — the point of the exercise — the deterministic sweep report must
-# stay byte-identical across worker counts with profiling ON (only the
-# PROFILE_* / BENCH_* sidecars may carry wall-clock content).
-echo "== E15-PROFILE attribution + determinism check =="
-ECL_FLEET_WORKERS=1 cargo run -q --offline --release -p ecl-bench --bin exp15_profile >/dev/null
-cp results/exp15_profile.txt results/exp15_profile.w1.txt
-ECL_FLEET_WORKERS=4 cargo run -q --offline --release -p ecl-bench --bin exp15_profile >/dev/null
-diff results/exp15_profile.w1.txt results/exp15_profile.txt
-rm results/exp15_profile.w1.txt
-grep -q '"attribution_ge_95":true' results/BENCH_exp15.json
-test -s results/PROFILE_exp15.json
-test -s results/PROFILE_exp15.txt
-test -s results/PROFILE_exp15.trace.json
-test -s results/exp15_profile.txt
+# E15-PROFILE: the profiler must attribute >= 95% of worker busy time
+# to named phases, with profiling on in both runs, so the sidecar
+# provably does not leak into the report.
+echo "== E15-PROFILE attribution =="
+cargo run -q --offline --release -p ecl-bench --bin exp15_profile >/dev/null
 
-# E16-SCALE: the allocation-free kernel + ideal-run memo must carry a
-# 100k-scenario sweep: the deterministic digest report must stay
-# byte-identical across worker counts, the sim-kernel hot loop must
-# report zero steady-state allocations, and throughput must clear 3x
-# the archived PR6 baseline (booleans recorded in BENCH_exp16.json).
-echo "== E16-SCALE 100k-scenario throughput + determinism check =="
-ECL_FLEET_WORKERS=1 cargo run -q --offline --release -p ecl-bench --bin exp16_scale >/dev/null
-cp results/exp16_scale.txt results/exp16_scale.w1.txt
-ECL_FLEET_WORKERS=4 cargo run -q --offline --release -p ecl-bench --bin exp16_scale >/dev/null
-diff results/exp16_scale.w1.txt results/exp16_scale.txt
-rm results/exp16_scale.w1.txt
-grep -q '"hot_allocs_zero":true' results/BENCH_exp16.json
-grep -q '"throughput_ge_3x":true' results/BENCH_exp16.json
-grep -q '"ideal_speedup_ge_3x":true' results/BENCH_exp16.json
-test -s results/PROFILE_exp16.json
-test -s results/exp16_scale.txt
-
-# E17-SCALE: the scheduled-run memo must carry a 10^6-scenario sweep:
-# the deterministic digest report must stay byte-identical across worker
-# counts, the memo hit rate must clear 99.9% (quantized axes bound the
-# key space to <=96 digests), the hot loop must stay allocation-free,
-# and throughput must clear 3x the archived E16 baseline (booleans
-# recorded in BENCH_exp17.json).
-echo "== E17-SCALE 10^6-scenario scheduled-memo check =="
-ECL_FLEET_WORKERS=1 cargo run -q --offline --release -p ecl-bench --bin exp17_scale >/dev/null
-cp results/exp17_scale.txt results/exp17_scale.w1.txt
-ECL_FLEET_WORKERS=4 cargo run -q --offline --release -p ecl-bench --bin exp17_scale >/dev/null
-diff results/exp17_scale.w1.txt results/exp17_scale.txt
-rm results/exp17_scale.w1.txt
-grep -q '"hot_allocs_zero":true' results/BENCH_exp17.json
-grep -q '"throughput_ge_3x":true' results/BENCH_exp17.json
-grep -q '"scheduled_hit_rate_ge_999":true' results/BENCH_exp17.json
-test -s results/PROFILE_exp17.json
-test -s results/exp17_scale.txt
+# E16-SCALE / E17-SCALE: 10^5 and 10^6-scenario sweeps. Their digest
+# reports carry the memo hit/miss counters and a kernel_work: line
+# (RHS evaluations, steps, events, spans, hot-path allocations of a
+# fixed probe), so a change in the work the kernel or the memos do
+# fails the golden diff.
+echo "== E16-SCALE 10^5-scenario sweep =="
+cargo run -q --offline --release -p ecl-bench --bin exp16_scale >/dev/null
+echo "== E17-SCALE 10^6-scenario scheduled-memo sweep =="
+cargo run -q --offline --release -p ecl-bench --bin exp17_scale >/dev/null
 
 # E18-SERVE: the resident daemon must answer concurrent clients with
 # byte-identical reports whether the payload is computed cold, replayed
-# from the in-memory response cache, or replayed from results/cache/
-# after a full restart — for any pool worker count. The binary asserts
-# the phases internally; the gate re-diffs the digest report across
-# worker counts and greps the boolean verdicts out of BENCH_exp18.json.
-echo "== E18-SERVE daemon cold/warm/restart + determinism check =="
-ECL_FLEET_WORKERS=1 cargo run -q --offline --release -p ecl-serve --bin exp18_serve >/dev/null
-cp results/exp18_serve.txt results/exp18_serve.w1.txt
-ECL_FLEET_WORKERS=4 cargo run -q --offline --release -p ecl-serve --bin exp18_serve >/dev/null
-diff results/exp18_serve.w1.txt results/exp18_serve.txt
-rm results/exp18_serve.w1.txt
-grep -q '"warm_hit_rate_100pct":true' results/BENCH_exp18.json
-grep -q '"restart_all_disk":true' results/BENCH_exp18.json
-grep -q '"restart_sched_computes_zero":true' results/BENCH_exp18.json
-grep -q '"payload_worker_invariant":true' results/BENCH_exp18.json
-grep -q '"rate_limit_enforced":true' results/BENCH_exp18.json
-test -s results/BENCH_exp18.json
-test -s results/exp18_serve.txt
+# from memory, or replayed from results/cache/ after a restart.
+echo "== E18-SERVE daemon cold/warm/restart =="
+cargo run -q --offline --release -p ecl-serve --bin exp18_serve >/dev/null
 cargo test -q --offline -p ecl-serve --lib -- --test-threads=1
 
-# E19-ENVELOPE: the fault-envelope abstract interpretation must prune a
-# 10^6-scenario sweep (pruned > 0) with zero unsound prunes under the
-# sampled ground-truth audit (booleans recorded in BENCH_exp19.json),
-# and the pruned sweep's deterministic digest report must stay
-# byte-identical across worker counts. The VM/co-sim soundness property
-# tests run single-threaded alongside.
-echo "== E19-ENVELOPE static pruning + soundness audit check =="
-ECL_FLEET_WORKERS=1 cargo run -q --offline --release -p ecl-bench --bin exp19_envelope >/dev/null
-cp results/exp19_envelope.txt results/exp19_envelope.w1.txt
-ECL_FLEET_WORKERS=4 cargo run -q --offline --release -p ecl-bench --bin exp19_envelope >/dev/null
-diff results/exp19_envelope.w1.txt results/exp19_envelope.txt
-rm results/exp19_envelope.w1.txt
-grep -q '"pruned_gt_zero":true' results/BENCH_exp19.json
-grep -q '"prune_unsound_zero":true' results/BENCH_exp19.json
-test -s results/BENCH_exp19.json
-test -s results/exp19_envelope.txt
+# E19-ENVELOPE: fault-envelope pruning of a 10^6-scenario sweep with
+# zero unsound prunes under the sampled ground-truth audit. The VM /
+# co-sim soundness property tests run single-threaded alongside.
+echo "== E19-ENVELOPE static pruning + soundness audit =="
+cargo run -q --offline --release -p ecl-bench --bin exp19_envelope >/dev/null
 cargo test -q --offline -p ecl-bench --test envelope_soundness -- --test-threads=1
 cargo test -q --offline -p ecl-verify --test registry
+
+# Every committed artifact under results/ must have been reproduced
+# byte for byte, and nothing may land there outside results/timing/.
+# A change that alters work on purpose stages its updated goldens.
+echo "== results/ matches the committed goldens =="
+git diff --exit-code -- results
+untracked=$(git ls-files --others --exclude-standard -- results)
+if [ -n "$untracked" ]; then
+    echo "untracked files under results/:" >&2
+    echo "$untracked" >&2
+    exit 1
+fi
 
 echo "All checks passed."
