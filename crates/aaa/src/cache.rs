@@ -588,7 +588,10 @@ impl<V> MemoView<V> {
 /// # Examples
 ///
 /// ```
-/// use ecl_aaa::{AdequationOptions, AlgorithmGraph, ArchitectureGraph, ScheduleCache, TimeNs, TimingDb};
+/// use ecl_aaa::{
+///     AdequationOptions, AlgorithmGraph, ArchitectureGraph, ScheduleCache, ScheduleKey, TimeNs,
+///     TimingDb,
+/// };
 /// # fn main() -> Result<(), ecl_aaa::AaaError> {
 /// let mut alg = AlgorithmGraph::new();
 /// let s = alg.add_sensor("s");
@@ -597,10 +600,12 @@ impl<V> MemoView<V> {
 /// let mut db = TimingDb::new();
 /// db.set_default(s, TimeNs::from_micros(10));
 /// let cache = ScheduleCache::new();
-/// let a = cache.get_or_compute(&alg, &arch, &db, AdequationOptions::default())?;
-/// let b = cache.get_or_compute(&alg, &arch, &db, AdequationOptions::default())?;
+/// let key = ScheduleKey::new(&alg, &arch);
+/// let (a, digest) = cache.get_or_compute(&key, &db, AdequationOptions::default())?;
+/// let (b, _) = cache.get_or_compute(&key, &db, AdequationOptions::default())?;
 /// assert_eq!(cache.hits(), 1);
 /// assert_eq!(a.ops(), b.ops());
+/// assert_eq!(digest, ecl_aaa::schedule_digest(&alg, &arch, &db, AdequationOptions::default()));
 /// # Ok(())
 /// # }
 /// ```
@@ -621,46 +626,28 @@ impl ScheduleCache {
         ScheduleCache::default()
     }
 
-    /// The schedule for the given inputs, running [`adequation`] only on
-    /// a cache miss.
+    /// The schedule for the key's graphs under `db` and `options`,
+    /// running [`adequation`] only on a cache miss, with its
+    /// [`schedule_digest`] key.
     ///
     /// # Errors
     ///
     /// Propagates [`adequation`] errors; failures are not cached.
     pub fn get_or_compute(
         &self,
-        alg: &AlgorithmGraph,
-        arch: &ArchitectureGraph,
-        db: &TimingDb,
-        options: AdequationOptions,
-    ) -> Result<Arc<Schedule>, AaaError> {
-        self.get_or_compute_traced(&ScheduleKey::new(alg, arch), db, options)
-            .map(|(schedule, _, _)| schedule)
-    }
-
-    /// Like [`get_or_compute`](ScheduleCache::get_or_compute) on the
-    /// key's graphs, also returning the [`schedule_digest`] key and
-    /// whether *this* lookup was answered from the cache (a
-    /// sidecar-only observation, see [`DigestMemo::get_or_compute`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`adequation`] errors; failures are not cached.
-    pub fn get_or_compute_traced(
-        &self,
         key: &ScheduleKey<'_>,
         db: &TimingDb,
         options: AdequationOptions,
-    ) -> Result<(Arc<Schedule>, u64, bool), AaaError> {
+    ) -> Result<(Arc<Schedule>, u64), AaaError> {
         let digest = key.digest(db, options);
-        let (schedule, hit) = self
+        let (schedule, _) = self
             .0
             .get_or_compute(digest, || adequation(&key.alg, &key.arch, db, options))?;
-        Ok((schedule, digest, hit))
+        Ok((schedule, digest))
     }
 
-    /// Like [`get_or_compute_traced`](ScheduleCache::get_or_compute_traced),
-    /// looked up through a worker's `view` of this cache.
+    /// Like [`get_or_compute`](ScheduleCache::get_or_compute), looked up
+    /// through a worker's `view` of this cache.
     ///
     /// # Errors
     ///
@@ -671,12 +658,12 @@ impl ScheduleCache {
         key: &ScheduleKey<'_>,
         db: &TimingDb,
         options: AdequationOptions,
-    ) -> Result<(Lent<Schedule>, u64, bool), AaaError> {
+    ) -> Result<(Lent<Schedule>, u64), AaaError> {
         let digest = key.digest(db, options);
-        let (schedule, hit) = view.get_or_compute(self, digest, || {
+        let (schedule, _) = view.get_or_compute(self, digest, || {
             adequation(&key.alg, &key.arch, db, options)
         })?;
-        Ok((schedule, digest, hit))
+        Ok((schedule, digest))
     }
 }
 
@@ -987,9 +974,11 @@ mod tests {
         let cache = ScheduleCache::new();
         assert!(cache.is_empty());
         let opts = AdequationOptions::default();
-        let a = cache.get_or_compute(&alg, &arch, &db, opts).unwrap();
+        let key = ScheduleKey::new(&alg, &arch);
+        let (a, digest) = cache.get_or_compute(&key, &db, opts).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let b = cache.get_or_compute(&alg, &arch, &db, opts).unwrap();
+        assert_eq!(digest, schedule_digest(&alg, &arch, &db, opts));
+        let (b, _) = cache.get_or_compute(&key, &db, opts).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(Arc::ptr_eq(&a, &b));
         // The cached schedule equals a fresh run.
@@ -1001,7 +990,7 @@ mod tests {
         // A different WCET table is a distinct entry.
         let mut db2 = db.clone();
         db2.set_default(crate::OpId(0), TimeNs::from_micros(50));
-        cache.get_or_compute(&alg, &arch, &db2, opts).unwrap();
+        cache.get_or_compute(&key, &db2, opts).unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 2);
     }

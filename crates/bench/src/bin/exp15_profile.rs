@@ -15,9 +15,11 @@
 //!   `.trace.json` and `results/timing/BENCH_exp15.json` carry the
 //!   wall-clock attribution of the 4-worker run: per-phase totals and
 //!   latency histograms, per-worker utilization/idle/claim counters,
-//!   per-digest schedule-cache lines, and a worker-lane Chrome trace
-//!   mergeable with the per-scenario simulation traces. The repository
-//!   does not track them.
+//!   and a worker-lane Chrome trace mergeable with the per-scenario
+//!   simulation traces. The profiler records phase spans and task
+//!   windows only; the sidecar's schedule-cache counts come from the
+//!   memo tables through the sweep summary. The repository does not
+//!   track them.
 //!
 //! The binary asserts the two headline claims of the profiler: at least
 //! 95% of worker busy time is attributed to named phases (on one worker,
@@ -51,7 +53,8 @@ fn config(workers: usize) -> SweepConfig {
 }
 
 /// The machine-readable sidecar: wall-clock attribution plus the
-/// deterministic cache statistics. NOT diffed across worker counts.
+/// deterministic cache statistics of the summary (each distinct digest
+/// is one miss). NOT diffed across worker counts.
 fn bench_json(out: &SweepOutput, profile: &ProfileReport) -> String {
     let mut phases = String::new();
     for (i, p) in profile.phases.iter().enumerate() {
@@ -86,7 +89,7 @@ fn bench_json(out: &SweepOutput, profile: &ProfileReport) -> String {
         profile.utilization(),
         out.summary.cache_hits,
         out.summary.cache_misses,
-        profile.cache.len(),
+        out.summary.cache_misses,
     )
 }
 
@@ -107,11 +110,6 @@ fn check(out: &SweepOutput) {
         out.summary.cache_hits + out.summary.cache_misses,
         out.summary.scenarios.len() as u64,
         "one schedule-cache lookup per scenario"
-    );
-    assert_eq!(
-        profile.cache_lookups(),
-        out.summary.scenarios.len() as u64,
-        "profiler must observe every cache lookup"
     );
 }
 

@@ -63,6 +63,7 @@ use ecl_core::report::{
 use ecl_core::xval;
 use ecl_core::CoreError;
 use ecl_exec::ExecOptions;
+use ecl_sim::{splitmix64, SplitMix64};
 use ecl_telemetry::{
     Collector, Histogram, Phase, PrefixSink, ProfileReport, RecordingSink, WorkerProfile,
 };
@@ -81,55 +82,12 @@ pub const SWEEP_BUCKETS: usize = 64;
 /// which scenario drew it.
 const WCET_TABLE_SALT: u64 = 0x57ce_7ab1_e5a1_7000;
 
-/// The splitmix64 finalizer: a bijective avalanche mix.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Derives scenario `index`'s PRNG seed from the sweep seed: element
 /// `index` of the splitmix64 stream starting at `base`. Workers never
 /// share PRNG state, so the derivation — not scheduling order — fixes
 /// every random draw.
 pub fn scenario_seed(base: u64, index: usize) -> u64 {
     splitmix64(base.wrapping_add((index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)))
-}
-
-/// Per-scenario PRNG over the splitmix64 stream of [`scenario_seed`].
-#[derive(Debug, Clone)]
-struct FleetRng {
-    state: u64,
-}
-
-impl FleetRng {
-    fn new(seed: u64) -> Self {
-        FleetRng { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        splitmix64(self.state.wrapping_sub(0x9e37_79b9_7f4a_7c15))
-    }
-
-    /// Uniform in `[0, 1)` (53-bit resolution).
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `[0, n)` by rejection sampling (no modulo bias).
-    fn below(&mut self, n: usize) -> usize {
-        assert!(n > 0, "cannot sample from an empty range");
-        let n = n as u64;
-        let zone = u64::MAX - u64::MAX % n;
-        loop {
-            let x = self.next_u64();
-            if x < zone {
-                return (x % n) as usize;
-            }
-        }
-    }
 }
 
 /// Fault-injection axes of a sweep (experiment E12-FAULT).
@@ -316,13 +274,13 @@ impl Scenario {
     /// Derives scenario `index` of a sweep over `base`.
     pub fn derive(config: &SweepConfig, base: &SplitScenario, index: usize) -> Scenario {
         let seed = scenario_seed(config.base_seed, index);
-        let mut rng = FleetRng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         // The scenario draws a WCET *table index*; the table's content
         // comes from its own seed stream, independent of the scenario.
         // Scenarios sharing a table therefore present byte-identical
         // timing tables to the scheduler and can share a cached schedule.
         let wcet_table = rng.below(config.wcet_tables.max(1));
-        let mut table_rng = FleetRng::new(scenario_seed(
+        let mut table_rng = SplitMix64::new(scenario_seed(
             config.base_seed ^ WCET_TABLE_SALT,
             wcet_table,
         ));
@@ -487,9 +445,10 @@ fn claim_batch(count: usize, workers: usize) -> usize {
 /// alongside the results. The fleet profiler rides here: its per-worker
 /// buffers are worker state, so the hot path never writes shared memory.
 ///
-/// Workers claim **batches** of consecutive indices ([`claim_batch`])
-/// from the shared counter and publish each batch's results under one
-/// lock acquisition, amortizing pool overhead over small tasks. Results
+/// Workers claim **batches** of consecutive indices (up to 32, about a
+/// sixteenth of each worker's share) from the shared counter and
+/// publish each batch's results under one lock acquisition, amortizing
+/// pool overhead over small tasks. Results
 /// are still slotted by index, so claiming granularity can never leak
 /// into the output order.
 pub fn map_indexed_with<R, W, G, F>(count: usize, workers: usize, init: G, f: F) -> (Vec<R>, Vec<W>)
@@ -596,9 +555,8 @@ type PoolTask = Box<dyn FnOnce() + Send + 'static>;
 /// lands on every request. `FleetPool` keeps the workers alive across
 /// jobs; [`run_with`](FleetPool::run_with) reproduces the
 /// `map_indexed_with` contract (index-ordered results, worker states in
-/// lane order, batched claiming via [`claim_batch`]) on top of them, so a
-/// sweep sharded over the pool stays byte-identical to one run on scoped
-/// threads. Jobs submitted concurrently interleave at lane granularity;
+/// lane order, batched claiming) on top of them, so a sweep sharded over
+/// the pool stays byte-identical to one run on scoped threads. Jobs submitted concurrently interleave at lane granularity;
 /// each lane task runs to completion independently, so no job can
 /// deadlock another.
 ///
@@ -1041,8 +999,8 @@ impl SweepAccumulator {
 
 /// One untraced graph-of-delays co-simulation with its profile spans.
 /// With [`SweepConfig::memoize_scheduled`] the lookup goes through the
-/// lane's view of the shared [`ScheduledRunCache`] and reports on the
-/// profiler's memo channel; without it the co-simulation runs fresh —
+/// lane's view of the shared [`ScheduledRunCache`], whose per-digest
+/// counts record it; without it the co-simulation runs fresh —
 /// the pre-memo fleet pipeline, kept for baseline benchmarks and for the
 /// byte-identity tests that pin the memoized artifacts against it.
 ///
@@ -1070,18 +1028,7 @@ fn scheduled_cosim(
     let t0 = wp.now_ns();
     let (run, key, hit, phases) = if config.memoize_scheduled {
         let (alg, io, arch) = (&base.alg, &base.io, &base.arch);
-        let (run, key, hit, phases) = scheduled_memo.get_or_run_at(
-            view,
-            at,
-            alg,
-            io,
-            schedule,
-            arch,
-            schedule_digest,
-            plan,
-        )?;
-        wp.memo_event(index, key, hit);
-        (run, key, hit, phases)
+        scheduled_memo.get_or_run_at(view, at, alg, io, schedule, arch, schedule_digest, plan)?
     } else {
         let key = cosim::scheduled_run_digest(at.digest(), schedule_digest, plan);
         let activation =
@@ -1099,22 +1046,6 @@ fn scheduled_cosim(
         wp.push_span(index, Phase::Cosim, synthesized, simulated);
     }
     Ok((run, key))
-}
-
-/// The latency report a scenario's verification phase reads: freshly
-/// extracted, or shared out of the [`ReportCache`].
-enum ScenarioReport {
-    Fresh(LatencyReport),
-    Cached(Lent<ReportEntry>),
-}
-
-impl ScenarioReport {
-    fn get(&self) -> &LatencyReport {
-        match self {
-            ScenarioReport::Fresh(report) => report,
-            ScenarioReport::Cached(entry) => &entry.report,
-        }
-    }
 }
 
 /// Extracts the Metrics-phase yield of one run: the latency report
@@ -1206,13 +1137,12 @@ pub fn run_scenario(
     let options = AdequationOptions {
         policy: scenario.policy,
     };
-    let (schedule, digest, hit) = wp.phase(index, Phase::Adequation, |_| {
+    let (schedule, digest) = wp.phase(index, Phase::Adequation, |_| {
         caches
             .schedule
             .get_or_compute_in(schedule_view, &keys.schedule, &db, options)
             .map_err(CoreError::from)
     })?;
-    wp.cache_event(index, digest, hit);
 
     // The delay-graph builder rejects makespan > period; a badly jittered
     // schedule stretches the period just enough (deterministically).
@@ -1356,48 +1286,31 @@ pub fn run_scenario(
         // Forced rendezvous under faults legitimately pushes sampling
         // past its period, so degraded runs are measured leniently.
         let lenient = scenario.has_faults();
-        let outcome_for = |worst: i64, overruns: usize| ScenarioOutcome {
+        let entry = if let Some(run_key) = run_key.filter(|_| config.memoize_reports) {
+            report_view
+                .get_or_compute(&caches.reports, report_digest(run_key, bound), || {
+                    build_report_entry(&run, lenient, bound)
+                })?
+                .0
+        } else {
+            Lent::new(Arc::new(build_report_entry(&run, lenient, bound)?))
+        };
+        scratch.merge(&entry.hist);
+        let outcome = ScenarioOutcome {
             index,
             seed: scenario.seed,
             label: scenario.label(),
             cost: run.cost,
             cost_ratio: run.cost / ideal.cost,
             makespan_ns: schedule.makespan().as_nanos(),
-            worst_actuation_ns: worst,
-            overruns,
-        };
-        let measured = if let Some(run_key) = run_key.filter(|_| config.memoize_reports) {
-            let (entry, _local_hit) = report_view.get_or_compute(
-                &caches.reports,
-                report_digest(run_key, bound),
-                || build_report_entry(&run, lenient, bound),
-            )?;
-            scratch.merge(&entry.hist);
-            Ok::<_, CoreError>((
-                outcome_for(entry.worst_actuation_ns, entry.overruns),
-                ScenarioReport::Cached(entry),
-            ))
-        } else {
-            let report = if lenient {
-                run.latency_report_lenient()?
-            } else {
-                run.latency_report()?
-            };
-            let mut worst = 0i64;
-            for series in &report.actuation {
-                for &v in series.values() {
-                    scratch.record(v.as_nanos());
-                    worst = worst.max(v.as_nanos());
-                }
-            }
-            let overruns = report.total_overruns();
-            Ok((outcome_for(worst, overruns), ScenarioReport::Fresh(report)))
+            worst_actuation_ns: entry.worst_actuation_ns,
+            overruns: entry.overruns,
         };
         // An un-memoized run is freed here, so its teardown is metrics
         // time instead of busy time no phase accounts for.
         drop(run);
         drop(ideal);
-        measured
+        Ok::<_, CoreError>((outcome, entry))
     })?;
 
     // Measured-vs-modeled cross-validation: execute the generated
@@ -1454,7 +1367,7 @@ pub fn run_scenario(
                 None
             } else {
                 let mut margin: Option<i64> = None;
-                let rep = report.get();
+                let rep = &report.report;
                 let sensors = base.io.sensors.iter().zip(&rep.sampling);
                 let actuators = base.io.actuators.iter().zip(&rep.actuation);
                 for (op, series) in sensors.chain(actuators) {
@@ -1744,6 +1657,18 @@ mod tests {
         assert_eq!(plain.traces, serial.traces);
         assert_eq!(serial.traces, parallel.traces);
 
+        // Lookup counts come from the memo tables, not the profiler:
+        // one schedule lookup per scenario, one scheduled-run lookup per
+        // untraced scenario, at any worker count.
+        for out in [&serial, &parallel] {
+            assert_eq!(out.summary.cache_hits + out.summary.cache_misses, 8);
+            assert_eq!(out.scheduled_hits + out.scheduled_misses, 6);
+        }
+        assert_eq!(
+            (serial.scheduled_hits, serial.scheduled_misses),
+            (parallel.scheduled_hits, parallel.scheduled_misses)
+        );
+
         let p1 = serial.profile.expect("profiling was requested");
         let p4 = parallel.profile.expect("profiling was requested");
         assert_eq!(p1.workers.len(), 1);
@@ -1770,31 +1695,6 @@ mod tests {
                 assert_eq!(stat.hist.overflow(), 0);
             }
         }
-
-        // Cache attribution is keyed by digest and structurally
-        // worker-count-invariant (per-digest lookup counts; only the
-        // worker-local hit observations may differ).
-        assert_eq!(p1.cache_lookups(), 8);
-        assert_eq!(p4.cache_lookups(), 8);
-        let shape = |p: &ProfileReport| {
-            p.cache
-                .iter()
-                .map(|l| (l.digest, l.lookups, l.scenarios.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(shape(&p1), shape(&p4));
-
-        // The scheduled-run memo reports on its own sidecar channel: one
-        // lookup per untraced scenario, same structural invariance.
-        assert_eq!(p1.memo_lookups(), 6);
-        assert_eq!(p4.memo_lookups(), 6);
-        let memo_shape = |p: &ProfileReport| {
-            p.memo
-                .iter()
-                .map(|l| (l.digest, l.lookups, l.scenarios.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(memo_shape(&p1), memo_shape(&p4));
 
         // Attribution: the named phases cover the bulk of busy time, and
         // the report is internally consistent.
@@ -2452,8 +2352,11 @@ mod tests {
             let mut spec = dc_motor_loop(0.2).unwrap();
             spec.ts *= scale;
             let memo = IdealRunCache::new();
-            let first = memo.get_or_run(&spec).unwrap();
-            let second = memo.get_or_run(&spec).unwrap();
+            let key = LoopKey::new(&spec);
+            let mut view = MemoView::new();
+            let first = memo.get_or_run_at(&mut view, key.at(spec.ts)).unwrap();
+            let second = memo.get_or_run_at(&mut view, key.at(spec.ts)).unwrap();
+            view.flush(&memo);
             prop_assert_eq!((memo.hits(), memo.misses()), (1, 1));
             let fresh = cosim::run_ideal(&spec).unwrap();
             // Memo entries keep the totals, not the per-block vector.
@@ -2486,8 +2389,8 @@ mod tests {
                 ..Scenario::derive(&config, &base, 0)
             };
             let db = scenario.jittered_db(&base);
-            let (schedule, digest, _) = ScheduleCache::new()
-                .get_or_compute_traced(
+            let (schedule, digest) = ScheduleCache::new()
+                .get_or_compute(
                     &ScheduleKey::new(&base.alg, &base.arch),
                     &db,
                     AdequationOptions {
@@ -2555,6 +2458,7 @@ mod tests {
             let mut config = faulty_config(1);
             config.base_seed = base_seed;
             config.scenario_count = 5;
+            let key = ScheduleKey::new(&base.alg, &base.arch);
             let digests_on = |workers: usize| -> Vec<u64> {
                 let cache = ScheduleCache::new();
                 map_indexed(config.scenario_count, workers, |i| {
@@ -2563,9 +2467,7 @@ mod tests {
                     let options = AdequationOptions {
                         policy: scenario.policy,
                     };
-                    let schedule = cache
-                        .get_or_compute(&base.alg, &base.arch, &db, options)
-                        .unwrap();
+                    let (schedule, _) = cache.get_or_compute(&key, &db, options).unwrap();
                     FaultPlan::generate(
                         &scenario.fault_config(&config.faults),
                         &schedule,
@@ -2585,16 +2487,10 @@ mod tests {
                 ..Scenario::derive(&config, &base, 0)
             };
             let db = zero.jittered_db(&base);
-            let schedule = ScheduleCache::new()
-                .get_or_compute(
-                    &base.alg,
-                    &base.arch,
-                    &db,
-                    AdequationOptions {
-                        policy: zero.policy,
-                    },
-                )
-                .unwrap();
+            let options = AdequationOptions {
+                policy: zero.policy,
+            };
+            let (schedule, _) = ScheduleCache::new().get_or_compute(&key, &db, options).unwrap();
             let plan = FaultPlan::generate(
                 &zero.fault_config(&config.faults),
                 &schedule,

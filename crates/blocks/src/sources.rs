@@ -1,6 +1,6 @@
 //! Signal sources.
 
-use ecl_sim::{impl_block_any, Block, EventCtx, PortSpec, TimeNs};
+use ecl_sim::{impl_block_any, Block, EventCtx, PortSpec, SplitMix64, TimeNs};
 
 /// Emits a constant value.
 ///
@@ -163,34 +163,6 @@ impl Block for Sine {
             + self.amplitude * (2.0 * std::f64::consts::PI * self.freq_hz * t + self.phase).sin();
     }
     impl_block_any!();
-}
-
-/// Minimal SplitMix64 generator backing [`SampledNoise`].
-///
-/// Local so the workspace carries no registry dependency for its single
-/// random source; the stream is fixed by the seed and nothing else.
-#[derive(Debug, Clone)]
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` with 53 random bits.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
 }
 
 /// Zero-order-hold Gaussian noise, redrawn at each activation event.

@@ -1158,7 +1158,8 @@ impl LoopAt<'_> {
 /// # Examples
 ///
 /// ```
-/// use ecl_core::cosim::{run_ideal, IdealRunCache, LoopSpec, DisturbanceKind};
+/// use ecl_aaa::MemoView;
+/// use ecl_core::cosim::{run_ideal, IdealRunCache, LoopKey, LoopSpec, DisturbanceKind};
 /// use ecl_control::StateSpace;
 /// use ecl_linalg::Mat;
 /// # fn main() -> Result<(), ecl_core::CoreError> {
@@ -1181,8 +1182,11 @@ impl LoopAt<'_> {
 ///     disturbance: DisturbanceKind::None,
 /// };
 /// let cache = IdealRunCache::new();
-/// let a = cache.get_or_run(&spec)?;
-/// let b = cache.get_or_run(&spec)?;
+/// let key = LoopKey::new(&spec);
+/// let mut view = MemoView::new();
+/// let a = cache.get_or_run_at(&mut view, key.at(spec.ts))?;
+/// let b = cache.get_or_run_at(&mut view, key.at(spec.ts))?;
+/// view.flush(&cache);
 /// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// assert_eq!(a.cost.to_bits(), b.cost.to_bits());
 /// assert_eq!(a.cost.to_bits(), run_ideal(&spec)?.cost.to_bits());
@@ -1204,19 +1208,6 @@ impl IdealRunCache {
     /// An empty memo table.
     pub fn new() -> Self {
         IdealRunCache::default()
-    }
-
-    /// The ideal run for `spec`, simulating only on a cache miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`run_ideal`] errors; failures are not cached.
-    pub fn get_or_run(&self, spec: &LoopSpec) -> Result<Arc<LoopResult>, CoreError> {
-        let key = LoopKey::new(spec);
-        let at = key.at(spec.ts);
-        self.0
-            .get_or_compute(at.digest(), || Self::run(at))
-            .map(|(result, _)| result)
     }
 
     /// The ideal run at `at`, looked up by its precomputed digest through
@@ -1252,7 +1243,7 @@ impl IdealRunCache {
 ///
 /// `schedule_digest` must be the digest of the exact inputs that
 /// produced `schedule` — the fleet already holds it from
-/// [`ecl_aaa::ScheduleCache::get_or_compute_traced`].
+/// [`ecl_aaa::ScheduleCache::get_or_compute_in`].
 pub fn scheduled_run_digest(
     loop_digest: u64,
     schedule_digest: u64,
@@ -1472,7 +1463,13 @@ mod tests {
             assert!(entry.stats.activation_counts().is_empty());
         };
         let ideal = IdealRunCache::new();
-        same_as_decoded(&ideal.get_or_run(&dc_motor_spec()).unwrap());
+        let spec = dc_motor_spec();
+        let key = LoopKey::new(&spec);
+        same_as_decoded(
+            &ideal
+                .get_or_run_at(&mut MemoView::new(), key.at(spec.ts))
+                .unwrap(),
+        );
         let (spec, alg, io, schedule, arch) = split_fixture();
         let scheduled = ScheduledRunCache::new();
         let (entry, ..) = scheduled
@@ -1600,9 +1597,12 @@ mod tests {
         spec.horizon = 0.5;
         let cache = IdealRunCache::new();
         assert!(cache.is_empty());
-        let memo = cache.get_or_run(&spec).unwrap();
-        let again = cache.get_or_run(&spec).unwrap();
+        let key = LoopKey::new(&spec);
+        let mut view = MemoView::new();
+        let memo = cache.get_or_run_at(&mut view, key.at(spec.ts)).unwrap();
+        let again = cache.get_or_run_at(&mut view, key.at(spec.ts)).unwrap();
         assert!(Arc::ptr_eq(&memo, &again));
+        view.flush(&cache);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.lookups(), 2);
 
@@ -1614,9 +1614,9 @@ mod tests {
         assert_eq!(memo.activity, fresh.activity);
 
         // A different period is a distinct entry, not a stale hit.
-        let mut scaled = spec.clone();
-        scaled.ts *= 1.5;
-        let other = cache.get_or_run(&scaled).unwrap();
+        let other = cache
+            .get_or_run_at(&mut MemoView::new(), key.at(spec.ts * 1.5))
+            .unwrap();
         assert_ne!(other.cost.to_bits(), memo.cost.to_bits());
         assert_eq!(cache.len(), 2);
     }

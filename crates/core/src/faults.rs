@@ -33,18 +33,10 @@
 
 use ecl_aaa::{ArchitectureGraph, Fnv1a, Schedule, TimeNs};
 use ecl_blocks::DelayAction;
+use ecl_sim::splitmix64;
 use ecl_telemetry::Counts;
 
 use crate::CoreError;
-
-/// Per-attempt splitmix64 finalizer: the counter-based hash behind every
-/// fault draw.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A uniform draw in `[0, 1)` from `(seed, class tag, entity, period,
 /// attempt)` — order-independent by construction.

@@ -27,10 +27,10 @@
 //!
 //! # Fault semantics
 //!
-//! An optional [`FaultPlan`](ecl_core::faults::FaultPlan) — the same
-//! plan that drives the graph of delays' `FaultyDelay` blocks — drives
-//! the boards: a dropped transfer posts no arrival (its consumers and
-//! the medium's next slot are *forced* at the period's deadline
+//! An optional [`FaultPlan`] — the same plan that drives the graph of
+//! delays' `FaultyDelay` blocks — drives the boards: a dropped transfer
+//! posts no arrival (its consumers and the medium's next slot are
+//! *forced* at the period's deadline
 //! `k·P + P − 1ns`, mirroring the graph's `Synchronization` timeout
 //! arms), a retried transfer stretches by `retries · retry cost`, and a
 //! dead processor executes nothing from its failure period on. Because

@@ -28,12 +28,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ecl_aaa::{AdequationOptions, DigestMemo, Fnv1a, MappingPolicy, Schedule, TimeNs};
+use ecl_aaa::{AdequationOptions, DigestMemo, MappingPolicy, Schedule, TimeNs};
 use ecl_bench::fleet::{
     run_scenario, sweep_bound_ns, FaultAxes, FleetPool, Lane, SweepAccumulator, SweepCaches,
     SweepConfig, SweepKeys, SWEEP_BUCKETS,
 };
-use ecl_bench::{dc_motor_loop, standard_split, SplitScenario};
+use ecl_bench::{dc_motor_loop, fnv64, standard_split, SplitScenario};
 use ecl_core::cosim::{LoopResult, LoopSpec};
 use ecl_core::faults::FaultFamily;
 use ecl_core::report::SweepSummary;
@@ -126,7 +126,7 @@ struct Response {
 impl Response {
     fn new(payload: Vec<u8>, disk_seeded: bool) -> Response {
         Response {
-            payload_digest: payload_digest(&payload),
+            payload_digest: fnv64(&payload),
             payload: Arc::new(payload),
             disk_seeded,
         }
@@ -154,13 +154,6 @@ pub struct Engine {
     store: Option<DiskStore>,
     responses: DigestMemo<Response>,
     metrics: EngineMetrics,
-}
-
-/// FNV-1a digest of a payload.
-fn payload_digest(payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(payload);
-    h.finish()
 }
 
 /// `axis` with an all-zero fallback: scenario derivation indexes the
@@ -304,7 +297,7 @@ impl Engine {
                     Policy::Earliest => MappingPolicy::EarliestFinish,
                 },
             };
-            let (schedule, _digest, _hit) = self.caches.schedule.get_or_compute_traced(
+            let (schedule, _) = self.caches.schedule.get_or_compute(
                 &deployment.keys.schedule,
                 &base.db,
                 options,

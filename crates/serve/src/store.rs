@@ -13,7 +13,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ecl_aaa::{DigestMemo, Fnv1a};
+use ecl_aaa::DigestMemo;
+use ecl_bench::fnv64;
 use ecl_telemetry::bytes::{ByteReader, ByteWriter, CodecError};
 
 /// Envelope magic of one cache file.
@@ -26,13 +27,6 @@ const VERSION: u8 = 1;
 pub struct DiskStore {
     root: PathBuf,
     corrupt: AtomicU64,
-}
-
-/// FNV-1a digest of a payload, the envelope's integrity check.
-fn checksum(payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(payload);
-    h.finish()
 }
 
 impl DiskStore {
@@ -81,7 +75,7 @@ impl DiskStore {
         w.put_u64(digest);
         w.put_seq_len(payload.len());
         w.put_raw(payload);
-        w.put_u64(checksum(payload));
+        w.put_u64(fnv64(payload));
         // The temp name embeds the digest, so concurrent saves of
         // *different* keys never collide; same-key racers write
         // identical bytes and the last rename wins harmlessly.
@@ -111,7 +105,7 @@ impl DiskStore {
         let payload = r.get_raw(len)?.to_vec();
         let sum = r.get_u64()?;
         r.finish()?;
-        if sum != checksum(&payload) {
+        if sum != fnv64(&payload) {
             return Err(CodecError::Invalid {
                 reason: "cache payload checksum".into(),
             });

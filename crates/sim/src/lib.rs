@@ -87,6 +87,7 @@ mod error;
 mod event;
 mod model;
 pub mod ode;
+mod rng;
 mod stats;
 mod time;
 mod trace;
@@ -97,6 +98,7 @@ pub use error::SimError;
 pub use event::{EventCalendar, ScheduledEvent};
 pub use model::{BlockId, Model};
 pub use ode::{Integrator, OdeRhs};
+pub use rng::{splitmix64, SplitMix64};
 pub use stats::{EngineStats, OdeStepStats};
 pub use time::TimeNs;
 pub use trace::{EventRecord, ProbeId, Signal, SimResult};

@@ -11,15 +11,16 @@
 //!   [`WorkerProfile`] buffer — **no shared-state writes on the hot
 //!   path**, so profiling cannot serialize the pool;
 //! * after the pool joins, the buffers merge **in worker-index order**
-//!   into a [`ProfileReport`] with per-phase latency [`Histogram`]s,
-//!   per-worker utilization/idle/claim counters and per-digest schedule
-//!   cache attribution;
+//!   into a [`ProfileReport`] with per-phase latency [`Histogram`]s and
+//!   per-worker utilization/idle/claim counters. Memo lookups are not
+//!   observed here: the memo tables' own per-digest counts are their
+//!   exact record;
 //! * wall-clock readings appear **only** here. A sweep's summary, trace
 //!   and histogram artifacts carry no profiler state, so they stay
 //!   byte-identical whether profiling is on or off and for any worker
 //!   count. The report itself is a *sidecar*: its structure (phases,
-//!   counts, cache digests) is deterministic, its nanosecond values are
-//!   wall-clock measurements and are not.
+//!   counts) is deterministic, its nanosecond values are wall-clock
+//!   measurements and are not.
 
 use std::time::Instant;
 
@@ -129,26 +130,6 @@ impl ProfileSpan {
     }
 }
 
-/// One schedule-cache lookup as a worker observed it.
-///
-/// The digest is the deterministic [`schedule_digest`] key; the `hit`
-/// flag is this worker's *local* observation (two workers racing to
-/// compute the same digest both observe a miss), so it belongs in the
-/// profiler sidecar, never in a deterministic artifact.
-///
-/// [`schedule_digest`]: https://docs.rs/ecl-aaa
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheEvent {
-    /// Scenario index that performed the lookup.
-    pub scenario: usize,
-    /// Content digest of the adequation inputs.
-    pub digest: u64,
-    /// Whether this worker's lookup was answered from the cache.
-    pub hit: bool,
-    /// Lookup instant, ns since the sweep epoch.
-    pub at_ns: u64,
-}
-
 /// A worker's private profiling buffer.
 ///
 /// Created once per pool worker (never shared), filled on the worker's
@@ -165,8 +146,6 @@ pub struct WorkerProfile {
     first_ns: u64,
     last_ns: u64,
     spans: Vec<ProfileSpan>,
-    cache_events: Vec<CacheEvent>,
-    memo_events: Vec<CacheEvent>,
 }
 
 impl WorkerProfile {
@@ -183,8 +162,6 @@ impl WorkerProfile {
             first_ns: u64::MAX,
             last_ns: 0,
             spans: Vec::new(),
-            cache_events: Vec::new(),
-            memo_events: Vec::new(),
         }
     }
 
@@ -246,39 +223,6 @@ impl WorkerProfile {
         });
     }
 
-    /// Records one schedule-cache lookup observation.
-    pub fn cache_event(&mut self, scenario: usize, digest: u64, hit: bool) {
-        if !self.enabled {
-            return;
-        }
-        let at_ns = self.now_ns();
-        self.cache_events.push(CacheEvent {
-            scenario,
-            digest,
-            hit,
-            at_ns,
-        });
-    }
-
-    /// Records one scheduled-run memo lookup observation. Kept on a
-    /// separate channel from [`cache_event`](WorkerProfile::cache_event)
-    /// so per-digest memo attribution does not mix with schedule-cache
-    /// lines — a memo digest composes a schedule digest with the loop
-    /// and fault-plan digests, so the key spaces are disjoint by
-    /// construction but share the same `u64` representation.
-    pub fn memo_event(&mut self, scenario: usize, digest: u64, hit: bool) {
-        if !self.enabled {
-            return;
-        }
-        let at_ns = self.now_ns();
-        self.memo_events.push(CacheEvent {
-            scenario,
-            digest,
-            hit,
-            at_ns,
-        });
-    }
-
     /// Recorded phase windows, in execution order.
     pub fn spans(&self) -> &[ProfileSpan] {
         &self.spans
@@ -324,33 +268,14 @@ pub struct WorkerLane {
     pub idle_ns: u64,
     /// Phase windows, in execution order.
     pub spans: Vec<ProfileSpan>,
-    /// Schedule-cache observations, in execution order.
-    pub cache_events: Vec<CacheEvent>,
-    /// Scheduled-run memo observations, in execution order.
-    pub memo_events: Vec<CacheEvent>,
-}
-
-/// Per-digest schedule-cache attribution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheLine {
-    /// The [`schedule_digest`] key.
-    ///
-    /// [`schedule_digest`]: https://docs.rs/ecl-aaa
-    pub digest: u64,
-    /// Lookups of this digest across the sweep.
-    pub lookups: u64,
-    /// Lookups answered from the cache (as workers observed them).
-    pub hits: u64,
-    /// Scenario indices that looked this digest up, ascending.
-    pub scenarios: Vec<usize>,
 }
 
 /// The merged fleet profile: where every nanosecond of a sweep went.
 ///
 /// Built by [`ProfileReport::from_workers`] after the pool joins, from
 /// the per-worker buffers **in worker-index order** — never in completion
-/// order — so the report's *structure* (lanes, phase set, digest set,
-/// counts) is deterministic; only the measured nanoseconds vary run to
+/// order — so the report's *structure* (lanes, phase set, counts) is
+/// deterministic; only the measured nanoseconds vary run to
 /// run. It is a sidecar artifact: nothing in it feeds back into the
 /// sweep's deterministic summary/trace/histogram outputs.
 #[derive(Debug, Clone)]
@@ -362,10 +287,6 @@ pub struct ProfileReport {
     /// Per-phase aggregates, in [`Phase::ALL`] order (empty phases
     /// omitted).
     pub phases: Vec<PhaseStat>,
-    /// Per-digest cache attribution, ascending by digest.
-    pub cache: Vec<CacheLine>,
-    /// Per-digest scheduled-run memo attribution, ascending by digest.
-    pub memo: Vec<CacheLine>,
 }
 
 impl ProfileReport {
@@ -386,8 +307,6 @@ impl ProfileReport {
                 active_ns,
                 idle_ns: active_ns.saturating_sub(b.busy_ns),
                 spans: b.spans,
-                cache_events: b.cache_events,
-                memo_events: b.memo_events,
             });
         }
 
@@ -417,39 +336,10 @@ impl ProfileReport {
             });
         }
 
-        // BTreeMap keeps lines ascending by digest, so the merged order
-        // is deterministic regardless of which worker saw a digest first.
-        let merge_lines = |events: &mut dyn Iterator<Item = &CacheEvent>| -> Vec<CacheLine> {
-            let mut by_digest: std::collections::BTreeMap<u64, CacheLine> =
-                std::collections::BTreeMap::new();
-            for ev in events {
-                let line = by_digest.entry(ev.digest).or_insert_with(|| CacheLine {
-                    digest: ev.digest,
-                    lookups: 0,
-                    hits: 0,
-                    scenarios: Vec::new(),
-                });
-                line.lookups += 1;
-                line.hits += u64::from(ev.hit);
-                line.scenarios.push(ev.scenario);
-            }
-            by_digest
-                .into_values()
-                .map(|mut l| {
-                    l.scenarios.sort_unstable();
-                    l
-                })
-                .collect()
-        };
-        let cache = merge_lines(&mut workers.iter().flat_map(|w| w.cache_events.iter()));
-        let memo = merge_lines(&mut workers.iter().flat_map(|w| w.memo_events.iter()));
-
         ProfileReport {
             wall_ns,
             workers,
             phases,
-            cache,
-            memo,
         }
     }
 
@@ -487,61 +377,25 @@ impl ProfileReport {
         }
     }
 
-    /// Total schedule-cache lookups the workers observed.
-    pub fn cache_lookups(&self) -> u64 {
-        self.cache.iter().map(|l| l.lookups).sum()
-    }
-
-    /// Total scheduled-run memo lookups the workers observed.
-    pub fn memo_lookups(&self) -> u64 {
-        self.memo.iter().map(|l| l.lookups).sum()
-    }
-
     /// The profile as worker-lane telemetry events: one [`Event::Slice`]
     /// per phase window on a `worker <i>` track (wall ns since the sweep
-    /// epoch in the slice's "simulated" field) and one [`Event::Instant`]
-    /// per cache observation — directly consumable by
+    /// epoch in the slice's "simulated" field) — directly consumable by
     /// [`chrome_trace`](crate::trace::chrome_trace) alongside any
     /// sim-derived events of the same sweep.
     pub fn to_events(&self) -> Vec<Event> {
         let mut events = Vec::new();
         for lane in &self.workers {
             let track = format!("worker {}", lane.worker);
-            // One timestamp-sorted stream per lane: Chrome-trace viewers
-            // expect non-decreasing ts within a (pid, tid) track, so the
-            // cache instants are interleaved with the phase slices
-            // instead of appended after them.
-            let mut timed: Vec<(u64, Event)> = Vec::new();
-            for s in &lane.spans {
-                timed.push((
-                    s.start_ns,
-                    Event::Slice {
-                        track: track.clone(),
-                        name: format!("s{} {}", s.scenario, s.phase.name()),
-                        start_ns: s.start_ns as i64,
-                        end_ns: s.end_ns as i64,
-                    },
-                ));
-            }
-            for (kind, events) in [("cache", &lane.cache_events), ("memo", &lane.memo_events)] {
-                for c in events {
-                    timed.push((
-                        c.at_ns,
-                        Event::Instant {
-                            track: track.clone(),
-                            name: format!(
-                                "s{} {kind} {} {:#018x}",
-                                c.scenario,
-                                if c.hit { "hit" } else { "miss" },
-                                c.digest
-                            ),
-                            at_ns: c.at_ns as i64,
-                        },
-                    ));
-                }
-            }
-            timed.sort_by_key(|(at, _)| *at);
-            events.extend(timed.into_iter().map(|(_, e)| e));
+            // Chrome-trace viewers expect non-decreasing ts within a
+            // (pid, tid) track, so each lane is emitted by start time.
+            let mut spans: Vec<&ProfileSpan> = lane.spans.iter().collect();
+            spans.sort_by_key(|s| s.start_ns);
+            events.extend(spans.into_iter().map(|s| Event::Slice {
+                track: track.clone(),
+                name: format!("s{} {}", s.scenario, s.phase.name()),
+                start_ns: s.start_ns as i64,
+                end_ns: s.end_ns as i64,
+            }));
         }
         events
     }
@@ -631,32 +485,6 @@ impl ProfileReport {
                 util
             );
         }
-        if !self.cache.is_empty() {
-            let _ = writeln!(out, "\n## Schedule cache (by digest)");
-            for l in &self.cache {
-                let _ = writeln!(
-                    out,
-                    "{:#018x}  lookups {:>4}  hits {:>4}  scenarios {}",
-                    l.digest,
-                    l.lookups,
-                    l.hits,
-                    l.scenarios.len()
-                );
-            }
-        }
-        if !self.memo.is_empty() {
-            let _ = writeln!(out, "\n## Scheduled-run memo (by digest)");
-            for l in &self.memo {
-                let _ = writeln!(
-                    out,
-                    "{:#018x}  lookups {:>4}  hits {:>4}  scenarios {}",
-                    l.digest,
-                    l.lookups,
-                    l.hits,
-                    l.scenarios.len()
-                );
-            }
-        }
         out
     }
 
@@ -704,22 +532,6 @@ impl ProfileReport {
                 w.worker, w.tasks, w.busy_ns, w.active_ns, w.idle_ns
             );
         }
-        for (key, lines) in [("cache", &self.cache), ("memo", &self.memo)] {
-            let _ = write!(out, "],\"{key}\":[");
-            for (i, l) in lines.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"digest\":\"{:#018x}\",\"lookups\":{},\"hits\":{},\"scenarios\":{}}}",
-                    l.digest,
-                    l.lookups,
-                    l.hits,
-                    l.scenarios.len()
-                );
-            }
-        }
         out.push_str("]}\n");
         out
     }
@@ -742,7 +554,6 @@ mod tests {
         let mut wp = WorkerProfile::new(0, Instant::now(), false);
         assert_eq!(wp.now_ns(), 0);
         let v = wp.phase(0, Phase::Adequation, |wp| {
-            wp.cache_event(0, 42, true);
             wp.push_span(0, Phase::Cosim, 0, 10);
             7
         });
@@ -753,7 +564,6 @@ mod tests {
         assert!(wp.spans().is_empty());
         let report = ProfileReport::from_workers(0, vec![wp]);
         assert!(report.phases.is_empty());
-        assert!(report.cache.is_empty());
         assert_eq!(report.attributed_fraction(), 1.0);
     }
 
@@ -761,10 +571,7 @@ mod tests {
     fn enabled_buffer_nests_phases_inside_tasks() {
         let mut wp = WorkerProfile::new(0, Instant::now(), true);
         let start = wp.now_ns();
-        let v = wp.phase(3, Phase::Adequation, |wp| {
-            wp.cache_event(3, 0xabc, false);
-            1 + 1
-        });
+        let v = wp.phase(3, Phase::Adequation, |_| 1 + 1);
         let end = wp.now_ns();
         wp.note_task(start, end);
         assert_eq!(v, 2);
@@ -791,7 +598,6 @@ mod tests {
         w0.note_task(500, 600);
         let mut w1 = worker_with(1, &[(1, Phase::Cosim, 50, 250)]);
         w1.note_task(50, 300);
-        w1.cache_event(1, 0xbeef, true);
 
         let report = ProfileReport::from_workers(1_000, vec![w0, w1]);
         assert_eq!(report.workers.len(), 2);
@@ -816,68 +622,6 @@ mod tests {
         assert_eq!(report.busy_ns(), 800);
         assert!((report.attributed_fraction() - 650.0 / 800.0).abs() < 1e-12);
         assert!((report.utilization() - 800.0 / 2_000.0).abs() < 1e-12);
-
-        // Cache attribution keyed and counted by digest.
-        assert_eq!(report.cache.len(), 1);
-        assert_eq!(report.cache[0].digest, 0xbeef);
-        assert_eq!((report.cache[0].lookups, report.cache[0].hits), (1, 1));
-        assert_eq!(report.cache[0].scenarios, vec![1]);
-    }
-
-    /// Memo observations stay on their own channel: they merge into
-    /// `ProfileReport::memo` (ascending by digest), never into the
-    /// schedule-cache lines, and surface in the render/JSON/trace
-    /// outputs under their own section.
-    #[test]
-    fn memo_events_merge_on_a_separate_channel() {
-        let mut w0 = worker_with(0, &[(0, Phase::Cosim, 0, 50)]);
-        w0.note_task(0, 60);
-        w0.cache_event(0, 0x10, false);
-        w0.memo_event(0, 0x20, false);
-        let mut w1 = worker_with(1, &[(1, Phase::Cosim, 10, 40)]);
-        w1.note_task(10, 50);
-        w1.memo_event(1, 0x20, true);
-        w1.memo_event(1, 0x05, false);
-
-        let report = ProfileReport::from_workers(100, vec![w0, w1]);
-        assert_eq!(report.cache.len(), 1);
-        assert_eq!(report.cache[0].digest, 0x10);
-        assert_eq!(report.cache_lookups(), 1);
-
-        // Ascending by digest regardless of observation order.
-        assert_eq!(report.memo.len(), 2);
-        assert_eq!(report.memo[0].digest, 0x05);
-        assert_eq!(report.memo[1].digest, 0x20);
-        assert_eq!((report.memo[1].lookups, report.memo[1].hits), (2, 1));
-        assert_eq!(report.memo[1].scenarios, vec![0, 1]);
-        assert_eq!(report.memo_lookups(), 3);
-
-        let text = report.render();
-        assert!(text.contains("## Scheduled-run memo (by digest)"));
-        let json = report.to_json();
-        let parsed = crate::json::parse(&json).expect("profile JSON parses");
-        let memo = parsed
-            .get("memo")
-            .and_then(|v| v.as_array())
-            .map(<[_]>::len);
-        assert_eq!(memo, Some(2));
-        let cache = parsed
-            .get("cache")
-            .and_then(|v| v.as_array())
-            .map(<[_]>::len);
-        assert_eq!(cache, Some(1));
-        // Trace instants label the channel.
-        let events = report.to_events();
-        let names: Vec<String> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Instant { name, .. } => Some(name.clone()),
-                _ => None,
-            })
-            .collect();
-        assert!(names.iter().any(|n| n.contains("memo miss")));
-        assert!(names.iter().any(|n| n.contains("memo hit")));
-        assert!(names.iter().any(|n| n.contains("cache miss")));
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //!   overrun;
 //! * pass (e) — [`fault_envelope`]: abstract interpretation of the
 //!   graph-of-delays semantics over the interval domain, yielding sound
-//!   `[lo, hi]` completion envelopes for an entire
-//!   [`FaultFamily`](ecl_core::faults::FaultFamily) of plans (frame loss
-//!   with bounded retransmission, link-outage windows, processor
-//!   dropout) and a conclusive safe/unsafe/inconclusive verdict.
+//!   `[lo, hi]` completion envelopes for an entire [`FaultFamily`] of
+//!   plans (frame loss with bounded retransmission, link-outage windows,
+//!   processor dropout) and a conclusive safe/unsafe/inconclusive
+//!   verdict.
 //!
 //! All passes report through one diagnostics engine ([`Diagnostic`],
 //! [`VerifyReport`]) with stable rule codes (`EV001`…, registry in

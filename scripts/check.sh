@@ -16,6 +16,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Doc links left dangling by a rename or deletion fail here, not in a
+# reader's browser.
+echo "== cargo doc (warnings are errors) =="
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
+
 echo "== cargo test (workspace) =="
 cargo test --workspace -q --offline
 
@@ -57,8 +62,6 @@ done
 echo "== E11-MC Monte-Carlo sweep =="
 cargo run -q --offline --release -p ecl-bench --bin exp11_monte_carlo >/dev/null
 
-# E12-FAULT also reproduces E11-MC's report bytes from a zero-rate
-# fault plan (asserted internally).
 echo "== E12-FAULT fault-injection sweep =="
 cargo run -q --offline --release -p ecl-bench --bin exp12_fault_sweep >/dev/null
 

@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::Range;
 
-/// A length specification for [`vec`]: a fixed length or a half-open range.
+/// A length specification for [`vec()`]: a fixed length or a half-open range.
 #[derive(Clone, Debug)]
 pub struct SizeRange {
     start: usize,
@@ -39,7 +39,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,
