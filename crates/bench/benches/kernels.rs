@@ -1,7 +1,10 @@
 //! Criterion benches of the numerical kernels: LU, matrix exponential,
-//! DARE, RK45 integration, and the event-calendar hot path.
+//! DARE, RK45 integration, the event-calendar hot path, and the text of
+//! a sweep report.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ecl_bench::fleet::{run_sweep, SweepConfig};
+use ecl_bench::{dc_motor_loop, standard_split};
 use ecl_linalg::{expm, lu::Lu, solve_dare, DareOptions, Mat};
 use ecl_sim::ode::{integrate, Integrator};
 use ecl_sim::{BlockId, EventCalendar, TimeNs};
@@ -124,12 +127,36 @@ fn bench_event_calendar(c: &mut Criterion) {
     });
 }
 
+/// `render` + `to_json` of exp17's fault-free summary at 50 000 rows;
+/// the sweep that builds it runs once, outside the timed loop.
+fn bench_report_render(c: &mut Criterion) {
+    let config = SweepConfig {
+        scenario_count: 50_000,
+        workers: 2,
+        memoize_scheduled: true,
+        memoize_reports: true,
+        ..SweepConfig::default()
+    };
+    let spec = dc_motor_loop(0.05).expect("valid loop");
+    let base = standard_split().expect("valid deployment");
+    let summary = run_sweep(&spec, &base, &config)
+        .expect("sweep runs")
+        .summary;
+    c.bench_function("report_render_50k", |bench| {
+        bench.iter(|| {
+            let summary = black_box(&summary);
+            (summary.render(), summary.to_json())
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_lu,
     bench_expm,
     bench_dare,
     bench_integration,
-    bench_event_calendar
+    bench_event_calendar,
+    bench_report_render
 );
 criterion_main!(benches);

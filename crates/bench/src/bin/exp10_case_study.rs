@@ -6,12 +6,12 @@
 //! road disturbance), the static schedule, and the generated deadlock-free
 //! executives.
 //!
-//! The first workload runs fully traced: `results/exp10_trace.json`
-//! carries the lifecycle phase spans plus the co-simulation schedule
-//! slices and latency counters (open in Perfetto / chrome://tracing),
-//! `results/exp10_timeline.{txt,csv}` the static-schedule Gantt, and
-//! `results/timing/BENCH_exp10.json` (untracked) the per-phase
-//! wall-clock breakdown.
+//! The first workload runs fully traced: `results/exp10_timeline.{txt,csv}`
+//! carries the static-schedule Gantt (deterministic), and the untracked
+//! `results/timing/` the Chrome trace `exp10_trace.json` (the lifecycle's
+//! wall-clock phase spans plus the co-simulation schedule slices and
+//! latency counters; open in Perfetto / chrome://tracing) and
+//! `BENCH_exp10.json`, the per-phase wall-clock breakdown.
 
 use ecl_aaa::{timeline, AdequationOptions, ArchitectureGraph, TimeNs};
 use ecl_bench::{bench_json, table, write_result};
@@ -103,7 +103,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "exp10_timeline.csv",
                 &timeline::gantt_csv(&rep.schedule, &alg, &inputs.arch),
             )?;
-            write_result("exp10_trace.json", &trace::chrome_trace(sink.events()))?;
+            write_result(
+                "timing/exp10_trace.json",
+                &trace::chrome_trace(sink.events()),
+            )?;
             write_result(
                 "timing/BENCH_exp10.json",
                 &bench_json("exp10", &sink.span_durations()),
@@ -145,7 +148,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     );
     println!("== generated executives ==\n{exec_text}");
-    println!("\ntelemetry: results/exp10_timeline.{{txt,csv}}, results/exp10_trace.json,");
+    println!("\ntelemetry: results/exp10_timeline.{{txt,csv}}, results/timing/exp10_trace.json,");
     println!("results/timing/BENCH_exp10.json (initial-deflection workload, fully traced)");
     Ok(())
 }

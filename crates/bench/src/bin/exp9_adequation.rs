@@ -5,10 +5,11 @@
 //! best of ten random mappings: makespan, speedup over one processor, and
 //! average processor utilization.
 //!
-//! Telemetry artifacts written to `results/`: a Chrome trace of the
-//! per-phase spans (`exp9_trace.json`), the 4-processor Gantt timeline
-//! (`exp9_timeline.{txt,csv}`), and the per-phase wall-clock breakdown
-//! (`timing/BENCH_exp9.json`, untracked).
+//! Telemetry artifacts written to `results/`: the 4-processor Gantt
+//! timeline (`exp9_timeline.{txt,csv}`, deterministic), and under the
+//! untracked `results/timing/` a Chrome trace of the per-phase
+//! wall-clock spans (`exp9_trace.json`) and the per-phase wall-clock
+//! breakdown (`BENCH_exp9.json`).
 
 use ecl_aaa::{
     adequation, timeline, AdequationOptions, AlgorithmGraph, ArchitectureGraph, MappingPolicy,
@@ -113,12 +114,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "exp9_timeline.csv",
         &timeline::gantt_csv(&schedule, &alg, &arch),
     )?;
-    write_result("exp9_trace.json", &trace::chrome_trace(sink.events()))?;
+    write_result(
+        "timing/exp9_trace.json",
+        &trace::chrome_trace(sink.events()),
+    )?;
     write_result(
         "timing/BENCH_exp9.json",
         &bench_json("exp9", &sink.span_durations()),
     )?;
-    println!("\ntelemetry: results/exp9_timeline.{{txt,csv}}, results/exp9_trace.json,");
+    println!("\ntelemetry: results/exp9_timeline.{{txt,csv}}, results/timing/exp9_trace.json,");
     println!("results/timing/BENCH_exp9.json (4-processor pressure schedule)");
     Ok(())
 }

@@ -57,7 +57,7 @@ use ecl_core::cosim::{
 use ecl_core::faults::{FaultConfig, FaultFamily, FaultPlan};
 use ecl_core::latency::LatencyReport;
 use ecl_core::report::{
-    DegradationSummary, PruneSummary, ScenarioOutcome, SweepSummary, ValidationSummary,
+    push_fixed, DegradationSummary, PruneSummary, ScenarioOutcome, SweepSummary, ValidationSummary,
     VerificationSummary,
 };
 use ecl_core::xval;
@@ -359,7 +359,11 @@ impl Scenario {
         // ` pruned:unsafe` suffix, so neither these writes nor the suffix
         // reallocate.
         let mut s = String::with_capacity(if self.has_faults() { 104 } else { 56 });
-        let _ = write!(s, "wcet<=x{worst:.3} Ts x{:.2} ", self.period_scale);
+        s.push_str("wcet<=x");
+        push_fixed(&mut s, worst, 3);
+        s.push_str(" Ts x");
+        push_fixed(&mut s, self.period_scale, 2);
+        s.push(' ');
         match self.policy {
             MappingPolicy::SchedulePressure => s.push_str("SchedulePressure"),
             MappingPolicy::EarliestFinish => s.push_str("EarliestFinish"),
@@ -368,11 +372,12 @@ impl Scenario {
             }
         }
         if self.has_faults() {
-            let _ = write!(
-                s,
-                " faults fl{:.3} ol{:.3} pd{:.4}",
-                self.frame_loss_rate, self.link_outage_rate, self.proc_dropout_rate
-            );
+            s.push_str(" faults fl");
+            push_fixed(&mut s, self.frame_loss_rate, 3);
+            s.push_str(" ol");
+            push_fixed(&mut s, self.link_outage_rate, 3);
+            s.push_str(" pd");
+            push_fixed(&mut s, self.proc_dropout_rate, 4);
         }
         s
     }
@@ -1137,11 +1142,15 @@ pub fn run_scenario(
     let options = AdequationOptions {
         policy: scenario.policy,
     };
-    let (schedule, digest) = wp.phase(index, Phase::Adequation, |_| {
-        caches
+    // The jittered table is adequation input; only static verification
+    // reads it again. Otherwise it is freed here, so its teardown is
+    // adequation time instead of busy time no phase accounts for.
+    let (schedule, digest, db) = wp.phase(index, Phase::Adequation, |_| {
+        let (schedule, digest) = caches
             .schedule
             .get_or_compute_in(schedule_view, &keys.schedule, &db, options)
-            .map_err(CoreError::from)
+            .map_err(CoreError::from)?;
+        Ok::<_, CoreError>((schedule, digest, config.verify_static.then_some(db)))
     })?;
 
     // The delay-graph builder rejects makespan > period; a badly jittered
@@ -1306,10 +1315,12 @@ pub fn run_scenario(
             worst_actuation_ns: entry.worst_actuation_ns,
             overruns: entry.overruns,
         };
-        // An un-memoized run is freed here, so its teardown is metrics
-        // time instead of busy time no phase accounts for.
+        // An un-memoized run, and the scenario itself, are freed here,
+        // so their teardown is metrics time instead of busy time no
+        // phase accounts for.
         drop(run);
         drop(ideal);
+        drop(scenario);
         Ok::<_, CoreError>((outcome, entry))
     })?;
 
@@ -1353,8 +1364,9 @@ pub fn run_scenario(
     let verification = if config.verify_static {
         wp.phase(index, Phase::Verification, |_| {
             let period = TimeNs::from_secs_f64(ts);
+            let db = db.as_ref().expect("kept for static verification");
             let vreport =
-                ecl_verify::verify(&base.alg, &base.arch, &db, &schedule, period, plan.as_ref())
+                ecl_verify::verify(&base.alg, &base.arch, db, &schedule, period, plan.as_ref())
                     .map_err(CoreError::from)?;
             let bounds = vreport
                 .bounds

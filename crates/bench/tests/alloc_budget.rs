@@ -14,13 +14,16 @@
 //! A lookup allocates only the first time the lane's view sees its key,
 //! and hashing a WCET table allocates nothing. Rendering writes every
 //! row into one presized document.
+//! A faulty summary (exp19's fault axes) is rendered under the same
+//! budget: its labels carry fault rates and its degradation rows carry
+//! injected-fault tallies, and neither may allocate per row.
 //!
 //! Run with `cargo test -p ecl-bench --test alloc_budget`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ecl_bench::fleet::{run_sweep, SweepConfig};
+use ecl_bench::fleet::{run_sweep, FaultAxes, SweepConfig};
 use ecl_bench::{dc_motor_loop, standard_split};
 
 /// Counts every allocator call that hands out memory: `alloc`,
@@ -70,8 +73,12 @@ const SCENARIOS: u64 = 2_000;
 const SWEEP_ALLOCATIONS: u64 = 36_894;
 
 /// Ceiling on allocations of `render` + `to_json` over the sweep's
-/// 2 000 rows: the two documents and the sorted cost ratios.
+/// 2 000 rows: the two documents and the sorted cost ratios. The faulty
+/// summary's `render` + `to_json` shares it.
 const RENDER_ALLOCATIONS: u64 = 3;
+
+/// Scenarios of the faulty sweep whose rendering is measured.
+const FAULTY_SCENARIOS: usize = 300;
 
 /// Allocations made while `f` runs.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
@@ -113,5 +120,33 @@ fn main() {
     assert!(
         rendering <= RENDER_ALLOCATIONS,
         "render + to_json made {rendering} allocations, budget {RENDER_ALLOCATIONS}"
+    );
+
+    let faulty = SweepConfig {
+        scenario_count: FAULTY_SCENARIOS,
+        prune_static: true,
+        faults: FaultAxes {
+            frame_loss_rates: vec![0.0, 0.25],
+            link_outage_rates: vec![0.0, 0.10],
+            proc_dropout_rates: vec![0.0, 0.05],
+            ..FaultAxes::default()
+        },
+        ..config
+    };
+    let out = run_sweep(&spec, &base, &faulty).unwrap();
+    assert!(
+        !out.summary.degradations.is_empty(),
+        "the fault axes give degradation rows"
+    );
+    let ((render, json), rendering) = allocations(|| (out.summary.render(), out.summary.to_json()));
+    assert!(render.contains(" faults fl") && json.contains("\"injected\": \""));
+    eprintln!(
+        "faulty render + to_json ({} scenarios, {} degradation rows): {rendering}",
+        FAULTY_SCENARIOS,
+        out.summary.degradations.len()
+    );
+    assert!(
+        rendering <= RENDER_ALLOCATIONS,
+        "faulty render + to_json made {rendering} allocations, budget {RENDER_ALLOCATIONS}"
     );
 }

@@ -352,6 +352,142 @@ pub struct PruneSummary {
     pub simulated: usize,
 }
 
+/// `10^k` for every precision [`push_fixed`] writes exactly.
+const POW10: [u64; 10] = [
+    1,
+    10,
+    100,
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+    1_000_000_000,
+];
+
+/// Appends `v` with `digits` digits after the point, byte-equal to
+/// `format!("{v:.digits$}")`.
+///
+/// A finite `v = m·2^e` with `e < 0` is written by exact integer
+/// arithmetic: `m·10^digits` fits in a `u128` for `digits <= 9`, the
+/// shift by `-e` leaves the exact remainder, and a tie rounds half to
+/// even as `core::fmt` does (`0.0078125` at 6 digits is `0.007812`). The
+/// sign of `-0.0`, and of a negative value that rounds to zero, is kept.
+/// Non-finite values, magnitudes of `2^52` and up (`e >= 0`), scaled
+/// values past `u64::MAX` and `digits > 9` go through `write!`.
+///
+/// # Examples
+///
+/// ```
+/// use ecl_core::report::push_fixed;
+///
+/// let mut s = String::new();
+/// push_fixed(&mut s, 0.0078125, 6);
+/// s.push(' ');
+/// push_fixed(&mut s, -0.0001, 3);
+/// assert_eq!(s, "0.007812 -0.000");
+/// ```
+pub fn push_fixed(out: &mut String, v: f64, digits: usize) {
+    let Some(mut n) = scaled_fixed(v, digits) else {
+        let _ = write!(out, "{v:.digits$}");
+        return;
+    };
+    // Sign, up to 20 digits and the point.
+    let mut buf = [0u8; 22];
+    let mut i = buf.len();
+    for _ in 0..digits {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    if digits > 0 {
+        i -= 1;
+        buf[i] = b'.';
+    }
+    i = write_digits(&mut buf[..i], n);
+    if v.is_sign_negative() {
+        i -= 1;
+        buf[i] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+}
+
+/// `|v|·10^digits` rounded half to even, or `None` where [`push_fixed`]
+/// falls back to `core::fmt`.
+fn scaled_fixed(v: f64, digits: usize) -> Option<u64> {
+    if !v.is_finite() || digits >= POW10.len() {
+        return None;
+    }
+    let bits = v.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (m, e) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | (1 << 52), biased - 1075)
+    };
+    if e >= 0 {
+        return None;
+    }
+    let shift = e.unsigned_abs();
+    // n < 2^53 · 10^9 < 2^83: past that shift the quotient is 0 and the
+    // remainder below one half.
+    if shift > 83 {
+        return Some(0);
+    }
+    let n = u128::from(m) * u128::from(POW10[digits]);
+    let q = n >> shift;
+    let r = n & ((1 << shift) - 1);
+    let half = 1 << (shift - 1);
+    let q = if r > half || (r == half && q & 1 == 1) {
+        q + 1
+    } else {
+        q
+    };
+    u64::try_from(q).ok()
+}
+
+/// Writes the decimal digits of `n` at the end of `buf` and returns the
+/// index of the first.
+fn write_digits(buf: &mut [u8], mut n: u64) -> usize {
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return i;
+        }
+    }
+}
+
+/// Appends `n` in decimal, as `{}` writes it.
+fn push_u64(out: &mut String, n: u64) {
+    let mut buf = [0u8; 20];
+    let i = write_digits(&mut buf, n);
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+}
+
+/// Appends `n` in decimal, as `{}` writes it.
+fn push_i64(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    push_u64(out, n.unsigned_abs());
+}
+
+/// Appends `n` as `{:#018x}` writes it: `0x` and 16 lower-case hex
+/// digits.
+fn push_hex(out: &mut String, n: u64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut buf = *b"0x0000000000000000";
+    for (k, b) in buf[2..].iter_mut().enumerate() {
+        *b = HEX[((n >> (60 - 4 * k)) & 0xf) as usize];
+    }
+    out.push_str(std::str::from_utf8(&buf).expect("ASCII digits"));
+}
+
 /// Bytes a [`SweepSummary::render`] scenario row takes beyond its label:
 /// the cells of a typical row (about 80 bytes), rounded up.
 const RENDER_ROW_BYTES: usize = 88;
@@ -359,6 +495,14 @@ const RENDER_ROW_BYTES: usize = 88;
 /// Bytes a [`SweepSummary::to_json`] scenario row takes beyond its label
 /// (about 180 bytes), rounded up.
 const JSON_ROW_BYTES: usize = 192;
+
+/// Bytes a [`SweepSummary::render`] degradation row takes beyond its
+/// injected tally (about 70 bytes), rounded up.
+const RENDER_DEGRADATION_ROW_BYTES: usize = 80;
+
+/// Bytes a [`SweepSummary::to_json`] degradation row takes beyond its
+/// injected tally (about 220 bytes), rounded up.
+const JSON_DEGRADATION_ROW_BYTES: usize = 240;
 
 /// Bytes of either renderer's headers and aggregate sections.
 const SECTIONS_BYTES: usize = 1024;
@@ -479,7 +623,9 @@ impl SweepSummary {
     /// Renders the sweep as a Markdown section (deterministic bytes, no
     /// timestamps).
     pub fn render(&self) -> String {
-        let mut s = String::with_capacity(self.rows_capacity(RENDER_ROW_BYTES));
+        let mut s = String::with_capacity(
+            self.rows_capacity(RENDER_ROW_BYTES, RENDER_DEGRADATION_ROW_BYTES),
+        );
         s.push_str("## Scenario sweep\n\n");
         let _ = write!(
             s,
@@ -509,18 +655,23 @@ impl SweepSummary {
              |---|---|---|---|---|---|---|---|\n",
         );
         for sc in &self.scenarios {
-            let _ = writeln!(
-                s,
-                "| {} | {:#018x} | {} | {:.6} | {:.6} | {} | {} | {} |",
-                sc.index,
-                sc.seed,
-                sc.label,
-                sc.cost,
-                sc.cost_ratio,
-                sc.makespan_ns,
-                sc.worst_actuation_ns,
-                sc.overruns
-            );
+            s.push_str("| ");
+            push_u64(&mut s, sc.index as u64);
+            s.push_str(" | ");
+            push_hex(&mut s, sc.seed);
+            s.push_str(" | ");
+            s.push_str(&sc.label);
+            s.push_str(" | ");
+            push_fixed(&mut s, sc.cost, 6);
+            s.push_str(" | ");
+            push_fixed(&mut s, sc.cost_ratio, 6);
+            s.push_str(" | ");
+            push_i64(&mut s, sc.makespan_ns);
+            s.push_str(" | ");
+            push_i64(&mut s, sc.worst_actuation_ns);
+            s.push_str(" | ");
+            push_u64(&mut s, sc.overruns as u64);
+            s.push_str(" |\n");
         }
         if !self.degradations.is_empty() {
             s.push_str("\n### Fault degradation\n\n");
@@ -536,20 +687,27 @@ impl SweepSummary {
                  |---|---|---|---|---|---|---|---|---|---|\n",
             );
             for d in &self.degradations {
-                let _ = writeln!(
-                    s,
-                    "| {} | {} | {} | {} | {} | {} | {} | {:.6} | {} | {} |",
-                    d.index,
-                    d.periods,
-                    d.skipped_samples,
-                    d.skipped_actuations,
-                    d.overruns,
-                    d.ls_inflation_ns,
-                    d.la_inflation_ns,
-                    d.cost_ratio,
-                    d.verdict.as_str(),
-                    d.injected.render()
-                );
+                s.push_str("| ");
+                push_u64(&mut s, d.index as u64);
+                s.push_str(" | ");
+                push_u64(&mut s, u64::from(d.periods));
+                s.push_str(" | ");
+                push_u64(&mut s, d.skipped_samples as u64);
+                s.push_str(" | ");
+                push_u64(&mut s, d.skipped_actuations as u64);
+                s.push_str(" | ");
+                push_u64(&mut s, d.overruns as u64);
+                s.push_str(" | ");
+                push_i64(&mut s, d.ls_inflation_ns);
+                s.push_str(" | ");
+                push_i64(&mut s, d.la_inflation_ns);
+                s.push_str(" | ");
+                push_fixed(&mut s, d.cost_ratio, 6);
+                s.push_str(" | ");
+                s.push_str(d.verdict.as_str());
+                s.push_str(" | ");
+                let _ = write!(s, "{}", d.injected);
+                s.push_str(" |\n");
             }
         }
         if let Some(v) = &self.validation {
@@ -585,7 +743,8 @@ impl SweepSummary {
     /// Renders the sweep as a JSON document (deterministic bytes, no
     /// timestamps; hand-rolled, the workspace has no serialization crate).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(self.rows_capacity(JSON_ROW_BYTES));
+        let mut s =
+            String::with_capacity(self.rows_capacity(JSON_ROW_BYTES, JSON_DEGRADATION_ROW_BYTES));
         s.push_str("{\n");
         let _ = write!(
             s,
@@ -599,25 +758,27 @@ impl SweepSummary {
             self.cache_misses
         );
         for (i, sc) in self.scenarios.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"index\": {}, \"seed\": {}, \"label\": \"{}\", \
-                 \"cost\": {:.9}, \"cost_ratio\": {:.9}, \"makespan_ns\": {}, \
-                 \"worst_actuation_ns\": {}, \"overruns\": {}}}{}",
-                sc.index,
-                sc.seed,
-                sc.label,
-                sc.cost,
-                sc.cost_ratio,
-                sc.makespan_ns,
-                sc.worst_actuation_ns,
-                sc.overruns,
-                if i + 1 == self.scenarios.len() {
-                    ""
-                } else {
-                    ","
-                }
-            );
+            s.push_str("    {\"index\": ");
+            push_u64(&mut s, sc.index as u64);
+            s.push_str(", \"seed\": ");
+            push_u64(&mut s, sc.seed);
+            s.push_str(", \"label\": \"");
+            s.push_str(&sc.label);
+            s.push_str("\", \"cost\": ");
+            push_fixed(&mut s, sc.cost, 9);
+            s.push_str(", \"cost_ratio\": ");
+            push_fixed(&mut s, sc.cost_ratio, 9);
+            s.push_str(", \"makespan_ns\": ");
+            push_i64(&mut s, sc.makespan_ns);
+            s.push_str(", \"worst_actuation_ns\": ");
+            push_i64(&mut s, sc.worst_actuation_ns);
+            s.push_str(", \"overruns\": ");
+            push_u64(&mut s, sc.overruns as u64);
+            s.push_str(if i + 1 == self.scenarios.len() {
+                "}\n"
+            } else {
+                "},\n"
+            });
         }
         if self.degradations.is_empty() {
             s.push_str("  ]");
@@ -628,29 +789,31 @@ impl SweepSummary {
                 self.survivable_fraction().unwrap_or(0.0)
             );
             for (i, d) in self.degradations.iter().enumerate() {
-                let _ = writeln!(
-                    s,
-                    "    {{\"index\": {}, \"periods\": {}, \"skipped_samples\": {}, \
-                     \"skipped_actuations\": {}, \"overruns\": {}, \
-                     \"ls_inflation_ns\": {}, \"la_inflation_ns\": {}, \
-                     \"cost_ratio\": {:.9}, \"verdict\": \"{}\", \
-                     \"injected\": \"{}\"}}{}",
-                    d.index,
-                    d.periods,
-                    d.skipped_samples,
-                    d.skipped_actuations,
-                    d.overruns,
-                    d.ls_inflation_ns,
-                    d.la_inflation_ns,
-                    d.cost_ratio,
-                    d.verdict.as_str(),
-                    d.injected.render(),
-                    if i + 1 == self.degradations.len() {
-                        ""
-                    } else {
-                        ","
-                    }
-                );
+                s.push_str("    {\"index\": ");
+                push_u64(&mut s, d.index as u64);
+                s.push_str(", \"periods\": ");
+                push_u64(&mut s, u64::from(d.periods));
+                s.push_str(", \"skipped_samples\": ");
+                push_u64(&mut s, d.skipped_samples as u64);
+                s.push_str(", \"skipped_actuations\": ");
+                push_u64(&mut s, d.skipped_actuations as u64);
+                s.push_str(", \"overruns\": ");
+                push_u64(&mut s, d.overruns as u64);
+                s.push_str(", \"ls_inflation_ns\": ");
+                push_i64(&mut s, d.ls_inflation_ns);
+                s.push_str(", \"la_inflation_ns\": ");
+                push_i64(&mut s, d.la_inflation_ns);
+                s.push_str(", \"cost_ratio\": ");
+                push_fixed(&mut s, d.cost_ratio, 9);
+                s.push_str(", \"verdict\": \"");
+                s.push_str(d.verdict.as_str());
+                s.push_str("\", \"injected\": \"");
+                let _ = write!(s, "{}", d.injected);
+                s.push_str(if i + 1 == self.degradations.len() {
+                    "\"}\n"
+                } else {
+                    "\"},\n"
+                });
             }
             s.push_str("  ]");
         }
@@ -682,13 +845,22 @@ impl SweepSummary {
         s
     }
 
-    /// A byte budget for one renderer's headers and scenario rows:
-    /// `row_bytes` per row beyond its label, plus every label, so a
-    /// fault-free document is written without growing. Degradation rows
-    /// are not budgeted.
-    fn rows_capacity(&self, row_bytes: usize) -> usize {
+    /// A byte budget for one renderer's document: `row_bytes` per
+    /// scenario row beyond its label, `degradation_row_bytes` per
+    /// degradation row beyond its injected tally, plus every label and
+    /// tally, so the document is written without growing.
+    fn rows_capacity(&self, row_bytes: usize, degradation_row_bytes: usize) -> usize {
         let labels: usize = self.scenarios.iter().map(|sc| sc.label.len()).sum();
-        SECTIONS_BYTES + labels + self.scenarios.len() * row_bytes
+        let injected: usize = self
+            .degradations
+            .iter()
+            .map(|d| d.injected.rendered_len())
+            .sum();
+        SECTIONS_BYTES
+            + labels
+            + self.scenarios.len() * row_bytes
+            + injected
+            + self.degradations.len() * degradation_row_bytes
     }
 }
 
@@ -1056,6 +1228,120 @@ mod tests {
         assert!(json.contains("\"scenario_count\": 4"));
         assert!(json.contains("\"robustness_margin\": 0.750000"));
         assert!(json.ends_with("]\n}\n"));
+    }
+
+    /// Every precision the reports write.
+    const REPORT_DIGITS: [usize; 5] = [2, 3, 4, 6, 9];
+
+    fn fixed(v: f64, digits: usize) -> String {
+        let mut s = String::new();
+        push_fixed(&mut s, v, digits);
+        s
+    }
+
+    fn assert_matches_fmt(v: f64, digits: usize) {
+        assert_eq!(
+            fixed(v, digits),
+            format!("{v:.digits$}"),
+            "{v:e} ({:#018x}) at {digits} digits",
+            v.to_bits()
+        );
+    }
+
+    #[test]
+    fn push_fixed_matches_core_fmt_on_random_values() {
+        let mut rng = ecl_sim::SplitMix64::new(0x5eed_f1ed);
+        for _ in 0..200_000 {
+            let v = f64::from_bits(rng.next_u64());
+            assert_matches_fmt(v, REPORT_DIGITS[rng.below(REPORT_DIGITS.len())]);
+        }
+        for _ in 0..20_000 {
+            let v = (rng.next_f64() * 2.0 - 1.0) * 1e4;
+            for d in REPORT_DIGITS {
+                assert_matches_fmt(v, d);
+            }
+        }
+        // Raw bit patterns are mostly huge or tiny; a 53-bit mantissa
+        // scaled by 2^-92 to 2^-13 exercises the rounding arithmetic, and
+        // an odd multiple of 2^-(d+1) is an exact tie at d digits.
+        for _ in 0..20_000 {
+            let m = rng.next_u64() >> 11;
+            let e = rng.below(80) as i32 - 92;
+            for d in 0..=9 {
+                assert_matches_fmt(m as f64 * 2f64.powi(e), d);
+            }
+            let d = rng.below(10);
+            let odd = ((rng.next_u64() >> 24) | 1) as f64;
+            assert_matches_fmt(odd * 2f64.powi(-(d as i32 + 1)), d);
+            assert_matches_fmt(-odd * 2f64.powi(-(d as i32 + 1)), d);
+        }
+    }
+
+    #[test]
+    fn push_fixed_matches_core_fmt_on_edges() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            -1e-9,
+            0.0078125,
+            0.0234375,
+            0.125,
+            9.9999995,
+            0.9995,
+            0.5,
+            1.5,
+            2.5,
+            1.8e10,
+            1.9e10,
+            -1.9e10,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for v in edges {
+            for d in 0..=12 {
+                assert_matches_fmt(v, d);
+            }
+        }
+        // Ties round half to even on the exact binary value.
+        assert_eq!(fixed(0.0078125, 6), "0.007812");
+        assert_eq!(fixed(0.0234375, 6), "0.023438");
+        assert_eq!(fixed(0.125, 2), "0.12");
+        // Carries roll into the integer part; signs survive rounding to 0.
+        assert_eq!(fixed(0.9995, 3), "1.000");
+        assert_eq!(fixed(-0.0, 6), "-0.000000");
+        assert_eq!(fixed(-1e-9, 6), "-0.000000");
+        // 1.8e10 · 10^9 fits in a u64, 1.9e10 · 10^9 does not.
+        assert!(scaled_fixed(1.8e10, 9).is_some());
+        assert!(scaled_fixed(1.9e10, 9).is_none());
+        assert!(scaled_fixed(1e300, 2).is_none());
+        assert!(scaled_fixed(f64::NAN, 2).is_none());
+    }
+
+    #[test]
+    fn integer_writers_match_core_fmt() {
+        let mut rng = ecl_sim::SplitMix64::new(7);
+        let draws: Vec<u64> = (0..1_000)
+            .map(|_| rng.next_u64() >> rng.below(64))
+            .collect();
+        for n in [0, 1, 9, 10, u64::MAX].into_iter().chain(draws) {
+            let (mut dec, mut hex, mut signed) = (String::new(), String::new(), String::new());
+            push_u64(&mut dec, n);
+            push_hex(&mut hex, n);
+            push_i64(&mut signed, n as i64);
+            assert_eq!(dec, n.to_string());
+            assert_eq!(hex, format!("{n:#018x}"));
+            assert_eq!(signed, (n as i64).to_string());
+        }
+        let mut min = String::new();
+        push_i64(&mut min, i64::MIN);
+        assert_eq!(min, i64::MIN.to_string());
     }
 
     #[test]

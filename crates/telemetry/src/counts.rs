@@ -25,7 +25,7 @@ use std::fmt;
 /// c.add("retries", 5);
 /// c.add("frames_lost", 1);
 /// assert_eq!(c.get("frames_lost"), 3);
-/// assert_eq!(c.render(), "frames_lost=3 retries=5");
+/// assert_eq!(c.to_string(), "frames_lost=3 retries=5");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counts {
@@ -71,25 +71,28 @@ impl Counts {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Renders as `name=value` pairs separated by single spaces, in
-    /// lexicographic name order — byte-deterministic.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in self.iter() {
-            if !out.is_empty() {
-                out.push(' ');
-            }
-            out.push_str(name);
-            out.push('=');
-            out.push_str(&v.to_string());
-        }
-        out
+    /// Length in bytes of the `Display` text, computed without writing
+    /// it.
+    pub fn rendered_len(&self) -> usize {
+        let pairs: usize = self
+            .iter()
+            .map(|(name, v)| name.len() + 1 + v.checked_ilog10().map_or(1, |d| d as usize + 1))
+            .sum();
+        pairs + self.counters.len().saturating_sub(1)
     }
 }
 
+/// `name=value` pairs separated by single spaces, in lexicographic name
+/// order — byte-deterministic, written straight into the formatter.
 impl fmt::Display for Counts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        for (k, (name, v)) in self.iter().enumerate() {
+            if k > 0 {
+                f.write_str(" ")?;
+            }
+            write!(f, "{name}={v}")?;
+        }
+        Ok(())
     }
 }
 
@@ -119,8 +122,23 @@ mod tests {
         b.add("alpha", 2);
         b.add("zeta", 1);
         assert_eq!(a, b);
-        assert_eq!(a.render(), "alpha=2 zeta=1");
+        assert_eq!(a.to_string(), "alpha=2 zeta=1");
         assert_eq!(format!("{b}"), "alpha=2 zeta=1");
+    }
+
+    #[test]
+    fn rendered_len_matches_display() {
+        let mut c = Counts::new();
+        assert_eq!(c.rendered_len(), 0);
+        for (name, n) in [
+            ("a", 0),
+            ("frames_lost", 9),
+            ("retries", 10),
+            ("z", u64::MAX),
+        ] {
+            c.add(name, n);
+            assert_eq!(c.rendered_len(), c.to_string().len(), "{c}");
+        }
     }
 
     #[test]
@@ -133,6 +151,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get("lost"), 3);
         assert_eq!(a.get("retries"), 4);
-        assert_eq!(a.render(), "lost=3 retries=4");
+        assert_eq!(a.to_string(), "lost=3 retries=4");
     }
 }
