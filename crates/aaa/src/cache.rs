@@ -199,9 +199,16 @@ impl<'a> ScheduleKey<'a> {
     }
 
     /// [`schedule_digest`] of the key's graphs with `db` and `options`:
-    /// the WCET table sections and the policy, hashed onto a copy of the
-    /// graph state.
+    /// [`table`](ScheduleKey::table) then [`TableKey::digest`].
     pub fn digest(&self, db: &TimingDb, options: AdequationOptions) -> u64 {
+        self.table(db).digest(options)
+    }
+
+    /// The per-table stage of the digest: the WCET table sections
+    /// hashed onto a copy of the graph state. A caller that prices one
+    /// table under several policies hashes the table once and finishes
+    /// each policy with [`TableKey::digest`].
+    pub fn table(&self, db: &TimingDb) -> TableKey {
         let mut h = self.graphs.clone();
         // TimingDb iterates every section in key order, so the digest is
         // canonical without a sorted copy.
@@ -220,7 +227,22 @@ impl<'a> ScheduleKey<'a> {
             h.write_u64(op.index() as u64);
             h.write_u64(p.index() as u64);
         }
+        TableKey(h)
+    }
+}
 
+/// The graphs and one WCET table, hashed: everything of
+/// [`schedule_digest`] except the policy. [`digest`](TableKey::digest)
+/// finishes it with a policy, so
+/// `key.table(db).digest(options) == schedule_digest(alg, arch, db, options)`
+/// bit for bit.
+#[derive(Debug, Clone)]
+pub struct TableKey(Fnv1a);
+
+impl TableKey {
+    /// [`schedule_digest`] of the key's graphs and table under `options`.
+    pub fn digest(&self, options: AdequationOptions) -> u64 {
+        let mut h = self.0.clone();
         match options.policy {
             MappingPolicy::SchedulePressure => h.write_u64(0),
             MappingPolicy::EarliestFinish => h.write_u64(1),
@@ -647,7 +669,9 @@ impl ScheduleCache {
     }
 
     /// Like [`get_or_compute`](ScheduleCache::get_or_compute), looked up
-    /// through a worker's `view` of this cache.
+    /// through a worker's `view` by a table the caller already hashed:
+    /// `table` must be `key.table(db)` of the table `db` builds. `db` runs
+    /// only on a miss, so a lookup the memo answers builds no table.
     ///
     /// # Errors
     ///
@@ -656,12 +680,13 @@ impl ScheduleCache {
         &self,
         view: &mut MemoView<Schedule>,
         key: &ScheduleKey<'_>,
-        db: &TimingDb,
+        table: &TableKey,
         options: AdequationOptions,
+        db: impl FnOnce() -> TimingDb,
     ) -> Result<(Lent<Schedule>, u64), AaaError> {
-        let digest = key.digest(db, options);
+        let digest = table.digest(options);
         let (schedule, _) = view.get_or_compute(self, digest, || {
-            adequation(&key.alg, &key.arch, db, options)
+            adequation(&key.alg, &key.arch, &db(), options)
         })?;
         Ok((schedule, digest))
     }
@@ -1208,6 +1233,51 @@ mod tests {
             proptest::prop_assert_eq!(serial.lookups(), keys.len() as u64);
             proptest::prop_assert_eq!(serial.computes(), serial.misses());
             proptest::prop_assert_eq!(serial.races(), 0);
+        }
+
+        /// For random WCET tables (defaults, processor overrides and
+        /// interdictions) the table stage of one reused key, finished
+        /// with every policy, equals [`schedule_digest`] of a fresh key,
+        /// and the policies stay apart.
+        #[test]
+        fn table_stage_digest_equals_schedule_digest(
+            defaults in proptest::collection::vec(1i64..1_000_000, 3),
+            specific in proptest::collection::vec((0usize..3, 0usize..2, 1i64..1_000_000), 0..6),
+            forbidden in proptest::collection::vec((0usize..3, 0usize..2), 0..3),
+            seed in 0u64..u64::MAX,
+        ) {
+            let (alg, arch, _) = setup();
+            let ops: Vec<_> = alg.ops().collect();
+            let procs: Vec<_> = arch.processors().collect();
+            let mut db = TimingDb::new();
+            for (&op, &t) in ops.iter().zip(&defaults) {
+                db.set_default(op, TimeNs::from_nanos(t));
+            }
+            for &(op, p, t) in &specific {
+                db.set(ops[op], procs[p], TimeNs::from_nanos(t));
+            }
+            for &(op, p) in &forbidden {
+                db.forbid(ops[op], procs[p]);
+            }
+            let key = ScheduleKey::new(&alg, &arch);
+            let table = key.table(&db);
+            let policies = [
+                MappingPolicy::SchedulePressure,
+                MappingPolicy::EarliestFinish,
+                MappingPolicy::Random { seed },
+                MappingPolicy::Random { seed: seed ^ 1 },
+            ];
+            let mut digests = Vec::new();
+            for policy in policies {
+                let opts = AdequationOptions { policy };
+                let d = table.digest(opts);
+                proptest::prop_assert_eq!(d, schedule_digest(&alg, &arch, &db, opts));
+                proptest::prop_assert_eq!(d, key.digest(&db, opts));
+                digests.push(d);
+            }
+            digests.sort_unstable();
+            digests.dedup();
+            proptest::prop_assert_eq!(digests.len(), policies.len());
         }
     }
 }

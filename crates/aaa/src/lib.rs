@@ -28,7 +28,8 @@
 //!   cache is built on, and [`ScheduleCache`], that memo over adequation
 //!   results keyed by [`schedule_digest`], for scenario sweeps that
 //!   re-schedule identical (algorithm, architecture, WCET, policy) inputs
-//!   (a [`ScheduleKey`] hashes the graphs once per sweep), and
+//!   (a [`ScheduleKey`] hashes the graphs once per sweep and its
+//!   [`TableKey`] stage each WCET table once), and
 //!   [`MemoView`], one worker's lock-free view in front of a memo;
 //! * [`codegen`] — per-processor synchronized executives with a
 //!   deadlock-freedom check.
@@ -80,7 +81,9 @@ mod timing;
 pub use adequation::{adequation, AdequationOptions, MappingPolicy};
 pub use algorithm::{AlgorithmGraph, Condition, OpId, OpKind};
 pub use architecture::{ArchitectureGraph, MediumId, MediumKind, ProcId};
-pub use cache::{schedule_digest, DigestMemo, Fnv1a, Lent, MemoView, ScheduleCache, ScheduleKey};
+pub use cache::{
+    schedule_digest, DigestMemo, Fnv1a, Lent, MemoView, ScheduleCache, ScheduleKey, TableKey,
+};
 pub use error::AaaError;
 pub use schedule::{Schedule, ScheduledComm, ScheduledOp};
 pub use timing::TimingDb;

@@ -16,6 +16,11 @@
 //! * **Allocation-free hot loop** — [`ecl_sim::EngineStats::hot_allocs`]
 //!   stays 0 across every co-simulation flavour the fleet uses,
 //!   including the faulty replay ([`KernelWork::probe`]).
+//! * **Allocations per scenario** — the sweep's steady-state allocations
+//!   per scenario at 1 worker, counted by a global allocator: the
+//!   allocations of a 2N-scenario sweep minus those of an N-scenario
+//!   sweep, over N, so the one-off costs (memo misses, pool, buffers)
+//!   cancel and the count is exact.
 //!
 //! Artifacts follow the E16 split:
 //!
@@ -23,18 +28,24 @@
 //!   (FNV-64 of the rendered summary, the JSON summary and the merged
 //!   histogram, the order-invariant cache/memo counters and the probe's
 //!   `kernel_work:` counters). The binary asserts the report is the same
-//!   at 1 and 4 workers, and `scripts/check.sh` diffs it against the
-//!   committed copy.
+//!   at 1 and 4 workers; the allocation line, measured at 1 worker only,
+//!   follows it. `scripts/check.sh` diffs the file against the committed
+//!   copy.
 //! * **Sidecar** — `results/timing/PROFILE_exp17.json` (per-phase
 //!   wall-clock attribution with the scheduled-memo lookup channel) and
 //!   `results/timing/BENCH_exp17.json` (throughput, memo and race
 //!   evidence) of the 4-worker run, untracked.
 
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations;
 use ecl_bench::fleet::{run_sweep, SweepConfig, SweepOutput};
 use ecl_bench::{
     phase_mean_ns, scale_loop, standard_split, sweep_digest, worker_invariant, write_result,
-    KernelWork,
+    KernelWork, SplitScenario,
 };
+use ecl_core::cosim::LoopSpec;
 use ecl_telemetry::{Phase, ProfileReport};
 
 /// Scenario count: one order of magnitude past E16-SCALE's 10⁵.
@@ -44,6 +55,10 @@ const SCENARIOS: usize = 1_000_000;
 /// distinct keys under 10⁶ lookups, so anything below 99.9% means the
 /// digest is unstable.
 const HIT_RATE_FLOOR: f64 = 0.999;
+
+/// Scenarios of the shorter of the two sweeps whose allocation counts
+/// give the steady-state allocations per scenario.
+const ALLOC_SCENARIOS: usize = 10_000;
 
 fn config(workers: usize) -> SweepConfig {
     SweepConfig {
@@ -81,6 +96,34 @@ fn digest_report(out: &SweepOutput, work: &KernelWork) -> String {
         out.scheduled_hits,
         out.scheduled_misses,
     )
+}
+
+/// The golden allocation line: steady-state allocations per scenario of
+/// a 1-worker sweep, `(A(2N) - A(N)) / N` over exp17's configuration.
+/// One-worker sweeps claim in index order and miss at the same
+/// scenarios, so both counts, and the line, repeat exactly.
+fn allocation_line(
+    spec: &LoopSpec,
+    base: &SplitScenario,
+) -> Result<String, Box<dyn std::error::Error>> {
+    let sweep = |scenarios: usize| {
+        let config = SweepConfig {
+            scenario_count: scenarios,
+            ..config(1)
+        };
+        allocations(|| run_sweep(spec, base, &config))
+    };
+    // The first sweep pays the process's one-time set-up.
+    sweep(ALLOC_SCENARIOS).0?;
+    let (_, short) = sweep(ALLOC_SCENARIOS);
+    let (_, long) = sweep(2 * ALLOC_SCENARIOS);
+    let per_scenario = (long - short) as f64 / ALLOC_SCENARIOS as f64;
+    Ok(format!(
+        "allocs_per_scenario: {per_scenario:.2} (1 worker, (A({}) - A({})) / {})",
+        2 * ALLOC_SCENARIOS,
+        ALLOC_SCENARIOS,
+        ALLOC_SCENARIOS
+    ))
 }
 
 /// Wall-clock evidence sidecar (never committed).
@@ -149,11 +192,11 @@ fn check(out: &SweepOutput) {
     );
     let profile = out.profile.as_ref().expect("profiling was requested");
     // The memo collapses the named phases to microseconds, so the
-    // pool's fixed per-task bookkeeping (clock reads, span buffers,
-    // batch claim/publish) is a legitimately larger slice than at E16's
-    // scale — the floor here guards against dropped phases, not
-    // harness overhead. Measured at 10⁶ scenarios: ~83% attributed on
-    // 4 workers, ~72% on 1.
+    // task's fixed bookkeeping (its closing clock read, the record's
+    // assembly) is a larger slice than at E16's scale — the floor here
+    // guards against dropped phases, not harness overhead. Measured at
+    // 10⁶ scenarios on a 2-vCPU machine: 93–95% attributed on 4
+    // workers, 93% on 1.
     let fraction = profile.attributed_fraction();
     assert!(
         fraction >= 0.65,
@@ -183,6 +226,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         |out| digest_report(out, &work),
     )?;
     println!("1-worker vs 4-worker sweep: digest reports byte-identical");
+    let allocs = allocation_line(&spec, &base)?;
+    println!("{allocs}");
 
     let profile = out.profile.as_ref().expect("profiling was requested");
     let wall_s = profile.wall_ns as f64 / 1e9;
@@ -205,7 +250,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", profile.render());
 
-    let report_path = write_result("exp17_scale.txt", &report)?;
+    let report_path = write_result("exp17_scale.txt", &format!("{report}{allocs}\n"))?;
     let profile_path = write_result("timing/PROFILE_exp17.json", &profile.to_json())?;
     let bench_path = write_result("timing/BENCH_exp17.json", &bench_json(&out, profile))?;
     println!(

@@ -18,19 +18,22 @@
 //!   ([`SweepConfig::wcet_tables`]), so scenarios sharing a table and
 //!   policy present identical adequation inputs and skip the scheduler.
 //!
-//! The memo keys are split in two ([`SweepKeys`]): the loop spec and the
-//! deployment's graphs are hashed once per sweep, and each scenario
-//! hashes only its period, WCET table and policy — one loop digest and
-//! one schedule digest per scenario. The memos look up by those digests
-//! and build the scenario's loop spec only when a co-simulation actually
-//! runs, so the hit path clones no spec.
+//! The memo keys are split ([`SweepKeys`]): the loop spec and the
+//! deployment's graphs are hashed once per sweep, each WCET table once
+//! per worker, and each scenario hashes only its period and policy —
+//! one loop digest and one schedule digest per scenario. The memos look
+//! up by those digests and build the scenario's loop spec and jittered
+//! WCET table only when a co-simulation or an adequation actually runs,
+//! so the hit path clones neither.
 //!
 //! Each worker owns a [`Lane`]: its profile buffer, its scratch
-//! histogram and a [`MemoView`] in front of each of the four shared
-//! memos. A lookup the lane has already made is answered from the
-//! lane's own view, so the hot path of a memo-bound sweep takes no lock
-//! and writes no cache line another worker reads; the views add their
-//! lookup counts to the shared tables when the lane finishes.
+//! histogram, a [`MemoView`] in front of each of the four shared memos
+//! and a fixed-size cache of hashed WCET tables. A lookup the lane has
+//! already made is answered from the lane's own view, so the hot path of
+//! a memo-bound sweep takes no lock and writes no cache line another
+//! worker reads; the views add their lookup counts to the shared tables
+//! when the lane finishes. Each scenario's record goes straight into
+//! its index's slot of the output.
 //!
 //! With [`SweepConfig::profile`] the sweep additionally records where its
 //! wall time goes: each worker fills a private [`WorkerProfile`] with
@@ -43,13 +46,13 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ecl_aaa::{
     codegen, AdequationOptions, DigestMemo, Fnv1a, Lent, MappingPolicy, MemoView, Schedule,
-    ScheduleCache, ScheduleKey, TimeNs, TimingDb,
+    ScheduleCache, ScheduleKey, TableKey, TimeNs, TimingDb,
 };
 use ecl_core::cosim::{
     self, Activation, IdealRunCache, LoopAt, LoopKey, LoopResult, LoopSpec, ScheduledRunCache,
@@ -437,9 +440,9 @@ pub struct SweepOutput {
 /// Batch of consecutive indices one claim takes: small enough that the
 /// tail imbalance stays under a few percent of the sweep, large enough
 /// that a 10⁵-scenario sweep of sub-millisecond tasks touches the shared
-/// counter and the result-slot lock thousands of times instead of a
-/// hundred thousand. Small sweeps degrade to one-at-a-time claiming,
-/// which keeps load balancing exact where it matters most.
+/// claim counter thousands of times instead of a hundred thousand.
+/// Small sweeps degrade to one-at-a-time claiming, which keeps load
+/// balancing exact where it matters most.
 fn claim_batch(count: usize, workers: usize) -> usize {
     (count / (workers * 16)).clamp(1, 32)
 }
@@ -451,14 +454,14 @@ fn claim_batch(count: usize, workers: usize) -> usize {
 /// buffers are worker state, so the hot path never writes shared memory.
 ///
 /// Workers claim **batches** of consecutive indices (up to 32, about a
-/// sixteenth of each worker's share) from the shared counter and
-/// publish each batch's results under one lock acquisition, amortizing
-/// pool overhead over small tasks. Results
-/// are still slotted by index, so claiming granularity can never leak
+/// sixteenth of each worker's share) from the shared counter, amortizing
+/// the claim over small tasks, and write each result straight into its
+/// index's slot as soon as it is computed: no staging buffer, no lock.
+/// Results are slotted by index, so claiming granularity can never leak
 /// into the output order.
 pub fn map_indexed_with<R, W, G, F>(count: usize, workers: usize, init: G, f: F) -> (Vec<R>, Vec<W>)
 where
-    R: Send,
+    R: Send + Sync,
     W: Send,
     G: Fn(usize) -> W + Sync,
     F: Fn(usize, &mut W) -> R + Sync,
@@ -477,11 +480,15 @@ where
 /// The shared state of one indexed map over `0..count`: the claim
 /// counter, the index-addressed result slots and the per-lane states.
 /// Both [`map_indexed_with`] and [`FleetPool::run_with`] drive it.
+///
+/// Each index is claimed by exactly one lane and each slot is written
+/// once, by that lane: a [`OnceLock`] per slot is enough, and setting it
+/// takes no lock and touches no other slot.
 struct Lanes<R, W> {
     count: usize,
     batch: usize,
     next: AtomicUsize,
-    slots: Mutex<Vec<Option<R>>>,
+    slots: Vec<OnceLock<R>>,
     states: Mutex<Vec<Option<W>>>,
 }
 
@@ -491,13 +498,13 @@ impl<R, W> Lanes<R, W> {
             count,
             batch: claim_batch(count, lanes),
             next: AtomicUsize::new(0),
-            slots: Mutex::new((0..count).map(|_| None).collect()),
+            slots: (0..count).map(|_| OnceLock::new()).collect(),
             states: Mutex::new((0..lanes).map(|_| None).collect()),
         }
     }
 
-    /// One lane's life: claim a batch of indices, compute it, publish its
-    /// results under one lock acquisition, until no index is left; then
+    /// One lane's life: claim a batch of indices and write each result
+    /// into its slot as it is computed, until no index is left; then
     /// park the lane's state.
     fn run<G, F>(&self, lane: usize, init: &G, f: &F)
     where
@@ -505,18 +512,16 @@ impl<R, W> Lanes<R, W> {
         F: Fn(usize, &mut W) -> R,
     {
         let mut state = init(lane);
-        let mut local: Vec<(usize, R)> = Vec::with_capacity(self.batch);
         loop {
             let start = self.next.fetch_add(self.batch, Ordering::Relaxed);
             if start >= self.count {
                 break;
             }
-            for i in start..(start + self.batch).min(self.count) {
-                local.push((i, f(i, &mut state)));
-            }
-            let mut slots = self.slots.lock().expect("result slots");
-            for (i, r) in local.drain(..) {
-                slots[i] = Some(r);
+            let end = (start + self.batch).min(self.count);
+            for (i, slot) in (start..end).zip(&self.slots[start..end]) {
+                if slot.set(f(i, &mut state)).is_err() {
+                    unreachable!("index {i} claimed twice");
+                }
             }
         }
         self.states.lock().expect("lane states")[lane] = Some(state);
@@ -525,11 +530,11 @@ impl<R, W> Lanes<R, W> {
     /// The results in index order and the lane states in lane order, once
     /// every lane has run.
     fn into_parts(self) -> (Vec<R>, Vec<W>) {
-        let slots = self.slots.into_inner().expect("result slots");
         let parked = self.states.into_inner().expect("lane states");
-        let results = slots
+        let results = self
+            .slots
             .into_iter()
-            .map(|r| r.expect("every index produced a result"));
+            .map(|r| r.into_inner().expect("every index produced a result"));
         let states = parked
             .into_iter()
             .map(|s| s.expect("every lane parked its state"));
@@ -543,7 +548,7 @@ impl<R, W> Lanes<R, W> {
 /// order never leaks into the output.
 pub fn map_indexed<R, F>(count: usize, workers: usize, f: F) -> Vec<R>
 where
-    R: Send,
+    R: Send + Sync,
     F: Fn(usize) -> R + Sync,
 {
     map_indexed_with(count, workers, |_| (), |i, ()| f(i)).0
@@ -624,7 +629,7 @@ impl FleetPool {
     /// pool, so sweep artifacts cannot depend on which pool ran them.
     pub fn run_with<R, W, G, F>(&self, count: usize, init: G, f: F) -> (Vec<R>, Vec<W>)
     where
-        R: Send + 'static,
+        R: Send + Sync + 'static,
         W: Send + 'static,
         G: Fn(usize) -> W + Send + Sync + 'static,
         F: Fn(usize, &mut W) -> R + Send + Sync + 'static,
@@ -779,9 +784,10 @@ impl SweepCaches {
 
 /// The per-deployment halves of the memo keys: the loop spec and the
 /// algorithm/architecture graphs, hashed once. [`run_sweep`] builds them
-/// once per sweep and a daemon once per registered deployment; each
-/// scenario then hashes only what it varies (period, WCET table,
-/// policy) — one loop digest and one schedule digest per scenario.
+/// once per sweep and a daemon once per registered deployment; a
+/// [`Lane`] then hashes each WCET table once onto the graph half, and
+/// each scenario hashes only its period and policy — one loop digest
+/// and one schedule digest per scenario.
 #[derive(Debug)]
 pub struct SweepKeys<'a> {
     /// The swept loop spec, keyed for [`IdealRunCache`] and
@@ -809,12 +815,39 @@ impl<'a> SweepKeys<'a> {
     }
 }
 
+/// Slots of a [`Lane`]'s WCET-table cache. It is direct-mapped by table
+/// index, so its size is fixed: it does not grow with
+/// [`SweepConfig::wcet_tables`] (which a daemon client chooses) or with
+/// the scenario count. 32 slots hold every table of the default 16-table
+/// axis.
+const TABLE_SLOTS: usize = 32;
+
+/// One hashed WCET table a [`Lane`] keeps: the table index and the sweep
+/// parameters its content depends on, with the table's [`TableKey`].
+#[derive(Debug, Clone)]
+struct CachedTable {
+    table: usize,
+    base_seed: u64,
+    jitter_bits: u64,
+    key: TableKey,
+}
+
 /// One worker's private state for a run of scenarios over one
-/// [`SweepCaches`]: its profile buffer, its scratch actuation histogram
-/// (at the [`sweep_bound_ns`]/[`SWEEP_BUCKETS`] shape) and its
-/// [`MemoView`] of each of the four memos. [`run_scenario`] records
-/// into it and looks up through it; nothing in it is shared, so a
-/// lookup the lane has already made touches no other worker's memory.
+/// [`SweepCaches`] and one deployment: its profile buffer, its scratch
+/// actuation histogram (at the [`sweep_bound_ns`]/[`SWEEP_BUCKETS`]
+/// shape), its [`MemoView`] of each of the four memos and its cache of
+/// hashed WCET tables. [`run_scenario`] records into it and looks up
+/// through it; nothing in it is shared, so a lookup the lane has already
+/// made touches no other worker's memory.
+///
+/// The table cache holds the [`TableKey`] (graphs and WCET table,
+/// hashed) of the last table seen in each of its 32 slots,
+/// direct-mapped by table index and checked against the index, the
+/// sweep seed and the jitter on every hit. A scenario whose table is
+/// cached builds no jittered [`TimingDb`] and hashes only its policy; a
+/// miss builds and hashes the table and evicts the slot's previous
+/// entry. A table's content also depends on the deployment's base
+/// timing, which is why a lane serves one deployment for its whole life.
 ///
 /// [`finish`](Lane::finish) hands the lane's contributions back: the
 /// histogram is merged and the views' lookup counts are added to the
@@ -828,6 +861,7 @@ pub struct Lane {
     ideal: MemoView<LoopResult>,
     scheduled: MemoView<LoopResult>,
     reports: MemoView<ReportEntry>,
+    tables: [Option<CachedTable>; TABLE_SLOTS],
 }
 
 impl Lane {
@@ -842,16 +876,33 @@ impl Lane {
             ideal: MemoView::new(),
             scheduled: MemoView::new(),
             reports: MemoView::new(),
+            tables: std::array::from_fn(|_| None),
         }
     }
 
+    /// Presizes the profile buffer for `scenarios` scenarios of `config`
+    /// (nothing when profiling is off), so a lane that knows its share
+    /// of a sweep records every span without regrowing.
+    fn reserve(&mut self, config: &SweepConfig, scenarios: usize) {
+        // Derive, adequation, ideal run, co-simulation and metrics, plus
+        // the optional phases the config turns on; a faulty scenario
+        // adds a plan, a twin co-simulation and its degradation metrics.
+        let per_scenario = 5
+            + usize::from(config.prune_static)
+            + usize::from(config.validate_executive)
+            + usize::from(config.verify_static)
+            + if config.faults.is_zero() { 0 } else { 3 };
+        // Room for one synthesis span per memo miss of a memo-bound sweep.
+        const MISS_SPANS: usize = 128;
+        self.profile.reserve(scenarios * per_scenario + MISS_SPANS);
+    }
+
     /// Runs `f` as one claimed task of the lane's profile (see
-    /// [`WorkerProfile::note_task`]).
+    /// [`WorkerProfile::begin_task`]).
     pub fn task<R>(&mut self, f: impl FnOnce(&mut Lane) -> R) -> R {
-        let start = self.profile.now_ns();
+        self.profile.begin_task();
         let r = f(self);
-        let end = self.profile.now_ns();
-        self.profile.note_task(start, end);
+        self.profile.end_task();
         r
     }
 
@@ -866,6 +917,36 @@ impl Lane {
         self.reports.flush(&caches.reports);
         self.profile
     }
+}
+
+/// The hashed WCET table of `scenario` from `tables` (a [`Lane`]'s table
+/// cache), and the jittered table itself when the cache missed and had
+/// to build it to hash it.
+fn table_key(
+    tables: &mut [Option<CachedTable>; TABLE_SLOTS],
+    key: &ScheduleKey<'_>,
+    base: &SplitScenario,
+    config: &SweepConfig,
+    scenario: &Scenario,
+) -> (TableKey, Option<TimingDb>) {
+    let (table, base_seed) = (scenario.wcet_table, config.base_seed);
+    let jitter_bits = config.wcet_jitter.to_bits();
+    let slot = &mut tables[table % TABLE_SLOTS];
+    if let Some(cached) = slot
+        .as_ref()
+        .filter(|c| (c.table, c.base_seed, c.jitter_bits) == (table, base_seed, jitter_bits))
+    {
+        return (cached.key.clone(), None);
+    }
+    let db = scenario.jittered_db(base);
+    let hashed = key.table(&db);
+    *slot = Some(CachedTable {
+        table,
+        base_seed,
+        jitter_bits,
+        key: hashed.clone(),
+    });
+    (hashed, Some(db))
 }
 
 /// Folds [`ScenarioRecord`]s — **in index order** — into the
@@ -1010,7 +1091,8 @@ impl SweepAccumulator {
 /// byte-identity tests that pin the memoized artifacts against it.
 ///
 /// A run's measured synthesis/simulation split becomes two back-to-back
-/// spans; a memo hit charges the lookup itself (the run key and a
+/// spans from the profile's last boundary to one clock read after the
+/// lookup; a memo hit charges the lookup itself (the run key and a
 /// lookup in the lane's own view) to the co-simulation phase, so the
 /// profile shows what the memo reduced the phase *to* rather than
 /// dropping the time on the floor.
@@ -1030,7 +1112,7 @@ fn scheduled_cosim(
     index: usize,
     wp: &mut WorkerProfile,
 ) -> Result<(Lent<LoopResult>, u64), CoreError> {
-    let t0 = wp.now_ns();
+    let t0 = wp.last_boundary();
     let (run, key, hit, phases) = if config.memoize_scheduled {
         let (alg, io, arch) = (&base.alg, &base.io, &base.arch);
         scheduled_memo.get_or_run_at(view, at, alg, io, schedule, arch, schedule_digest, plan)?
@@ -1041,16 +1123,24 @@ fn scheduled_cosim(
         let (run, phases) = cosim::simulate(&at.spec(), activation, &mut Collector::noop(), "")?;
         (Lent::new(Arc::new(run)), key, false, phases)
     };
+    let end = wp.boundary();
     if hit {
-        let end = wp.now_ns();
         wp.push_span(index, Phase::Cosim, t0, end);
     } else {
-        let synthesized = t0 + phases.synthesis_wall_ns;
-        let simulated = synthesized + phases.simulation_wall_ns;
+        // The co-simulation phase also takes the run's keying and memo
+        // bookkeeping after the simulation proper.
+        let synthesized = (t0 + phases.synthesis_wall_ns).min(end);
         wp.push_span(index, Phase::Synthesis, t0, synthesized);
-        wp.push_span(index, Phase::Cosim, synthesized, simulated);
+        wp.push_span(index, Phase::Cosim, synthesized, end);
     }
     Ok((run, key))
+}
+
+/// The number of whole periods of `horizon` at period `ts` (at least
+/// one): what a fault plan, the virtual executive and a pruned row's
+/// overrun count are sized by.
+fn periods_in(horizon: f64, ts: f64) -> u32 {
+    (horizon / ts).floor().max(1.0) as u32
 }
 
 /// Extracts the Metrics-phase yield of one run: the latency report
@@ -1098,19 +1188,26 @@ fn build_report_entry(
 /// generated executives on the virtual machine and returns
 /// `(is_exact, max divergence ns)` against the delay-graph prediction.
 ///
-/// Every stage is wrapped in a phase of the lane's [`WorkerProfile`];
-/// with profiling off the wrappers are branch-only no-ops and the
-/// computation is the same expression either way, so results cannot
-/// depend on the flag.
+/// Every stage is wrapped in a phase of the lane's [`WorkerProfile`],
+/// and the phases run back to back: each starts where the previous one
+/// ended, so a profiled scenario reads the clock once per phase
+/// boundary. Work that a phase names runs inside it; with profiling off
+/// the wrappers are branch-only no-ops and the computation is the same
+/// expression either way, so results cannot depend on the flag.
+///
+/// The scenario's WCET table is hashed once per lane ([`Lane`]'s table
+/// cache): a scenario whose table the lane has seen hashes only its
+/// policy, and builds its jittered table only on a schedule-memo miss
+/// or for [`SweepConfig::verify_static`].
 ///
 /// The scenario's latencies are recorded (or, on a report-memo hit,
 /// merged) into the lane's scratch histogram in place, so the hot loop
 /// allocates no per-scenario histograms. A lane serves one `caches`
-/// for its whole life: its views fall through to those tables and
-/// [`Lane::finish`] flushes into them. `index` is a *global* scenario
-/// index — seeds, labels and trace prefixes derive from it — which is
-/// how a daemon shards one logical sweep into chunks without perturbing
-/// a single byte.
+/// and one deployment for its whole life: its views fall through to
+/// those tables and [`Lane::finish`] flushes into them. `index` is a
+/// *global* scenario index — seeds, labels and trace prefixes derive
+/// from it — which is how a daemon shards one logical sweep into chunks
+/// without perturbing a single byte.
 ///
 /// `keys` are the per-deployment key halves of the swept spec and of
 /// `base`'s graphs ([`SweepKeys::new`]). The scenario's loop spec is
@@ -1132,34 +1229,43 @@ pub fn run_scenario(
         ideal: ideal_view,
         scheduled: scheduled_view,
         reports: report_view,
+        tables,
     } = lane;
     let spec = keys.spec.base();
-    let (scenario, db) = wp.phase(index, Phase::Derive, |_| {
+    // The jittered table is built here only when the lane has not hashed
+    // this scenario's table yet.
+    let (scenario, table, db) = wp.phase(index, Phase::Derive, |_| {
         let scenario = Scenario::derive(config, base, index);
-        let db = scenario.jittered_db(base);
-        (scenario, db)
+        let (table, db) = table_key(tables, &keys.schedule, base, config, &scenario);
+        (scenario, table, db)
     });
-    let options = AdequationOptions {
-        policy: scenario.policy,
-    };
-    // The jittered table is adequation input; only static verification
-    // reads it again. Otherwise it is freed here, so its teardown is
-    // adequation time instead of busy time no phase accounts for.
-    let (schedule, digest, db) = wp.phase(index, Phase::Adequation, |_| {
+    // A schedule-memo miss builds the jittered table if the derive phase
+    // did not; static verification reads it again, so it is kept (or
+    // rebuilt) for that pass and otherwise freed here, so its teardown
+    // is adequation time. The delay-graph builder rejects makespan >
+    // period, so a badly jittered schedule stretches the scenario's
+    // period just enough (deterministically).
+    let (schedule, digest, db, ts) = wp.phase(index, Phase::Adequation, |_| {
+        let options = AdequationOptions {
+            policy: scenario.policy,
+        };
+        let mut db = db;
         let (schedule, digest) = caches
             .schedule
-            .get_or_compute_in(schedule_view, &keys.schedule, &db, options)
+            .get_or_compute_in(schedule_view, &keys.schedule, &table, options, || {
+                db.take().unwrap_or_else(|| scenario.jittered_db(base))
+            })
             .map_err(CoreError::from)?;
-        Ok::<_, CoreError>((schedule, digest, config.verify_static.then_some(db)))
+        let db = config
+            .verify_static
+            .then(|| db.unwrap_or_else(|| scenario.jittered_db(base)));
+        let mut ts = spec.ts * scenario.period_scale;
+        let makespan_s = schedule.makespan().as_secs_f64();
+        if makespan_s > ts {
+            ts = makespan_s * 1.05;
+        }
+        Ok::<_, CoreError>((schedule, digest, db, ts))
     })?;
-
-    // The delay-graph builder rejects makespan > period; a badly jittered
-    // schedule stretches the period just enough (deterministically).
-    let mut ts = spec.ts * scenario.period_scale;
-    let makespan_s = schedule.makespan().as_secs_f64();
-    if makespan_s > ts {
-        ts = makespan_s * 1.05;
-    }
 
     let traced = index < config.trace_scenarios;
     // Static pruning: evaluate the sound completion envelope of the
@@ -1170,16 +1276,17 @@ pub fn run_scenario(
     // a statically derived row; inconclusive ones fall through to the
     // full pipeline and are counted as simulated.
     let prune = if config.prune_static && !traced {
-        let family = FaultFamily::from_config(&scenario.fault_config(&config.faults));
-        let period = TimeNs::from_secs_f64(ts);
-        let envelope = wp.phase(index, Phase::Envelope, |_| {
-            ecl_verify::fault_envelope(&base.alg, &base.arch, &schedule, period, &family, None)
+        let (verdict, worst_hi) = wp.phase(index, Phase::Envelope, |_| {
+            let family = FaultFamily::from_config(&scenario.fault_config(&config.faults));
+            let period = TimeNs::from_secs_f64(ts);
+            let envelope =
+                ecl_verify::fault_envelope(&base.alg, &base.arch, &schedule, period, &family, None);
+            (envelope.verdict(), envelope.max_actuation_hi())
         });
-        let verdict = envelope.verdict();
         if verdict != ecl_verify::EnvelopeVerdict::Inconclusive {
             let overruns = if verdict == ecl_verify::EnvelopeVerdict::Unsafe {
                 // Every period's actuation can land past the deadline.
-                (spec.horizon / ts).floor().max(1.0) as usize
+                periods_in(spec.horizon, ts) as usize
             } else {
                 0
             };
@@ -1197,7 +1304,7 @@ pub fn run_scenario(
                     cost: 0.0,
                     cost_ratio: 0.0,
                     makespan_ns: schedule.makespan().as_nanos(),
-                    worst_actuation_ns: envelope.max_actuation_hi().as_nanos(),
+                    worst_actuation_ns: worst_hi.as_nanos(),
                     overruns,
                 },
                 degradation: None,
@@ -1225,7 +1332,6 @@ pub fn run_scenario(
             .get_or_run_at(ideal_view, at)
             .map(|ideal| (at, ideal))
     })?;
-    let periods = (spec.horizon / ts).floor().max(1.0) as u32;
     // The plan is a pure function of (config, schedule, arch, periods),
     // so the co-simulation and the virtual executive below are driven by
     // byte-identical fault fates.
@@ -1237,7 +1343,7 @@ pub fn run_scenario(
                     &scenario.fault_config(&config.faults),
                     &schedule,
                     &base.arch,
-                    periods,
+                    periods_in(spec.horizon, ts),
                 )
             })
         })
@@ -1290,8 +1396,8 @@ pub fn run_scenario(
         (run, Some(key), None, RecordingSink::default())
     };
 
-    let bound = sweep_bound_ns(spec, config);
     let (outcome, report) = wp.phase(index, Phase::Metrics, |_| {
+        let bound = sweep_bound_ns(spec, config);
         // Forced rendezvous under faults legitimately pushes sampling
         // past its period, so degraded runs are measured leniently.
         let lenient = scenario.has_faults();
@@ -1315,13 +1421,14 @@ pub fn run_scenario(
             worst_actuation_ns: entry.worst_actuation_ns,
             overruns: entry.overruns,
         };
-        // An un-memoized run, and the scenario itself, are freed here,
-        // so their teardown is metrics time instead of busy time no
-        // phase accounts for.
+        // The run, the ideal run, the scenario and (unless static
+        // verification reads it) the report entry are freed here, so
+        // their teardown is metrics time instead of busy time no phase
+        // accounts for.
         drop(run);
         drop(ideal);
         drop(scenario);
-        Ok::<_, CoreError>((outcome, entry))
+        Ok::<_, CoreError>((outcome, config.verify_static.then_some(entry)))
     })?;
 
     // Measured-vs-modeled cross-validation: execute the generated
@@ -1332,6 +1439,7 @@ pub fn run_scenario(
             let generated =
                 codegen::generate(&schedule, &base.alg, &base.arch).map_err(CoreError::from)?;
             let period = TimeNs::from_secs_f64(ts);
+            let periods = periods_in(spec.horizon, ts);
             let opts = ExecOptions {
                 period,
                 periods,
@@ -1361,12 +1469,11 @@ pub fn run_scenario(
     // Static verification: run every `ecl-verify` pass over the scenario's
     // schedule, then check soundness — the static `Ls`/`La` bounds must
     // dominate every latency the co-simulation measured.
-    let verification = if config.verify_static {
+    let verification = if let (Some(db), Some(report)) = (db, report) {
         wp.phase(index, Phase::Verification, |_| {
             let period = TimeNs::from_secs_f64(ts);
-            let db = db.as_ref().expect("kept for static verification");
             let vreport =
-                ecl_verify::verify(&base.alg, &base.arch, db, &schedule, period, plan.as_ref())
+                ecl_verify::verify(&base.alg, &base.arch, &db, &schedule, period, plan.as_ref())
                     .map_err(CoreError::from)?;
             let bounds = vreport
                 .bounds
@@ -1433,10 +1540,16 @@ pub fn run_sweep(
     // lanes themselves are per-worker state — no hot-path sharing.
     let epoch = Instant::now();
     let bound = sweep_bound_ns(spec, config);
+    let count = config.scenario_count;
+    let share = count.div_ceil(config.workers.clamp(1, count.max(1)));
     let (results, lanes) = map_indexed_with(
-        config.scenario_count,
+        count,
         config.workers,
-        |worker| Lane::new(worker, epoch, config.profile, bound),
+        |worker| {
+            let mut lane = Lane::new(worker, epoch, config.profile, bound);
+            lane.reserve(config, share);
+            lane
+        },
         |i, lane: &mut Lane| lane.task(|lane| run_scenario(&keys, base, config, &caches, i, lane)),
     );
     let wall_ns = epoch.elapsed().as_nanos() as u64;
@@ -2122,6 +2235,195 @@ mod tests {
         let (results, states) = pool.run_with(0, |lane| lane, |i, _s: &mut usize| i);
         assert!(results.is_empty());
         assert_eq!(states.len(), 1);
+    }
+
+    /// Runs every scenario of `config` in a fresh [`Lane`] (an empty
+    /// table cache each time) over one shared [`SweepCaches`], folded in
+    /// index order: the reference the lanes' table caches must match.
+    /// Returns the summary's Markdown and JSON, the merged histogram and
+    /// every memo counter.
+    fn fresh_lane_sweep(
+        spec: &LoopSpec,
+        base: &SplitScenario,
+        config: &SweepConfig,
+    ) -> (String, String, Histogram, [(u64, u64); 4]) {
+        let caches = SweepCaches::new();
+        let keys = SweepKeys::new(spec, base);
+        let bound = sweep_bound_ns(spec, config);
+        let mut merged = Histogram::new(bound, SWEEP_BUCKETS);
+        let mut acc = SweepAccumulator::new(config);
+        for i in 0..config.scenario_count {
+            let mut lane = Lane::new(0, Instant::now(), false, bound);
+            let record = run_scenario(&keys, base, config, &caches, i, &mut lane).unwrap();
+            lane.finish(&caches, &mut merged);
+            acc.push(record);
+        }
+        let (summary, _) = acc.finish();
+        let counters = [
+            (summary.cache_hits, summary.cache_misses),
+            (caches.ideal.hits(), caches.ideal.misses()),
+            (caches.scheduled.hits(), caches.scheduled.misses()),
+            (caches.reports.hits(), caches.reports.misses()),
+        ];
+        (summary.render(), summary.to_json(), merged, counters)
+    }
+
+    /// A lane's table cache changes no byte and no memo counter: sweeps
+    /// at 1 and 2 workers equal [`fresh_lane_sweep`] with more distinct
+    /// WCET tables than the cache has slots (so entries are evicted and
+    /// re-hashed), and with static verification, which reads the
+    /// jittered table the cache lets the hit path skip.
+    #[test]
+    fn lane_table_cache_matches_fresh_lanes() {
+        let base = small_base();
+        let spec = dc_motor_loop(0.05).unwrap();
+        let memoized = SweepConfig {
+            memoize_scheduled: true,
+            memoize_reports: true,
+            trace_scenarios: 0,
+            ..SweepConfig::default()
+        };
+        let evicting = SweepConfig {
+            scenario_count: 160,
+            wcet_tables: 2 * TABLE_SLOTS + 3,
+            ..memoized.clone()
+        };
+        // Replay the direct-mapped slots over the scenarios' tables: the
+        // sweep must both hit and evict.
+        let mut slots = [None; TABLE_SLOTS];
+        let (mut hits, mut evictions) = (0, 0);
+        for i in 0..evicting.scenario_count {
+            let table = Scenario::derive(&evicting, &base, i).wcet_table;
+            match slots[table % TABLE_SLOTS].replace(table) {
+                Some(t) if t == table => hits += 1,
+                Some(_) => evictions += 1,
+                None => {}
+            }
+        }
+        assert!(
+            hits > 0 && evictions > 0,
+            "{hits} hits, {evictions} evictions"
+        );
+        let verifying = SweepConfig {
+            scenario_count: 40,
+            verify_static: true,
+            ..memoized
+        };
+        for config in [evicting, verifying] {
+            let (render, json, hist, counters) = fresh_lane_sweep(&spec, &base, &config);
+            for workers in [1, 2] {
+                let config = SweepConfig {
+                    workers,
+                    ..config.clone()
+                };
+                let out = run_sweep(&spec, &base, &config).unwrap();
+                assert_eq!(out.summary.render(), render, "{workers} workers");
+                if config.verify_static {
+                    let v = out.summary.verification.as_ref();
+                    assert_eq!(v.expect("verification ran").verified, 40);
+                }
+                assert_eq!(out.summary.to_json(), json);
+                assert_eq!(out.actuation_hist, hist);
+                let s = &out.summary;
+                assert_eq!(
+                    [
+                        (s.cache_hits, s.cache_misses),
+                        (out.ideal_hits, out.ideal_misses),
+                        (out.scheduled_hits, out.scheduled_misses),
+                        (out.report_hits, out.report_misses),
+                    ],
+                    counters,
+                    "{workers} workers"
+                );
+            }
+        }
+    }
+
+    /// At 1 worker every scenario's profile spans are contiguous — each
+    /// starts where the previous one ended — run in the order of its
+    /// pipeline, and lie inside the scenario's task window: the task
+    /// shares its clock reads with its phases, and a phase that stops
+    /// recording leaves a gap or a missing step.
+    #[test]
+    fn profiled_scenarios_tile_their_task_windows() {
+        use Phase::*;
+        let base = small_base();
+        let spec = dc_motor_loop(0.3).unwrap();
+        let cases = [
+            (
+                small_config(1),
+                vec![Derive, Adequation, IdealSim, Cosim, Metrics],
+            ),
+            (
+                // One table and one period: co-simulation memo hits.
+                SweepConfig {
+                    wcet_tables: 1,
+                    period_scales: vec![1.0],
+                    validate_executive: true,
+                    verify_static: true,
+                    memoize_scheduled: true,
+                    memoize_reports: true,
+                    ..small_config(1)
+                },
+                vec![
+                    Derive,
+                    Adequation,
+                    IdealSim,
+                    Cosim,
+                    Metrics,
+                    Validation,
+                    Verification,
+                ],
+            ),
+            (
+                SweepConfig {
+                    memoize_scheduled: true,
+                    ..faulty_config(1)
+                },
+                vec![
+                    Derive, Adequation, IdealSim, FaultPlan, Cosim, Cosim, Metrics, Metrics,
+                ],
+            ),
+        ];
+        let mut memo_hits = 0;
+        for (config, pipeline) in cases {
+            let caches = SweepCaches::new();
+            let keys = SweepKeys::new(&spec, &base);
+            let bound = sweep_bound_ns(&spec, &config);
+            let mut lane = Lane::new(0, Instant::now(), true, bound);
+            for i in 0..config.scenario_count {
+                let before = lane.profile.now_ns();
+                let (busy, recorded) = (lane.profile.busy_ns(), lane.profile.spans().len());
+                lane.task(|lane| run_scenario(&keys, &base, &config, &caches, i, lane))
+                    .unwrap();
+                let after = lane.profile.now_ns();
+                let window = lane.profile.busy_ns() - busy;
+                let spans = &lane.profile.spans()[recorded..];
+                assert!(spans.iter().all(|s| s.scenario == i));
+                for pair in spans.windows(2) {
+                    assert_eq!(pair[1].start_ns, pair[0].end_ns, "scenario {i}: {spans:?}");
+                }
+                let (first, last) = (spans[0], spans[spans.len() - 1]);
+                assert!(before <= first.start_ns && last.end_ns <= after);
+                assert!(last.end_ns - first.start_ns <= window);
+                // A memo miss splits the co-simulation: synthesis, then
+                // the run.
+                for pair in spans.windows(2).filter(|p| p[0].phase == Synthesis) {
+                    assert_eq!(pair[1].phase, Cosim);
+                }
+                let phases: Vec<Phase> = spans
+                    .iter()
+                    .map(|s| s.phase)
+                    .filter(|&p| p != Synthesis)
+                    .collect();
+                assert_eq!(phases, pipeline, "scenario {i}");
+                let misses = spans.iter().filter(|s| s.phase == Synthesis).count();
+                if i >= config.trace_scenarios && misses == 0 {
+                    memo_hits += 1;
+                }
+            }
+        }
+        assert!(memo_hits > 0, "no co-simulation memo hit was profiled");
     }
 
     /// exp17's first scenario keys the schedule, ideal-run and

@@ -1,5 +1,5 @@
-//! Allocation budgets of the hot fleet path, counted by a global
-//! allocator of this test binary's own.
+//! Allocation budgets of the hot fleet path, counted by the global
+//! allocator of `src/counting_alloc.rs`.
 //!
 //! A 1-worker sweep claims its scenarios in index order and every memo
 //! miss happens at the same scenario, so the allocation counts repeat
@@ -12,65 +12,29 @@
 //! both memos on, so after the 96 misses the memos answer every lookup
 //! and what allocates is scenario derivation, the metrics and the fold.
 //! A lookup allocates only the first time the lane's view sees its key,
-//! and hashing a WCET table allocates nothing. Rendering writes every
-//! row into one presized document.
+//! and a lane builds a scenario's jittered WCET table only the first
+//! time it sees the table (or on a schedule-memo miss), so the hit path
+//! clones no table. Rendering writes every row into one presized
+//! document.
 //! A faulty summary (exp19's fault axes) is rendered under the same
 //! budget: its labels carry fault rates and its degradation rows carry
 //! injected-fault tallies, and neither may allocate per row.
 //!
 //! Run with `cargo test -p ecl-bench --test alloc_budget`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../src/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocations;
 use ecl_bench::fleet::{run_sweep, FaultAxes, SweepConfig};
 use ecl_bench::{dc_motor_loop, standard_split};
-
-/// Counts every allocator call that hands out memory: `alloc`,
-/// `alloc_zeroed` and `realloc`.
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter has no effect
-// on the memory handed out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's guarantees for `layout` are passed on.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's guarantees for `layout` are passed on.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` was allocated by `System` through this allocator
-        // with `layout`; the caller's guarantees are passed on.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` through this allocator
-        // with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Scenarios of the measured sweep.
 const SCENARIOS: u64 = 2_000;
 
 /// Ceiling on allocations of the whole sweep, its 96 co-simulations and
-/// the lane's memo views included: about 18.4 per scenario.
-const SWEEP_ALLOCATIONS: u64 = 36_894;
+/// the lane's memo views included: about 16.5 per scenario.
+const SWEEP_ALLOCATIONS: u64 = 32_958;
 
 /// Ceiling on allocations of `render` + `to_json` over the sweep's
 /// 2 000 rows: the two documents and the sorted cost ratios. The faulty
@@ -79,13 +43,6 @@ const RENDER_ALLOCATIONS: u64 = 3;
 
 /// Scenarios of the faulty sweep whose rendering is measured.
 const FAULTY_SCENARIOS: usize = 300;
-
-/// Allocations made while `f` runs.
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
-}
 
 fn main() {
     let spec = dc_motor_loop(0.05).unwrap();

@@ -38,7 +38,9 @@ const PHASE_BUCKETS: usize = 32;
 /// the per-run trace it aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
-    /// Scenario derivation: PRNG draws and the jittered WCET table.
+    /// Scenario derivation: PRNG draws and the scenario's hashed WCET
+    /// table (the jittered table itself is built only when the worker
+    /// has not hashed it yet).
     Derive,
     /// Schedule lookup/computation (the schedule `DigestMemo` + list scheduler).
     Adequation,
@@ -136,6 +138,20 @@ impl ProfileSpan {
 /// own thread, and handed back whole when the pool joins. A disabled
 /// buffer records nothing and reads no clock beyond construction, so a
 /// profiling-off sweep pays only a branch per instrumentation site.
+///
+/// A task's phases share their boundaries: [`begin_task`] reads the
+/// clock once for the task window's start, which is also the first
+/// phase's start, and each [`phase`] reads it once at its end, which is
+/// also the next phase's start. A task of `n` back-to-back phases thus
+/// reads the clock `n + 2` times (the extra one is [`end_task`]), and its
+/// spans tile the window up to the last phase's end. Work between two
+/// phases that no phase names must call [`boundary`] before the next
+/// phase, or that phase absorbs it.
+///
+/// [`begin_task`]: WorkerProfile::begin_task
+/// [`phase`]: WorkerProfile::phase
+/// [`end_task`]: WorkerProfile::end_task
+/// [`boundary`]: WorkerProfile::boundary
 #[derive(Debug, Clone)]
 pub struct WorkerProfile {
     worker: usize,
@@ -145,6 +161,10 @@ pub struct WorkerProfile {
     busy_ns: u64,
     first_ns: u64,
     last_ns: u64,
+    /// Start of the open task window.
+    task_ns: u64,
+    /// The last phase boundary: where the next phase starts.
+    mark_ns: u64,
     spans: Vec<ProfileSpan>,
 }
 
@@ -161,7 +181,18 @@ impl WorkerProfile {
             busy_ns: 0,
             first_ns: u64::MAX,
             last_ns: 0,
+            task_ns: 0,
+            mark_ns: 0,
             spans: Vec::new(),
+        }
+    }
+
+    /// Makes room for `spans` more phase windows, so a worker that knows
+    /// its share of a sweep pushes without regrowing (nothing when
+    /// disabled).
+    pub fn reserve(&mut self, spans: usize) {
+        if self.enabled {
+            self.spans.reserve(spans);
         }
     }
 
@@ -184,6 +215,34 @@ impl WorkerProfile {
         }
     }
 
+    /// Reads the clock once and makes the reading the phase boundary the
+    /// next [`phase`](WorkerProfile::phase) starts at; returns it (0 when
+    /// disabled).
+    pub fn boundary(&mut self) -> u64 {
+        self.mark_ns = self.now_ns();
+        self.mark_ns
+    }
+
+    /// The last phase boundary, without reading the clock.
+    pub fn last_boundary(&self) -> u64 {
+        self.mark_ns
+    }
+
+    /// Opens a claimed task's window with one clock read, which is also
+    /// the boundary its first phase starts at.
+    pub fn begin_task(&mut self) {
+        self.task_ns = self.boundary();
+    }
+
+    /// Closes the task [`begin_task`](WorkerProfile::begin_task) opened
+    /// with one clock read (see [`note_task`](WorkerProfile::note_task)).
+    pub fn end_task(&mut self) {
+        if self.enabled {
+            let end = self.now_ns();
+            self.note_task(self.task_ns, end);
+        }
+    }
+
     /// Records one claimed task's window: counts the task and adds its
     /// wall time to the busy total. Phases recorded inside it nest
     /// within the window.
@@ -197,14 +256,16 @@ impl WorkerProfile {
         self.last_ns = self.last_ns.max(end_ns);
     }
 
-    /// Runs `f` and attributes its wall time to `phase` of `scenario`.
+    /// Runs `f` and attributes its wall time to `phase` of `scenario`:
+    /// the window runs from the last boundary to one clock read after
+    /// `f`, which becomes the next boundary.
     pub fn phase<R>(&mut self, scenario: usize, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R {
         if !self.enabled {
             return f(self);
         }
-        let start = self.now_ns();
+        let start = self.mark_ns;
         let r = f(self);
-        let end = self.now_ns();
+        let end = self.boundary();
         self.push_span(scenario, phase, start, end);
         r
     }
@@ -568,20 +629,36 @@ mod tests {
     }
 
     #[test]
-    fn enabled_buffer_nests_phases_inside_tasks() {
+    fn enabled_buffer_chains_phases_inside_tasks() {
         let mut wp = WorkerProfile::new(0, Instant::now(), true);
-        let start = wp.now_ns();
+        let before = wp.now_ns();
+        wp.begin_task();
         let v = wp.phase(3, Phase::Adequation, |_| 1 + 1);
-        let end = wp.now_ns();
-        wp.note_task(start, end);
+        wp.phase(3, Phase::Cosim, |_| ());
+        // Unnamed work between phases: a fresh boundary keeps it out.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let skipped = wp.boundary();
+        wp.phase(3, Phase::Metrics, |_| ());
+        wp.end_task();
+        let after = wp.now_ns();
         assert_eq!(v, 2);
         assert_eq!(wp.tasks(), 1);
-        assert_eq!(wp.spans().len(), 1);
-        let s = wp.spans()[0];
-        assert_eq!((s.scenario, s.phase), (3, Phase::Adequation));
-        assert!(s.end_ns >= s.start_ns);
-        // The phase window sits inside the busy window.
-        assert!(wp.busy_ns() >= s.duration_ns());
+        let [a, c, m] = wp.spans() else {
+            panic!("three phases, three spans: {:?}", wp.spans());
+        };
+        assert_eq!((a.scenario, a.phase), (3, Phase::Adequation));
+        assert_eq!((c.phase, m.phase), (Phase::Cosim, Phase::Metrics));
+        // One clock read per boundary: each phase starts where the
+        // previous one ended, except across the skipped work.
+        assert_eq!(c.start_ns, a.end_ns);
+        assert_eq!(m.start_ns, skipped);
+        assert!(skipped >= c.end_ns + 2_000_000);
+        assert_eq!(wp.last_boundary(), m.end_ns);
+        // The task window holds every span and is no wider than the
+        // clock readings around it.
+        assert!(before <= a.start_ns && m.end_ns <= after);
+        assert!(wp.busy_ns() >= m.end_ns - a.start_ns);
+        assert!(wp.busy_ns() <= after - before);
     }
 
     #[test]

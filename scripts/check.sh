@@ -50,13 +50,14 @@ for bin in fig1_latency_trace fig2_ideal_loop fig3_graph_of_delays \
     cargo run -q --offline --release -p ecl-bench --bin "$bin" | diff - "results/$bin.txt"
 done
 
-# E9 (adequation scaling) and E10 (the case study) write their Gantt
-# timelines (`exp9_timeline.*`, `exp10_timeline.*`) under results/,
-# diffed by the guard at the end; their Chrome traces carry wall-clock
-# spans and go to the untracked results/timing/.
-echo "== E9/E10 schedule timelines =="
-cargo run -q --offline --release -p ecl-bench --bin exp9_adequation >/dev/null
-cargo run -q --offline --release -p ecl-bench --bin exp10_case_study >/dev/null
+# E9 (adequation scaling) and E10 (the case study) must reproduce their
+# archived stdout, and they write their Gantt timelines
+# (`exp9_timeline.*`, `exp10_timeline.*`) under results/, diffed by the
+# guard at the end; their Chrome traces carry wall-clock spans and go to
+# the untracked results/timing/.
+echo "== E9/E10 reports and schedule timelines =="
+cargo run -q --offline --release -p ecl-bench --bin exp9_adequation | diff - results/exp9_adequation.txt
+cargo run -q --offline --release -p ecl-bench --bin exp10_case_study | diff - results/exp10_case_study.txt
 
 # The fleet experiments E11-E19 each run their sweep (E18: its daemon
 # lifecycle) at 1 worker and then at 4, assert in-binary that both runs
