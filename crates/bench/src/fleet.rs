@@ -85,6 +85,14 @@ pub const SWEEP_BUCKETS: usize = 64;
 /// which scenario drew it.
 const WCET_TABLE_SALT: u64 = 0x57ce_7ab1_e5a1_7000;
 
+/// The WCET factors of the table whose stream starts at `seed`, one per
+/// operation in [`ecl_aaa::OpId`] index order: `1 + jitter·u` for
+/// uniform draws `u` in `[0, 1)`.
+fn wcet_factors(seed: u64, jitter: f64) -> impl Iterator<Item = f64> {
+    let mut rng = SplitMix64::new(seed);
+    std::iter::repeat_with(move || 1.0 + jitter * rng.next_f64())
+}
+
 /// Derives scenario `index`'s PRNG seed from the sweep seed: element
 /// `index` of the splitmix64 stream starting at `base`. Workers never
 /// share PRNG state, so the derivation — not scheduling order — fixes
@@ -257,10 +265,15 @@ pub struct Scenario {
     pub seed: u64,
     /// Index of the quantized WCET table this scenario drew.
     pub wcet_table: usize,
-    /// Per-operation WCET scale factors, in [`ecl_aaa::OpId`] index order
-    /// — the content of table [`wcet_table`](Scenario::wcet_table), a
-    /// function of `(base_seed, wcet_table)` only.
-    pub wcet_factors: Vec<f64>,
+    /// Seed of table [`wcet_table`](Scenario::wcet_table)'s factor
+    /// stream, a function of `(base_seed, wcet_table)` only: the table
+    /// scales each operation's WCETs by `1 + wcet_jitter·u`, with one
+    /// draw `u` per operation in [`ecl_aaa::OpId`] index order.
+    pub wcet_seed: u64,
+    /// The sweep's [`wcet_jitter`](SweepConfig::wcet_jitter).
+    pub wcet_jitter: f64,
+    /// The table's largest factor, and at least 1.
+    pub wcet_worst: f64,
     /// Sampling-period scale.
     pub period_scale: f64,
     /// Mapping policy for this scenario's adequation.
@@ -283,17 +296,10 @@ impl Scenario {
         // Scenarios sharing a table therefore present byte-identical
         // timing tables to the scheduler and can share a cached schedule.
         let wcet_table = rng.below(config.wcet_tables.max(1));
-        let mut table_rng = SplitMix64::new(scenario_seed(
-            config.base_seed ^ WCET_TABLE_SALT,
-            wcet_table,
-        ));
-        // Ops are visited in index order so draws are reproducible; the
-        // timing table itself iterates in unspecified (HashMap) order.
-        let wcet_factors: Vec<f64> = base
-            .alg
-            .ops()
-            .map(|_| 1.0 + config.wcet_jitter * table_rng.next_f64())
-            .collect();
+        let wcet_seed = scenario_seed(config.base_seed ^ WCET_TABLE_SALT, wcet_table);
+        let wcet_worst = wcet_factors(wcet_seed, config.wcet_jitter)
+            .take(base.alg.len())
+            .fold(1.0f64, f64::max);
         let period_scale = config.period_scales[rng.below(config.period_scales.len())];
         // Fault rates are drawn after the historical axes so that an
         // all-zero `FaultAxes` reproduces pre-fault scenario draws (and
@@ -310,7 +316,9 @@ impl Scenario {
             index,
             seed,
             wcet_table,
-            wcet_factors,
+            wcet_seed,
+            wcet_jitter: config.wcet_jitter,
+            wcet_worst,
             period_scale,
             policy,
             frame_loss_rate,
@@ -343,12 +351,17 @@ impl Scenario {
         let scale = |t: TimeNs, f: f64| {
             TimeNs::from_nanos(((t.as_nanos() as f64 * f).round() as i64).max(1))
         };
+        // The timing table iterates in unspecified (HashMap) order, so the
+        // factors are drawn first, in operation order.
+        let factors: Vec<f64> = wcet_factors(self.wcet_seed, self.wcet_jitter)
+            .take(base.alg.len())
+            .collect();
         let mut db = base.db.clone();
         for (op, t) in base.db.iter_defaults() {
-            db.set_default(op, scale(t, self.wcet_factors[op.index()]));
+            db.set_default(op, scale(t, factors[op.index()]));
         }
         for (op, p, t) in base.db.iter_specific() {
-            db.set(op, p, scale(t, self.wcet_factors[op.index()]));
+            db.set(op, p, scale(t, factors[op.index()]));
         }
         db
     }
@@ -357,13 +370,12 @@ impl Scenario {
     /// when non-zero, keeping fault-free labels byte-identical to
     /// pre-fault sweeps.
     pub fn label(&self) -> String {
-        let worst = self.wcet_factors.iter().fold(1.0f64, |acc, &f| acc.max(f));
         // Room for a fixed policy, the fault rates when present and a
         // ` pruned:unsafe` suffix, so neither these writes nor the suffix
         // reallocate.
         let mut s = String::with_capacity(if self.has_faults() { 104 } else { 56 });
         s.push_str("wcet<=x");
-        push_fixed(&mut s, worst, 3);
+        push_fixed(&mut s, self.wcet_worst, 3);
         s.push_str(" Ts x");
         push_fixed(&mut s, self.period_scale, 2);
         s.push(' ');
@@ -1421,13 +1433,11 @@ pub fn run_scenario(
             worst_actuation_ns: entry.worst_actuation_ns,
             overruns: entry.overruns,
         };
-        // The run, the ideal run, the scenario and (unless static
-        // verification reads it) the report entry are freed here, so
-        // their teardown is metrics time instead of busy time no phase
-        // accounts for.
+        // The run, the ideal run and (unless static verification reads
+        // it) the report entry are freed here, so their teardown is
+        // metrics time instead of busy time no phase accounts for.
         drop(run);
         drop(ideal);
-        drop(scenario);
         Ok::<_, CoreError>((outcome, config.verify_static.then_some(entry)))
     })?;
 
@@ -1653,6 +1663,24 @@ mod tests {
         }
     }
 
+    /// Every default WCET of `db`, sorted by operation.
+    fn defaults(db: &TimingDb) -> Vec<(ecl_aaa::OpId, TimeNs)> {
+        let mut entries: Vec<_> = db.iter_defaults().collect();
+        entries.sort();
+        entries
+    }
+
+    /// Every entry of `db`: its defaults, then its processor-specific
+    /// WCETs, each sorted.
+    fn entries(db: &TimingDb) -> (Vec<(ecl_aaa::OpId, TimeNs)>, Vec<String>) {
+        let mut specific: Vec<String> = db
+            .iter_specific()
+            .map(|(op, p, t)| format!("{op:?} {p:?} {t:?}"))
+            .collect();
+        specific.sort();
+        (defaults(db), specific)
+    }
+
     #[test]
     fn scenario_derivation_is_pure() {
         let base = small_base();
@@ -1660,17 +1688,23 @@ mod tests {
         let a = Scenario::derive(&config, &base, 3);
         let b = Scenario::derive(&config, &base, 3);
         assert_eq!(a.seed, b.seed);
-        assert_eq!(a.wcet_factors, b.wcet_factors);
+        assert_eq!(a.wcet_seed, b.wcet_seed);
+        assert_eq!(a.wcet_worst.to_bits(), b.wcet_worst.to_bits());
         assert_eq!(a.period_scale, b.period_scale);
         assert_eq!(a.policy, b.policy);
-        for &f in &a.wcet_factors {
-            assert!((1.0..=1.0 + config.wcet_jitter).contains(&f));
-        }
-        // The jittered table never shrinks a WCET.
-        let db = a.jittered_db(&base);
+        assert_eq!(a.label(), b.label());
+        assert_eq!(
+            entries(&a.jittered_db(&base)),
+            entries(&b.jittered_db(&base))
+        );
+        assert!((1.0..=1.0 + config.wcet_jitter).contains(&a.wcet_worst));
+        // The jittered table never shrinks a WCET, nor inflates one by
+        // more than the worst factor.
         let base_defaults: std::collections::HashMap<_, _> = base.db.iter_defaults().collect();
-        for (op, t) in db.iter_defaults() {
+        for (op, t) in defaults(&a.jittered_db(&base)) {
+            let t0 = base_defaults[&op].as_nanos() as f64;
             assert!(t >= base_defaults[&op], "jitter must only inflate WCETs");
+            assert!(t.as_nanos() as f64 <= (t0 * a.wcet_worst).round());
         }
     }
 
@@ -1741,14 +1775,21 @@ mod tests {
             "cache counters must not depend on worker count"
         );
         assert_eq!(serial.summary, parallel.summary);
-        // Scenarios sharing a table drew byte-identical factor vectors.
+        // Scenarios sharing a table present byte-identical timing tables
+        // and the same worst factor.
         let scenarios: Vec<Scenario> = (0..8)
             .map(|i| Scenario::derive(&config(1), &base, i))
             .collect();
         for a in &scenarios {
             for b in &scenarios {
                 if a.wcet_table == b.wcet_table {
-                    assert_eq!(a.wcet_factors, b.wcet_factors);
+                    assert_eq!(
+                        entries(&a.jittered_db(&base)),
+                        entries(&b.jittered_db(&base))
+                    );
+                    assert_eq!(a.wcet_worst.to_bits(), b.wcet_worst.to_bits());
+                    let worst = |s: &Scenario| s.label().split(' ').next().map(str::to_owned);
+                    assert_eq!(worst(a), worst(b));
                 }
             }
         }

@@ -20,33 +20,72 @@
 //! budget: its labels carry fault rates and its degradation rows carry
 //! injected-fault tallies, and neither may allocate per row.
 //!
+//! One scheduled co-simulation of exp17's deployment (a memo miss: model
+//! assembly, graph-of-delays synthesis, the simulator's wiring tables,
+//! the run and the metric extraction) is measured on its own.
+//!
 //! Run with `cargo test -p ecl-bench --test alloc_budget`.
 
 #[path = "../src/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::allocations;
-use ecl_bench::fleet::{run_sweep, FaultAxes, SweepConfig};
-use ecl_bench::{dc_motor_loop, standard_split};
+use ecl_aaa::{adequation, AdequationOptions};
+use ecl_bench::fleet::{run_sweep, FaultAxes, Scenario, SweepConfig};
+use ecl_bench::{dc_motor_loop, standard_split, SplitScenario};
+use ecl_core::cosim::{self, LoopSpec};
 
 /// Scenarios of the measured sweep.
 const SCENARIOS: u64 = 2_000;
 
 /// Ceiling on allocations of the whole sweep, its 96 co-simulations and
-/// the lane's memo views included: about 16.5 per scenario.
-const SWEEP_ALLOCATIONS: u64 = 32_958;
+/// the lane's memo views included: about 8.9 per scenario.
+const SWEEP_ALLOCATIONS: u64 = 17_886;
 
 /// Ceiling on allocations of `render` + `to_json` over the sweep's
 /// 2 000 rows: the two documents and the sorted cost ratios. The faulty
 /// summary's `render` + `to_json` shares it.
 const RENDER_ALLOCATIONS: u64 = 3;
 
+/// Ceiling on allocations of one `cosim::run_scheduled` of exp17's
+/// deployment: model assembly, delay-graph synthesis, the simulator's
+/// tables, the run and the metric extraction of one memo miss.
+const SCHEDULED_RUN_ALLOCATIONS: u64 = 130;
+
 /// Scenarios of the faulty sweep whose rendering is measured.
 const FAULTY_SCENARIOS: usize = 300;
+
+/// Allocations of one scheduled co-simulation of scenario 0 of the
+/// default sweep over `base`, at the period the fleet simulates it.
+fn scheduled_run(spec: &LoopSpec, base: &SplitScenario, config: &SweepConfig) -> u64 {
+    let scenario = Scenario::derive(config, base, 0);
+    let options = AdequationOptions {
+        policy: scenario.policy,
+    };
+    let schedule = adequation(&base.alg, &base.arch, &scenario.jittered_db(base), options).unwrap();
+    let mut spec = spec.clone();
+    spec.ts *= scenario.period_scale;
+    let makespan_s = schedule.makespan().as_secs_f64();
+    if makespan_s > spec.ts {
+        spec.ts = makespan_s * 1.05;
+    }
+    let run = || cosim::run_scheduled(&spec, &base.alg, &base.io, &schedule, &base.arch).unwrap();
+    let first = run();
+    let (again, made) = allocations(run);
+    assert_eq!(again.cost.to_bits(), first.cost.to_bits());
+    made
+}
 
 fn main() {
     let spec = dc_motor_loop(0.05).unwrap();
     let base = standard_split().unwrap();
+    let scheduled = scheduled_run(&spec, &base, &SweepConfig::default());
+    eprintln!("run_scheduled: {scheduled} allocations");
+    assert!(
+        scheduled <= SCHEDULED_RUN_ALLOCATIONS,
+        "run_scheduled made {scheduled} allocations, budget {SCHEDULED_RUN_ALLOCATIONS}"
+    );
+
     let config = SweepConfig {
         scenario_count: SCENARIOS as usize,
         workers: 1,

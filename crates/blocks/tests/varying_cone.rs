@@ -2,7 +2,10 @@
 //! blocks whose outputs cannot move within an integration span. A random
 //! diagram run as built must give exactly the bits of the same diagram
 //! with every block declaring `depends_on_time() == true`, for which the
-//! RHS pass re-evaluates every block the derivatives read.
+//! RHS pass re-evaluates every block the derivatives read, and the
+//! committed pass after each integrated chunk every block with outputs.
+//! Both runs share that committed pass, so each also checks it against
+//! the stateless blocks re-evaluated from their probes.
 
 use std::any::Any;
 
@@ -16,57 +19,76 @@ use ecl_sim::{
 };
 use proptest::prelude::*;
 
-/// Forwards every call to `B` but declares that its outputs depend on
-/// time, which puts it in the cone whenever a derivative reads it.
-struct FullPass<B>(B);
+/// Forwards every call to the block it wraps; with `full_pass` it
+/// declares that its outputs depend on time, which puts it in the cone
+/// whenever a derivative reads it.
+struct Shim {
+    inner: Box<dyn Block>,
+    full_pass: bool,
+}
 
-impl<B: Block> Block for FullPass<B> {
+impl Block for Shim {
     fn type_name(&self) -> &'static str {
-        self.0.type_name()
+        self.inner.type_name()
     }
     fn ports(&self) -> PortSpec {
-        self.0.ports()
+        self.inner.ports()
     }
     fn feedthrough(&self, input: usize) -> bool {
-        self.0.feedthrough(input)
+        self.inner.feedthrough(input)
     }
     fn depends_on_time(&self) -> bool {
-        true
+        self.full_pass || self.inner.depends_on_time()
     }
     fn num_states(&self) -> usize {
-        self.0.num_states()
+        self.inner.num_states()
     }
     fn init_states(&self, x: &mut [f64]) {
-        self.0.init_states(x)
+        self.inner.init_states(x)
     }
     fn derivatives(&self, t: f64, x: &[f64], u: &[f64], dx: &mut [f64]) {
-        self.0.derivatives(t, x, u, dx)
+        self.inner.derivatives(t, x, u, dx)
     }
     fn outputs(&mut self, t: f64, x: &[f64], u: &[f64], y: &mut [f64]) {
-        self.0.outputs(t, x, u, y)
+        self.inner.outputs(t, x, u, y)
     }
     fn on_start(&mut self, actions: &mut EventActions) {
-        self.0.on_start(actions)
+        self.inner.on_start(actions)
     }
     fn on_event(&mut self, port: usize, t: TimeNs, ctx: &mut EventCtx<'_>) {
-        self.0.on_event(port, t, ctx)
+        self.inner.on_event(port, t, ctx)
     }
     // Downcasts see through the shim, so both runs retune the same way.
     fn as_any(&self) -> &dyn Any {
-        self.0.as_any()
+        self.inner.as_any()
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
-        self.0.as_any_mut()
+        self.inner.as_any_mut()
     }
 }
 
-fn add<B: Block>(m: &mut Model, full_pass: bool, name: String, block: B) -> BlockId {
-    if full_pass {
-        m.add_block(name, FullPass(block))
-    } else {
-        m.add_block(name, block)
-    }
+fn add(m: &mut Model, full_pass: bool, name: String, inner: Box<dyn Block>) -> BlockId {
+    m.add_block(name, Shim { inner, full_pass })
 }
+
+/// The block of a node kind whose outputs are a function of `t` and its
+/// inputs alone (sources and static math), or `None`.
+fn stateless(kind: usize, a: f64, b: f64) -> Option<Box<dyn Block>> {
+    Some(match kind {
+        0 => Box::new(Constant::new(2.0 * a)),
+        1 => Box::new(Sine::new(a, 5.0 + 20.0 * b).with_phase(b)),
+        2 => Box::new(Step::new(0.02 + 0.1 * b, a, -a)),
+        3 => Box::new(Ramp::new(0.1 * b, a)),
+        4 => Box::new(Gain::new(1.2 * a)),
+        5 => Box::new(Sum::new(vec![a, b - 0.5]).expect("two inputs")),
+        6 => Box::new(Saturation::symmetric(0.2 + b).expect("positive")),
+        _ => return None,
+    })
+}
+
+/// A stateless node: its signal index, its block and the signal indices
+/// of its inputs.
+type Stateless = (usize, Box<dyn Block>, Vec<usize>);
 
 /// One node of a random diagram: `(kind, a, b, src0, src1, clock)`.
 type Node = (usize, f64, f64, usize, usize, usize);
@@ -76,79 +98,71 @@ type Node = (usize, f64, f64, usize, usize, usize);
 /// without feedthrough (holds, discrete state space, integrators) read
 /// any signal, their own included, so the diagram has feedback loops but
 /// no algebraic loop. Returns the model and its retunable constant.
-fn build(nodes: &[Node], periods_us: [i64; 2], full_pass: bool) -> (Model, BlockId) {
+fn build(
+    nodes: &[Node],
+    periods_us: [i64; 2],
+    full_pass: bool,
+) -> (Model, BlockId, Vec<Stateless>) {
     let mut m = Model::new();
     let mut clocks = Vec::new();
     for (k, &p) in periods_us.iter().enumerate() {
         let period = TimeNs::from_micros(p);
         let offset = TimeNs::from_micros(p * k as i64 / 3);
-        let clk = add(
-            &mut m,
-            full_pass,
-            format!("clk{k}"),
-            Clock::new(period, offset).expect("valid clock"),
-        );
+        let clock = Clock::new(period, offset).expect("valid clock");
+        let clk = add(&mut m, full_pass, format!("clk{k}"), Box::new(clock));
         m.connect_event(clk, 0, clk, 0).expect("self-loop");
         clocks.push(clk);
     }
-    let knob = add(&mut m, full_pass, "knob".into(), Constant::new(1.0));
+    let knob = add(
+        &mut m,
+        full_pass,
+        "knob".into(),
+        Box::new(Constant::new(1.0)),
+    );
     let mut signals = vec![knob];
     let mut deferred = Vec::new();
+    let mut pure = Vec::new();
     for (i, &(kind, a, b, s0, s1, clk)) in nodes.iter().enumerate() {
         let name = format!("n{i}");
-        let pick = |s: usize| signals[s % signals.len()];
-        let (u0, u1) = (pick(s0), pick(s1));
+        let (u0, u1) = (s0 % signals.len(), s1 % signals.len());
         let clock = clocks[clk % clocks.len()];
         let id = match kind {
-            0 => add(&mut m, full_pass, name, Constant::new(2.0 * a)),
-            1 => add(
-                &mut m,
-                full_pass,
-                name,
-                Sine::new(a, 5.0 + 20.0 * b).with_phase(b),
-            ),
-            2 => add(&mut m, full_pass, name, Step::new(0.02 + 0.1 * b, a, -a)),
-            3 => add(&mut m, full_pass, name, Ramp::new(0.1 * b, a)),
-            4 => {
-                let id = add(&mut m, full_pass, name, Gain::new(1.2 * a));
-                m.connect(u0, 0, id, 0).expect("wire");
-                id
-            }
-            5 => {
-                let sum = Sum::new(vec![a, b - 0.5]).expect("two inputs");
-                let id = add(&mut m, full_pass, name, sum);
-                m.connect(u0, 0, id, 0).expect("wire");
-                m.connect(u1, 0, id, 1).expect("wire");
-                id
-            }
-            6 => {
-                let sat = Saturation::symmetric(0.2 + b).expect("positive");
-                let id = add(&mut m, full_pass, name, sat);
-                m.connect(u0, 0, id, 0).expect("wire");
-                id
-            }
-            7 => {
+            0..=6 => {
                 let id = add(
                     &mut m,
                     full_pass,
                     name,
-                    StateSpaceCt::new(
-                        1,
-                        1,
-                        1,
-                        vec![-1.0 - 4.0 * b],
-                        vec![1.0],
-                        vec![1.0],
-                        vec![a],
-                        vec![b],
-                    )
-                    .expect("1×1 plant"),
+                    stateless(kind, a, b).expect("stateless"),
                 );
-                m.connect(u0, 0, id, 0).expect("wire");
+                let inputs = [u0, u1][..m.ports(id).expect("added").inputs].to_vec();
+                for (port, &u) in inputs.iter().enumerate() {
+                    m.connect(signals[u], 0, id, port).expect("wire");
+                }
+                pure.push((
+                    signals.len(),
+                    stateless(kind, a, b).expect("stateless"),
+                    inputs,
+                ));
+                id
+            }
+            7 => {
+                let plant = StateSpaceCt::new(
+                    1,
+                    1,
+                    1,
+                    vec![-1.0 - 4.0 * b],
+                    vec![1.0],
+                    vec![1.0],
+                    vec![a],
+                    vec![b],
+                )
+                .expect("1×1 plant");
+                let id = add(&mut m, full_pass, name, Box::new(plant));
+                m.connect(signals[u0], 0, id, 0).expect("wire");
                 id
             }
             8 => {
-                let id = add(&mut m, full_pass, name, SampleHold::new(a));
+                let id = add(&mut m, full_pass, name, Box::new(SampleHold::new(a)));
                 m.connect_event(clock, 0, id, 0).expect("wire");
                 deferred.push((id, s0));
                 id
@@ -165,13 +179,13 @@ fn build(nodes: &[Node], periods_us: [i64; 2], full_pass: bool) -> (Model, Block
                     vec![b],
                 )
                 .expect("1×1 filter");
-                let id = add(&mut m, full_pass, name, dss);
+                let id = add(&mut m, full_pass, name, Box::new(dss));
                 m.connect_event(clock, 0, id, 0).expect("wire");
                 deferred.push((id, s0));
                 id
             }
             _ => {
-                let id = add(&mut m, full_pass, name, Integrator::new(a));
+                let id = add(&mut m, full_pass, name, Box::new(Integrator::new(a)));
                 deferred.push((id, s0));
                 id
             }
@@ -185,7 +199,7 @@ fn build(nodes: &[Node], periods_us: [i64; 2], full_pass: bool) -> (Model, Block
     for (k, &id) in signals.iter().enumerate() {
         m.probe(format!("y{k}"), id, 0).expect("probe");
     }
-    (m, knob)
+    (m, knob, pure)
 }
 
 /// Every probe sample as bits, the event log and the engine counters.
@@ -197,8 +211,13 @@ type Observed = (
 
 /// Runs the diagram to 60 ms, retunes the constant through `model_mut`,
 /// and resumes to 120 ms.
+///
+/// Every sample of a stateless node's probe must be its block evaluated
+/// afresh at the sample's instant on its input probes' samples: a
+/// committed pass that skipped a block whose outputs moved would leave a
+/// stale value there, in this run and in the all-`dep_t` one alike.
 fn observe(nodes: &[Node], periods_us: [i64; 2], rk4: bool, full_pass: bool) -> Observed {
-    let (model, knob) = build(nodes, periods_us, full_pass);
+    let (model, knob, mut pure) = build(nodes, periods_us, full_pass);
     let opts = SimOptions {
         integrator: if rk4 {
             ecl_sim::Integrator::Rk4 { h: 2e-4 }
@@ -213,17 +232,30 @@ fn observe(nodes: &[Node], periods_us: [i64; 2], rk4: bool, full_pass: bool) -> 
         .block_as_mut::<Constant>(knob)
         .expect("the knob is a constant") = Constant::new(-2.0);
     sim.run(TimeNs::from_millis(120)).expect("resumed run");
+    let result = sim.result();
+    let probe = |k: usize| result.signal(&format!("y{k}")).expect("probed");
+    for (k, block, inputs) in &mut pure {
+        let (y, ins) = (
+            probe(*k),
+            inputs.iter().map(|&u| probe(u)).collect::<Vec<_>>(),
+        );
+        for (i, (t, v)) in y.iter().enumerate() {
+            let u: Vec<f64> = ins.iter().map(|s| s.values()[i]).collect();
+            let mut out = [0.0];
+            block.outputs(t, &[], &u, &mut out);
+            assert_eq!(
+                out[0].to_bits(),
+                v.to_bits(),
+                "y{k} at sample {i} (t = {t})"
+            );
+        }
+    }
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let signals = sim
-        .result()
+    let signals = result
         .signals()
         .map(|(name, s)| (name.to_string(), bits(s.times()), bits(s.values())))
         .collect();
-    (
-        signals,
-        sim.result().event_log().to_vec(),
-        sim.stats().clone(),
-    )
+    (signals, result.event_log().to_vec(), sim.stats().clone())
 }
 
 proptest! {

@@ -25,7 +25,7 @@ use ecl_sim::{BlockId, EngineStats, Model, SimOptions, SimResult, Simulator};
 use ecl_telemetry::bytes::{ByteReader, ByteWriter, CodecError};
 use ecl_telemetry::{Collector, Event, Histogram, Sink};
 
-use crate::delays::{self, DelayGraphConfig};
+use crate::delays::{self, name, DelayGraphConfig};
 use crate::faults::FaultPlan;
 use crate::latency::{latencies, latencies_strict, period_origin, LatencyReport, LatencySeries};
 use crate::translate::IoMap;
@@ -701,7 +701,7 @@ struct Lowered<'a> {
     c: Vec<f64>,
     d: Vec<f64>,
     /// Initial value of each sampling S/H.
-    sample_seeds: Vec<f64>,
+    sample_seeds: Cow<'a, [f64]>,
     /// `sample_x` (states) or `sample_y` (measured outputs).
     sample_stem: &'static str,
     controller: DiscreteStateSpace,
@@ -734,7 +734,7 @@ impl<'a> Loop<'a> {
                 lp: self,
                 c: Mat::identity(n).into_vec(),
                 d: vec![0.0; n * m],
-                sample_seeds: x0.clone(),
+                sample_seeds: Cow::Borrowed(x0),
                 sample_stem: "sample_x",
                 controller: spec.controller()?,
                 controller_name: "controller",
@@ -743,7 +743,7 @@ impl<'a> Loop<'a> {
                 lp: self,
                 c: plant.c().as_slice().to_vec(),
                 d: plant.d().as_slice().to_vec(),
-                sample_seeds: vec![0.0; plant.output_dim()],
+                sample_seeds: Cow::Owned(vec![0.0; plant.output_dim()]),
                 sample_stem: "sample_y",
                 controller: spec.controller()?,
                 controller_name: "compensator",
@@ -792,7 +792,10 @@ fn assemble(low: Lowered<'_>) -> Result<LoopModel, CoreError> {
     // Input samplers: one S/H per sampled plant output.
     let mut sample_sh = Vec::with_capacity(p);
     for (j, &seed) in low.sample_seeds.iter().enumerate() {
-        let sh = model.add_block(format!("{}{j}", low.sample_stem), SampleHold::new(seed));
+        let sh = model.add_block(
+            name(format_args!("{}{j}", low.sample_stem)),
+            SampleHold::new(seed),
+        );
         model.connect(plant, j, sh, 0)?;
         sample_sh.push(sh);
     }
@@ -806,7 +809,7 @@ fn assemble(low: Lowered<'_>) -> Result<LoopModel, CoreError> {
     let mc = *shared!(low.lp, n_controls);
     let mut act_sh = Vec::with_capacity(mc);
     for j in 0..mc {
-        let sh = model.add_block(format!("hold_u{j}"), SampleHold::new(0.0));
+        let sh = model.add_block(name(format_args!("hold_u{j}")), SampleHold::new(0.0));
         model.connect(controller, j, sh, 0)?;
         model.connect(sh, 0, plant, j)?;
         act_sh.push(sh);
@@ -816,12 +819,12 @@ fn assemble(low: Lowered<'_>) -> Result<LoopModel, CoreError> {
     for j in mc..m_total {
         match *shared!(low.lp, disturbance) {
             DisturbanceKind::None => {
-                let z = model.add_block(format!("dist{j}"), Constant::new(0.0));
+                let z = model.add_block(name(format_args!("dist{j}")), Constant::new(0.0));
                 model.connect(z, 0, plant, j)?;
             }
             DisturbanceKind::Noise { std_dev, seed } => {
                 let nz = model.add_block(
-                    format!("dist{j}"),
+                    name(format_args!("dist{j}")),
                     SampledNoise::new(0.0, std_dev, seed.wrapping_add(j as u64)),
                 );
                 model.connect(nz, 0, plant, j)?;
@@ -833,10 +836,10 @@ fn assemble(low: Lowered<'_>) -> Result<LoopModel, CoreError> {
     // Probes: the sampled outputs as `x{j}` (the cost reads them
     // uniformly for either loop flavour) and the controls.
     for j in 0..p {
-        model.probe(format!("x{j}"), plant, j)?;
+        model.probe(name(format_args!("x{j}")), plant, j)?;
     }
     for (j, &sh) in act_sh.iter().enumerate() {
-        model.probe(format!("u{j}"), sh, 0)?;
+        model.probe(name(format_args!("u{j}")), sh, 0)?;
     }
 
     Ok(LoopModel {
@@ -920,27 +923,34 @@ fn finish_traced<S: Sink>(
     let ts = *shared!(lp, ts);
     let mut sim = Simulator::new(lm.model, SimOptions::default())?;
     sim.run(TimeNs::from_secs_f64(*shared!(lp, horizon)))?;
-    let stats = sim.stats().clone();
-    // Borrow the trace for the metric passes; ownership is taken at the
-    // very end (`into_result`) without copying it.
-    let result = sim.result();
+    // The model's block names become the activity's; nothing is copied.
+    let (model, result, stats) = sim.into_parts();
 
-    let weighted = (0..lm.sample_sh.len())
-        .map(|j| (format!("x{j}"), *shared!(lp, q_weight)))
-        .chain((0..lm.act_sh.len()).map(|j| (format!("u{j}"), *shared!(lp, r_weight))));
+    // `assemble` registers the probes first, in this order: the sampled
+    // outputs `x0..`, weighted by `q`, then the controls `u0..`, by `r`.
+    let weights = std::iter::repeat_n(*shared!(lp, q_weight), lm.sample_sh.len())
+        .chain(std::iter::repeat_n(*shared!(lp, r_weight), lm.act_sh.len()));
     let mut cost = 0.0;
-    for (probe, weight) in weighted {
-        let sig = result.signal(&probe).expect("probe registered in assemble");
+    for ((_, sig), weight) in result.signals().zip(weights) {
         cost += weight * metrics::ise(sig.times(), sig.values(), 0.0);
     }
 
-    let instants = |holds: &[BlockId]| -> Vec<Vec<TimeNs>> {
+    // Each hold's activation instants, in delivery order; a hold has one
+    // event input, so its delivery count sizes its series.
+    let series = |holds: &[BlockId]| -> Vec<Vec<TimeNs>> {
         holds
             .iter()
-            .map(|&sh| result.activation_times(sh, Some(0)))
+            .map(|&sh| Vec::with_capacity(stats.activations(sh) as usize))
             .collect()
     };
-    let (sample_instants, actuation_instants) = (instants(&lm.sample_sh), instants(&lm.act_sh));
+    let (mut sample_instants, mut actuation_instants) = (series(&lm.sample_sh), series(&lm.act_sh));
+    for e in result.event_log().iter().filter(|e| e.port == 0) {
+        if let Some(j) = lm.sample_sh.iter().position(|&sh| sh == e.target) {
+            sample_instants[j].push(e.time);
+        } else if let Some(j) = lm.act_sh.iter().position(|&sh| sh == e.target) {
+            actuation_instants[j].push(e.time);
+        }
+    }
 
     let period = TimeNs::from_secs_f64(ts);
     let bound = period.as_nanos().max(1);
@@ -970,24 +980,20 @@ fn finish_traced<S: Sink>(
     let sampling_hist = feed("Ls", &sample_instants, tel)?;
     let actuation_hist = feed("La", &actuation_instants, tel)?;
 
-    let mut activity: Vec<(String, u64)> = stats
-        .activation_counts()
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(i, &c)| {
-            let name = sim
-                .model()
-                .name(BlockId::from_index(i))
-                .unwrap_or("?")
-                .to_string();
-            (name, c)
-        })
-        .collect();
-    activity.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let counts = stats.activation_counts();
+    let mut activity: Vec<(String, u64)> =
+        Vec::with_capacity(counts.iter().filter(|&&c| c > 0).count());
+    for (name, &c) in model.into_names().zip(counts) {
+        if c > 0 {
+            activity.push((name, c));
+        }
+    }
+    // Equal (count, name) pairs are equal entries, so an unstable sort
+    // gives the stable order.
+    activity.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
     Ok(LoopResult {
-        result: sim.into_result(),
+        result,
         cost,
         sample_instants,
         actuation_instants,

@@ -71,19 +71,31 @@ pub struct DelayGraphConfig {
     pub faults: Option<FaultPlan>,
 }
 
+/// Room for a block or probe name: `format!` sizes its buffer from the
+/// literal pieces alone and regrows it for every longer name.
+const NAME_CAPACITY: usize = 48;
+
+/// `args` as a block or probe name, in one allocation up to
+/// [`NAME_CAPACITY`] bytes.
+pub(crate) fn name(args: std::fmt::Arguments<'_>) -> String {
+    let mut s = String::with_capacity(NAME_CAPACITY);
+    std::fmt::Write::write_fmt(&mut s, args).expect("a String accepts every write");
+    s
+}
+
+/// An event source: `(block, event output)`.
+type EventSrc = (BlockId, usize);
+
 /// The synthesized graph of delays.
 #[derive(Debug)]
 pub struct DelayGraph {
     /// The period clock driving the whole structure.
     pub clock: BlockId,
-    /// Per-operation completion event (the operation's own delay block).
-    op_done: HashMap<OpId, (BlockId, usize)>,
-    /// Event sources signalling an operation's completion for *successor
-    /// chaining*: for a conditioned operation these are the tails of every
-    /// branch of its group (exactly one fires per period).
-    op_ready: HashMap<OpId, Vec<(BlockId, usize)>>,
+    /// Per-operation completion event (the operation's own delay block),
+    /// indexed by [`OpId::index`]; `None` for an unscheduled operation.
+    op_done: Vec<Option<EventSrc>>,
     /// The `EventSelect` block of each condition variable, for inspection.
-    selectors: HashMap<OpId, BlockId>,
+    selectors: Vec<(OpId, BlockId)>,
 }
 
 impl DelayGraph {
@@ -92,7 +104,7 @@ impl DelayGraph {
     /// For a conditioned operation this event only fires on periods where
     /// its branch is selected.
     pub fn completion(&self, op: OpId) -> Option<(BlockId, usize)> {
-        self.op_done.get(&op).copied()
+        self.op_done.get(op.index()).copied().flatten()
     }
 
     /// Connects `op`'s completion event to event input `port` of `target`
@@ -110,61 +122,65 @@ impl DelayGraph {
         target: BlockId,
         port: usize,
     ) -> Result<(), CoreError> {
-        let &(b, o) = self
-            .op_done
-            .get(&op)
-            .ok_or_else(|| CoreError::InvalidInput {
-                reason: format!("operation {op} is not part of the delay graph"),
-            })?;
+        let (b, o) = self.completion(op).ok_or_else(|| CoreError::InvalidInput {
+            reason: format!("operation {op} is not part of the delay graph"),
+        })?;
         model.connect_event(b, o, target, port)?;
         Ok(())
     }
 
     /// The `EventSelect` synthesized for condition variable `var`, if any.
     pub fn selector(&self, var: OpId) -> Option<BlockId> {
-        self.selectors.get(&var).copied()
+        self.selectors
+            .iter()
+            .find(|&&(v, _)| v == var)
+            .map(|&(_, b)| b)
     }
 }
 
 /// Joins one or more event sources onto `target`'s event input `port`.
 ///
 /// A single source connects directly; several sources go through a fresh
-/// [`Synchronization`] block (the rendezvous fires at the latest source).
-/// Sources listed as alternatives (`any_of`) are merged onto the same
-/// synchronization input. With a `timeout` event source the barrier gets
-/// a timeout arm wired to it, so a source that never fires (fault
-/// injection) forces the rendezvous at the end of the period instead of
-/// deadlocking every following period.
+/// [`Synchronization`] block named `sync_{label}` (the rendezvous fires at
+/// the latest source). Sources listed as alternatives (`any_of`) are
+/// merged onto the same synchronization input. With a `timeout` event
+/// source the barrier gets a timeout arm wired to it, so a source that
+/// never fires (fault injection) forces the rendezvous at the end of the
+/// period instead of deadlocking every following period.
 fn join(
     model: &mut Model,
-    name: &str,
-    sources: &[Vec<(BlockId, usize)>],
+    label: std::fmt::Arguments<'_>,
+    sources: &[&[EventSrc]],
     target: BlockId,
     port: usize,
-    timeout: Option<(BlockId, usize)>,
+    timeout: Option<EventSrc>,
 ) -> Result<(), CoreError> {
     match sources.len() {
         0 => Err(CoreError::InvalidInput {
-            reason: format!("'{name}' has no activation source"),
+            reason: format!("'{label}' has no activation source"),
         }),
         1 => {
-            for &(b, o) in &sources[0] {
+            for &(b, o) in sources[0] {
                 model.connect_event(b, o, target, port)?;
             }
             Ok(())
         }
         n => {
             let sync = match timeout {
-                None => model.add_block(format!("sync_{name}"), Synchronization::new(n)?),
+                None => {
+                    model.add_block(name(format_args!("sync_{label}")), Synchronization::new(n)?)
+                }
                 Some((tb, to)) => {
-                    let sync =
-                        model.add_block(format!("sync_{name}"), Synchronization::with_timeout(n)?);
+                    let sync = model.add_block(
+                        name(format_args!("sync_{label}")),
+                        Synchronization::with_timeout(n)?,
+                    );
                     model.connect_event(tb, to, sync, n)?;
                     sync
                 }
             };
             for (i, alt) in sources.iter().enumerate() {
-                for &(b, o) in alt {
+                for &(b, o) in *alt {
                     model.connect_event(b, o, sync, i)?;
                 }
             }
@@ -172,6 +188,55 @@ fn join(
             Ok(())
         }
     }
+}
+
+/// The conditioned operations of one condition variable.
+struct Group {
+    var: OpId,
+    /// Members by schedule start, then id.
+    members: Vec<OpId>,
+    /// The last member of every branch, sorted: successors outside the
+    /// group wait on all of them (exactly one fires per period).
+    tails: Vec<EventSrc>,
+}
+
+/// The events signalling `op`'s completion for *successor chaining*: its
+/// own delay block, or for a conditioned operation the tails of every
+/// branch of its group.
+fn ready<'a>(
+    alg: &AlgorithmGraph,
+    groups: &'a [Group],
+    op_done: &'a [Option<EventSrc>],
+    op: OpId,
+) -> &'a [EventSrc] {
+    match alg.condition(op) {
+        Some(c) => {
+            let g = groups.iter().find(|g| g.var == c.variable);
+            &g.expect("every condition variable has a group").tails
+        }
+        None => std::slice::from_ref(
+            op_done[op.index()]
+                .as_ref()
+                .expect("every scheduled operation has a delay block"),
+        ),
+    }
+}
+
+/// Builds the delay block of one schedule slot of length `dur`: an
+/// [`EventDelay`], or a [`FaultyDelay`] when the fault plan acts on it.
+fn delay_block(
+    model: &mut Model,
+    name: String,
+    dur: TimeNs,
+    faulted: Option<Vec<ecl_blocks::DelayAction>>,
+) -> Result<BlockId, CoreError> {
+    let invalid = |e: ecl_blocks::BlockError| CoreError::InvalidInput {
+        reason: e.to_string(),
+    };
+    Ok(match faulted {
+        Some(actions) => model.add_block(name, FaultyDelay::new(dur, actions).map_err(invalid)?),
+        None => model.add_block(name, EventDelay::new(dur).map_err(invalid)?),
+    })
 }
 
 /// Synthesizes the graph of delays for `schedule` inside `model`.
@@ -202,11 +267,11 @@ pub fn build(
         });
     }
     let DelayGraphConfig {
-        condition_sources,
+        mut condition_sources,
         faults,
     } = config;
     let clock = add_clock(model, "delay_clock", period, TimeNs::ZERO)?;
-    let clock_src: Vec<(BlockId, usize)> = vec![(clock, 0)];
+    let clock_src: &[EventSrc] = &[(clock, 0)];
 
     // A non-trivial fault plan switches the synthesis to the degraded
     // vocabulary; a trivial (or absent) one takes the nominal path below,
@@ -218,116 +283,79 @@ pub fn build(
     // full period, nominal completions at exactly `period` land after the
     // forced fire — acceptable for the degraded replay, documented in
     // DESIGN.md.)
-    let timeout_src: Option<(BlockId, usize)> = match plan {
+    let timeout_src: Option<EventSrc> = match plan {
         Some(_) => {
-            let d = model.add_block(
-                "fault_timeout",
-                EventDelay::new(period - TimeNs::from_nanos(1)).map_err(|e| {
-                    CoreError::InvalidInput {
-                        reason: e.to_string(),
-                    }
-                })?,
-            );
+            let d = delay_block(
+                model,
+                "fault_timeout".into(),
+                period - TimeNs::from_nanos(1),
+                None,
+            )?;
             model.connect_event(clock, 0, d, 0)?;
             Some((d, 0))
         }
         None => None,
     };
 
+    // ---- per-operation delay blocks -------------------------------------
+    // The completion event of each operation, indexed by `OpId::index`.
+    let mut op_done: Vec<Option<EventSrc>> = vec![None; alg.len()];
+    for s in schedule.ops() {
+        let faulted = plan.and_then(|p| p.op_delay_actions(s.proc.index()));
+        let name = name(format_args!("dly_{}", alg.name(s.op)));
+        let blk = delay_block(model, name, s.end - s.start, faulted)?;
+        op_done[s.op.index()] = Some((blk, 0));
+    }
+
     // ---- group conditioned operations by condition variable ------------
-    // group_of[op] = condition variable if conditioned.
-    let mut groups: HashMap<OpId, Vec<OpId>> = HashMap::new();
+    // In variable order; members by schedule start, then id.
+    let mut groups: Vec<Group> = Vec::new();
     for op in alg.ops() {
         if let Some(c) = alg.condition(op) {
-            groups.entry(c.variable).or_default().push(op);
+            match groups.iter_mut().find(|g| g.var == c.variable) {
+                Some(g) => g.members.push(op),
+                None => groups.push(Group {
+                    var: c.variable,
+                    members: vec![op],
+                    tails: Vec::new(),
+                }),
+            }
         }
     }
-    for members in groups.values_mut() {
-        // Deterministic order: by schedule start, then id.
-        members.sort_by_key(|&o| (schedule.slot(o).map(|s| s.start), o));
-    }
-
-    let mut dg = DelayGraph {
-        clock,
-        op_done: HashMap::new(),
-        op_ready: HashMap::new(),
-        selectors: HashMap::new(),
-    };
-
-    // ---- per-operation delay blocks -------------------------------------
-    for s in schedule.ops() {
-        let dur = s.end - s.start;
-        let name = format!("dly_{}", alg.name(s.op));
-        let faulted = plan.and_then(|p| p.op_delay_actions(s.proc.index()));
-        let blk = match faulted {
-            Some(actions) => model.add_block(
-                name,
-                FaultyDelay::new(dur, actions).map_err(|e| CoreError::InvalidInput {
-                    reason: e.to_string(),
-                })?,
-            ),
-            None => model.add_block(
-                name,
-                EventDelay::new(dur).map_err(|e| CoreError::InvalidInput {
-                    reason: e.to_string(),
-                })?,
-            ),
+    groups.sort_by_key(|g| g.var);
+    for g in &mut groups {
+        g.members
+            .sort_by_key(|&o| (schedule.slot(o).map(|s| s.start), o));
+        let branch = |m: OpId| {
+            alg.condition(m)
+                .expect("grouped because conditioned")
+                .branch
         };
-        dg.op_done.insert(s.op, (blk, 0));
-        dg.op_ready.insert(s.op, vec![(blk, 0)]);
-    }
-
-    // For conditioned groups: successors outside the group wait on the
-    // tails of *all* branches (exactly one fires per period).
-    for (var, members) in &groups {
-        let mut tails: Vec<(BlockId, usize)> = Vec::new();
-        let mut branches: HashMap<usize, Vec<OpId>> = HashMap::new();
-        for &m in members {
-            let c = alg.condition(m).expect("grouped because conditioned");
-            branches.entry(c.branch).or_default().push(m);
+        for (i, &m) in g.members.iter().enumerate() {
+            if !g.members[i + 1..].iter().any(|&o| branch(o) == branch(m)) {
+                g.tails
+                    .push(op_done[m.index()].expect("conditioned operations are scheduled"));
+            }
         }
-        for ops in branches.values() {
-            let &tail = ops.last().expect("non-empty branch");
-            tails.push(dg.op_done[&tail]);
-        }
-        tails.sort();
-        for &m in members {
-            dg.op_ready.insert(m, tails.clone());
-        }
-        let _ = var;
+        g.tails.sort();
     }
 
     // ---- per-communication delay blocks ----------------------------------
-    let mut comm_done: Vec<(BlockId, usize)> = Vec::new();
+    let mut comm_done: Vec<EventSrc> = Vec::with_capacity(schedule.comms().len());
     for (i, c) in schedule.comms().iter().enumerate() {
-        let dur = c.end - c.start;
-        let name = format!(
+        let name = name(format_args!(
             "comm_{}_{}_to_{}",
             alg.name(c.src_op),
             arch.proc_name(c.from),
             arch.proc_name(c.to)
-        );
+        ));
         // One retransmission re-sends the payload: it costs the medium's
         // full transfer time for the slot's data.
         let faulted = plan.and_then(|p| {
             let cost = schedule.comm_retry_cost(arch, i)?;
             p.comm_delay_actions(i, cost)
         });
-        let blk = match faulted {
-            Some(actions) => model.add_block(
-                name,
-                FaultyDelay::new(dur, actions).map_err(|e| CoreError::InvalidInput {
-                    reason: e.to_string(),
-                })?,
-            ),
-            None => model.add_block(
-                name,
-                EventDelay::new(dur).map_err(|e| CoreError::InvalidInput {
-                    reason: e.to_string(),
-                })?,
-            ),
-        };
-        comm_done.push((blk, 0));
+        comm_done.push((delay_block(model, name, c.end - c.start, faulted)?, 0));
     }
 
     // ---- helper lookups --------------------------------------------------
@@ -335,9 +363,9 @@ pub fn build(
     let prev_on_proc = |op: OpId| -> Option<OpId> {
         let slot = schedule.slot(op)?;
         schedule
-            .proc_sequence(slot.proc)
+            .ops()
             .iter()
-            .filter(|s| s.start < slot.start)
+            .filter(|s| s.proc == slot.proc && s.start < slot.start)
             .max_by_key(|s| s.start)
             .map(|s| s.op)
     };
@@ -354,12 +382,14 @@ pub fn build(
             .min_by_key(|(_, c)| c.end)
             .map(|(i, _)| i)
     };
+    // The join sources of one target, rebuilt for each.
+    let mut sources: Vec<&[EventSrc]> = Vec::with_capacity(4);
 
     // ---- wire communications ---------------------------------------------
     for (i, c) in schedule.comms().iter().enumerate() {
-        let mut sources: Vec<Vec<(BlockId, usize)>> = Vec::new();
+        sources.clear();
         // Producer completion.
-        sources.push(dg.op_ready[&c.src_op].clone());
+        sources.push(ready(alg, &groups, &op_done, c.src_op));
         // Previous transfer on the same medium.
         let prev = schedule
             .comms()
@@ -368,78 +398,75 @@ pub fn build(
             .filter(|(_, o)| o.medium == c.medium && o.start < c.start)
             .max_by_key(|(_, o)| o.start)
             .map(|(j, _)| j);
-        match prev {
-            Some(j) => sources.push(vec![comm_done[j]]),
-            None => sources.push(clock_src.clone()),
-        }
-        let name = format!("comm{i}");
-        let (target, port) = (comm_done[i].0, 0);
-        join(model, &name, &sources, target, port, timeout_src)?;
+        sources.push(match prev {
+            Some(j) => std::slice::from_ref(&comm_done[j]),
+            None => clock_src,
+        });
+        let target = comm_done[i].0;
+        join(
+            model,
+            format_args!("comm{i}"),
+            &sources,
+            target,
+            0,
+            timeout_src,
+        )?;
     }
 
     // ---- wire computations -------------------------------------------------
     // Conditioned groups get an EventSelect; plain operations get direct
     // precondition joins.
-    let mut handled: HashMap<OpId, bool> = HashMap::new();
 
     // Validate conditioned groups up front: a source must exist for every
     // condition variable, and a group must sit on one processor (paper
     // Fig. 5: a conditional branch inside one processor's sequence).
-    for (var, members) in &groups {
-        if !condition_sources.contains_key(var) {
+    for g in &groups {
+        if !condition_sources.contains_key(&g.var) {
             return Err(CoreError::InvalidInput {
                 reason: format!(
                     "condition variable '{}' has no ConditionSource in the config",
-                    alg.name(*var)
+                    alg.name(g.var)
                 ),
             });
         }
-        let procs: Vec<_> = members
+        let mut procs = g
+            .members
             .iter()
-            .filter_map(|&m| schedule.slot(m).map(|s| s.proc))
-            .collect();
-        if procs.windows(2).any(|w| w[0] != w[1]) {
-            return Err(CoreError::InvalidInput {
-                reason: format!(
-                    "conditioned group of '{}' spans several processors",
-                    alg.name(*var)
-                ),
-            });
+            .filter_map(|&m| schedule.slot(m).map(|s| s.proc));
+        if let Some(first) = procs.next() {
+            if procs.any(|p| p != first) {
+                return Err(CoreError::InvalidInput {
+                    reason: format!(
+                        "conditioned group of '{}' spans several processors",
+                        alg.name(g.var)
+                    ),
+                });
+            }
         }
     }
 
-    // The EventSelect blocks take ownership of the condition mappings.
-    let mut sources_by_var = condition_sources;
-
-    for (var, members) in &groups {
-        let src = sources_by_var
-            .remove(var)
+    let mut selectors = Vec::with_capacity(groups.len());
+    for g in &groups {
+        // The EventSelect block takes ownership of the condition mapping.
+        let src = condition_sources
+            .remove(&g.var)
             .expect("validated in the loop above");
-        let mut branches: HashMap<usize, Vec<OpId>> = HashMap::new();
-        for &m in members {
-            branches
-                .entry(alg.condition(m).expect("conditioned").branch)
-                .or_default()
-                .push(m);
-        }
-        let n_branches = branches.keys().max().expect("non-empty") + 1;
+        let members = &g.members;
+        let branch = |m: OpId| alg.condition(m).expect("conditioned").branch;
+        let n_branches = members.iter().map(|&m| branch(m)).max().expect("non-empty") + 1;
         let select = model.add_block(
-            format!("select_{}", alg.name(*var)),
+            name(format_args!("select_{}", alg.name(g.var))),
             EventSelect::new(n_branches, src.mapping)?,
         );
         model.connect(src.block, src.output, select, 0)?;
-        dg.selectors.insert(*var, select);
+        selectors.push((g.var, select));
 
         // Group preconditions: previous non-group op on the processor (or
         // the clock), plus comm arrivals needed by any member from outside
         // the group, plus the condition variable's own completion if it
         // runs on another processor (then it arrives via a comm anyway).
-        let head = members
-            .iter()
-            .min_by_key(|&&m| schedule.slot(m).map(|s| s.start))
-            .copied()
-            .expect("non-empty");
-        let mut sources: Vec<Vec<(BlockId, usize)>> = Vec::new();
+        let head = *members.first().expect("non-empty");
+        sources.clear();
         let mut prev = prev_on_proc(head);
         // Skip group-internal predecessors (other branches of this group).
         while let Some(p) = prev {
@@ -449,21 +476,21 @@ pub fn build(
                 break;
             }
         }
-        match prev {
-            Some(p) => sources.push(dg.op_ready[&p].clone()),
-            None => sources.push(clock_src.clone()),
-        }
+        sources.push(match prev {
+            Some(p) => ready(alg, &groups, &op_done, p),
+            None => clock_src,
+        });
         let group_proc = schedule.slot(head).map(|s| s.proc);
         for &m in members {
-            let slot = schedule.slot(m).expect("scheduled");
+            let mslot = schedule.slot(m).expect("scheduled");
             for e in alg.edges().iter().filter(|e| e.dst == m) {
                 if members.contains(&e.src) {
                     continue;
                 }
                 let pslot = schedule.slot(e.src).expect("scheduled");
                 if Some(pslot.proc) != group_proc {
-                    if let Some(ci) = delivering_comm(e.src, slot.proc, slot.start) {
-                        let s = vec![comm_done[ci]];
+                    if let Some(ci) = delivering_comm(e.src, mslot.proc, mslot.start) {
+                        let s = std::slice::from_ref(&comm_done[ci]);
                         if !sources.contains(&s) {
                             sources.push(s);
                         }
@@ -471,56 +498,58 @@ pub fn build(
                 }
             }
         }
-        join(
-            model,
-            &format!("group_{}", alg.name(*var)),
-            &sources,
-            select,
-            0,
-            timeout_src,
-        )?;
+        let name = format_args!("group_{}", alg.name(g.var));
+        join(model, name, &sources, select, 0, timeout_src)?;
 
         // Per-branch internal chains: select output k -> first member of
         // branch k -> ... -> tail.
-        for (branch, ops) in &branches {
-            let mut prev_evt: (BlockId, usize) = (select, *branch);
-            for &m in ops {
-                let (blk, _) = dg.op_done[&m];
-                model.connect_event(prev_evt.0, prev_evt.1, blk, 0)?;
-                prev_evt = (blk, 0);
-            }
-        }
-        for &m in members {
-            handled.insert(m, true);
+        for (i, &m) in members.iter().enumerate() {
+            let prev_evt = match members[..i].iter().rev().find(|&&o| branch(o) == branch(m)) {
+                Some(&o) => op_done[o.index()].expect("scheduled"),
+                None => (select, branch(m)),
+            };
+            let (blk, _) = op_done[m.index()].expect("scheduled");
+            model.connect_event(prev_evt.0, prev_evt.1, blk, 0)?;
         }
     }
 
     // Plain operations.
     for s in schedule.ops() {
-        if handled.get(&s.op).copied().unwrap_or(false) {
+        if alg.condition(s.op).is_some() {
             continue;
         }
-        let mut sources: Vec<Vec<(BlockId, usize)>> = Vec::new();
-        match prev_on_proc(s.op) {
-            Some(p) => sources.push(dg.op_ready[&p].clone()),
-            None => sources.push(clock_src.clone()),
-        }
+        sources.clear();
+        sources.push(match prev_on_proc(s.op) {
+            Some(p) => ready(alg, &groups, &op_done, p),
+            None => clock_src,
+        });
         for e in alg.edges().iter().filter(|e| e.dst == s.op) {
             let pslot = schedule.slot(e.src).expect("scheduled");
             if pslot.proc != s.proc {
                 if let Some(ci) = delivering_comm(e.src, s.proc, s.start) {
-                    let src = vec![comm_done[ci]];
+                    let src = std::slice::from_ref(&comm_done[ci]);
                     if !sources.contains(&src) {
                         sources.push(src);
                     }
                 }
             }
         }
-        let (target, _) = dg.op_done[&s.op];
-        join(model, alg.name(s.op), &sources, target, 0, timeout_src)?;
+        let (target, _) = op_done[s.op.index()].expect("scheduled above");
+        join(
+            model,
+            format_args!("{}", alg.name(s.op)),
+            &sources,
+            target,
+            0,
+            timeout_src,
+        )?;
     }
 
-    Ok(dg)
+    Ok(DelayGraph {
+        clock,
+        op_done,
+        selectors,
+    })
 }
 
 #[cfg(test)]
@@ -676,6 +705,66 @@ mod tests {
         assert_eq!(t.len(), 1);
         // Branch 1 (slow): s(10) + mode(10) + slow(400) + a(10) = 430us.
         assert_eq!(t[0], us(430));
+    }
+
+    /// Conditioned groups are synthesized in condition-variable order, so
+    /// every build of one schedule creates the same blocks in the same
+    /// order.
+    #[test]
+    fn conditioned_groups_build_in_variable_order() {
+        let mut alg = AlgorithmGraph::new();
+        let s = alg.add_sensor("s");
+        let vars = [alg.add_function("mode_a"), alg.add_function("mode_b")];
+        let mut db = TimingDb::new();
+        db.set_default(s, us(10));
+        for (k, &var) in vars.iter().enumerate() {
+            alg.add_edge(s, var, 1).unwrap();
+            db.set_default(var, us(10));
+            for branch in 0..2 {
+                let op = alg.add_function(format!("b{k}{branch}"));
+                alg.set_condition(op, var, branch).unwrap();
+                db.set_default(op, us(20 + 30 * branch as i64));
+            }
+        }
+        let mut arch = ArchitectureGraph::new();
+        arch.add_processor("p0", "arm");
+        let schedule = adequation(&alg, &arch, &db, AdequationOptions::default()).unwrap();
+        let names = || {
+            let mut model = Model::new();
+            let cond = model.add_block("cond", Constant::new(1.0));
+            let mut cfg = DelayGraphConfig::default();
+            for var in vars {
+                let mapping: ConditionMapping = Box::new(|v| v as usize);
+                let source = ConditionSource {
+                    block: cond,
+                    output: 0,
+                    mapping,
+                };
+                cfg.condition_sources.insert(var, source);
+            }
+            build(
+                &mut model,
+                &alg,
+                &arch,
+                &schedule,
+                TimeNs::from_millis(1),
+                cfg,
+            )
+            .unwrap();
+            (0..model.len())
+                .map(|i| model.name(BlockId::from_index(i)).unwrap().to_owned())
+                .collect::<Vec<_>>()
+        };
+        let first = names();
+        let selects: Vec<&str> = first
+            .iter()
+            .map(String::as_str)
+            .filter(|n| n.starts_with("select_"))
+            .collect();
+        assert_eq!(selects, ["select_mode_a", "select_mode_b"]);
+        for _ in 0..8 {
+            assert_eq!(names(), first);
+        }
     }
 
     #[test]

@@ -53,13 +53,11 @@ pub struct Simulator {
     inputs: Vec<f64>,
     /// Flat output values.
     outputs: Vec<f64>,
-    /// `true` while `inputs`/`outputs` hold the committed pass at `now`
-    /// and the current block states. Cleared by an integrated span (the
-    /// RHS passes overwrite both buffers), by a delivery to a block with
-    /// signal outputs, and by [`Simulator::model_mut`].
-    outputs_fresh: bool,
-    /// `evt_routes[block][out_port]` lists `(target, event_in)` pairs.
-    evt_routes: Vec<Vec<Vec<(usize, usize)>>>,
+    /// What the committed pass must re-run before `inputs`/`outputs` hold
+    /// its values at `now` and the current block states.
+    stale: Stale,
+    /// Event routing table.
+    routes: Routes,
     /// For each probe, the flat output index it reads (structure-of-arrays
     /// layout: the probe pass touches only this vector and `outputs`).
     probe_src: Vec<usize>,
@@ -68,6 +66,8 @@ pub struct Simulator {
     /// Integrator buffers, sized for `x` once (growth bumps
     /// `EngineStats::hot_allocs`).
     ode: OdeWorkspace,
+    /// `record_dt` in whole nanoseconds (at least 1 ns).
+    record_step: TimeNs,
     calendar: EventCalendar,
     now: TimeNs,
     started: bool,
@@ -76,6 +76,23 @@ pub struct Simulator {
     scratch_actions: EventActions,
     result: SimResult,
     stats: EngineStats,
+}
+
+/// Most samples per probe [`Simulator::run`] reserves up front.
+const PRESIZED_SAMPLES: usize = 1 << 16;
+
+/// How much of the committed output pass the buffers lack, in increasing
+/// order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stale {
+    /// The buffers hold the committed pass.
+    Nothing,
+    /// Only the varying cone moved: an integrated chunk advanced `t` and
+    /// the continuous states, which no other output reads.
+    Cone,
+    /// Anything may have moved: nothing has run yet, a delivery changed a
+    /// block with signal outputs, or [`Simulator::model_mut`] was called.
+    All,
 }
 
 impl Simulator {
@@ -87,38 +104,39 @@ impl Simulator {
     /// * [`SimError::AlgebraicLoop`] if the feedthrough graph is cyclic.
     pub fn new(model: Model, opts: SimOptions) -> Result<Self, SimError> {
         let n = model.entries.len();
-        let mut in_off = Vec::with_capacity(n);
-        let mut out_off = Vec::with_capacity(n);
-        let mut state_off = Vec::with_capacity(n);
-        let n_states: Vec<usize> = model.entries.iter().map(|e| e.block.num_states()).collect();
+        let mut slots = Vec::with_capacity(n);
         let (mut ni, mut no, mut ns) = (0usize, 0usize, 0usize);
-        for (e, &k) in model.entries.iter().zip(&n_states) {
-            in_off.push(ni);
-            out_off.push(no);
-            state_off.push(ns);
-            ni += e.spec.inputs;
-            no += e.spec.outputs;
-            ns += k;
+        for (block, e) in model.entries.iter().enumerate() {
+            let slot = Slot {
+                block,
+                in_off: ni,
+                inputs: e.spec.inputs,
+                out_off: no,
+                outputs: e.spec.outputs,
+                state_off: ns,
+                states: e.block.num_states(),
+            };
+            ni += slot.inputs;
+            no += slot.outputs;
+            ns += slot.states;
+            slots.push(slot);
         }
 
         // Map each flat input to its driving flat output.
-        let mut input_src: Vec<Option<usize>> = vec![None; ni];
+        let mut input_src = vec![usize::MAX; ni];
         for c in &model.sig_conns {
-            let gi = in_off[c.dst.index()] + c.inp;
-            let go = out_off[c.src.index()] + c.out;
-            input_src[gi] = Some(go);
+            input_src[slots[c.dst.index()].in_off + c.inp] = slots[c.src.index()].out_off + c.out;
         }
-        for (b, e) in model.entries.iter().enumerate() {
-            for p in 0..e.spec.inputs {
-                if input_src[in_off[b] + p].is_none() {
-                    return Err(SimError::UnconnectedInput {
-                        block: e.name.clone(),
-                        port: p,
-                    });
-                }
-            }
+        if let Some(gi) = input_src.iter().position(|&src| src == usize::MAX) {
+            let s = slots
+                .iter()
+                .find(|s| gi < s.in_off + s.inputs)
+                .expect("every flat input belongs to a block");
+            return Err(SimError::UnconnectedInput {
+                block: model.entries[s.block].name.clone(),
+                port: gi - s.in_off,
+            });
         }
-        let input_src: Vec<usize> = input_src.into_iter().flatten().collect();
         // Per flat input: does its block's output read it at once (`dep_u`)?
         let feedthrough: Vec<bool> = model
             .entries
@@ -126,52 +144,47 @@ impl Simulator {
             .flat_map(|e| (0..e.spec.inputs).map(|p| e.block.feedthrough(p)))
             .collect();
         // Per flat output: the block that writes it.
-        let driver: Vec<usize> = model
-            .entries
+        let driver: Vec<usize> = slots
             .iter()
-            .enumerate()
-            .flat_map(|(b, e)| std::iter::repeat_n(b, e.spec.outputs))
+            .flat_map(|s| std::iter::repeat_n(s.block, s.outputs))
             .collect();
 
         // Topological sort over feedthrough edges (Kahn, stable order).
+        let ft_edges = model
+            .sig_conns
+            .iter()
+            .filter(|c| feedthrough[slots[c.dst.index()].in_off + c.inp])
+            .map(|c| (c.src.index(), c.dst.index()));
         let mut indeg = vec![0usize; n];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for c in &model.sig_conns {
-            let dst = c.dst.index();
-            if feedthrough[in_off[dst] + c.inp] {
-                succ[c.src.index()].push(dst);
-                indeg[dst] += 1;
-            }
+        for (_, dst) in ft_edges.clone() {
+            indeg[dst] += 1;
         }
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut eval_order = Vec::with_capacity(n);
+        let (succ_off, succ) = compressed_rows(n, ft_edges);
+        // Blocks enter `order` as they become ready; the cursor walks it,
+        // so once every block has entered it is the evaluation order.
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&i| indeg[i] == 0));
         let mut cursor = 0;
-        while cursor < ready.len() {
-            let b = ready[cursor];
+        while cursor < order.len() {
+            let b = order[cursor];
             cursor += 1;
-            eval_order.push(b);
-            for &s in &succ[b] {
+            for &s in &succ[succ_off[b]..succ_off[b + 1]] {
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
-                    ready.push(s);
+                    order.push(s);
                 }
             }
         }
-        if eval_order.len() != n {
+        if order.len() != n {
             let cyclic: Vec<String> = (0..n)
                 .filter(|&i| indeg[i] > 0)
                 .map(|i| model.entries[i].name.clone())
                 .collect();
             return Err(SimError::AlgebraicLoop { blocks: cyclic });
         }
-        let stateful: Vec<usize> = (0..n).filter(|&b| n_states[b] > 0).collect();
-        let state_inputs: Vec<usize> = stateful
-            .iter()
-            .flat_map(|&b| in_off[b]..in_off[b] + model.entries[b].spec.inputs)
-            .collect();
         let ft_drivers = |b: usize| {
-            let io = in_off[b];
-            (io..io + model.entries[b].spec.inputs)
+            let s = slots[b];
+            (s.in_off..s.in_off + s.inputs)
                 .filter(|&gi| feedthrough[gi])
                 .map(|gi| driver[input_src[gi]])
         };
@@ -181,55 +194,60 @@ impl Simulator {
         // reads at once an output that can move; feedthrough drivers come
         // first in evaluation order, so one forward pass decides it.
         let mut varying = vec![false; n];
-        for &b in &eval_order {
-            varying[b] = n_states[b] > 0
+        for &b in &order {
+            varying[b] = slots[b].states > 0
                 || model.entries[b].block.depends_on_time()
                 || ft_drivers(b).any(|d| varying[d]);
         }
-        // The derivative pass reads `state_inputs`; walking back from
-        // their drivers through feedthrough edges, in reverse evaluation
-        // order, reaches every block whose outputs it depends on.
+        let stateful: Vec<Slot> = slots.iter().copied().filter(|s| s.states > 0).collect();
+        let state_inputs = || stateful.iter().flat_map(|s| s.in_off..s.in_off + s.inputs);
+        // The derivative pass reads the inputs of the stateful blocks;
+        // walking back from their drivers through feedthrough edges, in
+        // reverse evaluation order, reaches every block whose outputs it
+        // depends on.
         let mut reached = vec![false; n];
-        for &gi in &state_inputs {
+        for gi in state_inputs() {
             reached[driver[input_src[gi]]] = true;
         }
-        for &b in eval_order.iter().rev() {
+        for &b in order.iter().rev() {
             if reached[b] {
                 for d in ft_drivers(b) {
                     reached[d] = true;
                 }
             }
         }
-        // A reached block drives an input, so it has signal outputs.
-        let rhs_order = eval_order
-            .iter()
-            .copied()
-            .filter(|&b| reached[b] && varying[b])
+        // Of those inputs, the ones an RHS pass can move: the others keep
+        // the committed pass's values over the whole span.
+        let state_pulls: Vec<(usize, usize)> = state_inputs()
+            .map(|gi| (gi, input_src[gi]))
+            .filter(|&(_, src)| varying[driver[src]])
             .collect();
+        let in_order = |keep: &dyn Fn(usize) -> bool| -> Vec<Slot> {
+            order
+                .iter()
+                .filter(|&&b| keep(b))
+                .map(|&b| slots[b])
+                .collect()
+        };
+        // A reached block drives an input, so it has signal outputs.
+        let rhs_order = in_order(&|b| reached[b] && varying[b]);
         // Blocks without signal outputs write nothing a pass reads, so the
         // committed pass walks only the blocks that have some.
-        let output_order: Vec<usize> = eval_order
-            .into_iter()
-            .filter(|&b| model.entries[b].spec.outputs > 0)
-            .collect();
-
-        // Event routing table.
-        let mut evt_routes: Vec<Vec<Vec<(usize, usize)>>> = model
-            .entries
+        let output_order = in_order(&|b| slots[b].outputs > 0);
+        let cone_order = in_order(&|b| varying[b] && slots[b].outputs > 0);
+        let cone_pulls: Vec<(usize, usize)> = input_src
             .iter()
-            .map(|e| vec![Vec::new(); e.spec.event_outputs])
+            .enumerate()
+            .filter(|&(_, &src)| varying[driver[src]])
+            .map(|(gi, &src)| (gi, src))
             .collect();
-        for c in &model.evt_conns {
-            evt_routes[c.src.index()][c.out].push((c.dst.index(), c.inp));
-        }
 
         // Continuous state initialization.
         let mut x = vec![0.0; ns];
-        for &b in &stateful {
-            let k = n_states[b];
-            model.entries[b]
+        for s in &stateful {
+            model.entries[s.block]
                 .block
-                .init_states(&mut x[state_off[b]..state_off[b] + k]);
+                .init_states(&mut x[s.state_off..s.state_off + s.states]);
         }
 
         let result = SimResult {
@@ -244,31 +262,33 @@ impl Simulator {
         let probe_src = model
             .probes
             .iter()
-            .map(|p| out_off[p.block.index()] + p.out)
+            .map(|p| slots[p.block.index()].out_off + p.out)
             .collect();
+        let record_step =
+            TimeNs::from_secs_f64(opts.record_dt.max(1e-12)).max(TimeNs::from_nanos(1));
 
         Ok(Simulator {
             stats: EngineStats::new(n),
+            routes: Routes::new(&model),
             model,
             opts,
             wiring: Wiring {
-                in_off,
-                out_off,
-                state_off,
-                n_states,
+                slots,
                 input_src,
                 output_order,
                 rhs_order,
+                cone_order,
+                cone_pulls,
                 stateful,
-                state_inputs,
+                state_pulls,
             },
             inputs: vec![0.0; ni],
             outputs: vec![0.0; no],
-            outputs_fresh: false,
-            evt_routes,
+            stale: Stale::All,
             probe_src,
             ode: OdeWorkspace::new(ns),
             x,
+            record_step,
             calendar: EventCalendar::new(),
             now: TimeNs::ZERO,
             started: false,
@@ -285,7 +305,7 @@ impl Simulator {
     /// Mutable access to the wrapped model's blocks. A retuned block is
     /// seen by the next output pass, which this call forces.
     pub fn model_mut(&mut self) -> &mut Model {
-        self.outputs_fresh = false;
+        self.stale = Stale::All;
         &mut self.model
     }
 
@@ -327,6 +347,18 @@ impl Simulator {
                 now: self.now,
                 until,
             });
+        }
+        // Every probe records at least once per `record_dt` chunk, plus
+        // the start sample on the first call; past `PRESIZED_SAMPLES` the
+        // traces grow as they fill, so a run that fails early has not
+        // reserved its whole horizon.
+        let grid = (until - self.now).as_nanos() / self.record_step.as_nanos();
+        let samples = usize::try_from(grid)
+            .unwrap_or(usize::MAX)
+            .saturating_add(2)
+            .min(PRESIZED_SAMPLES);
+        for (_, signal) in &mut self.result.signals {
+            signal.reserve(samples);
         }
         if !self.started {
             self.started = true;
@@ -370,6 +402,12 @@ impl Simulator {
         self.result
     }
 
+    /// Consumes the simulator, returning the model, the accumulated
+    /// results and the counters without copying any of them.
+    pub fn into_parts(self) -> (Model, SimResult, EngineStats) {
+        (self.model, self.result, self.stats)
+    }
+
     /// Integrates the continuous state from `self.now` to `t_end`,
     /// recording probes every `record_dt`.
     ///
@@ -381,16 +419,15 @@ impl Simulator {
     fn integrate_span(&mut self, t_end: TimeNs) -> Result<(), SimError> {
         if self.x.is_empty() {
             self.now = t_end;
-            self.outputs_fresh = false;
+            self.stale = self.stale.max(Stale::Cone);
             self.record_probes();
             return Ok(());
         }
         // The RHS passes leave the blocks outside `rhs_order` holding
         // these values.
         self.refresh_outputs();
-        let dt = TimeNs::from_secs_f64(self.opts.record_dt.max(1e-12)).max(TimeNs::from_nanos(1));
         while self.now < t_end {
-            let chunk_end = self.now.saturating_add(dt).min(t_end);
+            let chunk_end = self.now.saturating_add(self.record_step).min(t_end);
             let (a, b) = (self.now.as_secs_f64(), chunk_end.as_secs_f64());
             let mut rhs = EngineRhs {
                 entries: &mut self.model.entries,
@@ -412,7 +449,7 @@ impl Simulator {
             }
             self.stats.ode.merge(ode_stats);
             self.stats.integration_spans += 1;
-            self.outputs_fresh = false;
+            self.stale = Stale::Cone;
             self.now = chunk_end;
             self.record_probes();
         }
@@ -433,9 +470,8 @@ impl Simulator {
         let mut deliveries = 0usize;
         while self.calendar.peek_time() == Some(now) {
             let ev = self.calendar.pop().expect("peeked");
-            let (em, out) = (ev.emitter.index(), ev.out_port);
-            for r in 0..self.evt_routes[em][out].len() {
-                let (dst, port) = self.evt_routes[em][out][r];
+            for r in self.routes.of(ev.emitter.index(), ev.out_port) {
+                let (dst, port) = self.routes.targets[r];
                 deliveries += 1;
                 self.stats.count_activation(dst);
                 if deliveries > self.opts.cascade_limit {
@@ -447,23 +483,22 @@ impl Simulator {
                 // The activated block must see current inputs, including
                 // the effects of earlier same-instant deliveries.
                 self.refresh_outputs();
-                let spec = self.model.entries[dst].spec;
+                let slot = self.wiring.slots[dst];
                 let mut actions = std::mem::take(&mut self.scratch_actions);
                 let cap = actions.emissions.capacity();
                 {
                     // `inputs` is a shared borrow of the flat input buffer,
                     // `block` a mutable borrow of the model — disjoint
                     // fields, so no defensive copy is needed.
-                    let io = self.wiring.in_off[dst];
                     let mut ctx = EventCtx {
-                        inputs: &self.inputs[io..io + spec.inputs],
+                        inputs: &self.inputs[slot.in_off..slot.in_off + slot.inputs],
                         actions: &mut actions,
                     };
                     self.model.entries[dst].block.on_event(port, now, &mut ctx);
                 }
                 // Only a block's own outputs can read its discrete state.
-                if spec.outputs > 0 {
-                    self.outputs_fresh = false;
+                if slot.outputs > 0 {
+                    self.stale = Stale::All;
                 }
                 if actions.emissions.capacity() != cap {
                     self.stats.hot_allocs += 1;
@@ -513,12 +548,23 @@ impl Simulator {
 
     /// Runs the committed output pass at the current time and state,
     /// unless the buffers already hold it.
+    ///
+    /// After an integrated chunk only the varying cone re-runs: every
+    /// other block's outputs are a function of its discrete state and of
+    /// outputs that did not move, so they still hold what the last full
+    /// pass wrote ([`Block::outputs`] is idempotent), and so do the
+    /// inputs those outputs drive.
+    ///
+    /// [`Block::outputs`]: crate::Block::outputs
     fn refresh_outputs(&mut self) {
-        if self.outputs_fresh {
-            return;
-        }
-        self.wiring.output_pass(
-            &self.wiring.output_order,
+        let w = &self.wiring;
+        let (order, pulls) = match self.stale {
+            Stale::Nothing => return,
+            Stale::Cone => (&w.cone_order, Some(&w.cone_pulls)),
+            Stale::All => (&w.output_order, None),
+        };
+        w.output_pass(
+            order,
             &mut self.model.entries,
             &mut self.inputs,
             &mut self.outputs,
@@ -526,12 +572,21 @@ impl Simulator {
             &self.x,
         );
         // Non-feedthrough inputs may be pulled before their drivers run,
-        // and blocks without outputs pull nothing: refresh every input
-        // from the final outputs so event passes see consistent values.
-        for (input, &src) in self.inputs.iter_mut().zip(&self.wiring.input_src) {
-            *input = self.outputs[src];
+        // and blocks without outputs pull nothing: refresh the inputs the
+        // pass's outputs drive, so event passes see consistent values.
+        match pulls {
+            Some(pulls) => {
+                for &(gi, src) in pulls {
+                    self.inputs[gi] = self.outputs[src];
+                }
+            }
+            None => {
+                for (input, &src) in self.inputs.iter_mut().zip(&w.input_src) {
+                    *input = self.outputs[src];
+                }
+            }
         }
-        self.outputs_fresh = true;
+        self.stale = Stale::Nothing;
     }
 
     /// Records every probe at `now`, after the committed pass if stale.
@@ -544,62 +599,142 @@ impl Simulator {
     }
 }
 
+/// Groups `(row, value)` pairs by row into compressed rows: the values of
+/// row `r` are `values[offsets[r]..offsets[r + 1]]`, in iteration order.
+fn compressed_rows<T: Copy + Default>(
+    rows: usize,
+    pairs: impl Iterator<Item = (usize, T)> + Clone,
+) -> (Vec<usize>, Vec<T>) {
+    let mut offsets = vec![0usize; rows + 1];
+    for (r, _) in pairs.clone() {
+        offsets[r + 1] += 1;
+    }
+    for r in 0..rows {
+        offsets[r + 1] += offsets[r];
+    }
+    let mut values = vec![T::default(); offsets[rows]];
+    for (r, v) in pairs {
+        values[offsets[r]] = v;
+        offsets[r] += 1;
+    }
+    // Each `offsets[r]` now holds the end of row `r`: the start of `r + 1`.
+    offsets.copy_within(0..rows, 1);
+    offsets[0] = 0;
+    (offsets, values)
+}
+
+/// Event routes as compressed rows over the flat event outputs: the
+/// targets of event output `o` of block `b` are
+/// `targets[offsets[first[b] + o]..offsets[first[b] + o + 1]]`, in wiring
+/// order (the order deliveries happen in).
+#[derive(Debug)]
+struct Routes {
+    /// Per-block index of its first flat event output.
+    first: Vec<usize>,
+    offsets: Vec<usize>,
+    /// `(target block, event input)` pairs.
+    targets: Vec<(usize, usize)>,
+}
+
+impl Routes {
+    fn new(model: &Model) -> Routes {
+        let mut first = Vec::with_capacity(model.entries.len());
+        let mut flat = 0;
+        for e in &model.entries {
+            first.push(flat);
+            flat += e.spec.event_outputs;
+        }
+        let pairs = model
+            .evt_conns
+            .iter()
+            .map(|c| (first[c.src.index()] + c.out, (c.dst.index(), c.inp)));
+        let (offsets, targets) = compressed_rows(flat, pairs);
+        Routes {
+            first,
+            offsets,
+            targets,
+        }
+    }
+
+    /// Indices into `targets` of the routes of `block`'s event output `out`.
+    fn of(&self, block: usize, out: usize) -> std::ops::Range<usize> {
+        let row = self.first[block] + out;
+        self.offsets[row]..self.offsets[row + 1]
+    }
+}
+
+/// Where one block's values live in the flat buffers.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    block: usize,
+    /// Offset into the flat input value buffer, and the input count.
+    in_off: usize,
+    inputs: usize,
+    /// Offset into the flat output value buffer, and the output count.
+    out_off: usize,
+    outputs: usize,
+    /// Offset into the flat continuous state vector, and the state count.
+    state_off: usize,
+    states: usize,
+}
+
 /// Wiring tables frozen by [`Simulator::new`].
 #[derive(Debug)]
 struct Wiring {
-    /// Per-block offset into the flat input value buffer.
-    in_off: Vec<usize>,
-    /// Per-block offset into the flat output value buffer.
-    out_off: Vec<usize>,
-    /// Per-block offset into the flat continuous state vector.
-    state_off: Vec<usize>,
-    /// Per-block continuous state count.
-    n_states: Vec<usize>,
+    /// Per-block slots, indexed by block.
+    slots: Vec<Slot>,
     /// For each flat input index, the flat output index driving it.
     input_src: Vec<usize>,
     /// Blocks with signal outputs, in evaluation order (topological over
     /// feedthrough edges).
-    output_order: Vec<usize>,
+    output_order: Vec<Slot>,
     /// The blocks of `output_order` that an RHS evaluation re-runs: those
     /// whose outputs can move within a span (see [`Block::depends_on_time`])
     /// and that the derivative pass reads, directly or through
     /// feedthrough. Every other output is constant over a span.
     ///
     /// [`Block::depends_on_time`]: crate::Block::depends_on_time
-    rhs_order: Vec<usize>,
+    rhs_order: Vec<Slot>,
+    /// The blocks of `output_order` whose outputs can move within a span
+    /// (the varying cone): the committed pass after an integrated chunk.
+    cone_order: Vec<Slot>,
+    /// `(flat input, flat output)` for every input the varying cone
+    /// drives, in input order.
+    cone_pulls: Vec<(usize, usize)>,
     /// Blocks with continuous state, in block order.
-    stateful: Vec<usize>,
-    /// Flat indices of the inputs of `stateful` blocks — the only inputs
-    /// the derivative pass reads.
-    state_inputs: Vec<usize>,
+    stateful: Vec<Slot>,
+    /// `(flat input, flat output)` for every input of a `stateful` block
+    /// (the only inputs the derivative pass reads) driven by an output of
+    /// `rhs_order`: every other one keeps its committed value over a span.
+    state_pulls: Vec<(usize, usize)>,
 }
 
 impl Wiring {
     /// Evaluates the outputs of the blocks in `order` (a filtered
     /// evaluation order) at time `t` and state `x`, each block first
     /// pulling its inputs from the driving outputs.
+    #[inline]
     fn output_pass(
         &self,
-        order: &[usize],
+        order: &[Slot],
         entries: &mut [Entry],
         inputs: &mut [f64],
         outputs: &mut [f64],
         t: f64,
         x: &[f64],
     ) {
-        for &b in order {
-            let spec = entries[b].spec;
-            let (io, oo, so) = (self.in_off[b], self.out_off[b], self.state_off[b]);
-            for gi in io..io + spec.inputs {
+        for s in order {
+            let ins = s.in_off..s.in_off + s.inputs;
+            for gi in ins.clone() {
                 inputs[gi] = outputs[self.input_src[gi]];
             }
             // `inputs` and `outputs` are distinct buffers, so no defensive
             // copy is needed.
-            entries[b].block.outputs(
+            entries[s.block].block.outputs(
                 t,
-                &x[so..so + self.n_states[b]],
-                &inputs[io..io + spec.inputs],
-                &mut outputs[oo..oo + spec.outputs],
+                &x[s.state_off..s.state_off + s.states],
+                &inputs[ins],
+                &mut outputs[s.out_off..s.out_off + s.outputs],
             );
         }
     }
@@ -621,18 +756,21 @@ struct EngineRhs<'a> {
 }
 
 impl OdeRhs for EngineRhs<'_> {
+    #[inline]
     fn eval(&mut self, t: f64, x: &[f64], dx: &mut [f64]) {
         let w = self.wiring;
         w.output_pass(&w.rhs_order, self.entries, self.inputs, self.outputs, t, x);
-        for &gi in &w.state_inputs {
-            self.inputs[gi] = self.outputs[w.input_src[gi]];
+        for &(gi, src) in &w.state_pulls {
+            self.inputs[gi] = self.outputs[src];
         }
-        for &b in &w.stateful {
-            let (io, so, ns) = (w.in_off[b], w.state_off[b], w.n_states[b]);
-            let ins = &self.inputs[io..io + self.entries[b].spec.inputs];
-            self.entries[b]
-                .block
-                .derivatives(t, &x[so..so + ns], ins, &mut dx[so..so + ns]);
+        for s in &w.stateful {
+            let states = s.state_off..s.state_off + s.states;
+            self.entries[s.block].block.derivatives(
+                t,
+                &x[states.clone()],
+                &self.inputs[s.in_off..s.in_off + s.inputs],
+                &mut dx[states],
+            );
         }
     }
 }
@@ -1387,6 +1525,61 @@ mod tests {
             samples,
             &[(TimeNs::ZERO, 2.0), (TimeNs::from_millis(250), 2.0)]
         );
+    }
+
+    /// Deliveries follow wiring order: an event output fanning out to
+    /// three targets wired out of block-index order reaches them in the
+    /// order they were wired, and a second output of the same block keeps
+    /// its own targets, also in wiring order.
+    #[test]
+    fn fan_out_delivers_in_wiring_order() {
+        /// Fires output 0 at t = 0 and output 1 at 1 ms.
+        struct Fan;
+        impl Block for Fan {
+            fn type_name(&self) -> &'static str {
+                "Fan"
+            }
+            fn ports(&self) -> PortSpec {
+                PortSpec::event_source(2)
+            }
+            fn on_start(&mut self, actions: &mut EventActions) {
+                actions.emit(0, TimeNs::ZERO);
+                actions.emit(1, TimeNs::from_millis(1));
+            }
+            impl_block_any!();
+        }
+        struct Sink;
+        impl Block for Sink {
+            fn type_name(&self) -> &'static str {
+                "Sink"
+            }
+            fn ports(&self) -> PortSpec {
+                PortSpec::event_sink(2)
+            }
+            impl_block_any!();
+        }
+        let mut m = Model::new();
+        let sinks: Vec<BlockId> = (0..3).map(|i| m.add_block(format!("s{i}"), Sink)).collect();
+        let fan = m.add_block("fan", Fan);
+        let wired = [(sinks[2], 1), (sinks[0], 0), (sinks[1], 1)];
+        for &(dst, port) in &wired {
+            m.connect_event(fan, 0, dst, port).unwrap();
+        }
+        let second = [(sinks[1], 0), (sinks[0], 1)];
+        for &(dst, port) in &second {
+            m.connect_event(fan, 1, dst, port).unwrap();
+        }
+        let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
+        let log = sim.run(TimeNs::from_millis(2)).unwrap().event_log();
+        let delivered: Vec<(usize, BlockId, usize)> =
+            log.iter().map(|e| (e.out_port, e.target, e.port)).collect();
+        let expected: Vec<(usize, BlockId, usize)> = wired
+            .iter()
+            .map(|&(dst, port)| (0, dst, port))
+            .chain(second.iter().map(|&(dst, port)| (1, dst, port)))
+            .collect();
+        assert_eq!(delivered, expected);
+        assert!(log.iter().all(|e| e.emitter == fan));
     }
 
     /// A model of event-only blocks has nothing for an output pass to

@@ -136,6 +136,12 @@ impl Model {
         self.entry(id).map(|e| e.name.as_str())
     }
 
+    /// Consumes the model, returning the instance names of its blocks in
+    /// [`BlockId`] order.
+    pub fn into_names(self) -> impl Iterator<Item = String> {
+        self.entries.into_iter().map(|e| e.name)
+    }
+
     /// The port spec of a block.
     ///
     /// # Errors

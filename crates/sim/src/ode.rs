@@ -58,19 +58,23 @@ impl Default for Integrator {
     }
 }
 
-/// Reusable integrator buffers: the seven Dormand–Prince stages, the stage
-/// input and the 5th-order candidate. RK4 uses the first four stages and
-/// the stage input.
+/// Reusable integrator buffers, in one allocation: the seven
+/// Dormand–Prince stages, the stage input and the 5th-order candidate,
+/// `n` values each. RK4 uses the first four stages and the stage input.
 ///
-/// A buffer grows only when a state longer than any before is integrated;
-/// [`capacity`](OdeWorkspace::capacity) changes exactly then, which is how
-/// the engine counts integrator allocations in `EngineStats::hot_allocs`.
+/// The buffer grows only when a state longer than any before is
+/// integrated; [`capacity`](OdeWorkspace::capacity) changes exactly then,
+/// which is how the engine counts integrator allocations in
+/// `EngineStats::hot_allocs`.
 #[derive(Debug, Default)]
 pub(crate) struct OdeWorkspace {
-    k: [Vec<f64>; 7],
-    xs: Vec<f64>,
-    x5: Vec<f64>,
+    buf: Vec<f64>,
+    /// State length the buffer is laid out for.
+    n: usize,
 }
+
+/// Vectors of the workspace: seven stages, the stage input, the candidate.
+const WORKSPACE_VECTORS: usize = 9;
 
 impl OdeWorkspace {
     /// A workspace sized for states of length `n`.
@@ -80,15 +84,23 @@ impl OdeWorkspace {
         ws
     }
 
-    /// Total element capacity of the buffers.
+    /// Element capacity of the buffer.
     pub(crate) fn capacity(&self) -> usize {
-        self.k.iter().map(Vec::capacity).sum::<usize>() + self.xs.capacity() + self.x5.capacity()
+        self.buf.capacity()
     }
 
     fn fit(&mut self, n: usize) {
-        for v in self.k.iter_mut().chain([&mut self.xs, &mut self.x5]) {
-            v.resize(n, 0.0);
-        }
+        self.n = n;
+        self.buf.resize(WORKSPACE_VECTORS * n, 0.0);
+    }
+
+    /// The seven stages (`n` values each, stage `s` at `s·n`), the stage
+    /// input and the 5th-order candidate.
+    fn split(&mut self) -> (&mut [f64], &mut [f64], &mut [f64]) {
+        let n = self.n;
+        let (k, rest) = self.buf.split_at_mut(7 * n);
+        let (xs, x5) = rest.split_at_mut(n);
+        (k, xs, &mut x5[..n])
     }
 }
 
@@ -96,8 +108,11 @@ impl OdeWorkspace {
 /// into `x`.
 fn rk4_step<F: OdeRhs>(ws: &mut OdeWorkspace, f: &mut F, t: f64, x: &mut [f64], h: f64) {
     let n = x.len();
-    let [k1, k2, k3, k4, ..] = &mut ws.k;
-    let tmp = &mut ws.xs;
+    let (k, tmp, _) = ws.split();
+    let (k1, k) = k.split_at_mut(n);
+    let (k2, k) = k.split_at_mut(n);
+    let (k3, k) = k.split_at_mut(n);
+    let k4 = &mut k[..n];
 
     f.eval(t, x, k1);
     for i in 0..n {
@@ -173,6 +188,17 @@ const DP_B4: [f64; 7] = [
 /// Smallest step (relative to the span) the adaptive controller will try
 /// before reporting failure.
 const MIN_STEP_FRACTION: f64 = 1e-14;
+
+/// Error norms at or below this make the step controller grow the step
+/// by its full clamp, 4, without evaluating `0.9·err^(-1/5)`.
+///
+/// The factor reaches the clamp where `0.9·err^(-1/5) ≥ 4`, that is for
+/// `err ≤ (0.9/4)^5 ≈ 5.77e-4`. At this edge, `0.9·(5e-4)^(-1/5) ≈ 4.116`,
+/// and `err^(-1/5)` only grows as `err` falls, so for every
+/// `0 < err ≤ 5e-4` the clamp returns exactly 4 (a rounding error of a
+/// few ulps in `powf` cannot bridge a 2.9% margin), and `err == 0` is
+/// defined to grow by 4. Skipping `powf` there changes no step size.
+const FULL_GROWTH_ERR: f64 = 5e-4;
 
 /// Integrates `ẋ = f(t, x)` from `t0` to `t1` in place, returning step
 /// counters for observability.
@@ -275,8 +301,12 @@ fn integrate_rk45<F: OdeRhs>(
     atol: f64,
     h_max: f64,
 ) -> Result<OdeStepStats, SimError> {
-    let OdeWorkspace { k, xs, x5 } = ws;
     let n = x.len();
+    let (k, xs, x5) = ws.split();
+    // The seven stage vectors; an accepted step that can reuse its last
+    // stage as the next first one swaps the two.
+    let mut stages = k.chunks_exact_mut(n);
+    let mut k: [&mut [f64]; 7] = std::array::from_fn(|_| stages.next().expect("seven stages"));
     let span = t1 - t0;
     let h_min = span * MIN_STEP_FRACTION;
     let mut t = t0;
@@ -290,25 +320,34 @@ fn integrate_rk45<F: OdeRhs>(
     while t < t1 {
         h = h.min(t1 - t).min(h_max);
         for s in usize::from(have_k1)..7 {
+            // `x[i] + h·a_s0·k_0[i] + ...` summed left to right; `h * a * k`
+            // multiplies left to right too, so each product `h·a_sj` can
+            // be formed once per stage and round the same.
+            let ha = DP_A[s].map(|a| h * a);
+            let (done, rest) = k.split_at_mut(s);
             for i in 0..n {
                 let mut acc = x[i];
-                for (j, kj) in k.iter().enumerate().take(s) {
-                    acc += h * DP_A[s][j] * kj[i];
+                for (kj, &haj) in done.iter().zip(&ha) {
+                    acc += haj * kj[i];
                 }
                 xs[i] = acc;
             }
-            f.eval(t + DP_C[s] * h, xs, &mut k[s]);
+            f.eval(t + DP_C[s] * h, xs, rest[0]);
             stats.rhs_evals += 1;
         }
         // 5th-order solution and the scaled error norm against the
-        // embedded 4th-order one.
+        // embedded 4th-order one, with the weights' products `h·b_s`
+        // formed once per step.
+        let hb5 = DP_B5.map(|b| h * b);
+        let hb4 = DP_B4.map(|b| h * b);
         let mut err: f64 = 0.0;
         for i in 0..n {
             let mut acc5 = x[i];
             let mut acc4 = x[i];
-            for (s, ks) in k.iter().enumerate() {
-                acc5 += h * DP_B5[s] * ks[i];
-                acc4 += h * DP_B4[s] * ks[i];
+            for s in 0..7 {
+                let ks = k[s][i];
+                acc5 += hb5[s] * ks;
+                acc4 += hb4[s] * ks;
             }
             x5[i] = acc5;
             let scale = atol + rtol * x[i].abs().max(acc5.abs());
@@ -345,7 +384,7 @@ fn integrate_rk45<F: OdeRhs>(
             have_k1 = true;
         }
         // Step-size update (both on accept and reject).
-        let factor = if err == 0.0 {
+        let factor = if err <= FULL_GROWTH_ERR {
             4.0
         } else {
             (0.9 * err.powf(-0.2)).clamp(1.0 / 16.0, 4.0)
@@ -488,6 +527,14 @@ mod tests {
         let mut dx = [0.0];
         f.eval(0.0, &[1.0], &mut dx);
         assert_eq!(calls, 1);
+    }
+
+    /// The edge below which the controller skips `powf` lies inside the
+    /// band where the growth clamp binds.
+    #[test]
+    fn full_growth_edge_is_inside_the_clamped_band() {
+        assert!(0.9 * FULL_GROWTH_ERR.powf(-0.2) > 4.0);
+        assert!(0.9 * 5e-4f64.powf(-0.2) > 4.0);
     }
 
     #[test]

@@ -56,6 +56,12 @@ impl Signal {
         self.values.push(v);
     }
 
+    /// Makes room for `additional` more samples.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.times.reserve(additional);
+        self.values.reserve(additional);
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.times.len()

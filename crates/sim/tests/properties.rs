@@ -4,16 +4,42 @@ use ecl_sim::ode::{integrate, Integrator};
 use ecl_sim::{BlockId, EventCalendar, TimeNs};
 use proptest::prelude::*;
 
+/// Attempts of the step controller per band of the scaled error norm.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct Bands {
+    /// `err == 0`: the step grows by the clamp, 4.
+    zero: u64,
+    /// `0 < err <= 5e-4`: `0.9·err^(-1/5)` exceeds 4, so the clamp binds.
+    clamped: u64,
+    /// `5e-4 < err <= 1`: accepted, grown by `0.9·err^(-1/5)`.
+    accepted: u64,
+    /// `err > 1`: rejected and shrunk.
+    rejected: u64,
+}
+
+impl Bands {
+    fn add(self, o: Bands) -> Bands {
+        Bands {
+            zero: self.zero + o.zero,
+            clamped: self.clamped + o.clamped,
+            accepted: self.accepted + o.accepted,
+            rejected: self.rejected + o.rejected,
+        }
+    }
+}
+
 /// Dormand–Prince 5(4) as a textbook implementation: all seven stages on
-/// every attempt, nothing reused, same step controller as
-/// [`integrate`]. Returns `(steps_accepted, steps_rejected)`.
+/// every attempt, nothing reused, and the step controller's rule
+/// `0.9·err^(-1/5)` clamped to [1/16, 4] (4 at `err == 0`) evaluated on
+/// every attempt. Returns `(steps_accepted, steps_rejected)` and the
+/// attempts per band of the error norm.
 fn reference_dopri(
     f: &mut impl FnMut(f64, &[f64], &mut [f64]),
     t0: f64,
     t1: f64,
     x: &mut [f64],
     (rtol, atol, h_max): (f64, f64, f64),
-) -> (u64, u64) {
+) -> (u64, u64, Bands) {
     const C: [f64; 7] = [0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0];
     const A: [[f64; 6]; 7] = [
         [0.0; 6],
@@ -68,6 +94,7 @@ fn reference_dopri(
     let h_min = span * 1e-14;
     let (mut t, mut h) = (t0, (span / 10.0).min(h_max).max(h_min));
     let (mut accepted, mut rejected) = (0, 0);
+    let mut bands = Bands::default();
     let mut k = vec![vec![0.0; n]; 7];
     let mut xs = vec![0.0; n];
     while t < t1 {
@@ -95,6 +122,12 @@ fn reference_dopri(
             err = err.max(((acc5 - acc4) / scale).abs());
         }
         assert!(err.is_finite(), "reference diverged at t = {t}");
+        match err {
+            0.0 => bands.zero += 1,
+            e if e <= 5e-4 => bands.clamped += 1,
+            e if e <= 1.0 => bands.accepted += 1,
+            _ => bands.rejected += 1,
+        }
         if err <= 1.0 {
             t += h;
             x.copy_from_slice(&x5);
@@ -109,7 +142,7 @@ fn reference_dopri(
         };
         assert!(h >= h_min || t >= t1, "reference step underflow at t = {t}");
     }
-    (accepted, rejected)
+    (accepted, rejected, bands)
 }
 
 /// A stable linear system `ẋ = A·x + b·cos t` of dimension `n ≤ 4`:
@@ -152,6 +185,9 @@ struct Outcome {
     calls: u64,
 }
 
+/// The reference's outcome with its controller bands.
+type Reference = (Outcome, Bands);
+
 /// Runs [`integrate`] (first) and [`reference_dopri`] (second) on the same
 /// problem.
 fn against_reference(
@@ -160,7 +196,7 @@ fn against_reference(
     t1: f64,
     x0: &[f64],
     tol: (f64, f64, f64),
-) -> (Outcome, Outcome) {
+) -> (Outcome, Reference) {
     let (rtol, atol, h_max) = tol;
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
     let mut calls = 0u64;
@@ -190,14 +226,14 @@ fn against_reference(
         calls += 1;
         f(t, x, dx)
     };
-    let (accepted, rejected) = reference_dopri(&mut counted, t0, t1, &mut y, tol);
+    let (accepted, rejected, bands) = reference_dopri(&mut counted, t0, t1, &mut y, tol);
     let reference = Outcome {
         bits: bits(&y),
         accepted,
         rejected,
         calls,
     };
-    (fsal, reference)
+    (fsal, (reference, bands))
 }
 
 /// A stiff-ish system at a tight tolerance: the first step (a tenth of
@@ -206,7 +242,8 @@ fn against_reference(
 #[test]
 fn fsal_rk45_is_bit_identical_to_reference_through_rejections() {
     let f = linear_system(2, &[40.0, 0.5], &[0.0, 0.8, -0.6, 0.0], &[1.0, -0.5]);
-    let (fsal, reference) = against_reference(f, 0.25, 1.75, &[1.0, -1.0], (1e-12, 1e-14, 0.5));
+    let (fsal, (reference, _)) =
+        against_reference(f, 0.25, 1.75, &[1.0, -1.0], (1e-12, 1e-14, 0.5));
     let attempts = fsal.accepted + fsal.rejected;
     assert!(fsal.rejected > 0, "the tolerance must force rejections");
     assert_eq!(reference.calls, 7 * attempts);
@@ -218,6 +255,45 @@ fn fsal_rk45_is_bit_identical_to_reference_through_rejections() {
             ..reference
         }
     );
+}
+
+/// The fast path must match the reference in every band of the step
+/// controller, each of which these problems reach: a zero state that
+/// never moves (`err == 0`), steps capped by `h_max` far below the
+/// tolerance (the clamp binds), a loose tolerance whose steps grow to it
+/// (the rule itself), and a tight one on a stiff system (rejections).
+/// The reference counts its attempts per band and the test asserts each
+/// was reached, so no band goes unexercised; where the shortcut's edge
+/// sits is pinned by a unit test beside it.
+#[test]
+fn fsal_rk45_matches_reference_in_every_controller_band() {
+    let coupling = [0.0, 0.8, -0.6, 0.0];
+    // Initial state, decay, forcing and (rtol, atol, h_max).
+    type Problem = (&'static [f64], [f64; 2], [f64; 2], (f64, f64, f64));
+    let problems: [Problem; 4] = [
+        (&[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], (1e-8, 1e-10, 0.01)),
+        (&[1.0, -1.0], [1.0, 0.5], [1.0, -0.5], (1e-6, 1e-8, 1e-3)),
+        (&[1.0, -1.0], [1.0, 0.5], [1.0, -0.5], (1e-6, 1e-8, 1.0)),
+        (&[1.0, -1.0], [40.0, 0.5], [1.0, -0.5], (1e-12, 1e-14, 0.5)),
+    ];
+    let mut total = Bands::default();
+    for (k, &(x0, decay, forcing, tol)) in problems.iter().enumerate() {
+        let f = linear_system(2, &decay, &coupling, &forcing);
+        let (fsal, (reference, bands)) = against_reference(f, 0.25, 3.25, x0, tol);
+        assert_eq!(
+            fsal,
+            Outcome {
+                calls: fsal.calls,
+                ..reference
+            },
+            "problem {k}"
+        );
+        total = total.add(bands);
+    }
+    assert!(total.zero > 0, "{total:?}");
+    assert!(total.clamped > 0, "{total:?}");
+    assert!(total.accepted > 0, "{total:?}");
+    assert!(total.rejected > 0, "{total:?}");
 }
 
 proptest! {
@@ -328,7 +404,7 @@ proptest! {
         let f = linear_system(n, &decay, &coupling, &forcing);
         let rtol = 10f64.powi(-tol_exp);
         let tol = (rtol, rtol * 1e-2, h_max);
-        let (fsal, reference) = against_reference(f, t0, t0 + span, &x0[..n], tol);
+        let (fsal, (reference, _)) = against_reference(f, t0, t0 + span, &x0[..n], tol);
         prop_assert_eq!(&fsal.bits, &reference.bits);
         prop_assert_eq!(
             (fsal.accepted, fsal.rejected),
