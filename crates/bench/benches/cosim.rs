@@ -4,19 +4,13 @@
 //! loop, ideal and on the 200 µs split deployment) — and of the fleet's
 //! hot path around them, where the memos answer every co-simulation.
 
-use std::time::Instant;
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecl_aaa::{adequation, AdequationOptions, TimeNs};
-use ecl_bench::fleet::{
-    map_indexed_with, run_scenario, sweep_bound_ns, Lane, SweepAccumulator, SweepCaches,
-    SweepConfig, SweepKeys, SWEEP_BUCKETS,
-};
+use ecl_bench::fleet::{run_scenario, SweepCaches, SweepConfig, SweepFold, SweepKeys};
 use ecl_bench::{dc_motor_loop, split_scenario, standard_split};
 use ecl_core::cosim;
 use ecl_core::delays::{self, DelayGraphConfig};
 use ecl_sim::Model;
-use ecl_telemetry::Histogram;
 
 fn bench_ideal(c: &mut Criterion) {
     ideal_case(c, "cosim_ideal_1s", 1.0);
@@ -153,25 +147,13 @@ fn fleet_hot_case(c: &mut Criterion, name: &str, workers: usize) {
         ..SweepConfig::default()
     };
     let keys = SweepKeys::new(&spec, &base);
-    let caches = SweepCaches::new();
-    let bound = sweep_bound_ns(&spec, &config);
+    let caches = SweepCaches::default();
     let sweep = || {
-        let epoch = Instant::now();
-        let (records, lanes) = map_indexed_with(
-            config.scenario_count,
-            workers,
-            |worker| Lane::new(worker, epoch, false, bound),
-            |i, lane: &mut Lane| run_scenario(&keys, &base, &config, &caches, i, lane),
-        );
-        let mut merged = Histogram::new(bound, SWEEP_BUCKETS);
-        for lane in lanes {
-            lane.finish(&caches, &mut merged);
-        }
-        let mut acc = SweepAccumulator::new(&config);
-        for record in records {
-            acc.push(record.expect("ok"));
-        }
-        let (summary, _) = acc.finish();
+        let mut fold = SweepFold::new(&spec, &config, &caches);
+        let f = |i, lane: &mut _| run_scenario(&keys, &base, &config, &caches, i, lane);
+        fold.scoped(0..config.scenario_count, workers, f)
+            .expect("ok");
+        let summary = fold.finish().summary;
         (summary.render(), summary.to_json())
     };
     sweep();

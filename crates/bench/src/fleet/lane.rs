@@ -1,0 +1,199 @@
+use ecl_aaa::{
+    DigestMemo, Fnv1a, MemoView, Schedule, ScheduleCache, ScheduleKey, TableKey, TimeNs, TimingDb,
+};
+use ecl_core::cosim::{IdealRunCache, LoopKey, LoopResult, LoopSpec, ScheduledRunCache};
+use ecl_core::latency::LatencyReport;
+use ecl_telemetry::{Histogram, WorkerProfile};
+
+use super::{Scenario, SweepConfig};
+use crate::SplitScenario;
+
+/// Buckets of the sweep-level actuation-latency histogram: the shape of
+/// every lane's scratch histogram and of the merged one.
+pub(super) const SWEEP_BUCKETS: usize = 64;
+
+/// The sweep-level histogram bound: twice the largest scaled period, so
+/// even overrunning actuations stay in range.
+pub(super) fn sweep_bound_ns(spec: &LoopSpec, config: &SweepConfig) -> i64 {
+    let max_scale = config
+        .period_scales
+        .iter()
+        .fold(1.0f64, |acc, &s| acc.max(s));
+    (TimeNs::from_secs_f64(spec.ts * max_scale).as_nanos() * 2).max(1)
+}
+
+/// One memoized latency extraction: everything the Metrics phase derives
+/// from a co-simulated run at a given histogram bound.
+#[derive(Debug, Clone)]
+pub struct ReportEntry {
+    /// The per-period sampling/actuation latency report.
+    pub report: LatencyReport,
+    /// Actuation latencies bucketed at the sweep's histogram shape,
+    /// merged into the lane's scratch histogram on every lookup.
+    pub hist: Histogram,
+    /// Worst actuation latency of the run.
+    pub worst_actuation_ns: i64,
+    /// Total period overruns of the run.
+    pub overruns: usize,
+}
+
+/// The key of one memoized report extraction: the
+/// [`ecl_core::cosim::scheduled_run_digest`] of the run (which covers the loop
+/// spec, the schedule inputs and the fault plan — and therefore also the
+/// strict-vs-lenient extraction mode, since leniency tracks plan
+/// presence) mixed with the histogram bound, because a shared daemon
+/// cache serves jobs whose period axes imply different bounds.
+pub fn report_digest(run_digest: u64, bound_ns: i64) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(run_digest);
+    h.write_i64(bound_ns);
+    h.finish()
+}
+
+/// The latency-report memo: a [`DigestMemo`] of Metrics-phase yields
+/// ([`ReportEntry`]) keyed by [`report_digest`]. Its counters belong
+/// beside — never inside — byte-compared sweep artifacts.
+pub type ReportCache = DigestMemo<ReportEntry>;
+
+/// The shared memo tables one sweep (or one resident daemon) threads
+/// through every scenario: adequation schedules, stroboscopic ideal
+/// runs, scheduled co-simulations and latency-report extractions.
+///
+/// [`run_sweep`](super::run_sweep) creates a fresh set per call; a
+/// daemon keeps one set alive across jobs (and warm-starts the first
+/// three from disk), which is why the summary's cache counters are
+/// derived job-locally by the [`SweepFold`](super::SweepFold) instead of
+/// read off these global tables.
+#[derive(Debug, Default)]
+pub struct SweepCaches {
+    /// Content-addressed adequation memo.
+    pub schedule: ScheduleCache,
+    /// Ideal (stroboscopic reference) run memo.
+    pub ideal: IdealRunCache,
+    /// Scheduled co-simulation memo ([`SweepConfig::memoize_scheduled`]).
+    pub scheduled: ScheduledRunCache,
+    /// Latency-report memo ([`SweepConfig::memoize_reports`]).
+    pub reports: ReportCache,
+}
+
+/// The per-deployment halves of the memo keys: the loop spec and the
+/// algorithm/architecture graphs, hashed once per sweep (a daemon: once
+/// per registered deployment); a [`Lane`] then hashes each WCET table
+/// once onto the graph half, and each scenario hashes only its period
+/// and policy.
+#[derive(Debug)]
+pub struct SweepKeys<'a> {
+    /// The swept loop spec, keyed for [`IdealRunCache`] and
+    /// [`ScheduledRunCache`] lookups.
+    pub spec: LoopKey<'a>,
+    /// The deployment's graphs, keyed for [`ScheduleCache`] lookups.
+    pub schedule: ScheduleKey<'a>,
+}
+
+impl<'a> SweepKeys<'a> {
+    /// Hashes the deployment halves of `spec` and `base`.
+    pub fn new(spec: &'a LoopSpec, base: &'a SplitScenario) -> Self {
+        SweepKeys {
+            spec: LoopKey::new(spec),
+            schedule: ScheduleKey::new(&base.alg, &base.arch),
+        }
+    }
+
+    /// The same keys holding their own copies of the spec and graphs.
+    pub fn into_owned(self) -> SweepKeys<'static> {
+        SweepKeys {
+            spec: self.spec.into_owned(),
+            schedule: self.schedule.into_owned(),
+        }
+    }
+}
+
+/// Slots of a [`Lane`]'s WCET-table cache. It is direct-mapped by table
+/// index, so its size is fixed: it does not grow with
+/// [`SweepConfig::wcet_tables`] (which a daemon client chooses) or with
+/// the scenario count. 32 slots hold every table of the default 16-table
+/// axis.
+pub(super) const TABLE_SLOTS: usize = 32;
+
+/// One worker's private state for one pass of a [`SweepFold`](super::SweepFold),
+/// which alone builds and finishes lanes: its profile buffer, its
+/// scratch actuation histogram, its [`MemoView`] of each of the four
+/// memos and its cache of hashed WCET tables. Nothing in it is shared,
+/// so a lookup the lane has already made touches no other worker's
+/// memory; finishing the lane adds its views' lookup counts to the
+/// shared tables.
+///
+/// The table cache holds the index and [`TableKey`] (graphs and WCET
+/// table, hashed) of the last table seen in each of its 32 slots,
+/// direct-mapped by table index. A table's content depends only on its
+/// index within one pass (the seed, jitter and deployment are fixed), so
+/// a scenario whose table is cached builds no jittered [`TimingDb`] and
+/// hashes only its policy; a miss builds and hashes the table and
+/// evicts the slot's previous entry.
+#[derive(Debug)]
+pub struct Lane {
+    pub(super) profile: WorkerProfile,
+    pub(super) scratch: Histogram,
+    pub(super) schedule: MemoView<Schedule>,
+    pub(super) ideal: MemoView<LoopResult>,
+    pub(super) scheduled: MemoView<LoopResult>,
+    pub(super) reports: MemoView<ReportEntry>,
+    pub(super) tables: [Option<(usize, TableKey)>; TABLE_SLOTS],
+}
+
+impl Lane {
+    /// A fresh lane recording into `profile`, with a scratch histogram
+    /// of bound `bound_ns`.
+    pub(super) fn new(profile: WorkerProfile, bound_ns: i64) -> Lane {
+        Lane {
+            profile,
+            scratch: Histogram::new(bound_ns, SWEEP_BUCKETS),
+            schedule: MemoView::new(),
+            ideal: MemoView::new(),
+            scheduled: MemoView::new(),
+            reports: MemoView::new(),
+            tables: std::array::from_fn(|_| None),
+        }
+    }
+
+    /// Runs `f` as one claimed task of the lane's profile (see
+    /// [`WorkerProfile::begin_task`]).
+    pub(super) fn task<R>(&mut self, f: impl FnOnce(&mut Lane) -> R) -> R {
+        self.profile.begin_task();
+        let r = f(self);
+        self.profile.end_task();
+        r
+    }
+
+    /// Merges the scratch histogram into `merged`, adds the views'
+    /// lookup counts to `caches` (the tables every lookup of the lane
+    /// went to) and returns the profile buffer.
+    pub(super) fn finish(self, caches: &SweepCaches, merged: &mut Histogram) -> WorkerProfile {
+        merged.merge(&self.scratch);
+        self.schedule.flush(&caches.schedule);
+        self.ideal.flush(&caches.ideal);
+        self.scheduled.flush(&caches.scheduled);
+        self.reports.flush(&caches.reports);
+        self.profile
+    }
+}
+
+/// The hashed WCET table of `scenario` from `tables` (a [`Lane`]'s table
+/// cache), and the jittered table itself when the cache missed and had
+/// to build it to hash it.
+pub(super) fn table_key(
+    tables: &mut [Option<(usize, TableKey)>; TABLE_SLOTS],
+    key: &ScheduleKey<'_>,
+    base: &SplitScenario,
+    scenario: &Scenario,
+) -> (TableKey, Option<TimingDb>) {
+    let table = scenario.wcet_table;
+    let slot = &mut tables[table % TABLE_SLOTS];
+    if let Some((_, cached)) = slot.as_ref().filter(|(t, _)| *t == table) {
+        return (cached.clone(), None);
+    }
+    let db = scenario.jittered_db(base);
+    let hashed = key.table(&db);
+    *slot = Some((table, hashed.clone()));
+    (hashed, Some(db))
+}

@@ -1,0 +1,510 @@
+//! One scenario's lifecycle, one function per stage: derive, adequation,
+//! envelope (and prune), ideal run, fault plan, co-simulation (nominal,
+//! faulty twin or traced), metrics, validation and verification. Each
+//! stage is one phase of the lane's profile; the phases run back to
+//! back, so a profiled scenario reads the clock once per phase boundary.
+
+use std::sync::Arc;
+
+use ecl_aaa::{codegen, AdequationOptions, Lent, Schedule, TableKey, TimeNs, TimingDb};
+use ecl_core::cosim::{self, Activation, LoopAt, LoopResult};
+use ecl_core::faults::{FaultFamily, FaultPlan};
+use ecl_core::report::{DegradationSummary, ScenarioOutcome};
+use ecl_core::{xval, CoreError};
+use ecl_exec::ExecOptions;
+use ecl_telemetry::{Collector, Histogram, Phase, PrefixSink, RecordingSink};
+use ecl_verify::EnvelopeVerdict;
+
+use super::lane::{table_key, SWEEP_BUCKETS};
+use super::{report_digest, Lane, ReportEntry, Scenario, SweepCaches, SweepConfig, SweepKeys};
+use crate::SplitScenario;
+
+/// What one scenario contributes to the sweep fold. The scenario's
+/// actuation latencies go straight into its lane's scratch histogram,
+/// never through this record, so the fold allocates no per-scenario
+/// histograms.
+#[derive(Debug)]
+pub struct ScenarioRecord {
+    /// The deterministic report row.
+    pub outcome: ScenarioOutcome,
+    /// Degradation delta against the fault-free twin, when faults ran.
+    pub degradation: Option<DegradationSummary>,
+    /// Telemetry of a traced scenario (empty otherwise).
+    pub traces: RecordingSink,
+    /// `(is_exact, max divergence ns)` of the executive cross-validation.
+    pub validation: Option<(bool, i64)>,
+    /// `(errors, warnings, margin ns)` of the static verification (no
+    /// margin under a drop-capable plan: its retry bounds are unsound).
+    pub verification: Option<(usize, usize, Option<i64>)>,
+    /// Verdict of the static fault-envelope pruning pass: `None` when
+    /// the pass did not run (pruning off, or a traced scenario);
+    /// conclusive verdicts mean the scenario skipped co-simulation.
+    pub prune: Option<EnvelopeVerdict>,
+    /// Adequation digest of this scenario's schedule (the fold's
+    /// job-local cache counters derive from these).
+    pub schedule_digest: u64,
+}
+
+/// Runs one scenario end to end: jitter → (cached) adequation →
+/// (memoized) graph-of-delays co-simulation → metrics, plus the stages
+/// `config` turns on, each memo lookup through the `lane`'s view of its
+/// table in `caches`. `index` is a *global* scenario index — seeds,
+/// labels and trace prefixes derive from it — which is how a daemon
+/// shards one sweep into chunks without perturbing a single byte.
+/// `keys` are the per-deployment key halves of the swept spec and of
+/// `base`'s graphs ([`SweepKeys::new`]).
+pub fn run_scenario(
+    keys: &SweepKeys<'_>,
+    base: &SplitScenario,
+    config: &SweepConfig,
+    caches: &SweepCaches,
+    index: usize,
+    lane: &mut Lane,
+) -> Result<ScenarioRecord, CoreError> {
+    let mut stages = Stages {
+        keys,
+        base,
+        config,
+        caches,
+        index,
+        lane,
+    };
+    let (scenario, table, db) = stages.derive();
+    let (d, db) = stages.adequation(scenario, &table, db)?;
+    let traced = index < config.trace_scenarios;
+    let prune = if config.prune_static && !traced {
+        let (verdict, worst_hi) = stages.envelope(&d);
+        if verdict != EnvelopeVerdict::Inconclusive {
+            return Ok(stages.pruned(&d, verdict, worst_hi));
+        }
+        Some(verdict)
+    } else {
+        None
+    };
+    let (at, ideal) = stages.ideal(&d)?;
+    let plan = d.scenario.has_faults().then(|| stages.fault_plan(&d));
+    let plan = plan.transpose()?;
+    let (run, run_key, degradation, traces) = match &plan {
+        Some(plan) => stages.faulty_twin(&d, at, plan)?,
+        None if traced => stages.traced(&d, at)?,
+        None => stages.untraced(&d, at, None)?,
+    };
+    let (outcome, report) = stages.metrics(&d, run, run_key, ideal)?;
+    let validation = if config.validate_executive {
+        Some(stages.validation(&d, plan.as_ref())?)
+    } else {
+        None
+    };
+    let verification = match (db, report) {
+        (Some(db), Some(report)) => Some(stages.verification(&d, &db, &report, plan.as_ref())?),
+        _ => None,
+    };
+    Ok(ScenarioRecord {
+        outcome,
+        degradation,
+        traces,
+        validation,
+        verification,
+        prune,
+        schedule_digest: d.digest,
+    })
+}
+
+/// The per-scenario context every stage runs over: the sweep's shared
+/// inputs, the scenario's global index and the lane it records into.
+struct Stages<'s, 'k> {
+    keys: &'s SweepKeys<'k>,
+    base: &'s SplitScenario,
+    config: &'s SweepConfig,
+    caches: &'s SweepCaches,
+    index: usize,
+    lane: &'s mut Lane,
+}
+
+/// A scenario after adequation: its draw, its schedule and adequation
+/// digest, and the period it runs at.
+struct Deployed {
+    scenario: Scenario,
+    schedule: Lent<Schedule>,
+    digest: u64,
+    ts: f64,
+}
+
+/// What a co-simulation stage hands on: the run, its scheduled-run
+/// digest (`None` for a traced run, which the report memo never serves),
+/// the degradation delta of a faulty twin and a traced run's telemetry.
+type Cosimulated = (
+    Lent<LoopResult>,
+    Option<u64>,
+    Option<DegradationSummary>,
+    RecordingSink,
+);
+
+/// The number of whole periods of `horizon` at period `ts` (at least
+/// one): what a fault plan, the virtual executive and a pruned row's
+/// overrun count are sized by.
+fn periods_in(horizon: f64, ts: f64) -> u32 {
+    (horizon / ts).floor().max(1.0) as u32
+}
+
+/// Extracts the Metrics-phase yield of one run: the latency report
+/// (lenient under faults), its actuation histogram at the sweep shape,
+/// the worst actuation and the overrun count — everything a report-memo
+/// hit must reproduce bit-exactly.
+fn build_report_entry(
+    run: &LoopResult,
+    lenient: bool,
+    bound_ns: i64,
+) -> Result<ReportEntry, CoreError> {
+    let report = if lenient {
+        run.latency_report_lenient()?
+    } else {
+        run.latency_report()?
+    };
+    let mut hist = Histogram::new(bound_ns, SWEEP_BUCKETS);
+    let mut worst = 0i64;
+    for series in &report.actuation {
+        for &v in series.values() {
+            hist.record(v.as_nanos());
+            worst = worst.max(v.as_nanos());
+        }
+    }
+    let overruns = report.total_overruns();
+    Ok(ReportEntry {
+        report,
+        hist,
+        worst_actuation_ns: worst,
+        overruns,
+    })
+}
+
+impl<'s> Stages<'s, '_> {
+    /// Derive: the scenario's draw and its hashed WCET table, from the
+    /// lane's table cache. The jittered table is built here only when
+    /// the lane has not hashed this scenario's table yet.
+    fn derive(&mut self) -> (Scenario, TableKey, Option<TimingDb>) {
+        self.lane.profile.phase(self.index, Phase::Derive, |_| {
+            let scenario = Scenario::derive(self.config, self.base, self.index);
+            let (tables, key) = (&mut self.lane.tables, &self.keys.schedule);
+            let (table, db) = table_key(tables, key, self.base, &scenario);
+            (scenario, table, db)
+        })
+    }
+
+    /// Adequation through the lane's view of the schedule memo. A miss
+    /// builds the jittered table if the derive stage did not; it is kept
+    /// (or rebuilt) for static verification and otherwise freed here. The
+    /// delay-graph builder rejects makespan > period, so a badly jittered
+    /// schedule stretches the period just enough (deterministically).
+    fn adequation(
+        &mut self,
+        scenario: Scenario,
+        table: &TableKey,
+        mut db: Option<TimingDb>,
+    ) -> Result<(Deployed, Option<TimingDb>), CoreError> {
+        self.lane.profile.phase(self.index, Phase::Adequation, |_| {
+            let options = AdequationOptions {
+                policy: scenario.policy,
+            };
+            let (config, base) = (self.config, self.base);
+            let (memo, view) = (&self.caches.schedule, &mut self.lane.schedule);
+            let jittered = || scenario.jittered_db(base);
+            let (schedule, digest) = memo
+                .get_or_compute_in(view, &self.keys.schedule, table, options, || {
+                    db.take().unwrap_or_else(jittered)
+                })
+                .map_err(CoreError::from)?;
+            let db = config.verify_static.then(|| db.unwrap_or_else(jittered));
+            let mut ts = self.keys.spec.base().ts * scenario.period_scale;
+            let makespan_s = schedule.makespan().as_secs_f64();
+            if makespan_s > ts {
+                ts = makespan_s * 1.05;
+            }
+            let deployed = Deployed {
+                scenario,
+                schedule,
+                digest,
+                ts,
+            };
+            Ok((deployed, db))
+        })
+    }
+
+    /// Envelope: the verdict and worst actuation upper bound of the
+    /// sound completion envelope of the scenario's whole fault *family*
+    /// — a pure function of `(config, index)`, so pruned rows are
+    /// byte-stable for any worker count. The envelope is freed here.
+    fn envelope(&mut self, d: &Deployed) -> (EnvelopeVerdict, TimeNs) {
+        self.lane.profile.phase(self.index, Phase::Envelope, |_| {
+            let family = FaultFamily::from_config(&d.scenario.fault_config(&self.config.faults));
+            let period = TimeNs::from_secs_f64(d.ts);
+            let (alg, arch) = (&self.base.alg, &self.base.arch);
+            let envelope =
+                ecl_verify::fault_envelope(alg, arch, &d.schedule, period, &family, None);
+            (envelope.verdict(), envelope.max_actuation_hi())
+        })
+    }
+
+    /// Prune: the statically derived row of a conclusive envelope
+    /// verdict, in place of every later stage.
+    fn pruned(&self, d: &Deployed, verdict: EnvelopeVerdict, worst_hi: TimeNs) -> ScenarioRecord {
+        let overruns = if verdict == EnvelopeVerdict::Unsafe {
+            // Every period's actuation can land past the deadline.
+            periods_in(self.keys.spec.base().horizon, d.ts) as usize
+        } else {
+            0
+        };
+        let mut label = d.scenario.label();
+        label.push_str(if verdict == EnvelopeVerdict::Safe {
+            " pruned:safe"
+        } else {
+            " pruned:unsafe"
+        });
+        ScenarioRecord {
+            outcome: ScenarioOutcome {
+                index: self.index,
+                seed: d.scenario.seed,
+                label,
+                cost: 0.0,
+                cost_ratio: 0.0,
+                makespan_ns: d.schedule.makespan().as_nanos(),
+                worst_actuation_ns: worst_hi.as_nanos(),
+                overruns,
+            },
+            degradation: None,
+            traces: RecordingSink::default(),
+            validation: None,
+            verification: None,
+            prune: Some(verdict),
+            schedule_digest: d.digest,
+        }
+    }
+
+    /// Ideal run: the stroboscopic reference, memoized by the digest of
+    /// the scenario's loop spec — one simulation per distinct period.
+    /// The period's digest, taken here once, keys the scheduled runs too.
+    fn ideal(&mut self, d: &Deployed) -> Result<(LoopAt<'s>, Lent<LoopResult>), CoreError> {
+        self.lane.profile.phase(self.index, Phase::IdealSim, |_| {
+            let at = self.keys.spec.at(d.ts);
+            let ideal = self.caches.ideal.get_or_run_at(&mut self.lane.ideal, at)?;
+            Ok((at, ideal))
+        })
+    }
+
+    /// Fault plan: a pure function of `(config, schedule, arch,
+    /// periods)`, so the co-simulation and the virtual executive are
+    /// driven by byte-identical fault fates.
+    fn fault_plan(&mut self, d: &Deployed) -> Result<FaultPlan, CoreError> {
+        self.lane.profile.phase(self.index, Phase::FaultPlan, |_| {
+            let periods = periods_in(self.keys.spec.base().horizon, d.ts);
+            let config = d.scenario.fault_config(&self.config.faults);
+            FaultPlan::generate(&config, &d.schedule, &self.base.arch, periods)
+        })
+    }
+
+    /// Faulty twin: a faulty scenario runs against a fault-free twin on
+    /// the same schedule (both untraced), and the degradation delta
+    /// between the two is metrics time. It traces nothing: tracing the
+    /// degraded replay would double the sink for no new information.
+    fn faulty_twin(
+        &mut self,
+        d: &Deployed,
+        at: LoopAt<'_>,
+        plan: &FaultPlan,
+    ) -> Result<Cosimulated, CoreError> {
+        let (baseline, ..) = self.untraced(d, at, None)?;
+        let (run, key, ..) = self.untraced(d, at, Some(plan))?;
+        let degradation = self.lane.profile.phase(self.index, Phase::Metrics, |_| {
+            let ratio = self.config.cost_bound_ratio;
+            DegradationSummary::from_runs(self.index, plan, &baseline, &run, ratio)
+        })?;
+        Ok((run, key, Some(degradation), RecordingSink::default()))
+    }
+
+    /// Traced co-simulation: timeline emission, synthesis and simulation
+    /// into the scenario's `s<i>:`-prefixed telemetry, all attributed to
+    /// co-simulation.
+    fn traced(&mut self, d: &Deployed, at: LoopAt<'_>) -> Result<Cosimulated, CoreError> {
+        let (run, traces) = self.lane.profile.phase(self.index, Phase::Cosim, |_| {
+            let spec2 = at.spec();
+            let sink = PrefixSink::new(format!("s{}:", self.index), RecordingSink::default());
+            let mut tel = Collector::new(sink);
+            let (base, schedule) = (self.base, &d.schedule);
+            let (alg, arch) = (&base.alg, &base.arch);
+            cosim::emit_schedule_timeline(&mut tel, schedule, alg, arch, spec2.ts, spec2.horizon)?;
+            let activation = Activation::scheduled(alg, &base.io, schedule, arch, None);
+            let (run, _) = cosim::simulate(&spec2, activation, &mut tel, "")?;
+            // Surface the hot-loop engine counters into the same stream:
+            // sim-derived, deterministic, stamped at the horizon.
+            let horizon_ns = TimeNs::from_secs_f64(spec2.horizon).as_nanos();
+            for ev in run.stats_events(horizon_ns) {
+                tel.emit(|| ev);
+            }
+            Ok::<_, CoreError>((run, tel.into_sink().into_inner()))
+        })?;
+        Ok((Lent::new(Arc::new(run)), None, None, traces))
+    }
+
+    /// Untraced co-simulation — the nominal run, or with `plan` the
+    /// faulty replay — through the lane's view of the scheduled-run memo
+    /// with [`SweepConfig::memoize_scheduled`], fresh without it (the
+    /// pre-memo pipeline the byte-identity tests pin the memo against).
+    /// A miss's measured synthesis/simulation split becomes two spans; a
+    /// hit charges the lookup itself to co-simulation. The run's key is
+    /// its [`cosim::scheduled_run_digest`], which the report memo keys on.
+    fn untraced(
+        &mut self,
+        d: &Deployed,
+        at: LoopAt<'_>,
+        plan: Option<&FaultPlan>,
+    ) -> Result<Cosimulated, CoreError> {
+        let (base, schedule, wp) = (self.base, &d.schedule, &mut self.lane.profile);
+        let t0 = wp.last_boundary();
+        let (run, key, hit, phases) = if self.config.memoize_scheduled {
+            let (alg, io, arch, view) = (&base.alg, &base.io, &base.arch, &mut self.lane.scheduled);
+            let memo = &self.caches.scheduled;
+            memo.get_or_run_at(view, at, alg, io, schedule, arch, d.digest, plan)?
+        } else {
+            let key = cosim::scheduled_run_digest(at.digest(), d.digest, plan);
+            let activation =
+                Activation::scheduled(&base.alg, &base.io, schedule, &base.arch, plan.cloned());
+            let (run, phases) =
+                cosim::simulate(&at.spec(), activation, &mut Collector::noop(), "")?;
+            (Lent::new(Arc::new(run)), key, false, phases)
+        };
+        let end = wp.boundary();
+        if hit {
+            wp.push_span(self.index, Phase::Cosim, t0, end);
+        } else {
+            // The co-simulation phase also takes the run's keying and
+            // memo bookkeeping after the simulation proper.
+            let synthesized = (t0 + phases.synthesis_wall_ns).min(end);
+            wp.push_span(self.index, Phase::Synthesis, t0, synthesized);
+            wp.push_span(self.index, Phase::Cosim, synthesized, end);
+        }
+        Ok((run, Some(key), None, RecordingSink::default()))
+    }
+
+    /// Metrics: the latency report (through the lane's view of the
+    /// report memo with [`SweepConfig::memoize_reports`]), merged into
+    /// the lane's scratch histogram, and the report row. The runs are
+    /// freed here, so their teardown is metrics time; the report entry
+    /// is kept only for static verification.
+    fn metrics(
+        &mut self,
+        d: &Deployed,
+        run: Lent<LoopResult>,
+        run_key: Option<u64>,
+        ideal: Lent<LoopResult>,
+    ) -> Result<(ScenarioOutcome, Option<Lent<ReportEntry>>), CoreError> {
+        self.lane.profile.phase(self.index, Phase::Metrics, |_| {
+            let config = self.config;
+            let bound = self.lane.scratch.upper_bound();
+            // Forced rendezvous under faults legitimately pushes sampling
+            // past its period, so degraded runs are measured leniently.
+            let lenient = d.scenario.has_faults();
+            let entry = if let Some(run_key) = run_key.filter(|_| config.memoize_reports) {
+                let (view, memo) = (&mut self.lane.reports, &self.caches.reports);
+                view.get_or_compute(memo, report_digest(run_key, bound), || {
+                    build_report_entry(&run, lenient, bound)
+                })?
+                .0
+            } else {
+                Lent::new(Arc::new(build_report_entry(&run, lenient, bound)?))
+            };
+            self.lane.scratch.merge(&entry.hist);
+            let outcome = ScenarioOutcome {
+                index: self.index,
+                seed: d.scenario.seed,
+                label: d.scenario.label(),
+                cost: run.cost,
+                cost_ratio: run.cost / ideal.cost,
+                makespan_ns: d.schedule.makespan().as_nanos(),
+                worst_actuation_ns: entry.worst_actuation_ns,
+                overruns: entry.overruns,
+            };
+            drop(run);
+            drop(ideal);
+            Ok::<_, CoreError>((outcome, config.verify_static.then_some(entry)))
+        })
+    }
+
+    /// Validation: executes the generated executives on the virtual
+    /// machine under the *same* fault plan the co-simulation used, and
+    /// diffs the completion instants op by op against the delay-graph
+    /// prediction: `(is_exact, max divergence ns)`.
+    fn validation(
+        &mut self,
+        d: &Deployed,
+        plan: Option<&FaultPlan>,
+    ) -> Result<(bool, i64), CoreError> {
+        self.lane.profile.phase(self.index, Phase::Validation, |_| {
+            let (alg, arch, schedule) = (&self.base.alg, &self.base.arch, &d.schedule);
+            let generated = codegen::generate(schedule, alg, arch).map_err(CoreError::from)?;
+            let period = TimeNs::from_secs_f64(d.ts);
+            let periods = periods_in(self.keys.spec.base().horizon, d.ts);
+            let opts = ExecOptions {
+                period,
+                periods,
+                faults: plan,
+            };
+            let measured = ecl_exec::run(&generated, arch, schedule, &opts).map_err(|e| {
+                CoreError::InvalidInput {
+                    reason: format!("virtual executive of scenario {}: {e}", self.index),
+                }
+            })?;
+            let predicted =
+                xval::predict_op_completions(alg, arch, schedule, period, periods, plan)?;
+            let report = xval::validate_schedule(&measured.timeline(), &predicted, alg)?;
+            Ok((report.is_exact(), report.max_divergence_ns()))
+        })
+    }
+
+    /// Verification: every `ecl-verify` pass over the scenario's
+    /// schedule, then soundness — the static `Ls`/`La` bounds must
+    /// dominate every latency the co-simulation measured.
+    fn verification(
+        &mut self,
+        d: &Deployed,
+        db: &TimingDb,
+        report: &ReportEntry,
+        plan: Option<&FaultPlan>,
+    ) -> Result<(usize, usize, Option<i64>), CoreError> {
+        let index = self.index;
+        self.lane.profile.phase(index, Phase::Verification, |_| {
+            let (base, period) = (self.base, TimeNs::from_secs_f64(d.ts));
+            let (alg, arch) = (&base.alg, &base.arch);
+            let vreport = ecl_verify::verify(alg, arch, db, &d.schedule, period, plan)
+                .map_err(CoreError::from)?;
+            let bounds = vreport
+                .bounds
+                .as_ref()
+                .expect("verify always derives bounds");
+            let margin = if bounds.drop_capable {
+                // Deadline forcing takes over; the retry bounds are
+                // unsound by declaration, so the scenario contributes no
+                // margin.
+                None
+            } else {
+                let mut margin: Option<i64> = None;
+                let rep = &report.report;
+                let sensors = base.io.sensors.iter().zip(&rep.sampling);
+                let actuators = base.io.actuators.iter().zip(&rep.actuation);
+                for (op, series) in sensors.chain(actuators) {
+                    if let Some(b) = bounds.bound_for(*op) {
+                        for &v in series.values() {
+                            let m = b.faulty.as_nanos() - v.as_nanos();
+                            margin = Some(margin.map_or(m, |cur| cur.min(m)));
+                        }
+                    }
+                }
+                margin
+            };
+            Ok((
+                vreport.count(ecl_verify::Severity::Error),
+                vreport.count(ecl_verify::Severity::Warn),
+                margin,
+            ))
+        })
+    }
+}

@@ -39,8 +39,8 @@ use ecl_core::cosim::{self, LoopSpec};
 const SCENARIOS: u64 = 2_000;
 
 /// Ceiling on allocations of the whole sweep, its 96 co-simulations and
-/// the lane's memo views included: about 8.9 per scenario.
-const SWEEP_ALLOCATIONS: u64 = 17_886;
+/// the lane's memo views included: about 8.8 per scenario.
+const SWEEP_ALLOCATIONS: u64 = 17_587;
 
 /// Ceiling on allocations of `render` + `to_json` over the sweep's
 /// 2 000 rows: the two documents and the sorted cost ratios. The faulty
@@ -50,7 +50,7 @@ const RENDER_ALLOCATIONS: u64 = 3;
 /// Ceiling on allocations of one `cosim::run_scheduled` of exp17's
 /// deployment: model assembly, delay-graph synthesis, the simulator's
 /// tables, the run and the metric extraction of one memo miss.
-const SCHEDULED_RUN_ALLOCATIONS: u64 = 130;
+const SCHEDULED_RUN_ALLOCATIONS: u64 = 127;
 
 /// Scenarios of the faulty sweep whose rendering is measured.
 const FAULTY_SCENARIOS: usize = 300;

@@ -493,27 +493,17 @@ impl Block for Synchronization {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleHold {
     held: f64,
-    /// `(instant, value)` log of every sample taken.
-    samples: Vec<(TimeNs, f64)>,
 }
 
 impl SampleHold {
     /// Creates a sample-and-hold holding `initial` until first activated.
     pub fn new(initial: f64) -> Self {
-        SampleHold {
-            held: initial,
-            samples: Vec::new(),
-        }
+        SampleHold { held: initial }
     }
 
     /// The value currently held.
     pub fn held(&self) -> f64 {
         self.held
-    }
-
-    /// The log of `(instant, value)` samples taken so far.
-    pub fn samples(&self) -> &[(TimeNs, f64)] {
-        &self.samples
     }
 }
 
@@ -533,9 +523,8 @@ impl Block for SampleHold {
     fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
         y[0] = self.held;
     }
-    fn on_event(&mut self, _port: usize, t: TimeNs, ctx: &mut EventCtx<'_>) {
+    fn on_event(&mut self, _port: usize, _t: TimeNs, ctx: &mut EventCtx<'_>) {
         self.held = ctx.inputs[0];
-        self.samples.push((t, self.held));
     }
     impl_block_any!();
 }
@@ -727,13 +716,12 @@ mod tests {
         m.connect_event(clk, 0, scope, 0).unwrap();
         let mut sim = Simulator::new(m, SimOptions::default()).unwrap();
         sim.run(TimeNs::from_secs(1)).unwrap();
-        let sh_ref = sim.model().block_as::<SampleHold>(sh).unwrap();
-        let vals: Vec<f64> = sh_ref.samples().iter().map(|&(_, v)| v).collect();
+        let vals = sim.model().block_as::<Scope>(scope).unwrap().values();
         assert_eq!(vals.len(), 5);
         for (k, v) in vals.iter().enumerate() {
             assert!((v - 0.25 * k as f64).abs() < 1e-9, "sample {k} = {v}");
         }
-        assert_eq!(sh_ref.held(), 1.0);
+        assert_eq!(sim.model().block_as::<SampleHold>(sh).unwrap().held(), 1.0);
     }
 
     #[test]

@@ -104,8 +104,7 @@ proptest! {
         }
     }
 
-    /// SampleHold reports exactly the input it saw at each activation and
-    /// logs every sample.
+    /// SampleHold reports exactly the input it saw at each activation.
     #[test]
     fn sample_hold_latches_every_activation(
         inputs in proptest::collection::vec(-100.0f64..100.0, 1..50),
@@ -114,10 +113,6 @@ proptest! {
         for &u in &inputs {
             activate(&mut sh, 0, &[u]);
             prop_assert_eq!(sh.held(), u);
-        }
-        prop_assert_eq!(sh.samples().len(), inputs.len());
-        for (logged, input) in sh.samples().iter().zip(&inputs) {
-            prop_assert_eq!(logged.1, *input);
         }
     }
 

@@ -296,7 +296,7 @@ impl DegradationSummary {
 /// `ecl-exec` virtual machine and diffed the measured completion
 /// instants against the graph-of-delays prediction
 /// (`ecl_core::xval::validate_schedule`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ValidationSummary {
     /// Executive runs cross-validated (a scenario's nominal and faulty
     /// runs count separately).
@@ -336,7 +336,7 @@ pub struct VerificationSummary {
 /// Defined here (plain counts, no dependency on the verifier crate) for
 /// the same reason as [`VerificationSummary`]: the renderers stay in one
 /// place and the sweep engine populates it from `ecl-verify` envelopes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PruneSummary {
     /// Scenarios whose fault envelope was evaluated (traced scenarios
     /// are never pruned, so they do not count here).
@@ -531,7 +531,7 @@ fn nearest_rank(sorted: &[f64], q: f64) -> Option<f64> {
 /// Rendering is deliberately free of wall-clock content — two sweeps over
 /// the same scenarios produce identical bytes, which is what the
 /// determinism check of experiment E11-MC diffs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepSummary {
     /// Per-scenario outcomes, ordered by scenario index.
     pub scenarios: Vec<ScenarioOutcome>,

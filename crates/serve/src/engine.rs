@@ -12,26 +12,24 @@
 //! a single schedule.
 //!
 //! **Byte determinism.** A job is sharded into chunks of scenarios, each
-//! chunk a [`FleetPool::run_with`] pass, but every scenario receives its
-//! *global* index — seeds, labels and aggregation order derive from it —
-//! and records are folded in index order by a job-local
-//! [`SweepAccumulator`]. The accumulator also derives the summary's
-//! cache counters from the job's own schedule-digest multiset, not from
-//! the shared tables, so a response's payload is byte-identical whether
-//! it was computed on a cold daemon, a warm one, after a restart, with
-//! one pool worker or with sixteen, in one chunk or many.
+//! chunk a [`SweepFold::pooled`] pass of one job-local [`SweepFold`] on
+//! the resident pool, but every scenario receives its *global* index —
+//! seeds, labels and aggregation order derive from it — and records are
+//! folded in index order. The fold also derives the summary's cache
+//! counters from the job's own schedule-digest multiset, not from the
+//! shared tables, so a response's payload is byte-identical whether it
+//! was computed on a cold daemon, a warm one, after a restart, with one
+//! pool worker or with sixteen, in one chunk or many.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use ecl_aaa::{AdequationOptions, DigestMemo, MappingPolicy, Schedule, TimeNs};
 use ecl_bench::fleet::{
-    run_scenario, sweep_bound_ns, FaultAxes, FleetPool, Lane, SweepAccumulator, SweepCaches,
-    SweepConfig, SweepKeys, SWEEP_BUCKETS,
+    run_scenario, FaultAxes, FleetPool, SweepCaches, SweepConfig, SweepFold, SweepKeys,
 };
 use ecl_bench::{dc_motor_loop, fnv64, standard_split, SplitScenario};
 use ecl_core::cosim::{LoopResult, LoopSpec};
@@ -188,7 +186,7 @@ impl Engine {
             })?),
             None => None,
         };
-        let caches = Arc::new(SweepCaches::new());
+        let caches = Arc::new(SweepCaches::default());
         let responses = DigestMemo::new();
         if let Some(store) = &store {
             store.warm_start(KIND_SCHEDULES, &caches.schedule, |bytes| {
@@ -338,7 +336,6 @@ impl Engine {
         SweepConfig {
             base_seed: req.seed,
             scenario_count: req.scenarios,
-            workers: self.pool.workers(),
             wcet_jitter: req.wcet_jitter,
             wcet_tables: req.wcet_tables,
             period_scales: req.period_scales.clone(),
@@ -458,54 +455,29 @@ impl Engine {
                     reason: format!("unknown deployment case {:?}", req.case),
                 })?;
         let config = Arc::new(self.config_for(req));
-        let bound = sweep_bound_ns(deployment.spec(), &config);
         let total = config.scenario_count;
         let chunk = if req.chunk == 0 { total } else { req.chunk };
-        let epoch = Instant::now();
-        let mut acc = SweepAccumulator::new(&config);
-        let mut merged = Histogram::new(bound, SWEEP_BUCKETS);
-        let mut worst = 0i64;
-        let mut overruns = 0u64;
+        let mut fold = SweepFold::new(deployment.spec(), &config, &self.caches);
         let mut start = 0usize;
         while start < total {
-            let count = (total - start).min(chunk);
+            let end = start + (total - start).min(chunk);
             let f = {
                 let deployment = Arc::clone(deployment);
                 let config = Arc::clone(&config);
                 let caches = Arc::clone(&self.caches);
-                move |i: usize, lane: &mut Lane| {
-                    // The *global* index drives seeds, labels and trace
-                    // prefixes, so chunking cannot perturb a byte.
+                move |i, lane: &mut _| {
                     let (keys, base) = (&deployment.keys, &deployment.base);
-                    run_scenario(keys, base, &config, &caches, start + i, lane)
+                    run_scenario(keys, base, &config, &caches, i, lane)
                 }
             };
-            let (records, lanes) = self.pool.run_with(
-                count,
-                move |worker| Lane::new(worker, epoch, false, bound),
-                f,
-            );
-            // Lane scratches merge in lane order; histogram merging is
-            // commutative and associative, so chunk x lane slicing can
-            // never show through the merged bytes. The lanes' lookup
-            // counts reach the shared tables here, before a failed
-            // scenario can end the job, so the tables' counters are
-            // exact between chunks.
-            for lane in lanes {
-                lane.finish(&self.caches, &mut merged);
-            }
-            for record in records {
-                let record = record?;
-                worst = worst.max(record.outcome.worst_actuation_ns);
-                overruns += record.outcome.overruns as u64;
-                acc.push(record);
-            }
-            start += count;
-            progress(start, total, worst, overruns);
+            fold.pooled(&self.pool, start..end, f)?;
+            let (worst, overruns) = fold.progress();
+            progress(end, total, worst, overruns);
+            start = end;
         }
-        let (summary, _traces) = acc.finish();
+        let out = fold.finish();
         Ok(Response::new(
-            Self::render_payload(&summary, &merged),
+            Self::render_payload(&out.summary, &out.actuation_hist),
             false,
         ))
     }
