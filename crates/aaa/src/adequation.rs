@@ -11,8 +11,6 @@
 //! first, which is what makes the heuristic competitive with much more
 //! expensive searches on control-dominated graphs.
 
-use std::collections::HashMap;
-
 use ecl_sim::TimeNs;
 
 use crate::algorithm::{AlgorithmGraph, OpId};
@@ -104,13 +102,31 @@ struct State<'a> {
     db: &'a TimingDb,
     proc_free: Vec<TimeNs>,
     medium_free: Vec<TimeNs>,
-    /// Earliest instant at which `op`'s output is available on `proc`.
-    data_avail: HashMap<(OpId, ProcId), TimeNs>,
+    /// Earliest instant at which `op`'s output is available on `proc`,
+    /// at `op·P + proc` for `P` processors.
+    data_avail: Vec<Option<TimeNs>>,
     placed: Vec<Option<ScheduledOp>>,
     comms: Vec<ScheduledComm>,
 }
 
 impl State<'_> {
+    /// The slot of `(op, proc)` in `data_avail`.
+    fn avail_slot(&self, op: OpId, proc: ProcId) -> usize {
+        op.index() * self.proc_free.len() + proc.index()
+    }
+
+    /// When `op`'s output is available on `proc`, if it is planned to be.
+    fn avail(&self, op: OpId, proc: ProcId) -> Option<TimeNs> {
+        self.data_avail[self.avail_slot(op, proc)]
+    }
+
+    /// Records that `op`'s output reaches `proc` at `t`, unless an earlier
+    /// plan already brings it there.
+    fn reach(&mut self, op: OpId, proc: ProcId, t: TimeNs) {
+        let slot = self.avail_slot(op, proc);
+        self.data_avail[slot].get_or_insert(t);
+    }
+
     /// Plans the arrival of `src`'s data on `target`, returning the comm to
     /// insert (`None` if the data is already available there) and the
     /// availability instant. Does not mutate the state.
@@ -120,16 +136,21 @@ impl State<'_> {
         target: ProcId,
         data_units: u32,
     ) -> Result<(Option<CommPlan>, TimeNs), AaaError> {
-        if let Some(&t) = self.data_avail.get(&(src, target)) {
+        if let Some(t) = self.avail(src, target) {
             return Ok((None, t));
         }
         let owner = self.placed[src.index()]
             .as_ref()
             .expect("predecessor scheduled")
             .proc;
-        let ready = self.data_avail[&(src, owner)];
+        let ready = self.avail(src, owner).expect("placed on its owner");
         let mut best: Option<CommPlan> = None;
-        for m in self.arch.media_between(owner, target) {
+        // `ArchitectureGraph::media_between`'s media, in its order.
+        let linking = self.arch.media().filter(|&m| {
+            let c = self.arch.medium_procs(m);
+            c.contains(&owner) && c.contains(&target)
+        });
+        for m in linking {
             let start = self.medium_free[m.index()].max(ready);
             let end = start + self.arch.transfer_time(m, data_units);
             if best.is_none_or(|b| end < b.end) {
@@ -152,35 +173,25 @@ impl State<'_> {
         }
     }
 
-    /// Earliest start/finish of `op` on `proc`, with the comms it would
-    /// require. Returns `None` if `op` cannot execute on `proc`.
-    fn evaluate(
-        &self,
-        op: OpId,
-        proc: ProcId,
-    ) -> Result<Option<(TimeNs, TimeNs, Vec<CommPlan>)>, AaaError> {
+    /// Earliest finish of `op` on `proc`, or `None` if `op` cannot
+    /// execute there.
+    fn evaluate(&self, op: OpId, proc: ProcId) -> Result<Option<TimeNs>, AaaError> {
         let Some(wcet) = self.db.wcet(op, proc) else {
             return Ok(None);
         };
         let mut est = self.proc_free[proc.index()];
-        let mut plans = Vec::new();
         for e in self.alg.edges().iter().filter(|e| e.dst == op) {
             match self.plan_arrival(e.src, proc, e.data_units) {
-                Ok((plan, avail)) => {
-                    est = est.max(avail);
-                    if let Some(p) = plan {
-                        plans.push(p);
-                    }
-                }
+                Ok((_, avail)) => est = est.max(avail),
                 Err(AaaError::NoRoute { .. }) => return Ok(None),
                 Err(other) => return Err(other),
             }
         }
-        // NOTE: `plans` computed against the *current* medium availability;
-        // if two predecessors pick the same medium the commit step
-        // re-plans sequentially, so the tentative estimate is a lower
-        // bound — standard for list scheduling.
-        Ok(Some((est, est + wcet, plans)))
+        // NOTE: each arrival is planned against the *current* medium
+        // availability; if two predecessors pick the same medium the
+        // commit step re-plans sequentially, so the tentative estimate is
+        // a lower bound — standard for list scheduling.
+        Ok(Some(est + wcet))
     }
 
     /// Commits `op` on `proc`: re-plans and inserts the communications
@@ -188,14 +199,8 @@ impl State<'_> {
     fn commit(&mut self, op: OpId, proc: ProcId) -> Result<(), AaaError> {
         let wcet = self.db.wcet(op, proc).expect("validated by evaluate");
         let mut est = self.proc_free[proc.index()];
-        let edges: Vec<_> = self
-            .alg
-            .edges()
-            .iter()
-            .filter(|e| e.dst == op)
-            .copied()
-            .collect();
-        for e in edges {
+        let alg = self.alg;
+        for e in alg.edges().iter().filter(|e| e.dst == op) {
             let (plan, avail) = self.plan_arrival(e.src, proc, e.data_units)?;
             if let Some(p) = plan {
                 self.medium_free[p.medium.index()] = p.end;
@@ -212,15 +217,14 @@ impl State<'_> {
                 match self.arch.medium_kind(p.medium) {
                     MediumKind::Bus => {
                         for &q in self.arch.medium_procs(p.medium) {
-                            self.data_avail.entry((e.src, q)).or_insert(p.end);
+                            self.reach(e.src, q, p.end);
                         }
                     }
-                    MediumKind::PointToPoint => {
-                        self.data_avail.entry((e.src, proc)).or_insert(p.end);
-                    }
+                    MediumKind::PointToPoint => self.reach(e.src, proc, p.end),
                 }
             }
-            est = est.max(avail.max(self.data_avail[&(e.src, proc)]));
+            let arrived = self.avail(e.src, proc).expect("planned above");
+            est = est.max(avail.max(arrived));
         }
         let slot = ScheduledOp {
             op,
@@ -229,28 +233,30 @@ impl State<'_> {
             end: est + wcet,
         };
         self.proc_free[proc.index()] = slot.end;
-        self.data_avail.insert((op, proc), slot.end);
+        let own = self.avail_slot(op, proc);
+        self.data_avail[own] = Some(slot.end);
         self.placed[op.index()] = Some(slot);
         Ok(())
     }
 }
 
 /// Optimistic remaining critical path below each operation (its own
-/// minimal WCET included, communications ignored).
+/// minimal WCET included, communications ignored), walking `order`, a
+/// topological order of `alg`, backwards.
 fn tails(
     alg: &AlgorithmGraph,
     arch: &ArchitectureGraph,
     db: &TimingDb,
+    order: &[OpId],
 ) -> Result<Vec<TimeNs>, AaaError> {
-    let order = alg.topo_order()?;
-    let procs: Vec<ProcId> = arch.processors().collect();
     let mut tail = vec![TimeNs::ZERO; alg.len()];
     for &op in order.iter().rev() {
-        let own = db.min_wcet(op, procs.iter().copied(), alg.name(op))?;
+        let own = db.min_wcet(op, arch.processors(), alg.name(op))?;
         let below = alg
-            .succs(op)
-            .into_iter()
-            .map(|s| tail[s.index()])
+            .edges()
+            .iter()
+            .filter(|e| e.src == op)
+            .map(|e| tail[e.dst.index()])
             .max()
             .unwrap_or(TimeNs::ZERO);
         tail[op.index()] = own + below;
@@ -283,9 +289,8 @@ pub fn adequation(
             reason: "architecture has no processors".into(),
         });
     }
-    alg.topo_order()?; // cycle check up front
-    let tail = tails(alg, arch, db)?;
-    let procs: Vec<ProcId> = arch.processors().collect();
+    let order = alg.topo_order()?; // cycle check up front
+    let tail = tails(alg, arch, db, &order)?;
 
     let mut state = State {
         alg,
@@ -293,35 +298,44 @@ pub fn adequation(
         db,
         proc_free: vec![TimeNs::ZERO; arch.num_processors()],
         medium_free: vec![TimeNs::ZERO; arch.num_media()],
-        data_avail: HashMap::new(),
+        data_avail: vec![None; alg.len() * arch.num_processors()],
         placed: vec![None; alg.len()],
-        comms: Vec::new(),
+        // A commit inserts at most one communication per incoming edge.
+        comms: Vec::with_capacity(alg.edges().len()),
     };
     let mut rng = match options.policy {
         MappingPolicy::Random { seed } => Some(XorShift64::new(seed)),
         _ => None,
     };
 
+    // Per step: the candidates, each with its best processor and finish,
+    // and (`Random` only) the processors able to run the pick; cleared
+    // and refilled each step.
+    let mut candidates: Vec<OpId> = Vec::with_capacity(alg.len());
+    let mut evals: Vec<(OpId, ProcId, TimeNs)> = Vec::with_capacity(alg.len());
+    let mut able: Vec<ProcId> = Vec::new();
     let mut remaining = alg.len();
     while remaining > 0 {
         // Candidates: unscheduled ops whose predecessors are all placed.
-        let candidates: Vec<OpId> = alg
-            .ops()
-            .filter(|&o| state.placed[o.index()].is_none())
-            .filter(|&o| {
-                alg.preds(o)
-                    .iter()
-                    .all(|p| state.placed[p.index()].is_some())
-            })
-            .collect();
+        candidates.clear();
+        candidates.extend(
+            alg.ops()
+                .filter(|&o| state.placed[o.index()].is_none())
+                .filter(|&o| {
+                    alg.edges()
+                        .iter()
+                        .filter(|e| e.dst == o)
+                        .all(|e| state.placed[e.src.index()].is_some())
+                }),
+        );
         debug_assert!(!candidates.is_empty(), "DAG always has a candidate");
 
         // Evaluate each candidate's best processor.
-        let mut evals: Vec<(OpId, ProcId, TimeNs)> = Vec::new(); // (op, best proc, finish)
+        evals.clear();
         for &c in &candidates {
             let mut best: Option<(ProcId, TimeNs)> = None;
-            for &p in &procs {
-                if let Some((_, finish, _)) = state.evaluate(c, p)? {
+            for p in arch.processors() {
+                if let Some(finish) = state.evaluate(c, p)? {
                     if best.is_none_or(|(_, bf)| finish < bf) {
                         best = Some((p, finish));
                     }
@@ -358,13 +372,10 @@ pub fn adequation(
                 let rng = rng.as_mut().expect("seeded above");
                 let (c, _, _) = evals[rng.below(evals.len())];
                 // Pick uniformly among processors able to run it.
-                let able: Vec<ProcId> = procs
-                    .iter()
-                    .copied()
-                    .filter(|&p| {
-                        db.wcet(c, p).is_some() && matches!(state.evaluate(c, p), Ok(Some(_)))
-                    })
-                    .collect();
+                able.clear();
+                able.extend(arch.processors().filter(|&p| {
+                    db.wcet(c, p).is_some() && matches!(state.evaluate(c, p), Ok(Some(_)))
+                }));
                 (c, able[rng.below(able.len())])
             }
         };

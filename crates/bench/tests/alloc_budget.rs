@@ -22,7 +22,8 @@
 //!
 //! One scheduled co-simulation of exp17's deployment (a memo miss: model
 //! assembly, graph-of-delays synthesis, the simulator's wiring tables,
-//! the run and the metric extraction) is measured on its own.
+//! the run and the metric extraction) is measured on its own, and so is
+//! one adequation of it, the other half of a cold scenario's miss path.
 //!
 //! Run with `cargo test -p ecl-bench --test alloc_budget`.
 
@@ -39,8 +40,8 @@ use ecl_core::cosim::{self, LoopSpec};
 const SCENARIOS: u64 = 2_000;
 
 /// Ceiling on allocations of the whole sweep, its 96 co-simulations and
-/// the lane's memo views included: about 8.8 per scenario.
-const SWEEP_ALLOCATIONS: u64 = 17_587;
+/// the lane's memo views included: about 7.6 per scenario.
+const SWEEP_ALLOCATIONS: u64 = 15_107;
 
 /// Ceiling on allocations of `render` + `to_json` over the sweep's
 /// 2 000 rows: the two documents and the sorted cost ratios. The faulty
@@ -50,10 +51,31 @@ const RENDER_ALLOCATIONS: u64 = 3;
 /// Ceiling on allocations of one `cosim::run_scheduled` of exp17's
 /// deployment: model assembly, delay-graph synthesis, the simulator's
 /// tables, the run and the metric extraction of one memo miss.
-const SCHEDULED_RUN_ALLOCATIONS: u64 = 127;
+const SCHEDULED_RUN_ALLOCATIONS: u64 = 112;
+
+/// Ceiling on allocations of one `adequation` of exp17's deployment:
+/// the tails, the per-`(op, processor)` availability table, the reused
+/// candidate buffers and the schedule itself.
+const ADEQUATION_ALLOCATIONS: u64 = 11;
 
 /// Scenarios of the faulty sweep whose rendering is measured.
 const FAULTY_SCENARIOS: usize = 300;
+
+/// Allocations of one adequation of scenario 0 of the default sweep over
+/// `base`.
+fn adequation_run(base: &SplitScenario, config: &SweepConfig) -> u64 {
+    let scenario = Scenario::derive(config, base, 0);
+    let options = AdequationOptions {
+        policy: scenario.policy,
+    };
+    let db = scenario.jittered_db(base);
+    let run = || adequation(&base.alg, &base.arch, &db, options).unwrap();
+    let first = run();
+    let (again, made) = allocations(run);
+    assert_eq!(again.ops(), first.ops());
+    assert_eq!(again.comms(), first.comms());
+    made
+}
 
 /// Allocations of one scheduled co-simulation of scenario 0 of the
 /// default sweep over `base`, at the period the fleet simulates it.
@@ -79,6 +101,12 @@ fn scheduled_run(spec: &LoopSpec, base: &SplitScenario, config: &SweepConfig) ->
 fn main() {
     let spec = dc_motor_loop(0.05).unwrap();
     let base = standard_split().unwrap();
+    let adequated = adequation_run(&base, &SweepConfig::default());
+    eprintln!("adequation: {adequated} allocations");
+    assert!(
+        adequated <= ADEQUATION_ALLOCATIONS,
+        "adequation made {adequated} allocations, budget {ADEQUATION_ALLOCATIONS}"
+    );
     let scheduled = scheduled_run(&spec, &base, &SweepConfig::default());
     eprintln!("run_scheduled: {scheduled} allocations");
     assert!(

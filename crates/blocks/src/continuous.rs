@@ -172,6 +172,11 @@ impl Block for StateSpaceCt {
             dx[i] = acc;
         }
     }
+    /// `(A, B)`: `derivatives` above sums each row exactly as the
+    /// contract states.
+    fn linear_dynamics(&self) -> Option<(&[f64], &[f64])> {
+        Some((&self.a, &self.b))
+    }
     fn outputs(&mut self, _t: f64, x: &[f64], u: &[f64], y: &mut [f64]) {
         for i in 0..self.p {
             let mut acc = 0.0;

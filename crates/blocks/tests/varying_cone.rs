@@ -6,6 +6,10 @@
 //! committed pass after each integrated chunk every block with outputs.
 //! Both runs share that committed pass, so each also checks it against
 //! the stateless blocks re-evaluated from their probes.
+//!
+//! The all-`dep_t` run also hides every plant's `(A, B)`, so it always
+//! integrates through `derivatives`; the run as built takes the engine's
+//! linear right-hand side wherever its plants' inputs hold still.
 
 use std::any::Any;
 
@@ -21,7 +25,7 @@ use proptest::prelude::*;
 
 /// Forwards every call to the block it wraps; with `full_pass` it
 /// declares that its outputs depend on time, which puts it in the cone
-/// whenever a derivative reads it.
+/// whenever a derivative reads it, and hides its linear dynamics.
 struct Shim {
     inner: Box<dyn Block>,
     full_pass: bool,
@@ -48,6 +52,13 @@ impl Block for Shim {
     }
     fn derivatives(&self, t: f64, x: &[f64], u: &[f64], dx: &mut [f64]) {
         self.inner.derivatives(t, x, u, dx)
+    }
+    fn linear_dynamics(&self) -> Option<(&[f64], &[f64])> {
+        if self.full_pass {
+            None
+        } else {
+            self.inner.linear_dynamics()
+        }
     }
     fn outputs(&mut self, t: f64, x: &[f64], u: &[f64], y: &mut [f64]) {
         self.inner.outputs(t, x, u, y)
@@ -281,4 +292,41 @@ proptest! {
         prop_assert_eq!(&cone.1, &full.1);
         prop_assert_eq!(&cone.2, &full.2);
     }
+}
+
+/// A time-varying source feeding a plant keeps the engine on the
+/// derivative path: a sine driving a state-space plant gives the bits of
+/// the same plant with its `(A, B)` hidden. A linear right-hand side,
+/// which reads its inputs once per chunk, would hold the sine there.
+#[test]
+fn time_varying_input_keeps_the_derivative_path() {
+    let run = |hidden: bool| {
+        let mut m = Model::new();
+        let sine = add(&mut m, false, "sine".into(), Box::new(Sine::new(1.0, 40.0)));
+        let plant = StateSpaceCt::new(
+            2,
+            1,
+            2,
+            vec![0.0, 1.0, -4.0, -0.4],
+            vec![0.0, 1.0],
+            vec![1.0, 0.0, 0.0, 1.0],
+            vec![0.0, 0.0],
+            vec![1.0, 0.0],
+        )
+        .expect("2-state plant");
+        let plant = add(&mut m, hidden, "plant".into(), Box::new(plant));
+        m.connect(sine, 0, plant, 0).expect("wire");
+        m.probe("x0", plant, 0).expect("probe");
+        m.probe("x1", plant, 1).expect("probe");
+        let mut sim = Simulator::new(m, SimOptions::default()).expect("valid");
+        sim.run(TimeNs::from_millis(100)).expect("runs");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let signals: Vec<_> = sim
+            .result()
+            .signals()
+            .map(|(_, s)| (bits(s.times()), bits(s.values())))
+            .collect();
+        (signals, sim.stats().clone())
+    };
+    assert_eq!(run(false), run(true));
 }

@@ -21,7 +21,7 @@ use ecl_blocks::{add_clock, Constant, DiscreteStateSpace, SampleHold, SampledNoi
 use ecl_control::metrics;
 use ecl_control::StateSpace;
 use ecl_linalg::Mat;
-use ecl_sim::{BlockId, EngineStats, Model, SimOptions, SimResult, Simulator};
+use ecl_sim::{Block, BlockId, EngineStats, Model, SimOptions, SimResult, Simulator};
 use ecl_telemetry::bytes::{ByteReader, ByteWriter, CodecError};
 use ecl_telemetry::{Collector, Event, Histogram, Sink};
 
@@ -531,6 +531,27 @@ pub enum Activation<'a> {
 }
 
 impl<'a> Activation<'a> {
+    /// What [`wire`] adds to the model besides activating the loop's
+    /// Sample/Holds and controller, at most: `(blocks, signal
+    /// connections, event connections)`.
+    fn growth(&self) -> (usize, usize, usize) {
+        match self {
+            Activation::Ideal => (0, 0, 0),
+            Activation::Scheduled { alg, schedule, .. } => delays::growth_bound(alg, schedule),
+        }
+    }
+
+    /// Distinct event instants per period: the tick, and for a schedule
+    /// at most one more per slot end.
+    fn instants_per_period(&self) -> usize {
+        match self {
+            Activation::Ideal => 1,
+            Activation::Scheduled { schedule, .. } => {
+                1 + schedule.ops().len() + schedule.comms().len()
+            }
+        }
+    }
+
     /// [`Activation::Scheduled`] with the default [`DelayGraphConfig`],
     /// replayed under `faults` when given (see [`run_scheduled_faulty`]).
     pub fn scheduled(
@@ -578,7 +599,7 @@ pub fn simulate<'a, S: Sink>(
 ) -> Result<(LoopResult, CosimPhases), CoreError> {
     let start = Instant::now();
     let lp = lp.into();
-    let mut lm = assemble(lp.lower()?)?;
+    let mut lm = assemble(lp.lower()?, &activation, |plant| plant)?;
     wire(&mut lm, activation, TimeNs::from_secs_f64(*shared!(lp, ts)))?;
     let wired = Instant::now();
     let run = finish_traced(lp, lm, track_prefix, tel)?;
@@ -761,23 +782,48 @@ struct LoopModel {
     act_sh: Vec<BlockId>,
     /// Clock driving the disturbance sources (and the stroboscopic loop).
     base_clock: BlockId,
+    /// Distinct event instants per period under the activation.
+    instants_per_period: usize,
 }
 
-/// Places plant, sampling S/Hs, controller, output holds, disturbance
-/// sources and probes; activation wiring is left to [`wire`].
-fn assemble(low: Lowered<'_>) -> Result<LoopModel, CoreError> {
+/// Places plant (as `plant_block` makes it of the state-space block),
+/// sampling S/Hs, controller, output holds, disturbance sources and
+/// probes, in a model sized for them and for what `activation` will add;
+/// activation wiring is left to [`wire`].
+fn assemble<P: Block>(
+    low: Lowered<'_>,
+    activation: &Activation<'_>,
+    plant_block: impl FnOnce(StateSpaceCt) -> P,
+) -> Result<LoopModel, CoreError> {
     let (plant_ss, x0) = (shared!(low.lp, plant), shared!(low.lp, x0));
     let (n, m_total, p) = (
         plant_ss.state_dim(),
         plant_ss.input_dim(),
         low.sample_seeds.len(),
     );
+    let mc = *shared!(low.lp, n_controls);
+    let noise = match shared!(low.lp, disturbance) {
+        DisturbanceKind::None => 0,
+        DisturbanceKind::Noise { .. } => m_total - mc,
+    };
+    let (blocks, signals, events) = activation.growth();
     let mut model = Model::new();
+    model.reserve(
+        // The clock, plant, S/Hs, controller, holds and disturbances.
+        3 + p + m_total + blocks,
+        // Plant to S/Hs to controller, controller to holds to plant, and
+        // disturbances to plant.
+        2 * p + mc + m_total + signals,
+        // The clock's loop, its noise sources, and one activation per
+        // S/H and the controller.
+        1 + noise + p + 1 + mc + events,
+        p + mc,
+    );
     let period = TimeNs::from_secs_f64(*shared!(low.lp, ts));
     let base_clock = add_clock(&mut model, "base_clock", period, TimeNs::ZERO)?;
     let plant = model.add_block(
         "plant",
-        StateSpaceCt::new(
+        plant_block(StateSpaceCt::new(
             n,
             m_total,
             p,
@@ -786,7 +832,7 @@ fn assemble(low: Lowered<'_>) -> Result<LoopModel, CoreError> {
             low.c,
             low.d,
             x0.clone(),
-        )?,
+        )?),
     );
 
     // Input samplers: one S/H per sampled plant output.
@@ -806,7 +852,6 @@ fn assemble(low: Lowered<'_>) -> Result<LoopModel, CoreError> {
     }
 
     // Output holds: one per control, feeding the plant.
-    let mc = *shared!(low.lp, n_controls);
     let mut act_sh = Vec::with_capacity(mc);
     for j in 0..mc {
         let sh = model.add_block(name(format_args!("hold_u{j}")), SampleHold::new(0.0));
@@ -848,6 +893,7 @@ fn assemble(low: Lowered<'_>) -> Result<LoopModel, CoreError> {
         controller,
         act_sh,
         base_clock,
+        instants_per_period: activation.instants_per_period(),
     })
 }
 
@@ -920,9 +966,14 @@ fn finish_traced<S: Sink>(
     track_prefix: &str,
     tel: &mut Collector<S>,
 ) -> Result<LoopResult, CoreError> {
-    let ts = *shared!(lp, ts);
+    let (ts, horizon) = (*shared!(lp, ts), *shared!(lp, horizon));
+    // Each period's instants, and a delivery per event connection, over
+    // the periods starting within the horizon.
+    let periods = ((horizon / ts) as usize).saturating_add(1);
+    let deliveries = periods.saturating_mul(lm.model.event_connections());
     let mut sim = Simulator::new(lm.model, SimOptions::default())?;
-    sim.run(TimeNs::from_secs_f64(*shared!(lp, horizon)))?;
+    sim.reserve_events(periods.saturating_mul(lm.instants_per_period), deliveries);
+    sim.run(TimeNs::from_secs_f64(horizon))?;
     // The model's block names become the activity's; nothing is copied.
     let (model, result, stats) = sim.into_parts();
 
@@ -1784,6 +1835,129 @@ mod tests {
             faulty.cost,
             baseline.cost
         );
+    }
+
+    /// The plant behind a wrapper that keeps [`Block::linear_dynamics`]
+    /// at its default, so the engine integrates it through
+    /// [`Block::derivatives`].
+    struct Opaque(StateSpaceCt);
+
+    impl Block for Opaque {
+        fn type_name(&self) -> &'static str {
+            self.0.type_name()
+        }
+        fn ports(&self) -> ecl_sim::PortSpec {
+            self.0.ports()
+        }
+        fn feedthrough(&self, input: usize) -> bool {
+            self.0.feedthrough(input)
+        }
+        fn depends_on_time(&self) -> bool {
+            self.0.depends_on_time()
+        }
+        fn num_states(&self) -> usize {
+            self.0.num_states()
+        }
+        fn init_states(&self, x: &mut [f64]) {
+            self.0.init_states(x);
+        }
+        fn derivatives(&self, t: f64, x: &[f64], u: &[f64], dx: &mut [f64]) {
+            self.0.derivatives(t, x, u, dx);
+        }
+        fn outputs(&mut self, t: f64, x: &[f64], u: &[f64], y: &mut [f64]) {
+            self.0.outputs(t, x, u, y);
+        }
+        ecl_sim::impl_block_any!();
+    }
+
+    /// An untraced [`simulate`] whose plant is `plant_block`'s.
+    fn simulate_with<P: Block>(
+        spec: &LoopSpec,
+        activation: Activation<'_>,
+        plant_block: impl FnOnce(StateSpaceCt) -> P,
+    ) -> LoopResult {
+        let lp = Loop::from(spec);
+        let mut lm = assemble(lp.lower().unwrap(), &activation, plant_block).unwrap();
+        wire(&mut lm, activation, TimeNs::from_secs_f64(spec.ts)).unwrap();
+        finish_traced(lp, lm, "", &mut Collector::noop()).unwrap()
+    }
+
+    /// Everything a run produced, floats as bits: the metric bytes (cost,
+    /// instants, counters, histograms, activity), every probe sample and
+    /// the event log.
+    fn run_bytes(run: &LoopResult) -> (Vec<u8>, Vec<u64>, Vec<ecl_sim::EventRecord>) {
+        let samples = run
+            .result
+            .signals()
+            .flat_map(|(_, sig)| sig.times().iter().chain(sig.values()))
+            .map(|v| v.to_bits())
+            .collect();
+        (
+            run.to_metric_bytes(),
+            samples,
+            run.result.event_log().to_vec(),
+        )
+    }
+
+    /// Exp17's deployment: the fleet's 50 ms DC-motor LQR loop on an I/O
+    /// ECU and a control ECU joined by a 200 µs CAN bus, I/O at 50 µs and
+    /// the law at 500 µs.
+    fn exp17_fixture() -> (LoopSpec, AlgorithmGraph, IoMap, Schedule, ArchitectureGraph) {
+        let (mut spec, ..) = split_fixture();
+        spec.horizon = 0.05;
+        let (alg, io) = ControlLawSpec::monolithic("law", 2, 1)
+            .to_algorithm()
+            .unwrap();
+        let mut arch = ArchitectureGraph::new();
+        let io_ecu = arch.add_processor("io_ecu", "arm");
+        let control_ecu = arch.add_processor("control_ecu", "arm");
+        arch.add_bus("can", &[io_ecu, control_ecu], us(200), us(10))
+            .unwrap();
+        let mut db = uniform_timing(&alg, &io, us(50), us(500));
+        for &s in io.sensors.iter().chain(&io.actuators) {
+            db.forbid(s, control_ecu);
+        }
+        for &f in &io.stages {
+            db.forbid(f, io_ecu);
+        }
+        let schedule = adequation(&alg, &arch, &db, AdequationOptions::default()).unwrap();
+        (spec, alg, io, schedule, arch)
+    }
+
+    /// The linear right-hand side the engine picks for the plant moves no
+    /// bit and no counter: exp17's ideal, scheduled and frame-loss runs
+    /// equal the runs whose plant hides its `(A, B)`.
+    #[test]
+    fn linear_plant_kernel_matches_the_derivative_path_on_exp17() {
+        use crate::faults::{FaultConfig, FaultPlan};
+        let (spec, alg, io, schedule, arch) = exp17_fixture();
+        let periods = (spec.horizon / spec.ts).floor() as u32 + 1;
+        let plan = FaultPlan::generate(
+            &FaultConfig {
+                frame_loss_rate: 1.0,
+                max_retries: 1,
+                ..FaultConfig::default()
+            },
+            &schedule,
+            &arch,
+            periods,
+        )
+        .unwrap();
+        assert!(!plan.is_trivial());
+        let activations = || {
+            [
+                Activation::Ideal,
+                Activation::scheduled(&alg, &io, &schedule, &arch, None),
+                Activation::scheduled(&alg, &io, &schedule, &arch, Some(plan.clone())),
+            ]
+        };
+        for (k, (linear, opaque)) in activations().into_iter().zip(activations()).enumerate() {
+            let linear = simulate_with(&spec, linear, |plant| plant);
+            let opaque = simulate_with(&spec, opaque, Opaque);
+            assert!(linear.stats.ode.rhs_evals > 0, "activation {k}");
+            assert_eq!(linear.stats, opaque.stats, "activation {k}");
+            assert_eq!(run_bytes(&linear), run_bytes(&opaque), "activation {k}");
+        }
     }
 
     /// A memoized scheduled run is bit-identical to a fresh

@@ -239,6 +239,30 @@ fn delay_block(
     })
 }
 
+/// An upper bound on what [`build`] adds to a model for `schedule` of
+/// `alg`, under any fault plan: `(blocks, signal connections, event
+/// connections)`.
+pub(crate) fn growth_bound(alg: &AlgorithmGraph, schedule: &Schedule) -> (usize, usize, usize) {
+    let (ops, comms) = (schedule.ops().len(), schedule.comms().len());
+    let conditioned = alg.ops().filter(|&o| alg.condition(o).is_some()).count();
+    // One join per communication, plain operation and group: at most one
+    // per slot, each through at most one synchronization.
+    let joins = ops + comms;
+    // The clock, the fault timeout, a delay per slot, a synchronization
+    // per join and a selector, fed by one signal, per group.
+    let blocks = 2 + ops + comms + joins + conditioned;
+    // A join's sources: two per communication; per operation or group the
+    // slot before it and one arrival per incoming edge. A source is one
+    // event, or a group's branch tails, at most its members.
+    let sources = 2 * comms + ops + alg.edges().len();
+    let fan = conditioned.max(1);
+    // The clock's loop and the timeout's trigger; per join its sources,
+    // its synchronization's output and timeout arm; per conditioned
+    // operation the link of its branch chain.
+    let events = 2 + sources * fan + 2 * joins + conditioned;
+    (blocks, conditioned, events)
+}
+
 /// Synthesizes the graph of delays for `schedule` inside `model`.
 ///
 /// `period` is the control period `Ts`; the schedule's makespan must fit

@@ -212,6 +212,26 @@ pub trait Block: Send + 'static {
         }
     }
 
+    /// The block's derivative as a linear map, if it is exactly one: the
+    /// row-major `(A, B)` pair, `A` of `n·n` and `B` of `n·m` entries,
+    /// with `n` = [`Block::num_states`] and `m` the regular input count.
+    /// Defaults to `None`.
+    ///
+    /// `Some((a, b))` is a bit contract: for every `t`, `x` and `u`,
+    /// [`Block::derivatives`] must write into `dx[i]` exactly the `f64`
+    /// sum `0.0 + a[i·n]·x[0] + … + a[i·n+n−1]·x[n−1] + b[i·m]·u[0] + … +
+    /// b[i·m+m−1]·u[m−1]`, each product rounded, added left to right from
+    /// `0.0`. When every block with states makes this promise and none of
+    /// their inputs can move within a span, the engine evaluates these
+    /// sums itself instead of calling `derivatives`, and a run's every
+    /// bit is the same as through `derivatives`. A derivative that only
+    /// equals such a sum in real arithmetic must keep the default: an
+    /// integrator's `dx = u` differs from `0 + 0·x + 1·u` when `u` is
+    /// `−0.0` or `x` is infinite.
+    fn linear_dynamics(&self) -> Option<(&[f64], &[f64])> {
+        None
+    }
+
     /// Computes the block's regular outputs at time `t` (seconds).
     ///
     /// Must be idempotent (see the trait-level docs). Defaults to leaving

@@ -4,6 +4,7 @@
 use crate::block::{EventActions, EventCtx};
 use crate::error::SimError;
 use crate::event::EventCalendar;
+use crate::linear::LinearRhs;
 use crate::model::{BlockId, Entry, Model};
 use crate::ode::{self, Integrator, OdeRhs, OdeWorkspace};
 use crate::stats::EngineStats;
@@ -66,6 +67,10 @@ pub struct Simulator {
     /// Integrator buffers, sized for `x` once (growth bumps
     /// `EngineStats::hot_allocs`).
     ode: OdeWorkspace,
+    /// The right-hand side integrated instead of [`EngineRhs`] when every
+    /// stateful block is linear and its inputs hold still over a span
+    /// (see [`Simulator::new`]).
+    linear: Option<LinearRhs>,
     /// `record_dt` in whole nanoseconds (at least 1 ns).
     record_step: TimeNs,
     calendar: EventCalendar,
@@ -74,11 +79,16 @@ pub struct Simulator {
     /// Reusable emission queue for event deliveries; pre-sized so the
     /// hot path never allocates (growth bumps `EngineStats::hot_allocs`).
     scratch_actions: EventActions,
+    /// Event instants the next [`Simulator::run`] reserves probe samples
+    /// for, besides the `record_dt` grid (see
+    /// [`Simulator::reserve_events`]).
+    expected_instants: usize,
     result: SimResult,
     stats: EngineStats,
 }
 
-/// Most samples per probe [`Simulator::run`] reserves up front.
+/// Most samples per probe [`Simulator::run`] reserves up front, and most
+/// event-log records [`Simulator::reserve_events`] does.
 const PRESIZED_SAMPLES: usize = 1 << 16;
 
 /// How much of the committed output pass the buffers lack, in increasing
@@ -97,6 +107,21 @@ enum Stale {
 
 impl Simulator {
     /// Validates `model` and prepares it for execution.
+    ///
+    /// The integrator evaluates the model's derivative through a linear
+    /// right-hand side of its own when both of these hold, and through the
+    /// blocks' [`Block::derivatives`] otherwise:
+    ///
+    /// * no input of a stateful block can move within a span: no block
+    ///   that reads `t` or a state drives one, directly or through
+    ///   feedthrough;
+    /// * every stateful block reports [`Block::linear_dynamics`].
+    ///
+    /// Either way the run is bit for bit the same (see the contract of
+    /// [`Block::linear_dynamics`]).
+    ///
+    /// [`Block::derivatives`]: crate::Block::derivatives
+    /// [`Block::linear_dynamics`]: crate::Block::linear_dynamics
     ///
     /// # Errors
     ///
@@ -242,6 +267,11 @@ impl Simulator {
             .map(|(gi, &src)| (gi, src))
             .collect();
 
+        // Nothing the derivative pass reads moves within a span.
+        let linear = (rhs_order.is_empty() && state_pulls.is_empty())
+            .then(|| LinearRhs::new(&model.entries, &stateful))
+            .flatten();
+
         // Continuous state initialization.
         let mut x = vec![0.0; ns];
         for s in &stateful {
@@ -286,13 +316,15 @@ impl Simulator {
             outputs: vec![0.0; no],
             stale: Stale::All,
             probe_src,
-            ode: OdeWorkspace::new(ns),
+            ode: OdeWorkspace::new(ns, opts.integrator),
+            linear,
             x,
             record_step,
             calendar: EventCalendar::new(),
             now: TimeNs::ZERO,
             started: false,
             scratch_actions: EventActions::with_capacity(8),
+            expected_instants: 0,
             result,
         })
     }
@@ -306,6 +338,9 @@ impl Simulator {
     /// seen by the next output pass, which this call forces.
     pub fn model_mut(&mut self) -> &mut Model {
         self.stale = Stale::All;
+        if let Some(linear) = &mut self.linear {
+            linear.mark_stale();
+        }
         &mut self.model
     }
 
@@ -317,6 +352,21 @@ impl Simulator {
     /// Current simulation time.
     pub fn now(&self) -> TimeNs {
         self.now
+    }
+
+    /// Reserves room for the event instants and deliveries the caller
+    /// expects the next [`run`](Simulator::run) to reach, so its probe
+    /// traces and event log never regrow.
+    ///
+    /// `run` itself reserves one probe sample per `record_dt` chunk of
+    /// its horizon; each event instant adds up to two: the sample after
+    /// its deliveries, and one at the end of the chunk it cuts short.
+    /// Each delivery adds one record to the event log. Estimates that
+    /// fall short only cost the regrowth; like the grid, each reservation
+    /// stops at `PRESIZED_SAMPLES` entries.
+    pub fn reserve_events(&mut self, instants: usize, deliveries: usize) {
+        self.expected_instants = instants;
+        self.result.events.reserve(deliveries.min(PRESIZED_SAMPLES));
     }
 
     /// Hot-loop execution counters accumulated across `run` calls:
@@ -349,13 +399,16 @@ impl Simulator {
             });
         }
         // Every probe records at least once per `record_dt` chunk, plus
-        // the start sample on the first call; past `PRESIZED_SAMPLES` the
-        // traces grow as they fill, so a run that fails early has not
-        // reserved its whole horizon.
+        // the start sample on the first call, plus up to two per expected
+        // event instant; past `PRESIZED_SAMPLES` the traces grow as they
+        // fill, so a run that fails early has not reserved its whole
+        // horizon.
         let grid = (until - self.now).as_nanos() / self.record_step.as_nanos();
+        let events = std::mem::take(&mut self.expected_instants);
         let samples = usize::try_from(grid)
             .unwrap_or(usize::MAX)
             .saturating_add(2)
+            .saturating_add(events.saturating_mul(2))
             .min(PRESIZED_SAMPLES);
         for (_, signal) in &mut self.result.signals {
             signal.reserve(samples);
@@ -426,24 +479,34 @@ impl Simulator {
         // The RHS passes leave the blocks outside `rhs_order` holding
         // these values.
         self.refresh_outputs();
+        // A retuned block may have stopped being linear.
+        if self
+            .linear
+            .as_mut()
+            .is_some_and(|l| !l.reload(&self.model.entries))
+        {
+            self.linear = None;
+        }
         while self.now < t_end {
             let chunk_end = self.now.saturating_add(self.record_step).min(t_end);
             let (a, b) = (self.now.as_secs_f64(), chunk_end.as_secs_f64());
-            let mut rhs = EngineRhs {
-                entries: &mut self.model.entries,
-                wiring: &self.wiring,
-                inputs: &mut self.inputs,
-                outputs: &mut self.outputs,
-            };
-            let cap = self.ode.capacity();
-            let ode_stats = ode::integrate_in(
-                &mut self.ode,
-                &mut rhs,
-                a,
-                b,
-                &mut self.x,
-                self.opts.integrator,
-            )?;
+            let (ws, x, method) = (&mut self.ode, &mut self.x, self.opts.integrator);
+            let cap = ws.capacity();
+            let ode_stats = match &mut self.linear {
+                Some(linear) => {
+                    linear.load_inputs(&self.inputs);
+                    ode::integrate_in(ws, linear, a, b, x, method)
+                }
+                None => {
+                    let mut rhs = EngineRhs {
+                        entries: &mut self.model.entries,
+                        wiring: &self.wiring,
+                        inputs: &mut self.inputs,
+                        outputs: &mut self.outputs,
+                    };
+                    ode::integrate_in(ws, &mut rhs, a, b, x, method)
+                }
+            }?;
             if self.ode.capacity() != cap {
                 self.stats.hot_allocs += 1;
             }
@@ -665,17 +728,17 @@ impl Routes {
 
 /// Where one block's values live in the flat buffers.
 #[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    block: usize,
+pub(crate) struct Slot {
+    pub(crate) block: usize,
     /// Offset into the flat input value buffer, and the input count.
-    in_off: usize,
-    inputs: usize,
+    pub(crate) in_off: usize,
+    pub(crate) inputs: usize,
     /// Offset into the flat output value buffer, and the output count.
     out_off: usize,
     outputs: usize,
     /// Offset into the flat continuous state vector, and the state count.
-    state_off: usize,
-    states: usize,
+    pub(crate) state_off: usize,
+    pub(crate) states: usize,
 }
 
 /// Wiring tables frozen by [`Simulator::new`].
@@ -970,6 +1033,61 @@ mod tests {
         );
         m.connect_event(clk, 0, clk, 0).unwrap();
         (m, clk)
+    }
+
+    /// `ẋ = −x + u`, reporting its `(A, B)`.
+    struct Lag;
+    const LAG_A: [f64; 1] = [-1.0];
+    const LAG_B: [f64; 1] = [1.0];
+    impl Block for Lag {
+        fn type_name(&self) -> &'static str {
+            "Lag"
+        }
+        fn ports(&self) -> PortSpec {
+            PortSpec::siso(1, 1)
+        }
+        fn feedthrough(&self, _i: usize) -> bool {
+            false
+        }
+        fn num_states(&self) -> usize {
+            1
+        }
+        fn derivatives(&self, _t: f64, x: &[f64], u: &[f64], dx: &mut [f64]) {
+            dx[0] = 0.0 + LAG_A[0] * x[0] + LAG_B[0] * u[0];
+        }
+        fn linear_dynamics(&self) -> Option<(&[f64], &[f64])> {
+            Some((&LAG_A, &LAG_B))
+        }
+        fn outputs(&mut self, _t: f64, x: &[f64], _u: &[f64], y: &mut [f64]) {
+            y[0] = x[0];
+        }
+        impl_block_any!();
+    }
+
+    /// The linear right-hand side is chosen only when every stateful
+    /// block reports linear dynamics and none of their inputs can move
+    /// within a span.
+    #[test]
+    fn linear_rhs_needs_linear_blocks_with_held_inputs() {
+        let linear = |source: &dyn Fn(&mut Model) -> BlockId, with_integ: bool| {
+            let mut m = Model::new();
+            let src = source(&mut m);
+            let lag = m.add_block("lag", Lag);
+            m.connect(src, 0, lag, 0).unwrap();
+            if with_integ {
+                let i = m.add_block("i", Integ { x0: 0.0 });
+                m.connect(src, 0, i, 0).unwrap();
+            }
+            Simulator::new(m, SimOptions::default())
+                .unwrap()
+                .linear
+                .is_some()
+        };
+        let held = |m: &mut Model| m.add_block("c", Const(2.0));
+        let moving = |m: &mut Model| m.add_block("w", Wave);
+        assert!(linear(&held, false));
+        assert!(!linear(&moving, false), "a time-varying input");
+        assert!(!linear(&held, true), "a stateful block without (A, B)");
     }
 
     #[test]

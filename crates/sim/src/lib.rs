@@ -85,6 +85,7 @@ mod block;
 mod engine;
 mod error;
 mod event;
+mod linear;
 mod model;
 pub mod ode;
 mod rng;

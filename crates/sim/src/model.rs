@@ -122,6 +122,22 @@ impl Model {
         self.entries.len()
     }
 
+    /// Number of event connections in the model.
+    pub fn event_connections(&self) -> usize {
+        self.evt_conns.len()
+    }
+
+    /// Reserves room for `blocks` more blocks, `signals` more signal
+    /// connections, `events` more event connections and `probes` more
+    /// probes, so a builder that knows its model's size adds them without
+    /// regrowing.
+    pub fn reserve(&mut self, blocks: usize, signals: usize, events: usize, probes: usize) {
+        self.entries.reserve(blocks);
+        self.sig_conns.reserve(signals);
+        self.evt_conns.reserve(events);
+        self.probes.reserve(probes);
+    }
+
     /// `true` if the model has no blocks.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

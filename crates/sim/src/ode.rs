@@ -61,10 +61,12 @@ impl Default for Integrator {
 /// Reusable integrator buffers, in one allocation: the seven
 /// Dormand–Prince stages, the stage input and the 5th-order candidate,
 /// `n` values each. RK4 uses the first four stages and the stage input.
+/// RK45 keeps these on the stack instead for the state lengths of
+/// [`STACK_LENGTHS`], and never touches the workspace for them.
 ///
 /// The buffer grows only when a state longer than any before is
-/// integrated; [`capacity`](OdeWorkspace::capacity) changes exactly then,
-/// which is how the engine counts integrator allocations in
+/// integrated on it; [`capacity`](OdeWorkspace::capacity) changes exactly
+/// then, which is how the engine counts integrator allocations in
 /// `EngineStats::hot_allocs`.
 #[derive(Debug, Default)]
 pub(crate) struct OdeWorkspace {
@@ -76,11 +78,19 @@ pub(crate) struct OdeWorkspace {
 /// Vectors of the workspace: seven stages, the stage input, the candidate.
 const WORKSPACE_VECTORS: usize = 9;
 
+/// State lengths RK45 integrates on stack arrays, with every loop bound
+/// known at compile time: those of the plants in `ecl_control::plants`
+/// (cruise control, the DC motor, the pendulum and the quarter car).
+const STACK_LENGTHS: [usize; 3] = [1, 2, 4];
+
 impl OdeWorkspace {
-    /// A workspace sized for states of length `n`.
-    pub(crate) fn new(n: usize) -> Self {
+    /// A workspace sized for what `method` needs to integrate states of
+    /// length `n`: nothing when RK45 keeps them on the stack.
+    pub(crate) fn new(n: usize, method: Integrator) -> Self {
         let mut ws = OdeWorkspace::default();
-        ws.fit(n);
+        if !(matches!(method, Integrator::Rk45 { .. }) && STACK_LENGTHS.contains(&n)) {
+            ws.fit(n);
+        }
         ws
     }
 
@@ -93,7 +103,16 @@ impl OdeWorkspace {
         self.n = n;
         self.buf.resize(WORKSPACE_VECTORS * n, 0.0);
     }
+}
 
+/// Where the Dormand–Prince body keeps its working vectors: the seven
+/// stages, the stage input and the 5th-order candidate, each as long as
+/// the state.
+trait Stages {
+    fn split(&mut self) -> (&mut [f64], &mut [f64], &mut [f64]);
+}
+
+impl Stages for OdeWorkspace {
     /// The seven stages (`n` values each, stage `s` at `s·n`), the stage
     /// input and the 5th-order candidate.
     fn split(&mut self) -> (&mut [f64], &mut [f64], &mut [f64]) {
@@ -101,6 +120,19 @@ impl OdeWorkspace {
         let (k, rest) = self.buf.split_at_mut(7 * n);
         let (xs, x5) = rest.split_at_mut(n);
         (k, xs, &mut x5[..n])
+    }
+}
+
+/// Stack storage for states of length `N`.
+struct OnStack<const N: usize> {
+    k: [[f64; N]; 7],
+    xs: [f64; N],
+    x5: [f64; N],
+}
+
+impl<const N: usize> Stages for OnStack<N> {
+    fn split(&mut self) -> (&mut [f64], &mut [f64], &mut [f64]) {
+        (self.k.as_flattened_mut(), &mut self.xs, &mut self.x5)
     }
 }
 
@@ -240,7 +272,8 @@ pub fn integrate<F: OdeRhs>(
     integrate_in(&mut OdeWorkspace::default(), f, t0, t1, x, method)
 }
 
-/// [`integrate`] on `ws`'s buffers.
+/// [`integrate`] on `ws`'s buffers, or for RK45 on stack arrays when the
+/// state length is one of [`STACK_LENGTHS`].
 pub(crate) fn integrate_in<F: OdeRhs>(
     ws: &mut OdeWorkspace,
     f: &mut F,
@@ -258,7 +291,6 @@ pub(crate) fn integrate_in<F: OdeRhs>(
     if t1 == t0 || x.is_empty() {
         return Ok(OdeStepStats::default());
     }
-    ws.fit(x.len());
     match method {
         Integrator::Rk4 { h } => {
             if !(h > 0.0) {
@@ -267,6 +299,7 @@ pub(crate) fn integrate_in<F: OdeRhs>(
                     reason: format!("non-positive RK4 step {h}"),
                 });
             }
+            ws.fit(x.len());
             let mut stats = OdeStepStats::default();
             let mut t = t0;
             while t < t1 {
@@ -285,24 +318,66 @@ pub(crate) fn integrate_in<F: OdeRhs>(
             Ok(stats)
         }
         Integrator::Rk45 { rtol, atol, h_max } => {
-            integrate_rk45(ws, f, t0, t1, x, rtol, atol, h_max)
+            let tol = Tolerances { rtol, atol, h_max };
+            // The arms are `STACK_LENGTHS`.
+            match x.len() {
+                1 => rk45_on_stack::<1, F>(f, t0, t1, x, tol),
+                2 => rk45_on_stack::<2, F>(f, t0, t1, x, tol),
+                4 => rk45_on_stack::<4, F>(f, t0, t1, x, tol),
+                n => {
+                    ws.fit(n);
+                    rk45(ws, f, t0, t1, x, tol)
+                }
+            }
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn integrate_rk45<F: OdeRhs>(
-    ws: &mut OdeWorkspace,
+/// RK45's tuning.
+#[derive(Debug, Clone, Copy)]
+struct Tolerances {
+    rtol: f64,
+    atol: f64,
+    h_max: f64,
+}
+
+/// [`rk45`] on stack arrays, the state included: every loop bound is the
+/// constant `N`, so the compiler unrolls the stage loops and, when `f` is
+/// a concrete type, inlines it into them. The arithmetic is the same
+/// operations in the same order as on the workspace, so the bits are too.
+fn rk45_on_stack<const N: usize, F: OdeRhs>(
     f: &mut F,
     t0: f64,
     t1: f64,
     x: &mut [f64],
-    rtol: f64,
-    atol: f64,
-    h_max: f64,
+    tol: Tolerances,
 ) -> Result<OdeStepStats, SimError> {
+    let mut state: [f64; N] = x.try_into().expect("the state has N values");
+    let mut stages = OnStack {
+        k: [[0.0; N]; 7],
+        xs: [0.0; N],
+        x5: [0.0; N],
+    };
+    let run = rk45(&mut stages, f, t0, t1, &mut state, tol);
+    // On failure too: `x` holds the last accepted state either way.
+    x.copy_from_slice(&state);
+    run
+}
+
+/// The one Dormand–Prince 5(4) body, on whichever storage: always
+/// inlined, so each storage gets its own copy with its own loop bounds.
+#[inline(always)]
+fn rk45<S: Stages, F: OdeRhs>(
+    storage: &mut S,
+    f: &mut F,
+    t0: f64,
+    t1: f64,
+    x: &mut [f64],
+    tol: Tolerances,
+) -> Result<OdeStepStats, SimError> {
+    let Tolerances { rtol, atol, h_max } = tol;
     let n = x.len();
-    let (k, xs, x5) = ws.split();
+    let (k, xs, x5) = storage.split();
     // The seven stage vectors; an accepted step that can reuse its last
     // stage as the next first one swaps the two.
     let mut stages = k.chunks_exact_mut(n);
@@ -535,6 +610,26 @@ mod tests {
     fn full_growth_edge_is_inside_the_clamped_band() {
         assert!(0.9 * FULL_GROWTH_ERR.powf(-0.2) > 4.0);
         assert!(0.9 * 5e-4f64.powf(-0.2) > 4.0);
+    }
+
+    /// RK45 integrates exactly the lengths of `STACK_LENGTHS` without
+    /// the workspace, which the engine then never sizes for them: every
+    /// other length grows it.
+    #[test]
+    fn stack_lengths_leave_the_workspace_unsized() {
+        for n in 1..=6 {
+            let mut ws = OdeWorkspace::new(n, Integrator::default());
+            let sized = ws.capacity();
+            let mut x = vec![1.0; n];
+            let mut f = |_t: f64, x: &[f64], dx: &mut [f64]| {
+                for (d, v) in dx.iter_mut().zip(x) {
+                    *d = -v;
+                }
+            };
+            integrate_in(&mut ws, &mut f, 0.0, 1.0, &mut x, Integrator::default()).unwrap();
+            assert_eq!(ws.capacity(), sized, "n = {n}: the workspace regrew");
+            assert_eq!(sized == 0, STACK_LENGTHS.contains(&n), "n = {n}");
+        }
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Property-based tests of the simulation kernel.
 
 use ecl_sim::ode::{integrate, Integrator};
-use ecl_sim::{BlockId, EventCalendar, TimeNs};
+use ecl_sim::{
+    Block, BlockId, EngineStats, EventActions, EventCalendar, EventCtx, EventRecord, Model,
+    PortSpec, SimOptions, Simulator, TimeNs,
+};
 use proptest::prelude::*;
 
 /// Attempts of the step controller per band of the scaled error norm.
@@ -145,8 +148,13 @@ fn reference_dopri(
     (accepted, rejected, bands)
 }
 
-/// A stable linear system `ẋ = A·x + b·cos t` of dimension `n ≤ 4`:
-/// off-diagonal couplings from `coupling`, and a diagonal that dominates
+/// Longest state the tests integrate: past every length the integrator
+/// keeps on the stack (1, 2 and 4), so both of its storages run.
+const MAX_N: usize = 6;
+
+/// A stable linear system `ẋ = A·x + b·cos t` of dimension
+/// `n ≤ MAX_N`: off-diagonal couplings from `coupling` (an `n·n`-prefix
+/// of a row-major `MAX_N·MAX_N` table), and a diagonal that dominates
 /// its row by `decay[i]`, so every eigenvalue has real part ≤ −decay.
 fn linear_system(
     n: usize,
@@ -158,8 +166,8 @@ fn linear_system(
     for i in 0..n {
         let mut row = 0.0;
         for j in (0..n).filter(|&j| j != i) {
-            a[i * n + j] = coupling[i * n + j];
-            row += coupling[i * n + j].abs();
+            a[i * n + j] = coupling[i * MAX_N + j];
+            row += coupling[i * MAX_N + j].abs();
         }
         a[i * n + i] = -(decay[i] + row);
     }
@@ -241,7 +249,9 @@ fn against_reference(
 /// first-stage reuse is exercised deterministically.
 #[test]
 fn fsal_rk45_is_bit_identical_to_reference_through_rejections() {
-    let f = linear_system(2, &[40.0, 0.5], &[0.0, 0.8, -0.6, 0.0], &[1.0, -0.5]);
+    let mut coupling = [0.0; MAX_N * MAX_N];
+    (coupling[1], coupling[MAX_N]) = (0.8, -0.6);
+    let f = linear_system(2, &[40.0, 0.5], &coupling, &[1.0, -0.5]);
     let (fsal, (reference, _)) =
         against_reference(f, 0.25, 1.75, &[1.0, -1.0], (1e-12, 1e-14, 0.5));
     let attempts = fsal.accepted + fsal.rejected;
@@ -265,35 +275,246 @@ fn fsal_rk45_is_bit_identical_to_reference_through_rejections() {
 /// The reference counts its attempts per band and the test asserts each
 /// was reached, so no band goes unexercised; where the shortcut's edge
 /// sits is pinned by a unit test beside it.
+///
+/// Each length from 1 to `MAX_N` runs all four problems, on either side
+/// of the integrator's stack/workspace dispatch; the coupling rows hold
+/// zeros of both signs.
 #[test]
 fn fsal_rk45_matches_reference_in_every_controller_band() {
-    let coupling = [0.0, 0.8, -0.6, 0.0];
-    // Initial state, decay, forcing and (rtol, atol, h_max).
-    type Problem = (&'static [f64], [f64; 2], [f64; 2], (f64, f64, f64));
-    let problems: [Problem; 4] = [
-        (&[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], (1e-8, 1e-10, 0.01)),
-        (&[1.0, -1.0], [1.0, 0.5], [1.0, -0.5], (1e-6, 1e-8, 1e-3)),
-        (&[1.0, -1.0], [1.0, 0.5], [1.0, -0.5], (1e-6, 1e-8, 1.0)),
-        (&[1.0, -1.0], [40.0, 0.5], [1.0, -0.5], (1e-12, 1e-14, 0.5)),
-    ];
-    let mut total = Bands::default();
-    for (k, &(x0, decay, forcing, tol)) in problems.iter().enumerate() {
-        let f = linear_system(2, &decay, &coupling, &forcing);
-        let (fsal, (reference, bands)) = against_reference(f, 0.25, 3.25, x0, tol);
-        assert_eq!(
-            fsal,
-            Outcome {
-                calls: fsal.calls,
-                ..reference
-            },
-            "problem {k}"
-        );
-        total = total.add(bands);
+    // Row i couples to i + 1 by 0.8 and to i − 1 by −0.6; the rest of
+    // the row is zeros, alternately positive and negative.
+    let mut coupling = [0.0; MAX_N * MAX_N];
+    for (k, c) in coupling.iter_mut().enumerate() {
+        let (i, j) = (k / MAX_N, k % MAX_N);
+        *c = match j as isize - i as isize {
+            1 => 0.8,
+            -1 => -0.6,
+            _ if k % 2 == 1 => -0.0,
+            _ => 0.0,
+        };
     }
-    assert!(total.zero > 0, "{total:?}");
-    assert!(total.clamped > 0, "{total:?}");
-    assert!(total.accepted > 0, "{total:?}");
-    assert!(total.rejected > 0, "{total:?}");
+    // Initial state, decay, forcing and (rtol, atol, h_max) of the first
+    // two states; longer states repeat them.
+    type Problem = ([f64; 2], [f64; 2], [f64; 2], (f64, f64, f64));
+    let problems: [Problem; 4] = [
+        ([0.0, 0.0], [1.0, 0.5], [0.0, 0.0], (1e-8, 1e-10, 0.01)),
+        ([1.0, -1.0], [1.0, 0.5], [1.0, -0.5], (1e-6, 1e-8, 1e-3)),
+        ([1.0, -1.0], [1.0, 0.5], [1.0, -0.5], (1e-6, 1e-8, 1.0)),
+        ([1.0, -1.0], [40.0, 0.5], [1.0, -0.5], (1e-12, 1e-14, 0.5)),
+    ];
+    let cycle = |v: [f64; 2], n: usize| -> Vec<f64> { (0..n).map(|i| v[i % 2]).collect() };
+    for n in 1..=MAX_N {
+        let mut total = Bands::default();
+        for (k, &(x0, decay, forcing, tol)) in problems.iter().enumerate() {
+            let f = linear_system(n, &cycle(decay, n), &coupling, &cycle(forcing, n));
+            let (fsal, (reference, bands)) = against_reference(f, 0.25, 3.25, &cycle(x0, n), tol);
+            assert_eq!(
+                fsal,
+                Outcome {
+                    calls: fsal.calls,
+                    ..reference
+                },
+                "n = {n}, problem {k}"
+            );
+            total = total.add(bands);
+        }
+        assert!(total.zero > 0, "n = {n}: {total:?}");
+        assert!(total.clamped > 0, "n = {n}: {total:?}");
+        assert!(total.accepted > 0, "n = {n}: {total:?}");
+        assert!(total.rejected > 0, "n = {n}: {total:?}");
+    }
+}
+
+/// Values in `(-r, r)`, or a zero of either sign, a third of the time
+/// each.
+fn signed(r: f64) -> impl Strategy<Value = f64> {
+    prop_oneof![-r..r, Just(0.0), Just(-0.0)]
+}
+
+/// A periodic activation source, Scicos-style: its event output loops
+/// back onto its input.
+struct Tick(TimeNs);
+
+impl Block for Tick {
+    fn type_name(&self) -> &'static str {
+        "Tick"
+    }
+    fn ports(&self) -> PortSpec {
+        PortSpec::event_pipe(1, 1)
+    }
+    fn on_start(&mut self, actions: &mut EventActions) {
+        actions.emit(0, TimeNs::ZERO);
+    }
+    fn on_event(&mut self, _port: usize, _t: TimeNs, ctx: &mut EventCtx<'_>) {
+        ctx.actions.emit(0, self.0);
+    }
+    ecl_sim::impl_block_any!();
+}
+
+/// A held input: steps to its next value at each activation and holds
+/// it in between, so it is constant over every span.
+struct Steps {
+    values: Vec<f64>,
+    at: usize,
+}
+
+impl Block for Steps {
+    fn type_name(&self) -> &'static str {
+        "Steps"
+    }
+    fn ports(&self) -> PortSpec {
+        PortSpec::new(0, 1, 1, 0)
+    }
+    fn depends_on_time(&self) -> bool {
+        false
+    }
+    fn outputs(&mut self, _t: f64, _x: &[f64], _u: &[f64], y: &mut [f64]) {
+        y[0] = self.values[self.at % self.values.len()];
+    }
+    fn on_event(&mut self, _port: usize, _t: TimeNs, _ctx: &mut EventCtx<'_>) {
+        self.at += 1;
+    }
+    ecl_sim::impl_block_any!();
+}
+
+/// A block with one input that reads it and writes nothing, placed
+/// first so no plant's inputs start at flat offset 0.
+struct Sink;
+
+impl Block for Sink {
+    fn type_name(&self) -> &'static str {
+        "Sink"
+    }
+    fn ports(&self) -> PortSpec {
+        PortSpec::sink(1)
+    }
+    ecl_sim::impl_block_any!();
+}
+
+/// `ẋ = A·x + B·u`, `y = x`, with `n` states and `m` inputs; reports its
+/// `(A, B)` unless `hidden`, when the engine integrates it through
+/// `derivatives`.
+struct Lti {
+    n: usize,
+    m: usize,
+    a: Vec<f64>,
+    b: Vec<f64>,
+    x0: Vec<f64>,
+    hidden: bool,
+}
+
+impl Block for Lti {
+    fn type_name(&self) -> &'static str {
+        "Lti"
+    }
+    fn ports(&self) -> PortSpec {
+        PortSpec::siso(self.m, self.n)
+    }
+    fn feedthrough(&self, _input: usize) -> bool {
+        false
+    }
+    fn num_states(&self) -> usize {
+        self.n
+    }
+    fn init_states(&self, x: &mut [f64]) {
+        x.copy_from_slice(&self.x0);
+    }
+    /// The sum of the `linear_dynamics` contract.
+    fn derivatives(&self, _t: f64, x: &[f64], u: &[f64], dx: &mut [f64]) {
+        let rows = self.a.chunks_exact(self.n).zip(self.b.chunks_exact(self.m));
+        for (d, (a, b)) in dx.iter_mut().zip(rows) {
+            let mut acc = 0.0;
+            for (a, x) in a.iter().zip(x) {
+                acc += a * x;
+            }
+            for (b, u) in b.iter().zip(u) {
+                acc += b * u;
+            }
+            *d = acc;
+        }
+    }
+    fn linear_dynamics(&self) -> Option<(&[f64], &[f64])> {
+        (!self.hidden).then_some((&self.a, &self.b))
+    }
+    fn outputs(&mut self, _t: f64, x: &[f64], _u: &[f64], y: &mut [f64]) {
+        y.copy_from_slice(x);
+    }
+    ecl_sim::impl_block_any!();
+}
+
+/// One plant of a random diagram: `(n, m, coefficients, x0, input
+/// values)`, the coefficients `A` then `B` row-major.
+type PlantCase = (usize, usize, Vec<f64>, Vec<f64>, Vec<f64>);
+
+/// Every probe sample as bits, the event log and the engine counters.
+type Observed = (Vec<Vec<u64>>, Vec<EventRecord>, EngineStats);
+
+/// Runs one or two plants, each input held by its own [`Steps`] source
+/// that a clock of `period_us` advances, to 40 ms; halves the first
+/// plant's `A` through `model_mut`; and resumes to 80 ms.
+fn observe_plants(plants: &[PlantCase], period_us: i64, hidden: bool) -> Observed {
+    let mut model = Model::new();
+    let sink = model.add_block("sink", Sink);
+    let tick = model.add_block("tick", Tick(TimeNs::from_micros(period_us)));
+    model.connect_event(tick, 0, tick, 0).unwrap();
+    let mut ids = Vec::new();
+    for (k, (n, m, coef, x0, inputs)) in plants.iter().enumerate() {
+        let (n, m) = (*n, *m);
+        let id = model.add_block(
+            format!("plant{k}"),
+            Lti {
+                n,
+                m,
+                a: coef[..n * n].to_vec(),
+                b: coef[n * n..n * n + n * m].to_vec(),
+                x0: x0[..n].to_vec(),
+                hidden,
+            },
+        );
+        for j in 0..m {
+            // Each input steps through its own three values.
+            let values = inputs[3 * j..3 * j + 3].to_vec();
+            let src = model.add_block(format!("u{k}_{j}"), Steps { values, at: 0 });
+            model.connect_event(tick, 0, src, 0).unwrap();
+            model.connect(src, 0, id, j).unwrap();
+            if k == 0 && j == 0 {
+                model.connect(src, 0, sink, 0).unwrap();
+            }
+        }
+        for i in 0..n {
+            model.probe(format!("x{k}_{i}"), id, i).unwrap();
+        }
+        ids.push(id);
+    }
+    let mut sim = Simulator::new(model, SimOptions::default()).unwrap();
+    sim.run(TimeNs::from_millis(40)).unwrap();
+    let first = sim.model_mut().block_as_mut::<Lti>(ids[0]).unwrap();
+    first.a.iter_mut().for_each(|a| *a *= 0.5);
+    sim.run(TimeNs::from_millis(80)).unwrap();
+    let result = sim.result();
+    let signals = result
+        .signals()
+        .map(|(_, sig)| {
+            sig.times()
+                .iter()
+                .chain(sig.values())
+                .map(|v| v.to_bits())
+                .collect()
+        })
+        .collect();
+    (signals, result.event_log().to_vec(), sim.stats().clone())
+}
+
+/// A plant of 1 to 3 states and 1 to 3 inputs: coefficients, initial
+/// state and input values in `(-3, 3)` or zeros of either sign.
+fn plant_case() -> impl Strategy<Value = PlantCase> {
+    (
+        1usize..4,
+        1usize..4,
+        proptest::collection::vec(signed(3.0), 18),
+        proptest::collection::vec(signed(2.0), 3),
+        proptest::collection::vec(signed(1.0), 9),
+    )
 }
 
 proptest! {
@@ -388,14 +609,16 @@ proptest! {
 
     /// RK45 with first-stage reuse ends on exactly the state a textbook
     /// Dormand–Prince reaches, through the same accepted and rejected
-    /// steps, with strictly fewer right-hand-side calls.
+    /// steps, with strictly fewer right-hand-side calls, at every length
+    /// on both sides of the stack/workspace dispatch, with zeros of
+    /// either sign in the rows, the forcing and the initial state.
     #[test]
     fn fsal_rk45_matches_reference_dopri_bit_for_bit(
-        n in 1usize..5,
-        decay in proptest::collection::vec(0.05f64..50.0, 4),
-        coupling in proptest::collection::vec(-2.0f64..2.0, 16),
-        forcing in proptest::collection::vec(-1.0f64..1.0, 4),
-        x0 in proptest::collection::vec(-2.0f64..2.0, 4),
+        n in 1usize..MAX_N + 1,
+        decay in proptest::collection::vec(0.05f64..50.0, MAX_N),
+        coupling in proptest::collection::vec(signed(2.0), MAX_N * MAX_N),
+        forcing in proptest::collection::vec(signed(1.0), MAX_N),
+        x0 in proptest::collection::vec(signed(2.0), MAX_N),
         t0 in 0.0f64..5.0,
         span in 1e-4f64..3.0,
         tol_exp in 3i32..13,
@@ -414,5 +637,28 @@ proptest! {
             fsal.calls < reference.calls,
             "{} calls vs {} without reuse", fsal.calls, reference.calls
         );
+    }
+
+    /// Plants that report their `(A, B)`, whose inputs are held between
+    /// events, integrate to the same bits, events and counters as the
+    /// same plants through `derivatives`: one plant or two (joint states
+    /// of 1 to 6, on both sides of the integrator's dispatch), 1 to 3
+    /// inputs each at nonzero flat offsets, zeros of either sign, and a
+    /// retune through `model_mut` between two runs.
+    #[test]
+    fn linear_plants_match_the_derivative_path_bit_for_bit(
+        first in plant_case(),
+        second in plant_case(),
+        two in 0usize..2,
+        period_us in 1_000i64..12_000,
+    ) {
+        let plants = [first, second];
+        let plants = &plants[..1 + two];
+        let linear = observe_plants(plants, period_us, false);
+        let general = observe_plants(plants, period_us, true);
+        prop_assert!(linear.2.ode.rhs_evals > 0);
+        prop_assert_eq!(&linear.0, &general.0);
+        prop_assert_eq!(&linear.1, &general.1);
+        prop_assert_eq!(&linear.2, &general.2);
     }
 }
