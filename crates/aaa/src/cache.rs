@@ -269,10 +269,31 @@ struct Memoized<V> {
 /// The map plus the count of lookups that *observed* a local miss (and
 /// so ran the computation). Beyond one per distinct digest, those are
 /// racing double-computes whose results were discarded.
+///
+/// The running totals keep the order-invariant counters O(1): every
+/// change to an entry's `lookups` goes through `Table::count`.
 #[derive(Debug)]
 struct Table<V> {
     map: HashMap<u64, Memoized<V>>,
     local_misses: u64,
+    /// Lookups across all digests.
+    lookups: u64,
+    /// Resident digests looked up at least once.
+    looked_up: u64,
+}
+
+impl<V> Table<V> {
+    /// Adds `n` lookups to `digest`'s entry and to the running totals;
+    /// `None` when the digest is not resident.
+    fn count(&mut self, digest: u64, n: u64) -> Option<&Memoized<V>> {
+        let entry = self.map.get_mut(&digest)?;
+        if entry.lookups == 0 && n > 0 {
+            self.looked_up += 1;
+        }
+        entry.lookups += n;
+        self.lookups += n;
+        Some(entry)
+    }
 }
 
 /// A thread-safe, content-addressed memo table from `u64` digests to
@@ -297,7 +318,9 @@ struct Table<V> {
 /// *observed* a hit, [`races`](DigestMemo::races) and
 /// [`computes`](DigestMemo::computes) depend on thread interleaving and
 /// belong in wall-clock profiler sidecars only, never in deterministic
-/// artifacts.
+/// artifacts. The table keeps two running totals (lookups, and digests
+/// looked up at least once) beside the per-digest counts, so reading a
+/// counter costs O(1) however many entries are resident.
 ///
 /// **Two levels.** A sweep worker does not look up here directly but
 /// through its own [`MemoView`]. The view answers the digests it has
@@ -332,6 +355,8 @@ impl<V> Default for DigestMemo<V> {
             table: Mutex::new(Table {
                 map: HashMap::new(),
                 local_misses: 0,
+                lookups: 0,
+                looked_up: 0,
             }),
         }
     }
@@ -361,30 +386,27 @@ impl<V> DigestMemo<V> {
         key: u64,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<(Arc<V>, bool), E> {
-        if let Some(entry) = self.lock().map.get_mut(&key) {
-            entry.lookups += 1;
+        if let Some(entry) = self.lock().count(key, 1) {
             return Ok((Arc::clone(&entry.value), true));
         }
         let value = Arc::new(compute()?);
         let mut table = self.lock();
         table.local_misses += 1;
-        let entry = table.map.entry(key).or_insert_with(|| Memoized {
+        table.map.entry(key).or_insert_with(|| Memoized {
             value,
             lookups: 0,
             saved: false,
         });
-        entry.lookups += 1;
+        let entry = table.count(key, 1).expect("the digest was just inserted");
         Ok((Arc::clone(&entry.value), false))
     }
 
     /// Lookups beyond the first of their digest — every lookup a serial
-    /// run would have answered from the table. Order-invariant.
+    /// run would have answered from the table. Order-invariant, and
+    /// O(1): the table keeps the totals it derives from.
     pub fn hits(&self) -> u64 {
-        self.lock()
-            .map
-            .values()
-            .map(|entry| entry.lookups.saturating_sub(1))
-            .sum()
+        let table = self.lock();
+        table.lookups - table.looked_up
     }
 
     /// Distinct digests resident in the table — the computations a
@@ -398,20 +420,29 @@ impl<V> DigestMemo<V> {
     /// Total lookups across all digests (`hits + misses` once every
     /// resident key has been looked up).
     pub fn lookups(&self) -> u64 {
-        self.lock().map.values().map(|entry| entry.lookups).sum()
+        self.lock().lookups
     }
 
     /// Adds lookups a [`MemoView`] answered itself to their digests'
     /// counts, under one lock acquisition.
     fn add_lookups(&self, counts: impl IntoIterator<Item = (u64, u64)>) {
         let mut table = self.lock();
-        for (digest, lookups) in counts {
+        for (digest, n) in counts {
             table
-                .map
-                .get_mut(&digest)
-                .expect("a viewed digest stays resident")
-                .lookups += lookups;
+                .count(digest, n)
+                .expect("a viewed digest stays resident");
         }
+    }
+
+    /// [`hits`](DigestMemo::hits) and [`lookups`](DigestMemo::lookups)
+    /// derived by scanning every entry: the reference the running
+    /// totals are tested against.
+    #[cfg(test)]
+    fn scanned(&self) -> (u64, u64) {
+        let table = self.lock();
+        let entries = table.map.values();
+        let hits = entries.clone().map(|e| e.lookups.saturating_sub(1)).sum();
+        (hits, entries.map(|e| e.lookups).sum())
     }
 
     /// Racing double-computes: lookups that observed a local miss beyond
@@ -1233,6 +1264,34 @@ mod tests {
             proptest::prop_assert_eq!(serial.lookups(), keys.len() as u64);
             proptest::prop_assert_eq!(serial.computes(), serial.misses());
             proptest::prop_assert_eq!(serial.races(), 0);
+        }
+
+        /// The O(1) running totals equal the counters a scan of every
+        /// entry derives, after every step of any interleaving of direct
+        /// lookups, seeds, view lookups and view flushes.
+        #[test]
+        fn running_totals_equal_scanned_counters(
+            ops in proptest::collection::vec((0u64..4, 0u64..10), 1..120),
+        ) {
+            let memo: DigestMemo<u64> = DigestMemo::new();
+            let mut view = MemoView::new();
+            for (op, key) in ops {
+                match op {
+                    0 => {
+                        memo.get_or_compute(key, || Ok::<_, ()>(key)).unwrap();
+                    }
+                    1 => {
+                        memo.seed(key, key);
+                    }
+                    2 => {
+                        view.get_or_compute(&memo, key, || Ok::<_, ()>(key)).unwrap();
+                    }
+                    _ => std::mem::take(&mut view).flush(&memo),
+                }
+                proptest::prop_assert_eq!((memo.hits(), memo.lookups()), memo.scanned());
+            }
+            view.flush(&memo);
+            proptest::prop_assert_eq!((memo.hits(), memo.lookups()), memo.scanned());
         }
 
         /// For random WCET tables (defaults, processor overrides and

@@ -22,7 +22,10 @@
 //!   `prune_unsound` is the number of violations, asserted zero.
 //!
 //! Artifacts follow the E17 split: `results/exp19_envelope.txt` is the
-//! deterministic digest report, asserted the same at 1 and 4 workers
+//! deterministic digest report — the sweep digests, the prune counts,
+//! the schedule, scheduled-run and envelope memo counters, and the
+//! tally of fault plans (generated, trivial, and the distinct replay
+//! keys of the non-trivial ones) — asserted the same at 1 and 4 workers
 //! (pruning decisions are a pure function of `(config, index)`, so
 //! pruned sweeps stay byte-identical on any pool size) and diffed by
 //! `scripts/check.sh` against the committed copy;
@@ -175,6 +178,8 @@ fn digest_report(out: &SweepOutput, showcase: &str) -> String {
          prune: evaluated={} safe={} unsafe={} simulated={}\n\
          schedule_cache: hits={} misses={}\n\
          scheduled_memo: hits={} misses={}\n\
+         envelope_memo: hits={} misses={}\n\
+         fault_plans: generated={} trivial={} distinct_faulty_keys={}\n\
          \n{showcase}",
         sweep_digest(out),
         prune.evaluated,
@@ -185,6 +190,11 @@ fn digest_report(out: &SweepOutput, showcase: &str) -> String {
         out.summary.cache_misses,
         out.scheduled_hits,
         out.scheduled_misses,
+        out.envelope_hits,
+        out.envelope_misses,
+        out.fault_plans,
+        out.trivial_plans,
+        out.faulty_keys,
     )
 }
 

@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -10,8 +10,8 @@ use ecl_verify::EnvelopeVerdict;
 
 use super::lane::{sweep_bound_ns, SWEEP_BUCKETS};
 use super::{
-    map_indexed_with, run_scenario, FleetPool, Lane, ScenarioRecord, SweepCaches, SweepConfig,
-    SweepKeys,
+    map_indexed_with, run_scenario, FleetPool, Lane, RecordExtras, ScenarioRecord, SweepCaches,
+    SweepConfig, SweepKeys,
 };
 use crate::SplitScenario;
 
@@ -50,16 +50,31 @@ pub struct SweepOutput {
     /// Report-memo lookups beyond the first of their digest; zero unless
     /// [`SweepConfig::memoize_reports`] is set.
     pub report_hits: u64,
-    /// Distinct `(run digest, bound)` report extractions actually
+    /// Distinct `(run digest, bound, mode)` report extractions actually
     /// performed.
     pub report_misses: u64,
+    /// Fault-envelope memo lookups beyond the first of their digest;
+    /// zero unless [`SweepConfig::prune_static`] is set.
+    pub envelope_hits: u64,
+    /// Distinct `(schedule, period, fault family)` envelopes actually
+    /// computed.
+    pub envelope_misses: u64,
+    /// Fault plans the job generated: one per co-simulated faulty
+    /// scenario.
+    pub fault_plans: u64,
+    /// Of those, the trivial plans, whose replay the nominal run served.
+    pub trivial_plans: u64,
+    /// Distinct scheduled-run digests of the job's faulty replays under
+    /// non-trivial plans.
+    pub faulty_keys: u64,
     /// Racing double-computes observed by the schedule cache, the
-    /// ideal-run memo, the scheduled-run memo and the report memo, in
-    /// that order. Unlike every other counter here these depend on thread
-    /// interleaving — wall-clock-class contention diagnostics that may
-    /// vary run to run, so they belong in profiler/bench sidecars and
-    /// must never enter a diffed artifact.
-    pub races: [u64; 4],
+    /// ideal-run memo, the scheduled-run memo, the report memo and the
+    /// envelope memo, in that order. Unlike every other counter here
+    /// these depend on thread interleaving — wall-clock-class
+    /// contention diagnostics that may vary run to run, so they belong
+    /// in profiler/bench sidecars and must never enter a diffed
+    /// artifact.
+    pub races: [u64; 5],
 }
 
 /// Runs the whole sweep on `config.workers` threads over a fresh
@@ -112,6 +127,12 @@ pub struct SweepFold<'c> {
     /// The summary so far; `finish` sets its cache counters.
     summary: SweepSummary,
     schedule_digests: HashMap<u64, u64>,
+    /// Fault plans folded so far.
+    fault_plans: u64,
+    /// Trivial fault plans folded so far.
+    trivial_plans: u64,
+    /// Scheduled-run digests of the faulty replays folded so far.
+    replay_digests: HashSet<u64>,
     traces: RecordingSink,
     merged: Histogram,
     worst_actuation_ns: i64,
@@ -130,12 +151,12 @@ impl<'c> SweepFold<'c> {
     pub fn new(spec: &LoopSpec, config: &SweepConfig, caches: &'c SweepCaches) -> Self {
         // Derive, adequation, ideal run, co-simulation and metrics, plus
         // the optional phases the config turns on; a faulty scenario
-        // adds a plan, a twin co-simulation and its degradation metrics.
+        // adds a plan and a twin co-simulation.
         let spans_per_scenario = 5
             + usize::from(config.prune_static)
             + usize::from(config.validate_executive)
             + usize::from(config.verify_static)
-            + if config.faults.is_zero() { 0 } else { 3 };
+            + if config.faults.is_zero() { 0 } else { 2 };
         let summary = SweepSummary {
             scenarios: Vec::with_capacity(config.scenario_count),
             cost_bound_ratio: config.cost_bound_ratio,
@@ -153,6 +174,9 @@ impl<'c> SweepFold<'c> {
             caches,
             summary,
             schedule_digests: HashMap::new(),
+            fault_plans: 0,
+            trivial_plans: 0,
+            replay_digests: HashSet::new(),
             traces: RecordingSink::default(),
             merged: Histogram::new(sweep_bound_ns(spec, config), SWEEP_BUCKETS),
             worst_actuation_ns: 0,
@@ -243,9 +267,30 @@ impl<'c> SweepFold<'c> {
             .entry(record.schedule_digest)
             .or_insert(0) += 1;
         summary.scenarios.push(record.outcome);
-        summary.degradations.extend(record.degradation);
-        self.traces.absorb(record.traces);
-        if let (Some(v), Some((exact, max_div))) = (summary.validation.as_mut(), record.validation)
+        if let Some(p) = summary.prune.as_mut() {
+            p.evaluated += usize::from(record.prune.is_some());
+            match record.prune {
+                Some(EnvelopeVerdict::Safe) => p.pruned_safe += 1,
+                Some(EnvelopeVerdict::Unsafe) => p.pruned_unsafe += 1,
+                Some(EnvelopeVerdict::Inconclusive) | None => p.simulated += 1,
+            }
+        }
+        if let Some(extras) = record.extras {
+            self.push_extras(*extras);
+        }
+    }
+
+    /// Folds the rare payloads of the next scenario's record.
+    fn push_extras(&mut self, extras: RecordExtras) {
+        let summary = &mut self.summary;
+        if extras.degradation.is_some() {
+            self.fault_plans += 1;
+            self.trivial_plans += u64::from(extras.trivial_plan());
+            self.replay_digests.extend(extras.replay_digest);
+        }
+        summary.degradations.extend(extras.degradation);
+        self.traces.absorb(extras.traces);
+        if let (Some(v), Some((exact, max_div))) = (summary.validation.as_mut(), extras.validation)
         {
             v.validated += 1;
             if exact {
@@ -254,21 +299,13 @@ impl<'c> SweepFold<'c> {
             v.max_divergence_ns = v.max_divergence_ns.max(max_div);
         }
         if let (Some(v), Some((errors, warnings, margin))) =
-            (summary.verification.as_mut(), record.verification)
+            (summary.verification.as_mut(), extras.verification)
         {
             v.verified += 1;
             v.errors += errors;
             v.warnings += warnings;
             if let Some(m) = margin {
                 v.worst_margin_ns = v.worst_margin_ns.min(m);
-            }
-        }
-        if let Some(p) = summary.prune.as_mut() {
-            p.evaluated += usize::from(record.prune.is_some());
-            match record.prune {
-                Some(EnvelopeVerdict::Safe) => p.pruned_safe += 1,
-                Some(EnvelopeVerdict::Unsafe) => p.pruned_unsafe += 1,
-                Some(EnvelopeVerdict::Inconclusive) | None => p.simulated += 1,
             }
         }
     }
@@ -306,11 +343,17 @@ impl<'c> SweepFold<'c> {
             scheduled_misses: caches.scheduled.misses(),
             report_hits: caches.reports.hits(),
             report_misses: caches.reports.misses(),
+            envelope_hits: caches.envelopes.hits(),
+            envelope_misses: caches.envelopes.misses(),
+            fault_plans: self.fault_plans,
+            trivial_plans: self.trivial_plans,
+            faulty_keys: self.replay_digests.len() as u64,
             races: [
                 caches.schedule.races(),
                 caches.ideal.races(),
                 caches.scheduled.races(),
                 caches.reports.races(),
+                caches.envelopes.races(),
             ],
         }
     }

@@ -2,8 +2,10 @@ use ecl_aaa::{
     DigestMemo, Fnv1a, MemoView, Schedule, ScheduleCache, ScheduleKey, TableKey, TimeNs, TimingDb,
 };
 use ecl_core::cosim::{IdealRunCache, LoopKey, LoopResult, LoopSpec, ScheduledRunCache};
+use ecl_core::faults::FaultFamily;
 use ecl_core::latency::LatencyReport;
 use ecl_telemetry::{Histogram, WorkerProfile};
+use ecl_verify::EnvelopeReport;
 
 use super::{Scenario, SweepConfig};
 use crate::SplitScenario;
@@ -38,17 +40,44 @@ pub struct ReportEntry {
 }
 
 /// The key of one memoized report extraction: the
-/// [`ecl_core::cosim::scheduled_run_digest`] of the run (which covers the loop
-/// spec, the schedule inputs and the fault plan — and therefore also the
-/// strict-vs-lenient extraction mode, since leniency tracks plan
-/// presence) mixed with the histogram bound, because a shared daemon
-/// cache serves jobs whose period axes imply different bounds.
-pub fn report_digest(run_digest: u64, bound_ns: i64) -> u64 {
+/// [`ecl_core::cosim::scheduled_run_digest`] of the run (which covers the
+/// loop spec, the schedule inputs and the fault plan), the histogram
+/// bound, because a shared daemon cache serves jobs whose period axes
+/// imply different bounds, and the extraction mode. The mode is keyed
+/// on its own: a faulty scenario reads its fault-free baseline (and a
+/// trivial plan's replay, which *is* that baseline) leniently, and that
+/// entry must never answer a fault-free scenario's strict lookup of the
+/// same run, which errs where the lenient one counts overruns.
+pub fn report_digest(run_digest: u64, bound_ns: i64, lenient: bool) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(run_digest);
     h.write_i64(bound_ns);
+    h.write_u64(u64::from(lenient));
     h.finish()
 }
+
+/// The key of one memoized fault envelope: the adequation digest of the
+/// schedule (which covers the graphs the envelope reads), the period in
+/// nanoseconds and every field of the fault family.
+/// [`ecl_verify::fault_envelope`] is a pure function of these when its
+/// budget is `None`, which is what every memoized lookup passes; a
+/// lookup with a budget would have to add it to the key.
+pub fn envelope_digest(schedule_digest: u64, period: TimeNs, family: &FaultFamily) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(schedule_digest);
+    h.write_i64(period.as_nanos());
+    h.write_u64(u64::from(family.frame_loss));
+    h.write_u64(u64::from(family.max_retries));
+    h.write_u64(u64::from(family.link_outage));
+    h.write_u64(u64::from(family.proc_dropout));
+    h.finish()
+}
+
+/// The fault-envelope memo: a [`DigestMemo`] of
+/// [`ecl_verify::fault_envelope`] reports keyed by [`envelope_digest`].
+/// The sweep's pruning stage reads its verdict and bound; a daemon's
+/// admission control reads its diagnostics.
+pub type EnvelopeCache = DigestMemo<EnvelopeReport>;
 
 /// The latency-report memo: a [`DigestMemo`] of Metrics-phase yields
 /// ([`ReportEntry`]) keyed by [`report_digest`]. Its counters belong
@@ -57,7 +86,8 @@ pub type ReportCache = DigestMemo<ReportEntry>;
 
 /// The shared memo tables one sweep (or one resident daemon) threads
 /// through every scenario: adequation schedules, stroboscopic ideal
-/// runs, scheduled co-simulations and latency-report extractions.
+/// runs, scheduled co-simulations, latency-report extractions and fault
+/// envelopes.
 ///
 /// [`run_sweep`](super::run_sweep) creates a fresh set per call; a
 /// daemon keeps one set alive across jobs (and warm-starts the first
@@ -74,6 +104,8 @@ pub struct SweepCaches {
     pub scheduled: ScheduledRunCache,
     /// Latency-report memo ([`SweepConfig::memoize_reports`]).
     pub reports: ReportCache,
+    /// Fault-envelope memo ([`SweepConfig::prune_static`]).
+    pub envelopes: EnvelopeCache,
 }
 
 /// The per-deployment halves of the memo keys: the loop spec and the
@@ -117,7 +149,7 @@ pub(super) const TABLE_SLOTS: usize = 32;
 
 /// One worker's private state for one pass of a [`SweepFold`](super::SweepFold),
 /// which alone builds and finishes lanes: its profile buffer, its
-/// scratch actuation histogram, its [`MemoView`] of each of the four
+/// scratch actuation histogram, its [`MemoView`] of each of the five
 /// memos and its cache of hashed WCET tables. Nothing in it is shared,
 /// so a lookup the lane has already made touches no other worker's
 /// memory; finishing the lane adds its views' lookup counts to the
@@ -138,6 +170,7 @@ pub struct Lane {
     pub(super) ideal: MemoView<LoopResult>,
     pub(super) scheduled: MemoView<LoopResult>,
     pub(super) reports: MemoView<ReportEntry>,
+    pub(super) envelopes: MemoView<EnvelopeReport>,
     pub(super) tables: [Option<(usize, TableKey)>; TABLE_SLOTS],
 }
 
@@ -152,6 +185,7 @@ impl Lane {
             ideal: MemoView::new(),
             scheduled: MemoView::new(),
             reports: MemoView::new(),
+            envelopes: MemoView::new(),
             tables: std::array::from_fn(|_| None),
         }
     }
@@ -174,6 +208,7 @@ impl Lane {
         self.ideal.flush(&caches.ideal);
         self.scheduled.flush(&caches.scheduled);
         self.reports.flush(&caches.reports);
+        self.envelopes.flush(&caches.envelopes);
         self.profile
     }
 }

@@ -35,9 +35,12 @@ mod stages;
 
 pub use config::{scenario_seed, FaultAxes, Scenario, SweepConfig};
 pub use fold::{run_sweep, SweepFold, SweepOutput};
-pub use lane::{report_digest, Lane, ReportCache, ReportEntry, SweepCaches, SweepKeys};
+pub use lane::{
+    envelope_digest, report_digest, EnvelopeCache, Lane, ReportCache, ReportEntry, SweepCaches,
+    SweepKeys,
+};
 pub use pool::{map_indexed, map_indexed_with, FleetPool};
-pub use stages::{run_scenario, ScenarioRecord};
+pub use stages::{run_scenario, RecordExtras, ScenarioRecord};
 
 #[cfg(test)]
 mod tests {
@@ -49,7 +52,7 @@ mod tests {
     use crate::{dc_motor_loop, standard_split, SplitScenario};
     use ecl_aaa::{AdequationOptions, MemoView, ScheduleCache, ScheduleKey, TimeNs, TimingDb};
     use ecl_core::cosim::{self, IdealRunCache, LoopKey, LoopResult, LoopSpec, ScheduledRunCache};
-    use ecl_core::faults::FaultPlan;
+    use ecl_core::faults::{FaultConfig, FaultFamily, FaultPlan};
     use ecl_core::CoreError;
     use ecl_telemetry::{Histogram, Phase, ProfileReport, WorkerProfile};
     use proptest::prelude::*;
@@ -829,7 +832,9 @@ mod tests {
     /// starts where the previous one ended — run in the order of its
     /// pipeline, and lie inside the scenario's task window: the task
     /// shares its clock reads with its phases, and a phase that stops
-    /// recording leaves a gap or a missing step.
+    /// recording leaves a gap or a missing step. A trivial fault plan's
+    /// replay is its baseline, so its scenario has no replay span (the
+    /// faulty pipeline's second co-simulation, at index 5).
     #[test]
     fn profiled_scenarios_tile_their_task_windows() {
         use Phase::*;
@@ -880,8 +885,13 @@ mod tests {
             for i in 0..config.scenario_count {
                 let before = lane.profile.now_ns();
                 let (busy, recorded) = (lane.profile.busy_ns(), lane.profile.spans().len());
-                lane.task(|lane| run_scenario(&keys, &base, &config, &caches, i, lane))
+                let record = lane
+                    .task(|lane| run_scenario(&keys, &base, &config, &caches, i, lane))
                     .unwrap();
+                let mut pipeline = pipeline.clone();
+                if record.extras.is_some_and(|e| e.trivial_plan()) {
+                    pipeline.remove(5);
+                }
                 let after = lane.profile.now_ns();
                 let window = lane.profile.busy_ns() - busy;
                 let spans = &lane.profile.spans()[recorded..];
@@ -1192,9 +1202,10 @@ mod tests {
         assert_eq!(serial.traces, parallel.traces);
     }
 
-    /// Degraded runs are measured leniently; the report key marks plan
-    /// presence, so memoized lenient entries can never answer a strict
-    /// lookup (or vice versa) and fault-sweep artifacts stay identical.
+    /// Degraded runs and their baselines are measured leniently; the
+    /// report key marks the extraction mode, so memoized lenient entries
+    /// can never answer a strict lookup (or vice versa) and fault-sweep
+    /// artifacts stay identical.
     #[test]
     fn report_memo_is_lenient_safe_under_faults() {
         let base = small_base();
@@ -1212,11 +1223,149 @@ mod tests {
         assert_eq!(on.summary, off.summary);
         assert_eq!(on.summary.render(), off.summary.render());
         assert_eq!(on.actuation_hist, off.actuation_hist);
+        assert_eq!(on.fault_plans, 6, "every scenario is faulty");
         assert_eq!(
             on.report_hits + on.report_misses,
-            6,
-            "one report lookup per (faulty) scenario"
+            2 * on.fault_plans - on.trivial_plans,
+            "one report lookup per faulty run and one per distinct baseline"
         );
+    }
+
+    /// A lenient read of a run never answers a strict lookup of it: a
+    /// nominal run whose strict extraction errs (its last sample is
+    /// doctored one period late) still fails a fault-free scenario after
+    /// a faulty twin of the same scenario read it leniently as its
+    /// baseline, through the same shared tables.
+    #[test]
+    fn lenient_baseline_read_never_answers_a_strict_lookup() {
+        let (spec, base) = (dc_motor_loop(0.3).unwrap(), small_base());
+        let fault_free = SweepConfig {
+            scenario_count: 1,
+            workers: 1,
+            trace_scenarios: 0,
+            memoize_scheduled: true,
+            memoize_reports: true,
+            ..SweepConfig::default()
+        };
+        let faulty = SweepConfig {
+            faults: FaultAxes {
+                frame_loss_rates: vec![0.25],
+                ..FaultAxes::default()
+            },
+            ..fault_free.clone()
+        };
+        let keys = SweepKeys::new(&spec, &base);
+        let sweep = |caches: &SweepCaches, config: &SweepConfig| {
+            let mut fold = SweepFold::new(&spec, config, caches);
+            let f = |i, lane: &mut Lane| run_scenario(&keys, &base, config, caches, i, lane);
+            fold.scoped(0..1, 1, f).map(|()| fold.finish())
+        };
+        // Scenario 0's nominal run, with its last sample one period late.
+        let nominal = SweepCaches::default();
+        sweep(&nominal, &fault_free).unwrap();
+        let (key, run) = nominal.scheduled.snapshot().remove(0);
+        let mut doctored = LoopResult::clone(&run);
+        let late = doctored.sample_instants[0].last_mut().unwrap();
+        *late += TimeNs::from_secs_f64(doctored.ts);
+        assert!(doctored.latency_report().is_err());
+        assert!(doctored.latency_report_lenient().is_ok());
+
+        let caches = SweepCaches::default();
+        caches.scheduled.seed(key, doctored);
+        let twin = sweep(&caches, &faulty).unwrap();
+        assert_eq!(twin.fault_plans, 1);
+        let err = sweep(&caches, &fault_free).unwrap_err();
+        assert!(err.to_string().contains("outside its period"), "{err}");
+    }
+
+    /// One fold slot holds a scenario's `Result`: the rare payloads sit
+    /// behind one box, so the slot stays within two cache lines.
+    #[test]
+    fn scenario_result_fits_two_cache_lines() {
+        let size = std::mem::size_of::<Result<ScenarioRecord, CoreError>>();
+        assert!(size <= 128, "{size} bytes");
+    }
+
+    /// The envelope memo's key is pinned, and every field of the fault
+    /// family, the period and the schedule digest move it.
+    #[test]
+    fn envelope_digest_is_pinned_and_field_sensitive() {
+        let family = FaultFamily {
+            frame_loss: true,
+            max_retries: 3,
+            link_outage: false,
+            proc_dropout: true,
+        };
+        let period = TimeNs::from_micros(1_980);
+        const SCHEDULE: u64 = 0x6b1e_3df7_63d2_516f;
+        let pinned = envelope_digest(SCHEDULE, period, &family);
+        assert_eq!(pinned, 0x6fe4_b60f_8d73_700a, "{pinned:#018x}");
+        let flips = [
+            envelope_digest(SCHEDULE ^ 1, period, &family),
+            envelope_digest(SCHEDULE, period + TimeNs::from_nanos(1), &family),
+            envelope_digest(
+                SCHEDULE,
+                period,
+                &FaultFamily {
+                    frame_loss: false,
+                    ..family
+                },
+            ),
+            envelope_digest(
+                SCHEDULE,
+                period,
+                &FaultFamily {
+                    max_retries: 2,
+                    ..family
+                },
+            ),
+            envelope_digest(
+                SCHEDULE,
+                period,
+                &FaultFamily {
+                    link_outage: true,
+                    ..family
+                },
+            ),
+            envelope_digest(
+                SCHEDULE,
+                period,
+                &FaultFamily {
+                    proc_dropout: false,
+                    ..family
+                },
+            ),
+        ];
+        let mut distinct = flips.to_vec();
+        distinct.push(pinned);
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), flips.len() + 1, "{flips:x?}");
+    }
+
+    /// The reference for the envelope memo: every scenario of `config`
+    /// run on its own fresh tables and lane, so each envelope is a
+    /// direct [`ecl_verify::fault_envelope`] call. Returns the summary's
+    /// Markdown and JSON and its prune counts.
+    fn direct_envelope_sweep(
+        spec: &LoopSpec,
+        base: &SplitScenario,
+        config: &SweepConfig,
+    ) -> (String, String, ecl_core::report::PruneSummary) {
+        let (caches, keys) = (SweepCaches::default(), SweepKeys::new(spec, base));
+        let bound = sweep_bound_ns(spec, config);
+        let mut fold = SweepFold::new(spec, config, &caches);
+        let direct = |i, _: &mut Lane| {
+            let fresh = SweepCaches::default();
+            let mut lane = Lane::new(WorkerProfile::new(0, Instant::now(), false), bound);
+            let record = run_scenario(&keys, base, config, &fresh, i, &mut lane);
+            assert_eq!(fresh.envelopes.computes(), 1, "scenario {i}");
+            record
+        };
+        fold.scoped(0..config.scenario_count, 1, direct).unwrap();
+        let out = fold.finish();
+        let s = out.summary;
+        (s.render(), s.to_json(), s.prune.expect("pruning ran"))
     }
 
     proptest! {
@@ -1323,6 +1472,94 @@ mod tests {
                 prop_assert_eq!(&r.actuation_instants, &fresh.actuation_instants);
                 prop_assert_eq!(&r.stats, &totals);
                 prop_assert_eq!(&r.activity, &fresh.activity);
+            }
+        }
+
+        /// A trivial plan injects nothing, so its replay equals the
+        /// nominal run in every metric byte and cost bit — which is what
+        /// lets a sweep serve a trivial plan's replay with the nominal
+        /// run. The plan is the first trivial one the seeds from `seed`
+        /// draw at the given rates.
+        #[test]
+        fn trivial_plan_replay_equals_nominal_run(
+            seed in 0u64..(1u64 << 48),
+            index in 0usize..64,
+            rates in (0.0f64..0.3, 0.0f64..0.2, 0.0f64..0.1),
+            scale in 0.3f64..3.0,
+        ) {
+            let base = small_base();
+            let config = SweepConfig::default();
+            let scenario = Scenario::derive(&config, &base, index);
+            let options = AdequationOptions {
+                policy: scenario.policy,
+            };
+            let (schedule, _) = ScheduleCache::new()
+                .get_or_compute(
+                    &ScheduleKey::new(&base.alg, &base.arch),
+                    &scenario.jittered_db(&base),
+                    options,
+                )
+                .unwrap();
+            let mut spec = dc_motor_loop(0.05).unwrap();
+            spec.ts = (spec.ts * scale).max(schedule.makespan().as_secs_f64() * 1.05);
+            let periods = (spec.horizon / spec.ts).floor().max(1.0) as u32;
+            let (frame_loss_rate, link_outage_rate, proc_dropout_rate) = rates;
+            let plan = (seed..seed + 100_000)
+                .map(|seed| {
+                    let faults = FaultConfig {
+                        seed,
+                        frame_loss_rate,
+                        link_outage_rate,
+                        proc_dropout_rate,
+                        ..FaultConfig::default()
+                    };
+                    FaultPlan::generate(&faults, &schedule, &base.arch, periods).unwrap()
+                })
+                .find(FaultPlan::is_trivial)
+                .expect("a trivial plan within 100 000 seeds");
+            let (alg, io, arch) = (&base.alg, &base.io, &base.arch);
+            let nominal = cosim::run_scheduled(&spec, alg, io, &schedule, arch).unwrap();
+            let replay = cosim::run_scheduled_faulty(&spec, alg, io, &schedule, arch, plan).unwrap();
+            prop_assert_eq!(nominal.cost.to_bits(), replay.cost.to_bits());
+            prop_assert_eq!(nominal.to_metric_bytes(), replay.to_metric_bytes());
+        }
+
+        /// A faulty, pruning sweep over random fault axes renders the
+        /// same summary bytes and prune counts through the envelope memo,
+        /// at 1 and 4 workers, as with a direct envelope per scenario.
+        #[test]
+        fn envelope_memo_matches_direct_envelopes(
+            rates in (0.05f64..0.5, 0.0f64..0.3, 0.0f64..0.1),
+            retries in 0u32..4,
+        ) {
+            let (spec, base) = (dc_motor_loop(0.05).unwrap(), small_base());
+            let config = SweepConfig {
+                scenario_count: 24,
+                wcet_tables: 2,
+                trace_scenarios: 0,
+                prune_static: true,
+                memoize_scheduled: true,
+                memoize_reports: true,
+                faults: FaultAxes {
+                    frame_loss_rates: vec![0.0, rates.0],
+                    link_outage_rates: vec![0.0, rates.1],
+                    proc_dropout_rates: vec![0.0, rates.2],
+                    max_retries: retries,
+                    ..FaultAxes::default()
+                },
+                ..SweepConfig::default()
+            };
+            let (render, json, prune) = direct_envelope_sweep(&spec, &base, &config);
+            for workers in [1, 4] {
+                let out = run_sweep(&spec, &base, &SweepConfig { workers, ..config.clone() }).unwrap();
+                prop_assert_eq!(out.summary.prune, Some(prune));
+                prop_assert_eq!(out.summary.render(), render.clone());
+                prop_assert_eq!(out.summary.to_json(), json.clone());
+                prop_assert_eq!(out.envelope_hits + out.envelope_misses, 24);
+                prop_assert!(out.envelope_hits > 0, "24 scenarios over few keys must hit");
+                // One-period plans are often trivial: the nominal run
+                // served those replays, and the bytes above still match.
+                prop_assert!(out.trivial_plans > 0 && out.trivial_plans < out.fault_plans);
             }
         }
 

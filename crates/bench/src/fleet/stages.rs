@@ -4,9 +4,10 @@
 //! stage is one phase of the lane's profile; the phases run back to
 //! back, so a profiled scenario reads the clock once per phase boundary.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
-use ecl_aaa::{codegen, AdequationOptions, Lent, Schedule, TableKey, TimeNs, TimingDb};
+use ecl_aaa::{codegen, AdequationOptions, Lent, MemoView, Schedule, TableKey, TimeNs, TimingDb};
 use ecl_core::cosim::{self, Activation, LoopAt, LoopResult};
 use ecl_core::faults::{FaultFamily, FaultPlan};
 use ecl_core::report::{DegradationSummary, ScenarioOutcome};
@@ -16,26 +17,21 @@ use ecl_telemetry::{Collector, Histogram, Phase, PrefixSink, RecordingSink};
 use ecl_verify::EnvelopeVerdict;
 
 use super::lane::{table_key, SWEEP_BUCKETS};
-use super::{report_digest, Lane, ReportEntry, Scenario, SweepCaches, SweepConfig, SweepKeys};
+use super::{
+    envelope_digest, report_digest, Lane, ReportCache, ReportEntry, Scenario, SweepCaches,
+    SweepConfig, SweepKeys,
+};
 use crate::SplitScenario;
 
 /// What one scenario contributes to the sweep fold. The scenario's
 /// actuation latencies go straight into its lane's scratch histogram,
 /// never through this record, so the fold allocates no per-scenario
-/// histograms.
+/// histograms. The payloads only some scenarios carry sit behind one
+/// box, so a result slot of the fold stays small.
 #[derive(Debug)]
 pub struct ScenarioRecord {
     /// The deterministic report row.
     pub outcome: ScenarioOutcome,
-    /// Degradation delta against the fault-free twin, when faults ran.
-    pub degradation: Option<DegradationSummary>,
-    /// Telemetry of a traced scenario (empty otherwise).
-    pub traces: RecordingSink,
-    /// `(is_exact, max divergence ns)` of the executive cross-validation.
-    pub validation: Option<(bool, i64)>,
-    /// `(errors, warnings, margin ns)` of the static verification (no
-    /// margin under a drop-capable plan: its retry bounds are unsound).
-    pub verification: Option<(usize, usize, Option<i64>)>,
     /// Verdict of the static fault-envelope pruning pass: `None` when
     /// the pass did not run (pruning off, or a traced scenario);
     /// conclusive verdicts mean the scenario skipped co-simulation.
@@ -43,6 +39,36 @@ pub struct ScenarioRecord {
     /// Adequation digest of this scenario's schedule (the fold's
     /// job-local cache counters derive from these).
     pub schedule_digest: u64,
+    /// The rare payloads; `None` for an untraced, fault-free scenario
+    /// that ran neither validation nor verification.
+    pub extras: Option<Box<RecordExtras>>,
+}
+
+/// The payloads of a [`ScenarioRecord`] that only faulty, traced,
+/// validated or verified scenarios carry.
+#[derive(Debug, Default)]
+pub struct RecordExtras {
+    /// Degradation delta against the fault-free twin, when faults ran.
+    pub degradation: Option<DegradationSummary>,
+    /// Scheduled-run digest of the faulty replay under a non-trivial
+    /// plan; `None` when the plan was trivial (the nominal run served as
+    /// the replay) or no faults ran.
+    pub replay_digest: Option<u64>,
+    /// Telemetry of a traced scenario (empty otherwise).
+    pub traces: RecordingSink,
+    /// `(is_exact, max divergence ns)` of the executive cross-validation.
+    pub validation: Option<(bool, i64)>,
+    /// `(errors, warnings, margin ns)` of the static verification (no
+    /// margin under a drop-capable plan: its retry bounds are unsound).
+    pub verification: Option<(usize, usize, Option<i64>)>,
+}
+
+impl RecordExtras {
+    /// `true` when faults ran under a trivial plan, whose replay the
+    /// nominal run served.
+    pub fn trivial_plan(&self) -> bool {
+        self.degradation.is_some() && self.replay_digest.is_none()
+    }
 }
 
 /// Runs one scenario end to end: jitter → (cached) adequation →
@@ -84,12 +110,19 @@ pub fn run_scenario(
     let (at, ideal) = stages.ideal(&d)?;
     let plan = d.scenario.has_faults().then(|| stages.fault_plan(&d));
     let plan = plan.transpose()?;
-    let (run, run_key, degradation, traces) = match &plan {
+    let (run, key, twin, traces) = match &plan {
         Some(plan) => stages.faulty_twin(&d, at, plan)?,
         None if traced => stages.traced(&d, at)?,
-        None => stages.untraced(&d, at, None)?,
+        None => {
+            let (run, key) = stages.untraced(&d, at, None)?;
+            (run, Some(key), None, RecordingSink::default())
+        }
     };
-    let (outcome, report) = stages.metrics(&d, run, run_key, ideal)?;
+    let (degradation, entry, replay_digest) = match twin {
+        Some(twin) => (Some(twin.degradation), Some(twin.entry), twin.replay_digest),
+        None => (None, None, None),
+    };
+    let (outcome, report) = stages.metrics(&d, run, key, entry, ideal)?;
     let validation = if config.validate_executive {
         Some(stages.validation(&d, plan.as_ref())?)
     } else {
@@ -99,14 +132,22 @@ pub fn run_scenario(
         (Some(db), Some(report)) => Some(stages.verification(&d, &db, &report, plan.as_ref())?),
         _ => None,
     };
-    Ok(ScenarioRecord {
-        outcome,
+    let extras = RecordExtras {
         degradation,
+        replay_digest,
         traces,
         validation,
         verification,
+    };
+    let rare = extras.degradation.is_some()
+        || traced
+        || extras.validation.is_some()
+        || extras.verification.is_some();
+    Ok(ScenarioRecord {
+        outcome,
         prune,
         schedule_digest: d.digest,
+        extras: rare.then(|| Box::new(extras)),
     })
 }
 
@@ -132,19 +173,47 @@ struct Deployed {
 
 /// What a co-simulation stage hands on: the run, its scheduled-run
 /// digest (`None` for a traced run, which the report memo never serves),
-/// the degradation delta of a faulty twin and a traced run's telemetry.
-type Cosimulated = (
-    Lent<LoopResult>,
-    Option<u64>,
-    Option<DegradationSummary>,
-    RecordingSink,
-);
+/// a faulty scenario's [`Twin`] and a traced run's telemetry.
+type Cosimulated = (Lent<LoopResult>, Option<u64>, Option<Twin>, RecordingSink);
+
+/// What a faulty scenario's twin run yields besides its replay.
+struct Twin {
+    /// The degradation delta of the replay against its baseline.
+    degradation: DegradationSummary,
+    /// The replay's lenient report entry, which the metrics reuse.
+    entry: Lent<ReportEntry>,
+    /// The replay's scheduled-run digest under a non-trivial plan;
+    /// `None` when the baseline served as a trivial plan's replay.
+    replay_digest: Option<u64>,
+}
 
 /// The number of whole periods of `horizon` at period `ts` (at least
 /// one): what a fault plan, the virtual executive and a pruned row's
 /// overrun count are sized by.
 fn periods_in(horizon: f64, ts: f64) -> u32 {
     (horizon / ts).floor().max(1.0) as u32
+}
+
+/// The Metrics-phase yield of `run` (see [`build_report_entry`]):
+/// through the lane's `view` of the report `memo` under the run's
+/// [`report_digest`] when the sweep memoizes reports and the run has a
+/// key, extracted afresh otherwise.
+fn report_entry(
+    view: &mut MemoView<ReportEntry>,
+    memo: Option<&ReportCache>,
+    run: &LoopResult,
+    key: Option<u64>,
+    lenient: bool,
+    bound_ns: i64,
+) -> Result<Lent<ReportEntry>, CoreError> {
+    let build = || build_report_entry(run, lenient, bound_ns);
+    match (memo, key) {
+        (Some(memo), Some(key)) => {
+            let digest = report_digest(key, bound_ns, lenient);
+            Ok(view.get_or_compute(memo, digest, build)?.0)
+        }
+        _ => Ok(Lent::new(Arc::new(build()?))),
+    }
 }
 
 /// Extracts the Metrics-phase yield of one run: the latency report
@@ -233,14 +302,26 @@ impl<'s> Stages<'s, '_> {
     /// Envelope: the verdict and worst actuation upper bound of the
     /// sound completion envelope of the scenario's whole fault *family*
     /// — a pure function of `(config, index)`, so pruned rows are
-    /// byte-stable for any worker count. The envelope is freed here.
+    /// byte-stable for any worker count. The envelope is looked up
+    /// through the lane's view of the envelope memo by its
+    /// [`envelope_digest`] and computed only on a miss.
     fn envelope(&mut self, d: &Deployed) -> (EnvelopeVerdict, TimeNs) {
         self.lane.profile.phase(self.index, Phase::Envelope, |_| {
             let family = FaultFamily::from_config(&d.scenario.fault_config(&self.config.faults));
             let period = TimeNs::from_secs_f64(d.ts);
             let (alg, arch) = (&self.base.alg, &self.base.arch);
-            let envelope =
-                ecl_verify::fault_envelope(alg, arch, &d.schedule, period, &family, None);
+            let key = envelope_digest(d.digest, period, &family);
+            let (view, memo) = (&mut self.lane.envelopes, &self.caches.envelopes);
+            let Ok((envelope, _)) = view.get_or_compute(memo, key, || {
+                Ok::<_, Infallible>(ecl_verify::fault_envelope(
+                    alg,
+                    arch,
+                    &d.schedule,
+                    period,
+                    &family,
+                    None,
+                ))
+            });
             (envelope.verdict(), envelope.max_actuation_hi())
         })
     }
@@ -271,12 +352,9 @@ impl<'s> Stages<'s, '_> {
                 worst_actuation_ns: worst_hi.as_nanos(),
                 overruns,
             },
-            degradation: None,
-            traces: RecordingSink::default(),
-            validation: None,
-            verification: None,
             prune: Some(verdict),
             schedule_digest: d.digest,
+            extras: None,
         }
     }
 
@@ -304,21 +382,49 @@ impl<'s> Stages<'s, '_> {
 
     /// Faulty twin: a faulty scenario runs against a fault-free twin on
     /// the same schedule (both untraced), and the degradation delta
-    /// between the two is metrics time. It traces nothing: tracing the
-    /// degraded replay would double the sink for no new information.
+    /// between the two, from their lenient report entries, is metrics
+    /// time. A trivial plan injects nothing and its replay is
+    /// bit-identical to the nominal run ([`cosim::run_scheduled_faulty`]),
+    /// so the baseline serves as the replay, under the baseline's key. It
+    /// traces nothing: tracing the degraded replay would double the sink
+    /// for no new information.
     fn faulty_twin(
         &mut self,
         d: &Deployed,
         at: LoopAt<'_>,
         plan: &FaultPlan,
     ) -> Result<Cosimulated, CoreError> {
-        let (baseline, ..) = self.untraced(d, at, None)?;
-        let (run, key, ..) = self.untraced(d, at, Some(plan))?;
-        let degradation = self.lane.profile.phase(self.index, Phase::Metrics, |_| {
-            let ratio = self.config.cost_bound_ratio;
-            DegradationSummary::from_runs(self.index, plan, &baseline, &run, ratio)
+        let (baseline, baseline_key) = self.untraced(d, at, None)?;
+        let (run, key) = if plan.is_trivial() {
+            (Lent::clone(&baseline), baseline_key)
+        } else {
+            self.untraced(d, at, Some(plan))?
+        };
+        let twin = self.lane.profile.phase(self.index, Phase::Metrics, |_| {
+            let bound = self.lane.scratch.upper_bound();
+            let memo = self.config.memoize_reports.then_some(&self.caches.reports);
+            let view = &mut self.lane.reports;
+            let entry = report_entry(view, memo, &run, Some(key), true, bound)?;
+            let baseline_entry = if key == baseline_key {
+                Lent::clone(&entry)
+            } else {
+                report_entry(view, memo, &baseline, Some(baseline_key), true, bound)?
+            };
+            let degradation = DegradationSummary::new(
+                self.index,
+                plan,
+                (&baseline, &baseline_entry.report),
+                (&run, &entry.report),
+                self.config.cost_bound_ratio,
+            );
+            let replay_digest = (key != baseline_key).then_some(key);
+            Ok::<_, CoreError>(Twin {
+                degradation,
+                entry,
+                replay_digest,
+            })
         })?;
-        Ok((run, key, Some(degradation), RecordingSink::default()))
+        Ok((run, Some(key), Some(twin), RecordingSink::default()))
     }
 
     /// Traced co-simulation: timeline emission, synthesis and simulation
@@ -357,7 +463,7 @@ impl<'s> Stages<'s, '_> {
         d: &Deployed,
         at: LoopAt<'_>,
         plan: Option<&FaultPlan>,
-    ) -> Result<Cosimulated, CoreError> {
+    ) -> Result<(Lent<LoopResult>, u64), CoreError> {
         let (base, schedule, wp) = (self.base, &d.schedule, &mut self.lane.profile);
         let t0 = wp.last_boundary();
         let (run, key, hit, phases) = if self.config.memoize_scheduled {
@@ -382,11 +488,12 @@ impl<'s> Stages<'s, '_> {
             wp.push_span(self.index, Phase::Synthesis, t0, synthesized);
             wp.push_span(self.index, Phase::Cosim, synthesized, end);
         }
-        Ok((run, Some(key), None, RecordingSink::default()))
+        Ok((run, key))
     }
 
     /// Metrics: the latency report (through the lane's view of the
-    /// report memo with [`SweepConfig::memoize_reports`]), merged into
+    /// report memo with [`SweepConfig::memoize_reports`]; a faulty
+    /// scenario's twin already fetched its lenient `entry`), merged into
     /// the lane's scratch histogram, and the report row. The runs are
     /// freed here, so their teardown is metrics time; the report entry
     /// is kept only for static verification.
@@ -394,23 +501,19 @@ impl<'s> Stages<'s, '_> {
         &mut self,
         d: &Deployed,
         run: Lent<LoopResult>,
-        run_key: Option<u64>,
+        key: Option<u64>,
+        entry: Option<Lent<ReportEntry>>,
         ideal: Lent<LoopResult>,
     ) -> Result<(ScenarioOutcome, Option<Lent<ReportEntry>>), CoreError> {
         self.lane.profile.phase(self.index, Phase::Metrics, |_| {
             let config = self.config;
             let bound = self.lane.scratch.upper_bound();
-            // Forced rendezvous under faults legitimately pushes sampling
-            // past its period, so degraded runs are measured leniently.
-            let lenient = d.scenario.has_faults();
-            let entry = if let Some(run_key) = run_key.filter(|_| config.memoize_reports) {
-                let (view, memo) = (&mut self.lane.reports, &self.caches.reports);
-                view.get_or_compute(memo, report_digest(run_key, bound), || {
-                    build_report_entry(&run, lenient, bound)
-                })?
-                .0
-            } else {
-                Lent::new(Arc::new(build_report_entry(&run, lenient, bound)?))
+            let entry = match entry {
+                Some(entry) => entry,
+                None => {
+                    let memo = config.memoize_reports.then_some(&self.caches.reports);
+                    report_entry(&mut self.lane.reports, memo, &run, key, false, bound)?
+                }
             };
             self.lane.scratch.merge(&entry.hist);
             let outcome = ScenarioOutcome {

@@ -58,8 +58,14 @@ const SCHEDULED_RUN_ALLOCATIONS: u64 = 112;
 /// candidate buffers and the schedule itself.
 const ADEQUATION_ALLOCATIONS: u64 = 11;
 
-/// Scenarios of the faulty sweep whose rendering is measured.
+/// Scenarios of the faulty sweep whose run and rendering are measured.
 const FAULTY_SCENARIOS: usize = 300;
+
+/// Ceiling on allocations of the 1-worker faulty sweep over exp19's
+/// fault axes with static pruning and both memos on: its fault plans,
+/// the co-simulations and extractions its memos miss, each degradation
+/// row's tally and boxed payload, and the envelopes its memo misses.
+const FAULTY_SWEEP_ALLOCATIONS: u64 = 36_976;
 
 /// Allocations of one adequation of scenario 0 of the default sweep over
 /// `base`.
@@ -157,10 +163,20 @@ fn main() {
         },
         ..config
     };
-    let out = run_sweep(&spec, &base, &faulty).unwrap();
+    run_sweep(&spec, &base, &faulty).unwrap();
+    let (out, faulty_sweep) = allocations(|| run_sweep(&spec, &base, &faulty).unwrap());
     assert!(
         !out.summary.degradations.is_empty(),
         "the fault axes give degradation rows"
+    );
+    eprintln!(
+        "faulty sweep ({FAULTY_SCENARIOS} scenarios): {faulty_sweep} allocations ({:.2} per \
+         scenario)",
+        faulty_sweep as f64 / FAULTY_SCENARIOS as f64
+    );
+    assert!(
+        faulty_sweep <= FAULTY_SWEEP_ALLOCATIONS,
+        "faulty sweep made {faulty_sweep} allocations, budget {FAULTY_SWEEP_ALLOCATIONS}"
     );
     let ((render, json), rendering) = allocations(|| (out.summary.render(), out.summary.to_json()));
     assert!(render.contains(" faults fl") && json.contains("\"injected\": \""));

@@ -649,7 +649,8 @@ pub fn run_scheduled(
 /// A [trivial](FaultPlan::is_trivial) plan takes the exact
 /// [`run_scheduled`] code path — same blocks, same wiring, bit-identical
 /// results — so a zero-rate fault sweep is guaranteed to reproduce the
-/// fault-free baseline.
+/// fault-free baseline, and a caller that already holds the nominal run
+/// may serve a trivial plan's replay with it instead of simulating.
 ///
 /// Use [`LoopResult::latency_report_lenient`] on the result: forced
 /// rendezvous can push sampling past the period boundary, which the

@@ -12,6 +12,7 @@ use ecl_telemetry::Counts;
 
 use crate::cosim::LoopResult;
 use crate::faults::FaultPlan;
+use crate::latency::LatencyReport;
 use crate::lifecycle::LifecycleReport;
 use crate::CoreError;
 
@@ -208,7 +209,7 @@ impl StabilityVerdict {
 
 /// How one faulty scenario degraded relative to its fault-free twin.
 ///
-/// Built by [`DegradationSummary::from_runs`] from two co-simulations of
+/// Built by [`DegradationSummary::new`] from two co-simulations of
 /// the *same* scenario — one with the fault plan active, one nominal —
 /// so every delta isolates the injected faults from the scenario's own
 /// perturbations.
@@ -240,32 +241,29 @@ pub struct DegradationSummary {
 }
 
 impl DegradationSummary {
-    /// Compares a faulty run against its fault-free baseline.
+    /// Compares a faulty run against its fault-free baseline, each with
+    /// its lenient latency report
+    /// ([`LoopResult::latency_report_lenient`]) — the one place a
+    /// degradation row is computed. The reports come in beside the runs
+    /// so a caller that memoizes extractions reads each run's once.
     ///
     /// `cost_bound_ratio` is the sweep's robustness bound: within it the
     /// verdict is [`Stable`](StabilityVerdict::Stable), within 10× it is
     /// [`Degraded`](StabilityVerdict::Degraded), beyond (or non-finite)
     /// [`Diverged`](StabilityVerdict::Diverged).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if either run's activation
-    /// instants are unsorted or causally impossible.
-    pub fn from_runs(
+    pub fn new(
         index: usize,
         plan: &FaultPlan,
-        baseline: &LoopResult,
-        faulty: &LoopResult,
+        (baseline, base_rep): (&LoopResult, &LatencyReport),
+        (faulty, faulty_rep): (&LoopResult, &LatencyReport),
         cost_bound_ratio: f64,
-    ) -> Result<DegradationSummary, CoreError> {
+    ) -> DegradationSummary {
         let skipped = |base: &[Vec<ecl_aaa::TimeNs>], faul: &[Vec<ecl_aaa::TimeNs>]| {
             base.iter()
                 .zip(faul)
                 .map(|(b, f)| b.len().saturating_sub(f.len()))
                 .sum()
         };
-        let base_rep = baseline.latency_report_lenient()?;
-        let faulty_rep = faulty.latency_report_lenient()?;
         let cost_ratio = faulty.cost / baseline.cost;
         let verdict = if !cost_ratio.is_finite() || cost_ratio > 10.0 * cost_bound_ratio {
             StabilityVerdict::Diverged
@@ -274,7 +272,7 @@ impl DegradationSummary {
         } else {
             StabilityVerdict::Degraded
         };
-        Ok(DegradationSummary {
+        DegradationSummary {
             index,
             periods: plan.periods(),
             injected: plan.counts().clone(),
@@ -287,7 +285,7 @@ impl DegradationSummary {
                 - base_rep.mean_actuation().as_nanos(),
             cost_ratio,
             verdict,
-        })
+        }
     }
 }
 
@@ -475,6 +473,19 @@ fn push_i64(out: &mut String, n: i64) {
         out.push('-');
     }
     push_u64(out, n.unsigned_abs());
+}
+
+/// Appends `counts` as its `Display` writes it: `name=value` pairs
+/// separated by single spaces.
+fn push_counts(out: &mut String, counts: &Counts) {
+    for (k, (name, v)) in counts.iter().enumerate() {
+        if k > 0 {
+            out.push(' ');
+        }
+        out.push_str(name);
+        out.push('=');
+        push_u64(out, v);
+    }
 }
 
 /// Appends `n` as `{:#018x}` writes it: `0x` and 16 lower-case hex
@@ -706,7 +717,7 @@ impl SweepSummary {
                 s.push_str(" | ");
                 s.push_str(d.verdict.as_str());
                 s.push_str(" | ");
-                let _ = write!(s, "{}", d.injected);
+                push_counts(&mut s, &d.injected);
                 s.push_str(" |\n");
             }
         }
@@ -808,7 +819,7 @@ impl SweepSummary {
                 s.push_str(", \"verdict\": \"");
                 s.push_str(d.verdict.as_str());
                 s.push_str("\", \"injected\": \"");
-                let _ = write!(s, "{}", d.injected);
+                push_counts(&mut s, &d.injected);
                 s.push_str(if i + 1 == self.degradations.len() {
                     "\"}\n"
                 } else {
@@ -1342,6 +1353,21 @@ mod tests {
         let mut min = String::new();
         push_i64(&mut min, i64::MIN);
         assert_eq!(min, i64::MIN.to_string());
+        let mut counts = Counts::new();
+        for (name, n) in [
+            ("retries", 10),
+            ("frames_lost", 0),
+            ("retries", 1),
+            ("z", u64::MAX),
+        ] {
+            let mut tally = String::new();
+            push_counts(&mut tally, &counts);
+            assert_eq!(tally, counts.to_string());
+            counts.add(name, n);
+        }
+        let mut tally = String::new();
+        push_counts(&mut tally, &counts);
+        assert_eq!(tally, "frames_lost=0 retries=11 z=18446744073709551615");
     }
 
     #[test]

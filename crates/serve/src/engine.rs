@@ -22,6 +22,7 @@
 //! pool worker or with sixteen, in one chunk or many.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +30,8 @@ use std::sync::Arc;
 
 use ecl_aaa::{AdequationOptions, DigestMemo, MappingPolicy, Schedule, TimeNs};
 use ecl_bench::fleet::{
-    run_scenario, FaultAxes, FleetPool, SweepCaches, SweepConfig, SweepFold, SweepKeys,
+    envelope_digest, run_scenario, FaultAxes, FleetPool, SweepCaches, SweepConfig, SweepFold,
+    SweepKeys,
 };
 use ecl_bench::{dc_motor_loop, fnv64, standard_split, SplitScenario};
 use ecl_core::cosim::{LoopResult, LoopSpec};
@@ -263,7 +265,9 @@ impl Engine {
     /// be rejected without spending a single co-simulation. Jitter only
     /// lengthens slots, so an unjittered lower-bound violation is a
     /// fortiori one for every jittered sweep member: admission rejects
-    /// only deployments no scenario could satisfy.
+    /// only deployments no scenario could satisfy. Each envelope is
+    /// looked up in the shared envelope memo the sweeps prune with, so
+    /// a repeated combination is not recomputed.
     ///
     /// Codes are sorted and deduplicated, so the reply bytes are a pure
     /// function of the request. The request must have passed
@@ -295,16 +299,19 @@ impl Engine {
                     Policy::Earliest => MappingPolicy::EarliestFinish,
                 },
             };
-            let (schedule, _) = self.caches.schedule.get_or_compute(
+            let (schedule, digest) = self.caches.schedule.get_or_compute(
                 &deployment.keys.schedule,
                 &base.db,
                 options,
             )?;
             for &scale in &req.period_scales {
                 let period = TimeNs::from_secs_f64(deployment.spec().ts * scale);
-                let report = ecl_verify::fault_envelope(
-                    &base.alg, &base.arch, &schedule, period, &family, None,
-                );
+                let key = envelope_digest(digest, period, &family);
+                let Ok((report, _)) = self.caches.envelopes.get_or_compute(key, || {
+                    Ok::<_, Infallible>(ecl_verify::fault_envelope(
+                        &base.alg, &base.arch, &schedule, period, &family, None,
+                    ))
+                });
                 if report.verdict() != ecl_verify::EnvelopeVerdict::Unsafe {
                     continue;
                 }
@@ -511,6 +518,7 @@ impl Engine {
             ("ideal_entries".into(), caches.ideal.len() as u64),
             ("scheduled_entries".into(), caches.scheduled.len() as u64),
             ("report_entries".into(), caches.reports.len() as u64),
+            ("envelope_entries".into(), caches.envelopes.len() as u64),
             (
                 "persist_errors".into(),
                 self.metrics.persist_errors.load(Ordering::Relaxed),
@@ -527,15 +535,16 @@ impl Engine {
 mod tests {
     use super::*;
 
-    /// Total lookups of each of the four shared tables, in
+    /// Total lookups of each of the five shared tables, in
     /// [`SweepCaches`] field order.
-    fn lookups(engine: &Engine) -> [u64; 4] {
+    fn lookups(engine: &Engine) -> [u64; 5] {
         let caches = &engine.caches;
         [
             caches.schedule.lookups(),
             caches.ideal.lookups(),
             caches.scheduled.lookups(),
             caches.reports.lookups(),
+            caches.envelopes.lookups(),
         ]
     }
 
@@ -566,10 +575,41 @@ mod tests {
         let (whole, whole_lookups) = run(0);
         assert_eq!(chunked, whole);
         assert_eq!(chunked_lookups, whole_lookups);
-        // Every scenario looked each table up once, and the faulty ones
-        // the scheduled-run table twice.
-        let [schedule, ideal, scheduled, reports] = whole_lookups;
-        assert_eq!([schedule, ideal, reports], [64; 3]);
+        // Every scenario looked the schedule, ideal-run, scheduled-run
+        // and report tables up once; a faulty one with a non-trivial plan
+        // looked up its replay and its baseline's lenient report too. A
+        // job prunes nothing, so only admission reads envelopes.
+        let [schedule, ideal, scheduled, reports, envelopes] = whole_lookups;
+        assert_eq!([schedule, ideal, envelopes], [64, 64, 0]);
         assert!(scheduled > 64, "{whole_lookups:?}");
+        assert_eq!(reports, scheduled, "{whole_lookups:?}");
+    }
+
+    /// Admission looks each `(policy, period)` envelope up in the shared
+    /// envelope memo: a repeated request computes no envelope and gets
+    /// the same codes, and an infeasible period still carries EV401.
+    #[test]
+    fn admission_reads_envelopes_from_the_shared_memo() {
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            store_dir: None,
+        })
+        .unwrap();
+        let req = SweepRequest {
+            period_scales: vec![1e-3, 1.0],
+            frame_loss: vec![0.25],
+            ..SweepRequest::default()
+        };
+        let combinations = (req.policies.len() * req.period_scales.len()) as u64;
+        let codes = engine.admission_codes(&req).unwrap();
+        assert_eq!(codes, ["EV401"]);
+        let envelopes = &engine.caches.envelopes;
+        assert_eq!(envelopes.computes(), combinations);
+        assert_eq!(engine.admission_codes(&req).unwrap(), codes);
+        assert_eq!(envelopes.computes(), combinations);
+        assert_eq!(
+            (envelopes.hits(), envelopes.misses()),
+            (combinations, combinations)
+        );
     }
 }

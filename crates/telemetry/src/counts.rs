@@ -39,8 +39,14 @@ impl Counts {
     }
 
     /// Adds `n` to counter `name`, creating it at zero first if absent.
+    /// Only a new name allocates.
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(count) => *count += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
     /// Current value of counter `name` (0 if never incremented).
