@@ -287,8 +287,8 @@ impl Schedule {
     /// Serializes the schedule for the content-addressed on-disk cache
     /// (`results/cache/schedules/`): magic + version, then every slot
     /// field little-endian, hand-rolled on [`ecl_telemetry::bytes`].
-    /// Invalidation is by digest: files are
-    /// named by [`schedule_digest`](crate::schedule_digest), so a cached
+    /// Invalidation is by digest: records are
+    /// filed under [`schedule_digest`](crate::schedule_digest), so a cached
     /// schedule can never be served for changed scheduler inputs.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(16 + self.ops.len() * 32 + self.comms.len() * 56);
@@ -317,7 +317,7 @@ impl Schedule {
     /// Reconstructs a schedule serialized by [`to_bytes`], consuming the
     /// whole buffer. Corruption (bad magic, truncation, trailing bytes)
     /// decodes to a typed [`CodecError`], never a panic, so a damaged
-    /// cache file is skipped rather than trusted.
+    /// cache record is skipped rather than trusted.
     ///
     /// [`to_bytes`]: Schedule::to_bytes
     ///

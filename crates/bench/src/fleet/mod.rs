@@ -924,8 +924,8 @@ mod tests {
 
     /// exp17's first scenario keys the schedule, ideal-run and
     /// scheduled-run memos under digests pinned from the full,
-    /// single-pass digest functions the split keys replaced, so the memo
-    /// keys and the persisted cache file names cannot move.
+    /// single-pass digest functions the split keys replaced, so neither
+    /// the memo keys nor the keys of persisted cache records can move.
     #[test]
     fn exp17_first_scenario_memo_keys_are_pinned() {
         let spec = dc_motor_loop(0.05).unwrap();

@@ -124,12 +124,33 @@ struct Response {
 }
 
 impl Response {
-    fn new(payload: Vec<u8>, disk_seeded: bool) -> Response {
+    fn new(payload: Vec<u8>) -> Response {
         Response {
             payload_digest: fnv64(&payload),
             payload: Arc::new(payload),
-            disk_seeded,
+            disk_seeded: false,
         }
+    }
+
+    /// The store record: the payload digest, little-endian, then the
+    /// payload. The store checksums the whole record, so a warm start
+    /// takes the digest from it instead of hashing the payload again.
+    fn to_record(&self) -> Vec<u8> {
+        let mut record = Vec::with_capacity(8 + self.payload.len());
+        record.extend_from_slice(&self.payload_digest.to_le_bytes());
+        record.extend_from_slice(&self.payload);
+        record
+    }
+
+    /// Inverse of [`to_record`](Response::to_record); the one copy a
+    /// warm start makes of a response.
+    fn from_record(record: &[u8]) -> Option<Response> {
+        let (digest, payload) = record.split_first_chunk::<8>()?;
+        Some(Response {
+            payload: Arc::new(payload.to_vec()),
+            payload_digest: u64::from_le_bytes(*digest),
+            disk_seeded: true,
+        })
     }
 }
 
@@ -192,17 +213,15 @@ impl Engine {
         let responses = DigestMemo::new();
         if let Some(store) = &store {
             store.warm_start(KIND_SCHEDULES, &caches.schedule, |bytes| {
-                Schedule::from_bytes(&bytes).ok()
+                Schedule::from_bytes(bytes).ok()
             });
             store.warm_start(KIND_IDEAL, &caches.ideal, |bytes| {
-                LoopResult::from_metric_bytes(&bytes).ok()
+                LoopResult::from_metric_bytes(bytes).ok()
             });
             store.warm_start(KIND_SCHEDULED, &caches.scheduled, |bytes| {
-                LoopResult::from_metric_bytes(&bytes).ok()
+                LoopResult::from_metric_bytes(bytes).ok()
             });
-            store.warm_start(KIND_RESPONSES, &responses, |payload| {
-                Some(Response::new(payload, true))
-            });
+            store.warm_start(KIND_RESPONSES, &responses, Response::from_record);
         }
         Ok(Engine {
             deployments,
@@ -390,17 +409,18 @@ impl Engine {
     }
 
     /// Write-through persistence after a computed job: every memo entry
-    /// (the new response included) not yet in the store. Entries seeded
-    /// from disk or saved by an earlier job are skipped, so the cost
-    /// tracks what the job added, not the daemon's lifetime. Saves are
-    /// atomic. Best-effort: a failed save bumps `persist_errors` and
-    /// leaves its entry unsaved for the next job to retry; it never
-    /// fails a job that already has its answer.
+    /// (the new response included) not yet in the store, each appended
+    /// to its kind's segment as one record before the job returns.
+    /// Entries seeded from disk or saved by an earlier job are skipped,
+    /// and no saved record is ever rewritten, so the cost tracks what the
+    /// job added, not the daemon's lifetime. Best-effort: a failed save
+    /// bumps `persist_errors` and leaves its entry unsaved for the next
+    /// job to retry; it never fails a job that already has its answer.
     fn persist(&self) {
         let Some(store) = &self.store else {
             return;
         };
-        let failed = store.write_back(KIND_RESPONSES, &self.responses, |r| r.payload.to_vec())
+        let failed = store.write_back(KIND_RESPONSES, &self.responses, Response::to_record)
             + store.write_back(KIND_SCHEDULES, &self.caches.schedule, Schedule::to_bytes)
             + store.write_back(KIND_IDEAL, &self.caches.ideal, LoopResult::to_metric_bytes)
             + store.write_back(
@@ -483,10 +503,10 @@ impl Engine {
             start = end;
         }
         let out = fold.finish();
-        Ok(Response::new(
-            Self::render_payload(&out.summary, &out.actuation_hist),
-            false,
-        ))
+        Ok(Response::new(Self::render_payload(
+            &out.summary,
+            &out.actuation_hist,
+        )))
     }
 
     /// The counter sidecar, in fixed order. Every value is digest- or
@@ -525,6 +545,7 @@ impl Engine {
             ),
         ];
         if let Some(store) = &self.store {
+            out.push(("store_records_loaded".into(), store.records_loaded()));
             out.push(("store_corrupt".into(), store.corrupt_seen()));
         }
         out

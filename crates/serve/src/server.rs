@@ -321,9 +321,9 @@ fn run_executor(engine: Arc<Engine>, queue: Arc<QueueState>, shutdown: Arc<Atomi
             }
         };
         let Some(job) = job else { return };
-        // Send failures are ignored throughout: a client that hung up
-        // mid-job must not take the daemon (or the job's side effects —
-        // warm caches, persisted response) down with it.
+        // A client that hung up mid-job must not take the daemon (or the
+        // job's side effects — warm caches, persisted response) down with
+        // it, so send failures never end the loop.
         let outcome = engine.run_job(&job.req, |done, total, worst_ns, overruns| {
             let mut out = job.out.lock().expect("connection writer");
             let _ = send_server(
@@ -339,7 +339,7 @@ fn run_executor(engine: Arc<Engine>, queue: Arc<QueueState>, shutdown: Arc<Atomi
         let mut out = job.out.lock().expect("connection writer");
         match outcome {
             Ok(report) => {
-                let _ = send_server(
+                let sent = send_server(
                     &mut *out,
                     &ServerMsg::Report {
                         digest: report.digest,
@@ -348,12 +348,27 @@ fn run_executor(engine: Arc<Engine>, queue: Arc<QueueState>, shutdown: Arc<Atomi
                         payload: report.payload.as_ref().clone(),
                     },
                 );
-                let _ = send_server(
-                    &mut *out,
-                    &ServerMsg::Done {
+                // An undelivered report ends the job with a typed error,
+                // never a `Done` the client cannot match to a report. An
+                // oversized frame is refused before any byte is written,
+                // so the stream stays framed.
+                let reply = match sent {
+                    Ok(()) => ServerMsg::Done {
                         sched_computes: report.sched_computes,
                     },
-                );
+                    Err(WireError::Disconnected) => continue,
+                    Err(WireError::Oversized { len }) => ServerMsg::Err {
+                        code: "report_too_large".into(),
+                        msg: format!(
+                            "the {len}-byte report exceeds the {MAX_FRAME}-byte frame cap"
+                        ),
+                    },
+                    Err(e) => ServerMsg::Err {
+                        code: "report_undeliverable".into(),
+                        msg: e.to_string(),
+                    },
+                };
+                let _ = send_server(&mut *out, &reply);
             }
             Err(e) => {
                 let _ = send_server(

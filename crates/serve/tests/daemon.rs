@@ -9,7 +9,8 @@
 use std::path::PathBuf;
 
 use ecl_serve::{
-    Client, ClientError, Engine, EngineConfig, ResponseSource, Server, ServerConfig, SweepRequest,
+    Client, ClientError, DiskStore, Engine, EngineConfig, ResponseSource, Server, ServerConfig,
+    SweepRequest,
 };
 
 /// A per-test scratch directory under the OS temp root, removed on drop.
@@ -100,20 +101,35 @@ fn cold_warm_restart_payloads_are_byte_identical_across_worker_counts() {
     );
 }
 
-/// A restarted daemon stays warm below the response layer too: a *new*
-/// request over the same schedule axes recomputes the sweep but finds
-/// every schedule (and memoized run) already seeded from disk.
+/// A restarted daemon stays warm below the response layer too: it seeds
+/// every record its predecessor wrote, and a *new* request over the
+/// same schedule axes recomputes the sweep but finds every schedule (and
+/// memoized run) already seeded from disk.
 #[test]
 fn restart_serves_new_requests_without_recomputing_schedules() {
     let store = TempStore::new("axes");
     let srv = server(2, Some(&store));
     let mut client = Client::connect(srv.addr()).expect("connect");
     client.submit(&request()).expect("seed the store");
+    let stats = client.stats().expect("stats before the restart");
+    assert_eq!(counter(&stats, "persist_errors"), 0);
+    let written: u64 = [
+        "schedule_entries",
+        "ideal_entries",
+        "scheduled_entries",
+        "responses_cached",
+    ]
+    .iter()
+    .map(|key| counter(&stats, key))
+    .sum();
     drop(client);
     drop(srv);
 
     let srv = server(2, Some(&store));
     let mut client = Client::connect(srv.addr()).expect("reconnect");
+    let stats = client.stats().expect("stats after the restart");
+    assert_eq!(counter(&stats, "store_records_loaded"), written);
+    assert_eq!(counter(&stats, "store_corrupt"), 0);
     let half = SweepRequest {
         scenarios: 6, // strict subset of the seeded 0..12 index range
         ..request()
@@ -130,26 +146,23 @@ fn restart_serves_new_requests_without_recomputing_schedules() {
     assert_eq!(counter(&stats, "jobs_computed"), 1);
 }
 
-/// Persistence writes only what a job added: a second cold job that
-/// reuses the first job's schedules leaves every file the first job
-/// wrote in place. Saves go through temp-then-rename, so a rewritten
-/// file would carry a new inode.
-#[cfg(unix)]
+/// Persistence only appends: a second cold job that reuses the first
+/// job's schedules leaves every segment the first job wrote as a byte
+/// prefix of the segment after it, and appends the second response.
 #[test]
 fn persist_never_rewrites_saved_entries() {
-    use std::os::unix::fs::MetadataExt;
-    let store = TempStore::new("inode");
+    let store = TempStore::new("append");
     let engine = Engine::new(EngineConfig {
         workers: 2,
         store_dir: Some(store.dir.clone()),
     })
     .expect("engine");
-    let inodes = || {
+    let segments = || {
         let mut out = std::collections::BTreeMap::new();
         for kind in std::fs::read_dir(&store.dir).expect("store root").flatten() {
             for file in std::fs::read_dir(kind.path()).expect("kind dir").flatten() {
-                let ino = file.metadata().expect("file metadata").ino();
-                out.insert(file.path(), ino);
+                let bytes = std::fs::read(file.path()).expect("segment bytes");
+                out.insert(file.path(), bytes);
             }
         }
         out
@@ -158,9 +171,8 @@ fn persist_never_rewrites_saved_entries() {
     engine
         .run_job(&request(), |_, _, _, _| {})
         .expect("first job");
-    let before = inodes();
-    let schedules = store.dir.join("schedules");
-    assert!(before.keys().any(|path| path.starts_with(&schedules)));
+    let before = segments();
+    assert_eq!(before.len(), 4, "one segment per kind: {:?}", before.keys());
 
     let half = SweepRequest {
         scenarios: 6, // strict subset of the first job's index range
@@ -168,19 +180,59 @@ fn persist_never_rewrites_saved_entries() {
     };
     let second = engine.run_job(&half, |_, _, _, _| {}).expect("second job");
     assert_eq!(second.source, ResponseSource::Computed);
-    let after = inodes();
-    for (path, ino) in &before {
-        assert_eq!(
-            after.get(path),
-            Some(ino),
+    let after = segments();
+    assert_eq!(after.len(), before.len(), "a segment appeared");
+    let responses = store.dir.join("responses").join("segment");
+    for (path, bytes) in &before {
+        assert!(
+            after[path].starts_with(bytes),
             "{} was rewritten",
             path.display()
         );
+        // The second job adds no schedule or run, and nothing saved is
+        // appended again: only the responses segment grows, by one
+        // record (the payload plus a few dozen bytes of framing).
+        let grown = after[path].len() - bytes.len();
+        if *path == responses {
+            let payload = second.payload.len();
+            assert!((payload..payload + 64).contains(&grown), "grew {grown} B");
+        } else {
+            assert_eq!(grown, 0, "{} grew", path.display());
+        }
     }
-    assert!(
-        after.len() > before.len(),
-        "the second response was not saved"
-    );
+    let reader = DiskStore::open(&store.dir).expect("a second handle opens");
+    assert_eq!(reader.load_all("responses").len(), 2);
+    let record = reader
+        .load("responses", second.digest)
+        .expect("the second response was appended");
+    assert!(record.ends_with(&second.payload));
+    assert_eq!(reader.corrupt_seen(), 0);
+}
+
+/// A report over the frame cap cannot be sent: the job ends with the
+/// typed `report_too_large` error, not a `Done` without a report, and
+/// the same daemon goes on answering.
+#[test]
+fn an_undeliverable_report_is_a_typed_error() {
+    let srv = server(2, None);
+    let mut client = Client::connect(srv.addr()).expect("connect");
+    let big = SweepRequest {
+        scenarios: 4_000, // about 1.3 MB of report, over the 1 MiB cap
+        chunk: 500,
+        ..SweepRequest::default()
+    };
+    match client.submit(&big) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, "report_too_large"),
+        other => panic!("expected report_too_large, got {other:?}"),
+    }
+    let small = SweepRequest {
+        scenarios: 2,
+        ..request()
+    };
+    let outcome = client
+        .submit(&small)
+        .expect("the daemon answers after an undeliverable report");
+    assert_eq!(outcome.source, ResponseSource::Computed);
 }
 
 /// `priority` and `chunk` steer scheduling only — two engines given the

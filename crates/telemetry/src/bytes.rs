@@ -5,8 +5,9 @@
 //! a [`ByteWriter`] that appends fixed-width little-endian scalars and
 //! length-prefixed strings to a `Vec<u8>`, and a [`ByteReader`] that
 //! consumes the same layout and reports structural problems as typed
-//! [`CodecError`]s instead of panicking. The on-disk cache files under
-//! `results/cache/` and the `ecl-serve` wire frames are both built on it.
+//! [`CodecError`]s instead of panicking. The records of the `ecl-serve`
+//! daemon's on-disk cache segments (E18's under `results/cache/`) and its
+//! wire frames are both built on it.
 //!
 //! Layout conventions shared by every encoder in the workspace:
 //!

@@ -209,7 +209,7 @@ impl Histogram {
     /// Reconstructs a histogram written by [`encode_into`], revalidating
     /// the structural invariants (`bucket_width` is re-derived from the
     /// bound exactly as [`new`] does, and the total count must equal the
-    /// routed counts) so a corrupt cache file decodes to a typed error,
+    /// routed counts) so a corrupt cache record decodes to a typed error,
     /// never a histogram that lies.
     ///
     /// [`encode_into`]: Histogram::encode_into
