@@ -178,6 +178,94 @@ impl Default for SweepConfig {
     }
 }
 
+/// The text of a [`Scenario::label`] before its WCET bound.
+const LABEL_WCET: &str = "wcet<=x";
+
+/// The text of a [`Scenario::label`] between its WCET bound and period
+/// scale.
+const LABEL_PERIOD: &str = " Ts x";
+
+/// The text before each fault rate of a faulty scenario's label: frame
+/// loss, link outage, processor dropout.
+const LABEL_FAULTS: [&str; 3] = [" faults fl", " ol", " pd"];
+
+/// Decimals of each fault rate in a label, in [`LABEL_FAULTS`] order.
+const FAULT_DIGITS: [usize; 3] = [3, 3, 4];
+
+/// Appends a label's policy name.
+fn push_policy(out: &mut String, policy: MappingPolicy) {
+    match policy {
+        MappingPolicy::SchedulePressure => out.push_str("SchedulePressure"),
+        MappingPolicy::EarliestFinish => out.push_str("EarliestFinish"),
+        random @ MappingPolicy::Random { .. } => {
+            let _ = write!(out, "{random:?}");
+        }
+    }
+}
+
+/// Bytes [`push_fixed`] writes for `v` at `digits` decimals.
+fn fixed_len(v: f64, digits: usize) -> usize {
+    let mut s = String::new();
+    push_fixed(&mut s, v, digits);
+    s.len()
+}
+
+impl SweepConfig {
+    /// The length of the shortest [`Scenario::label`] this sweep's axes
+    /// allow: each part of a label at its narrowest. A table's largest
+    /// WCET factor is at least 1, so its bound writes at least `1.000`;
+    /// the period scale and the policy are the narrowest of their axes
+    /// (a [`MappingPolicy::Random`] seed is at least one digit); the
+    /// fault rates count only when no scenario can be fault-free, i.e.
+    /// some axis holds positive rates alone. Prune suffixes only add to
+    /// a label.
+    pub fn shortest_label_len(&self) -> usize {
+        let narrowest = |axis: &[f64], digits: usize| {
+            axis.iter()
+                .map(|&v| fixed_len(v, digits))
+                .min()
+                .unwrap_or(0)
+        };
+        let policy = self
+            .policies
+            .iter()
+            .map(|&policy| {
+                let mut name = String::new();
+                push_policy(
+                    &mut name,
+                    match policy {
+                        MappingPolicy::Random { .. } => MappingPolicy::Random { seed: 0 },
+                        fixed => fixed,
+                    },
+                );
+                name.len()
+            })
+            .min()
+            .unwrap_or(0);
+        let axes = &self.faults;
+        let rates = [
+            &axes.frame_loss_rates,
+            &axes.link_outage_rates,
+            &axes.proc_dropout_rates,
+        ];
+        let always_faulty = rates.iter().any(|axis| axis.iter().all(|&r| r > 0.0));
+        let faults = if always_faulty {
+            (0..3)
+                .map(|k| LABEL_FAULTS[k].len() + narrowest(rates[k], FAULT_DIGITS[k]))
+                .sum()
+        } else {
+            0
+        };
+        LABEL_WCET.len()
+            + fixed_len(1.0, 3)
+            + LABEL_PERIOD.len()
+            + narrowest(&self.period_scales, 2)
+            + 1
+            + policy
+            + faults
+    }
+}
+
 /// A concrete perturbation of the baseline, fully determined by
 /// `(config, index)` — deriving it never consults shared state.
 #[derive(Debug, Clone)]
@@ -293,30 +381,31 @@ impl Scenario {
     /// when non-zero, keeping fault-free labels byte-identical to
     /// pre-fault sweeps.
     pub fn label(&self) -> String {
-        // Room for a fixed policy, the fault rates when present and a
-        // ` pruned:unsafe` suffix, so neither these writes nor the suffix
-        // reallocate.
+        // Room for a fixed policy and the fault rates when present, so
+        // these writes do not reallocate.
         let mut s = String::with_capacity(if self.has_faults() { 104 } else { 56 });
-        s.push_str("wcet<=x");
-        push_fixed(&mut s, self.wcet_worst, 3);
-        s.push_str(" Ts x");
-        push_fixed(&mut s, self.period_scale, 2);
-        s.push(' ');
-        match self.policy {
-            MappingPolicy::SchedulePressure => s.push_str("SchedulePressure"),
-            MappingPolicy::EarliestFinish => s.push_str("EarliestFinish"),
-            random @ MappingPolicy::Random { .. } => {
-                let _ = write!(s, "{random:?}");
+        self.write_label(&mut s);
+        s
+    }
+
+    /// Appends [`label`](Scenario::label) to `out`.
+    pub(super) fn write_label(&self, out: &mut String) {
+        out.push_str(LABEL_WCET);
+        push_fixed(out, self.wcet_worst, 3);
+        out.push_str(LABEL_PERIOD);
+        push_fixed(out, self.period_scale, 2);
+        out.push(' ');
+        push_policy(out, self.policy);
+        if self.has_faults() {
+            let rates = [
+                self.frame_loss_rate,
+                self.link_outage_rate,
+                self.proc_dropout_rate,
+            ];
+            for ((text, digits), rate) in LABEL_FAULTS.into_iter().zip(FAULT_DIGITS).zip(rates) {
+                out.push_str(text);
+                push_fixed(out, rate, digits);
             }
         }
-        if self.has_faults() {
-            s.push_str(" faults fl");
-            push_fixed(&mut s, self.frame_loss_rate, 3);
-            s.push_str(" ol");
-            push_fixed(&mut s, self.link_outage_rate, 3);
-            s.push_str(" pd");
-            push_fixed(&mut s, self.proc_dropout_rate, 4);
-        }
-        s
     }
 }

@@ -1,11 +1,17 @@
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
+
 use ecl_aaa::{
-    DigestMemo, Fnv1a, MemoView, Schedule, ScheduleCache, ScheduleKey, TableKey, TimeNs, TimingDb,
+    DigestMemo, Fnv1a, MappingPolicy, MemoView, Schedule, ScheduleCache, ScheduleKey, TableKey,
+    TimeNs, TimingDb,
 };
 use ecl_core::cosim::{IdealRunCache, LoopKey, LoopResult, LoopSpec, ScheduledRunCache};
 use ecl_core::faults::FaultFamily;
 use ecl_core::latency::LatencyReport;
+use ecl_sim::splitmix64;
 use ecl_telemetry::{Histogram, WorkerProfile};
-use ecl_verify::EnvelopeReport;
+use ecl_verify::{EnvelopeReport, EnvelopeVerdict};
 
 use super::{Scenario, SweepConfig};
 use crate::SplitScenario;
@@ -147,13 +153,18 @@ impl<'a> SweepKeys<'a> {
 /// axis.
 pub(super) const TABLE_SLOTS: usize = 32;
 
+/// Labels a [`Lane`]'s label cache holds before it starts over: room for
+/// every label of exp19's fault axes (768), while its memory stays
+/// bounded whatever axes a daemon client picks.
+pub(super) const LABEL_ENTRIES: usize = 1024;
+
 /// One worker's private state for one pass of a [`SweepFold`](super::SweepFold),
 /// which alone builds and finishes lanes: its profile buffer, its
 /// scratch actuation histogram, its [`MemoView`] of each of the five
-/// memos and its cache of hashed WCET tables. Nothing in it is shared,
-/// so a lookup the lane has already made touches no other worker's
-/// memory; finishing the lane adds its views' lookup counts to the
-/// shared tables.
+/// memos, its cache of hashed WCET tables and its cache of report
+/// labels. Nothing in it is shared, so a lookup the lane has already
+/// made touches no other worker's memory; finishing the lane adds its
+/// views' lookup counts to the shared tables.
 ///
 /// The table cache holds the index and [`TableKey`] (graphs and WCET
 /// table, hashed) of the last table seen in each of its 32 slots,
@@ -162,6 +173,10 @@ pub(super) const TABLE_SLOTS: usize = 32;
 /// a scenario whose table is cached builds no jittered [`TimingDb`] and
 /// hashes only its policy; a miss builds and hashes the table and
 /// evicts the slot's previous entry.
+///
+/// The label cache hands every row of the same label one shared string:
+/// it maps everything a label reads, bit for bit, to the string
+/// formatted on the first miss, and holds at most 1 024 labels.
 #[derive(Debug)]
 pub struct Lane {
     pub(super) profile: WorkerProfile,
@@ -172,6 +187,7 @@ pub struct Lane {
     pub(super) reports: MemoView<ReportEntry>,
     pub(super) envelopes: MemoView<EnvelopeReport>,
     pub(super) tables: [Option<(usize, TableKey)>; TABLE_SLOTS],
+    pub(super) labels: LabelCache,
 }
 
 impl Lane {
@@ -187,6 +203,7 @@ impl Lane {
             reports: MemoView::new(),
             envelopes: MemoView::new(),
             tables: std::array::from_fn(|_| None),
+            labels: LabelCache::default(),
         }
     }
 
@@ -231,4 +248,99 @@ pub(super) fn table_key(
     let hashed = key.table(&db);
     *slot = Some((table, hashed.clone()));
     (hashed, Some(db))
+}
+
+/// Everything [`Scenario::label`] reads, bit for bit — `wcet_worst`,
+/// `period_scale`, the three fault rates and the policy — and the prune
+/// verdict that picks the label's suffix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LabelKey([u64; 7]);
+
+impl LabelKey {
+    fn new(scenario: &Scenario, pruned: Option<EnvelopeVerdict>) -> LabelKey {
+        let (policy, seed) = match scenario.policy {
+            MappingPolicy::SchedulePressure => (0, 0),
+            MappingPolicy::EarliestFinish => (1, 0),
+            MappingPolicy::Random { seed } => (2, seed),
+        };
+        let suffix = match pruned {
+            None => 0,
+            Some(EnvelopeVerdict::Safe) => 1,
+            Some(_) => 2,
+        };
+        LabelKey([
+            scenario.wcet_worst.to_bits(),
+            scenario.period_scale.to_bits(),
+            scenario.frame_loss_rate.to_bits(),
+            scenario.link_outage_rate.to_bits(),
+            scenario.proc_dropout_rate.to_bits(),
+            policy | suffix << 2,
+            seed,
+        ])
+    }
+}
+
+impl Hash for LabelKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.iter().fold(0, |h, &w| splitmix64(h ^ w)));
+    }
+}
+
+/// The hasher of a [`LabelCache`]: a [`LabelKey`] mixes its own words,
+/// so the hasher keeps the one word it is given.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = splitmix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// A lane's interned report labels: a row's label is an `Arc` clone of
+/// the one string formatted for its [`LabelKey`]. Fewer than a hundred
+/// labels are distinct in a fault-free sweep of any size, so rows share
+/// them instead of each formatting and owning a copy. The cache is the
+/// lane's alone and is dropped with it at the end of the pass; it holds
+/// at most [`LABEL_ENTRIES`] labels and starts over when full, so it
+/// grows with neither the WCET tables nor any other axis.
+#[derive(Debug, Default)]
+pub(super) struct LabelCache {
+    labels: HashMap<LabelKey, Arc<str>, BuildHasherDefault<KeyHasher>>,
+    /// The buffer a miss formats into, reused across misses.
+    scratch: String,
+}
+
+impl LabelCache {
+    /// `scenario`'s label, with the suffix of its prune verdict when a
+    /// conclusive envelope replaced its co-simulation.
+    pub(super) fn get(&mut self, scenario: &Scenario, pruned: Option<EnvelopeVerdict>) -> Arc<str> {
+        let key = LabelKey::new(scenario, pruned);
+        if let Some(label) = self.labels.get(&key) {
+            return Arc::clone(label);
+        }
+        if self.labels.len() == LABEL_ENTRIES {
+            self.labels.clear();
+        }
+        self.scratch.clear();
+        scenario.write_label(&mut self.scratch);
+        self.scratch.push_str(match pruned {
+            None => "",
+            Some(EnvelopeVerdict::Safe) => " pruned:safe",
+            Some(_) => " pruned:unsafe",
+        });
+        let label: Arc<str> = Arc::from(self.scratch.as_str());
+        self.labels.insert(key, Arc::clone(&label));
+        label
+    }
 }

@@ -1278,6 +1278,150 @@ mod tests {
         assert!(err.to_string().contains("outside its period"), "{err}");
     }
 
+    /// The scenario rows of a summary's two documents, paired by index:
+    /// the Markdown rows after the table's rule, the JSON rows of the
+    /// `scenarios` array, each with its newline.
+    fn scenario_rows(summary: &ecl_core::report::SweepSummary) -> Vec<(String, String)> {
+        let (md, json) = (summary.render(), summary.to_json());
+        let md_rows = md
+            .lines()
+            .skip_while(|l| *l != "|---|---|---|---|---|---|---|---|")
+            .skip(1);
+        let json_rows = json
+            .lines()
+            .skip_while(|l| *l != "  \"scenarios\": [")
+            .skip(1);
+        md_rows
+            .zip(json_rows)
+            .take(summary.scenarios.len())
+            .map(|(m, j)| (format!("{m}\n"), format!("{j}\n")))
+            .collect()
+    }
+
+    /// Every row's interned label is the label `Scenario::label()`
+    /// formats (plus the prune suffix of a pruned row) at 1 and 4
+    /// workers: on a hot sweep, a faulty sweep with pruning, a sweep
+    /// whose every scenario is faulty and a `MappingPolicy::Random`
+    /// sweep. No label is shorter than the config's
+    /// `shortest_label_len()`, which the shortest one equals where
+    /// nothing is pruned, and every rendered row is at least the
+    /// daemon's admission floor for its label.
+    #[test]
+    fn interned_labels_equal_formatted_labels() {
+        use ecl_aaa::MappingPolicy;
+        use ecl_core::report::SCENARIO_ROW_MIN_BYTES;
+
+        let spec = dc_motor_loop(0.05).unwrap();
+        let base = small_base();
+        let hot = SweepConfig {
+            scenario_count: 300,
+            memoize_scheduled: true,
+            memoize_reports: true,
+            ..SweepConfig::default()
+        };
+        let faults = FaultAxes {
+            frame_loss_rates: vec![0.0, 0.25],
+            link_outage_rates: vec![0.0, 0.10],
+            ..FaultAxes::default()
+        };
+        let pruned = SweepConfig {
+            scenario_count: 96,
+            prune_static: true,
+            faults: faults.clone(),
+            ..hot.clone()
+        };
+        let always_faulty = SweepConfig {
+            scenario_count: 48,
+            faults: FaultAxes {
+                frame_loss_rates: vec![0.25],
+                ..faults
+            },
+            ..hot.clone()
+        };
+        let random = SweepConfig {
+            scenario_count: 48,
+            policies: vec![
+                MappingPolicy::Random { seed: 0 },
+                MappingPolicy::EarliestFinish,
+            ],
+            ..hot.clone()
+        };
+        for config in [hot, pruned, always_faulty, random] {
+            for workers in [1, 4] {
+                let config = SweepConfig {
+                    workers,
+                    ..config.clone()
+                };
+                let summary = run_sweep(&spec, &base, &config).unwrap().summary;
+                let mut suffixes = [0usize; 3];
+                for row in &summary.scenarios {
+                    let label = Scenario::derive(&config, &base, row.index).label();
+                    let suffix = row.label.strip_prefix(label.as_str()).unwrap_or_else(|| {
+                        panic!("#{}: {:?} is not {label:?}", row.index, row.label)
+                    });
+                    let kind = ["", " pruned:safe", " pruned:unsafe"]
+                        .iter()
+                        .position(|s| *s == suffix)
+                        .unwrap_or_else(|| panic!("#{}: suffix {suffix:?}", row.index));
+                    suffixes[kind] += 1;
+                }
+                let p = summary.prune.unwrap_or_default();
+                assert_eq!(suffixes[1..], [p.pruned_safe, p.pruned_unsafe]);
+                assert!(!config.prune_static || p.pruned_safe > 0);
+
+                let shortest = config.shortest_label_len();
+                // Pruning only lengthens labels: there the bound is not met.
+                let labels = summary.scenarios.iter().map(|r| r.label.len());
+                let tight = labels.min() == Some(shortest);
+                assert!(tight || config.prune_static, "{:?}", config.policies);
+                let rows = scenario_rows(&summary);
+                assert_eq!(rows.len(), summary.scenarios.len());
+                for ((md, json), row) in rows.iter().zip(&summary.scenarios) {
+                    assert!(md.starts_with(&format!("| {} | 0x", row.index)), "{md}");
+                    assert!(json.contains(&*row.label), "{json}");
+                    let floor = SCENARIO_ROW_MIN_BYTES + 2 * row.label.len();
+                    assert!(md.len() + json.len() >= floor, "{md}{json}");
+                    assert!(row.label.len() >= shortest);
+                }
+            }
+        }
+    }
+
+    /// The label cache answers every key with its formatted label and
+    /// the suffix of its prune verdict, both suffixes included, and
+    /// stays correct while it starts over past `LABEL_ENTRIES` labels;
+    /// a repeated key shares one string.
+    #[test]
+    fn label_cache_returns_formatted_labels_past_its_bound() {
+        use super::lane::{LabelCache, LABEL_ENTRIES};
+        use ecl_aaa::MappingPolicy;
+        use ecl_verify::EnvelopeVerdict;
+
+        let base = small_base();
+        let config = SweepConfig {
+            policies: vec![MappingPolicy::Random { seed: 0 }],
+            faults: FaultAxes {
+                frame_loss_rates: vec![0.0, 0.25],
+                ..FaultAxes::default()
+            },
+            ..SweepConfig::default()
+        };
+        let verdicts = [
+            (None, ""),
+            (Some(EnvelopeVerdict::Safe), " pruned:safe"),
+            (Some(EnvelopeVerdict::Unsafe), " pruned:unsafe"),
+        ];
+        let mut cache = LabelCache::default();
+        for index in (0..LABEL_ENTRIES + 100).chain(0..50) {
+            let scenario = Scenario::derive(&config, &base, index);
+            for (verdict, suffix) in verdicts {
+                let label = cache.get(&scenario, verdict);
+                assert_eq!(*label, scenario.label() + suffix);
+                assert!(Arc::ptr_eq(&label, &cache.get(&scenario, verdict)));
+            }
+        }
+    }
+
     /// One fold slot holds a scenario's `Result`: the rare payloads sit
     /// behind one box, so the slot stays within two cache lines.
     #[test]

@@ -328,24 +328,23 @@ impl<'s> Stages<'s, '_> {
 
     /// Prune: the statically derived row of a conclusive envelope
     /// verdict, in place of every later stage.
-    fn pruned(&self, d: &Deployed, verdict: EnvelopeVerdict, worst_hi: TimeNs) -> ScenarioRecord {
+    fn pruned(
+        &mut self,
+        d: &Deployed,
+        verdict: EnvelopeVerdict,
+        worst_hi: TimeNs,
+    ) -> ScenarioRecord {
         let overruns = if verdict == EnvelopeVerdict::Unsafe {
             // Every period's actuation can land past the deadline.
             periods_in(self.keys.spec.base().horizon, d.ts) as usize
         } else {
             0
         };
-        let mut label = d.scenario.label();
-        label.push_str(if verdict == EnvelopeVerdict::Safe {
-            " pruned:safe"
-        } else {
-            " pruned:unsafe"
-        });
         ScenarioRecord {
             outcome: ScenarioOutcome {
                 index: self.index,
                 seed: d.scenario.seed,
-                label,
+                label: self.lane.labels.get(&d.scenario, Some(verdict)),
                 cost: 0.0,
                 cost_ratio: 0.0,
                 makespan_ns: d.schedule.makespan().as_nanos(),
@@ -519,7 +518,7 @@ impl<'s> Stages<'s, '_> {
             let outcome = ScenarioOutcome {
                 index: self.index,
                 seed: d.scenario.seed,
-                label: d.scenario.label(),
+                label: self.lane.labels.get(&d.scenario, None),
                 cost: run.cost,
                 cost_ratio: run.cost / ideal.cost,
                 makespan_ns: d.schedule.makespan().as_nanos(),

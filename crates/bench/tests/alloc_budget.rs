@@ -40,11 +40,13 @@ use ecl_core::cosim::{self, LoopSpec};
 const SCENARIOS: u64 = 2_000;
 
 /// Ceiling on allocations of the whole sweep, its 96 co-simulations and
-/// the lane's memo views included: about 7.6 per scenario.
-const SWEEP_ALLOCATIONS: u64 = 15_107;
+/// the lane's memo views and label caches included: about 6.6 per
+/// scenario.
+const SWEEP_ALLOCATIONS: u64 = 13_213;
 
 /// Ceiling on allocations of `render` + `to_json` over the sweep's
-/// 2 000 rows: the two documents and the sorted cost ratios. The faulty
+/// 2 000 rows: the two documents and the copy of the cost ratios the
+/// quantiles are selected from. The faulty
 /// summary's `render` + `to_json` shares it.
 const RENDER_ALLOCATIONS: u64 = 3;
 
@@ -65,7 +67,7 @@ const FAULTY_SCENARIOS: usize = 300;
 /// fault axes with static pruning and both memos on: its fault plans,
 /// the co-simulations and extractions its memos miss, each degradation
 /// row's tally and boxed payload, and the envelopes its memo misses.
-const FAULTY_SWEEP_ALLOCATIONS: u64 = 36_976;
+const FAULTY_SWEEP_ALLOCATIONS: u64 = 36_944;
 
 /// Allocations of one adequation of scenario 0 of the default sweep over
 /// `base`.

@@ -6,6 +6,7 @@
 //! human-readable Markdown summary and machine-readable CSV traces.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use ecl_aaa::{AlgorithmGraph, ArchitectureGraph};
 use ecl_telemetry::Counts;
@@ -170,8 +171,9 @@ pub struct ScenarioOutcome {
     pub index: usize,
     /// The per-scenario PRNG seed actually used.
     pub seed: u64,
-    /// Human-readable description of the perturbation.
-    pub label: String,
+    /// Human-readable description of the perturbation; rows of the
+    /// same label share one string.
+    pub label: Arc<str>,
     /// Quadratic cost of the implemented (co-simulated) run.
     pub cost: f64,
     /// `cost / ideal cost` of the same scenario.
@@ -364,6 +366,126 @@ const POW10: [u64; 10] = [
     1_000_000_000,
 ];
 
+/// The two ASCII digits of every `n < 100`, at bytes `2n` and `2n + 1`.
+const PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut n = 0;
+    while n < 100 {
+        table[2 * n] = b'0' + (n / 10) as u8;
+        table[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    table
+};
+
+/// The widest cell the writer's exact paths produce: a sign, 20 integer
+/// digits, the point and 9 decimals.
+const CELL_MAX: usize = 32;
+
+/// Bytes a [`Cells`] writer buffers before it flushes: a few dozen
+/// scenario rows of the reports.
+const CELLS_CAP: usize = 4096;
+
+/// Writes the low `dst.len()` decimal digits of `n` into `dst`,
+/// zero-padded, two digits per step. Eight digits at a time split into
+/// four pairs that do not wait on one another.
+#[inline(always)]
+fn put_digits(dst: &mut [u8], mut n: u64) {
+    let mut i = dst.len();
+    while i >= 8 {
+        i -= 8;
+        put_digits_unrolled(&mut dst[i..i + 8], n % 100_000_000);
+        n /= 100_000_000;
+    }
+    while i >= 2 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        dst[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if i == 1 {
+        dst[0] = b'0' + (n % 10) as u8;
+    }
+}
+
+/// [`put_digits`] for a `dst` whose length is known where it is
+/// inlined: each pair divides `n` by its own constant power of 100, so
+/// the pairs do not wait on one another.
+#[inline(always)]
+fn put_digits_unrolled(dst: &mut [u8], n: u64) {
+    let mut i = dst.len();
+    let mut power = 1u64;
+    while i >= 2 {
+        let pair = (n / power % 100) as usize * 2;
+        power = power.wrapping_mul(100);
+        i -= 2;
+        dst[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if i == 1 {
+        dst[0] = b'0' + (n / power % 10) as u8;
+    }
+}
+
+/// Writes `n` at the start of `dst` (20 bytes or more) as `{}` writes
+/// it; returns the bytes written.
+#[inline(always)]
+fn put_u64(dst: &mut [u8], n: u64) -> usize {
+    if n < 10 {
+        dst[0] = b'0' + n as u8;
+        return 1;
+    }
+    let len = n.ilog10() as usize + 1;
+    put_digits(&mut dst[..len], n);
+    len
+}
+
+/// Writes `n` at the start of `dst` (21 bytes or more) as `{}` writes
+/// it; returns the bytes written.
+#[inline(always)]
+fn put_i64(dst: &mut [u8], n: i64) -> usize {
+    if n < 0 {
+        dst[0] = b'-';
+        1 + put_u64(&mut dst[1..], n.unsigned_abs())
+    } else {
+        put_u64(dst, n.unsigned_abs())
+    }
+}
+
+/// Writes `n` at the start of `dst` as `{:#018x}` writes it — `0x` and
+/// 16 lower-case hex digits, two per step; returns 18.
+#[inline(always)]
+fn put_hex(dst: &mut [u8], n: u64) -> usize {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    dst[..2].copy_from_slice(b"0x");
+    for (k, byte) in n.to_be_bytes().into_iter().enumerate() {
+        dst[2 + 2 * k] = HEX[usize::from(byte >> 4)];
+        dst[3 + 2 * k] = HEX[usize::from(byte & 0xf)];
+    }
+    18
+}
+
+/// Writes `v` with `digits` digits after the point at the start of
+/// `dst` ([`CELL_MAX`] bytes or more), byte-equal to
+/// `format!("{v:.digits$}")`; returns the bytes written, or `None` where
+/// [`push_fixed`] falls back to `core::fmt`. Inlined where `digits` is
+/// a constant, the splits by `10^digits` are multiplications.
+#[inline(always)]
+fn put_fixed(dst: &mut [u8], v: f64, digits: usize) -> Option<usize> {
+    let n = scaled_fixed(v, digits)?;
+    let scale = POW10[digits];
+    // The sign byte is overwritten by the first digit when `v` is
+    // positive.
+    dst[0] = b'-';
+    let mut at = usize::from(v.is_sign_negative());
+    at += put_u64(&mut dst[at..], n / scale);
+    if digits > 0 {
+        dst[at] = b'.';
+        put_digits_unrolled(&mut dst[at + 1..at + 1 + digits], n % scale);
+        at += 1 + digits;
+    }
+    Some(at)
+}
+
 /// Appends `v` with `digits` digits after the point, byte-equal to
 /// `format!("{v:.digits$}")`.
 ///
@@ -387,32 +509,18 @@ const POW10: [u64; 10] = [
 /// assert_eq!(s, "0.007812 -0.000");
 /// ```
 pub fn push_fixed(out: &mut String, v: f64, digits: usize) {
-    let Some(mut n) = scaled_fixed(v, digits) else {
-        let _ = write!(out, "{v:.digits$}");
-        return;
-    };
-    // Sign, up to 20 digits and the point.
-    let mut buf = [0u8; 22];
-    let mut i = buf.len();
-    for _ in 0..digits {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
+    let mut buf = [0u8; CELL_MAX];
+    match put_fixed(&mut buf, v, digits) {
+        Some(len) => out.push_str(std::str::from_utf8(&buf[..len]).expect("ASCII digits")),
+        None => {
+            let _ = write!(out, "{v:.digits$}");
+        }
     }
-    if digits > 0 {
-        i -= 1;
-        buf[i] = b'.';
-    }
-    i = write_digits(&mut buf[..i], n);
-    if v.is_sign_negative() {
-        i -= 1;
-        buf[i] = b'-';
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
 }
 
 /// `|v|·10^digits` rounded half to even, or `None` where [`push_fixed`]
 /// falls back to `core::fmt`.
+#[inline(always)]
 fn scaled_fixed(v: f64, digits: usize) -> Option<u64> {
     if !v.is_finite() || digits >= POW10.len() {
         return None;
@@ -436,9 +544,11 @@ fn scaled_fixed(v: f64, digits: usize) -> Option<u64> {
     }
     let n = u128::from(m) * u128::from(POW10[digits]);
     let q = n >> shift;
-    let r = n & ((1 << shift) - 1);
-    let half = 1 << (shift - 1);
-    let q = if r > half || (r == half && q & 1 == 1) {
+    // The bits shifted out, moved to the top: one half is the top bit
+    // alone.
+    let rest = n << (128 - shift);
+    let half = 1 << 127;
+    let q = if rest > half || (rest == half && q & 1 == 1) {
         q + 1
     } else {
         q
@@ -446,58 +556,122 @@ fn scaled_fixed(v: f64, digits: usize) -> Option<u64> {
     u64::try_from(q).ok()
 }
 
-/// Writes the decimal digits of `n` at the end of `buf` and returns the
-/// index of the first.
-fn write_digits(buf: &mut [u8], mut n: u64) -> usize {
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            return i;
+/// The one cell writer of both sweep documents. Cells go into a stack
+/// buffer, which moves into the document in one `push_str` when the
+/// next cell does not fit and when the writer is dropped: one call per
+/// few dozen rows. A text cell longer than the whole buffer goes
+/// straight into the document, so no label or tally is ever cut. Every
+/// cell is byte-equal to what `core::fmt` writes for it.
+struct Cells<'a> {
+    out: &'a mut String,
+    buf: [u8; CELLS_CAP],
+    len: usize,
+}
+
+impl Drop for Cells<'_> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+impl<'a> Cells<'a> {
+    fn new(out: &'a mut String) -> Cells<'a> {
+        Cells {
+            out,
+            buf: [0; CELLS_CAP],
+            len: 0,
+        }
+    }
+
+    /// Moves the buffered cells into the document.
+    fn flush(&mut self) {
+        let cells = std::str::from_utf8(&self.buf[..self.len]).expect("cells are whole strings");
+        self.out.push_str(cells);
+        self.len = 0;
+    }
+
+    /// The free end of the buffer, at least [`CELL_MAX`] bytes long.
+    #[inline(always)]
+    fn tail(&mut self) -> &mut [u8] {
+        if CELLS_CAP - self.len < CELL_MAX {
+            self.flush();
+        }
+        &mut self.buf[self.len..]
+    }
+
+    /// A text cell, as is.
+    #[inline(always)]
+    fn str(&mut self, s: &str) {
+        if s.len() > CELLS_CAP - self.len {
+            self.flush();
+            if s.len() > CELLS_CAP {
+                self.out.push_str(s);
+                return;
+            }
+        }
+        self.buf[self.len..self.len + s.len()].copy_from_slice(s.as_bytes());
+        self.len += s.len();
+    }
+
+    /// `n` as `{}` writes it.
+    #[inline(always)]
+    fn u64(&mut self, n: u64) {
+        let len = put_u64(self.tail(), n);
+        self.len += len;
+    }
+
+    /// `n` as `{}` writes it.
+    #[inline(always)]
+    fn i64(&mut self, n: i64) {
+        let len = put_i64(self.tail(), n);
+        self.len += len;
+    }
+
+    /// `n` as `{:#018x}` writes it.
+    #[inline(always)]
+    fn hex(&mut self, n: u64) {
+        let len = put_hex(self.tail(), n);
+        self.len += len;
+    }
+
+    /// `v` as `{:.digits$}` writes it (see [`push_fixed`]).
+    #[inline(always)]
+    fn fixed(&mut self, v: f64, digits: usize) {
+        match put_fixed(self.tail(), v, digits) {
+            Some(len) => self.len += len,
+            None => {
+                self.flush();
+                let _ = write!(self.out, "{v:.digits$}");
+            }
+        }
+    }
+
+    /// `counts` as its `Display` writes it: `name=value` pairs separated
+    /// by single spaces.
+    fn counts(&mut self, counts: &Counts) {
+        for (k, (name, v)) in counts.iter().enumerate() {
+            if k > 0 {
+                self.str(" ");
+            }
+            self.str(name);
+            self.str("=");
+            self.u64(v);
         }
     }
 }
 
-/// Appends `n` in decimal, as `{}` writes it.
-fn push_u64(out: &mut String, n: u64) {
-    let mut buf = [0u8; 20];
-    let i = write_digits(&mut buf, n);
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
-}
-
-/// Appends `n` in decimal, as `{}` writes it.
-fn push_i64(out: &mut String, n: i64) {
-    if n < 0 {
-        out.push('-');
-    }
-    push_u64(out, n.unsigned_abs());
-}
-
-/// Appends `counts` as its `Display` writes it: `name=value` pairs
-/// separated by single spaces.
-fn push_counts(out: &mut String, counts: &Counts) {
-    for (k, (name, v)) in counts.iter().enumerate() {
-        if k > 0 {
-            out.push(' ');
-        }
-        out.push_str(name);
-        out.push('=');
-        push_u64(out, v);
-    }
-}
-
-/// Appends `n` as `{:#018x}` writes it: `0x` and 16 lower-case hex
-/// digits.
-fn push_hex(out: &mut String, n: u64) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut buf = *b"0x0000000000000000";
-    for (k, b) in buf[2..].iter_mut().enumerate() {
-        *b = HEX[((n >> (60 - 4 * k)) & 0xf) as usize];
-    }
-    out.push_str(std::str::from_utf8(&buf).expect("ASCII digits"));
-}
+/// The fewest bytes one scenario adds to [`SweepSummary::render`] and
+/// [`SweepSummary::to_json`] together, beyond its label, which each
+/// document writes once. The Markdown row is 26 bytes of separators and
+/// at least 38 of cells: one digit per integer, `0x` and 16 hex digits
+/// for the seed, `0.` and six decimals for each fixed-point cell. The
+/// JSON row is 120 bytes of keys and separators (its `,` before the
+/// next row left out) and at least 27 of cells: one digit per integer
+/// and `0.` and nine decimals for each fixed-point cell. A fixed-point
+/// cell is that narrow only for a finite value, and a sweep's costs are
+/// finite: a co-simulation integrates a finite cost over a finite
+/// horizon, and a pruned row writes 0.
+pub const SCENARIO_ROW_MIN_BYTES: usize = (26 + 38) + (120 + 27);
 
 /// Bytes a [`SweepSummary::render`] scenario row takes beyond its label:
 /// the cells of a typical row (about 80 bytes), rounded up.
@@ -518,10 +692,9 @@ const JSON_DEGRADATION_ROW_BYTES: usize = 240;
 /// Bytes of either renderer's headers and aggregate sections.
 const SECTIONS_BYTES: usize = 1024;
 
-/// The `q`-quantile of ascending `sorted` by the nearest-rank method;
-/// `None` when empty.
-fn nearest_rank(sorted: &[f64], q: f64) -> Option<f64> {
-    let n = sorted.len();
+/// The 0-based position of the `q`-quantile of `n` ascending values by
+/// the nearest-rank method; `None` when `n == 0`.
+fn nearest_rank(n: usize, q: f64) -> Option<usize> {
     if n == 0 {
         return None;
     }
@@ -534,7 +707,64 @@ fn nearest_rank(sorted: &[f64], q: f64) -> Option<f64> {
     } else {
         pos.ceil()
     } as usize;
-    Some(sorted[rank.clamp(1, n) - 1])
+    Some(rank.clamp(1, n) - 1)
+}
+
+/// The nearest-rank `qs`-quantiles of `ratios`, for ascending `qs`, by
+/// selection: each quantile is selected among the values at or above
+/// the previous one, so `ratios` is reordered but never fully sorted.
+fn quantiles<const N: usize>(ratios: &mut [f64], qs: [f64; N]) -> [Option<f64>; N] {
+    let mut lo = 0;
+    qs.map(|q| {
+        let k = nearest_rank(ratios.len(), q)?;
+        let (_, v, _) = ratios[lo..].select_nth_unstable_by(k - lo, |a, b| {
+            a.partial_cmp(b).expect("cost ratios are finite")
+        });
+        lo = k;
+        Some(*v)
+    })
+}
+
+/// What the renderers read off a summary's rows, gathered in one pass.
+struct Scan<'a> {
+    /// Scenarios within the cost-ratio bound.
+    met: usize,
+    /// The lowest-index scenario of the largest cost ratio.
+    worst: Option<&'a ScenarioOutcome>,
+    /// Bytes of every label.
+    label_bytes: usize,
+    /// Degradation rows whose loop survived.
+    survived: usize,
+    /// Bytes of every rendered injected tally.
+    injected_bytes: usize,
+}
+
+impl Scan<'_> {
+    /// A byte budget for one document: `row_bytes` per scenario row
+    /// beyond its label and `degradation_row_bytes` per degradation row
+    /// beyond its tally, plus every label and tally, so the document is
+    /// written without growing.
+    fn budget(
+        &self,
+        sweep: &SweepSummary,
+        row_bytes: usize,
+        degradation_row_bytes: usize,
+    ) -> usize {
+        SECTIONS_BYTES
+            + self.label_bytes
+            + sweep.scenarios.len() * row_bytes
+            + self.injected_bytes
+            + sweep.degradations.len() * degradation_row_bytes
+    }
+}
+
+/// `part / whole`, or 0 for an empty whole.
+fn fraction(part: usize, whole: usize) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
 }
 
 /// The sweep-level report: per-scenario rows plus robustness statistics.
@@ -575,28 +805,14 @@ impl SweepSummary {
     /// Fraction of scenarios whose cost stayed within the bound
     /// (`cost_ratio <= cost_bound_ratio`); 0 for an empty sweep.
     pub fn robustness_margin(&self) -> f64 {
-        if self.scenarios.is_empty() {
-            return 0.0;
-        }
-        let met = self
-            .scenarios
-            .iter()
-            .filter(|s| s.cost_ratio <= self.cost_bound_ratio)
-            .count();
-        met as f64 / self.scenarios.len() as f64
+        fraction(self.scan(None).met, self.scenarios.len())
     }
 
     /// The scenario with the largest cost ratio (`None` for an empty
     /// sweep). Ties resolve to the lowest index, keeping the answer
     /// independent of worker count.
     pub fn worst(&self) -> Option<&ScenarioOutcome> {
-        self.scenarios.iter().reduce(|worst, s| {
-            if s.cost_ratio > worst.cost_ratio {
-                s
-            } else {
-                worst
-            }
-        })
+        self.scan(None).worst
     }
 
     /// The `q`-quantile (`0 <= q <= 1`) of the cost ratios across
@@ -604,16 +820,9 @@ impl SweepSummary {
     /// `q = 0` returns the minimum, `q = 1` the maximum, and a
     /// single-scenario sweep returns its only element for every `q`.
     pub fn cost_ratio_quantile(&self, q: f64) -> Option<f64> {
-        nearest_rank(&self.sorted_cost_ratios(), q)
-    }
-
-    /// Every scenario's cost ratio, ascending.
-    fn sorted_cost_ratios(&self) -> Vec<f64> {
         let mut ratios: Vec<f64> = self.scenarios.iter().map(|s| s.cost_ratio).collect();
-        // Unstable: equal ratios are interchangeable, and the stable sort
-        // would allocate a scratch buffer as large as the input.
-        ratios.sort_unstable_by(|a, b| a.partial_cmp(b).expect("cost ratios are finite"));
-        ratios
+        let [v] = quantiles(&mut ratios, [q]);
+        v
     }
 
     /// Fraction of faulty scenarios the loop *survived* (verdict other
@@ -623,214 +832,255 @@ impl SweepSummary {
         if self.degradations.is_empty() {
             return None;
         }
-        let survived = self
-            .degradations
-            .iter()
-            .filter(|d| d.verdict != StabilityVerdict::Diverged)
-            .count();
-        Some(survived as f64 / self.degradations.len() as f64)
+        Some(fraction(self.scan(None).survived, self.degradations.len()))
+    }
+
+    /// Bytes to reserve for [`render`](SweepSummary::render) and
+    /// [`to_json`](SweepSummary::to_json) written into one string
+    /// ([`render_into`](SweepSummary::render_into), then
+    /// [`to_json_into`](SweepSummary::to_json_into)), with room for a
+    /// few hundred bytes more.
+    pub fn documents_capacity(&self) -> usize {
+        let scan = self.scan(None);
+        scan.budget(self, RENDER_ROW_BYTES, RENDER_DEGRADATION_ROW_BYTES)
+            + scan.budget(self, JSON_ROW_BYTES, JSON_DEGRADATION_ROW_BYTES)
+    }
+
+    /// One pass over the rows for every aggregate the renderers write,
+    /// copying each cost ratio into `ratios` when given.
+    fn scan(&self, mut ratios: Option<&mut Vec<f64>>) -> Scan<'_> {
+        let mut scan = Scan {
+            met: 0,
+            worst: None,
+            label_bytes: 0,
+            survived: 0,
+            injected_bytes: 0,
+        };
+        for s in &self.scenarios {
+            scan.met += usize::from(s.cost_ratio <= self.cost_bound_ratio);
+            if scan.worst.is_none_or(|w| s.cost_ratio > w.cost_ratio) {
+                scan.worst = Some(s);
+            }
+            scan.label_bytes += s.label.len();
+            if let Some(ratios) = ratios.as_deref_mut() {
+                ratios.push(s.cost_ratio);
+            }
+        }
+        for d in &self.degradations {
+            scan.survived += usize::from(d.verdict != StabilityVerdict::Diverged);
+            scan.injected_bytes += d.injected.rendered_len();
+        }
+        scan
     }
 
     /// Renders the sweep as a Markdown section (deterministic bytes, no
     /// timestamps).
     pub fn render(&self) -> String {
-        let mut s = String::with_capacity(
-            self.rows_capacity(RENDER_ROW_BYTES, RENDER_DEGRADATION_ROW_BYTES),
-        );
-        s.push_str("## Scenario sweep\n\n");
+        let mut s = String::new();
+        self.render_into(&mut s);
+        s
+    }
+
+    /// Appends [`render`](SweepSummary::render)'s document to `out`,
+    /// reserving its byte budget first.
+    pub fn render_into(&self, out: &mut String) {
+        let mut ratios = Vec::with_capacity(self.scenarios.len());
+        let scan = self.scan(Some(&mut ratios));
+        out.reserve(scan.budget(self, RENDER_ROW_BYTES, RENDER_DEGRADATION_ROW_BYTES));
+        out.push_str("## Scenario sweep\n\n");
         let _ = write!(
-            s,
+            out,
             "{} scenarios, robustness margin {:.4} (cost ratio bound {:.3}), \
              schedule cache {} hits / {} misses.\n\n",
             self.scenarios.len(),
-            self.robustness_margin(),
+            fraction(scan.met, self.scenarios.len()),
             self.cost_bound_ratio,
             self.cache_hits,
             self.cache_misses
         );
-        if let Some(w) = self.worst() {
+        if let Some(w) = scan.worst {
             let _ = writeln!(
-                s,
+                out,
                 "Worst scenario: #{} ({}), cost ratio {:.6}.",
                 w.index, w.label, w.cost_ratio
             );
         }
-        let sorted = self.sorted_cost_ratios();
-        for (name, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-            if let Some(v) = nearest_rank(&sorted, q) {
-                let _ = writeln!(s, "Cost ratio {name}: {v:.6}");
+        let [p50, p95, p99] = quantiles(&mut ratios, [0.50, 0.95, 0.99]);
+        for (name, v) in [("p50", p50), ("p95", p95), ("p99", p99)] {
+            if let Some(v) = v {
+                let _ = writeln!(out, "Cost ratio {name}: {v:.6}");
             }
         }
-        s.push_str(
+        out.push_str(
             "\n| # | seed | scenario | cost | vs ideal | makespan ns | worst La ns | overruns |\n\
              |---|---|---|---|---|---|---|---|\n",
         );
+        let mut cells = Cells::new(out);
         for sc in &self.scenarios {
-            s.push_str("| ");
-            push_u64(&mut s, sc.index as u64);
-            s.push_str(" | ");
-            push_hex(&mut s, sc.seed);
-            s.push_str(" | ");
-            s.push_str(&sc.label);
-            s.push_str(" | ");
-            push_fixed(&mut s, sc.cost, 6);
-            s.push_str(" | ");
-            push_fixed(&mut s, sc.cost_ratio, 6);
-            s.push_str(" | ");
-            push_i64(&mut s, sc.makespan_ns);
-            s.push_str(" | ");
-            push_i64(&mut s, sc.worst_actuation_ns);
-            s.push_str(" | ");
-            push_u64(&mut s, sc.overruns as u64);
-            s.push_str(" |\n");
+            cells.str("| ");
+            cells.u64(sc.index as u64);
+            cells.str(" | ");
+            cells.hex(sc.seed);
+            cells.str(" | ");
+            cells.str(&sc.label);
+            cells.str(" | ");
+            cells.fixed(sc.cost, 6);
+            cells.str(" | ");
+            cells.fixed(sc.cost_ratio, 6);
+            cells.str(" | ");
+            cells.i64(sc.makespan_ns);
+            cells.str(" | ");
+            cells.i64(sc.worst_actuation_ns);
+            cells.str(" | ");
+            cells.u64(sc.overruns as u64);
+            cells.str(" |\n");
         }
         if !self.degradations.is_empty() {
-            s.push_str("\n### Fault degradation\n\n");
-            let _ = write!(
-                s,
-                "{} faulty scenarios, survivable fraction {:.4}.\n\n",
-                self.degradations.len(),
-                self.survivable_fraction().unwrap_or(0.0)
-            );
-            s.push_str(
-                "| # | periods | skipped I | skipped O | overruns | Ls infl ns | \
+            cells.str("\n### Fault degradation\n\n");
+            cells.u64(self.degradations.len() as u64);
+            cells.str(" faulty scenarios, survivable fraction ");
+            cells.fixed(fraction(scan.survived, self.degradations.len()), 4);
+            cells.str(
+                ".\n\n| # | periods | skipped I | skipped O | overruns | Ls infl ns | \
                  La infl ns | cost ratio | verdict | injected |\n\
                  |---|---|---|---|---|---|---|---|---|---|\n",
             );
             for d in &self.degradations {
-                s.push_str("| ");
-                push_u64(&mut s, d.index as u64);
-                s.push_str(" | ");
-                push_u64(&mut s, u64::from(d.periods));
-                s.push_str(" | ");
-                push_u64(&mut s, d.skipped_samples as u64);
-                s.push_str(" | ");
-                push_u64(&mut s, d.skipped_actuations as u64);
-                s.push_str(" | ");
-                push_u64(&mut s, d.overruns as u64);
-                s.push_str(" | ");
-                push_i64(&mut s, d.ls_inflation_ns);
-                s.push_str(" | ");
-                push_i64(&mut s, d.la_inflation_ns);
-                s.push_str(" | ");
-                push_fixed(&mut s, d.cost_ratio, 6);
-                s.push_str(" | ");
-                s.push_str(d.verdict.as_str());
-                s.push_str(" | ");
-                push_counts(&mut s, &d.injected);
-                s.push_str(" |\n");
+                cells.str("| ");
+                cells.u64(d.index as u64);
+                cells.str(" | ");
+                cells.u64(u64::from(d.periods));
+                cells.str(" | ");
+                cells.u64(d.skipped_samples as u64);
+                cells.str(" | ");
+                cells.u64(d.skipped_actuations as u64);
+                cells.str(" | ");
+                cells.u64(d.overruns as u64);
+                cells.str(" | ");
+                cells.i64(d.ls_inflation_ns);
+                cells.str(" | ");
+                cells.i64(d.la_inflation_ns);
+                cells.str(" | ");
+                cells.fixed(d.cost_ratio, 6);
+                cells.str(" | ");
+                cells.str(d.verdict.as_str());
+                cells.str(" | ");
+                cells.counts(&d.injected);
+                cells.str(" |\n");
             }
         }
+        drop(cells);
         if let Some(v) = &self.validation {
-            s.push_str("\n### Executive cross-validation\n\n");
+            out.push_str("\n### Executive cross-validation\n\n");
             let _ = writeln!(
-                s,
+                out,
                 "{} runs validated against the graph of delays: {} exact, \
                  max divergence {} ns.",
                 v.validated, v.exact, v.max_divergence_ns
             );
         }
         if let Some(v) = &self.verification {
-            s.push_str("\n### Static verification\n\n");
+            out.push_str("\n### Static verification\n\n");
             let _ = writeln!(
-                s,
+                out,
                 "{} schedules verified: {} error(s), {} warning(s), worst \
                  bound margin {} ns.",
                 v.verified, v.errors, v.warnings, v.worst_margin_ns
             );
         }
         if let Some(p) = &self.prune {
-            s.push_str("\n### Static pruning\n\n");
+            out.push_str("\n### Static pruning\n\n");
             let _ = writeln!(
-                s,
+                out,
                 "{} envelopes evaluated: {} pruned safe, {} pruned unsafe, \
                  {} co-simulated.",
                 p.evaluated, p.pruned_safe, p.pruned_unsafe, p.simulated
             );
         }
-        s
     }
 
     /// Renders the sweep as a JSON document (deterministic bytes, no
     /// timestamps; hand-rolled, the workspace has no serialization crate).
     pub fn to_json(&self) -> String {
-        let mut s =
-            String::with_capacity(self.rows_capacity(JSON_ROW_BYTES, JSON_DEGRADATION_ROW_BYTES));
-        s.push_str("{\n");
+        let mut s = String::new();
+        self.to_json_into(&mut s);
+        s
+    }
+
+    /// Appends [`to_json`](SweepSummary::to_json)'s document to `out`,
+    /// reserving its byte budget first.
+    pub fn to_json_into(&self, out: &mut String) {
+        let scan = self.scan(None);
+        out.reserve(scan.budget(self, JSON_ROW_BYTES, JSON_DEGRADATION_ROW_BYTES));
+        out.push_str("{\n");
         let _ = write!(
-            s,
+            out,
             "  \"scenario_count\": {},\n  \"cost_bound_ratio\": {:.6},\n  \
              \"robustness_margin\": {:.6},\n  \"cache_hits\": {},\n  \
              \"cache_misses\": {},\n  \"scenarios\": [\n",
             self.scenarios.len(),
             self.cost_bound_ratio,
-            self.robustness_margin(),
+            fraction(scan.met, self.scenarios.len()),
             self.cache_hits,
             self.cache_misses
         );
+        let mut cells = Cells::new(out);
+        let last = self.scenarios.len().saturating_sub(1);
         for (i, sc) in self.scenarios.iter().enumerate() {
-            s.push_str("    {\"index\": ");
-            push_u64(&mut s, sc.index as u64);
-            s.push_str(", \"seed\": ");
-            push_u64(&mut s, sc.seed);
-            s.push_str(", \"label\": \"");
-            s.push_str(&sc.label);
-            s.push_str("\", \"cost\": ");
-            push_fixed(&mut s, sc.cost, 9);
-            s.push_str(", \"cost_ratio\": ");
-            push_fixed(&mut s, sc.cost_ratio, 9);
-            s.push_str(", \"makespan_ns\": ");
-            push_i64(&mut s, sc.makespan_ns);
-            s.push_str(", \"worst_actuation_ns\": ");
-            push_i64(&mut s, sc.worst_actuation_ns);
-            s.push_str(", \"overruns\": ");
-            push_u64(&mut s, sc.overruns as u64);
-            s.push_str(if i + 1 == self.scenarios.len() {
-                "}\n"
-            } else {
-                "},\n"
-            });
+            cells.str("    {\"index\": ");
+            cells.u64(sc.index as u64);
+            cells.str(", \"seed\": ");
+            cells.u64(sc.seed);
+            cells.str(", \"label\": \"");
+            cells.str(&sc.label);
+            cells.str("\", \"cost\": ");
+            cells.fixed(sc.cost, 9);
+            cells.str(", \"cost_ratio\": ");
+            cells.fixed(sc.cost_ratio, 9);
+            cells.str(", \"makespan_ns\": ");
+            cells.i64(sc.makespan_ns);
+            cells.str(", \"worst_actuation_ns\": ");
+            cells.i64(sc.worst_actuation_ns);
+            cells.str(", \"overruns\": ");
+            cells.u64(sc.overruns as u64);
+            cells.str(if i == last { "}\n" } else { "},\n" });
         }
         if self.degradations.is_empty() {
-            s.push_str("  ]");
+            cells.str("  ]");
         } else {
-            let _ = write!(
-                s,
-                "  ],\n  \"survivable_fraction\": {:.6},\n  \"degradations\": [\n",
-                self.survivable_fraction().unwrap_or(0.0)
-            );
+            cells.str("  ],\n  \"survivable_fraction\": ");
+            cells.fixed(fraction(scan.survived, self.degradations.len()), 6);
+            cells.str(",\n  \"degradations\": [\n");
+            let last = self.degradations.len() - 1;
             for (i, d) in self.degradations.iter().enumerate() {
-                s.push_str("    {\"index\": ");
-                push_u64(&mut s, d.index as u64);
-                s.push_str(", \"periods\": ");
-                push_u64(&mut s, u64::from(d.periods));
-                s.push_str(", \"skipped_samples\": ");
-                push_u64(&mut s, d.skipped_samples as u64);
-                s.push_str(", \"skipped_actuations\": ");
-                push_u64(&mut s, d.skipped_actuations as u64);
-                s.push_str(", \"overruns\": ");
-                push_u64(&mut s, d.overruns as u64);
-                s.push_str(", \"ls_inflation_ns\": ");
-                push_i64(&mut s, d.ls_inflation_ns);
-                s.push_str(", \"la_inflation_ns\": ");
-                push_i64(&mut s, d.la_inflation_ns);
-                s.push_str(", \"cost_ratio\": ");
-                push_fixed(&mut s, d.cost_ratio, 9);
-                s.push_str(", \"verdict\": \"");
-                s.push_str(d.verdict.as_str());
-                s.push_str("\", \"injected\": \"");
-                push_counts(&mut s, &d.injected);
-                s.push_str(if i + 1 == self.degradations.len() {
-                    "\"}\n"
-                } else {
-                    "\"},\n"
-                });
+                cells.str("    {\"index\": ");
+                cells.u64(d.index as u64);
+                cells.str(", \"periods\": ");
+                cells.u64(u64::from(d.periods));
+                cells.str(", \"skipped_samples\": ");
+                cells.u64(d.skipped_samples as u64);
+                cells.str(", \"skipped_actuations\": ");
+                cells.u64(d.skipped_actuations as u64);
+                cells.str(", \"overruns\": ");
+                cells.u64(d.overruns as u64);
+                cells.str(", \"ls_inflation_ns\": ");
+                cells.i64(d.ls_inflation_ns);
+                cells.str(", \"la_inflation_ns\": ");
+                cells.i64(d.la_inflation_ns);
+                cells.str(", \"cost_ratio\": ");
+                cells.fixed(d.cost_ratio, 9);
+                cells.str(", \"verdict\": \"");
+                cells.str(d.verdict.as_str());
+                cells.str("\", \"injected\": \"");
+                cells.counts(&d.injected);
+                cells.str(if i == last { "\"}\n" } else { "\"},\n" });
             }
-            s.push_str("  ]");
+            cells.str("  ]");
         }
+        drop(cells);
         if let Some(v) = &self.validation {
             let _ = write!(
-                s,
+                out,
                 ",\n  \"validation\": {{\"validated\": {}, \"exact\": {}, \
                  \"max_divergence_ns\": {}}}",
                 v.validated, v.exact, v.max_divergence_ns
@@ -838,7 +1088,7 @@ impl SweepSummary {
         }
         if let Some(v) = &self.verification {
             let _ = write!(
-                s,
+                out,
                 ",\n  \"verification\": {{\"verified\": {}, \"errors\": {}, \
                  \"warnings\": {}, \"worst_margin_ns\": {}}}",
                 v.verified, v.errors, v.warnings, v.worst_margin_ns
@@ -846,32 +1096,13 @@ impl SweepSummary {
         }
         if let Some(p) = &self.prune {
             let _ = write!(
-                s,
+                out,
                 ",\n  \"prune\": {{\"evaluated\": {}, \"pruned_safe\": {}, \
                  \"pruned_unsafe\": {}, \"simulated\": {}}}",
                 p.evaluated, p.pruned_safe, p.pruned_unsafe, p.simulated
             );
         }
-        s.push_str("\n}\n");
-        s
-    }
-
-    /// A byte budget for one renderer's document: `row_bytes` per
-    /// scenario row beyond its label, `degradation_row_bytes` per
-    /// degradation row beyond its injected tally, plus every label and
-    /// tally, so the document is written without growing.
-    fn rows_capacity(&self, row_bytes: usize, degradation_row_bytes: usize) -> usize {
-        let labels: usize = self.scenarios.iter().map(|sc| sc.label.len()).sum();
-        let injected: usize = self
-            .degradations
-            .iter()
-            .map(|d| d.injected.rendered_len())
-            .sum();
-        SECTIONS_BYTES
-            + labels
-            + self.scenarios.len() * row_bytes
-            + injected
-            + self.degradations.len() * degradation_row_bytes
+        out.push_str("\n}\n");
     }
 }
 
@@ -958,7 +1189,7 @@ mod tests {
         let mk = |index: usize, cost_ratio: f64| ScenarioOutcome {
             index,
             seed: 0x1000 + index as u64,
-            label: format!("jitter {index}"),
+            label: format!("jitter {index}").into(),
             cost: cost_ratio * 2.0,
             cost_ratio,
             makespan_ns: 5_000_000 + index as i64,
@@ -1008,7 +1239,7 @@ mod tests {
                 .map(|(index, &cost_ratio)| ScenarioOutcome {
                     index,
                     seed: index as u64,
-                    label: String::new(),
+                    label: "".into(),
                     cost: cost_ratio,
                     cost_ratio,
                     makespan_ns: 0,
@@ -1244,6 +1475,17 @@ mod tests {
     /// Every precision the reports write.
     const REPORT_DIGITS: [usize; 5] = [2, 3, 4, 6, 9];
 
+    /// What the cell writer appends after `prefix` bytes already sit in
+    /// its buffer, so a cell can land on either side of a flush.
+    fn cell(prefix: usize, write: impl FnOnce(&mut Cells<'_>)) -> String {
+        let mut out = String::new();
+        let mut cells = Cells::new(&mut out);
+        cells.str(&"#".repeat(prefix));
+        write(&mut cells);
+        drop(cells);
+        out.split_off(prefix)
+    }
+
     fn fixed(v: f64, digits: usize) -> String {
         let mut s = String::new();
         push_fixed(&mut s, v, digits);
@@ -1251,12 +1493,12 @@ mod tests {
     }
 
     fn assert_matches_fmt(v: f64, digits: usize) {
-        assert_eq!(
-            fixed(v, digits),
-            format!("{v:.digits$}"),
-            "{v:e} ({:#018x}) at {digits} digits",
-            v.to_bits()
-        );
+        let want = format!("{v:.digits$}");
+        let what = || format!("{v:e} ({:#018x}) at {digits} digits", v.to_bits());
+        assert_eq!(fixed(v, digits), want, "{}", what());
+        for prefix in [0, CELLS_CAP - CELL_MAX, CELLS_CAP - 3] {
+            assert_eq!(cell(prefix, |c| c.fixed(v, digits)), want, "{}", what());
+        }
     }
 
     #[test]
@@ -1286,6 +1528,16 @@ mod tests {
             assert_matches_fmt(odd * 2f64.powi(-(d as i32 + 1)), d);
             assert_matches_fmt(-odd * 2f64.powi(-(d as i32 + 1)), d);
         }
+        // Subnormals, and values of 2^52 and up (the `core::fmt` path).
+        for _ in 0..20_000 {
+            let sub = f64::from_bits(rng.next_u64() >> 12);
+            let big = (rng.next_u64() >> 11) as f64 * 2f64.powi(rng.below(200) as i32);
+            for d in REPORT_DIGITS {
+                assert_matches_fmt(sub, d);
+                assert_matches_fmt(-sub, d);
+                assert_matches_fmt(big.max(4_503_599_627_370_496.0), d);
+            }
+        }
     }
 
     #[test]
@@ -1295,25 +1547,40 @@ mod tests {
             -0.0,
             f64::from_bits(1),
             -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE,
             -1e-9,
             0.0078125,
             0.0234375,
             0.125,
+            0.005,
+            0.0005,
+            0.00005,
+            0.5e-6,
+            0.5e-9,
             9.9999995,
             0.9995,
             0.5,
             1.5,
             2.5,
+            99.995,
             1.8e10,
             1.9e10,
             -1.9e10,
+            18_446_744_073.709_553,
             4_503_599_627_370_495.5,
             4_503_599_627_370_496.0,
+            9_007_199_254_740_993.0,
+            18_446_744_073_709_551_616.0,
+            -18_446_744_073_709_551_616.0,
             1e300,
             f64::MAX,
+            f64::MIN,
             f64::INFINITY,
             f64::NEG_INFINITY,
             f64::NAN,
+            -f64::NAN,
         ];
         for v in edges {
             for d in 0..=12 {
@@ -1338,21 +1605,27 @@ mod tests {
     #[test]
     fn integer_writers_match_core_fmt() {
         let mut rng = ecl_sim::SplitMix64::new(7);
-        let draws: Vec<u64> = (0..1_000)
+        let draws: Vec<u64> = (0..5_000)
             .map(|_| rng.next_u64() >> rng.below(64))
             .collect();
-        for n in [0, 1, 9, 10, u64::MAX].into_iter().chain(draws) {
-            let (mut dec, mut hex, mut signed) = (String::new(), String::new(), String::new());
-            push_u64(&mut dec, n);
-            push_hex(&mut hex, n);
-            push_i64(&mut signed, n as i64);
-            assert_eq!(dec, n.to_string());
-            assert_eq!(hex, format!("{n:#018x}"));
-            assert_eq!(signed, (n as i64).to_string());
+        let powers = (0..20).flat_map(|k| {
+            let p = 10u64.pow(k);
+            [p - 1, p, p + 1]
+        });
+        let edges = [0, 1, 9, 10, 99, 100, u64::MAX, i64::MAX as u64, 1 << 63];
+        for n in edges.into_iter().chain(powers).chain(draws) {
+            for prefix in [0, CELLS_CAP - CELL_MAX, CELLS_CAP - 1] {
+                assert_eq!(cell(prefix, |c| c.u64(n)), n.to_string());
+                assert_eq!(cell(prefix, |c| c.hex(n)), format!("{n:#018x}"));
+                let signed = n as i64;
+                assert_eq!(cell(prefix, |c| c.i64(signed)), signed.to_string());
+                let negated = signed.wrapping_neg();
+                assert_eq!(cell(prefix, |c| c.i64(negated)), negated.to_string());
+            }
         }
-        let mut min = String::new();
-        push_i64(&mut min, i64::MIN);
-        assert_eq!(min, i64::MIN.to_string());
+        for n in [i64::MIN, i64::MIN + 1, i64::MAX, -1, -10, -99, -100] {
+            assert_eq!(cell(0, |c| c.i64(n)), n.to_string());
+        }
         let mut counts = Counts::new();
         for (name, n) in [
             ("retries", 10),
@@ -1360,14 +1633,335 @@ mod tests {
             ("retries", 1),
             ("z", u64::MAX),
         ] {
-            let mut tally = String::new();
-            push_counts(&mut tally, &counts);
-            assert_eq!(tally, counts.to_string());
+            assert_eq!(cell(0, |c| c.counts(&counts)), counts.to_string());
             counts.add(name, n);
         }
-        let mut tally = String::new();
-        push_counts(&mut tally, &counts);
-        assert_eq!(tally, "frames_lost=0 retries=11 z=18446744073709551615");
+        assert_eq!(
+            cell(0, |c| c.counts(&counts)),
+            "frames_lost=0 retries=11 z=18446744073709551615"
+        );
+    }
+
+    /// Text and tallies of any length pass through whole, multi-byte
+    /// characters included, wherever the row buffer flushes.
+    #[test]
+    fn cells_never_cut_long_text() {
+        let mut counts = Counts::new();
+        for k in 0..1_000u64 {
+            counts.add(&format!("fault_class_{k}"), k * 1_000_003);
+        }
+        assert!(counts.rendered_len() > 4 * CELLS_CAP);
+        for len in [0, 1, CELLS_CAP - 1, CELLS_CAP, CELLS_CAP + 1, 3 * CELLS_CAP] {
+            let text: String = "é→a".chars().cycle().take(len).collect();
+            for prefix in [0, 7, CELLS_CAP - 1] {
+                let got = cell(prefix, |c| {
+                    c.str(&text);
+                    c.u64(42);
+                    c.counts(&counts);
+                    c.str(&text);
+                });
+                assert_eq!(
+                    got,
+                    format!("{text}42{counts}{text}"),
+                    "{len} after {prefix}"
+                );
+            }
+        }
+    }
+
+    /// The Markdown document as `core::fmt` writes it: the reference the
+    /// cell writer must reproduce byte for byte.
+    fn reference_render(s: &SweepSummary) -> String {
+        let n = s.scenarios.len();
+        let met = s
+            .scenarios
+            .iter()
+            .filter(|x| x.cost_ratio <= s.cost_bound_ratio)
+            .count();
+        let mut out = format!(
+            "## Scenario sweep\n\n{n} scenarios, robustness margin {:.4} (cost ratio bound \
+             {:.3}), schedule cache {} hits / {} misses.\n\n",
+            if n == 0 { 0.0 } else { met as f64 / n as f64 },
+            s.cost_bound_ratio,
+            s.cache_hits,
+            s.cache_misses
+        );
+        let worst = s
+            .scenarios
+            .iter()
+            .reduce(|w, x| if x.cost_ratio > w.cost_ratio { x } else { w });
+        if let Some(w) = worst {
+            out += &format!(
+                "Worst scenario: #{} ({}), cost ratio {:.6}.\n",
+                w.index, w.label, w.cost_ratio
+            );
+        }
+        let mut sorted: Vec<f64> = s.scenarios.iter().map(|x| x.cost_ratio).collect();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for (name, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+            if let Some(k) = nearest_rank(n, q) {
+                out += &format!("Cost ratio {name}: {:.6}\n", sorted[k]);
+            }
+        }
+        out +=
+            "\n| # | seed | scenario | cost | vs ideal | makespan ns | worst La ns | overruns |\n\
+                |---|---|---|---|---|---|---|---|\n";
+        for x in &s.scenarios {
+            out += &format!(
+                "| {} | {:#018x} | {} | {:.6} | {:.6} | {} | {} | {} |\n",
+                x.index,
+                x.seed,
+                x.label,
+                x.cost,
+                x.cost_ratio,
+                x.makespan_ns,
+                x.worst_actuation_ns,
+                x.overruns
+            );
+        }
+        if !s.degradations.is_empty() {
+            let survived = s
+                .degradations
+                .iter()
+                .filter(|d| d.verdict != StabilityVerdict::Diverged)
+                .count();
+            out += &format!(
+                "\n### Fault degradation\n\n{} faulty scenarios, survivable fraction {:.4}.\n\n\
+                 | # | periods | skipped I | skipped O | overruns | Ls infl ns | La infl ns | \
+                 cost ratio | verdict | injected |\n|---|---|---|---|---|---|---|---|---|---|\n",
+                s.degradations.len(),
+                survived as f64 / s.degradations.len() as f64
+            );
+            for d in &s.degradations {
+                out += &format!(
+                    "| {} | {} | {} | {} | {} | {} | {} | {:.6} | {} | {} |\n",
+                    d.index,
+                    d.periods,
+                    d.skipped_samples,
+                    d.skipped_actuations,
+                    d.overruns,
+                    d.ls_inflation_ns,
+                    d.la_inflation_ns,
+                    d.cost_ratio,
+                    d.verdict.as_str(),
+                    d.injected
+                );
+            }
+        }
+        out
+    }
+
+    /// The JSON document as `core::fmt` writes it.
+    fn reference_json(s: &SweepSummary) -> String {
+        let n = s.scenarios.len();
+        let met = s
+            .scenarios
+            .iter()
+            .filter(|x| x.cost_ratio <= s.cost_bound_ratio)
+            .count();
+        let mut out = format!(
+            "{{\n  \"scenario_count\": {n},\n  \"cost_bound_ratio\": {:.6},\n  \
+             \"robustness_margin\": {:.6},\n  \"cache_hits\": {},\n  \
+             \"cache_misses\": {},\n  \"scenarios\": [\n",
+            s.cost_bound_ratio,
+            if n == 0 { 0.0 } else { met as f64 / n as f64 },
+            s.cache_hits,
+            s.cache_misses
+        );
+        let rows: Vec<String> = s
+            .scenarios
+            .iter()
+            .map(|x| {
+                format!(
+                    "    {{\"index\": {}, \"seed\": {}, \"label\": \"{}\", \"cost\": {:.9}, \
+                     \"cost_ratio\": {:.9}, \"makespan_ns\": {}, \"worst_actuation_ns\": {}, \
+                     \"overruns\": {}}}",
+                    x.index,
+                    x.seed,
+                    x.label,
+                    x.cost,
+                    x.cost_ratio,
+                    x.makespan_ns,
+                    x.worst_actuation_ns,
+                    x.overruns
+                )
+            })
+            .collect();
+        if !rows.is_empty() {
+            out += &rows.join(",\n");
+            out += "\n";
+        }
+        out += "  ]";
+        if !s.degradations.is_empty() {
+            let survived = s
+                .degradations
+                .iter()
+                .filter(|d| d.verdict != StabilityVerdict::Diverged)
+                .count();
+            out += &format!(
+                ",\n  \"survivable_fraction\": {:.6},\n  \"degradations\": [\n",
+                survived as f64 / s.degradations.len() as f64
+            );
+            let rows: Vec<String> = s
+                .degradations
+                .iter()
+                .map(|d| {
+                    format!(
+                        "    {{\"index\": {}, \"periods\": {}, \"skipped_samples\": {}, \
+                         \"skipped_actuations\": {}, \"overruns\": {}, \"ls_inflation_ns\": {}, \
+                         \"la_inflation_ns\": {}, \"cost_ratio\": {:.9}, \"verdict\": \"{}\", \
+                         \"injected\": \"{}\"}}",
+                        d.index,
+                        d.periods,
+                        d.skipped_samples,
+                        d.skipped_actuations,
+                        d.overruns,
+                        d.ls_inflation_ns,
+                        d.la_inflation_ns,
+                        d.cost_ratio,
+                        d.verdict.as_str(),
+                        d.injected
+                    )
+                })
+                .collect();
+            out += &rows.join(",\n");
+            out += "\n  ]";
+        }
+        out += "\n}\n";
+        out
+    }
+
+    /// A random summary: labels from empty to longer than the row
+    /// buffer, multi-byte characters, extreme integers, special floats
+    /// (cost ratios stay comparable) and tallies of any size.
+    fn random_summary(rng: &mut ecl_sim::SplitMix64, rows: usize) -> SweepSummary {
+        let float = |rng: &mut ecl_sim::SplitMix64| match rng.below(8) {
+            0 => f64::from_bits(rng.next_u64()),
+            1 => [0.0, -0.0, f64::INFINITY, 0.0078125, 1e300][rng.below(5)],
+            _ => rng.next_f64() * 3.0,
+        };
+        let ratio = |rng: &mut ecl_sim::SplitMix64| {
+            let v = float(rng);
+            if v.is_nan() {
+                1.0
+            } else {
+                v
+            }
+        };
+        let int = |rng: &mut ecl_sim::SplitMix64| rng.next_u64() >> rng.below(64);
+        let scenarios = (0..rows)
+            .map(|index| {
+                let len = [0, 3, 40, 700][rng.below(4)];
+                let label: String = "wcet<=x1.2 ✓".chars().cycle().take(len).collect();
+                ScenarioOutcome {
+                    index,
+                    seed: rng.next_u64(),
+                    label: label.into(),
+                    cost: float(rng),
+                    cost_ratio: ratio(rng),
+                    makespan_ns: int(rng) as i64,
+                    worst_actuation_ns: int(rng) as i64,
+                    overruns: int(rng) as usize,
+                }
+            })
+            .collect();
+        let degradations = (0..rows / 2)
+            .map(|index| {
+                let mut injected = Counts::new();
+                for k in 0..[0, 2, 60][rng.below(3)] {
+                    injected.add(&format!("class_{k}"), int(rng));
+                }
+                DegradationSummary {
+                    index,
+                    periods: int(rng) as u32,
+                    injected,
+                    skipped_samples: int(rng) as usize,
+                    skipped_actuations: int(rng) as usize,
+                    overruns: int(rng) as usize,
+                    ls_inflation_ns: int(rng) as i64,
+                    la_inflation_ns: int(rng) as i64,
+                    cost_ratio: float(rng),
+                    verdict: [
+                        StabilityVerdict::Stable,
+                        StabilityVerdict::Degraded,
+                        StabilityVerdict::Diverged,
+                    ][rng.below(3)],
+                }
+            })
+            .collect();
+        SweepSummary {
+            scenarios,
+            cost_bound_ratio: ratio(rng),
+            cache_hits: int(rng),
+            cache_misses: int(rng),
+            degradations,
+            ..SweepSummary::default()
+        }
+    }
+
+    #[test]
+    fn renderers_match_the_core_fmt_reference() {
+        let mut rng = ecl_sim::SplitMix64::new(0x5eed_0027);
+        for rows in [0, 1, 2, 3, 20, 21, 400] {
+            for _ in 0..4 {
+                let summary = random_summary(&mut rng, rows);
+                assert_eq!(summary.render(), reference_render(&summary), "{rows} rows");
+                assert_eq!(summary.to_json(), reference_json(&summary), "{rows} rows");
+                let mut both = String::new();
+                summary.render_into(&mut both);
+                summary.to_json_into(&mut both);
+                assert_eq!(both, summary.render() + &summary.to_json());
+            }
+        }
+    }
+
+    /// One scenario's Markdown and JSON rows, as the renderers write them.
+    fn rows_of(sc: &ScenarioOutcome) -> (String, String) {
+        let summary = SweepSummary {
+            scenarios: vec![sc.clone()],
+            ..SweepSummary::default()
+        };
+        let md = summary.render();
+        let json = summary.to_json();
+        let md_row = md.lines().last().unwrap().to_owned() + "\n";
+        let json_row = json
+            .lines()
+            .find(|l| l.starts_with("    {\"index\""))
+            .unwrap()
+            .to_owned()
+            + "\n";
+        (md_row, json_row)
+    }
+
+    /// [`SCENARIO_ROW_MIN_BYTES`] is exact for a row of narrowest cells
+    /// and a lower bound for every other row.
+    #[test]
+    fn every_scenario_row_is_at_least_the_admission_floor() {
+        let narrowest = ScenarioOutcome {
+            index: 0,
+            seed: 0,
+            label: "".into(),
+            cost: 0.0,
+            cost_ratio: 0.0,
+            makespan_ns: 0,
+            worst_actuation_ns: 0,
+            overruns: 0,
+        };
+        let (md, json) = rows_of(&narrowest);
+        assert_eq!(md.len() + json.len(), SCENARIO_ROW_MIN_BYTES);
+        let mut rng = ecl_sim::SplitMix64::new(0xf100_0027);
+        let summary = random_summary(&mut rng, 300);
+        for sc in summary
+            .scenarios
+            .iter()
+            .filter(|s| s.cost.is_finite() && s.cost_ratio.is_finite())
+        {
+            let (md, json) = rows_of(sc);
+            assert!(
+                md.len() + json.len() >= SCENARIO_ROW_MIN_BYTES + 2 * sc.label.len(),
+                "{md}{json}"
+            );
+        }
     }
 
     #[test]

@@ -36,12 +36,12 @@ use ecl_bench::fleet::{
 use ecl_bench::{dc_motor_loop, fnv64, standard_split, SplitScenario};
 use ecl_core::cosim::{LoopResult, LoopSpec};
 use ecl_core::faults::FaultFamily;
-use ecl_core::report::SweepSummary;
+use ecl_core::report::{SweepSummary, SCENARIO_ROW_MIN_BYTES};
 use ecl_core::CoreError;
 use ecl_telemetry::Histogram;
 
 use crate::store::DiskStore;
-use crate::wire::{Policy, RequestDefect, ResponseSource, SweepRequest};
+use crate::wire::{Policy, RequestDefect, ResponseSource, SweepRequest, MAX_FRAME};
 
 /// Store kinds the engine persists under.
 const KIND_SCHEDULES: &str = "schedules";
@@ -243,14 +243,33 @@ impl Engine {
         self.deployments.contains_key(case)
     }
 
-    /// [`SweepRequest::validate`] plus the check that needs the request's
-    /// deployment: every scaled period `ts × scale` must be a positive
+    /// [`SweepRequest::validate`] plus two checks. A report that surely
+    /// exceeds [`MAX_FRAME`] is a `report_too_large` defect: every
+    /// scenario writes at least [`SCENARIO_ROW_MIN_BYTES`] plus twice
+    /// the shortest label the request's axes allow
+    /// ([`SweepConfig::shortest_label_len`]) into the payload, so such a
+    /// request is refused before it computes anything. And, for a known
+    /// deployment, every scaled period `ts × scale` must be a positive
     /// whole-nanosecond [`TimeNs`] no longer than the horizon. A longer
     /// period samples the loop at most once, and the sweep's histogram
     /// bounds (twice the period) would overflow long before `TimeNs`
     /// does. An unknown case adds no defect here (it is refused by name).
     pub fn validate(&self, req: &SweepRequest) -> Vec<RequestDefect> {
         let mut defects = req.validate();
+        if !defects.iter().any(|d| d.code == "bad_scenarios") {
+            let row = SCENARIO_ROW_MIN_BYTES + 2 * self.config_for(req).shortest_label_len();
+            let floor = req.scenarios.saturating_mul(row);
+            if floor > MAX_FRAME {
+                defects.push(RequestDefect {
+                    code: "report_too_large",
+                    detail: format!(
+                        "{} scenarios write at least {row} bytes each, {floor} in all, \
+                         over the {MAX_FRAME}-byte frame cap",
+                        req.scenarios
+                    ),
+                });
+            }
+        }
         let Some(deployment) = self.deployments.get(&req.case) else {
             return defects;
         };
@@ -388,12 +407,14 @@ impl Engine {
     }
 
     /// Renders the deterministic response payload: the Markdown summary,
-    /// the JSON document and one actuation-histogram line. No wall-clock
-    /// content — the bytes are a pure function of the request.
+    /// the JSON document and one actuation-histogram line, each written
+    /// into one string presized for all three. No wall-clock content —
+    /// the bytes are a pure function of the request.
     fn render_payload(summary: &SweepSummary, hist: &Histogram) -> Vec<u8> {
-        let mut s = summary.render();
+        let mut s = String::with_capacity(summary.documents_capacity());
+        summary.render_into(&mut s);
         s.push('\n');
-        s.push_str(&summary.to_json());
+        summary.to_json_into(&mut s);
         s.push('\n');
         let h = hist.summary();
         let _ = writeln!(
@@ -403,7 +424,7 @@ impl Engine {
             h.count, h.min_ns, h.max_ns, h.mean_ns, h.p50_ns, h.p95_ns, h.p99_ns
         );
         // The response memo keeps the payload for the daemon's life, so
-        // it keeps no growth slack either.
+        // it keeps no growth slack either: this is the payload's one copy.
         s.shrink_to_fit();
         s.into_bytes()
     }
@@ -604,6 +625,37 @@ mod tests {
         assert_eq!([schedule, ideal, envelopes], [64, 64, 0]);
         assert!(scheduled > 64, "{whole_lookups:?}");
         assert_eq!(reports, scheduled, "{whole_lookups:?}");
+    }
+
+    /// The admission floor of a default request is 283 bytes a scenario
+    /// (211 of row plus twice the 36-byte `EarliestFinish` label), so
+    /// 3 705 scenarios fit under the frame cap and 3 706 are refused.
+    /// When every scenario is faulty its label carries 32 bytes of fault
+    /// rates, and the floor is 347 bytes.
+    #[test]
+    fn validate_refuses_a_report_whose_floor_exceeds_the_frame_cap() {
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            store_dir: None,
+        })
+        .unwrap();
+        let codes = |scenarios: usize, frame_loss: &[f64]| {
+            let req = SweepRequest {
+                scenarios,
+                frame_loss: frame_loss.to_vec(),
+                ..SweepRequest::default()
+            };
+            let defects = engine.validate(&req);
+            defects.iter().map(|d| d.code).collect::<Vec<_>>()
+        };
+        assert!(codes(3_705, &[]).is_empty());
+        assert_eq!(codes(3_706, &[]), ["report_too_large"]);
+        assert!(codes(3_021, &[0.25]).is_empty());
+        assert_eq!(codes(3_022, &[0.25]), ["report_too_large"]);
+        // A fault-free draw remains possible: the default floor holds.
+        assert!(codes(3_705, &[0.0, 0.25]).is_empty());
+        assert_eq!(codes(3_706, &[0.0, 0.25]), ["report_too_large"]);
+        assert_eq!(engine.caches.schedule.computes(), 0, "validation is pure");
     }
 
     /// Admission looks each `(policy, period)` envelope up in the shared

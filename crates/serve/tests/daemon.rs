@@ -209,30 +209,70 @@ fn persist_never_rewrites_saved_entries() {
     assert_eq!(reader.corrupt_seen(), 0);
 }
 
-/// A report over the frame cap cannot be sent: the job ends with the
-/// typed `report_too_large` error, not a `Done` without a report, and
-/// the same daemon goes on answering.
+/// A report over the frame cap is never sent. One that surely exceeds
+/// it — 4 000 scenarios at no fewer than about 283 bytes each — is
+/// refused at admission with `report_too_large`, before any schedule is
+/// computed or any store segment written. One that only its finished
+/// payload shows to be too large (3 500 scenarios, about 1.17 MB) ends
+/// its job with the typed `report_too_large` error, not a `Done`
+/// without a report; one under the cap (3 000 scenarios) is delivered,
+/// and the same daemon goes on answering.
 #[test]
 fn an_undeliverable_report_is_a_typed_error() {
-    let srv = server(2, None);
+    let store = TempStore::new("too-large");
+    let srv = server(2, Some(&store));
     let mut client = Client::connect(srv.addr()).expect("connect");
-    let big = SweepRequest {
-        scenarios: 4_000, // about 1.3 MB of report, over the 1 MiB cap
+    let segment_sizes = || {
+        let mut out = std::collections::BTreeMap::new();
+        for kind in std::fs::read_dir(&store.dir).expect("store root").flatten() {
+            for file in std::fs::read_dir(kind.path()).expect("kind dir").flatten() {
+                let len = file.metadata().expect("segment metadata").len();
+                out.insert(file.path(), len);
+            }
+        }
+        out
+    };
+    let sized = |scenarios: usize| SweepRequest {
+        scenarios,
         chunk: 500,
         ..SweepRequest::default()
     };
-    match client.submit(&big) {
+    client
+        .submit(&sized(2))
+        .expect("a small job fills every segment");
+    let before = segment_sizes();
+    assert_eq!(before.len(), 4, "one segment per kind: {before:?}");
+    let stats = client.stats().expect("stats");
+    let computes = counter(&stats, "schedule_computes");
+    let jobs = counter(&stats, "jobs");
+
+    match client.submit(&sized(4_000)) {
+        Err(ClientError::Rejected { codes, .. }) => assert_eq!(codes, ["report_too_large"]),
+        other => panic!("expected a report_too_large rejection, got {other:?}"),
+    }
+    let stats = client.stats().expect("stats after the rejection");
+    assert_eq!(counter(&stats, "schedule_computes"), computes);
+    assert_eq!(
+        counter(&stats, "jobs"),
+        jobs,
+        "a refused request must not run"
+    );
+    assert_eq!(counter(&stats, "jobs_rejected"), 1);
+    assert_eq!(
+        segment_sizes(),
+        before,
+        "a refused request must not persist"
+    );
+
+    match client.submit(&sized(3_500)) {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, "report_too_large"),
         other => panic!("expected report_too_large, got {other:?}"),
     }
-    let small = SweepRequest {
-        scenarios: 2,
-        ..request()
-    };
-    let outcome = client
-        .submit(&small)
-        .expect("the daemon answers after an undeliverable report");
-    assert_eq!(outcome.source, ResponseSource::Computed);
+    let delivered = client
+        .submit(&sized(3_000))
+        .expect("a report under the cap is delivered");
+    assert_eq!(delivered.source, ResponseSource::Computed);
+    assert!(delivered.payload.len() <= ecl_serve::wire::MAX_FRAME);
 }
 
 /// `priority` and `chunk` steer scheduling only — two engines given the
