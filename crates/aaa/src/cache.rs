@@ -11,12 +11,17 @@
 //! entirely. [`adequation`] is deterministic, so a cache hit returns a
 //! schedule byte-identical to a fresh run. A sweep worker reaches each
 //! shared table through its own [`MemoView`], so a repeated lookup
-//! touches only memory the worker owns.
+//! touches only memory the worker owns. A memo may be backed by a
+//! [source](DigestMemo::set_source) — a daemon's on-disk store — that it
+//! asks before computing.
 
 use std::borrow::Cow;
-use std::collections::{hash_map, HashMap};
+use std::collections::{hash_map, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+use ecl_sim::splitmix64;
 
 use crate::adequation::{adequation, AdequationOptions, MappingPolicy};
 use crate::algorithm::AlgorithmGraph;
@@ -84,6 +89,45 @@ impl Fnv1a {
         self.0
     }
 }
+
+/// The hasher of maps keyed by digests. A digest is already a
+/// well-mixed 64-bit hash, so one splitmix64 finalizer per written word
+/// spreads it over the buckets; SipHash's keyed rounds would buy nothing
+/// but time. Written bytes are mixed one at a time, so any `Hash` key
+/// works, but a key of one `u64` costs one finalizer.
+///
+/// The hasher is unkeyed, so keys crafted to share a bucket are
+/// possible. The only digests outside input shapes are a daemon's
+/// request digests, and each of those keys costs its client one
+/// admitted and computed sweep, far more than the longer probe it
+/// causes.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = splitmix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = splitmix64(self.0 ^ n);
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of [`DigestHasher`].
+pub type BuildDigestHasher = BuildHasherDefault<DigestHasher>;
+
+/// A map keyed by digests, hashed by [`DigestHasher`].
+pub type DigestMap<V> = HashMap<u64, V, BuildDigestHasher>;
+
+/// A set of digests, hashed by [`DigestHasher`].
+pub type DigestSet = HashSet<u64, BuildDigestHasher>;
 
 /// Structural digest of everything [`adequation`] reads: the algorithm
 /// graph (ops, kinds, conditions, edges), the architecture (processors,
@@ -259,10 +303,11 @@ impl TableKey {
 #[derive(Debug)]
 struct Memoized<V> {
     value: Arc<V>,
-    /// Lookups of this digest; seeding is not a lookup.
+    /// Lookups of this digest.
     lookups: u64,
-    /// Whether the value is already in the on-disk store: seeded entries
-    /// start saved, computed ones wait for [`DigestMemo::mark_saved`].
+    /// Whether the value is already in the on-disk store: entries from
+    /// the source start saved, computed ones wait for
+    /// [`DigestMemo::mark_saved`].
     saved: bool,
 }
 
@@ -274,15 +319,30 @@ struct Memoized<V> {
 /// change to an entry's `lookups` goes through `Table::count`.
 #[derive(Debug)]
 struct Table<V> {
-    map: HashMap<u64, Memoized<V>>,
+    map: DigestMap<Memoized<V>>,
     local_misses: u64,
     /// Lookups across all digests.
     lookups: u64,
     /// Resident digests looked up at least once.
     looked_up: u64,
+    /// Resident digests whose value came from the source, not from a
+    /// compute.
+    stored: u64,
 }
 
 impl<V> Table<V> {
+    /// Inserts `value` under `digest` unless the digest is resident.
+    fn insert(&mut self, digest: u64, value: Arc<V>, saved: bool) {
+        if let hash_map::Entry::Vacant(slot) = self.map.entry(digest) {
+            slot.insert(Memoized {
+                value,
+                lookups: 0,
+                saved,
+            });
+            self.stored += u64::from(saved);
+        }
+    }
+
     /// Adds `n` lookups to `digest`'s entry and to the running totals;
     /// `None` when the digest is not resident.
     fn count(&mut self, digest: u64, n: u64) -> Option<&Memoized<V>> {
@@ -308,6 +368,13 @@ impl<V> Table<V> {
 /// computation, so a miss on one worker does not serialize the others.
 /// Two workers may race to compute the same key: both produce the
 /// identical deterministic value, and the second insert is a no-op.
+///
+/// **Source.** A memo may be given one [source](DigestMemo::set_source):
+/// a function from a digest to a value an earlier process stored. A miss
+/// asks it before computing, outside the lock like the computation. A
+/// value it returns is resident from then on, starts saved, answers the
+/// lookup as a hit and is no compute, so a restarted daemon loads each
+/// stored entry when it is first needed instead of all of them at start.
 ///
 /// [`hits`](DigestMemo::hits)/[`misses`](DigestMemo::misses) are
 /// *derived from per-digest lookup counts* rather than incremented per
@@ -347,17 +414,29 @@ impl<V> Table<V> {
 #[derive(Debug)]
 pub struct DigestMemo<V> {
     table: Mutex<Table<V>>,
+    source: OnceLock<Source<V>>,
+}
+
+/// A memo's [source](DigestMemo::set_source).
+struct Source<V>(Box<dyn Fn(u64) -> Option<V> + Send + Sync>);
+
+impl<V> std::fmt::Debug for Source<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Source")
+    }
 }
 
 impl<V> Default for DigestMemo<V> {
     fn default() -> Self {
         DigestMemo {
             table: Mutex::new(Table {
-                map: HashMap::new(),
+                map: DigestMap::default(),
                 local_misses: 0,
                 lookups: 0,
                 looked_up: 0,
+                stored: 0,
             }),
+            source: OnceLock::new(),
         }
     }
 }
@@ -372,11 +451,25 @@ impl<V> DigestMemo<V> {
         self.table.lock().expect("digest memo lock")
     }
 
-    /// The value under `key`, running `compute` (outside the lock) only
-    /// when the key is not resident. Also returns whether *this* lookup
-    /// was answered from the table — the caller's local observation:
-    /// two workers racing on one digest both observe a miss, so the
-    /// flag may only feed wall-clock sidecars.
+    /// Backs the memo with `source`: from now on a lookup of a digest
+    /// that is not resident asks `source` first and runs its `compute`
+    /// only when `source` has no value. See the type docs.
+    ///
+    /// # Panics
+    ///
+    /// When the memo already has a source.
+    pub fn set_source(&self, source: impl Fn(u64) -> Option<V> + Send + Sync + 'static) {
+        let installed = self.source.set(Source(Box::new(source))).is_ok();
+        assert!(installed, "a digest memo has at most one source");
+    }
+
+    /// The value under `key`. When the key is not resident, the
+    /// [source](DigestMemo::set_source) is asked and then, if it has no
+    /// value, `compute` runs; both run outside the lock. Also returns
+    /// whether *this* lookup was answered without computing — the
+    /// caller's local observation: two workers racing on one digest
+    /// both observe a miss, so the flag may only feed wall-clock
+    /// sidecars.
     ///
     /// # Errors
     ///
@@ -389,16 +482,17 @@ impl<V> DigestMemo<V> {
         if let Some(entry) = self.lock().count(key, 1) {
             return Ok((Arc::clone(&entry.value), true));
         }
-        let value = Arc::new(compute()?);
-        let mut table = self.lock();
-        table.local_misses += 1;
-        table.map.entry(key).or_insert_with(|| Memoized {
-            value,
-            lookups: 0,
-            saved: false,
+        let stored = self.source.get().and_then(|source| (source.0)(key));
+        let sourced = stored.is_some();
+        let value = Arc::new(match stored {
+            Some(value) => value,
+            None => compute()?,
         });
+        let mut table = self.lock();
+        table.local_misses += u64::from(!sourced);
+        table.insert(key, value, sourced);
         let entry = table.count(key, 1).expect("the digest was just inserted");
-        Ok((Arc::clone(&entry.value), false))
+        Ok((Arc::clone(&entry.value), sourced))
     }
 
     /// Lookups beyond the first of their digest — every lookup a serial
@@ -410,8 +504,8 @@ impl<V> DigestMemo<V> {
     }
 
     /// Distinct digests resident in the table — the computations a
-    /// serial run would have performed (a [`seed`](DigestMemo::seed)ed
-    /// key counts as if a prior process had paid for it).
+    /// serial run would have performed (a key answered by the source
+    /// counts as if a prior process had paid for it).
     /// Order-invariant.
     pub fn misses(&self) -> u64 {
         self.len() as u64
@@ -450,35 +544,18 @@ impl<V> DigestMemo<V> {
     /// pure wasted work. Interleaving-dependent: sidecar-only.
     pub fn races(&self) -> u64 {
         let table = self.lock();
-        table.local_misses.saturating_sub(table.map.len() as u64)
+        let computed = table.map.len() as u64 - table.stored;
+        table.local_misses.saturating_sub(computed)
     }
 
     /// Lookups that actually ran the computation in *this* process —
     /// unlike [`misses`](DigestMemo::misses) it excludes keys answered
-    /// from a [`seed`](DigestMemo::seed)ed value, so a warm-started
-    /// daemon can assert it recomputed nothing. Includes racing
-    /// double-computes, so it is sidecar-only (its zero/non-zero
-    /// distinction is deterministic for serial executors).
+    /// by the source, so a restarted daemon can assert it recomputed
+    /// nothing. Includes racing double-computes, so it is sidecar-only
+    /// (its zero/non-zero distinction is deterministic for serial
+    /// executors).
     pub fn computes(&self) -> u64 {
         self.lock().local_misses
-    }
-
-    /// Inserts a value computed by an earlier process — the warm-start
-    /// path of the on-disk cache layer. The entry starts saved. Returns
-    /// `false` (and keeps the resident entry) when the digest is already
-    /// present. Seeding is neither a lookup nor a compute.
-    pub fn seed(&self, digest: u64, value: V) -> bool {
-        match self.lock().map.entry(digest) {
-            hash_map::Entry::Occupied(_) => false,
-            hash_map::Entry::Vacant(slot) => {
-                slot.insert(Memoized {
-                    value: Arc::new(value),
-                    lookups: 0,
-                    saved: true,
-                });
-                true
-            }
-        }
     }
 
     /// Every resident `(digest, value)` pair, sorted by digest.
@@ -562,7 +639,7 @@ pub type Lent<V> = Arc<Arc<V>>;
 /// ```
 #[derive(Debug)]
 pub struct MemoView<V> {
-    map: HashMap<u64, Viewed<V>>,
+    map: DigestMap<Viewed<V>>,
 }
 
 /// One digest a [`MemoView`] holds.
@@ -576,7 +653,7 @@ struct Viewed<V> {
 impl<V> Default for MemoView<V> {
     fn default() -> Self {
         MemoView {
-            map: HashMap::new(),
+            map: DigestMap::default(),
         }
     }
 }
@@ -636,7 +713,7 @@ impl<V> MemoView<V> {
 /// The adequation memo: a [`DigestMemo`] of schedules keyed by
 /// [`schedule_digest`]. [`adequation`] is deterministic, so a hit returns
 /// a schedule byte-identical to a fresh run. The memo's counters,
-/// seeding and snapshots are reached through `Deref`.
+/// source and snapshots are reached through `Deref`.
 ///
 /// # Examples
 ///
@@ -1127,21 +1204,58 @@ mod tests {
         assert_eq!(forward, reverse);
     }
 
-    /// Seeding from a prior process's snapshot answers lookups without
-    /// computing, and seeded entries start saved.
+    /// A source answers each digest's first lookup without a compute:
+    /// the value is resident from then on, starts saved and reports as a
+    /// hit. A digest the source lacks is computed as before.
     #[test]
-    fn seeded_keys_serve_without_computing() {
+    fn a_source_answers_misses_before_compute() {
+        let asked = Arc::new(Mutex::new(Vec::new()));
         let memo: DigestMemo<u64> = DigestMemo::new();
-        assert!(memo.seed(9, 90));
-        // Re-seeding the same digest is refused and keeps the resident value.
-        assert!(!memo.seed(9, 91));
-        let (v, hit) = memo
-            .get_or_compute(9, || Err::<u64, _>("must not compute"))
+        let log = Arc::clone(&asked);
+        memo.set_source(move |digest| {
+            log.lock().unwrap().push(digest);
+            (digest % 2 == 0).then_some(digest * 10)
+        });
+        let looked_up: Vec<(u64, bool)> = [4, 4, 5, 5]
+            .into_iter()
+            .map(|key| {
+                let (v, hit) = memo.get_or_compute(key, || Ok::<_, ()>(key + 1)).unwrap();
+                (*v, hit)
+            })
+            .collect();
+        assert_eq!(looked_up, [(40, true), (40, true), (6, false), (6, true)]);
+        let mut view = MemoView::new();
+        let (v, hit) = view
+            .get_or_compute(&memo, 8, || Err::<u64, _>("must not compute"))
             .unwrap();
-        assert_eq!((*v, hit), (90, true));
-        assert_eq!(memo.computes(), 0);
-        assert_eq!((memo.hits(), memo.misses()), (0, 1));
-        assert!(memo.unsaved().is_empty());
+        assert_eq!((**v, hit), (80, true));
+        view.flush(&memo);
+        assert_eq!(*asked.lock().unwrap(), [4, 5, 8], "asked once per digest");
+        assert_eq!((memo.hits(), memo.misses(), memo.computes()), (2, 3, 1));
+        assert_eq!(memo.races(), 0);
+        let unsaved: Vec<u64> = memo.unsaved().into_iter().map(|(d, _)| d).collect();
+        assert_eq!(unsaved, [5], "sourced entries start saved");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most one source")]
+    fn a_memo_takes_one_source() {
+        let memo: DigestMemo<u64> = DigestMemo::new();
+        memo.set_source(|_| None);
+        memo.set_source(|_| None);
+    }
+
+    /// A digest key costs one finalizer: hashing a `u64` through
+    /// [`DigestHasher`] is `splitmix64` of it.
+    #[test]
+    fn a_digest_key_hashes_to_one_finalizer() {
+        use std::hash::BuildHasher;
+        for digest in [0, 1, 0x9e37_79b9_7f4a_7c15, u64::MAX] {
+            assert_eq!(
+                BuildDigestHasher::default().hash_one(digest),
+                splitmix64(digest)
+            );
+        }
     }
 
     #[test]
@@ -1224,7 +1338,8 @@ mod tests {
     #[test]
     fn unsaved_lists_computed_entries_until_marked() {
         let memo = replay(&[3, 1, 2, 1], 1);
-        memo.seed(0, 0);
+        memo.set_source(|digest| (digest == 0).then_some(0));
+        memo.get_or_compute(0, || Err("stored")).unwrap();
         let digests = |v: Vec<(u64, Arc<u64>)>| v.into_iter().map(|(d, _)| d).collect::<Vec<_>>();
         assert_eq!(digests(memo.snapshot()), vec![0, 1, 2, 3]);
         assert_eq!(digests(memo.unsaved()), vec![1, 2, 3]);
@@ -1268,12 +1383,14 @@ mod tests {
 
         /// The O(1) running totals equal the counters a scan of every
         /// entry derives, after every step of any interleaving of direct
-        /// lookups, seeds, view lookups and view flushes.
+        /// lookups, lookups the source answers, view lookups and view
+        /// flushes.
         #[test]
         fn running_totals_equal_scanned_counters(
             ops in proptest::collection::vec((0u64..4, 0u64..10), 1..120),
         ) {
             let memo: DigestMemo<u64> = DigestMemo::new();
+            memo.set_source(|key| (key >= 10).then_some(key));
             let mut view = MemoView::new();
             for (op, key) in ops {
                 match op {
@@ -1281,7 +1398,7 @@ mod tests {
                         memo.get_or_compute(key, || Ok::<_, ()>(key)).unwrap();
                     }
                     1 => {
-                        memo.seed(key, key);
+                        memo.get_or_compute(key + 10, || Err(())).unwrap();
                     }
                     2 => {
                         view.get_or_compute(&memo, key, || Ok::<_, ()>(key)).unwrap();

@@ -82,7 +82,8 @@ pub use adequation::{adequation, AdequationOptions, MappingPolicy};
 pub use algorithm::{AlgorithmGraph, Condition, OpId, OpKind};
 pub use architecture::{ArchitectureGraph, MediumId, MediumKind, ProcId};
 pub use cache::{
-    schedule_digest, DigestMemo, Fnv1a, Lent, MemoView, ScheduleCache, ScheduleKey, TableKey,
+    schedule_digest, BuildDigestHasher, DigestHasher, DigestMap, DigestMemo, DigestSet, Fnv1a,
+    Lent, MemoView, ScheduleCache, ScheduleKey, TableKey,
 };
 pub use error::AaaError;
 pub use schedule::{Schedule, ScheduledComm, ScheduledOp};

@@ -1,7 +1,7 @@
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::time::Instant;
 
+use ecl_aaa::{DigestMap, DigestSet};
 use ecl_core::cosim::LoopSpec;
 use ecl_core::report::{PruneSummary, SweepSummary, ValidationSummary, VerificationSummary};
 use ecl_core::CoreError;
@@ -126,13 +126,13 @@ pub struct SweepFold<'c> {
     caches: &'c SweepCaches,
     /// The summary so far; `finish` sets its cache counters.
     summary: SweepSummary,
-    schedule_digests: HashMap<u64, u64>,
+    schedule_digests: DigestMap<u64>,
     /// Fault plans folded so far.
     fault_plans: u64,
     /// Trivial fault plans folded so far.
     trivial_plans: u64,
     /// Scheduled-run digests of the faulty replays folded so far.
-    replay_digests: HashSet<u64>,
+    replay_digests: DigestSet,
     traces: RecordingSink,
     merged: Histogram,
     worst_actuation_ns: i64,
@@ -173,10 +173,10 @@ impl<'c> SweepFold<'c> {
         SweepFold {
             caches,
             summary,
-            schedule_digests: HashMap::new(),
+            schedule_digests: DigestMap::default(),
             fault_plans: 0,
             trivial_plans: 0,
-            replay_digests: HashSet::new(),
+            replay_digests: DigestSet::default(),
             traces: RecordingSink::default(),
             merged: Histogram::new(sweep_bound_ns(spec, config), SWEEP_BUCKETS),
             worst_actuation_ns: 0,

@@ -1,15 +1,14 @@
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use ecl_aaa::{
-    DigestMemo, Fnv1a, MappingPolicy, MemoView, Schedule, ScheduleCache, ScheduleKey, TableKey,
-    TimeNs, TimingDb,
+    BuildDigestHasher, DigestMemo, Fnv1a, MappingPolicy, MemoView, Schedule, ScheduleCache,
+    ScheduleKey, TableKey, TimeNs, TimingDb,
 };
 use ecl_core::cosim::{IdealRunCache, LoopKey, LoopResult, LoopSpec, ScheduledRunCache};
 use ecl_core::faults::FaultFamily;
 use ecl_core::latency::LatencyReport;
-use ecl_sim::splitmix64;
 use ecl_telemetry::{Histogram, WorkerProfile};
 use ecl_verify::{EnvelopeReport, EnvelopeVerdict};
 
@@ -96,10 +95,11 @@ pub type ReportCache = DigestMemo<ReportEntry>;
 /// envelopes.
 ///
 /// [`run_sweep`](super::run_sweep) creates a fresh set per call; a
-/// daemon keeps one set alive across jobs (and warm-starts the first
-/// three from disk), which is why the summary's cache counters are
-/// derived job-locally by the [`SweepFold`](super::SweepFold) instead of
-/// read off these global tables.
+/// daemon keeps one set alive across jobs (and backs the first three
+/// with its disk store, which answers their misses), which is why the
+/// summary's cache counters are derived job-locally by the
+/// [`SweepFold`](super::SweepFold) instead of read off these global
+/// tables.
 #[derive(Debug, Default)]
 pub struct SweepCaches {
     /// Content-addressed adequation memo.
@@ -280,30 +280,13 @@ impl LabelKey {
     }
 }
 
+/// Word by word: under [`BuildDigestHasher`] a key costs one finalizer
+/// per word (a derived `Hash` would feed the hasher bytes).
 impl Hash for LabelKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0.iter().fold(0, |h, &w| splitmix64(h ^ w)));
-    }
-}
-
-/// The hasher of a [`LabelCache`]: a [`LabelKey`] mixes its own words,
-/// so the hasher keeps the one word it is given.
-#[derive(Debug, Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = splitmix64(self.0 ^ u64::from(b));
+        for &word in &self.0 {
+            state.write_u64(word);
         }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
     }
 }
 
@@ -316,7 +299,7 @@ impl Hasher for KeyHasher {
 /// grows with neither the WCET tables nor any other axis.
 #[derive(Debug, Default)]
 pub(super) struct LabelCache {
-    labels: HashMap<LabelKey, Arc<str>, BuildHasherDefault<KeyHasher>>,
+    labels: HashMap<LabelKey, Arc<str>, BuildDigestHasher>,
     /// The buffer a miss formats into, reused across misses.
     scratch: String,
 }

@@ -1271,7 +1271,9 @@ mod tests {
         assert!(doctored.latency_report_lenient().is_ok());
 
         let caches = SweepCaches::default();
-        caches.scheduled.seed(key, doctored);
+        caches
+            .scheduled
+            .set_source(move |digest| (digest == key).then(|| doctored.clone()));
         let twin = sweep(&caches, &faulty).unwrap();
         assert_eq!(twin.fault_plans, 1);
         let err = sweep(&caches, &fault_free).unwrap_err();

@@ -234,18 +234,31 @@ fn lifecycle(workers: usize) -> BenchResult<Lifecycle> {
     );
     drop(server);
 
-    // Phase C — restart: a fresh daemon on the same store answers from
-    // disk without recomputing a single schedule.
+    // Phase C — restart: a fresh daemon on the same store reads nothing
+    // at start, then answers from disk, loading records as requests need
+    // them, without recomputing a single schedule.
     let server = Server::start(config())?;
+    let counter = |name: &str| -> BenchResult<Option<u64>> {
+        let stats = Client::connect(server.addr())?.stats()?;
+        Ok(stats
+            .into_iter()
+            .find(|(key, _)| key == name)
+            .map(|(_, v)| v))
+    };
+    assert_eq!(
+        counter("store_records_loaded")?,
+        Some(0),
+        "a restarted daemon loaded records before its first request"
+    );
     let restart = run_clients(server.addr(), &reqs)?;
     check_phase("restart", &restart, ResponseSource::Disk, Some(&cold));
-    let stats = Client::connect(server.addr())?.stats()?;
-    let restart_sched_computes = stats
-        .iter()
-        .find(|(name, _)| name == "schedule_computes")
-        .map_or(u64::MAX, |&(_, v)| v);
+    assert!(
+        counter("store_records_loaded")?.is_some_and(|loaded| loaded > 0),
+        "the restarted daemon answered from disk without loading a record"
+    );
     assert_eq!(
-        restart_sched_computes, 0,
+        counter("schedule_computes")?,
+        Some(0),
         "restarted daemon computed schedules despite the warm store"
     );
     println!("{workers} worker(s), restart: {JOBS}/{JOBS} answered from disk, schedule computes 0");

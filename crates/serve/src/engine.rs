@@ -1,5 +1,5 @@
 //! The daemon's sweep engine: deployments, resident caches, response
-//! memo and disk warm-start.
+//! memo and the disk store behind them.
 //!
 //! One [`Engine`] lives for the daemon's whole life. It owns the
 //! persistent [`FleetPool`] every job shards across, the shared
@@ -7,9 +7,10 @@
 //! latency reports) and a response memo keyed by
 //! [`SweepRequest::digest`]. With a [`DiskStore`] attached, schedules,
 //! memoized runs and finished response payloads are written through to
-//! disk, and a freshly constructed engine seeds its tables from the
-//! store — a restarted daemon answers known requests without computing
-//! a single schedule.
+//! disk, and the store backs those four memos: a miss loads its entry
+//! from disk before anything is computed. A restarted daemon starts
+//! without reading the store, answers known requests without computing
+//! a single schedule, and decodes only the records its requests need.
 //!
 //! **Byte determinism.** A job is sharded into chunks of scenarios, each
 //! chunk a [`SweepFold::pooled`] pass of one job-local [`SweepFold`] on
@@ -108,7 +109,7 @@ pub struct JobReport {
     pub source: ResponseSource,
     /// Schedules computed by this engine since construction (the
     /// schedule memo's [`ecl_aaa::DigestMemo::computes`]); stays 0 on a
-    /// warm-started engine answering known requests.
+    /// restarted engine answering requests over known axes.
     pub sched_computes: u64,
 }
 
@@ -117,10 +118,9 @@ pub struct JobReport {
 struct Response {
     payload: Arc<Vec<u8>>,
     payload_digest: u64,
-    /// Seeded from disk at construction (reports as
-    /// [`ResponseSource::Disk`]) vs computed this lifetime
-    /// ([`ResponseSource::Memory`]).
-    disk_seeded: bool,
+    /// Loaded from the store (reports as [`ResponseSource::Disk`]) vs
+    /// computed this lifetime ([`ResponseSource::Memory`]).
+    from_disk: bool,
 }
 
 impl Response {
@@ -128,13 +128,13 @@ impl Response {
         Response {
             payload_digest: fnv64(&payload),
             payload: Arc::new(payload),
-            disk_seeded: false,
+            from_disk: false,
         }
     }
 
     /// The store record: the payload digest, little-endian, then the
-    /// payload. The store checksums the whole record, so a warm start
-    /// takes the digest from it instead of hashing the payload again.
+    /// payload. The store checksums the whole record, so a load takes
+    /// the digest from it instead of hashing the payload again.
     fn to_record(&self) -> Vec<u8> {
         let mut record = Vec::with_capacity(8 + self.payload.len());
         record.extend_from_slice(&self.payload_digest.to_le_bytes());
@@ -143,13 +143,13 @@ impl Response {
     }
 
     /// Inverse of [`to_record`](Response::to_record); the one copy a
-    /// warm start makes of a response.
+    /// load makes of a response.
     fn from_record(record: &[u8]) -> Option<Response> {
         let (digest, payload) = record.split_first_chunk::<8>()?;
         Some(Response {
             payload: Arc::new(payload.to_vec()),
             payload_digest: u64::from_le_bytes(*digest),
-            disk_seeded: true,
+            from_disk: true,
         })
     }
 }
@@ -172,7 +172,7 @@ pub struct Engine {
     deployments: HashMap<String, Arc<Deployment>>,
     caches: Arc<SweepCaches>,
     pool: FleetPool,
-    store: Option<DiskStore>,
+    store: Option<Arc<DiskStore>>,
     responses: DigestMemo<Response>,
     metrics: EngineMetrics,
 }
@@ -190,8 +190,8 @@ fn axis_or_zero(axis: &[f64]) -> Vec<f64> {
 
 impl Engine {
     /// Builds the engine: registers the deployment cases, spawns the
-    /// resident pool and (with a store) warm-starts every memo table
-    /// from disk.
+    /// resident pool and (with a store) backs every persisted memo with
+    /// the store. Nothing is read from disk until a lookup misses.
     ///
     /// # Errors
     ///
@@ -204,24 +204,26 @@ impl Engine {
             Arc::new(Deployment::new(dc_motor_loop(0.3)?, standard_split()?)),
         );
         let store = match &config.store_dir {
-            Some(dir) => Some(DiskStore::open(dir).map_err(|e| CoreError::InvalidInput {
-                reason: format!("cannot open cache store {}: {e}", dir.display()),
-            })?),
+            Some(dir) => Some(Arc::new(DiskStore::open(dir).map_err(|e| {
+                CoreError::InvalidInput {
+                    reason: format!("cannot open cache store {}: {e}", dir.display()),
+                }
+            })?)),
             None => None,
         };
         let caches = Arc::new(SweepCaches::default());
         let responses = DigestMemo::new();
         if let Some(store) = &store {
-            store.warm_start(KIND_SCHEDULES, &caches.schedule, |bytes| {
+            store.back(KIND_SCHEDULES, &caches.schedule, |bytes| {
                 Schedule::from_bytes(bytes).ok()
             });
-            store.warm_start(KIND_IDEAL, &caches.ideal, |bytes| {
+            store.back(KIND_IDEAL, &caches.ideal, |bytes| {
                 LoopResult::from_metric_bytes(bytes).ok()
             });
-            store.warm_start(KIND_SCHEDULED, &caches.scheduled, |bytes| {
+            store.back(KIND_SCHEDULED, &caches.scheduled, |bytes| {
                 LoopResult::from_metric_bytes(bytes).ok()
             });
-            store.warm_start(KIND_RESPONSES, &responses, Response::from_record);
+            store.back(KIND_RESPONSES, &responses, Response::from_record);
         }
         Ok(Engine {
             deployments,
@@ -432,7 +434,7 @@ impl Engine {
     /// Write-through persistence after a computed job: every memo entry
     /// (the new response included) not yet in the store, each appended
     /// to its kind's segment as one record before the job returns.
-    /// Entries seeded from disk or saved by an earlier job are skipped,
+    /// Entries loaded from disk or saved by an earlier job are skipped,
     /// and no saved record is ever rewritten, so the cost tracks what the
     /// job added, not the daemon's lifetime. Best-effort: a failed save
     /// bumps `persist_errors` and leaves its entry unsaved for the next
@@ -472,7 +474,7 @@ impl Engine {
         let (response, hit) = self
             .responses
             .get_or_compute(digest, || self.compute(req, progress))?;
-        let (source, counter) = match (hit, response.disk_seeded) {
+        let (source, counter) = match (hit, response.from_disk) {
             (false, _) => (ResponseSource::Computed, &self.metrics.computed),
             (true, true) => (ResponseSource::Disk, &self.metrics.disk_hits),
             (true, false) => (ResponseSource::Memory, &self.metrics.memory_hits),

@@ -22,8 +22,9 @@
 //!    touching the pool.
 //! 3. **Restart warmth** — schedules, co-simulated runs and responses
 //!    persist content-addressed on disk ([`store`]); a restarted daemon
-//!    seeds its memo tables from the store and answers without
-//!    recomputing a single schedule.
+//!    reads nothing at start, loads each stored entry the first time a
+//!    request needs it and answers without recomputing a single
+//!    schedule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

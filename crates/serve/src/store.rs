@@ -14,13 +14,16 @@
 //!
 //! [`save`](DiskStore::save) appends one record with a single write
 //! through a handle the store keeps open, and never rewrites a record.
-//! Every reader verifies each record before handing it out. A record
-//! that fails any check — torn by a crash mid-append, a flipped bit, a
-//! wrong version — is a counted miss, and the reader resumes at the next
-//! offset where a whole record verifies, so a defect costs only the
-//! records it touches, never the ones appended after it. A persistent
-//! cache must never turn corruption into a wrong answer when recomputing
-//! is always possible.
+//! Opening a store reads nothing: a kind's segment is indexed on its
+//! first lookup, and [`back`](DiskStore::back) makes a memo look its
+//! misses up here, so a restarted daemon decodes only the records it is
+//! asked for. Every reader verifies each record before handing it out. A
+//! record that fails any check — torn by a crash mid-append, a flipped
+//! bit, a wrong version — is a counted miss, and the reader resumes at
+//! the next offset where a whole record verifies, so a defect costs only
+//! the records it touches, never the ones appended after it. A
+//! persistent cache must never turn corruption into a wrong answer when
+//! recomputing is always possible.
 //!
 //! Files other than the segment (such as the `<digest>.bin` files of
 //! the one-file-per-entry layout this replaced) are never read: a store
@@ -32,9 +35,9 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use ecl_aaa::DigestMemo;
+use ecl_aaa::{DigestMap, DigestMemo};
 use ecl_telemetry::bytes::{ByteReader, ByteWriter, MAX_SEQ};
 
 /// Record magic.
@@ -167,9 +170,14 @@ impl Records {
 struct Segment {
     file: File,
     /// Byte range of each indexed record (the first appended wins).
-    index: HashMap<u64, Range<u64>>,
-    /// Bytes of the file the index covers.
+    index: DigestMap<Range<u64>>,
+    /// Bytes of the file the index covers: up to the end of the last
+    /// verified record.
     indexed: u64,
+    /// Length of the file at the last scan.
+    scanned: u64,
+    /// Whether the bytes after `indexed` were counted as a torn tail.
+    torn_counted: bool,
 }
 
 impl Segment {
@@ -184,30 +192,42 @@ impl Segment {
             .open(dir.join(SEGMENT))?;
         Ok(Segment {
             file,
-            index: HashMap::new(),
+            index: DigestMap::default(),
             indexed: 0,
+            scanned: 0,
+            torn_counted: false,
         })
     }
 
     /// Indexes the records appended, by any handle, since the last call;
-    /// reads only those bytes. Returns the defective stretches skipped.
+    /// reads only the bytes after the last indexed record, and nothing
+    /// when the file has not grown. Returns the defects found: one per
+    /// skipped stretch, and one for a torn tail, counted once — neither
+    /// while it stays torn nor when a record appended after it makes it
+    /// a skipped stretch.
     fn catch_up(&mut self) -> io::Result<u64> {
         let len = self.file.metadata()?.len();
-        if len <= self.indexed {
+        if len <= self.scanned {
             return Ok(0);
         }
         let mut tail = vec![0; usize::try_from(len - self.indexed).expect("segment fits memory")];
         self.file.seek(SeekFrom::Start(self.indexed))?;
         self.file.read_exact(&mut tail)?;
         let (base, index) = (self.indexed, &mut self.index);
+        let mut head_verified = false;
         let (end, skipped) = scan(&tail, |record| {
+            head_verified |= record.start() == 0;
             let at = |offset: usize| base + offset as u64;
             index
                 .entry(record.digest)
                 .or_insert(at(record.start())..at(record.end()));
         });
+        let torn = end < tail.len();
+        let recounted = self.torn_counted && !head_verified;
         self.indexed += end as u64;
-        Ok(skipped)
+        self.scanned = len;
+        self.torn_counted = torn;
+        Ok(skipped + u64::from(torn) - u64::from(recounted))
     }
 
     /// The payload of `digest`'s indexed record, re-verified on read;
@@ -272,12 +292,13 @@ impl DiskStore {
 
     /// Defective records seen by [`load`](DiskStore::load)/
     /// [`load_all`](DiskStore::load_all) since open: one per skipped
-    /// stretch and one per torn tail.
+    /// stretch and one per torn tail, and one per verified record a
+    /// [`back`](DiskStore::back)ed memo could not decode.
     pub fn corrupt_seen(&self) -> u64 {
         self.corrupt.load(Ordering::Relaxed)
     }
 
-    /// Memo entries [`warm_start`](DiskStore::warm_start) seeded since
+    /// Records decoded into a [`back`](DiskStore::back)ed memo since
     /// open.
     pub(crate) fn records_loaded(&self) -> u64 {
         self.loaded.load(Ordering::Relaxed)
@@ -338,9 +359,34 @@ impl DiskStore {
             .flatten()
     }
 
+    /// The value stored under `(kind, digest)` as `decode` reads it, or
+    /// `None` (see [`load`](DiskStore::load)). A record that verifies
+    /// but that `decode` refuses is a counted defect too, and leaves the
+    /// index, so a copy appended after it is found.
+    fn load_decoded<V>(
+        &self,
+        kind: &str,
+        digest: u64,
+        decode: impl FnOnce(&[u8]) -> Option<V>,
+    ) -> Option<V> {
+        let value = self.with_segment(kind, false, |segment| {
+            let Some(payload) = segment.read(digest, &self.corrupt)? else {
+                return Ok(None);
+            };
+            let value = decode(&payload);
+            if value.is_none() {
+                segment.index.remove(&digest);
+                self.corrupt.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(value)
+        });
+        let value = value.ok().flatten()?;
+        self.loaded.fetch_add(1, Ordering::Relaxed);
+        Some(value)
+    }
+
     /// Every verified record of `kind`, read in one piece and sorted by
-    /// digest so warm-start seeding is deterministic. Defects are counted
-    /// and skipped.
+    /// digest. Defects are counted and skipped.
     pub fn load_all(&self, kind: &str) -> Records {
         let buf = std::fs::read(self.root.join(kind).join(SEGMENT)).unwrap_or_default();
         let mut entries = Vec::new();
@@ -353,23 +399,24 @@ impl DiskStore {
         Records { buf, entries }
     }
 
-    /// Seeds `memo` with every record of `kind` that `decode` accepts — a
-    /// restarted daemon's warm start — decoding straight from the read
-    /// buffer. Seeded entries start saved, so
-    /// [`write_back`](DiskStore::write_back) never rewrites them.
-    pub fn warm_start<V>(
-        &self,
-        kind: &str,
+    /// Makes `kind`'s records the [source](DigestMemo::set_source) of
+    /// `memo`: a miss loads the digest's record, decoded by `decode`,
+    /// before anything is computed. A loaded entry starts saved, so
+    /// [`write_back`](DiskStore::write_back) never appends it again; a
+    /// record appended by another handle after this one started is found
+    /// too.
+    ///
+    /// # Panics
+    ///
+    /// When `memo` already has a source.
+    pub fn back<V>(
+        self: &Arc<Self>,
+        kind: &'static str,
         memo: &DigestMemo<V>,
-        decode: impl Fn(&[u8]) -> Option<V>,
+        decode: impl Fn(&[u8]) -> Option<V> + Send + Sync + 'static,
     ) {
-        let mut seeded = 0;
-        for (digest, payload) in self.load_all(kind).iter() {
-            if let Some(value) = decode(payload) {
-                seeded += u64::from(memo.seed(digest, value));
-            }
-        }
-        self.loaded.fetch_add(seeded, Ordering::Relaxed);
+        let store = Arc::clone(self);
+        memo.set_source(move |digest| store.load_decoded(kind, digest, &decode));
     }
 
     /// Saves every entry of `memo` not yet in the store under `kind`,
@@ -514,6 +561,81 @@ mod tests {
             Some(&b"after the crash"[..])
         );
         assert_eq!(store.load("runs", 2), None);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// Through `load`, a torn tail is counted when it is first read, and
+    /// once: not again while it stays torn (an unchanged file is not even
+    /// re-read), nor when a record appended after it skips it.
+    #[test]
+    fn a_torn_tail_is_counted_once_by_lookups() {
+        let store = temp_store("torn-lookup");
+        store.save("runs", 1, b"whole").unwrap();
+        store.save("runs", 2, b"torn by a crash").unwrap();
+        let path = segment_path(&store, "runs");
+        let len = std::fs::metadata(&path).unwrap().len();
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 5)
+            .unwrap();
+        let fresh = DiskStore::open(store.root()).unwrap();
+        assert_eq!(fresh.corrupt_seen(), 0, "opening reads nothing");
+        assert_eq!(fresh.load("runs", 2), None);
+        assert_eq!(fresh.load("runs", 9), None);
+        assert_eq!(fresh.load("runs", 1).as_deref(), Some(&b"whole"[..]));
+        assert_eq!(fresh.corrupt_seen(), 1);
+        store.save("runs", 3, b"after the crash").unwrap();
+        assert_eq!(
+            fresh.load("runs", 3).as_deref(),
+            Some(&b"after the crash"[..])
+        );
+        assert_eq!(fresh.corrupt_seen(), 1);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// A backed memo loads a stored entry on its first lookup, saved and
+    /// without a compute. A record that verifies but does not decode is a
+    /// counted defect: the entry is computed, written back once, and the
+    /// new copy is what the next lookup of that digest finds.
+    #[test]
+    fn a_backed_memo_loads_on_first_use() {
+        let store = Arc::new(temp_store("backed"));
+        store.save("names", 1, b"one").unwrap();
+        store.save("names", 2, &[0xff]).unwrap();
+        let decode = |bytes: &[u8]| String::from_utf8(bytes.to_vec()).ok();
+        let memo: DigestMemo<String> = DigestMemo::new();
+        store.back("names", &memo, decode);
+        assert_eq!(store.records_loaded(), 0);
+        let (one, hit) = memo
+            .get_or_compute(1, || Err::<String, _>("must not compute"))
+            .unwrap();
+        assert_eq!((one.as_str(), hit), ("one", true));
+        let (two, hit) = memo
+            .get_or_compute(2, || Ok::<_, ()>("two".to_string()))
+            .unwrap();
+        assert_eq!((two.as_str(), hit), ("two", false));
+        assert_eq!((store.records_loaded(), store.corrupt_seen()), (1, 1));
+        let encode = |v: &String| v.as_bytes().to_vec();
+        let len = || {
+            std::fs::metadata(segment_path(&store, "names"))
+                .unwrap()
+                .len()
+        };
+        let before = len();
+        assert_eq!(store.write_back("names", &memo, encode), 0);
+        let after = len();
+        assert_eq!(after - before, (HEADER + 3 + TRAILER) as u64, "one record");
+        assert_eq!(store.write_back("names", &memo, encode), 0);
+        assert_eq!(len(), after, "nothing is appended twice");
+        let later: DigestMemo<String> = DigestMemo::new();
+        store.back("names", &later, decode);
+        let (two, hit) = later
+            .get_or_compute(2, || Err::<String, _>("must not compute"))
+            .unwrap();
+        assert_eq!((two.as_str(), hit), ("two", true));
+        assert_eq!(memo.computes() + later.computes(), 1);
         let _ = std::fs::remove_dir_all(store.root());
     }
 

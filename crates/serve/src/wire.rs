@@ -411,7 +411,8 @@ pub enum ServerMsg {
         payload: Vec<u8>,
     },
     /// Job finished; `sched_computes` is the daemon's lifetime count of
-    /// schedules actually computed (0 on a fully warm-started daemon).
+    /// schedules actually computed (0 on a restarted daemon answering
+    /// requests over known axes).
     Done {
         /// [`ecl_aaa::DigestMemo::computes`] of the schedule memo after this job.
         sched_computes: u64,

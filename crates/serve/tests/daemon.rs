@@ -101,10 +101,11 @@ fn cold_warm_restart_payloads_are_byte_identical_across_worker_counts() {
     );
 }
 
-/// A restarted daemon stays warm below the response layer too: it seeds
-/// every record its predecessor wrote, and a *new* request over the
-/// same schedule axes recomputes the sweep but finds every schedule (and
-/// memoized run) already seeded from disk.
+/// A restarted daemon stays warm below the response layer too, and
+/// loads on demand: it reads no record at start, and a *new* request
+/// over the same schedule axes recomputes the sweep but loads every
+/// schedule (and memoized run) it needs from disk, never more records
+/// than its predecessor wrote.
 #[test]
 fn restart_serves_new_requests_without_recomputing_schedules() {
     let store = TempStore::new("axes");
@@ -128,7 +129,7 @@ fn restart_serves_new_requests_without_recomputing_schedules() {
     let srv = server(2, Some(&store));
     let mut client = Client::connect(srv.addr()).expect("reconnect");
     let stats = client.stats().expect("stats after the restart");
-    assert_eq!(counter(&stats, "store_records_loaded"), written);
+    assert_eq!(counter(&stats, "store_records_loaded"), 0);
     assert_eq!(counter(&stats, "store_corrupt"), 0);
     let half = SweepRequest {
         scenarios: 6, // strict subset of the seeded 0..12 index range
@@ -140,10 +141,118 @@ fn restart_serves_new_requests_without_recomputing_schedules() {
     assert_eq!(
         counter(&stats, "schedule_computes"),
         0,
-        "schedules should come from the disk-seeded cache"
+        "schedules should come from the disk-backed cache"
     );
     assert_eq!(counter(&stats, "response_disk_hits"), 0);
     assert_eq!(counter(&stats, "jobs_computed"), 1);
+    let loaded = counter(&stats, "store_records_loaded");
+    assert!(
+        0 < loaded && loaded <= written,
+        "loaded {loaded} of {written}"
+    );
+}
+
+/// Every segment file of the store and its length.
+fn segment_lengths(store: &TempStore) -> std::collections::BTreeMap<PathBuf, u64> {
+    let mut out = std::collections::BTreeMap::new();
+    for kind in std::fs::read_dir(&store.dir).expect("store root").flatten() {
+        for file in std::fs::read_dir(kind.path()).expect("kind dir").flatten() {
+            let len = file.metadata().expect("segment metadata").len();
+            out.insert(file.path(), len);
+        }
+    }
+    out
+}
+
+/// A record corrupted on disk after a restart, before the daemon first
+/// reads it, is one counted miss: the response is recomputed from the
+/// stored schedules and runs, byte-identical, and only it is appended
+/// again. The next restart skips the defective copy and answers from
+/// the new one.
+#[test]
+fn a_record_corrupted_before_its_first_use_is_one_counted_miss() {
+    use std::io::{Seek, SeekFrom, Write};
+
+    let store = TempStore::new("corrupt");
+    let cold = {
+        let srv = server(2, Some(&store));
+        let mut client = Client::connect(srv.addr()).expect("connect");
+        client.submit(&request()).expect("cold submit")
+    };
+
+    let srv = server(2, Some(&store));
+    let responses = store.dir.join("responses").join("segment");
+    let len = std::fs::metadata(&responses)
+        .expect("responses segment")
+        .len();
+    let mut file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&responses)
+        .expect("open the segment");
+    file.seek(SeekFrom::Start(len / 2)).expect("seek");
+    file.write_all(b"\xff").expect("flip a payload byte");
+    drop(file);
+    let before = segment_lengths(&store);
+
+    let mut client = Client::connect(srv.addr()).expect("connect");
+    let again = client.submit(&request()).expect("submit after the flip");
+    assert_eq!(again.source, ResponseSource::Computed);
+    assert_eq!(again.payload, cold.payload, "recomputed bytes drifted");
+    assert_eq!(again.sched_computes, 0, "schedules come from disk");
+    let stats = client.stats().expect("stats");
+    assert_eq!(counter(&stats, "store_corrupt"), 1);
+    assert_eq!(counter(&stats, "persist_errors"), 0);
+    let after = segment_lengths(&store);
+    for (path, len) in &before {
+        let grown = after[path] - len;
+        if *path == responses {
+            let payload = again.payload.len() as u64;
+            assert!((payload..payload + 64).contains(&grown), "grew {grown} B");
+        } else {
+            assert_eq!(grown, 0, "{} grew", path.display());
+        }
+    }
+    drop(client);
+    drop(srv);
+
+    let srv = server(1, Some(&store));
+    let mut client = Client::connect(srv.addr()).expect("connect");
+    let restarted = client.submit(&request()).expect("submit after a restart");
+    assert_eq!(restarted.source, ResponseSource::Disk);
+    assert_eq!(restarted.payload, cold.payload);
+    let stats = client.stats().expect("stats");
+    assert_eq!(counter(&stats, "store_corrupt"), 1);
+    // Admission reads one schedule per policy; the job, one response.
+    let policies = request().policies.len() as u64;
+    assert_eq!(counter(&stats, "store_records_loaded"), policies + 1);
+}
+
+/// Two daemons on one store: B, started while the store is empty,
+/// answers from disk what A computes afterwards — into a segment B had
+/// not opened yet, and again into one B has already indexed — without
+/// computing a schedule.
+#[test]
+fn a_daemon_finds_records_another_appended_after_it_started() {
+    let store = TempStore::new("shared");
+    let b = server(1, Some(&store));
+    let a = server(1, Some(&store));
+    let mut client_a = Client::connect(a.addr()).expect("connect to a");
+    let mut client_b = Client::connect(b.addr()).expect("connect to b");
+    let half = SweepRequest {
+        scenarios: 6,
+        ..request()
+    };
+    for req in [request(), half] {
+        let computed = client_a.submit(&req).expect("a computes");
+        assert_eq!(computed.source, ResponseSource::Computed);
+        let found = client_b.submit(&req).expect("b answers");
+        assert_eq!(found.source, ResponseSource::Disk);
+        assert_eq!(found.payload, computed.payload);
+        assert_eq!(found.sched_computes, 0);
+    }
+    let stats = client_b.stats().expect("stats of b");
+    assert_eq!(counter(&stats, "jobs_computed"), 0);
+    assert_eq!(counter(&stats, "store_corrupt"), 0);
 }
 
 /// Persistence only appends: a second cold job that reuses the first
@@ -222,16 +331,7 @@ fn an_undeliverable_report_is_a_typed_error() {
     let store = TempStore::new("too-large");
     let srv = server(2, Some(&store));
     let mut client = Client::connect(srv.addr()).expect("connect");
-    let segment_sizes = || {
-        let mut out = std::collections::BTreeMap::new();
-        for kind in std::fs::read_dir(&store.dir).expect("store root").flatten() {
-            for file in std::fs::read_dir(kind.path()).expect("kind dir").flatten() {
-                let len = file.metadata().expect("segment metadata").len();
-                out.insert(file.path(), len);
-            }
-        }
-        out
-    };
+    let segment_sizes = || segment_lengths(&store);
     let sized = |scenarios: usize| SweepRequest {
         scenarios,
         chunk: 500,
