@@ -697,6 +697,18 @@ impl<V> MemoView<V> {
         }
     }
 
+    /// Records `n` lookups of `key` that the caller answered from a
+    /// value it took from this view earlier, so they reach the table at
+    /// [`flush`](MemoView::flush) like the view's own.
+    ///
+    /// # Panics
+    ///
+    /// When the view does not hold `key`.
+    pub fn count(&mut self, key: u64, n: u64) {
+        let viewed = self.map.get_mut(&key).expect("a counted digest is viewed");
+        viewed.lookups += n;
+    }
+
     /// Adds the lookups this view answered itself to `memo`'s per-digest
     /// counts. `memo` must be the table every lookup through the view
     /// fell through to.
@@ -1299,6 +1311,30 @@ mod tests {
         view.flush(&memo);
         assert_eq!(memo.lookups(), N);
         assert_eq!(counters(&memo), counters(&replay(&[3; N as usize], 1)));
+    }
+
+    /// Lookups a caller answered from a lent value and counted into the
+    /// view reach the table at the flush exactly as the view's own.
+    #[test]
+    fn counted_lookups_reach_the_table_on_flush() {
+        let memo: DigestMemo<u64> = DigestMemo::new();
+        let mut view = MemoView::new();
+        view.get_or_compute(&memo, 3, || Ok::<_, ()>(30)).unwrap();
+        view.get_or_compute(&memo, 4, || Ok::<_, ()>(40)).unwrap();
+        view.count(3, 6);
+        view.count(4, 0);
+        assert_eq!(memo.lookups(), 2);
+        view.flush(&memo);
+        assert_eq!(
+            counters(&memo),
+            counters(&replay(&[3, 3, 3, 3, 3, 3, 3, 4], 1))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a counted digest is viewed")]
+    fn counting_an_unviewed_digest_panics() {
+        MemoView::<u64>::new().count(3, 1);
     }
 
     /// A view falls through on the first lookup of a digest, so a key

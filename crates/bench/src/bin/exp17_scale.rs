@@ -2,17 +2,20 @@
 //! `(loop × schedule × fault-plan)` content digest.
 //!
 //! Runs a 1 000 000-scenario sweep of the standard DC-motor split loop
-//! (light pipeline, fleet profiler on) at 1 worker and then at 4, and
-//! checks the claims that push the fleet one order of magnitude past
-//! E16-SCALE:
+//! (light pipeline, fleet profiler on, both memos on as in the
+//! benchmark and the daemon) at 1 worker and then at 4, and checks the
+//! claims that push the fleet one order of magnitude past E16-SCALE:
 //!
 //! * **Scheduled-run memoization** — the graph-of-delays co-simulation
 //!   is pure in `(loop spec, schedule, fault plan)`, and the sweep's
 //!   quantized axes (WCET tables × policies × period scales) bound that
 //!   key space to ≤ 96 digests. The `ScheduledRunCache` therefore
-//!   answers all but ~10⁻⁴ of the 10⁶ lookups from each worker's own
-//!   memo view. Asserted: one lookup per scenario, misses bounded by
-//!   the axis product, hit rate ≥ 99.9%.
+//!   answers all but ~10⁻⁴ of the 10⁶ lookups. Most never reach a memo
+//!   view: a scenario whose class its lane has seen is served the
+//!   class's row with one lookup in the lane's class table, and the
+//!   lookups it skipped are counted per digest when the lane finishes.
+//!   Asserted: one ideal and one scheduled lookup per scenario, misses
+//!   bounded by the axis product, hit rate ≥ 99.9%.
 //! * **Allocation-free hot loop** — [`ecl_sim::EngineStats::hot_allocs`]
 //!   stays 0 across every co-simulation flavour the fleet uses,
 //!   including the faulty replay ([`KernelWork::probe`]).
@@ -67,6 +70,7 @@ fn config(workers: usize) -> SweepConfig {
         trace_scenarios: 0,
         profile: true,
         memoize_scheduled: true,
+        memoize_reports: true,
         ..SweepConfig::default()
     }
 }
@@ -143,7 +147,8 @@ fn bench_json(out: &SweepOutput, profile: &ProfileReport) -> String {
          \"cosim_mean_ns\":{:.1},\
          \"ideal_hits\":{},\"ideal_misses\":{},\
          \"cache_hits\":{},\"cache_misses\":{},\
-         \"schedule_races\":{},\"ideal_races\":{},\"scheduled_races\":{}}}\n",
+         \"schedule_races\":{},\"ideal_races\":{},\"scheduled_races\":{},\
+         \"class_hits\":{}}}\n",
         out.summary.scenarios.len(),
         profile.workers.len(),
         profile.wall_ns,
@@ -157,6 +162,7 @@ fn bench_json(out: &SweepOutput, profile: &ProfileReport) -> String {
         out.races[0],
         out.races[1],
         out.races[2],
+        out.class_hits,
     )
 }
 
@@ -239,7 +245,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "scheduled memo: {} hits / {} misses (hit rate {:.4}%); \
-         co-simulation mean {:.1} us; races s/i/c {}/{}/{}",
+         co-simulation mean {:.1} us; races s/i/c {}/{}/{}; class hits {}",
         out.scheduled_hits,
         out.scheduled_misses,
         100.0 * out.scheduled_hits as f64 / SCENARIOS as f64,
@@ -247,6 +253,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.races[0],
         out.races[1],
         out.races[2],
+        out.class_hits,
     );
     println!("{}", profile.render());
 

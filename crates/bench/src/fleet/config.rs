@@ -300,6 +300,18 @@ pub struct Scenario {
 impl Scenario {
     /// Derives scenario `index` of a sweep over `base`.
     pub fn derive(config: &SweepConfig, base: &SplitScenario, index: usize) -> Scenario {
+        let mut scenario = Scenario::draw(config, index);
+        scenario.wcet_worst = scenario.table_worst(base);
+        scenario
+    }
+
+    /// Scenario `index`'s draw: every field [`derive`](Scenario::derive)
+    /// sets but [`wcet_worst`](Scenario::wcet_worst), which is NaN. The
+    /// worst factor reads the whole factor stream of the table and only
+    /// the label needs it, so a lane computes it (with
+    /// [`table_worst`](Scenario::table_worst)) once per table, not once
+    /// per scenario.
+    pub(super) fn draw(config: &SweepConfig, index: usize) -> Scenario {
         let seed = scenario_seed(config.base_seed, index);
         let mut rng = SplitMix64::new(seed);
         // The scenario draws a WCET *table index*; the table's content
@@ -308,9 +320,6 @@ impl Scenario {
         // timing tables to the scheduler and can share a cached schedule.
         let wcet_table = rng.below(config.wcet_tables.max(1));
         let wcet_seed = scenario_seed(config.base_seed ^ WCET_TABLE_SALT, wcet_table);
-        let wcet_worst = wcet_factors(wcet_seed, config.wcet_jitter)
-            .take(base.alg.len())
-            .fold(1.0f64, f64::max);
         let period_scale = config.period_scales[rng.below(config.period_scales.len())];
         // Fault rates are drawn after the historical axes so that an
         // all-zero `FaultAxes` reproduces pre-fault scenario draws (and
@@ -329,13 +338,21 @@ impl Scenario {
             wcet_table,
             wcet_seed,
             wcet_jitter: config.wcet_jitter,
-            wcet_worst,
+            wcet_worst: f64::NAN,
             period_scale,
             policy,
             frame_loss_rate,
             link_outage_rate,
             proc_dropout_rate,
         }
+    }
+
+    /// The largest factor of this scenario's WCET table over `base`'s
+    /// operations, and at least 1.
+    pub(super) fn table_worst(&self, base: &SplitScenario) -> f64 {
+        wcet_factors(self.wcet_seed, self.wcet_jitter)
+            .take(base.alg.len())
+            .fold(1.0f64, f64::max)
     }
 
     /// `true` when this scenario injects at least one fault class.

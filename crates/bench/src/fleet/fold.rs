@@ -75,6 +75,13 @@ pub struct SweepOutput {
     /// in profiler/bench sidecars and must never enter a diffed
     /// artifact.
     pub races: [u64; 5],
+    /// Scenarios whose class their lane had already seen in the same
+    /// pass, so one lookup in the lane's class table gave their
+    /// schedule, period and label, or their whole row. Which lane first
+    /// sees a class depends on thread interleaving (a serial one-pass
+    /// sweep hits `scenarios − classes` times), so like
+    /// [`races`](SweepOutput::races) it is sidecar-only.
+    pub class_hits: u64,
 }
 
 /// Runs the whole sweep on `config.workers` threads over a fresh
@@ -143,6 +150,8 @@ pub struct SweepFold<'c> {
     /// The finished lanes' profiles; `None` when profiling is off.
     profiles: Option<Vec<WorkerProfile>>,
     wall_ns: u64,
+    /// The finished lanes' class-table hits.
+    class_hits: u64,
 }
 
 impl<'c> SweepFold<'c> {
@@ -185,6 +194,7 @@ impl<'c> SweepFold<'c> {
             spans_per_scenario,
             profiles: config.profile.then(Vec::new),
             wall_ns: 0,
+            class_hits: 0,
         }
     }
 
@@ -229,12 +239,12 @@ impl<'c> SweepFold<'c> {
         let share = count.div_ceil(workers.clamp(1, count.max(1)));
         let spans = share * self.spans_per_scenario + MISS_SPANS;
         // The profile buffer is presized for the lane's share (nothing
-        // when profiling is off), so it records every span without
-        // regrowing.
+        // when profiling is off) and the class table for as many classes
+        // as the share can hold, so neither regrows.
         move |worker| {
             let mut wp = WorkerProfile::new(worker, epoch, profile);
             wp.reserve(spans);
-            Lane::new(wp, bound)
+            Lane::new(wp, bound, share)
         }
     }
 
@@ -246,6 +256,7 @@ impl<'c> SweepFold<'c> {
     ) -> Result<(), CoreError> {
         self.wall_ns = self.epoch.elapsed().as_nanos() as u64;
         for lane in lanes {
+            self.class_hits += lane.class_hits();
             let profile = lane.finish(self.caches, &mut self.merged);
             if let Some(profiles) = self.profiles.as_mut() {
                 profiles.push(profile);
@@ -355,6 +366,7 @@ impl<'c> SweepFold<'c> {
                 caches.reports.races(),
                 caches.envelopes.races(),
             ],
+            class_hits: self.class_hits,
         }
     }
 }

@@ -1,18 +1,37 @@
+//! The memo tables a sweep shares and the lane each worker keeps.
+//!
+//! [`SweepCaches`] holds the five content-addressed memos every worker
+//! of a sweep (or of a resident daemon) looks up in, with the keys of
+//! the two the fleet itself defines ([`report_digest`],
+//! [`envelope_digest`]); [`SweepKeys`] hashes a deployment's half of
+//! every key once. A [`Lane`] is one worker's private state for one
+//! pass: its profile buffer, its scratch histogram, its [`MemoView`] of
+//! each memo and its [`ClassTable`], which maps a scenario's class (its
+//! draw without index and seed) to everything the class determines.
+//! A scenario whose class the lane has seen costs its draw and one
+//! lookup: its schedule, period and label come from the class, and an
+//! untraced scenario whose row the class fixes (pruned, or fault-free
+//! with both memos on and neither validation nor verification) is
+//! served that row whole. The memo lookups a class hit skips are owed
+//! per digest and added to the lane's views when the lane finishes (or
+//! its full table starts over), so every counter stays exact.
+
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use ecl_aaa::{
-    BuildDigestHasher, DigestMemo, Fnv1a, MappingPolicy, MemoView, Schedule, ScheduleCache,
+    BuildDigestHasher, DigestMemo, Fnv1a, Lent, MappingPolicy, MemoView, Schedule, ScheduleCache,
     ScheduleKey, TableKey, TimeNs, TimingDb,
 };
 use ecl_core::cosim::{IdealRunCache, LoopKey, LoopResult, LoopSpec, ScheduledRunCache};
 use ecl_core::faults::FaultFamily;
 use ecl_core::latency::LatencyReport;
+use ecl_core::report::ScenarioOutcome;
 use ecl_telemetry::{Histogram, WorkerProfile};
 use ecl_verify::{EnvelopeReport, EnvelopeVerdict};
 
-use super::{Scenario, SweepConfig};
+use super::{Scenario, ScenarioRecord, SweepConfig};
 use crate::SplitScenario;
 
 /// Buckets of the sweep-level actuation-latency histogram: the shape of
@@ -117,8 +136,8 @@ pub struct SweepCaches {
 /// The per-deployment halves of the memo keys: the loop spec and the
 /// algorithm/architecture graphs, hashed once per sweep (a daemon: once
 /// per registered deployment); a [`Lane`] then hashes each WCET table
-/// once onto the graph half, and each scenario hashes only its period
-/// and policy.
+/// once onto the graph half, and each class new to the lane hashes only
+/// its period and policy.
 #[derive(Debug)]
 pub struct SweepKeys<'a> {
     /// The swept loop spec, keyed for [`IdealRunCache`] and
@@ -146,37 +165,27 @@ impl<'a> SweepKeys<'a> {
     }
 }
 
-/// Slots of a [`Lane`]'s WCET-table cache. It is direct-mapped by table
-/// index, so its size is fixed: it does not grow with
-/// [`SweepConfig::wcet_tables`] (which a daemon client chooses) or with
-/// the scenario count. 32 slots hold every table of the default 16-table
-/// axis.
-pub(super) const TABLE_SLOTS: usize = 32;
+/// Slots of a [`Lane`]'s per-table part of its class table. It is
+/// direct-mapped by WCET-table index, so its size is fixed: it does not
+/// grow with [`SweepConfig::wcet_tables`] (which a daemon client
+/// chooses) or with the scenario count. 32 slots hold every table of
+/// the default 16-table axis.
+const TABLE_SLOTS: usize = 32;
 
-/// Labels a [`Lane`]'s label cache holds before it starts over: room for
-/// every label of exp19's fault axes (768), while its memory stays
+/// Classes a [`Lane`]'s class table holds before it starts over: room
+/// for every class of exp19's fault axes (768), while its memory stays
 /// bounded whatever axes a daemon client picks.
-pub(super) const LABEL_ENTRIES: usize = 1024;
+pub(super) const CLASS_ENTRIES: usize = 1024;
 
 /// One worker's private state for one pass of a [`SweepFold`](super::SweepFold),
 /// which alone builds and finishes lanes: its profile buffer, its
 /// scratch actuation histogram, its [`MemoView`] of each of the five
-/// memos, its cache of hashed WCET tables and its cache of report
-/// labels. Nothing in it is shared, so a lookup the lane has already
-/// made touches no other worker's memory; finishing the lane adds its
-/// views' lookup counts to the shared tables.
-///
-/// The table cache holds the index and [`TableKey`] (graphs and WCET
-/// table, hashed) of the last table seen in each of its 32 slots,
-/// direct-mapped by table index. A table's content depends only on its
-/// index within one pass (the seed, jitter and deployment are fixed), so
-/// a scenario whose table is cached builds no jittered [`TimingDb`] and
-/// hashes only its policy; a miss builds and hashes the table and
-/// evicts the slot's previous entry.
-///
-/// The label cache hands every row of the same label one shared string:
-/// it maps everything a label reads, bit for bit, to the string
-/// formatted on the first miss, and holds at most 1 024 labels.
+/// memos and its class table, which answers a scenario whose class
+/// (its draw without index and seed) the lane has seen with one lookup.
+/// Nothing in it is shared, so a lookup the lane has already made
+/// touches no other worker's memory; finishing the lane adds the
+/// lookups its class hits skipped to its views, and its views' lookup
+/// counts to the shared tables.
 #[derive(Debug)]
 pub struct Lane {
     pub(super) profile: WorkerProfile,
@@ -186,14 +195,14 @@ pub struct Lane {
     pub(super) scheduled: MemoView<LoopResult>,
     pub(super) reports: MemoView<ReportEntry>,
     pub(super) envelopes: MemoView<EnvelopeReport>,
-    pub(super) tables: [Option<(usize, TableKey)>; TABLE_SLOTS],
-    pub(super) labels: LabelCache,
+    pub(super) classes: ClassTable,
 }
 
 impl Lane {
     /// A fresh lane recording into `profile`, with a scratch histogram
-    /// of bound `bound_ns`.
-    pub(super) fn new(profile: WorkerProfile, bound_ns: i64) -> Lane {
+    /// of bound `bound_ns` and a class table presized for `classes`
+    /// classes (at most [`CLASS_ENTRIES`]).
+    pub(super) fn new(profile: WorkerProfile, bound_ns: i64, classes: usize) -> Lane {
         Lane {
             profile,
             scratch: Histogram::new(bound_ns, SWEEP_BUCKETS),
@@ -202,8 +211,7 @@ impl Lane {
             scheduled: MemoView::new(),
             reports: MemoView::new(),
             envelopes: MemoView::new(),
-            tables: std::array::from_fn(|_| None),
-            labels: LabelCache::default(),
+            classes: ClassTable::with_capacity(classes.min(CLASS_ENTRIES)),
         }
     }
 
@@ -216,10 +224,51 @@ impl Lane {
         r
     }
 
-    /// Merges the scratch histogram into `merged`, adds the views'
-    /// lookup counts to `caches` (the tables every lookup of the lane
-    /// went to) and returns the profile buffer.
-    pub(super) fn finish(self, caches: &SweepCaches, merged: &mut Histogram) -> WorkerProfile {
+    /// Adds `class` under `key` to the class table and returns its slot.
+    /// A full table is settled and emptied first.
+    pub(super) fn insert_class(&mut self, key: ClassKey, class: Class) -> usize {
+        if self.classes.classes.len() == CLASS_ENTRIES {
+            self.settle_classes();
+        }
+        self.classes.insert(key, class)
+    }
+
+    /// Empties the class table, first adding what its hits owe: each
+    /// hit's schedule lookup, and each served row's other lookups and
+    /// its report's actuation latencies, to the lane's views and
+    /// scratch histogram.
+    fn settle_classes(&mut self) {
+        self.classes.index.clear();
+        for class in self.classes.classes.drain(..) {
+            if class.hits > 0 {
+                self.schedule.count(class.digest, class.hits);
+            }
+            let Some(row) = class.row.filter(|row| row.hits > 0) else {
+                continue;
+            };
+            if let Some(envelope) = row.envelope {
+                self.envelopes.count(envelope, row.hits);
+            }
+            if let Some(run) = row.run {
+                self.ideal.count(run.ideal, row.hits);
+                self.scheduled.count(run.scheduled, row.hits);
+                self.reports.count(run.report, row.hits);
+                self.scratch.merge_times(&run.entry.hist, row.hits);
+            }
+        }
+    }
+
+    /// Lookups that found their class in this lane (see
+    /// [`SweepOutput::class_hits`](super::SweepOutput::class_hits)).
+    pub(super) fn class_hits(&self) -> u64 {
+        self.classes.hits
+    }
+
+    /// Settles the class table, merges the scratch histogram into
+    /// `merged`, adds the views' lookup counts to `caches` (the tables
+    /// every lookup of the lane went to) and returns the profile buffer.
+    pub(super) fn finish(mut self, caches: &SweepCaches, merged: &mut Histogram) -> WorkerProfile {
+        self.settle_classes();
         merged.merge(&self.scratch);
         self.schedule.flush(&caches.schedule);
         self.ideal.flush(&caches.ideal);
@@ -230,59 +279,36 @@ impl Lane {
     }
 }
 
-/// The hashed WCET table of `scenario` from `tables` (a [`Lane`]'s table
-/// cache), and the jittered table itself when the cache missed and had
-/// to build it to hash it.
-pub(super) fn table_key(
-    tables: &mut [Option<(usize, TableKey)>; TABLE_SLOTS],
-    key: &ScheduleKey<'_>,
-    base: &SplitScenario,
-    scenario: &Scenario,
-) -> (TableKey, Option<TimingDb>) {
-    let table = scenario.wcet_table;
-    let slot = &mut tables[table % TABLE_SLOTS];
-    if let Some((_, cached)) = slot.as_ref().filter(|(t, _)| *t == table) {
-        return (cached.clone(), None);
-    }
-    let db = scenario.jittered_db(base);
-    let hashed = key.table(&db);
-    *slot = Some((table, hashed.clone()));
-    (hashed, Some(db))
-}
-
-/// Everything [`Scenario::label`] reads, bit for bit — `wcet_worst`,
-/// `period_scale`, the three fault rates and the policy — and the prune
-/// verdict that picks the label's suffix.
+/// A scenario's class: its draw without its index and seed — the WCET
+/// table index, the period scale, the policy (with a
+/// [`MappingPolicy::Random`] seed) and the three fault rates, bit for
+/// bit. Within one pass of one config everything after the draw but
+/// the fault plan is a pure function of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LabelKey([u64; 7]);
+pub(super) struct ClassKey([u64; 7]);
 
-impl LabelKey {
-    fn new(scenario: &Scenario, pruned: Option<EnvelopeVerdict>) -> LabelKey {
+impl ClassKey {
+    pub(super) fn new(scenario: &Scenario) -> ClassKey {
         let (policy, seed) = match scenario.policy {
             MappingPolicy::SchedulePressure => (0, 0),
             MappingPolicy::EarliestFinish => (1, 0),
             MappingPolicy::Random { seed } => (2, seed),
         };
-        let suffix = match pruned {
-            None => 0,
-            Some(EnvelopeVerdict::Safe) => 1,
-            Some(_) => 2,
-        };
-        LabelKey([
-            scenario.wcet_worst.to_bits(),
+        ClassKey([
+            scenario.wcet_table as u64,
             scenario.period_scale.to_bits(),
+            policy,
+            seed,
             scenario.frame_loss_rate.to_bits(),
             scenario.link_outage_rate.to_bits(),
             scenario.proc_dropout_rate.to_bits(),
-            policy | suffix << 2,
-            seed,
         ])
     }
 }
 
 /// Word by word: under [`BuildDigestHasher`] a key costs one finalizer
 /// per word (a derived `Hash` would feed the hasher bytes).
-impl Hash for LabelKey {
+impl Hash for ClassKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         for &word in &self.0 {
             state.write_u64(word);
@@ -290,30 +316,221 @@ impl Hash for LabelKey {
     }
 }
 
-/// A lane's interned report labels: a row's label is an `Arc` clone of
-/// the one string formatted for its [`LabelKey`]. Fewer than a hundred
-/// labels are distinct in a fault-free sweep of any size, so rows share
-/// them instead of each formatting and owning a copy. The cache is the
-/// lane's alone and is dropped with it at the end of the pass; it holds
-/// at most [`LABEL_ENTRIES`] labels and starts over when full, so it
-/// grows with neither the WCET tables nor any other axis.
-#[derive(Debug, Default)]
-pub(super) struct LabelCache {
-    labels: HashMap<LabelKey, Arc<str>, BuildDigestHasher>,
-    /// The buffer a miss formats into, reused across misses.
+/// What every scenario of one class shares: its deployed part, and once
+/// a scenario of the class has finished in a way every later one would
+/// repeat, its whole row.
+#[derive(Debug)]
+pub(super) struct Class {
+    /// The class's schedule, lent by the lane's schedule view.
+    pub(super) schedule: Lent<Schedule>,
+    /// The schedule's adequation digest.
+    pub(super) digest: u64,
+    /// The period the class runs at (stretched past the makespan).
+    pub(super) ts: f64,
+    /// The largest factor of the class's WCET table.
+    pub(super) wcet_worst: f64,
+    /// The label of the class's unpruned rows, formatted when first
+    /// asked for ([`ClassTable::label`]): a pruned class needs only its
+    /// suffixed label.
+    label: Option<Arc<str>>,
+    /// The row a scenario of the class is served; `None` until one is
+    /// kept ([`ClassTable::keep_row`]).
+    row: Option<ClassRow>,
+    /// Lookups that found the class; each skipped a schedule lookup.
+    hits: u64,
+}
+
+impl Class {
+    /// A class with no row and no hits yet.
+    pub(super) fn new(schedule: Lent<Schedule>, digest: u64, ts: f64, wcet_worst: f64) -> Class {
+        Class {
+            schedule,
+            digest,
+            ts,
+            wcet_worst,
+            label: None,
+            row: None,
+            hits: 0,
+        }
+    }
+}
+
+/// A class's finished row: what [`run_scenario`](super::run_scenario)
+/// returns for an untraced scenario of the class whose row is a pure
+/// function of the class — a pruned one, or, with both memos on and
+/// neither validation nor verification, a fault-free one.
+#[derive(Debug)]
+struct ClassRow {
+    /// The row, with the index and seed of the scenario that made it.
+    outcome: ScenarioOutcome,
+    /// The record's prune verdict.
+    prune: Option<EnvelopeVerdict>,
+    /// The envelope digest the row's scenario looked up, if it did.
+    envelope: Option<u64>,
+    /// The co-simulation lookups of a simulated row.
+    run: Option<RowRun>,
+    /// Scenarios served this row; each owes the lookups above.
+    hits: u64,
+}
+
+/// The memo lookups a simulated row's scenario made after adequation,
+/// by digest, and the report entry whose actuation latencies each
+/// scenario served the row adds to the lane's histogram.
+#[derive(Debug)]
+pub(super) struct RowRun {
+    /// The ideal run's loop digest.
+    pub(super) ideal: u64,
+    /// The scheduled run's digest.
+    pub(super) scheduled: u64,
+    /// The report entry's digest.
+    pub(super) report: u64,
+    /// The report entry.
+    pub(super) entry: Lent<ReportEntry>,
+}
+
+/// A lane's class table: one lookup answers everything a scenario's
+/// class determines ([`ClassKey`]), from its schedule, period and label
+/// to, for a class whose rows repeat, the finished row itself.
+///
+/// Beside the classes it keeps, in 32 slots direct-mapped by table
+/// index, the [`TableKey`] (graphs and WCET table, hashed) and worst
+/// factor of the last table seen in each slot. A table's content
+/// depends only on its index within one pass (the seed, jitter and
+/// deployment are fixed), so a new class of a known table builds no
+/// jittered [`TimingDb`] and a `Random`-policy sweep, whose every
+/// scenario is a class of its own, still hashes each table once.
+///
+/// The table is the lane's alone and lives for one pass. It is presized
+/// and holds at most [`CLASS_ENTRIES`] classes; when full it is settled
+/// ([`Lane::insert_class`]) and starts over, so it grows with neither
+/// the WCET tables nor any other axis.
+#[derive(Debug)]
+pub(super) struct ClassTable {
+    tables: [Option<TableSlot>; TABLE_SLOTS],
+    index: HashMap<ClassKey, usize, BuildDigestHasher>,
+    classes: Vec<Class>,
+    /// Lookups that found their class, over the pass.
+    hits: u64,
+    /// The buffer a new class formats its label into.
     scratch: String,
 }
 
-impl LabelCache {
-    /// `scenario`'s label, with the suffix of its prune verdict when a
-    /// conclusive envelope replaced its co-simulation.
-    pub(super) fn get(&mut self, scenario: &Scenario, pruned: Option<EnvelopeVerdict>) -> Arc<str> {
-        let key = LabelKey::new(scenario, pruned);
-        if let Some(label) = self.labels.get(&key) {
-            return Arc::clone(label);
+/// One hashed WCET table of a [`ClassTable`]'s per-table part.
+#[derive(Debug)]
+struct TableSlot {
+    table: usize,
+    key: TableKey,
+    worst: f64,
+}
+
+impl ClassTable {
+    fn with_capacity(classes: usize) -> ClassTable {
+        ClassTable {
+            tables: std::array::from_fn(|_| None),
+            index: HashMap::with_capacity_and_hasher(classes, BuildDigestHasher::default()),
+            classes: Vec::with_capacity(classes),
+            hits: 0,
+            scratch: String::new(),
         }
-        if self.labels.len() == LABEL_ENTRIES {
-            self.labels.clear();
+    }
+
+    /// The slot of the class under `key`, counting the lookup as a hit
+    /// when it is present.
+    pub(super) fn find(&mut self, key: &ClassKey) -> Option<usize> {
+        let c = *self.index.get(key)?;
+        self.hits += 1;
+        self.classes[c].hits += 1;
+        Some(c)
+    }
+
+    /// The class in slot `c`.
+    pub(super) fn class(&self, c: usize) -> &Class {
+        &self.classes[c]
+    }
+
+    /// Class `c`'s row with `index` and `seed` set, counted as served;
+    /// `None` when the class keeps no row.
+    pub(super) fn serve(&mut self, c: usize, index: usize, seed: u64) -> Option<ScenarioRecord> {
+        let class = &mut self.classes[c];
+        let row = class.row.as_mut()?;
+        row.hits += 1;
+        Some(ScenarioRecord {
+            outcome: ScenarioOutcome {
+                index,
+                seed,
+                ..row.outcome.clone()
+            },
+            prune: row.prune,
+            schedule_digest: class.digest,
+            extras: None,
+        })
+    }
+
+    /// Keeps `outcome` as class `c`'s row, with its record's `prune`
+    /// verdict and the lookups each scenario served it owes: the
+    /// `envelope` digest and a simulated row's `run`.
+    pub(super) fn keep_row(
+        &mut self,
+        c: usize,
+        outcome: &ScenarioOutcome,
+        prune: Option<EnvelopeVerdict>,
+        envelope: Option<u64>,
+        run: Option<RowRun>,
+    ) {
+        self.classes[c].row = Some(ClassRow {
+            outcome: outcome.clone(),
+            prune,
+            envelope,
+            run,
+            hits: 0,
+        });
+    }
+
+    fn insert(&mut self, key: ClassKey, class: Class) -> usize {
+        let c = self.classes.len();
+        self.classes.push(class);
+        self.index.insert(key, c);
+        c
+    }
+
+    /// The hashed WCET table of `scenario` and its worst factor, from
+    /// the table's slot; the jittered table itself when the slot did not
+    /// hold it and it had to be built to be hashed.
+    pub(super) fn table(
+        &mut self,
+        key: &ScheduleKey<'_>,
+        base: &SplitScenario,
+        scenario: &Scenario,
+    ) -> (TableKey, f64, Option<TimingDb>) {
+        let table = scenario.wcet_table;
+        let slot = &mut self.tables[table % TABLE_SLOTS];
+        if let Some(cached) = slot.as_ref().filter(|s| s.table == table) {
+            return (cached.key.clone(), cached.worst, None);
+        }
+        let db = scenario.jittered_db(base);
+        let hashed = key.table(&db);
+        let worst = scenario.table_worst(base);
+        *slot = Some(TableSlot {
+            table,
+            key: hashed.clone(),
+            worst,
+        });
+        (hashed, worst, Some(db))
+    }
+
+    /// The label of `scenario`, of class `c`, with the suffix of its
+    /// prune verdict when a conclusive envelope replaced its
+    /// co-simulation. Every unpruned row of the class shares one string;
+    /// a pruned label is formatted anew, as the class's row keeps it.
+    pub(super) fn label(
+        &mut self,
+        c: usize,
+        scenario: &Scenario,
+        pruned: Option<EnvelopeVerdict>,
+    ) -> Arc<str> {
+        let class = &mut self.classes[c];
+        if let (None, Some(label)) = (pruned, &class.label) {
+            return Arc::clone(label);
         }
         self.scratch.clear();
         scenario.write_label(&mut self.scratch);
@@ -323,7 +540,9 @@ impl LabelCache {
             Some(_) => " pruned:unsafe",
         });
         let label: Arc<str> = Arc::from(self.scratch.as_str());
-        self.labels.insert(key, Arc::clone(&label));
+        if pruned.is_none() {
+            class.label = Some(Arc::clone(&label));
+        }
         label
     }
 }

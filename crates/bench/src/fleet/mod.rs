@@ -47,7 +47,7 @@ mod tests {
     use std::sync::Arc;
     use std::time::Instant;
 
-    use super::lane::{sweep_bound_ns, TABLE_SLOTS};
+    use super::lane::sweep_bound_ns;
     use super::*;
     use crate::{dc_motor_loop, standard_split, SplitScenario};
     use ecl_aaa::{AdequationOptions, MemoView, ScheduleCache, ScheduleKey, TimeNs, TimingDb};
@@ -729,102 +729,198 @@ mod tests {
         assert_eq!(states.len(), 1);
     }
 
-    /// Runs every scenario of `config` as a one-scenario pass of one
-    /// [`SweepFold`], so each gets a fresh [`Lane`] (an empty table cache
-    /// each time) over one shared [`SweepCaches`]: the reference the
-    /// lanes' table caches must match. Returns the summary's Markdown and
-    /// JSON, the merged histogram and every memo counter.
-    fn fresh_lane_sweep(
+    /// Every counter of a sweep's output but the interleaving-dependent
+    /// `races` and `class_hits`.
+    fn counters(out: &SweepOutput) -> [u64; 13] {
+        let s = &out.summary;
+        [
+            s.cache_hits,
+            s.cache_misses,
+            out.ideal_hits,
+            out.ideal_misses,
+            out.scheduled_hits,
+            out.scheduled_misses,
+            out.report_hits,
+            out.report_misses,
+            out.envelope_hits,
+            out.envelope_misses,
+            out.fault_plans,
+            out.trivial_plans,
+            out.faulty_keys,
+        ]
+    }
+
+    /// What a class-table differential compares: the summary's Markdown
+    /// and JSON, the merged histogram and the [`counters`].
+    type Folded = (String, String, Histogram, [u64; 13]);
+
+    /// Folds the sweep of `config` through one [`SweepFold`] over fresh
+    /// shared tables: in one pass on `config.workers` lanes, or, unless
+    /// `one_pass`, as one-scenario passes, each on a fresh lane whose
+    /// class table is empty — the reference the class table must match.
+    /// Also returns the fold's class hits.
+    fn class_fold(
         spec: &LoopSpec,
         base: &SplitScenario,
         config: &SweepConfig,
-    ) -> (String, String, Histogram, [(u64, u64); 4]) {
+        one_pass: bool,
+    ) -> (Folded, u64) {
         let caches = SweepCaches::default();
         let keys = SweepKeys::new(spec, base);
         let mut fold = SweepFold::new(spec, config, &caches);
-        for i in 0..config.scenario_count {
-            let f = |i, lane: &mut Lane| run_scenario(&keys, base, config, &caches, i, lane);
-            fold.scoped(i..i + 1, 1, f).unwrap();
+        let f = |i, lane: &mut Lane| run_scenario(&keys, base, config, &caches, i, lane);
+        if one_pass {
+            fold.scoped(0..config.scenario_count, config.workers, f)
+                .unwrap();
+        } else {
+            for i in 0..config.scenario_count {
+                fold.scoped(i..i + 1, 1, f).unwrap();
+            }
         }
         let out = fold.finish();
         let s = &out.summary;
-        let counters = [
-            (s.cache_hits, s.cache_misses),
-            (out.ideal_hits, out.ideal_misses),
-            (out.scheduled_hits, out.scheduled_misses),
-            (out.report_hits, out.report_misses),
-        ];
-        (s.render(), s.to_json(), out.actuation_hist, counters)
+        let folded = (s.render(), s.to_json(), out.actuation_hist.clone());
+        (
+            (folded.0, folded.1, folded.2, counters(&out)),
+            out.class_hits,
+        )
     }
 
-    /// A lane's table cache changes no byte and no memo counter: sweeps
-    /// at 1 and 2 workers equal [`fresh_lane_sweep`] with more distinct
-    /// WCET tables than the cache has slots (so entries are evicted and
-    /// re-hashed), and with static verification, which reads the
-    /// jittered table the cache lets the hit path skip.
+    /// exp19's fault axes.
+    fn exp19_faults() -> FaultAxes {
+        FaultAxes {
+            frame_loss_rates: vec![0.0, 0.25],
+            link_outage_rates: vec![0.0, 0.10],
+            proc_dropout_rates: vec![0.0, 0.05],
+            ..FaultAxes::default()
+        }
+    }
+
+    /// The class table changes no byte and no counter: each sweep folded
+    /// in one pass at 1 and 4 workers equals the same sweep folded as
+    /// one-scenario passes, whose fresh lanes never find a class —
+    /// fault-free, on exp19's fault axes with pruning, with a `Random`
+    /// policy, traced, validated and verified, and over more classes
+    /// than the table holds, so that at 1 worker it settles, starts over
+    /// and hits again.
     #[test]
-    fn lane_table_cache_matches_fresh_lanes() {
+    fn class_table_matches_fresh_lanes() {
+        use super::lane::{ClassKey, CLASS_ENTRIES};
+        use ecl_aaa::MappingPolicy;
+
         let base = small_base();
         let spec = dc_motor_loop(0.05).unwrap();
-        let memoized = SweepConfig {
+        let hot = SweepConfig {
+            scenario_count: 160,
             memoize_scheduled: true,
             memoize_reports: true,
-            trace_scenarios: 0,
             ..SweepConfig::default()
         };
-        let evicting = SweepConfig {
-            scenario_count: 160,
-            wcet_tables: 2 * TABLE_SLOTS + 3,
-            ..memoized.clone()
-        };
-        // Replay the direct-mapped slots over the scenarios' tables: the
-        // sweep must both hit and evict.
-        let mut slots = [None; TABLE_SLOTS];
-        let (mut hits, mut evictions) = (0, 0);
-        for i in 0..evicting.scenario_count {
-            let table = Scenario::derive(&evicting, &base, i).wcet_table;
-            match slots[table % TABLE_SLOTS].replace(table) {
-                Some(t) if t == table => hits += 1,
-                Some(_) => evictions += 1,
-                None => {}
-            }
-        }
-        assert!(
-            hits > 0 && evictions > 0,
-            "{hits} hits, {evictions} evictions"
-        );
-        let verifying = SweepConfig {
-            scenario_count: 40,
-            verify_static: true,
-            ..memoized
-        };
-        for config in [evicting, verifying] {
-            let (render, json, hist, counters) = fresh_lane_sweep(&spec, &base, &config);
-            for workers in [1, 2] {
+        let cases = [
+            ("fault-free", hot.clone()),
+            (
+                "exp19 faults, pruned",
+                SweepConfig {
+                    prune_static: true,
+                    faults: exp19_faults(),
+                    ..hot.clone()
+                },
+            ),
+            (
+                "random policy",
+                SweepConfig {
+                    policies: vec![
+                        MappingPolicy::Random { seed: 0 },
+                        MappingPolicy::EarliestFinish,
+                    ],
+                    ..hot.clone()
+                },
+            ),
+            (
+                "traced, pruned",
+                SweepConfig {
+                    trace_scenarios: 24,
+                    prune_static: true,
+                    ..hot.clone()
+                },
+            ),
+            (
+                "validated and verified",
+                SweepConfig {
+                    scenario_count: 40,
+                    validate_executive: true,
+                    verify_static: true,
+                    ..hot.clone()
+                },
+            ),
+            (
+                "past the bound",
+                SweepConfig {
+                    scenario_count: 2 * CLASS_ENTRIES,
+                    wcet_tables: 400,
+                    ..hot
+                },
+            ),
+        ];
+        let mut past_the_bound = 0;
+        for (case, config) in cases {
+            let (reference, fresh_hits) = class_fold(&spec, &base, &config, false);
+            assert_eq!(fresh_hits, 0, "{case}: a fresh lane found a class");
+            let n = config.scenario_count;
+            let classes: std::collections::HashSet<_> = (0..n)
+                .map(|i| ClassKey::new(&Scenario::derive(&config, &base, i)))
+                .collect();
+            let repeats = (n - classes.len()) as u64;
+            past_the_bound += usize::from(classes.len() > CLASS_ENTRIES);
+            for workers in [1, 4] {
                 let config = SweepConfig {
                     workers,
                     ..config.clone()
                 };
-                let out = run_sweep(&spec, &base, &config).unwrap();
-                assert_eq!(out.summary.render(), render, "{workers} workers");
-                if config.verify_static {
-                    let v = out.summary.verification.as_ref();
-                    assert_eq!(v.expect("verification ran").verified, 40);
+                let (folded, hits) = class_fold(&spec, &base, &config, true);
+                assert!(hits > 0, "{case}, {workers} workers: no class hit");
+                // A table that started over misses its classes again.
+                if workers == 1 && classes.len() > CLASS_ENTRIES {
+                    assert!(hits < repeats, "{case}: {hits} hits, {repeats} repeats");
                 }
-                assert_eq!(out.summary.to_json(), json);
-                assert_eq!(out.actuation_hist, hist);
-                let s = &out.summary;
-                assert_eq!(
-                    [
-                        (s.cache_hits, s.cache_misses),
-                        (out.ideal_hits, out.ideal_misses),
-                        (out.scheduled_hits, out.scheduled_misses),
-                        (out.report_hits, out.report_misses),
-                    ],
-                    counters,
-                    "{workers} workers"
-                );
+                assert_eq!(folded, reference, "{case}, {workers} workers");
             }
+        }
+        assert_eq!(past_the_bound, 1);
+    }
+
+    /// At 1 worker one pass claims its scenarios in index order on one
+    /// lane, so every scenario but the first of its class finds it:
+    /// `class_hits` is the scenario count minus the classes — here
+    /// fewer than the table holds, so it never starts over.
+    #[test]
+    fn serial_class_hits_are_scenarios_minus_classes() {
+        use super::lane::ClassKey;
+
+        let (spec, base) = (dc_motor_loop(0.05).unwrap(), small_base());
+        for config in [
+            SweepConfig {
+                scenario_count: 300,
+                memoize_scheduled: true,
+                memoize_reports: true,
+                ..SweepConfig::default()
+            },
+            SweepConfig {
+                scenario_count: 300,
+                prune_static: true,
+                faults: exp19_faults(),
+                ..SweepConfig::default()
+            },
+        ] {
+            let classes: std::collections::HashSet<ClassKey> = (0..config.scenario_count)
+                .map(|i| ClassKey::new(&Scenario::derive(&config, &base, i)))
+                .collect();
+            let out = run_sweep(&spec, &base, &config).unwrap();
+            assert!(classes.len() < config.scenario_count);
+            assert_eq!(
+                out.class_hits,
+                (config.scenario_count - classes.len()) as u64
+            );
         }
     }
 
@@ -881,7 +977,7 @@ mod tests {
             let caches = SweepCaches::default();
             let keys = SweepKeys::new(&spec, &base);
             let bound = sweep_bound_ns(&spec, &config);
-            let mut lane = Lane::new(WorkerProfile::new(0, Instant::now(), true), bound);
+            let mut lane = Lane::new(WorkerProfile::new(0, Instant::now(), true), bound, 1);
             for i in 0..config.scenario_count {
                 let before = lane.profile.now_ns();
                 let (busy, recorded) = (lane.profile.busy_ns(), lane.profile.spans().len());
@@ -939,6 +1035,7 @@ mod tests {
         let mut lane = Lane::new(
             WorkerProfile::new(0, Instant::now(), false),
             sweep_bound_ns(&spec, &config),
+            1,
         );
         let keys = SweepKeys::new(&spec, &base);
         let record = run_scenario(&keys, &base, &config, &caches, 0, &mut lane).unwrap();
@@ -1389,41 +1486,6 @@ mod tests {
         }
     }
 
-    /// The label cache answers every key with its formatted label and
-    /// the suffix of its prune verdict, both suffixes included, and
-    /// stays correct while it starts over past `LABEL_ENTRIES` labels;
-    /// a repeated key shares one string.
-    #[test]
-    fn label_cache_returns_formatted_labels_past_its_bound() {
-        use super::lane::{LabelCache, LABEL_ENTRIES};
-        use ecl_aaa::MappingPolicy;
-        use ecl_verify::EnvelopeVerdict;
-
-        let base = small_base();
-        let config = SweepConfig {
-            policies: vec![MappingPolicy::Random { seed: 0 }],
-            faults: FaultAxes {
-                frame_loss_rates: vec![0.0, 0.25],
-                ..FaultAxes::default()
-            },
-            ..SweepConfig::default()
-        };
-        let verdicts = [
-            (None, ""),
-            (Some(EnvelopeVerdict::Safe), " pruned:safe"),
-            (Some(EnvelopeVerdict::Unsafe), " pruned:unsafe"),
-        ];
-        let mut cache = LabelCache::default();
-        for index in (0..LABEL_ENTRIES + 100).chain(0..50) {
-            let scenario = Scenario::derive(&config, &base, index);
-            for (verdict, suffix) in verdicts {
-                let label = cache.get(&scenario, verdict);
-                assert_eq!(*label, scenario.label() + suffix);
-                assert!(Arc::ptr_eq(&label, &cache.get(&scenario, verdict)));
-            }
-        }
-    }
-
     /// One fold slot holds a scenario's `Result`: the rare payloads sit
     /// behind one box, so the slot stays within two cache lines.
     #[test]
@@ -1503,7 +1565,7 @@ mod tests {
         let mut fold = SweepFold::new(spec, config, &caches);
         let direct = |i, _: &mut Lane| {
             let fresh = SweepCaches::default();
-            let mut lane = Lane::new(WorkerProfile::new(0, Instant::now(), false), bound);
+            let mut lane = Lane::new(WorkerProfile::new(0, Instant::now(), false), bound, 1);
             let record = run_scenario(&keys, base, config, &fresh, i, &mut lane);
             assert_eq!(fresh.envelopes.computes(), 1, "scenario {i}");
             record

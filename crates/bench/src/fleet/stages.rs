@@ -3,11 +3,13 @@
 //! faulty twin or traced), metrics, validation and verification. Each
 //! stage is one phase of the lane's profile; the phases run back to
 //! back, so a profiled scenario reads the clock once per phase boundary.
+//! A scenario whose class row its lane keeps ([`ClassTable`](super::lane::ClassTable))
+//! ends in the derive stage: the draw and one lookup are its one phase.
 
 use std::convert::Infallible;
 use std::sync::Arc;
 
-use ecl_aaa::{codegen, AdequationOptions, Lent, MemoView, Schedule, TableKey, TimeNs, TimingDb};
+use ecl_aaa::{codegen, AdequationOptions, Lent, MemoView, Schedule, TimeNs, TimingDb};
 use ecl_core::cosim::{self, Activation, LoopAt, LoopResult};
 use ecl_core::faults::{FaultFamily, FaultPlan};
 use ecl_core::report::{DegradationSummary, ScenarioOutcome};
@@ -16,7 +18,7 @@ use ecl_exec::ExecOptions;
 use ecl_telemetry::{Collector, Histogram, Phase, PrefixSink, RecordingSink};
 use ecl_verify::EnvelopeVerdict;
 
-use super::lane::{table_key, SWEEP_BUCKETS};
+use super::lane::{Class, ClassKey, RowRun, SWEEP_BUCKETS};
 use super::{
     envelope_digest, report_digest, Lane, ReportCache, ReportEntry, Scenario, SweepCaches,
     SweepConfig, SweepKeys,
@@ -95,42 +97,38 @@ pub fn run_scenario(
         index,
         lane,
     };
-    let (scenario, table, db) = stages.derive();
-    let (d, db) = stages.adequation(scenario, &table, db)?;
     let traced = index < config.trace_scenarios;
-    let prune = if config.prune_static && !traced {
-        let (verdict, worst_hi) = stages.envelope(&d);
+    let (scenario, seen) = match stages.derive(traced) {
+        Derived::Served(record) => return Ok(record),
+        Derived::Drawn(scenario, seen) => (scenario, seen),
+    };
+    let (d, db) = stages.adequation(scenario, seen)?;
+    let envelope = if config.prune_static && !traced {
+        let (verdict, worst_hi, envelope) = stages.envelope(&d);
         if verdict != EnvelopeVerdict::Inconclusive {
-            return Ok(stages.pruned(&d, verdict, worst_hi));
+            return Ok(stages.pruned(&d, verdict, worst_hi, envelope));
         }
-        Some(verdict)
+        Some(envelope)
     } else {
         None
     };
     let (at, ideal) = stages.ideal(&d)?;
     let plan = d.scenario.has_faults().then(|| stages.fault_plan(&d));
     let plan = plan.transpose()?;
-    let (run, key, twin, traces) = match &plan {
-        Some(plan) => stages.faulty_twin(&d, at, plan)?,
-        None if traced => stages.traced(&d, at)?,
-        None => {
-            let (run, key) = stages.untraced(&d, at, None)?;
-            (run, Some(key), None, RecordingSink::default())
-        }
-    };
+    let (run, key, twin, traces) = stages.cosimulate(&d, at, plan.as_ref(), traced)?;
     let (degradation, entry, replay_digest) = match twin {
         Some(twin) => (Some(twin.degradation), Some(twin.entry), twin.replay_digest),
         None => (None, None, None),
     };
-    let (outcome, report) = stages.metrics(&d, run, key, entry, ideal)?;
+    let (outcome, entry) = stages.metrics(&d, run, key, entry, ideal)?;
     let validation = if config.validate_executive {
         Some(stages.validation(&d, plan.as_ref())?)
     } else {
         None
     };
-    let verification = match (db, report) {
-        (Some(db), Some(report)) => Some(stages.verification(&d, &db, &report, plan.as_ref())?),
-        _ => None,
+    let verification = match db {
+        Some(db) => Some(stages.verification(&d, &db, &entry, plan.as_ref())?),
+        None => None,
     };
     let extras = RecordExtras {
         degradation,
@@ -143,12 +141,29 @@ pub fn run_scenario(
         || traced
         || extras.validation.is_some()
         || extras.verification.is_some();
+    if !rare {
+        stages.keep_row(&d, &outcome, envelope, at.digest(), key, entry);
+    }
     Ok(ScenarioRecord {
         outcome,
-        prune,
+        prune: envelope.map(|_| EnvelopeVerdict::Inconclusive),
         schedule_digest: d.digest,
         extras: rare.then(|| Box::new(extras)),
     })
+}
+
+/// What the derive stage found: the record of a scenario its class's
+/// row serves whole, or the draw the later stages run on.
+enum Derived {
+    Served(ScenarioRecord),
+    Drawn(Scenario, Seen),
+}
+
+/// Whether the lane's class table holds a drawn scenario's class: its
+/// slot, or the key a new class is inserted under.
+enum Seen {
+    Class(usize),
+    New(ClassKey),
 }
 
 /// The per-scenario context every stage runs over: the sweep's shared
@@ -163,12 +178,14 @@ struct Stages<'s, 'k> {
 }
 
 /// A scenario after adequation: its draw, its schedule and adequation
-/// digest, and the period it runs at.
+/// digest, the period it runs at and the slot of its class in the
+/// lane's class table.
 struct Deployed {
     scenario: Scenario,
     schedule: Lent<Schedule>,
     digest: u64,
     ts: f64,
+    class: usize,
 }
 
 /// What a co-simulation stage hands on: the run, its scheduled-run
@@ -248,38 +265,88 @@ fn build_report_entry(
 }
 
 impl<'s> Stages<'s, '_> {
-    /// Derive: the scenario's draw and its hashed WCET table, from the
-    /// lane's table cache. The jittered table is built here only when
-    /// the lane has not hashed this scenario's table yet.
-    fn derive(&mut self) -> (Scenario, TableKey, Option<TimingDb>) {
-        self.lane.profile.phase(self.index, Phase::Derive, |_| {
-            let scenario = Scenario::derive(self.config, self.base, self.index);
-            let (tables, key) = (&mut self.lane.tables, &self.keys.schedule);
-            let (table, db) = table_key(tables, key, self.base, &scenario);
-            (scenario, table, db)
-        })
+    /// Derive: the scenario's draw and one lookup of its class in the
+    /// lane's class table. An untraced scenario whose class keeps a row
+    /// is served that row here, with its own index and seed, and runs
+    /// no other stage: its derive phase closes with its task, so the
+    /// task is one phase and two clock reads.
+    fn derive(&mut self, traced: bool) -> Derived {
+        let (classes, index) = (&mut self.lane.classes, self.index);
+        let scenario = Scenario::draw(self.config, index);
+        let key = ClassKey::new(&scenario);
+        let found = classes.find(&key);
+        let served = found
+            .filter(|_| !traced)
+            .and_then(|c| classes.serve(c, index, scenario.seed));
+        if let Some(record) = served {
+            self.lane.profile.last_phase(index, Phase::Derive);
+            return Derived::Served(record);
+        }
+        // Closes the derive window, open since the task's first read.
+        self.lane.profile.phase(index, Phase::Derive, |_| ());
+        Derived::Drawn(scenario, found.map_or(Seen::New(key), Seen::Class))
     }
 
-    /// Adequation through the lane's view of the schedule memo. A miss
-    /// builds the jittered table if the derive stage did not; it is kept
-    /// (or rebuilt) for static verification and otherwise freed here. The
-    /// delay-graph builder rejects makespan > period, so a badly jittered
-    /// schedule stretches the period just enough (deterministically).
+    /// Adequation: the class's deployed part, lent by the class table
+    /// when the lane knows the class and built into a new class
+    /// otherwise. The jittered table is built only for static
+    /// verification or, on a new class, when the schedule memo misses
+    /// a table the lane has not hashed yet.
     fn adequation(
         &mut self,
         scenario: Scenario,
-        table: &TableKey,
-        mut db: Option<TimingDb>,
+        seen: Seen,
     ) -> Result<(Deployed, Option<TimingDb>), CoreError> {
+        match seen {
+            Seen::Class(c) => Ok(self.known_class(scenario, c)),
+            Seen::New(key) => self.new_class(scenario, key),
+        }
+    }
+
+    /// Adequation of a scenario of a class the lane knows: its
+    /// schedule and period are the class's.
+    fn known_class(&mut self, mut scenario: Scenario, c: usize) -> (Deployed, Option<TimingDb>) {
+        let (base, verify) = (self.base, self.config.verify_static);
+        let classes = &self.lane.classes;
         self.lane.profile.phase(self.index, Phase::Adequation, |_| {
+            let class = classes.class(c);
+            scenario.wcet_worst = class.wcet_worst;
+            let db = verify.then(|| scenario.jittered_db(base));
+            let deployed = Deployed {
+                scenario,
+                schedule: Lent::clone(&class.schedule),
+                digest: class.digest,
+                ts: class.ts,
+                class: c,
+            };
+            (deployed, db)
+        })
+    }
+
+    /// Adequation of a scenario of a class new to the lane, through the
+    /// lane's view of the schedule memo, and the class it adds to the
+    /// class table. A miss builds the jittered table if the class
+    /// table's slot did not; it is kept (or rebuilt) for static
+    /// verification and otherwise freed here. The delay-graph builder
+    /// rejects makespan > period, so a badly jittered schedule stretches
+    /// the period just enough (deterministically).
+    fn new_class(
+        &mut self,
+        mut scenario: Scenario,
+        key: ClassKey,
+    ) -> Result<(Deployed, Option<TimingDb>), CoreError> {
+        let phased = self.lane.profile.phase(self.index, Phase::Adequation, |_| {
+            let (config, base) = (self.config, self.base);
+            let classes = &mut self.lane.classes;
+            let (table, worst, mut db) = classes.table(&self.keys.schedule, base, &scenario);
+            scenario.wcet_worst = worst;
             let options = AdequationOptions {
                 policy: scenario.policy,
             };
-            let (config, base) = (self.config, self.base);
             let (memo, view) = (&self.caches.schedule, &mut self.lane.schedule);
             let jittered = || scenario.jittered_db(base);
             let (schedule, digest) = memo
-                .get_or_compute_in(view, &self.keys.schedule, table, options, || {
+                .get_or_compute_in(view, &self.keys.schedule, &table, options, || {
                     db.take().unwrap_or_else(jittered)
                 })
                 .map_err(CoreError::from)?;
@@ -289,14 +356,19 @@ impl<'s> Stages<'s, '_> {
             if makespan_s > ts {
                 ts = makespan_s * 1.05;
             }
-            let deployed = Deployed {
-                scenario,
-                schedule,
-                digest,
-                ts,
-            };
-            Ok((deployed, db))
-        })
+            Ok::<_, CoreError>((scenario, schedule, digest, ts, db))
+        });
+        let (scenario, schedule, digest, ts, db) = phased?;
+        let class = Class::new(Lent::clone(&schedule), digest, ts, scenario.wcet_worst);
+        let class = self.lane.insert_class(key, class);
+        let deployed = Deployed {
+            scenario,
+            schedule,
+            digest,
+            ts,
+            class,
+        };
+        Ok((deployed, db))
     }
 
     /// Envelope: the verdict and worst actuation upper bound of the
@@ -304,8 +376,9 @@ impl<'s> Stages<'s, '_> {
     /// — a pure function of `(config, index)`, so pruned rows are
     /// byte-stable for any worker count. The envelope is looked up
     /// through the lane's view of the envelope memo by its
-    /// [`envelope_digest`] and computed only on a miss.
-    fn envelope(&mut self, d: &Deployed) -> (EnvelopeVerdict, TimeNs) {
+    /// [`envelope_digest`] and computed only on a miss. Also returns
+    /// that digest.
+    fn envelope(&mut self, d: &Deployed) -> (EnvelopeVerdict, TimeNs, u64) {
         self.lane.profile.phase(self.index, Phase::Envelope, |_| {
             let family = FaultFamily::from_config(&d.scenario.fault_config(&self.config.faults));
             let period = TimeNs::from_secs_f64(d.ts);
@@ -322,17 +395,21 @@ impl<'s> Stages<'s, '_> {
                     None,
                 ))
             });
-            (envelope.verdict(), envelope.max_actuation_hi())
+            (envelope.verdict(), envelope.max_actuation_hi(), key)
         })
     }
 
     /// Prune: the statically derived row of a conclusive envelope
-    /// verdict, in place of every later stage.
+    /// verdict, in place of every later stage. The verdict is a
+    /// function of the class, so the row becomes the class's row, which
+    /// serves every later untraced scenario of the class; each owes the
+    /// schedule and `envelope` lookups it skips.
     fn pruned(
         &mut self,
         d: &Deployed,
         verdict: EnvelopeVerdict,
         worst_hi: TimeNs,
+        envelope: u64,
     ) -> ScenarioRecord {
         let overruns = if verdict == EnvelopeVerdict::Unsafe {
             // Every period's actuation can land past the deadline.
@@ -340,21 +417,54 @@ impl<'s> Stages<'s, '_> {
         } else {
             0
         };
+        let classes = &mut self.lane.classes;
+        let outcome = ScenarioOutcome {
+            index: self.index,
+            seed: d.scenario.seed,
+            label: classes.label(d.class, &d.scenario, Some(verdict)),
+            cost: 0.0,
+            cost_ratio: 0.0,
+            makespan_ns: d.schedule.makespan().as_nanos(),
+            worst_actuation_ns: worst_hi.as_nanos(),
+            overruns,
+        };
+        classes.keep_row(d.class, &outcome, Some(verdict), Some(envelope), None);
         ScenarioRecord {
-            outcome: ScenarioOutcome {
-                index: self.index,
-                seed: d.scenario.seed,
-                label: self.lane.labels.get(&d.scenario, Some(verdict)),
-                cost: 0.0,
-                cost_ratio: 0.0,
-                makespan_ns: d.schedule.makespan().as_nanos(),
-                worst_actuation_ns: worst_hi.as_nanos(),
-                overruns,
-            },
+            outcome,
             prune: Some(verdict),
             schedule_digest: d.digest,
             extras: None,
         }
+    }
+
+    /// Keeps a fault-free, untraced scenario's row, which ran neither
+    /// validation nor verification, as its class's row when both memos
+    /// are on: every later untraced scenario of the class would make
+    /// the same lookups — the `envelope` (with pruning), the ideal run
+    /// at `ideal`, the scheduled run `key` and its strict report entry —
+    /// and yield this row, so it is served the row and owes them.
+    fn keep_row(
+        &mut self,
+        d: &Deployed,
+        outcome: &ScenarioOutcome,
+        envelope: Option<u64>,
+        ideal: u64,
+        key: Option<u64>,
+        entry: Lent<ReportEntry>,
+    ) {
+        let memoized = self.config.memoize_scheduled && self.config.memoize_reports;
+        let Some(scheduled) = key.filter(|_| memoized) else {
+            return;
+        };
+        let run = RowRun {
+            ideal,
+            scheduled,
+            report: report_digest(scheduled, self.lane.scratch.upper_bound(), false),
+            entry,
+        };
+        let prune = envelope.map(|_| EnvelopeVerdict::Inconclusive);
+        let classes = &mut self.lane.classes;
+        classes.keep_row(d.class, outcome, prune, envelope, Some(run));
     }
 
     /// Ideal run: the stroboscopic reference, memoized by the digest of
@@ -377,6 +487,25 @@ impl<'s> Stages<'s, '_> {
             let config = d.scenario.fault_config(&self.config.faults);
             FaultPlan::generate(&config, &d.schedule, &self.base.arch, periods)
         })
+    }
+
+    /// Co-simulation: the faulty twin under a fault `plan`, the traced
+    /// run of a traced scenario, the untraced nominal run otherwise.
+    fn cosimulate(
+        &mut self,
+        d: &Deployed,
+        at: LoopAt<'_>,
+        plan: Option<&FaultPlan>,
+        traced: bool,
+    ) -> Result<Cosimulated, CoreError> {
+        match plan {
+            Some(plan) => self.faulty_twin(d, at, plan),
+            None if traced => self.traced(d, at),
+            None => {
+                let (run, key) = self.untraced(d, at, None)?;
+                Ok((run, Some(key), None, RecordingSink::default()))
+            }
+        }
     }
 
     /// Faulty twin: a faulty scenario runs against a fault-free twin on
@@ -495,7 +624,7 @@ impl<'s> Stages<'s, '_> {
     /// scenario's twin already fetched its lenient `entry`), merged into
     /// the lane's scratch histogram, and the report row. The runs are
     /// freed here, so their teardown is metrics time; the report entry
-    /// is kept only for static verification.
+    /// is returned for static verification and the class's row.
     fn metrics(
         &mut self,
         d: &Deployed,
@@ -503,7 +632,7 @@ impl<'s> Stages<'s, '_> {
         key: Option<u64>,
         entry: Option<Lent<ReportEntry>>,
         ideal: Lent<LoopResult>,
-    ) -> Result<(ScenarioOutcome, Option<Lent<ReportEntry>>), CoreError> {
+    ) -> Result<(ScenarioOutcome, Lent<ReportEntry>), CoreError> {
         self.lane.profile.phase(self.index, Phase::Metrics, |_| {
             let config = self.config;
             let bound = self.lane.scratch.upper_bound();
@@ -518,7 +647,7 @@ impl<'s> Stages<'s, '_> {
             let outcome = ScenarioOutcome {
                 index: self.index,
                 seed: d.scenario.seed,
-                label: self.lane.labels.get(&d.scenario, None),
+                label: self.lane.classes.label(d.class, &d.scenario, None),
                 cost: run.cost,
                 cost_ratio: run.cost / ideal.cost,
                 makespan_ns: d.schedule.makespan().as_nanos(),
@@ -527,7 +656,7 @@ impl<'s> Stages<'s, '_> {
             };
             drop(run);
             drop(ideal);
-            Ok::<_, CoreError>((outcome, config.verify_static.then_some(entry)))
+            Ok::<_, CoreError>((outcome, entry))
         })
     }
 

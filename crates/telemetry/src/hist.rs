@@ -125,18 +125,32 @@ impl Histogram {
     ///
     /// Panics if the bound or bucket count differ.
     pub fn merge(&mut self, other: &Histogram) {
+        self.merge_times(other, 1);
+    }
+
+    /// Merges `other` into this histogram `times` times, as `times`
+    /// calls of [`merge`](Histogram::merge) would: every count is
+    /// integral, so the scaled merge is exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bound or bucket count differ.
+    pub fn merge_times(&mut self, other: &Histogram, times: u64) {
         assert_eq!(
             (self.upper_bound, self.buckets.len()),
             (other.upper_bound, other.buckets.len()),
             "histograms must share bound and bucket count to merge"
         );
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
+        if times == 0 {
+            return;
         }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += o * times;
+        }
+        self.underflow += other.underflow * times;
+        self.overflow += other.overflow * times;
+        self.count += other.count * times;
+        self.sum += other.sum * i128::from(times);
         if other.count > 0 {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
@@ -401,6 +415,24 @@ mod tests {
         let before = a.clone();
         a.merge(&Histogram::new(1_000, 8));
         assert_eq!(a, before);
+    }
+
+    #[test]
+    fn merge_times_equals_repeated_merges() {
+        let mut other = Histogram::new(1_000, 8);
+        for v in [-5, 0, 7, 500, 999, 1_000, 4_000] {
+            other.record(v);
+        }
+        for times in [0, 1, 3, 17] {
+            let mut base = Histogram::new(1_000, 8);
+            base.record(250);
+            let mut repeated = base.clone();
+            for _ in 0..times {
+                repeated.merge(&other);
+            }
+            base.merge_times(&other, times);
+            assert_eq!(base, repeated, "{times} times");
+        }
     }
 
     #[test]

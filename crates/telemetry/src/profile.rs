@@ -38,11 +38,12 @@ const PHASE_BUCKETS: usize = 32;
 /// the per-run trace it aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
-    /// Scenario derivation: PRNG draws and the scenario's hashed WCET
-    /// table (the jittered table itself is built only when the worker
-    /// has not hashed it yet).
+    /// Scenario derivation: PRNG draws and the lookup of the scenario's
+    /// class in the worker's class table; a scenario served its class's
+    /// whole row is this phase alone.
     Derive,
-    /// Schedule lookup/computation (the schedule `DigestMemo` + list scheduler).
+    /// Schedule lookup/computation (the schedule `DigestMemo` + list
+    /// scheduler), or the deployed part of a class the worker knows.
     Adequation,
     /// Fault-envelope abstract interpretation (static sweep pruning).
     Envelope,
@@ -144,13 +145,16 @@ impl ProfileSpan {
 /// phase's start, and each [`phase`] reads it once at its end, which is
 /// also the next phase's start. A task of `n` back-to-back phases thus
 /// reads the clock `n + 2` times (the extra one is [`end_task`]), and its
-/// spans tile the window up to the last phase's end. Work between two
-/// phases that no phase names must call [`boundary`] before the next
-/// phase, or that phase absorbs it.
+/// spans tile the window up to the last phase's end; a last phase marked
+/// with [`last_phase`] shares [`end_task`]'s read instead, so the task
+/// reads the clock `n + 1` times and its spans tile the whole window.
+/// Work between two phases that no phase names must call [`boundary`]
+/// before the next phase, or that phase absorbs it.
 ///
 /// [`begin_task`]: WorkerProfile::begin_task
 /// [`phase`]: WorkerProfile::phase
 /// [`end_task`]: WorkerProfile::end_task
+/// [`last_phase`]: WorkerProfile::last_phase
 /// [`boundary`]: WorkerProfile::boundary
 #[derive(Debug, Clone)]
 pub struct WorkerProfile {
@@ -165,6 +169,9 @@ pub struct WorkerProfile {
     task_ns: u64,
     /// The last phase boundary: where the next phase starts.
     mark_ns: u64,
+    /// The phase, and its scenario, the open task's closing clock read
+    /// also closes ([`last_phase`](WorkerProfile::last_phase)).
+    last: Option<(usize, Phase)>,
     spans: Vec<ProfileSpan>,
 }
 
@@ -183,6 +190,7 @@ impl WorkerProfile {
             last_ns: 0,
             task_ns: 0,
             mark_ns: 0,
+            last: None,
             spans: Vec::new(),
         }
     }
@@ -232,14 +240,32 @@ impl WorkerProfile {
     /// the boundary its first phase starts at.
     pub fn begin_task(&mut self) {
         self.task_ns = self.boundary();
+        self.last = None;
     }
 
     /// Closes the task [`begin_task`](WorkerProfile::begin_task) opened
-    /// with one clock read (see [`note_task`](WorkerProfile::note_task)).
+    /// with one clock read (see [`note_task`](WorkerProfile::note_task)),
+    /// which also closes the task's [`last_phase`](WorkerProfile::last_phase)
+    /// if it has one.
     pub fn end_task(&mut self) {
         if self.enabled {
             let end = self.now_ns();
+            if let Some((scenario, phase)) = self.last.take() {
+                self.push_span(scenario, phase, self.mark_ns, end);
+                self.mark_ns = end;
+            }
             self.note_task(self.task_ns, end);
+        }
+    }
+
+    /// Attributes the rest of the open task, from the last boundary to
+    /// the clock read [`end_task`](WorkerProfile::end_task) closes the
+    /// task with, to `phase` of `scenario`: a phase that ends with its
+    /// task shares the task's closing read, so a task that is one phase
+    /// reads the clock twice and its phase covers the whole window.
+    pub fn last_phase(&mut self, scenario: usize, phase: Phase) {
+        if self.enabled {
+            self.last = Some((scenario, phase));
         }
     }
 
@@ -659,6 +685,39 @@ mod tests {
         assert!(before <= a.start_ns && m.end_ns <= after);
         assert!(wp.busy_ns() >= m.end_ns - a.start_ns);
         assert!(wp.busy_ns() <= after - before);
+    }
+
+    /// A task's last phase closes with the task: one span from the last
+    /// boundary to the task's closing read, so a one-phase task is
+    /// attributed whole; a new task forgets an unclosed last phase.
+    #[test]
+    fn last_phase_closes_with_its_task() {
+        let mut wp = WorkerProfile::new(0, Instant::now(), true);
+        wp.begin_task();
+        wp.last_phase(4, Phase::Derive);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        wp.end_task();
+        let [d] = wp.spans() else {
+            panic!("one phase, one span: {:?}", wp.spans());
+        };
+        assert_eq!((d.scenario, d.phase), (4, Phase::Derive));
+        assert_eq!(d.end_ns - d.start_ns, wp.busy_ns());
+        assert_eq!(wp.last_boundary(), d.end_ns);
+        let report = ProfileReport::from_workers(wp.busy_ns(), vec![wp.clone()]);
+        assert_eq!(report.attributed_fraction(), 1.0);
+
+        wp.last_phase(5, Phase::Derive);
+        wp.begin_task();
+        wp.phase(6, Phase::Adequation, |_| ());
+        wp.end_task();
+        let phases: Vec<_> = wp.spans().iter().map(|s| (s.scenario, s.phase)).collect();
+        assert_eq!(phases, [(4, Phase::Derive), (6, Phase::Adequation)]);
+
+        let mut off = WorkerProfile::new(0, Instant::now(), false);
+        off.begin_task();
+        off.last_phase(0, Phase::Derive);
+        off.end_task();
+        assert!(off.spans().is_empty());
     }
 
     #[test]
