@@ -9,9 +9,7 @@
 //! [`Fnv1a`] digest of the stage's inputs; [`ScheduleCache`] is that memo
 //! keyed by [`schedule_digest`], so such scenarios skip the scheduler
 //! entirely. [`adequation`] is deterministic, so a cache hit returns a
-//! schedule byte-identical to a fresh run. A sweep worker reaches each
-//! shared table through its own [`MemoView`], so a repeated lookup
-//! touches only memory the worker owns. A memo may be backed by a
+//! schedule byte-identical to a fresh run. A memo may be backed by a
 //! [source](DigestMemo::set_source) — a daemon's on-disk store — that it
 //! asks before computing.
 
@@ -389,16 +387,10 @@ impl<V> Table<V> {
 /// looked up at least once) beside the per-digest counts, so reading a
 /// counter costs O(1) however many entries are resident.
 ///
-/// **Two levels.** A sweep worker does not look up here directly but
-/// through its own [`MemoView`]. The view answers the digests it has
-/// already seen from memory the worker owns, with no lock, no shared
-/// counter and no shared `Arc` refcount. Its first lookup of a digest
-/// falls through to [`get_or_compute`](DigestMemo::get_or_compute), so
-/// computing, racing and [`computes`](DigestMemo::computes) are this
-/// table's. The lookups the view answered itself are added to this
-/// table's per-digest counts when the view is
-/// [`flush`](MemoView::flush)ed at the end of the worker's run, so the
-/// counters are exact once every view has been flushed.
+/// A caller that answers repeats of a digest from a value it already
+/// holds (a sweep lane's class table) makes no lookup for them, and
+/// adds them to the digest's count with [`count`](DigestMemo::count)
+/// instead, so the counters stay those of direct lookups.
 ///
 /// # Examples
 ///
@@ -517,15 +509,16 @@ impl<V> DigestMemo<V> {
         self.lock().lookups
     }
 
-    /// Adds lookups a [`MemoView`] answered itself to their digests'
-    /// counts, under one lock acquisition.
-    fn add_lookups(&self, counts: impl IntoIterator<Item = (u64, u64)>) {
-        let mut table = self.lock();
-        for (digest, n) in counts {
-            table
-                .count(digest, n)
-                .expect("a viewed digest stays resident");
-        }
+    /// Adds `n` lookups of `digest` that the caller answered from a
+    /// value an earlier lookup returned, so the counters equal those of
+    /// `n` more direct lookups.
+    ///
+    /// # Panics
+    ///
+    /// When `digest` is not resident.
+    pub fn count(&self, digest: u64, n: u64) {
+        let counted = self.lock().count(digest, n).is_some();
+        assert!(counted, "a counted digest is resident");
     }
 
     /// [`hits`](DigestMemo::hits) and [`lookups`](DigestMemo::lookups)
@@ -600,128 +593,6 @@ impl<V> DigestMemo<V> {
     }
 }
 
-/// A value lent by a [`MemoView`]: a handle of the view's own on the
-/// shared table's `Arc`. Cloning and dropping it moves only the outer
-/// refcount, which lives in memory the view's worker owns.
-pub type Lent<V> = Arc<Arc<V>>;
-
-/// One worker's view of a shared [`DigestMemo`]: the digests this
-/// worker has already looked up, each with the value it was lent.
-///
-/// A lookup of a digest the view holds reads only the view's own map
-/// and bumps the view's own count. It takes no lock, writes no shared
-/// counter and moves no shared refcount, so workers answering the same
-/// hot keys touch no cache line another worker writes. A lookup the
-/// view cannot answer falls through to
-/// [`DigestMemo::get_or_compute`] unchanged (compute outside the lock,
-/// races, [`computes`](DigestMemo::computes)), and the view keeps the
-/// value it returns. Failures are cached in neither.
-///
-/// The view's own lookups reach the shared per-digest counts only when
-/// [`flush`](MemoView::flush) adds them, so
-/// [`hits`](DigestMemo::hits)/[`misses`](DigestMemo::misses)/[`lookups`](DigestMemo::lookups)
-/// are exact once every view of the table has been flushed. They are
-/// then the same order-invariant totals direct lookups give.
-///
-/// # Examples
-///
-/// ```
-/// use ecl_aaa::{DigestMemo, MemoView};
-/// let memo: DigestMemo<u64> = DigestMemo::new();
-/// let mut view = MemoView::new();
-/// for _ in 0..3 {
-///     view.get_or_compute(&memo, 7, || Ok::<_, ()>(70)).unwrap();
-/// }
-/// // Only the first lookup reached the shared table.
-/// assert_eq!(memo.lookups(), 1);
-/// view.flush(&memo);
-/// assert_eq!((memo.hits(), memo.misses(), memo.lookups()), (2, 1, 3));
-/// ```
-#[derive(Debug)]
-pub struct MemoView<V> {
-    map: DigestMap<Viewed<V>>,
-}
-
-/// One digest a [`MemoView`] holds.
-#[derive(Debug)]
-struct Viewed<V> {
-    value: Lent<V>,
-    /// Lookups the view answered itself, not yet added to the table.
-    lookups: u64,
-}
-
-impl<V> Default for MemoView<V> {
-    fn default() -> Self {
-        MemoView {
-            map: DigestMap::default(),
-        }
-    }
-}
-
-impl<V> MemoView<V> {
-    /// An empty view.
-    pub fn new() -> Self {
-        MemoView::default()
-    }
-
-    /// The value under `key`: from the view when it holds the digest,
-    /// otherwise from `memo` (see [`DigestMemo::get_or_compute`]). Also
-    /// returns whether *this* lookup was answered without computing, a
-    /// sidecar-only observation like the memo's own flag.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `compute` errors; failures are cached in neither the
-    /// view nor the table.
-    pub fn get_or_compute<E>(
-        &mut self,
-        memo: &DigestMemo<V>,
-        key: u64,
-        compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<(Lent<V>, bool), E> {
-        match self.map.entry(key) {
-            hash_map::Entry::Occupied(mut slot) => {
-                let viewed = slot.get_mut();
-                viewed.lookups += 1;
-                Ok((Arc::clone(&viewed.value), true))
-            }
-            hash_map::Entry::Vacant(slot) => {
-                let (value, hit) = memo.get_or_compute(key, compute)?;
-                let value = Arc::new(value);
-                slot.insert(Viewed {
-                    value: Arc::clone(&value),
-                    lookups: 0,
-                });
-                Ok((value, hit))
-            }
-        }
-    }
-
-    /// Records `n` lookups of `key` that the caller answered from a
-    /// value it took from this view earlier, so they reach the table at
-    /// [`flush`](MemoView::flush) like the view's own.
-    ///
-    /// # Panics
-    ///
-    /// When the view does not hold `key`.
-    pub fn count(&mut self, key: u64, n: u64) {
-        let viewed = self.map.get_mut(&key).expect("a counted digest is viewed");
-        viewed.lookups += n;
-    }
-
-    /// Adds the lookups this view answered itself to `memo`'s per-digest
-    /// counts. `memo` must be the table every lookup through the view
-    /// fell through to.
-    pub fn flush(self, memo: &DigestMemo<V>) {
-        memo.add_lookups(
-            self.map
-                .into_iter()
-                .filter(|(_, viewed)| viewed.lookups > 0)
-                .map(|(digest, viewed)| (digest, viewed.lookups)),
-        );
-    }
-}
-
 /// The adequation memo: a [`DigestMemo`] of schedules keyed by
 /// [`schedule_digest`]. [`adequation`] is deterministic, so a hit returns
 /// a schedule byte-identical to a fresh run. The memo's counters,
@@ -788,26 +659,25 @@ impl ScheduleCache {
         Ok((schedule, digest))
     }
 
-    /// Like [`get_or_compute`](ScheduleCache::get_or_compute), looked up
-    /// through a worker's `view` by a table the caller already hashed:
-    /// `table` must be `key.table(db)` of the table `db` builds. `db` runs
-    /// only on a miss, so a lookup the memo answers builds no table.
+    /// Like [`get_or_compute`](ScheduleCache::get_or_compute), by a
+    /// table the caller already hashed: `table` must be `key.table(db)`
+    /// of the table `db` builds. `db` runs only on a miss, so a lookup
+    /// the memo answers builds no table.
     ///
     /// # Errors
     ///
     /// Propagates [`adequation`] errors; failures are not cached.
     pub fn get_or_compute_in(
         &self,
-        view: &mut MemoView<Schedule>,
         key: &ScheduleKey<'_>,
         table: &TableKey,
         options: AdequationOptions,
         db: impl FnOnce() -> TimingDb,
-    ) -> Result<(Lent<Schedule>, u64), AaaError> {
+    ) -> Result<(Arc<Schedule>, u64), AaaError> {
         let digest = table.digest(options);
-        let (schedule, _) = view.get_or_compute(self, digest, || {
-            adequation(&key.alg, &key.arch, &db(), options)
-        })?;
+        let (schedule, _) = self
+            .0
+            .get_or_compute(digest, || adequation(&key.alg, &key.arch, &db(), options))?;
         Ok((schedule, digest))
     }
 }
@@ -1159,26 +1029,6 @@ mod tests {
         memo
     }
 
-    /// Like [`replay`], but each worker looks up through its own
-    /// [`MemoView`] and flushes it when its share is done.
-    fn replay_viewed(keys: &[u64], threads: usize) -> DigestMemo<u64> {
-        let memo = DigestMemo::new();
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let memo = &memo;
-                scope.spawn(move || {
-                    let mut view = MemoView::new();
-                    for &k in keys.iter().skip(w).step_by(threads) {
-                        let (v, _) = view.get_or_compute(memo, k, || Ok::<_, ()>(k)).unwrap();
-                        assert_eq!(**v, k);
-                    }
-                    view.flush(memo);
-                });
-            }
-        });
-        memo
-    }
-
     fn counters(memo: &DigestMemo<u64>) -> (u64, u64, u64) {
         (memo.hits(), memo.misses(), memo.lookups())
     }
@@ -1236,12 +1086,10 @@ mod tests {
             })
             .collect();
         assert_eq!(looked_up, [(40, true), (40, true), (6, false), (6, true)]);
-        let mut view = MemoView::new();
-        let (v, hit) = view
-            .get_or_compute(&memo, 8, || Err::<u64, _>("must not compute"))
+        let (v, hit) = memo
+            .get_or_compute(8, || Err::<u64, _>("must not compute"))
             .unwrap();
-        assert_eq!((**v, hit), (80, true));
-        view.flush(&memo);
+        assert_eq!((*v, hit), (80, true));
         assert_eq!(*asked.lock().unwrap(), [4, 5, 8], "asked once per digest");
         assert_eq!((memo.hits(), memo.misses(), memo.computes()), (2, 3, 1));
         assert_eq!(memo.races(), 0);
@@ -1291,82 +1139,26 @@ mod tests {
         assert_eq!((*v, hit), (40, false));
     }
 
-    /// A view answers repeats of a digest itself: N lookups make one
-    /// shared lookup until the flush, which brings the counters to those
-    /// of N direct lookups.
+    /// Lookups a caller answered from a value it already holds and
+    /// counted reach the counters exactly as direct lookups would.
     #[test]
-    fn view_counts_reach_the_table_on_flush() {
-        const N: u64 = 5;
+    fn counted_lookups_equal_direct_lookups() {
         let memo: DigestMemo<u64> = DigestMemo::new();
-        let mut view = MemoView::new();
-        let mut hits = Vec::new();
-        for _ in 0..N {
-            let (v, hit) = view.get_or_compute(&memo, 3, || Ok::<_, ()>(30)).unwrap();
-            assert_eq!(**v, 30);
-            hits.push(hit);
-        }
-        assert_eq!(hits, [false, true, true, true, true]);
-        assert_eq!(memo.lookups(), 1, "the view answered every repeat");
-        assert_eq!(memo.computes(), 1);
-        view.flush(&memo);
-        assert_eq!(memo.lookups(), N);
-        assert_eq!(counters(&memo), counters(&replay(&[3; N as usize], 1)));
-    }
-
-    /// Lookups a caller answered from a lent value and counted into the
-    /// view reach the table at the flush exactly as the view's own.
-    #[test]
-    fn counted_lookups_reach_the_table_on_flush() {
-        let memo: DigestMemo<u64> = DigestMemo::new();
-        let mut view = MemoView::new();
-        view.get_or_compute(&memo, 3, || Ok::<_, ()>(30)).unwrap();
-        view.get_or_compute(&memo, 4, || Ok::<_, ()>(40)).unwrap();
-        view.count(3, 6);
-        view.count(4, 0);
-        assert_eq!(memo.lookups(), 2);
-        view.flush(&memo);
+        memo.get_or_compute(3, || Ok::<_, ()>(30)).unwrap();
+        memo.get_or_compute(4, || Ok::<_, ()>(40)).unwrap();
+        memo.count(3, 6);
+        memo.count(4, 0);
         assert_eq!(
             counters(&memo),
             counters(&replay(&[3, 3, 3, 3, 3, 3, 3, 4], 1))
         );
+        assert_eq!(memo.computes(), 2);
     }
 
     #[test]
-    #[should_panic(expected = "a counted digest is viewed")]
-    fn counting_an_unviewed_digest_panics() {
-        MemoView::<u64>::new().count(3, 1);
-    }
-
-    /// A view falls through on the first lookup of a digest, so a key
-    /// another worker already computed is a local hit without a compute,
-    /// and the lent value is the table's.
-    #[test]
-    fn view_falls_through_to_resident_values() {
-        let memo: DigestMemo<u64> = DigestMemo::new();
-        let (shared, _) = memo.get_or_compute(8, || Ok::<_, ()>(80)).unwrap();
-        let mut view = MemoView::new();
-        let (lent, hit) = view
-            .get_or_compute(&memo, 8, || Err::<u64, _>("must not compute"))
-            .unwrap();
-        assert!(hit);
-        assert!(Arc::ptr_eq(&shared, &lent));
-        view.flush(&memo);
-        assert_eq!((counters(&memo), memo.computes()), ((1, 1, 2), 1));
-    }
-
-    #[test]
-    fn view_failures_are_not_cached() {
-        let memo: DigestMemo<u64> = DigestMemo::new();
-        let mut view = MemoView::new();
-        assert_eq!(
-            view.get_or_compute(&memo, 4, || Err("boom")).map(|_| ()),
-            Err("boom")
-        );
-        assert!(view.map.is_empty() && memo.is_empty());
-        let (v, hit) = view.get_or_compute(&memo, 4, || Ok::<_, &str>(40)).unwrap();
-        assert_eq!((**v, hit), (40, false));
-        view.flush(&memo);
-        assert_eq!(counters(&memo), (0, 1, 1));
+    #[should_panic(expected = "a counted digest is resident")]
+    fn counting_a_non_resident_digest_panics() {
+        DigestMemo::<u64>::new().count(3, 1);
     }
 
     /// Computed entries stay unsaved until marked; an entry whose save
@@ -1390,9 +1182,8 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
 
         /// A random key multiset replayed in a random order on one and
-        /// on four threads, directly or through flushed per-thread views,
-        /// yields identical hits/misses/lookups, and a serial replay
-        /// computes exactly once per distinct key.
+        /// on four threads yields identical hits/misses/lookups, and a
+        /// serial replay computes exactly once per distinct key.
         #[test]
         fn counters_are_worker_count_and_order_invariant(
             keys in proptest::collection::vec(0u64..12, 1..80),
@@ -1410,8 +1201,6 @@ mod tests {
             let serial = replay(&keys, 1);
             let parallel = replay(&shuffled, 4);
             proptest::prop_assert_eq!(counters(&serial), counters(&parallel));
-            proptest::prop_assert_eq!(counters(&serial), counters(&replay_viewed(&keys, 1)));
-            proptest::prop_assert_eq!(counters(&serial), counters(&replay_viewed(&shuffled, 4)));
             proptest::prop_assert_eq!(serial.lookups(), keys.len() as u64);
             proptest::prop_assert_eq!(serial.computes(), serial.misses());
             proptest::prop_assert_eq!(serial.races(), 0);
@@ -1419,15 +1208,13 @@ mod tests {
 
         /// The O(1) running totals equal the counters a scan of every
         /// entry derives, after every step of any interleaving of direct
-        /// lookups, lookups the source answers, view lookups and view
-        /// flushes.
+        /// lookups, lookups the source answers and counted lookups.
         #[test]
         fn running_totals_equal_scanned_counters(
-            ops in proptest::collection::vec((0u64..4, 0u64..10), 1..120),
+            ops in proptest::collection::vec((0u64..3, 0u64..10), 1..120),
         ) {
             let memo: DigestMemo<u64> = DigestMemo::new();
             memo.set_source(|key| (key >= 10).then_some(key));
-            let mut view = MemoView::new();
             for (op, key) in ops {
                 match op {
                     0 => {
@@ -1436,15 +1223,13 @@ mod tests {
                     1 => {
                         memo.get_or_compute(key + 10, || Err(())).unwrap();
                     }
-                    2 => {
-                        view.get_or_compute(&memo, key, || Ok::<_, ()>(key)).unwrap();
+                    _ => {
+                        memo.get_or_compute(key, || Ok::<_, ()>(key)).unwrap();
+                        memo.count(key, key % 3);
                     }
-                    _ => std::mem::take(&mut view).flush(&memo),
                 }
                 proptest::prop_assert_eq!((memo.hits(), memo.lookups()), memo.scanned());
             }
-            view.flush(&memo);
-            proptest::prop_assert_eq!((memo.hits(), memo.lookups()), memo.scanned());
         }
 
         /// For random WCET tables (defaults, processor overrides and

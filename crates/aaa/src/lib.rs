@@ -19,9 +19,9 @@
 //! * [`ArchitectureGraph`] — processors plus broadcast buses and
 //!   point-to-point links with latency + per-unit transfer cost;
 //! * [`TimingDb`] — WCET table;
-//! * [`adequation`] — greedy list scheduling with the *schedule pressure*
-//!   cost function (Grandpierre & Sorel), plus earliest-finish-time and
-//!   seeded-random policies for ablation;
+//! * [`adequation`](fn@adequation) — greedy list scheduling with the
+//!   *schedule pressure* cost function (Grandpierre & Sorel), plus
+//!   earliest-finish-time and seeded-random policies for ablation;
 //! * [`Schedule`] — validated static schedule with makespan, utilization
 //!   and I/O-instant analysis;
 //! * [`DigestMemo`] — the content-addressed memo table every lifecycle
@@ -29,8 +29,7 @@
 //!   results keyed by [`schedule_digest`], for scenario sweeps that
 //!   re-schedule identical (algorithm, architecture, WCET, policy) inputs
 //!   (a [`ScheduleKey`] hashes the graphs once per sweep and its
-//!   [`TableKey`] stage each WCET table once), and
-//!   [`MemoView`], one worker's lock-free view in front of a memo;
+//!   [`TableKey`] stage each WCET table once);
 //! * [`codegen`] — per-processor synchronized executives with a
 //!   deadlock-freedom check.
 //!
@@ -83,7 +82,7 @@ pub use algorithm::{AlgorithmGraph, Condition, OpId, OpKind};
 pub use architecture::{ArchitectureGraph, MediumId, MediumKind, ProcId};
 pub use cache::{
     schedule_digest, BuildDigestHasher, DigestHasher, DigestMap, DigestMemo, DigestSet, Fnv1a,
-    Lent, MemoView, ScheduleCache, ScheduleKey, TableKey,
+    ScheduleCache, ScheduleKey, TableKey,
 };
 pub use error::AaaError;
 pub use schedule::{Schedule, ScheduledComm, ScheduledOp};

@@ -56,7 +56,7 @@ impl ScheduledComm {
 /// A complete static schedule: one total order of computations per
 /// processor and of communications per medium.
 ///
-/// Produced by [`adequation`](crate::adequation); consumed by the paper's
+/// Produced by [`adequation`](fn@crate::adequation); consumed by the paper's
 /// graph-of-delays translation (`ecl-core`) and by
 /// [`codegen`](crate::codegen).
 #[derive(Debug, Clone, Default)]
@@ -67,7 +67,7 @@ pub struct Schedule {
 
 impl Schedule {
     /// Creates a schedule from raw slots (mainly for tests; prefer
-    /// [`adequation`](crate::adequation)).
+    /// [`adequation`](fn@crate::adequation)).
     pub fn from_parts(ops: Vec<ScheduledOp>, comms: Vec<ScheduledComm>) -> Self {
         let mut s = Schedule { ops, comms };
         s.ops.sort_by_key(|o| (o.start, o.op));

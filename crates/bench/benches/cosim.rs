@@ -128,9 +128,10 @@ fn bench_fleet_hot_2k(c: &mut Criterion) {
 }
 
 /// The same hot path on two lanes sharing the warm memos, as a
-/// two-worker sweep runs it. Each lane answers its repeats from its own
-/// views, so beside `fleet_hot_2k` this case shows what the second
-/// worker costs or saves, and a regression in cross-worker sharing.
+/// two-worker sweep runs it. Each lane serves its repeats from its own
+/// class table, so beside `fleet_hot_2k` this case shows what the
+/// second worker costs or saves, and a regression in cross-worker
+/// sharing.
 fn bench_fleet_hot_2k_w2(c: &mut Criterion) {
     fleet_hot_case(c, "fleet_hot_2k_w2", 2);
 }

@@ -10,8 +10,8 @@
 //!   is pure in `(loop spec, schedule, fault plan)`, and the sweep's
 //!   quantized axes (WCET tables × policies × period scales) bound that
 //!   key space to ≤ 96 digests. The `ScheduledRunCache` therefore
-//!   answers all but ~10⁻⁴ of the 10⁶ lookups. Most never reach a memo
-//!   view: a scenario whose class its lane has seen is served the
+//!   answers all but ~10⁻⁴ of the 10⁶ lookups. Most never reach a
+//!   memo: a scenario whose class its lane has seen is served the
 //!   class's row with one lookup in the lane's class table, and the
 //!   lookups it skipped are counted per digest when the lane finishes.
 //!   Asserted: one ideal and one scheduled lookup per scenario, misses

@@ -5,26 +5,27 @@
 //! the two the fleet itself defines ([`report_digest`],
 //! [`envelope_digest`]); [`SweepKeys`] hashes a deployment's half of
 //! every key once. A [`Lane`] is one worker's private state for one
-//! pass: its profile buffer, its scratch histogram, its [`MemoView`] of
-//! each memo and its [`ClassTable`], which maps a scenario's class (its
-//! draw without index and seed) to everything the class determines.
-//! A scenario whose class the lane has seen costs its draw and one
-//! lookup: its schedule, period and label come from the class, and an
-//! untraced scenario whose row the class fixes (pruned, or fault-free
-//! with both memos on and neither validation nor verification) is
-//! served that row whole. The memo lookups a class hit skips are owed
-//! per digest and added to the lane's views when the lane finishes (or
-//! its full table starts over), so every counter stays exact.
+//! pass: its profile buffer, its scratch histogram and its
+//! [`ClassTable`], which maps a scenario's class (its draw without index
+//! and seed) to everything the class determines. A scenario whose class
+//! the lane has seen costs its draw and one lookup: its schedule, period
+//! and label come from the class, and an untraced scenario whose row the
+//! class fixes (pruned, or fault-free with both memos on and neither
+//! validation nor verification) is served that row whole. Every other
+//! lookup goes straight to the shared memos. The memo lookups a class
+//! hit skips are owed per digest and counted into the shared memos when
+//! the lane finishes (or its full table starts over), so every counter
+//! stays exact.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use ecl_aaa::{
-    BuildDigestHasher, DigestMemo, Fnv1a, Lent, MappingPolicy, MemoView, Schedule, ScheduleCache,
-    ScheduleKey, TableKey, TimeNs, TimingDb,
+    BuildDigestHasher, DigestMemo, Fnv1a, MappingPolicy, Schedule, ScheduleCache, ScheduleKey,
+    TableKey, TimeNs, TimingDb,
 };
-use ecl_core::cosim::{IdealRunCache, LoopKey, LoopResult, LoopSpec, ScheduledRunCache};
+use ecl_core::cosim::{IdealRunCache, LoopKey, LoopSpec, ScheduledRunCache};
 use ecl_core::faults::FaultFamily;
 use ecl_core::latency::LatencyReport;
 use ecl_core::report::ScenarioOutcome;
@@ -179,22 +180,16 @@ pub(super) const CLASS_ENTRIES: usize = 1024;
 
 /// One worker's private state for one pass of a [`SweepFold`](super::SweepFold),
 /// which alone builds and finishes lanes: its profile buffer, its
-/// scratch actuation histogram, its [`MemoView`] of each of the five
-/// memos and its class table, which answers a scenario whose class
-/// (its draw without index and seed) the lane has seen with one lookup.
-/// Nothing in it is shared, so a lookup the lane has already made
-/// touches no other worker's memory; finishing the lane adds the
-/// lookups its class hits skipped to its views, and its views' lookup
-/// counts to the shared tables.
+/// scratch actuation histogram and its class table, which answers a
+/// scenario whose class (its draw without index and seed) the lane has
+/// seen with one lookup. Nothing in it is shared, so a class the lane
+/// has already seen touches no other worker's memory; settling the
+/// class table counts the lookups its hits skipped into the shared
+/// memos.
 #[derive(Debug)]
 pub struct Lane {
     pub(super) profile: WorkerProfile,
     pub(super) scratch: Histogram,
-    pub(super) schedule: MemoView<Schedule>,
-    pub(super) ideal: MemoView<LoopResult>,
-    pub(super) scheduled: MemoView<LoopResult>,
-    pub(super) reports: MemoView<ReportEntry>,
-    pub(super) envelopes: MemoView<EnvelopeReport>,
     pub(super) classes: ClassTable,
 }
 
@@ -206,11 +201,6 @@ impl Lane {
         Lane {
             profile,
             scratch: Histogram::new(bound_ns, SWEEP_BUCKETS),
-            schedule: MemoView::new(),
-            ideal: MemoView::new(),
-            scheduled: MemoView::new(),
-            reports: MemoView::new(),
-            envelopes: MemoView::new(),
             classes: ClassTable::with_capacity(classes.min(CLASS_ENTRIES)),
         }
     }
@@ -225,34 +215,39 @@ impl Lane {
     }
 
     /// Adds `class` under `key` to the class table and returns its slot.
-    /// A full table is settled and emptied first.
-    pub(super) fn insert_class(&mut self, key: ClassKey, class: Class) -> usize {
+    /// A full table is settled into `caches` and emptied first.
+    pub(super) fn insert_class(
+        &mut self,
+        caches: &SweepCaches,
+        key: ClassKey,
+        class: Class,
+    ) -> usize {
         if self.classes.classes.len() == CLASS_ENTRIES {
-            self.settle_classes();
+            self.settle_classes(caches);
         }
         self.classes.insert(key, class)
     }
 
     /// Empties the class table, first adding what its hits owe: each
-    /// hit's schedule lookup, and each served row's other lookups and
-    /// its report's actuation latencies, to the lane's views and
-    /// scratch histogram.
-    fn settle_classes(&mut self) {
+    /// hit's schedule lookup, and each served row's other lookups, to
+    /// their tables in `caches`, and each served row's report's
+    /// actuation latencies to the scratch histogram.
+    fn settle_classes(&mut self, caches: &SweepCaches) {
         self.classes.index.clear();
         for class in self.classes.classes.drain(..) {
             if class.hits > 0 {
-                self.schedule.count(class.digest, class.hits);
+                caches.schedule.count(class.digest, class.hits);
             }
             let Some(row) = class.row.filter(|row| row.hits > 0) else {
                 continue;
             };
             if let Some(envelope) = row.envelope {
-                self.envelopes.count(envelope, row.hits);
+                caches.envelopes.count(envelope, row.hits);
             }
             if let Some(run) = row.run {
-                self.ideal.count(run.ideal, row.hits);
-                self.scheduled.count(run.scheduled, row.hits);
-                self.reports.count(run.report, row.hits);
+                caches.ideal.count(run.ideal, row.hits);
+                caches.scheduled.count(run.scheduled, row.hits);
+                caches.reports.count(run.report, row.hits);
                 self.scratch.merge_times(&run.entry.hist, row.hits);
             }
         }
@@ -264,17 +259,12 @@ impl Lane {
         self.classes.hits
     }
 
-    /// Settles the class table, merges the scratch histogram into
-    /// `merged`, adds the views' lookup counts to `caches` (the tables
-    /// every lookup of the lane went to) and returns the profile buffer.
+    /// Settles the class table into `caches` (the tables every lookup of
+    /// the lane went to), merges the scratch histogram into `merged` and
+    /// returns the profile buffer.
     pub(super) fn finish(mut self, caches: &SweepCaches, merged: &mut Histogram) -> WorkerProfile {
-        self.settle_classes();
+        self.settle_classes(caches);
         merged.merge(&self.scratch);
-        self.schedule.flush(&caches.schedule);
-        self.ideal.flush(&caches.ideal);
-        self.scheduled.flush(&caches.scheduled);
-        self.reports.flush(&caches.reports);
-        self.envelopes.flush(&caches.envelopes);
         self.profile
     }
 }
@@ -321,8 +311,8 @@ impl Hash for ClassKey {
 /// repeat, its whole row.
 #[derive(Debug)]
 pub(super) struct Class {
-    /// The class's schedule, lent by the lane's schedule view.
-    pub(super) schedule: Lent<Schedule>,
+    /// The class's schedule.
+    pub(super) schedule: Arc<Schedule>,
     /// The schedule's adequation digest.
     pub(super) digest: u64,
     /// The period the class runs at (stretched past the makespan).
@@ -342,7 +332,7 @@ pub(super) struct Class {
 
 impl Class {
     /// A class with no row and no hits yet.
-    pub(super) fn new(schedule: Lent<Schedule>, digest: u64, ts: f64, wcet_worst: f64) -> Class {
+    pub(super) fn new(schedule: Arc<Schedule>, digest: u64, ts: f64, wcet_worst: f64) -> Class {
         Class {
             schedule,
             digest,
@@ -385,7 +375,7 @@ pub(super) struct RowRun {
     /// The report entry's digest.
     pub(super) report: u64,
     /// The report entry.
-    pub(super) entry: Lent<ReportEntry>,
+    pub(super) entry: Arc<ReportEntry>,
 }
 
 /// A lane's class table: one lookup answers everything a scenario's

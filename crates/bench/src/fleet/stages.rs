@@ -9,7 +9,7 @@
 use std::convert::Infallible;
 use std::sync::Arc;
 
-use ecl_aaa::{codegen, AdequationOptions, Lent, MemoView, Schedule, TimeNs, TimingDb};
+use ecl_aaa::{codegen, AdequationOptions, Schedule, TimeNs, TimingDb};
 use ecl_core::cosim::{self, Activation, LoopAt, LoopResult};
 use ecl_core::faults::{FaultFamily, FaultPlan};
 use ecl_core::report::{DegradationSummary, ScenarioOutcome};
@@ -75,10 +75,10 @@ impl RecordExtras {
 
 /// Runs one scenario end to end: jitter → (cached) adequation →
 /// (memoized) graph-of-delays co-simulation → metrics, plus the stages
-/// `config` turns on, each memo lookup through the `lane`'s view of its
-/// table in `caches`. `index` is a *global* scenario index — seeds,
-/// labels and trace prefixes derive from it — which is how a daemon
-/// shards one sweep into chunks without perturbing a single byte.
+/// `config` turns on, each memo lookup in its table in `caches`.
+/// `index` is a *global* scenario index — seeds, labels and trace
+/// prefixes derive from it — which is how a daemon shards one sweep
+/// into chunks without perturbing a single byte.
 /// `keys` are the per-deployment key halves of the swept spec and of
 /// `base`'s graphs ([`SweepKeys::new`]).
 pub fn run_scenario(
@@ -182,7 +182,7 @@ struct Stages<'s, 'k> {
 /// lane's class table.
 struct Deployed {
     scenario: Scenario,
-    schedule: Lent<Schedule>,
+    schedule: Arc<Schedule>,
     digest: u64,
     ts: f64,
     class: usize,
@@ -191,14 +191,14 @@ struct Deployed {
 /// What a co-simulation stage hands on: the run, its scheduled-run
 /// digest (`None` for a traced run, which the report memo never serves),
 /// a faulty scenario's [`Twin`] and a traced run's telemetry.
-type Cosimulated = (Lent<LoopResult>, Option<u64>, Option<Twin>, RecordingSink);
+type Cosimulated = (Arc<LoopResult>, Option<u64>, Option<Twin>, RecordingSink);
 
 /// What a faulty scenario's twin run yields besides its replay.
 struct Twin {
     /// The degradation delta of the replay against its baseline.
     degradation: DegradationSummary,
     /// The replay's lenient report entry, which the metrics reuse.
-    entry: Lent<ReportEntry>,
+    entry: Arc<ReportEntry>,
     /// The replay's scheduled-run digest under a non-trivial plan;
     /// `None` when the baseline served as a trivial plan's replay.
     replay_digest: Option<u64>,
@@ -211,25 +211,23 @@ fn periods_in(horizon: f64, ts: f64) -> u32 {
     (horizon / ts).floor().max(1.0) as u32
 }
 
-/// The Metrics-phase yield of `run` (see [`build_report_entry`]):
-/// through the lane's `view` of the report `memo` under the run's
-/// [`report_digest`] when the sweep memoizes reports and the run has a
-/// key, extracted afresh otherwise.
+/// The Metrics-phase yield of `run` (see [`build_report_entry`]): from
+/// the report `memo` under the run's [`report_digest`] when the sweep
+/// memoizes reports and the run has a key, extracted afresh otherwise.
 fn report_entry(
-    view: &mut MemoView<ReportEntry>,
     memo: Option<&ReportCache>,
     run: &LoopResult,
     key: Option<u64>,
     lenient: bool,
     bound_ns: i64,
-) -> Result<Lent<ReportEntry>, CoreError> {
+) -> Result<Arc<ReportEntry>, CoreError> {
     let build = || build_report_entry(run, lenient, bound_ns);
     match (memo, key) {
         (Some(memo), Some(key)) => {
             let digest = report_digest(key, bound_ns, lenient);
-            Ok(view.get_or_compute(memo, digest, build)?.0)
+            Ok(memo.get_or_compute(digest, build)?.0)
         }
-        _ => Ok(Lent::new(Arc::new(build()?))),
+        _ => Ok(Arc::new(build()?)),
     }
 }
 
@@ -314,7 +312,7 @@ impl<'s> Stages<'s, '_> {
             let db = verify.then(|| scenario.jittered_db(base));
             let deployed = Deployed {
                 scenario,
-                schedule: Lent::clone(&class.schedule),
+                schedule: Arc::clone(&class.schedule),
                 digest: class.digest,
                 ts: class.ts,
                 class: c,
@@ -324,12 +322,12 @@ impl<'s> Stages<'s, '_> {
     }
 
     /// Adequation of a scenario of a class new to the lane, through the
-    /// lane's view of the schedule memo, and the class it adds to the
-    /// class table. A miss builds the jittered table if the class
-    /// table's slot did not; it is kept (or rebuilt) for static
-    /// verification and otherwise freed here. The delay-graph builder
-    /// rejects makespan > period, so a badly jittered schedule stretches
-    /// the period just enough (deterministically).
+    /// schedule memo, and the class it adds to the class table. A miss
+    /// builds the jittered table if the class table's slot did not; it
+    /// is kept (or rebuilt) for static verification and otherwise freed
+    /// here. The delay-graph builder rejects makespan > period, so a
+    /// badly jittered schedule stretches the period just enough
+    /// (deterministically).
     fn new_class(
         &mut self,
         mut scenario: Scenario,
@@ -343,10 +341,11 @@ impl<'s> Stages<'s, '_> {
             let options = AdequationOptions {
                 policy: scenario.policy,
             };
-            let (memo, view) = (&self.caches.schedule, &mut self.lane.schedule);
             let jittered = || scenario.jittered_db(base);
-            let (schedule, digest) = memo
-                .get_or_compute_in(view, &self.keys.schedule, &table, options, || {
+            let (schedule, digest) = self
+                .caches
+                .schedule
+                .get_or_compute_in(&self.keys.schedule, &table, options, || {
                     db.take().unwrap_or_else(jittered)
                 })
                 .map_err(CoreError::from)?;
@@ -359,8 +358,8 @@ impl<'s> Stages<'s, '_> {
             Ok::<_, CoreError>((scenario, schedule, digest, ts, db))
         });
         let (scenario, schedule, digest, ts, db) = phased?;
-        let class = Class::new(Lent::clone(&schedule), digest, ts, scenario.wcet_worst);
-        let class = self.lane.insert_class(key, class);
+        let class = Class::new(Arc::clone(&schedule), digest, ts, scenario.wcet_worst);
+        let class = self.lane.insert_class(self.caches, key, class);
         let deployed = Deployed {
             scenario,
             schedule,
@@ -374,18 +373,16 @@ impl<'s> Stages<'s, '_> {
     /// Envelope: the verdict and worst actuation upper bound of the
     /// sound completion envelope of the scenario's whole fault *family*
     /// — a pure function of `(config, index)`, so pruned rows are
-    /// byte-stable for any worker count. The envelope is looked up
-    /// through the lane's view of the envelope memo by its
-    /// [`envelope_digest`] and computed only on a miss. Also returns
-    /// that digest.
+    /// byte-stable for any worker count. The envelope is looked up in
+    /// the envelope memo by its [`envelope_digest`] and computed only on
+    /// a miss. Also returns that digest.
     fn envelope(&mut self, d: &Deployed) -> (EnvelopeVerdict, TimeNs, u64) {
         self.lane.profile.phase(self.index, Phase::Envelope, |_| {
             let family = FaultFamily::from_config(&d.scenario.fault_config(&self.config.faults));
             let period = TimeNs::from_secs_f64(d.ts);
             let (alg, arch) = (&self.base.alg, &self.base.arch);
             let key = envelope_digest(d.digest, period, &family);
-            let (view, memo) = (&mut self.lane.envelopes, &self.caches.envelopes);
-            let Ok((envelope, _)) = view.get_or_compute(memo, key, || {
+            let Ok((envelope, _)) = self.caches.envelopes.get_or_compute(key, || {
                 Ok::<_, Infallible>(ecl_verify::fault_envelope(
                     alg,
                     arch,
@@ -450,7 +447,7 @@ impl<'s> Stages<'s, '_> {
         envelope: Option<u64>,
         ideal: u64,
         key: Option<u64>,
-        entry: Lent<ReportEntry>,
+        entry: Arc<ReportEntry>,
     ) {
         let memoized = self.config.memoize_scheduled && self.config.memoize_reports;
         let Some(scheduled) = key.filter(|_| memoized) else {
@@ -470,10 +467,10 @@ impl<'s> Stages<'s, '_> {
     /// Ideal run: the stroboscopic reference, memoized by the digest of
     /// the scenario's loop spec — one simulation per distinct period.
     /// The period's digest, taken here once, keys the scheduled runs too.
-    fn ideal(&mut self, d: &Deployed) -> Result<(LoopAt<'s>, Lent<LoopResult>), CoreError> {
+    fn ideal(&mut self, d: &Deployed) -> Result<(LoopAt<'s>, Arc<LoopResult>), CoreError> {
         self.lane.profile.phase(self.index, Phase::IdealSim, |_| {
             let at = self.keys.spec.at(d.ts);
-            let ideal = self.caches.ideal.get_or_run_at(&mut self.lane.ideal, at)?;
+            let ideal = self.caches.ideal.get_or_run_at(at)?;
             Ok((at, ideal))
         })
     }
@@ -524,19 +521,18 @@ impl<'s> Stages<'s, '_> {
     ) -> Result<Cosimulated, CoreError> {
         let (baseline, baseline_key) = self.untraced(d, at, None)?;
         let (run, key) = if plan.is_trivial() {
-            (Lent::clone(&baseline), baseline_key)
+            (Arc::clone(&baseline), baseline_key)
         } else {
             self.untraced(d, at, Some(plan))?
         };
         let twin = self.lane.profile.phase(self.index, Phase::Metrics, |_| {
             let bound = self.lane.scratch.upper_bound();
             let memo = self.config.memoize_reports.then_some(&self.caches.reports);
-            let view = &mut self.lane.reports;
-            let entry = report_entry(view, memo, &run, Some(key), true, bound)?;
+            let entry = report_entry(memo, &run, Some(key), true, bound)?;
             let baseline_entry = if key == baseline_key {
-                Lent::clone(&entry)
+                Arc::clone(&entry)
             } else {
-                report_entry(view, memo, &baseline, Some(baseline_key), true, bound)?
+                report_entry(memo, &baseline, Some(baseline_key), true, bound)?
             };
             let degradation = DegradationSummary::new(
                 self.index,
@@ -576,13 +572,13 @@ impl<'s> Stages<'s, '_> {
             }
             Ok::<_, CoreError>((run, tel.into_sink().into_inner()))
         })?;
-        Ok((Lent::new(Arc::new(run)), None, None, traces))
+        Ok((Arc::new(run), None, None, traces))
     }
 
     /// Untraced co-simulation — the nominal run, or with `plan` the
-    /// faulty replay — through the lane's view of the scheduled-run memo
-    /// with [`SweepConfig::memoize_scheduled`], fresh without it (the
-    /// pre-memo pipeline the byte-identity tests pin the memo against).
+    /// faulty replay — through the scheduled-run memo with
+    /// [`SweepConfig::memoize_scheduled`], fresh without it (the pre-memo
+    /// pipeline the byte-identity tests pin the memo against).
     /// A miss's measured synthesis/simulation split becomes two spans; a
     /// hit charges the lookup itself to co-simulation. The run's key is
     /// its [`cosim::scheduled_run_digest`], which the report memo keys on.
@@ -591,20 +587,20 @@ impl<'s> Stages<'s, '_> {
         d: &Deployed,
         at: LoopAt<'_>,
         plan: Option<&FaultPlan>,
-    ) -> Result<(Lent<LoopResult>, u64), CoreError> {
+    ) -> Result<(Arc<LoopResult>, u64), CoreError> {
         let (base, schedule, wp) = (self.base, &d.schedule, &mut self.lane.profile);
         let t0 = wp.last_boundary();
         let (run, key, hit, phases) = if self.config.memoize_scheduled {
-            let (alg, io, arch, view) = (&base.alg, &base.io, &base.arch, &mut self.lane.scheduled);
+            let (alg, io, arch) = (&base.alg, &base.io, &base.arch);
             let memo = &self.caches.scheduled;
-            memo.get_or_run_at(view, at, alg, io, schedule, arch, d.digest, plan)?
+            memo.get_or_run_at(at, alg, io, schedule, arch, d.digest, plan)?
         } else {
             let key = cosim::scheduled_run_digest(at.digest(), d.digest, plan);
             let activation =
                 Activation::scheduled(&base.alg, &base.io, schedule, &base.arch, plan.cloned());
             let (run, phases) =
                 cosim::simulate(&at.spec(), activation, &mut Collector::noop(), "")?;
-            (Lent::new(Arc::new(run)), key, false, phases)
+            (Arc::new(run), key, false, phases)
         };
         let end = wp.boundary();
         if hit {
@@ -619,20 +615,20 @@ impl<'s> Stages<'s, '_> {
         Ok((run, key))
     }
 
-    /// Metrics: the latency report (through the lane's view of the
-    /// report memo with [`SweepConfig::memoize_reports`]; a faulty
-    /// scenario's twin already fetched its lenient `entry`), merged into
-    /// the lane's scratch histogram, and the report row. The runs are
+    /// Metrics: the latency report (through the report memo with
+    /// [`SweepConfig::memoize_reports`]; a faulty scenario's twin already
+    /// fetched its lenient `entry`), merged into the lane's scratch
+    /// histogram, and the report row. The runs are
     /// freed here, so their teardown is metrics time; the report entry
     /// is returned for static verification and the class's row.
     fn metrics(
         &mut self,
         d: &Deployed,
-        run: Lent<LoopResult>,
+        run: Arc<LoopResult>,
         key: Option<u64>,
-        entry: Option<Lent<ReportEntry>>,
-        ideal: Lent<LoopResult>,
-    ) -> Result<(ScenarioOutcome, Lent<ReportEntry>), CoreError> {
+        entry: Option<Arc<ReportEntry>>,
+        ideal: Arc<LoopResult>,
+    ) -> Result<(ScenarioOutcome, Arc<ReportEntry>), CoreError> {
         self.lane.profile.phase(self.index, Phase::Metrics, |_| {
             let config = self.config;
             let bound = self.lane.scratch.upper_bound();
@@ -640,7 +636,7 @@ impl<'s> Stages<'s, '_> {
                 Some(entry) => entry,
                 None => {
                     let memo = config.memoize_reports.then_some(&self.caches.reports);
-                    report_entry(&mut self.lane.reports, memo, &run, key, false, bound)?
+                    report_entry(memo, &run, key, false, bound)?
                 }
             };
             self.lane.scratch.merge(&entry.hist);

@@ -11,14 +11,14 @@
 //! (16 WCET tables × 2 policies × 3 period scales = 96 memo keys) and
 //! both memos on, so after the 96 misses the memos answer every lookup
 //! and a lane's class table serves every other scenario its class's
-//! row: the draw and one lookup. The table is presized, a memo lookup
-//! allocates only the first time the lane's view sees its key, and a
-//! lane builds a scenario's jittered WCET table only the first time it
-//! sees the table (or on a schedule-memo miss), so every allocation is
-//! the sweep's one-off set-up or a class's first scenario's, and a
-//! sweep of twice the scenarios, the added ones all class hits, makes
-//! exactly as many (the steady-state count `(A(2N) - A(N)) / N` is 0). Rendering writes
-//! every row into one presized document.
+//! row: the draw and one lookup. The table is presized, a memo hit
+//! allocates nothing, and a lane builds a scenario's jittered WCET
+//! table only the first time it sees the table (or on a schedule-memo
+//! miss), so every allocation is the sweep's one-off set-up or a
+//! class's first scenario's, and a sweep of twice the scenarios, the
+//! added ones all class hits, makes exactly as many (the steady-state
+//! count `(A(2N) - A(N)) / N` is 0). Rendering writes every row into one
+//! presized document.
 //! A faulty summary (exp19's fault axes) is rendered under the same
 //! budget: its labels carry fault rates and its degradation rows carry
 //! injected-fault tallies, and neither may allocate per row.
@@ -43,9 +43,9 @@ use ecl_core::cosim::{self, LoopSpec};
 const SCENARIOS: u64 = 2_000;
 
 /// Ceiling on allocations of the whole sweep, its 96 co-simulations and
-/// the lane's memo views and class table included: about 6.6 per
+/// the lane's class table included: about 6.5 per
 /// scenario, all of them on the 96 classes' first scenarios.
-const SWEEP_ALLOCATIONS: u64 = 13_209;
+const SWEEP_ALLOCATIONS: u64 = 12_964;
 
 /// Ceiling on allocations of `render` + `to_json` over the sweep's
 /// 2 000 rows: the two documents and the copy of the cost ratios the
@@ -70,7 +70,7 @@ const FAULTY_SCENARIOS: usize = 300;
 /// fault axes with static pruning and both memos on: its fault plans,
 /// the co-simulations and extractions its memos miss, each degradation
 /// row's tally and boxed payload, and the envelopes its memo misses.
-const FAULTY_SWEEP_ALLOCATIONS: u64 = 36_938;
+const FAULTY_SWEEP_ALLOCATIONS: u64 = 36_230;
 
 /// Allocations of one adequation of scenario 0 of the default sweep over
 /// `base`.

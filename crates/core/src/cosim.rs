@@ -13,10 +13,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ecl_aaa::{
-    timeline, AlgorithmGraph, ArchitectureGraph, DigestMemo, Fnv1a, Lent, MemoView, Schedule,
-    TimeNs,
-};
+use ecl_aaa::{timeline, AlgorithmGraph, ArchitectureGraph, DigestMemo, Fnv1a, Schedule, TimeNs};
 use ecl_blocks::{add_clock, Constant, DiscreteStateSpace, SampleHold, SampledNoise, StateSpaceCt};
 use ecl_control::metrics;
 use ecl_control::StateSpace;
@@ -1216,7 +1213,6 @@ impl LoopAt<'_> {
 /// # Examples
 ///
 /// ```
-/// use ecl_aaa::MemoView;
 /// use ecl_core::cosim::{run_ideal, IdealRunCache, LoopKey, LoopSpec, DisturbanceKind};
 /// use ecl_control::StateSpace;
 /// use ecl_linalg::Mat;
@@ -1241,10 +1237,8 @@ impl LoopAt<'_> {
 /// };
 /// let cache = IdealRunCache::new();
 /// let key = LoopKey::new(&spec);
-/// let mut view = MemoView::new();
-/// let a = cache.get_or_run_at(&mut view, key.at(spec.ts))?;
-/// let b = cache.get_or_run_at(&mut view, key.at(spec.ts))?;
-/// view.flush(&cache);
+/// let a = cache.get_or_run_at(key.at(spec.ts))?;
+/// let b = cache.get_or_run_at(key.at(spec.ts))?;
 /// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// assert_eq!(a.cost.to_bits(), b.cost.to_bits());
 /// assert_eq!(a.cost.to_bits(), run_ideal(&spec)?.cost.to_bits());
@@ -1268,19 +1262,15 @@ impl IdealRunCache {
         IdealRunCache::default()
     }
 
-    /// The ideal run at `at`, looked up by its precomputed digest through
-    /// a worker's `view` of this memo; the spec is built and simulated
-    /// only on a miss.
+    /// The ideal run at `at`, looked up by its precomputed digest; the
+    /// spec is built and simulated only on a miss.
     ///
     /// # Errors
     ///
     /// Propagates [`run_ideal`] errors; failures are not cached.
-    pub fn get_or_run_at(
-        &self,
-        view: &mut MemoView<LoopResult>,
-        at: LoopAt<'_>,
-    ) -> Result<Lent<LoopResult>, CoreError> {
-        view.get_or_compute(self, at.digest(), || Self::run(at))
+    pub fn get_or_run_at(&self, at: LoopAt<'_>) -> Result<Arc<LoopResult>, CoreError> {
+        self.0
+            .get_or_compute(at.digest(), || Self::run(at))
             .map(|(result, _)| result)
     }
 
@@ -1353,8 +1343,8 @@ impl ScheduledRunCache {
     }
 
     /// The scheduled run for the given inputs, co-simulating only on a
-    /// cache miss: what [`get_or_run_at`](ScheduledRunCache::get_or_run_at)
-    /// returns at `spec`'s own period, looked up directly in the table.
+    /// cache miss: [`get_or_run_at`](ScheduledRunCache::get_or_run_at)
+    /// at `spec`'s own period.
     ///
     /// # Errors
     ///
@@ -1370,21 +1360,22 @@ impl ScheduledRunCache {
         schedule_digest: u64,
         plan: Option<&FaultPlan>,
     ) -> Result<(Arc<LoopResult>, u64, bool, CosimPhases), CoreError> {
-        let loop_key = LoopKey::new(spec);
-        let at = loop_key.at(spec.ts);
-        let key = scheduled_run_digest(at.digest(), schedule_digest, plan);
-        let mut phases = CosimPhases::default();
-        let (result, hit) = self.0.get_or_compute(key, || {
-            Self::run(at, alg, io, schedule, arch, plan, &mut phases)
-        })?;
-        Ok((result, key, hit, phases))
+        let key = LoopKey::new(spec);
+        self.get_or_run_at(
+            key.at(spec.ts),
+            alg,
+            io,
+            schedule,
+            arch,
+            schedule_digest,
+            plan,
+        )
     }
 
     /// The scheduled run of the loop at `at`, looked up by its
-    /// precomputed digest through a worker's `view` of this memo; the
-    /// spec is built and co-simulated only on a miss. `plan: None` is
-    /// the nominal [`run_scheduled`]; `Some(plan)` is
-    /// [`run_scheduled_faulty`] (the plan is cloned only when a
+    /// precomputed digest; the spec is built and co-simulated only on a
+    /// miss. `plan: None` is the nominal [`run_scheduled`]; `Some(plan)`
+    /// is [`run_scheduled_faulty`] (the plan is cloned only when a
     /// simulation actually runs). `schedule_digest` must be the
     /// adequation digest of the inputs that produced `schedule`.
     ///
@@ -1399,7 +1390,6 @@ impl ScheduledRunCache {
     #[allow(clippy::too_many_arguments)]
     pub fn get_or_run_at(
         &self,
-        view: &mut MemoView<LoopResult>,
         at: LoopAt<'_>,
         alg: &AlgorithmGraph,
         io: &IoMap,
@@ -1407,10 +1397,10 @@ impl ScheduledRunCache {
         arch: &ArchitectureGraph,
         schedule_digest: u64,
         plan: Option<&FaultPlan>,
-    ) -> Result<(Lent<LoopResult>, u64, bool, CosimPhases), CoreError> {
+    ) -> Result<(Arc<LoopResult>, u64, bool, CosimPhases), CoreError> {
         let key = scheduled_run_digest(at.digest(), schedule_digest, plan);
         let mut phases = CosimPhases::default();
-        let (result, hit) = view.get_or_compute(self, key, || {
+        let (result, hit) = self.0.get_or_compute(key, || {
             Self::run(at, alg, io, schedule, arch, plan, &mut phases)
         })?;
         Ok((result, key, hit, phases))
@@ -1523,11 +1513,7 @@ mod tests {
         let ideal = IdealRunCache::new();
         let spec = dc_motor_spec();
         let key = LoopKey::new(&spec);
-        same_as_decoded(
-            &ideal
-                .get_or_run_at(&mut MemoView::new(), key.at(spec.ts))
-                .unwrap(),
-        );
+        same_as_decoded(&ideal.get_or_run_at(key.at(spec.ts)).unwrap());
         let (spec, alg, io, schedule, arch) = split_fixture();
         let scheduled = ScheduledRunCache::new();
         let (entry, ..) = scheduled
@@ -1656,11 +1642,9 @@ mod tests {
         let cache = IdealRunCache::new();
         assert!(cache.is_empty());
         let key = LoopKey::new(&spec);
-        let mut view = MemoView::new();
-        let memo = cache.get_or_run_at(&mut view, key.at(spec.ts)).unwrap();
-        let again = cache.get_or_run_at(&mut view, key.at(spec.ts)).unwrap();
+        let memo = cache.get_or_run_at(key.at(spec.ts)).unwrap();
+        let again = cache.get_or_run_at(key.at(spec.ts)).unwrap();
         assert!(Arc::ptr_eq(&memo, &again));
-        view.flush(&cache);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.lookups(), 2);
 
@@ -1672,9 +1656,7 @@ mod tests {
         assert_eq!(memo.activity, fresh.activity);
 
         // A different period is a distinct entry, not a stale hit.
-        let other = cache
-            .get_or_run_at(&mut MemoView::new(), key.at(spec.ts * 1.5))
-            .unwrap();
+        let other = cache.get_or_run_at(key.at(spec.ts * 1.5)).unwrap();
         assert_ne!(other.cost.to_bits(), memo.cost.to_bits());
         assert_eq!(cache.len(), 2);
     }

@@ -7,8 +7,9 @@
 //! * [`Mat`] — a small dense row-major `f64` matrix with the usual algebra,
 //! * [`lu::Lu`] — LU factorization with partial pivoting (solve / inverse /
 //!   determinant),
-//! * [`expm`] — the matrix exponential via scaling-and-squaring with a Padé
-//!   approximant (the kernel behind zero-order-hold discretization),
+//! * [`expm`](fn@expm) — the matrix exponential via scaling-and-squaring
+//!   with a Padé approximant (the kernel behind zero-order-hold
+//!   discretization),
 //! * [`solve_discrete_lyapunov`] and [`solve_dare`] — the fixed-point and
 //!   structured-iteration solvers behind LQR synthesis.
 //!

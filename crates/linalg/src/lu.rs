@@ -2,7 +2,7 @@
 //!
 //! [`Lu`] factors a square matrix `A` as `P·A = L·U` and exposes linear
 //! solves, inversion, and the determinant. It is the backbone of the Padé
-//! solve inside [`crate::expm`] and of the Riccati iterations in
+//! solve inside [`expm`](fn@crate::expm) and of the Riccati iterations in
 //! [`crate::solve_dare`].
 
 use crate::{LinalgError, Mat};

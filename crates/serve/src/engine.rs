@@ -29,7 +29,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ecl_aaa::{AdequationOptions, DigestMemo, MappingPolicy, Schedule, TimeNs};
+use ecl_aaa::{AdequationOptions, DigestMemo, Schedule, TimeNs};
 use ecl_bench::fleet::{
     envelope_digest, run_scenario, FaultAxes, FleetPool, SweepCaches, SweepConfig, SweepFold,
     SweepKeys,
@@ -42,7 +42,7 @@ use ecl_core::CoreError;
 use ecl_telemetry::Histogram;
 
 use crate::store::DiskStore;
-use crate::wire::{Policy, RequestDefect, ResponseSource, SweepRequest, MAX_FRAME};
+use crate::wire::{RequestDefect, ResponseSource, SweepRequest, MAX_FRAME};
 
 /// Store kinds the engine persists under.
 const KIND_SCHEDULES: &str = "schedules";
@@ -332,12 +332,9 @@ impl Engine {
         };
         let base = &deployment.base;
         let mut codes: Vec<String> = Vec::new();
-        for policy in &req.policies {
+        for &policy in &req.policies {
             let options = AdequationOptions {
-                policy: match policy {
-                    Policy::Pressure => MappingPolicy::SchedulePressure,
-                    Policy::Earliest => MappingPolicy::EarliestFinish,
-                },
+                policy: policy.into(),
             };
             let (schedule, digest) = self.caches.schedule.get_or_compute(
                 &deployment.keys.schedule,
@@ -386,14 +383,7 @@ impl Engine {
             wcet_jitter: req.wcet_jitter,
             wcet_tables: req.wcet_tables,
             period_scales: req.period_scales.clone(),
-            policies: req
-                .policies
-                .iter()
-                .map(|p| match p {
-                    Policy::Pressure => MappingPolicy::SchedulePressure,
-                    Policy::Earliest => MappingPolicy::EarliestFinish,
-                })
-                .collect(),
+            policies: req.policies.iter().map(|&p| p.into()).collect(),
             trace_scenarios: 0,
             faults: FaultAxes {
                 frame_loss_rates: axis_or_zero(&req.frame_loss),
@@ -593,7 +583,7 @@ mod tests {
     }
 
     /// Sharding a job into 16-scenario chunks finishes a set of lanes
-    /// per chunk, each flushing its own views; one unsharded pass
+    /// per chunk, each settling its own class table; one unsharded pass
     /// finishes one set. Both leave the same payload bytes and the same
     /// lookup totals on every table.
     #[test]

@@ -25,7 +25,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 
-use ecl_aaa::Fnv1a;
+use ecl_aaa::{Fnv1a, MappingPolicy};
 
 /// Hard cap on one frame's payload bytes (1 MiB).
 pub const MAX_FRAME: usize = 1 << 20;
@@ -153,6 +153,16 @@ impl Policy {
             "pressure" => Ok(Policy::Pressure),
             "earliest" => Ok(Policy::Earliest),
             other => Err(malformed(format!("unknown policy {other:?}"))),
+        }
+    }
+}
+
+/// The adequation policy a request's policy names.
+impl From<Policy> for MappingPolicy {
+    fn from(policy: Policy) -> MappingPolicy {
+        match policy {
+            Policy::Pressure => MappingPolicy::SchedulePressure,
+            Policy::Earliest => MappingPolicy::EarliestFinish,
         }
     }
 }

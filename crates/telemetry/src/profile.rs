@@ -11,7 +11,7 @@
 //!   [`WorkerProfile`] buffer — **no shared-state writes on the hot
 //!   path**, so profiling cannot serialize the pool;
 //! * after the pool joins, the buffers merge **in worker-index order**
-//!   into a [`ProfileReport`] with per-phase latency [`Histogram`]s and
+//!   into a [`ProfileReport`] with exact per-phase percentiles and
 //!   per-worker utilization/idle/claim counters. Memo lookups are not
 //!   observed here: the memo tables' own per-digest counts are their
 //!   exact record;
@@ -25,10 +25,6 @@
 use std::time::Instant;
 
 use crate::event::Event;
-use crate::hist::Histogram;
-
-/// Buckets of each per-phase latency histogram in a [`ProfileReport`].
-const PHASE_BUCKETS: usize = 32;
 
 /// A pipeline phase the profiler attributes wall time to.
 ///
@@ -335,9 +331,39 @@ pub struct PhaseStat {
     pub count: u64,
     /// Summed window length, ns.
     pub total_ns: u64,
-    /// Latency histogram over the window lengths (bound: longest window
-    /// + 1 ns, so every observation is in range).
-    pub hist: Histogram,
+    /// Median window length, ns.
+    pub p50_ns: u64,
+    /// 95th-percentile window length, ns.
+    pub p95_ns: u64,
+    /// 99th-percentile window length, ns.
+    pub p99_ns: u64,
+    /// Longest window, ns.
+    pub max_ns: u64,
+}
+
+impl PhaseStat {
+    /// The statistics of `phase`'s window lengths `durations` (at least
+    /// one). The percentiles are exact nearest-rank ones, so one long
+    /// window moves the maximum but not the median of a short phase.
+    fn new(phase: Phase, mut durations: Vec<u64>) -> PhaseStat {
+        durations.sort_unstable();
+        let n = durations.len();
+        let rank = |q: f64| durations[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+        PhaseStat {
+            phase,
+            count: n as u64,
+            total_ns: durations.iter().sum(),
+            p50_ns: rank(0.50),
+            p95_ns: rank(0.95),
+            p99_ns: rank(0.99),
+            max_ns: durations[n - 1],
+        }
+    }
+
+    /// Mean window length, ns.
+    pub fn mean_ns(&self) -> f64 {
+        self.total_ns as f64 / self.count as f64
+    }
 }
 
 /// One worker's merged lane: counters plus its recorded windows.
@@ -405,22 +431,9 @@ impl ProfileReport {
                 .filter(|s| s.phase == phase)
                 .map(ProfileSpan::duration_ns)
                 .collect();
-            if durations.is_empty() {
-                continue;
+            if !durations.is_empty() {
+                phases.push(PhaseStat::new(phase, durations));
             }
-            let bound = durations.iter().copied().max().unwrap_or(0) as i64 + 1;
-            let mut hist = Histogram::new(bound, PHASE_BUCKETS);
-            let mut total_ns = 0u64;
-            for d in &durations {
-                hist.record(*d as i64);
-                total_ns += d;
-            }
-            phases.push(PhaseStat {
-                phase,
-                count: durations.len() as u64,
-                total_ns,
-                hist,
-            });
         }
 
         ProfileReport {
@@ -542,7 +555,6 @@ impl ProfileReport {
         let _ = writeln!(out, "\n## Phases");
         let attributed = self.attributed_ns().max(1);
         for p in &self.phases {
-            let s = p.hist.summary();
             let _ = writeln!(
                 out,
                 "{:<22} count {:>5}  total {:>10.3} ms  mean {:>9.1} us  p95 {:>9.1} us  \
@@ -550,8 +562,8 @@ impl ProfileReport {
                 p.phase.name(),
                 p.count,
                 p.total_ns as f64 / 1e6,
-                s.mean_ns / 1e3,
-                s.p95_ns as f64 / 1e3,
+                p.mean_ns() / 1e3,
+                p.p95_ns as f64 / 1e3,
                 p.total_ns as f64 * 100.0 / attributed as f64
             );
         }
@@ -594,18 +606,18 @@ impl ProfileReport {
             if i > 0 {
                 out.push(',');
             }
-            let s = p.hist.summary();
             let _ = write!(
                 out,
                 "{{\"phase\":\"{}\",\"count\":{},\"total_ns\":{},\"mean_ns\":{:.1},\
-                 \"p50_ns\":{},\"p95_ns\":{},\"max_ns\":{}}}",
+                 \"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
                 p.phase.name(),
                 p.count,
                 p.total_ns,
-                s.mean_ns,
-                s.p50_ns,
-                s.p95_ns,
-                s.max_ns
+                p.mean_ns(),
+                p.p50_ns,
+                p.p95_ns,
+                p.p99_ns,
+                p.max_ns
             );
         }
         out.push_str("],\"workers\":[");
@@ -743,14 +755,13 @@ mod tests {
         assert_eq!(report.workers[0].active_ns, 600);
         assert_eq!(report.workers[0].idle_ns, 50);
 
-        // Phases appear in canonical order with merged histograms.
+        // Phases appear in canonical order with merged statistics.
         let names: Vec<_> = report.phases.iter().map(|p| p.phase).collect();
         assert_eq!(names, vec![Phase::Adequation, Phase::Cosim]);
         let adequation = &report.phases[0];
         assert_eq!(adequation.count, 2);
         assert_eq!(adequation.total_ns, 150);
-        assert_eq!(adequation.hist.count(), 2);
-        assert_eq!(adequation.hist.overflow(), 0);
+        assert_eq!((adequation.p50_ns, adequation.max_ns), (50, 100));
         let cosim = &report.phases[1];
         assert_eq!((cosim.count, cosim.total_ns), (2, 500));
 
@@ -763,7 +774,8 @@ mod tests {
     #[test]
     fn merged_phase_totals_equal_single_lane_totals() {
         // The same spans split across two workers or recorded by one
-        // worker must aggregate identically (per-phase count/total/hist).
+        // worker must aggregate identically (per-phase count, total and
+        // percentiles).
         let spans = [
             (0, Phase::Cosim, 0u64, 70u64),
             (1, Phase::Cosim, 10, 90),
@@ -780,8 +792,32 @@ mod tests {
             assert_eq!(a.phase, b.phase);
             assert_eq!(a.count, b.count);
             assert_eq!(a.total_ns, b.total_ns);
-            assert_eq!(a.hist, b.hist);
+            let percentiles = |p: &PhaseStat| (p.p50_ns, p.p95_ns, p.p99_ns, p.max_ns);
+            assert_eq!(percentiles(a), percentiles(b));
         }
+    }
+
+    /// One preempted window moves a short phase's maximum, never its
+    /// percentiles: 1 000 windows of 400 ns and one of 400 µs read p95
+    /// = 400 ns.
+    #[test]
+    fn one_long_window_leaves_short_percentiles_exact() {
+        let mut windows: Vec<_> = (0..1_000)
+            .map(|i| (i, Phase::Derive, 10 * i as u64, 10 * i as u64 + 400))
+            .collect();
+        windows.push((1_000, Phase::Derive, 0, 400_000));
+        let report = ProfileReport::from_workers(1_000_000, vec![worker_with(0, &windows)]);
+        let derive = &report.phases[0];
+        assert_eq!(derive.count, 1_001);
+        assert_eq!(derive.total_ns, 1_000 * 400 + 400_000);
+        let percentiles = (derive.p50_ns, derive.p95_ns, derive.p99_ns, derive.max_ns);
+        assert_eq!(percentiles, (400, 400, 400, 400_000));
+        assert!(
+            report.render().contains("p95       0.4 us"),
+            "{}",
+            report.render()
+        );
+        assert!(report.to_json().contains("\"p95_ns\":400,"));
     }
 
     #[test]

@@ -17,9 +17,9 @@ echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Doc links left dangling by a rename or deletion fail here, not in a
-# reader's browser.
+# reader's browser, private items' docs included.
 echo "== cargo doc (warnings are errors) =="
-RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline --document-private-items
 
 echo "== cargo test (workspace) =="
 cargo test --workspace -q --offline
