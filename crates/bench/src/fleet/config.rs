@@ -126,9 +126,10 @@ pub struct SweepConfig {
     /// quantized axes pigeonhole large sweeps onto a few distinct keys.
     /// The memoized result is bit-identical to a fresh run, so every
     /// deterministic artifact is byte-identical with the memo on or off.
-    /// It is still a flag, off by default, only because
-    /// `benchmark/src/sweep.rs` and the daemon set it; deleting it waits
-    /// for a change that may edit the benchmark.
+    /// Off by default, so E15 measures the unmemoized pipeline; the
+    /// benchmark (`benchmark/src/sweep.rs`), the daemon and
+    /// `exp17_scale` set it, and deleting it waits for a change that may
+    /// edit the benchmark.
     pub memoize_scheduled: bool,
     /// Memoize per-scenario latency metrics in the shared
     /// [`ReportCache`](super::ReportCache), keyed by `(scheduled-run

@@ -582,6 +582,47 @@ mod tests {
         assert_eq!(serial.traces, parallel.traces);
     }
 
+    /// The unmemoized pipeline stays the reference where the class table
+    /// serves rows: on E16's axes (every default WCET table), a sweep
+    /// with both memos on, at 1 and 4 workers, equals the sweep with
+    /// both off in its Markdown, JSON, histogram and schedule-cache and
+    /// ideal-memo counters.
+    #[test]
+    fn both_memos_reproduce_the_unmemoized_sweep() {
+        let base = small_base();
+        let spec = crate::scale_loop().unwrap();
+        let config = |workers, memoize| SweepConfig {
+            scenario_count: 2_000,
+            workers,
+            memoize_scheduled: memoize,
+            memoize_reports: memoize,
+            ..SweepConfig::default()
+        };
+        let folded = |out: &SweepOutput| {
+            let s = &out.summary;
+            (
+                s.render(),
+                s.to_json(),
+                out.actuation_hist.clone(),
+                [s.cache_hits, s.cache_misses],
+                [out.ideal_hits, out.ideal_misses],
+            )
+        };
+        for workers in [1, 4] {
+            let fresh = run_sweep(&spec, &base, &config(workers, false)).unwrap();
+            let memoized = run_sweep(&spec, &base, &config(workers, true)).unwrap();
+            assert!(
+                memoized.class_hits > 0,
+                "{workers} workers: the class table served no row"
+            );
+            assert_eq!(
+                folded(&fresh),
+                folded(&memoized),
+                "{workers} workers: the memos moved a byte or a counter"
+            );
+        }
+    }
+
     /// Faulty scenarios take two memo lookups (fault-free twin + faulty
     /// replay); twins share entries across scenarios with the same
     /// schedule and period while seeded plans keep the faulty keys

@@ -1314,12 +1314,12 @@ pub fn scheduled_run_digest(
 /// [`run_scheduled`]/[`run_scheduled_faulty`] results keyed by
 /// [`scheduled_run_digest`].
 ///
-/// The exp16 profiler attributes ~93% of sweep time to scheduled
-/// co-simulation, and a fault-axis sweep pigeonholes heavily on
-/// (loop, schedule, fault-plan) triples: quantized WCET tables bound the
-/// schedule digests, the period-scale axis bounds the loop digests, and
-/// zero-rate fault axes collapse onto the nominal plan. Most of that 93%
-/// is therefore recomputation of byte-identical [`LoopResult`]s — this
+/// Unmemoized, scheduled co-simulation is most of a sweep's time, and a
+/// sweep pigeonholes heavily on (loop, schedule, fault-plan) triples:
+/// quantized WCET tables bound the schedule digests, the period-scale
+/// axis bounds the loop digests, and zero-rate fault axes collapse onto
+/// the nominal plan. Most of that time is therefore recomputation of
+/// byte-identical [`LoopResult`]s — this
 /// table, shared by the sweep workers beside [`IdealRunCache`] and
 /// [`ecl_aaa::ScheduleCache`], answers them from memory. Counters,
 /// seeding and snapshots are the memo's, reached through `Deref`.

@@ -22,7 +22,7 @@
 //!   refill admits two rapid submits and rejects the third with a typed
 //!   `rate_limited` error.
 //!
-//! Artifacts follow the E16/E17 split: `results/exp18_serve.txt` is the
+//! Artifacts follow the E17 split: `results/exp18_serve.txt` is the
 //! deterministic digest report (request digests, payload digests,
 //! sources — no wall-clock content; `scripts/check.sh` diffs it against
 //! the committed copy), `results/timing/BENCH_exp18.json` is the

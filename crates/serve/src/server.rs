@@ -26,7 +26,6 @@
 //! codes that condemned them — before the job spends a single
 //! co-simulation.
 
-use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,7 +38,9 @@ use ecl_core::CoreError;
 use crate::engine::{Engine, EngineConfig};
 use crate::limiter::TokenBucket;
 use crate::queue::JobQueue;
-use crate::wire::{send_server, ClientMsg, ServerMsg, SweepRequest, WireError, MAX_FRAME};
+use crate::wire::{
+    read_frame_until, send_server, ClientMsg, ServerMsg, SweepRequest, WireError, MAX_FRAME,
+};
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -111,53 +112,6 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Reads one frame, polling `shutdown` while idle (before any byte of
-/// the next frame arrives). `Ok(None)` means an orderly shutdown was
-/// requested; the stream must have a read timeout for the poll to run.
-fn read_frame_poll(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-) -> Result<Option<Vec<u8>>, WireError> {
-    let mut read_full = |buf: &mut [u8], idle_ok: bool| -> Result<Option<()>, WireError> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            if idle_ok && filled == 0 && shutdown.load(Ordering::Relaxed) {
-                return Ok(None);
-            }
-            match stream.read(&mut buf[filled..]) {
-                Ok(0) => return Err(WireError::Disconnected),
-                Ok(n) => filled += n,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::ConnectionReset | ErrorKind::UnexpectedEof
-                    ) =>
-                {
-                    return Err(WireError::Disconnected)
-                }
-                Err(e) => return Err(WireError::Io(e)),
-            }
-        }
-        Ok(Some(()))
-    };
-    let mut len_buf = [0u8; 4];
-    if read_full(&mut len_buf, true)?.is_none() {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(WireError::Oversized { len });
-    }
-    let mut payload = vec![0u8; len];
-    read_full(&mut payload, false)?;
-    Ok(Some(payload))
-}
-
 /// One connection's read loop. Returns when the peer disconnects, the
 /// framing becomes unrecoverable, or shutdown is requested.
 fn serve_connection(
@@ -174,7 +128,7 @@ fn serve_connection(
         send_server(&mut *out, msg).is_ok()
     };
     loop {
-        let payload = match read_frame_poll(&mut reader, &shutdown) {
+        let payload = match read_frame_until(&mut reader, || shutdown.load(Ordering::Relaxed)) {
             Ok(Some(payload)) => payload,
             Ok(None) | Err(WireError::Disconnected) => return,
             Err(WireError::Oversized { len }) => {
@@ -435,8 +389,9 @@ impl Server {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
-                        // The poll timeout bounds how long a quiet
-                        // connection can delay an orderly shutdown.
+                        // The poll timeout bounds how long a quiet or
+                        // stalled connection can delay an orderly
+                        // shutdown.
                         let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
                         let _ = stream.set_nodelay(true);
                         let Ok(writer) = stream.try_clone() else {

@@ -73,20 +73,40 @@ fn malformed(reason: impl Into<String>) -> WireError {
     }
 }
 
-/// Reads exactly `buf.len()` bytes, mapping any EOF to
-/// [`WireError::Disconnected`].
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), WireError> {
+/// Reads exactly `buf.len()` bytes, mapping any EOF or reset to
+/// [`WireError::Disconnected`]. `stop` is asked before every read, so
+/// also after each read timeout (`WouldBlock`/`TimedOut`), which retries;
+/// `Ok(false)` means it answered `true` and the bytes are abandoned.
+fn read_full<R: Read>(
+    r: &mut R,
+    buf: &mut [u8],
+    stop: &mut impl FnMut() -> bool,
+) -> Result<bool, WireError> {
     let mut filled = 0;
     while filled < buf.len() {
+        if stop() {
+            return Ok(false);
+        }
         match r.read(&mut buf[filled..]) {
             Ok(0) => return Err(WireError::Disconnected),
             Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Err(WireError::Disconnected),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::ConnectionReset | ErrorKind::UnexpectedEof
+                ) =>
+            {
+                return Err(WireError::Disconnected)
+            }
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Writes one frame: `u32` little-endian length, then the payload.
@@ -112,7 +132,8 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError>
     Ok(())
 }
 
-/// Reads one frame's payload.
+/// Reads one frame's payload, retrying after every read timeout
+/// ([`read_frame_until`] can give up instead).
 ///
 /// # Errors
 ///
@@ -120,15 +141,35 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError>
 /// [`WireError::Oversized`] when the declared length exceeds
 /// [`MAX_FRAME`], and [`WireError::Io`] for other transport failures.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
+    read_frame_until(r, || false).map(|frame| frame.expect("`stop` never answers true"))
+}
+
+/// Reads one frame's payload unless `stop` answers `true` first.
+///
+/// `stop` is asked before every read of the stream: before the frame's
+/// first byte and in the middle of a frame alike. On a stream with a
+/// read timeout it is therefore asked at least once per timeout, so a
+/// peer that stalls, idle or halfway through a frame, cannot keep the
+/// reader from stopping. `Ok(None)` means `stop` answered `true`; the
+/// bytes of a half-read frame are then abandoned.
+///
+/// # Errors
+///
+/// As [`read_frame`].
+pub fn read_frame_until<R: Read>(
+    r: &mut R,
+    mut stop: impl FnMut() -> bool,
+) -> Result<Option<Vec<u8>>, WireError> {
     let mut len_buf = [0u8; 4];
-    read_full(r, &mut len_buf)?;
+    if !read_full(r, &mut len_buf, &mut stop)? {
+        return Ok(None);
+    }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME {
         return Err(WireError::Oversized { len });
     }
     let mut payload = vec![0u8; len];
-    read_full(r, &mut payload)?;
-    Ok(payload)
+    Ok(read_full(r, &mut payload, &mut stop)?.then_some(payload))
 }
 
 /// Mapping policy of a request, by wire name.
@@ -824,15 +865,6 @@ impl ServerMsg {
 /// Propagates [`write_frame`] failures.
 pub fn send_client<W: Write>(w: &mut W, msg: &ClientMsg) -> Result<(), WireError> {
     write_frame(w, &msg.encode())
-}
-
-/// Reads one client message from a frame.
-///
-/// # Errors
-///
-/// Propagates [`read_frame`] and [`ClientMsg::decode`] failures.
-pub fn recv_client<R: Read>(r: &mut R) -> Result<ClientMsg, WireError> {
-    ClientMsg::decode(&read_frame(r)?)
 }
 
 /// Writes one server message as a frame.

@@ -577,3 +577,28 @@ fn response_cache_is_shared_across_connections() {
     assert_eq!(warm.source, ResponseSource::Memory);
     assert_eq!(warm.payload, cold.payload);
 }
+
+/// A client that sends half a length prefix and then stalls cannot keep
+/// the daemon from shutting down: its connection's reader asks for
+/// shutdown on every read timeout, in the middle of a frame too.
+#[test]
+fn a_stalled_half_frame_does_not_block_shutdown() {
+    use std::io::Write;
+    use std::time::Duration;
+
+    let srv = server(1, None);
+    let mut stalled = std::net::TcpStream::connect(srv.addr()).expect("connect");
+    stalled.write_all(&[8, 0]).expect("half a length prefix");
+    // Let the connection's reader take both bytes before the drop.
+    std::thread::sleep(Duration::from_millis(200));
+    let (dropped_tx, dropped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        drop(srv);
+        let _ = dropped_tx.send(());
+    });
+    assert!(
+        dropped.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "dropping the server stayed blocked on the stalled connection"
+    );
+    drop(stalled);
+}

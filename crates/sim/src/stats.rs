@@ -60,7 +60,8 @@ pub struct EngineStats {
     /// and the ODE workspace every integrated span runs on. The kernel
     /// pre-sizes those buffers, so this stays 0 in steady state; a nonzero
     /// delta between identical runs is an allocation regression and is
-    /// asserted against in tests and the E16/E17 gates.
+    /// asserted against in tests and by `exp17_scale`, whose probe
+    /// prints it in the `kernel_work:` line of the E16 and E17 goldens.
     pub hot_allocs: u64,
     /// Accumulated integrator counters.
     pub ode: OdeStepStats,

@@ -29,13 +29,6 @@ use ecl_core::faults::FaultPlan;
 use crate::bounds::plan_is_drop_capable;
 use crate::diag::{Anchor, Diagnostic, Severity};
 
-fn op_anchor(alg: &AlgorithmGraph, op: OpId) -> Anchor {
-    Anchor::Op {
-        index: op.index(),
-        name: alg.name(op).to_string(),
-    }
-}
-
 /// Operations whose activation is a multi-source rendezvous: they have a
 /// cross-processor predecessor delivered by a scheduled transfer, so the
 /// synthesis joins the processor chain and the arrival in a
@@ -95,7 +88,7 @@ pub fn lint_delay_graph(
                 out.push(Diagnostic {
                     code: "EV301",
                     severity: Severity::Warn,
-                    anchor: op_anchor(alg, var),
+                    anchor: Anchor::op(alg, var),
                     message: format!(
                         "condition mapping is not exhaustive: branch {k} of {n} selects no operation"
                     ),
@@ -110,7 +103,7 @@ pub fn lint_delay_graph(
             out.push(Diagnostic {
                 code: "EV302",
                 severity: Severity::Warn,
-                anchor: op_anchor(alg, op),
+                anchor: Anchor::op(alg, op),
                 message: "completion event drives nothing (orphan delay block)".to_string(),
             });
         }
@@ -125,7 +118,7 @@ pub fn lint_delay_graph(
             out.push(Diagnostic {
                 code: "EV303",
                 severity: Severity::Info,
-                anchor: op_anchor(alg, op),
+                anchor: Anchor::op(alg, op),
                 message: "rendezvous synchronization has no timeout arm; a dropped frame would \
                           deadlock it (arm a fault plan to synthesize timeouts)"
                     .to_string(),
@@ -134,7 +127,7 @@ pub fn lint_delay_graph(
             out.push(Diagnostic {
                 code: "EV305",
                 severity: Severity::Warn,
-                anchor: op_anchor(alg, op),
+                anchor: Anchor::op(alg, op),
                 message: "drop-capable fault plan: the rendezvous degrades through its timeout \
                           arm and is forced at the period boundary"
                     .to_string(),

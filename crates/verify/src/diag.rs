@@ -4,6 +4,8 @@
 
 use std::fmt;
 
+use ecl_aaa::{AlgorithmGraph, OpId};
+
 use crate::bounds::LatencyBoundReport;
 use crate::envelope::EnvelopeReport;
 
@@ -62,6 +64,14 @@ pub enum Anchor {
 }
 
 impl Anchor {
+    /// The anchor of operation `op` of `alg`.
+    pub fn op(alg: &AlgorithmGraph, op: OpId) -> Anchor {
+        Anchor::Op {
+            index: op.index(),
+            name: alg.name(op).to_string(),
+        }
+    }
+
     /// Total order used for deterministic report ordering.
     fn order_key(&self) -> (u8, usize) {
         match self {

@@ -724,10 +724,7 @@ pub fn envelope_diagnostics(alg: &AlgorithmGraph, report: &EnvelopeReport) -> Ve
             diags.push(Diagnostic {
                 code: "EV401",
                 severity: Severity::Error,
-                anchor: Anchor::Op {
-                    index: e.op.index(),
-                    name: alg.name(e.op).to_string(),
-                },
+                anchor: Anchor::op(alg, e.op),
                 message: format!(
                     "completion envelope lower bound {} exceeds the period {}: every plan in \
                      the fault family overruns",
@@ -774,10 +771,7 @@ pub fn envelope_diagnostics(alg: &AlgorithmGraph, report: &EnvelopeReport) -> Ve
                 diags.push(Diagnostic {
                     code: "EV405",
                     severity: Severity::Error,
-                    anchor: Anchor::Op {
-                        index: e.op.index(),
-                        name: alg.name(e.op).to_string(),
-                    },
+                    anchor: Anchor::op(alg, e.op),
                     message: format!(
                         "actuation envelope lower bound {} exceeds the latency budget {}: the \
                          control design's margin cannot be met by any plan in the family",

@@ -123,10 +123,7 @@ pub fn verify_executives(
             out.push(Diagnostic {
                 code: "EV203",
                 severity: Severity::Error,
-                anchor: Anchor::Op {
-                    index: op.index(),
-                    name: alg.name(op).to_string(),
-                },
+                anchor: Anchor::op(alg, op),
                 message: if n == 0 {
                     "never computed by any executive (unreachable)".to_string()
                 } else {

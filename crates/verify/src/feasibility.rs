@@ -6,13 +6,6 @@ use ecl_aaa::{AlgorithmGraph, ArchitectureGraph, Schedule, TimingDb};
 
 use crate::diag::{Anchor, Diagnostic, Severity};
 
-fn op_anchor(alg: &AlgorithmGraph, op: ecl_aaa::OpId) -> Anchor {
-    Anchor::Op {
-        index: op.index(),
-        name: alg.name(op).to_string(),
-    }
-}
-
 /// Runs the feasibility pass over one schedule.
 pub fn verify_schedule(
     alg: &AlgorithmGraph,
@@ -37,7 +30,7 @@ pub fn verify_schedule(
             push(
                 "EV001",
                 Severity::Error,
-                op_anchor(alg, op),
+                Anchor::op(alg, op),
                 format!("operation scheduled {count} times (must be exactly once)"),
             );
         }
@@ -47,7 +40,7 @@ pub fn verify_schedule(
             push(
                 "EV001",
                 Severity::Error,
-                op_anchor(alg, s.op),
+                Anchor::op(alg, s.op),
                 format!("slot ends ({}) before it starts ({})", s.end, s.start),
             );
         }
@@ -55,7 +48,7 @@ pub fn verify_schedule(
             push(
                 "EV001",
                 Severity::Error,
-                op_anchor(alg, s.op),
+                Anchor::op(alg, s.op),
                 format!("slot placed on unknown processor {}", s.proc),
             );
         }
@@ -157,7 +150,7 @@ pub fn verify_schedule(
                 push(
                     "EV004",
                     Severity::Error,
-                    op_anchor(alg, e.dst),
+                    Anchor::op(alg, e.dst),
                     format!(
                         "starts at {} before its predecessor '{}' completes at {}",
                         pd.start,
@@ -181,7 +174,7 @@ pub fn verify_schedule(
                 push(
                     "EV004",
                     Severity::Error,
-                    op_anchor(alg, e.dst),
+                    Anchor::op(alg, e.dst),
                     format!(
                         "no transfer delivers '{}' from {} to {} inside [{} .. {}]",
                         alg.name(e.src),
@@ -204,7 +197,7 @@ pub fn verify_schedule(
             None => push(
                 "EV005",
                 Severity::Error,
-                op_anchor(alg, s.op),
+                Anchor::op(alg, s.op),
                 format!(
                     "scheduled on {} where the timing table forbids it",
                     arch.proc_name(s.proc)
@@ -216,7 +209,7 @@ pub fn verify_schedule(
                     push(
                         "EV005",
                         Severity::Error,
-                        op_anchor(alg, s.op),
+                        Anchor::op(alg, s.op),
                         format!(
                             "slot duration {} differs from the WCET {} on {}",
                             dur,

@@ -84,10 +84,7 @@ pub fn verify(
             diagnostics.push(Diagnostic {
                 code: "EV101",
                 severity: Severity::Error,
-                anchor: Anchor::Op {
-                    index: b.op.index(),
-                    name: alg.name(b.op).to_string(),
-                },
+                anchor: Anchor::op(alg, b.op),
                 message: format!(
                     "static bound {} undercuts the critical-path lower bound {}",
                     b.nominal, b.chain

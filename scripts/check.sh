@@ -46,7 +46,8 @@ cargo test -q --offline -p ecl-core latency -- --test-threads=1
 echo "== co-simulation binaries reproduce their archived stdout =="
 for bin in fig1_latency_trace fig2_ideal_loop fig3_graph_of_delays \
     fig4_sequencing fig5_conditioning \
-    exp6_latency_sweep exp7_jitter_sweep exp8_calibration; do
+    exp6_latency_sweep exp7_jitter_sweep exp8_calibration \
+    exp11_period_sweep exp12_delay_margin; do
     cargo run -q --offline --release -p ecl-bench --bin "$bin" | diff - "results/$bin.txt"
 done
 
@@ -97,14 +98,14 @@ cargo test -q --offline -p ecl-verify --lib -- --test-threads=1
 echo "== E15-PROFILE attribution =="
 cargo run -q --offline --release -p ecl-bench --bin exp15_profile >/dev/null
 
-# E16-SCALE / E17-SCALE: 10^5 and 10^6-scenario sweeps. Their digest
-# reports carry the memo hit/miss counters and a kernel_work: line
-# (RHS evaluations, steps, events, spans, hot-path allocations of a
-# fixed probe), so a change in the work the kernel or the memos do
-# fails the golden diff.
-echo "== E16-SCALE 10^5-scenario sweep =="
-cargo run -q --offline --release -p ecl-bench --bin exp16_scale >/dev/null
-echo "== E17-SCALE 10^6-scenario scheduled-memo sweep =="
+# E16-SCALE / E17-SCALE: 10^5 and 10^6-scenario sweeps of one memoized
+# configuration, both run by exp17_scale. Their digest reports carry the
+# memo hit/miss counters and a kernel_work: line (RHS evaluations,
+# steps, events, spans, hot-path allocations of a fixed probe), so a
+# change in the work the kernel or the memos do fails the golden diff.
+# E16's golden was written by the unmemoized pipeline, so it also pins
+# that the memos move no byte at 10^5 scenarios.
+echo "== E16/E17-SCALE 10^5- and 10^6-scenario memoized sweeps =="
 cargo run -q --offline --release -p ecl-bench --bin exp17_scale >/dev/null
 
 # E18-SERVE: the resident daemon must answer concurrent clients with
