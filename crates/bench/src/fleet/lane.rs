@@ -11,8 +11,10 @@
 //! the lane has seen costs its draw and one lookup: its schedule, period
 //! and label come from the class, and an untraced scenario whose row the
 //! class fixes (pruned, or fault-free with both memos on and neither
-//! validation nor verification) is served that row whole. Every other
-//! lookup goes straight to the shared memos. The memo lookups a class
+//! validation nor verification) is served that row whole, with the
+//! row's [`RowTail`] rendered once when the class kept it, so the sweep
+//! report copies a served row's cells instead of formatting them. Every
+//! other lookup goes straight to the shared memos. The memo lookups a class
 //! hit skips are owed per digest and counted into the shared memos when
 //! the lane finishes (or its full table starts over), so every counter
 //! stays exact.
@@ -28,7 +30,7 @@ use ecl_aaa::{
 use ecl_core::cosim::{IdealRunCache, LoopKey, LoopSpec, ScheduledRunCache};
 use ecl_core::faults::FaultFamily;
 use ecl_core::latency::LatencyReport;
-use ecl_core::report::ScenarioOutcome;
+use ecl_core::report::{RowTail, ScenarioOutcome};
 use ecl_telemetry::{Histogram, WorkerProfile};
 use ecl_verify::{EnvelopeReport, EnvelopeVerdict};
 
@@ -349,9 +351,18 @@ impl Class {
 /// returns for an untraced scenario of the class whose row is a pure
 /// function of the class — a pruned one, or, with both memos on and
 /// neither validation nor verification, a fault-free one.
+///
+/// Its outcome carries the row's [`RowTail`]: every cell after the
+/// index and seed, rendered once for both sweep documents when the row
+/// is kept, so the report copies each served row's tail instead of
+/// formatting it. A row that is not served (a faulty, traced, validated
+/// or verified one, or any row of a sweep without both memos) repeats
+/// no class's row, so rendering its tail ahead of the report would be
+/// one more formatting of it, not one fewer.
 #[derive(Debug)]
 struct ClassRow {
-    /// The row, with the index and seed of the scenario that made it.
+    /// The row, with the index and seed of the scenario that made it,
+    /// and its tail.
     outcome: ScenarioOutcome,
     /// The record's prune verdict.
     prune: Option<EnvelopeVerdict>,
@@ -458,15 +469,18 @@ impl ClassTable {
 
     /// Keeps `outcome` as class `c`'s row, with its record's `prune`
     /// verdict and the lookups each scenario served it owes: the
-    /// `envelope` digest and a simulated row's `run`.
+    /// `envelope` digest and a simulated row's `run`. The row's tail is
+    /// rendered here, once for the class, and set on `outcome` and on
+    /// every row the class serves.
     pub(super) fn keep_row(
         &mut self,
         c: usize,
-        outcome: &ScenarioOutcome,
+        outcome: &mut ScenarioOutcome,
         prune: Option<EnvelopeVerdict>,
         envelope: Option<u64>,
         run: Option<RowRun>,
     ) {
+        outcome.tail = Some(RowTail::new(outcome));
         self.classes[c].row = Some(ClassRow {
             outcome: outcome.clone(),
             prune,

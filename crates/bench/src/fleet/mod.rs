@@ -966,6 +966,70 @@ mod tests {
         }
     }
 
+    /// The report's fast path is taken: a served row carries its
+    /// class's pre-rendered tail. In a fault-free memoized sweep at 1
+    /// and 4 workers at least every repeat of a class carries one, and
+    /// on exp19's fault axes with pruning every pruned row does. A
+    /// silent fall back to the cell-by-cell path keeps every byte, so
+    /// only this test sees it.
+    #[test]
+    fn served_rows_carry_their_class_tail() {
+        use super::lane::ClassKey;
+
+        let (spec, base) = (dc_motor_loop(0.05).unwrap(), small_base());
+        let hot = SweepConfig {
+            scenario_count: 600,
+            memoize_scheduled: true,
+            memoize_reports: true,
+            ..SweepConfig::default()
+        };
+        let faulty = SweepConfig {
+            prune_static: true,
+            faults: exp19_faults(),
+            ..hot.clone()
+        };
+        let classes: std::collections::HashSet<ClassKey> = (0..hot.scenario_count)
+            .map(|i| ClassKey::new(&Scenario::derive(&hot, &base, i)))
+            .collect();
+        let tailed = |rows: &[ecl_core::report::ScenarioOutcome]| {
+            rows.iter().filter(|s| s.tail.is_some()).count()
+        };
+        for workers in [1, 4] {
+            let hot = SweepConfig {
+                workers,
+                ..hot.clone()
+            };
+            let out = run_sweep(&spec, &base, &hot).unwrap();
+            let rows = &out.summary.scenarios;
+            assert!(
+                tailed(rows) >= rows.len() - classes.len(),
+                "{workers} workers: {} of {} rows carry a tail over {} classes",
+                tailed(rows),
+                rows.len(),
+                classes.len()
+            );
+            let out = run_sweep(
+                &spec,
+                &base,
+                &SweepConfig {
+                    workers,
+                    ..faulty.clone()
+                },
+            )
+            .unwrap();
+            let p = out.summary.prune.expect("pruning was requested");
+            assert!(p.pruned_safe + p.pruned_unsafe > 0);
+            let pruned: Vec<_> = (out.summary.scenarios.iter())
+                .filter(|s| s.label.contains(" pruned:"))
+                .collect();
+            assert_eq!(pruned.len(), p.pruned_safe + p.pruned_unsafe);
+            assert!(
+                pruned.iter().all(|s| s.tail.is_some()),
+                "{workers} workers: a pruned row was written cell by cell"
+            );
+        }
+    }
+
     /// At 1 worker every scenario's profile spans are contiguous — each
     /// starts where the previous one ended — run in the order of its
     /// pipeline, and lie inside the scenario's task window: the task

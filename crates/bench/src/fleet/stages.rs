@@ -120,7 +120,7 @@ pub fn run_scenario(
         Some(twin) => (Some(twin.degradation), Some(twin.entry), twin.replay_digest),
         None => (None, None, None),
     };
-    let (outcome, entry) = stages.metrics(&d, run, key, entry, ideal)?;
+    let (mut outcome, entry) = stages.metrics(&d, run, key, entry, ideal)?;
     let validation = if config.validate_executive {
         Some(stages.validation(&d, plan.as_ref())?)
     } else {
@@ -142,7 +142,7 @@ pub fn run_scenario(
         || extras.validation.is_some()
         || extras.verification.is_some();
     if !rare {
-        stages.keep_row(&d, &outcome, envelope, at.digest(), key, entry);
+        stages.keep_row(&d, &mut outcome, envelope, at.digest(), key, entry);
     }
     Ok(ScenarioRecord {
         outcome,
@@ -400,7 +400,8 @@ impl<'s> Stages<'s, '_> {
     /// verdict, in place of every later stage. The verdict is a
     /// function of the class, so the row becomes the class's row, which
     /// serves every later untraced scenario of the class; each owes the
-    /// schedule and `envelope` lookups it skips.
+    /// schedule and `envelope` lookups it skips. The row itself carries
+    /// the class's pre-rendered tail, as every served row does.
     fn pruned(
         &mut self,
         d: &Deployed,
@@ -415,7 +416,7 @@ impl<'s> Stages<'s, '_> {
             0
         };
         let classes = &mut self.lane.classes;
-        let outcome = ScenarioOutcome {
+        let mut outcome = ScenarioOutcome {
             index: self.index,
             seed: d.scenario.seed,
             label: classes.label(d.class, &d.scenario, Some(verdict)),
@@ -424,8 +425,9 @@ impl<'s> Stages<'s, '_> {
             makespan_ns: d.schedule.makespan().as_nanos(),
             worst_actuation_ns: worst_hi.as_nanos(),
             overruns,
+            tail: None,
         };
-        classes.keep_row(d.class, &outcome, Some(verdict), Some(envelope), None);
+        classes.keep_row(d.class, &mut outcome, Some(verdict), Some(envelope), None);
         ScenarioRecord {
             outcome,
             prune: Some(verdict),
@@ -439,11 +441,12 @@ impl<'s> Stages<'s, '_> {
     /// are on: every later untraced scenario of the class would make
     /// the same lookups — the `envelope` (with pruning), the ideal run
     /// at `ideal`, the scheduled run `key` and its strict report entry —
-    /// and yield this row, so it is served the row and owes them.
+    /// and yield this row, so it is served the row and owes them. The
+    /// kept `outcome` gets the class's pre-rendered tail.
     fn keep_row(
         &mut self,
         d: &Deployed,
-        outcome: &ScenarioOutcome,
+        outcome: &mut ScenarioOutcome,
         envelope: Option<u64>,
         ideal: u64,
         key: Option<u64>,
@@ -649,6 +652,7 @@ impl<'s> Stages<'s, '_> {
                 makespan_ns: d.schedule.makespan().as_nanos(),
                 worst_actuation_ns: entry.worst_actuation_ns,
                 overruns: entry.overruns,
+                tail: None,
             };
             drop(run);
             drop(ideal);

@@ -165,7 +165,10 @@ pub fn traces_csv(run: &LoopResult, names: &[&str], dt: f64) -> Result<String, C
 /// Rows are produced by the sweep engine (`ecl-bench`'s fleet module) in
 /// scenario-index order, so a [`SweepSummary`] renders byte-identically
 /// regardless of how many workers ran the sweep.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares every field but [`tail`](ScenarioOutcome::tail),
+/// which is a rendering of the others.
+#[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
     /// Scenario index within the sweep (also the seed-derivation input).
     pub index: usize,
@@ -184,6 +187,107 @@ pub struct ScenarioOutcome {
     pub worst_actuation_ns: i64,
     /// Number of cross-period actuations (lenient-mode overruns).
     pub overruns: usize,
+    /// The row's cells after its index and seed, rendered once for both
+    /// documents ([`RowTail::new`] of this row, or of a row equal to it
+    /// but for index and seed); `None` renders them cell by cell. The
+    /// sweep engine sets it on a row its class table serves to every
+    /// scenario of the class, so a repeated row is copied, not
+    /// formatted.
+    pub tail: Option<RowTail>,
+}
+
+/// Field by field but the tail (named, so a new field must be placed).
+impl PartialEq for ScenarioOutcome {
+    fn eq(&self, other: &ScenarioOutcome) -> bool {
+        let ScenarioOutcome {
+            index,
+            seed,
+            label,
+            cost,
+            cost_ratio,
+            makespan_ns,
+            worst_actuation_ns,
+            overruns,
+            tail: _,
+        } = self;
+        *index == other.index
+            && *seed == other.seed
+            && *label == other.label
+            && *cost == other.cost
+            && *cost_ratio == other.cost_ratio
+            && *makespan_ns == other.makespan_ns
+            && *worst_actuation_ns == other.worst_actuation_ns
+            && *overruns == other.overruns
+    }
+}
+
+/// A scenario row's cells after its index and seed, pre-rendered for
+/// both sweep documents: the Markdown tail ` | label | cost | vs ideal |
+/// makespan | worst La | overruns |\n` and the JSON tail from
+/// `, "label": …` to the `overruns` value (the row's closing brace
+/// depends on whether it is the last). Both sit in one shared string,
+/// which ends in a four-byte trailer holding the Markdown tail's
+/// length. So a tail costs one allocation, every row that carries it
+/// one reference count, and an `Option<RowTail>` is one fat pointer: it
+/// adds 16 bytes to a row, which keeps a fleet result slot within two
+/// cache lines.
+///
+/// Its only constructor renders a row with the very cell writers the
+/// renderers use for a row without a tail, so a row renders the same
+/// bytes with its tail as without it.
+#[derive(Clone)]
+pub struct RowTail {
+    /// The Markdown tail, the JSON tail, then the trailer.
+    text: Arc<str>,
+}
+
+/// Bytes of a [`RowTail`]'s trailer: the Markdown tail's length, seven
+/// bits a byte, low bits first, so every byte is ASCII and the text
+/// stays a `str`. A Markdown tail is under 2^28 bytes.
+const TRAILER_BYTES: usize = 4;
+
+impl RowTail {
+    /// Renders `row`'s Markdown and JSON tails; its index, seed and own
+    /// tail are not read.
+    ///
+    /// # Panics
+    ///
+    /// When the Markdown tail, label included, is 2^28 bytes or more.
+    pub fn new(row: &ScenarioOutcome) -> RowTail {
+        let mut spill = String::new();
+        let mut cells = Cells::new(&mut spill);
+        markdown_tail(&mut cells, row);
+        let markdown = cells.written();
+        assert!(
+            markdown >> (7 * TRAILER_BYTES) == 0,
+            "a {markdown}-byte Markdown tail overflows the row tail's trailer"
+        );
+        json_tail(&mut cells, row);
+        let trailer: [u8; TRAILER_BYTES] =
+            std::array::from_fn(|k| (markdown >> (7 * k)) as u8 & 0x7f);
+        cells.str(std::str::from_utf8(&trailer).expect("the trailer is ASCII"));
+        RowTail {
+            text: cells.into_shared(),
+        }
+    }
+
+    /// The Markdown tail and the JSON tail.
+    #[inline(always)]
+    fn parts(&self) -> (&str, &str) {
+        let (tails, trailer) = self.text.split_at(self.text.len() - TRAILER_BYTES);
+        let markdown = (trailer.bytes().rev()).fold(0, |len, b| len << 7 | usize::from(b));
+        tails.split_at(markdown)
+    }
+}
+
+impl std::fmt::Debug for RowTail {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (markdown, json) = self.parts();
+        f.debug_struct("RowTail")
+            .field("markdown", &markdown)
+            .field("json", &json)
+            .finish()
+    }
 }
 
 /// Verdict of a faulty run against its fault-free baseline.
@@ -590,6 +694,25 @@ impl<'a> Cells<'a> {
         self.len = 0;
     }
 
+    /// Bytes of the document, buffered cells included.
+    fn written(&self) -> usize {
+        self.out.len() + self.len
+    }
+
+    /// The document as one shared string. Written into an empty
+    /// document that nothing was flushed into, it is copied straight
+    /// from the buffer: one allocation.
+    fn into_shared(mut self) -> Arc<str> {
+        if !self.out.is_empty() {
+            self.flush();
+            return Arc::from(self.out.as_str());
+        }
+        let cells = std::str::from_utf8(&self.buf[..self.len]).expect("cells are whole strings");
+        let shared = Arc::from(cells);
+        self.len = 0;
+        shared
+    }
+
     /// The free end of the buffer, at least [`CELL_MAX`] bytes long.
     #[inline(always)]
     fn tail(&mut self) -> &mut [u8] {
@@ -658,6 +781,45 @@ impl<'a> Cells<'a> {
             self.u64(v);
         }
     }
+}
+
+/// Writes the Markdown row of `sc` after its index and seed (see
+/// [`RowTail`]): the one writer of these cells, for a row with a tail
+/// and without.
+#[inline(always)]
+fn markdown_tail(cells: &mut Cells<'_>, sc: &ScenarioOutcome) {
+    cells.str(" | ");
+    cells.str(&sc.label);
+    cells.str(" | ");
+    cells.fixed(sc.cost, 6);
+    cells.str(" | ");
+    cells.fixed(sc.cost_ratio, 6);
+    cells.str(" | ");
+    cells.i64(sc.makespan_ns);
+    cells.str(" | ");
+    cells.i64(sc.worst_actuation_ns);
+    cells.str(" | ");
+    cells.u64(sc.overruns as u64);
+    cells.str(" |\n");
+}
+
+/// Writes the JSON row of `sc` after its index and seed, up to its
+/// closing brace (see [`RowTail`]): the one writer of these cells, for
+/// a row with a tail and without.
+#[inline(always)]
+fn json_tail(cells: &mut Cells<'_>, sc: &ScenarioOutcome) {
+    cells.str(", \"label\": \"");
+    cells.str(&sc.label);
+    cells.str("\", \"cost\": ");
+    cells.fixed(sc.cost, 9);
+    cells.str(", \"cost_ratio\": ");
+    cells.fixed(sc.cost_ratio, 9);
+    cells.str(", \"makespan_ns\": ");
+    cells.i64(sc.makespan_ns);
+    cells.str(", \"worst_actuation_ns\": ");
+    cells.i64(sc.worst_actuation_ns);
+    cells.str(", \"overruns\": ");
+    cells.u64(sc.overruns as u64);
 }
 
 /// The fewest bytes one scenario adds to [`SweepSummary::render`] and
@@ -921,19 +1083,10 @@ impl SweepSummary {
             cells.u64(sc.index as u64);
             cells.str(" | ");
             cells.hex(sc.seed);
-            cells.str(" | ");
-            cells.str(&sc.label);
-            cells.str(" | ");
-            cells.fixed(sc.cost, 6);
-            cells.str(" | ");
-            cells.fixed(sc.cost_ratio, 6);
-            cells.str(" | ");
-            cells.i64(sc.makespan_ns);
-            cells.str(" | ");
-            cells.i64(sc.worst_actuation_ns);
-            cells.str(" | ");
-            cells.u64(sc.overruns as u64);
-            cells.str(" |\n");
+            match &sc.tail {
+                Some(tail) => cells.str(tail.parts().0),
+                None => markdown_tail(&mut cells, sc),
+            }
         }
         if !self.degradations.is_empty() {
             cells.str("\n### Fault degradation\n\n");
@@ -1031,18 +1184,10 @@ impl SweepSummary {
             cells.u64(sc.index as u64);
             cells.str(", \"seed\": ");
             cells.u64(sc.seed);
-            cells.str(", \"label\": \"");
-            cells.str(&sc.label);
-            cells.str("\", \"cost\": ");
-            cells.fixed(sc.cost, 9);
-            cells.str(", \"cost_ratio\": ");
-            cells.fixed(sc.cost_ratio, 9);
-            cells.str(", \"makespan_ns\": ");
-            cells.i64(sc.makespan_ns);
-            cells.str(", \"worst_actuation_ns\": ");
-            cells.i64(sc.worst_actuation_ns);
-            cells.str(", \"overruns\": ");
-            cells.u64(sc.overruns as u64);
+            match &sc.tail {
+                Some(tail) => cells.str(tail.parts().1),
+                None => json_tail(&mut cells, sc),
+            }
             cells.str(if i == last { "}\n" } else { "},\n" });
         }
         if self.degradations.is_empty() {
@@ -1195,6 +1340,7 @@ mod tests {
             makespan_ns: 5_000_000 + index as i64,
             worst_actuation_ns: 7_000_000,
             overruns: index % 2,
+            tail: None,
         };
         SweepSummary {
             scenarios: vec![mk(0, 1.01), mk(1, 1.40), mk(2, 1.05), mk(3, 1.02)],
@@ -1245,6 +1391,7 @@ mod tests {
                     makespan_ns: 0,
                     worst_actuation_ns: 0,
                     overruns: 0,
+                    tail: None,
                 })
                 .collect(),
             cost_bound_ratio: 1.10,
@@ -1862,6 +2009,7 @@ mod tests {
                     makespan_ns: int(rng) as i64,
                     worst_actuation_ns: int(rng) as i64,
                     overruns: int(rng) as usize,
+                    tail: None,
                 }
             })
             .collect();
@@ -1915,6 +2063,63 @@ mod tests {
         }
     }
 
+    /// Both documents of `summary`, each written alone and both into one
+    /// string.
+    fn documents(summary: &SweepSummary) -> (String, String, String) {
+        let mut both = String::new();
+        summary.render_into(&mut both);
+        summary.to_json_into(&mut both);
+        (summary.render(), summary.to_json(), both)
+    }
+
+    /// A row renders the same bytes with its [`RowTail`] as without it:
+    /// random summaries (multi-byte labels, special floats) with tails
+    /// on a random subset of rows, the last JSON row among them or not,
+    /// labels longer than the row buffer, and a tailed row after a
+    /// first row whose label length walks its tail across the buffer's
+    /// flush point, in both documents; and a tail adds 16 bytes to a
+    /// row.
+    #[test]
+    fn row_tails_render_the_bytes_of_their_cells() {
+        assert_eq!(std::mem::size_of::<Option<RowTail>>(), 16);
+        let mut rng = ecl_sim::SplitMix64::new(0x5eed_7a11);
+        let mut summaries = Vec::new();
+        for rows in [1, 2, 3, 20, 21, 400] {
+            for _ in 0..4 {
+                let mut summary = random_summary(&mut rng, rows);
+                for sc in &mut summary.scenarios {
+                    if rng.below(8) == 0 {
+                        let len = CELLS_CAP + rng.below(2 * CELLS_CAP);
+                        sc.label = "é→a".chars().cycle().take(len).collect::<String>().into();
+                    }
+                }
+                summaries.push(summary);
+            }
+        }
+        for pad in 0..400 {
+            let mut summary = random_summary(&mut rng, 3);
+            summary.scenarios[0].label = "#".repeat(CELLS_CAP - 450 + pad).into();
+            summaries.push(summary);
+        }
+        for (k, stripped) in summaries.iter().enumerate() {
+            let mut tailed = stripped.clone();
+            let rows = tailed.scenarios.len();
+            for (i, sc) in tailed.scenarios.iter_mut().enumerate() {
+                let last = i + 1 == rows;
+                if i == 1 || (i > 1 && rng.below(3) > 0) || (last && k % 2 == 0) {
+                    sc.tail = Some(RowTail::new(sc));
+                }
+            }
+            // Equality ignores tails (a NaN cell is unequal either way).
+            assert_eq!(
+                tailed == *stripped,
+                stripped.clone() == *stripped,
+                "summary {k}"
+            );
+            assert_eq!(documents(&tailed), documents(stripped), "summary {k}");
+        }
+    }
+
     /// One scenario's Markdown and JSON rows, as the renderers write them.
     fn rows_of(sc: &ScenarioOutcome) -> (String, String) {
         let summary = SweepSummary {
@@ -1946,6 +2151,7 @@ mod tests {
             makespan_ns: 0,
             worst_actuation_ns: 0,
             overruns: 0,
+            tail: None,
         };
         let (md, json) = rows_of(&narrowest);
         assert_eq!(md.len() + json.len(), SCENARIO_ROW_MIN_BYTES);

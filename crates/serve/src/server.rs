@@ -39,7 +39,8 @@ use crate::engine::{Engine, EngineConfig};
 use crate::limiter::TokenBucket;
 use crate::queue::JobQueue;
 use crate::wire::{
-    read_frame_until, send_server, ClientMsg, ServerMsg, SweepRequest, WireError, MAX_FRAME,
+    read_frame_until, send_report, send_server, ClientMsg, ServerMsg, SweepRequest, WireError,
+    MAX_FRAME,
 };
 
 /// Server construction parameters.
@@ -293,14 +294,12 @@ fn run_executor(engine: Arc<Engine>, queue: Arc<QueueState>, shutdown: Arc<Atomi
         let mut out = job.out.lock().expect("connection writer");
         match outcome {
             Ok(report) => {
-                let sent = send_server(
+                let sent = send_report(
                     &mut *out,
-                    &ServerMsg::Report {
-                        digest: report.digest,
-                        payload_digest: report.payload_digest,
-                        source: report.source,
-                        payload: report.payload.as_ref().clone(),
-                    },
+                    report.digest,
+                    report.payload_digest,
+                    report.source,
+                    &report.payload,
                 );
                 // An undelivered report ends the job with a typed error,
                 // never a `Done` the client cannot match to a report. An

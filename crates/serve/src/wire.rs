@@ -116,8 +116,16 @@ fn read_full<R: Read>(
 /// [`WireError::Oversized`] when the payload exceeds [`MAX_FRAME`];
 /// transport failures as [`WireError::Io`]/[`WireError::Disconnected`].
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    if payload.len() > MAX_FRAME {
-        return Err(WireError::Oversized { len: payload.len() });
+    write_parts(w, &mut [0; 4], payload)
+}
+
+/// Writes one frame whose payload is `head[4..]` then `body`, in two
+/// writes: `head`, with its first four bytes overwritten by the length
+/// prefix, then `body`. An oversized payload writes no byte.
+fn write_parts<W: Write>(w: &mut W, head: &mut [u8], body: &[u8]) -> Result<(), WireError> {
+    let len = head.len() - 4 + body.len();
+    if len > MAX_FRAME {
+        return Err(WireError::Oversized { len });
     }
     let io = |e: std::io::Error| match e.kind() {
         ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
@@ -125,9 +133,9 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError>
         }
         _ => WireError::Io(e),
     };
-    w.write_all(&(payload.len() as u32).to_le_bytes())
-        .map_err(io)?;
-    w.write_all(payload).map_err(io)?;
+    head[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    w.write_all(head).map_err(io)?;
+    w.write_all(body).map_err(io)?;
     w.flush().map_err(io)?;
     Ok(())
 }
@@ -708,13 +716,8 @@ impl ServerMsg {
                 source,
                 payload,
             } => {
-                let mut bytes = format!(
-                    "rsp report\ndigest {digest:016x}\npayload_digest {payload_digest:016x}\n\
-                     source {}\nbytes {}\n\n",
-                    source.wire_name(),
-                    payload.len()
-                )
-                .into_bytes();
+                let mut bytes = Vec::new();
+                write_report_header(&mut bytes, *digest, *payload_digest, *source, payload.len());
                 bytes.extend_from_slice(payload);
                 bytes
             }
@@ -874,6 +877,46 @@ pub fn send_client<W: Write>(w: &mut W, msg: &ClientMsg) -> Result<(), WireError
 /// Propagates [`write_frame`] failures.
 pub fn send_server<W: Write>(w: &mut W, msg: &ServerMsg) -> Result<(), WireError> {
     write_frame(w, &msg.encode())
+}
+
+/// Writes the [`ServerMsg::Report`] frame of a borrowed `payload`: the
+/// bytes [`send_server`] writes for the same report, without copying the
+/// payload into a message or behind its header. The length prefix and
+/// header go out in one write and the payload in a second.
+///
+/// # Errors
+///
+/// [`WireError::Oversized`], before any byte is written, when header
+/// and payload together exceed [`MAX_FRAME`]; otherwise as
+/// [`write_frame`].
+pub fn send_report<W: Write>(
+    w: &mut W,
+    digest: u64,
+    payload_digest: u64,
+    source: ResponseSource,
+    payload: &[u8],
+) -> Result<(), WireError> {
+    let mut head = vec![0; 4];
+    write_report_header(&mut head, digest, payload_digest, source, payload.len());
+    write_parts(w, &mut head, payload)
+}
+
+/// Appends the header of a [`ServerMsg::Report`] carrying `len` payload
+/// bytes, blank line included: the one writer of it, for
+/// [`ServerMsg::encode`] and [`send_report`].
+fn write_report_header(
+    out: &mut Vec<u8>,
+    digest: u64,
+    payload_digest: u64,
+    source: ResponseSource,
+    len: usize,
+) {
+    let _ = write!(
+        out,
+        "rsp report\ndigest {digest:016x}\npayload_digest {payload_digest:016x}\n\
+         source {}\nbytes {len}\n\n",
+        source.wire_name()
+    );
 }
 
 /// Reads one server message from a frame.

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy;
 
 use ecl_serve::wire::{
-    read_frame, write_frame, ClientMsg, Policy, ResponseSource, ServerMsg, SweepRequest, WireError,
-    MAX_FRAME,
+    read_frame, send_report, send_server, write_frame, ClientMsg, Policy, ResponseSource,
+    ServerMsg, SweepRequest, WireError, MAX_FRAME,
 };
 
 fn policy() -> impl Strategy<Value = Policy> {
@@ -139,6 +139,25 @@ proptest! {
         }
     }
 
+    /// `send_report` writes, from a borrowed payload, the very bytes
+    /// `send_server` writes for the same report.
+    #[test]
+    fn send_report_writes_the_report_frame(
+        digest in 0u64..u64::MAX,
+        payload_digest in 0u64..u64::MAX,
+        source in prop_oneof![
+            Just(ResponseSource::Computed),
+            Just(ResponseSource::Memory),
+            Just(ResponseSource::Disk),
+        ],
+        body in vec(0u64..256, 0..2_000),
+    ) {
+        let payload: Vec<u8> = body.iter().map(|&v| v as u8).collect();
+        let (sent, want) = report_frames(digest, payload_digest, source, payload);
+        prop_assert!(sent.0.is_ok() && want.0.is_ok());
+        prop_assert_eq!(sent.1, want.1);
+    }
+
     /// Truncating a valid frame at ANY byte reads back as a typed
     /// disconnect — never a partial parse, never a hang-equivalent.
     #[test]
@@ -170,6 +189,68 @@ fn mid_stream_disconnect_after_valid_frame() {
         ClientMsg::Stats
     );
     assert!(matches!(read_frame(&mut r), Err(WireError::Disconnected)));
+}
+
+/// What `send_report` and `send_server` each write for one report, and
+/// how each ended.
+type Sent = (Result<(), WireError>, Vec<u8>);
+
+fn report_frames(
+    digest: u64,
+    payload_digest: u64,
+    source: ResponseSource,
+    payload: Vec<u8>,
+) -> (Sent, Sent) {
+    let mut sent = Vec::new();
+    let sent = (
+        send_report(&mut sent, digest, payload_digest, source, &payload),
+        sent,
+    );
+    let msg = ServerMsg::Report {
+        digest,
+        payload_digest,
+        source,
+        payload,
+    };
+    let mut want = Vec::new();
+    let want = (send_server(&mut want, &msg), want);
+    (sent, want)
+}
+
+/// A report whose header and payload together pass [`MAX_FRAME`] is
+/// refused by `send_report` as by `send_server`: the same typed error
+/// with the same length, and no byte written. One byte less goes out
+/// whole, byte-identical.
+#[test]
+fn send_report_refuses_an_oversized_report_like_send_server() {
+    let source = ResponseSource::Computed;
+    let header = ServerMsg::Report {
+        digest: 7,
+        payload_digest: 9,
+        source,
+        payload: vec![0; MAX_FRAME],
+    }
+    .encode()
+    .len()
+        - MAX_FRAME;
+    for (extra, fits) in [(0, true), (1, false), (4_000, false)] {
+        let payload = vec![b'r'; MAX_FRAME - header + extra];
+        let ((sent, sent_bytes), (want, want_bytes)) = report_frames(7, 9, source, payload);
+        assert_eq!(sent_bytes, want_bytes);
+        if fits {
+            assert!(sent.is_ok() && want.is_ok());
+            assert_eq!(sent_bytes.len(), 4 + MAX_FRAME);
+            continue;
+        }
+        assert!(sent_bytes.is_empty(), "an oversized report wrote bytes");
+        match (sent, want) {
+            (Err(WireError::Oversized { len }), Err(WireError::Oversized { len: want })) => {
+                assert_eq!(len, want);
+                assert_eq!(len, MAX_FRAME + extra);
+            }
+            other => panic!("expected two Oversized errors, got {other:?}"),
+        }
+    }
 }
 
 /// Oversized frames are rejected symmetrically: on write (payload too
