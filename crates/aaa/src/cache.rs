@@ -574,7 +574,8 @@ impl<V> DigestMemo<V> {
         out
     }
 
-    /// Records that `digest`'s value is in the on-disk store, so later
+    /// Records that the on-disk store is done with `digest`'s value (it
+    /// holds it, or will never take it), so later
     /// [`unsaved`](DigestMemo::unsaved) calls skip it.
     pub fn mark_saved(&self, digest: u64) {
         if let Some(entry) = self.lock().map.get_mut(&digest) {

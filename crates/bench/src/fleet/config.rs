@@ -204,69 +204,6 @@ fn push_policy(out: &mut String, policy: MappingPolicy) {
     }
 }
 
-/// Bytes [`push_fixed`] writes for `v` at `digits` decimals.
-fn fixed_len(v: f64, digits: usize) -> usize {
-    let mut s = String::new();
-    push_fixed(&mut s, v, digits);
-    s.len()
-}
-
-impl SweepConfig {
-    /// The length of the shortest [`Scenario::label`] this sweep's axes
-    /// allow: each part of a label at its narrowest. A table's largest
-    /// WCET factor is at least 1, so its bound writes at least `1.000`;
-    /// the period scale and the policy are the narrowest of their axes
-    /// (a [`MappingPolicy::Random`] seed is at least one digit); the
-    /// fault rates count only when no scenario can be fault-free, i.e.
-    /// some axis holds positive rates alone. Prune suffixes only add to
-    /// a label.
-    pub fn shortest_label_len(&self) -> usize {
-        let narrowest = |axis: &[f64], digits: usize| {
-            axis.iter()
-                .map(|&v| fixed_len(v, digits))
-                .min()
-                .unwrap_or(0)
-        };
-        let policy = self
-            .policies
-            .iter()
-            .map(|&policy| {
-                let mut name = String::new();
-                push_policy(
-                    &mut name,
-                    match policy {
-                        MappingPolicy::Random { .. } => MappingPolicy::Random { seed: 0 },
-                        fixed => fixed,
-                    },
-                );
-                name.len()
-            })
-            .min()
-            .unwrap_or(0);
-        let axes = &self.faults;
-        let rates = [
-            &axes.frame_loss_rates,
-            &axes.link_outage_rates,
-            &axes.proc_dropout_rates,
-        ];
-        let always_faulty = rates.iter().any(|axis| axis.iter().all(|&r| r > 0.0));
-        let faults = if always_faulty {
-            (0..3)
-                .map(|k| LABEL_FAULTS[k].len() + narrowest(rates[k], FAULT_DIGITS[k]))
-                .sum()
-        } else {
-            0
-        };
-        LABEL_WCET.len()
-            + fixed_len(1.0, 3)
-            + LABEL_PERIOD.len()
-            + narrowest(&self.period_scales, 2)
-            + 1
-            + policy
-            + faults
-    }
-}
-
 /// A concrete perturbation of the baseline, fully determined by
 /// `(config, index)` — deriving it never consults shared state.
 #[derive(Debug, Clone)]

@@ -838,27 +838,18 @@ mod tests {
         }
     }
 
-    /// The class table changes no byte and no counter: each sweep folded
-    /// in one pass at 1 and 4 workers equals the same sweep folded as
-    /// one-scenario passes, whose fresh lanes never find a class —
-    /// fault-free, on exp19's fault axes with pruning, with a `Random`
-    /// policy, traced, validated and verified, and over more classes
-    /// than the table holds, so that at 1 worker it settles, starts over
-    /// and hits again.
-    #[test]
-    fn class_table_matches_fresh_lanes() {
-        use super::lane::{ClassKey, CLASS_ENTRIES};
+    /// The sweeps `class_table_matches_fresh_lanes` folds, by name.
+    fn class_table_cases() -> [(&'static str, SweepConfig); 6] {
+        use super::lane::CLASS_ENTRIES;
         use ecl_aaa::MappingPolicy;
 
-        let base = small_base();
-        let spec = dc_motor_loop(0.05).unwrap();
         let hot = SweepConfig {
             scenario_count: 160,
             memoize_scheduled: true,
             memoize_reports: true,
             ..SweepConfig::default()
         };
-        let cases = [
+        [
             ("fault-free", hot.clone()),
             (
                 "exp19 faults, pruned",
@@ -903,9 +894,27 @@ mod tests {
                     ..hot
                 },
             ),
-        ];
+        ]
+    }
+
+    /// The class table changes no byte and no counter: each sweep folded
+    /// in one pass at 1 and 4 workers equals the same sweep folded as
+    /// one-scenario passes, whose fresh lanes never find a class —
+    /// fault-free, on exp19's fault axes with pruning, with a `Random`
+    /// policy, traced, validated and verified, and over more classes
+    /// than the table holds, so that at 1 worker it settles, starts over
+    /// and hits again. One worker claims the scenarios in index order on
+    /// one lane, so every repeat of a class finds it while the classes
+    /// fit the table; at 4 workers which lane claims which scenario
+    /// depends on thread timing, so only the bound on the hits holds.
+    #[test]
+    fn class_table_matches_fresh_lanes() {
+        use super::lane::{ClassKey, CLASS_ENTRIES};
+
+        let base = small_base();
+        let spec = dc_motor_loop(0.05).unwrap();
         let mut past_the_bound = 0;
-        for (case, config) in cases {
+        for (case, config) in class_table_cases() {
             let (reference, fresh_hits) = class_fold(&spec, &base, &config, false);
             assert_eq!(fresh_hits, 0, "{case}: a fresh lane found a class");
             let n = config.scenario_count;
@@ -920,10 +929,14 @@ mod tests {
                     ..config.clone()
                 };
                 let (folded, hits) = class_fold(&spec, &base, &config, true);
-                assert!(hits > 0, "{case}, {workers} workers: no class hit");
-                // A table that started over misses its classes again.
-                if workers == 1 && classes.len() > CLASS_ENTRIES {
-                    assert!(hits < repeats, "{case}: {hits} hits, {repeats} repeats");
+                let counts = format!("{case}, {workers} workers: {hits} hits, {repeats} repeats");
+                if workers > 1 {
+                    assert!(hits <= repeats, "{counts}");
+                } else if classes.len() <= CLASS_ENTRIES {
+                    assert_eq!(hits, repeats, "{counts}");
+                } else {
+                    // A table that started over misses its classes again.
+                    assert!(0 < hits && hits < repeats, "{counts}");
                 }
                 assert_eq!(folded, reference, "{case}, {workers} workers");
             }
@@ -1508,14 +1521,11 @@ mod tests {
     /// formats (plus the prune suffix of a pruned row) at 1 and 4
     /// workers: on a hot sweep, a faulty sweep with pruning, a sweep
     /// whose every scenario is faulty and a `MappingPolicy::Random`
-    /// sweep. No label is shorter than the config's
-    /// `shortest_label_len()`, which the shortest one equals where
-    /// nothing is pruned, and every rendered row is at least the
-    /// daemon's admission floor for its label.
+    /// sweep. Each rendered row starts with its index and carries its
+    /// label.
     #[test]
     fn interned_labels_equal_formatted_labels() {
         use ecl_aaa::MappingPolicy;
-        use ecl_core::report::SCENARIO_ROW_MIN_BYTES;
 
         let spec = dc_motor_loop(0.05).unwrap();
         let base = small_base();
@@ -1575,19 +1585,11 @@ mod tests {
                 assert_eq!(suffixes[1..], [p.pruned_safe, p.pruned_unsafe]);
                 assert!(!config.prune_static || p.pruned_safe > 0);
 
-                let shortest = config.shortest_label_len();
-                // Pruning only lengthens labels: there the bound is not met.
-                let labels = summary.scenarios.iter().map(|r| r.label.len());
-                let tight = labels.min() == Some(shortest);
-                assert!(tight || config.prune_static, "{:?}", config.policies);
                 let rows = scenario_rows(&summary);
                 assert_eq!(rows.len(), summary.scenarios.len());
                 for ((md, json), row) in rows.iter().zip(&summary.scenarios) {
                     assert!(md.starts_with(&format!("| {} | 0x", row.index)), "{md}");
                     assert!(json.contains(&*row.label), "{json}");
-                    let floor = SCENARIO_ROW_MIN_BYTES + 2 * row.label.len();
-                    assert!(md.len() + json.len() >= floor, "{md}{json}");
-                    assert!(row.label.len() >= shortest);
                 }
             }
         }

@@ -822,19 +822,6 @@ fn json_tail(cells: &mut Cells<'_>, sc: &ScenarioOutcome) {
     cells.u64(sc.overruns as u64);
 }
 
-/// The fewest bytes one scenario adds to [`SweepSummary::render`] and
-/// [`SweepSummary::to_json`] together, beyond its label, which each
-/// document writes once. The Markdown row is 26 bytes of separators and
-/// at least 38 of cells: one digit per integer, `0x` and 16 hex digits
-/// for the seed, `0.` and six decimals for each fixed-point cell. The
-/// JSON row is 120 bytes of keys and separators (its `,` before the
-/// next row left out) and at least 27 of cells: one digit per integer
-/// and `0.` and nine decimals for each fixed-point cell. A fixed-point
-/// cell is that narrow only for a finite value, and a sweep's costs are
-/// finite: a co-simulation integrates a finite cost over a finite
-/// horizon, and a pruned row writes 0.
-pub const SCENARIO_ROW_MIN_BYTES: usize = (26 + 38) + (120 + 27);
-
 /// Bytes a [`SweepSummary::render`] scenario row takes beyond its label:
 /// the cells of a typical row (about 80 bytes), rounded up.
 const RENDER_ROW_BYTES: usize = 88;
@@ -2117,56 +2104,6 @@ mod tests {
                 "summary {k}"
             );
             assert_eq!(documents(&tailed), documents(stripped), "summary {k}");
-        }
-    }
-
-    /// One scenario's Markdown and JSON rows, as the renderers write them.
-    fn rows_of(sc: &ScenarioOutcome) -> (String, String) {
-        let summary = SweepSummary {
-            scenarios: vec![sc.clone()],
-            ..SweepSummary::default()
-        };
-        let md = summary.render();
-        let json = summary.to_json();
-        let md_row = md.lines().last().unwrap().to_owned() + "\n";
-        let json_row = json
-            .lines()
-            .find(|l| l.starts_with("    {\"index\""))
-            .unwrap()
-            .to_owned()
-            + "\n";
-        (md_row, json_row)
-    }
-
-    /// [`SCENARIO_ROW_MIN_BYTES`] is exact for a row of narrowest cells
-    /// and a lower bound for every other row.
-    #[test]
-    fn every_scenario_row_is_at_least_the_admission_floor() {
-        let narrowest = ScenarioOutcome {
-            index: 0,
-            seed: 0,
-            label: "".into(),
-            cost: 0.0,
-            cost_ratio: 0.0,
-            makespan_ns: 0,
-            worst_actuation_ns: 0,
-            overruns: 0,
-            tail: None,
-        };
-        let (md, json) = rows_of(&narrowest);
-        assert_eq!(md.len() + json.len(), SCENARIO_ROW_MIN_BYTES);
-        let mut rng = ecl_sim::SplitMix64::new(0xf100_0027);
-        let summary = random_summary(&mut rng, 300);
-        for sc in summary
-            .scenarios
-            .iter()
-            .filter(|s| s.cost.is_finite() && s.cost_ratio.is_finite())
-        {
-            let (md, json) = rows_of(sc);
-            assert!(
-                md.len() + json.len() >= SCENARIO_ROW_MIN_BYTES + 2 * sc.label.len(),
-                "{md}{json}"
-            );
         }
     }
 

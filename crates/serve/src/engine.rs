@@ -37,12 +37,12 @@ use ecl_bench::fleet::{
 use ecl_bench::{dc_motor_loop, fnv64, standard_split, SplitScenario};
 use ecl_core::cosim::{LoopResult, LoopSpec};
 use ecl_core::faults::FaultFamily;
-use ecl_core::report::{SweepSummary, SCENARIO_ROW_MIN_BYTES};
+use ecl_core::report::SweepSummary;
 use ecl_core::CoreError;
 use ecl_telemetry::Histogram;
 
 use crate::store::DiskStore;
-use crate::wire::{RequestDefect, ResponseSource, SweepRequest, MAX_FRAME};
+use crate::wire::{RequestDefect, ResponseSource, SweepRequest};
 
 /// Store kinds the engine persists under.
 const KIND_SCHEDULES: &str = "schedules";
@@ -245,33 +245,17 @@ impl Engine {
         self.deployments.contains_key(case)
     }
 
-    /// [`SweepRequest::validate`] plus two checks. A report that surely
-    /// exceeds [`MAX_FRAME`] is a `report_too_large` defect: every
-    /// scenario writes at least [`SCENARIO_ROW_MIN_BYTES`] plus twice
-    /// the shortest label the request's axes allow
-    /// ([`SweepConfig::shortest_label_len`]) into the payload, so such a
-    /// request is refused before it computes anything. And, for a known
+    /// [`SweepRequest::validate`] plus one check: for a known
     /// deployment, every scaled period `ts × scale` must be a positive
     /// whole-nanosecond [`TimeNs`] no longer than the horizon. A longer
     /// period samples the loop at most once, and the sweep's histogram
     /// bounds (twice the period) would overflow long before `TimeNs`
     /// does. An unknown case adds no defect here (it is refused by name).
+    /// Report size is no defect: [`MAX_SCENARIOS`](crate::wire::MAX_SCENARIOS)
+    /// caps a request, and a report longer than a frame goes out in
+    /// parts ([`crate::wire::send_report`]).
     pub fn validate(&self, req: &SweepRequest) -> Vec<RequestDefect> {
         let mut defects = req.validate();
-        if !defects.iter().any(|d| d.code == "bad_scenarios") {
-            let row = SCENARIO_ROW_MIN_BYTES + 2 * self.config_for(req).shortest_label_len();
-            let floor = req.scenarios.saturating_mul(row);
-            if floor > MAX_FRAME {
-                defects.push(RequestDefect {
-                    code: "report_too_large",
-                    detail: format!(
-                        "{} scenarios write at least {row} bytes each, {floor} in all, \
-                         over the {MAX_FRAME}-byte frame cap",
-                        req.scenarios
-                    ),
-                });
-            }
-        }
         let Some(deployment) = self.deployments.get(&req.case) else {
             return defects;
         };
@@ -428,7 +412,10 @@ impl Engine {
     /// and no saved record is ever rewritten, so the cost tracks what the
     /// job added, not the daemon's lifetime. Best-effort: a failed save
     /// bumps `persist_errors` and leaves its entry unsaved for the next
-    /// job to retry; it never fails a job that already has its answer.
+    /// job to retry; it never fails a job that already has its answer. A
+    /// record over the store's cap (a response of about 50 000 default
+    /// scenarios) is counted once and never retried: the daemon serves it
+    /// from memory, and a restarted one computes it again.
     fn persist(&self) {
         let Some(store) = &self.store else {
             return;
@@ -617,37 +604,6 @@ mod tests {
         assert_eq!([schedule, ideal, envelopes], [64, 64, 0]);
         assert!(scheduled > 64, "{whole_lookups:?}");
         assert_eq!(reports, scheduled, "{whole_lookups:?}");
-    }
-
-    /// The admission floor of a default request is 283 bytes a scenario
-    /// (211 of row plus twice the 36-byte `EarliestFinish` label), so
-    /// 3 705 scenarios fit under the frame cap and 3 706 are refused.
-    /// When every scenario is faulty its label carries 32 bytes of fault
-    /// rates, and the floor is 347 bytes.
-    #[test]
-    fn validate_refuses_a_report_whose_floor_exceeds_the_frame_cap() {
-        let engine = Engine::new(EngineConfig {
-            workers: 1,
-            store_dir: None,
-        })
-        .unwrap();
-        let codes = |scenarios: usize, frame_loss: &[f64]| {
-            let req = SweepRequest {
-                scenarios,
-                frame_loss: frame_loss.to_vec(),
-                ..SweepRequest::default()
-            };
-            let defects = engine.validate(&req);
-            defects.iter().map(|d| d.code).collect::<Vec<_>>()
-        };
-        assert!(codes(3_705, &[]).is_empty());
-        assert_eq!(codes(3_706, &[]), ["report_too_large"]);
-        assert!(codes(3_021, &[0.25]).is_empty());
-        assert_eq!(codes(3_022, &[0.25]), ["report_too_large"]);
-        // A fault-free draw remains possible: the default floor holds.
-        assert!(codes(3_705, &[0.0, 0.25]).is_empty());
-        assert_eq!(codes(3_706, &[0.0, 0.25]), ["report_too_large"]);
-        assert_eq!(engine.caches.schedule.computes(), 0, "validation is pure");
     }
 
     /// Admission looks each `(policy, period)` envelope up in the shared

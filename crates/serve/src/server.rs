@@ -301,21 +301,16 @@ fn run_executor(engine: Arc<Engine>, queue: Arc<QueueState>, shutdown: Arc<Atomi
                     report.source,
                     &report.payload,
                 );
-                // An undelivered report ends the job with a typed error,
-                // never a `Done` the client cannot match to a report. An
-                // oversized frame is refused before any byte is written,
-                // so the stream stays framed.
+                // Every part of the report goes out under this one hold
+                // of the connection's lock, so no other frame lands
+                // between them. An undelivered report ends the job with a
+                // typed error, never a `Done` the client cannot match to
+                // a report.
                 let reply = match sent {
                     Ok(()) => ServerMsg::Done {
                         sched_computes: report.sched_computes,
                     },
                     Err(WireError::Disconnected) => continue,
-                    Err(WireError::Oversized { len }) => ServerMsg::Err {
-                        code: "report_too_large".into(),
-                        msg: format!(
-                            "the {len}-byte report exceeds the {MAX_FRAME}-byte frame cap"
-                        ),
-                    },
                     Err(e) => ServerMsg::Err {
                         code: "report_undeliverable".into(),
                         msg: e.to_string(),

@@ -421,8 +421,10 @@ impl DiskStore {
 
     /// Saves every entry of `memo` not yet in the store under `kind`,
     /// encoded by `encode`, and marks it saved. A failed save leaves its
-    /// entry unsaved, so the next call retries it. Returns the number of
-    /// failed saves.
+    /// entry unsaved, so the next call retries it, except for a record
+    /// over [`MAX_SEQ`] bytes, which every save refuses: it is marked
+    /// saved too, so it is encoded and counted once and then lives in
+    /// memory only. Returns the number of failed saves.
     pub fn write_back<V>(
         &self,
         kind: &str,
@@ -431,10 +433,12 @@ impl DiskStore {
     ) -> u64 {
         let mut failed = 0;
         for (digest, value) in memo.unsaved() {
-            match self.save(kind, digest, &encode(&value)) {
-                Ok(()) => memo.mark_saved(digest),
-                Err(_) => failed += 1,
+            let record = encode(&value);
+            let saved = self.save(kind, digest, &record).is_ok();
+            if saved || record.len() > MAX_SEQ {
+                memo.mark_saved(digest);
             }
+            failed += u64::from(!saved);
         }
         failed
     }
@@ -652,6 +656,32 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert_eq!(std::fs::read(segment_path(&store, "runs")).unwrap(), before);
         assert_eq!(store.load("runs", 2), None);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// A memo entry whose record is over the cap is offered to the store
+    /// once: two write-backs encode it once and count it as one failed
+    /// save, and the entries beside it are saved.
+    #[test]
+    fn an_oversized_record_is_offered_once() {
+        let store = temp_store("offered-once");
+        let memo: DigestMemo<usize> = DigestMemo::new();
+        for (digest, len) in [(1, 3), (2, MAX_SEQ + 1), (3, 5)] {
+            memo.get_or_compute(digest, || Ok::<_, ()>(len)).unwrap();
+        }
+        let oversized_encodes = std::cell::Cell::new(0);
+        let encode = |&len: &usize| {
+            oversized_encodes.set(oversized_encodes.get() + usize::from(len > MAX_SEQ));
+            vec![b'r'; len]
+        };
+        assert_eq!(store.write_back("runs", &memo, encode), 1);
+        assert_eq!(store.write_back("runs", &memo, encode), 0);
+        assert_eq!(oversized_encodes.get(), 1);
+        assert!(memo.unsaved().is_empty());
+        assert_eq!(
+            all(&store, "runs"),
+            [(1, b"rrr".to_vec()), (3, b"rrrrr".to_vec())]
+        );
         let _ = std::fs::remove_dir_all(store.root());
     }
 

@@ -1,11 +1,15 @@
 //! The `ecl-serve` wire protocol: length-prefixed, line-oriented frames.
 //!
-//! Every message travels as one frame — a little-endian `u32` byte length
-//! followed by that many payload bytes ([`MAX_FRAME`] caps the length, so
-//! a hostile peer cannot make the daemon allocate gigabytes). The payload
-//! is UTF-8 text of `key value` lines, one message kind per frame; the
-//! one exception is [`ServerMsg::Report`], whose header lines are
-//! followed by a blank line and the raw report bytes.
+//! A frame is a little-endian `u32` byte length followed by that many
+//! payload bytes ([`MAX_FRAME`] caps the length, so a hostile peer cannot
+//! make the daemon allocate gigabytes). A message is UTF-8 text of
+//! `key value` lines, one message kind per frame; the one exception is
+//! [`ServerMsg::Report`], whose header lines are followed by a blank line
+//! and the raw report bytes. A report that does not fit one frame goes
+//! out in parts ([`send_report`]): its first frame is the header, which
+//! declares the whole length, and as much payload as fits, and the rest
+//! follows in headerless continuation frames that [`recv_server`]
+//! reassembles.
 //!
 //! Numbers use Rust's shortest-roundtrip float formatting (`{:?}`), so a
 //! request encodes to the same bytes on every platform and
@@ -694,8 +698,42 @@ impl ClientMsg {
     }
 }
 
+/// The kind line of a [`ServerMsg::Report`].
+const REPORT_KIND: &str = "rsp report";
+
+/// A server message's kind line, the header lines after it, and the raw
+/// bytes after the first blank line (a report's payload; empty for every
+/// other kind). The split comes before insisting on UTF-8, so the header
+/// parses on its own.
+fn split_message(message: &[u8]) -> Result<(&str, &str, &[u8]), WireError> {
+    let (header, body) = match message.windows(2).position(|w| w == b"\n\n") {
+        Some(at) => (&message[..=at], &message[at + 2..]),
+        None => (message, &message[message.len()..]),
+    };
+    let text = std::str::from_utf8(header).map_err(|_| malformed("header is not UTF-8"))?;
+    let (kind, rest) = text
+        .split_once('\n')
+        .ok_or_else(|| malformed("missing kind line"))?;
+    Ok((kind, rest, body))
+}
+
+/// The fields of a report header after its kind line: the request
+/// digest, the payload digest, the source and the declared payload
+/// bytes.
+fn parse_report_header(rest: &str) -> Result<(u64, u64, ResponseSource, usize), WireError> {
+    let mut f = Fields::parse(rest)?;
+    let digest = parse_hex64("digest", f.take("digest")?)?;
+    let payload_digest = parse_hex64("payload_digest", f.take("payload_digest")?)?;
+    let source = ResponseSource::from_wire(f.take("source")?)?;
+    let bytes = parse_usize("bytes", f.take("bytes")?)?;
+    f.finish()?;
+    Ok((digest, payload_digest, source, bytes))
+}
+
 impl ServerMsg {
-    /// Encodes the message into one frame payload.
+    /// Encodes the whole message: one frame's payload, except for a
+    /// report longer than [`MAX_FRAME`], which [`send_report`] sends in
+    /// parts.
     pub fn encode(&self) -> Vec<u8> {
         match self {
             ServerMsg::Queued { position, depth } => {
@@ -753,27 +791,15 @@ impl ServerMsg {
         }
     }
 
-    /// Decodes one frame payload.
+    /// Decodes one whole message: a frame's payload, or a report
+    /// [`recv_server`] reassembled from its parts.
     ///
     /// # Errors
     ///
     /// [`WireError::Malformed`] on any textual violation, including a
     /// [`ServerMsg::Report`] whose byte count disagrees with its payload.
     pub fn decode(payload: &[u8]) -> Result<ServerMsg, WireError> {
-        // A report carries raw bytes after the first blank line; split
-        // before insisting on UTF-8 so the header parses on its own.
-        let header_end = payload
-            .windows(2)
-            .position(|w| w == b"\n\n")
-            .map(|at| at + 1);
-        let (header, body) = match header_end {
-            Some(at) => (&payload[..at], &payload[at + 1..]),
-            None => (payload, &payload[payload.len()..]),
-        };
-        let text = std::str::from_utf8(header).map_err(|_| malformed("header is not UTF-8"))?;
-        let (kind, rest) = text
-            .split_once('\n')
-            .ok_or_else(|| malformed("missing kind line"))?;
+        let (kind, rest, body) = split_message(payload)?;
         match kind {
             "rsp queued" => {
                 let mut f = Fields::parse(rest)?;
@@ -795,13 +821,8 @@ impl ServerMsg {
                 f.finish()?;
                 Ok(msg)
             }
-            "rsp report" => {
-                let mut f = Fields::parse(rest)?;
-                let digest = parse_hex64("digest", f.take("digest")?)?;
-                let payload_digest = parse_hex64("payload_digest", f.take("payload_digest")?)?;
-                let source = ResponseSource::from_wire(f.take("source")?)?;
-                let bytes = parse_usize("bytes", f.take("bytes")?)?;
-                f.finish()?;
+            REPORT_KIND => {
+                let (digest, payload_digest, source, bytes) = parse_report_header(rest)?;
                 if body.len() != bytes {
                     return Err(malformed(format!(
                         "report declares {bytes} bytes but carries {}",
@@ -870,25 +891,38 @@ pub fn send_client<W: Write>(w: &mut W, msg: &ClientMsg) -> Result<(), WireError
     write_frame(w, &msg.encode())
 }
 
-/// Writes one server message as a frame.
+/// Writes one server message: a report through [`send_report`], any
+/// other message as one frame.
 ///
 /// # Errors
 ///
 /// Propagates [`write_frame`] failures.
 pub fn send_server<W: Write>(w: &mut W, msg: &ServerMsg) -> Result<(), WireError> {
-    write_frame(w, &msg.encode())
+    match msg {
+        ServerMsg::Report {
+            digest,
+            payload_digest,
+            source,
+            payload,
+        } => send_report(w, *digest, *payload_digest, *source, payload),
+        other => write_frame(w, &other.encode()),
+    }
 }
 
-/// Writes the [`ServerMsg::Report`] frame of a borrowed `payload`: the
-/// bytes [`send_server`] writes for the same report, without copying the
-/// payload into a message or behind its header. The length prefix and
-/// header go out in one write and the payload in a second.
+/// Writes the [`ServerMsg::Report`] of a borrowed `payload`, without
+/// copying the payload into a message or behind its header. A report
+/// whose header and payload fit in [`MAX_FRAME`] is one frame, the bytes
+/// of [`write_frame`] over [`ServerMsg::encode`]. A longer one is that
+/// header, with `bytes` still the whole payload length, and as much
+/// payload as fills the frame, then the rest in continuation frames of
+/// raw payload, each at most [`MAX_FRAME`] and without a header. Every
+/// frame goes out in two writes: its length prefix (and the header),
+/// then its payload slice.
 ///
 /// # Errors
 ///
-/// [`WireError::Oversized`], before any byte is written, when header
-/// and payload together exceed [`MAX_FRAME`]; otherwise as
-/// [`write_frame`].
+/// As [`write_frame`]; a failure can leave a report's later parts
+/// unsent.
 pub fn send_report<W: Write>(
     w: &mut W,
     digest: u64,
@@ -898,7 +932,12 @@ pub fn send_report<W: Write>(
 ) -> Result<(), WireError> {
     let mut head = vec![0; 4];
     write_report_header(&mut head, digest, payload_digest, source, payload.len());
-    write_parts(w, &mut head, payload)
+    let (first, rest) = payload.split_at(payload.len().min(MAX_FRAME + 4 - head.len()));
+    write_parts(w, &mut head, first)?;
+    for part in rest.chunks(MAX_FRAME) {
+        write_parts(w, &mut [0; 4], part)?;
+    }
+    Ok(())
 }
 
 /// Appends the header of a [`ServerMsg::Report`] carrying `len` payload
@@ -913,19 +952,43 @@ fn write_report_header(
 ) {
     let _ = write!(
         out,
-        "rsp report\ndigest {digest:016x}\npayload_digest {payload_digest:016x}\n\
+        "{REPORT_KIND}\ndigest {digest:016x}\npayload_digest {payload_digest:016x}\n\
          source {}\nbytes {len}\n\n",
         source.wire_name()
     );
 }
 
-/// Reads one server message from a frame.
+/// Reads one server message: one frame, or a report's first frame and
+/// then as many continuation frames ([`send_report`]) as its declared
+/// `bytes` still lack. The declared length is never trusted with memory:
+/// the message grows only as its bytes arrive.
 ///
 /// # Errors
 ///
-/// Propagates [`read_frame`] and [`ServerMsg::decode`] failures.
+/// Propagates [`read_frame`] and [`ServerMsg::decode`] failures: EOF
+/// before a report's last part is [`WireError::Disconnected`], and a
+/// continuation frame past its report's declared length is
+/// [`WireError::Malformed`].
 pub fn recv_server<R: Read>(r: &mut R) -> Result<ServerMsg, WireError> {
-    ServerMsg::decode(&read_frame(r)?)
+    let mut message = read_frame(r)?;
+    let mut missing = match split_message(&message) {
+        Ok((REPORT_KIND, rest, body)) => {
+            parse_report_header(rest).map_or(0, |(.., bytes)| bytes.saturating_sub(body.len()))
+        }
+        _ => 0,
+    };
+    while missing > 0 {
+        let part = read_frame(r)?;
+        if part.len() > missing {
+            return Err(malformed(format!(
+                "a report part overshoots its declared length by {} bytes",
+                part.len() - missing
+            )));
+        }
+        missing -= part.len();
+        message.extend_from_slice(&part);
+    }
+    ServerMsg::decode(&message)
 }
 
 #[cfg(test)]

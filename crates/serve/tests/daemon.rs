@@ -318,61 +318,57 @@ fn persist_never_rewrites_saved_entries() {
     assert_eq!(reader.corrupt_seen(), 0);
 }
 
-/// A report over the frame cap is never sent. One that surely exceeds
-/// it — 4 000 scenarios at no fewer than about 283 bytes each — is
-/// refused at admission with `report_too_large`, before any schedule is
-/// computed or any store segment written. One that only its finished
-/// payload shows to be too large (3 500 scenarios, about 1.17 MB) ends
-/// its job with the typed `report_too_large` error, not a `Done`
-/// without a report; one under the cap (3 000 scenarios) is delivered,
-/// and the same daemon goes on answering.
+/// Every admitted report is delivered, however many frames it takes. A
+/// 10 000-scenario default request (about 3.2 MiB, more than three
+/// frames) is answered byte-identically cold, from memory and, after a
+/// restart, from disk, at 1 and at 4 pool workers; a 3 500-scenario one
+/// (just past one frame) is delivered too, and the daemon goes on
+/// answering.
 #[test]
-fn an_undeliverable_report_is_a_typed_error() {
-    let store = TempStore::new("too-large");
-    let srv = server(2, Some(&store));
-    let mut client = Client::connect(srv.addr()).expect("connect");
-    let segment_sizes = || segment_lengths(&store);
-    let sized = |scenarios: usize| SweepRequest {
+fn every_admitted_report_is_delivered() {
+    use ecl_serve::wire::MAX_FRAME;
+
+    let sized = |scenarios| SweepRequest {
         scenarios,
-        chunk: 500,
         ..SweepRequest::default()
     };
-    client
-        .submit(&sized(2))
-        .expect("a small job fills every segment");
-    let before = segment_sizes();
-    assert_eq!(before.len(), 4, "one segment per kind: {before:?}");
-    let stats = client.stats().expect("stats");
-    let computes = counter(&stats, "schedule_computes");
-    let jobs = counter(&stats, "jobs");
+    let mut per_workers = Vec::new();
+    for workers in [1usize, 4] {
+        let store = TempStore::new(&format!("large{workers}"));
+        let srv = server(workers, Some(&store));
+        let mut client = Client::connect(srv.addr()).expect("connect");
+        let cold = client.submit(&sized(10_000)).expect("cold submit");
+        assert_eq!(cold.source, ResponseSource::Computed);
+        assert!(
+            cold.payload.len() >= 3 * MAX_FRAME,
+            "{} B",
+            cold.payload.len()
+        );
+        let warm = client.submit(&sized(10_000)).expect("warm submit");
+        assert_eq!(warm.source, ResponseSource::Memory);
+        let past_one_frame = client.submit(&sized(3_500)).expect("3 500 scenarios");
+        assert!(past_one_frame.payload.len() > MAX_FRAME);
+        let stats = client.stats().expect("stats");
+        assert_eq!(counter(&stats, "persist_errors"), 0);
+        drop(client);
+        drop(srv);
 
-    match client.submit(&sized(4_000)) {
-        Err(ClientError::Rejected { codes, .. }) => assert_eq!(codes, ["report_too_large"]),
-        other => panic!("expected a report_too_large rejection, got {other:?}"),
+        let srv = server(workers, Some(&store));
+        let mut client = Client::connect(srv.addr()).expect("reconnect");
+        let restarted = client.submit(&sized(10_000)).expect("restart submit");
+        assert_eq!(restarted.source, ResponseSource::Disk);
+        for answer in [&warm, &restarted] {
+            assert_eq!(
+                answer.payload, cold.payload,
+                "{:?} bytes drifted",
+                answer.source
+            );
+            assert_eq!(answer.payload_digest, cold.payload_digest);
+        }
+        per_workers.push(cold);
     }
-    let stats = client.stats().expect("stats after the rejection");
-    assert_eq!(counter(&stats, "schedule_computes"), computes);
-    assert_eq!(
-        counter(&stats, "jobs"),
-        jobs,
-        "a refused request must not run"
-    );
-    assert_eq!(counter(&stats, "jobs_rejected"), 1);
-    assert_eq!(
-        segment_sizes(),
-        before,
-        "a refused request must not persist"
-    );
-
-    match client.submit(&sized(3_500)) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, "report_too_large"),
-        other => panic!("expected report_too_large, got {other:?}"),
-    }
-    let delivered = client
-        .submit(&sized(3_000))
-        .expect("a report under the cap is delivered");
-    assert_eq!(delivered.source, ResponseSource::Computed);
-    assert!(delivered.payload.len() <= ecl_serve::wire::MAX_FRAME);
+    assert_eq!(per_workers[0].payload, per_workers[1].payload);
+    assert_eq!(per_workers[0].payload_digest, per_workers[1].payload_digest);
 }
 
 /// `priority` and `chunk` steer scheduling only — two engines given the

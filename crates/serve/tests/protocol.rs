@@ -1,7 +1,8 @@
 //! Wire-protocol round-trip and failure-path tests.
 //!
 //! Property tests pin the encode/decode bijection (including digest
-//! stability across a round trip); the deterministic cases pin the
+//! stability across a round trip) and a report's round trip through its
+//! part frames at any length; the deterministic cases pin the
 //! *typed* failure paths — malformed text, oversized frames and
 //! mid-stream disconnects each map to their own [`WireError`] variant,
 //! never to a panic or a silent misparse.
@@ -11,8 +12,8 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy;
 
 use ecl_serve::wire::{
-    read_frame, send_report, send_server, write_frame, ClientMsg, Policy, ResponseSource,
-    ServerMsg, SweepRequest, WireError, MAX_FRAME,
+    read_frame, recv_server, send_report, send_server, write_frame, ClientMsg, Policy,
+    ResponseSource, ServerMsg, SweepRequest, WireError, MAX_FRAME,
 };
 
 fn policy() -> impl Strategy<Value = Policy> {
@@ -139,25 +140,16 @@ proptest! {
         }
     }
 
-    /// `send_report` writes, from a borrowed payload, the very bytes
-    /// `send_server` writes for the same report.
+    /// A report of any length up to four frames and more goes out in
+    /// frames of at most `MAX_FRAME` and reads back whole.
     #[test]
-    fn send_report_writes_the_report_frame(
+    fn send_report_round_trips_at_any_length(
         digest in 0u64..u64::MAX,
-        payload_digest in 0u64..u64::MAX,
-        source in prop_oneof![
-            Just(ResponseSource::Computed),
-            Just(ResponseSource::Memory),
-            Just(ResponseSource::Disk),
-        ],
-        body in vec(0u64..256, 0..2_000),
+        source in source(),
+        len in 0usize..4 * MAX_FRAME + 4_096,
     ) {
-        let payload: Vec<u8> = body.iter().map(|&v| v as u8).collect();
-        let (sent, want) = report_frames(digest, payload_digest, source, payload);
-        prop_assert!(sent.0.is_ok() && want.0.is_ok());
-        prop_assert_eq!(sent.1, want.1);
+        check_report(digest, source, len);
     }
-
     /// Truncating a valid frame at ANY byte reads back as a typed
     /// disconnect — never a partial parse, never a hang-equivalent.
     #[test]
@@ -191,65 +183,132 @@ fn mid_stream_disconnect_after_valid_frame() {
     assert!(matches!(read_frame(&mut r), Err(WireError::Disconnected)));
 }
 
-/// What `send_report` and `send_server` each write for one report, and
-/// how each ended.
-type Sent = (Result<(), WireError>, Vec<u8>);
+fn source() -> impl Strategy<Value = ResponseSource> {
+    prop_oneof![
+        Just(ResponseSource::Computed),
+        Just(ResponseSource::Memory),
+        Just(ResponseSource::Disk),
+    ]
+}
 
-fn report_frames(
-    digest: u64,
-    payload_digest: u64,
-    source: ResponseSource,
-    payload: Vec<u8>,
-) -> (Sent, Sent) {
-    let mut sent = Vec::new();
-    let sent = (
-        send_report(&mut sent, digest, payload_digest, source, &payload),
-        sent,
-    );
+/// Header bytes of a report whose payload length has seven digits, as
+/// every length near `MAX_FRAME` does.
+fn header_len(source: ResponseSource) -> usize {
+    let msg = ServerMsg::Report {
+        digest: 0,
+        payload_digest: 0,
+        source,
+        payload: vec![0; MAX_FRAME],
+    };
+    msg.encode().len() - MAX_FRAME
+}
+
+/// Sends a `len`-byte report with `send_report` and checks the wire: no
+/// frame over `MAX_FRAME`; one frame byte-identical to `write_frame` of
+/// `ServerMsg::encode` when the report fits, else a full first frame
+/// and headerless continuations that concatenate to the encoded
+/// message; `send_server` writing the same bytes; and `recv_server`
+/// reading the very message back and nothing more.
+fn check_report(digest: u64, source: ResponseSource, len: usize) {
+    let payload: Vec<u8> = (0..len as u64)
+        .map(|i| ((i ^ digest).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 59) as u8)
+        .collect();
+    let mut wire = Vec::new();
+    send_report(&mut wire, digest, !digest, source, &payload).unwrap();
     let msg = ServerMsg::Report {
         digest,
-        payload_digest,
+        payload_digest: !digest,
         source,
         payload,
     };
-    let mut want = Vec::new();
-    let want = (send_server(&mut want, &msg), want);
-    (sent, want)
+    let mut frames = Vec::new();
+    let mut rest = &wire[..];
+    while !rest.is_empty() {
+        let prefix: [u8; 4] = rest[..4].try_into().unwrap();
+        assert!(u32::from_le_bytes(prefix) as usize <= MAX_FRAME, "{len} B");
+        frames.push(read_frame(&mut rest).unwrap());
+    }
+    let encoded = msg.encode();
+    if encoded.len() <= MAX_FRAME {
+        let mut single = Vec::new();
+        write_frame(&mut single, &encoded).unwrap();
+        assert_eq!(wire, single, "{len} B");
+    } else {
+        assert_eq!(frames[0].len(), MAX_FRAME, "{len} B");
+        assert_eq!(frames.len(), encoded.len().div_ceil(MAX_FRAME), "{len} B");
+        assert_eq!(frames.concat(), encoded, "{len} B");
+    }
+    let mut via_send_server = Vec::new();
+    send_server(&mut via_send_server, &msg).unwrap();
+    assert_eq!(via_send_server, wire, "{len} B");
+    let mut r = &wire[..];
+    assert_eq!(recv_server(&mut r).unwrap(), msg, "{len} B");
+    assert!(r.is_empty(), "{len} B: {} bytes left unread", r.len());
 }
 
-/// A report whose header and payload together pass [`MAX_FRAME`] is
-/// refused by `send_report` as by `send_server`: the same typed error
-/// with the same length, and no byte written. One byte less goes out
-/// whole, byte-identical.
+/// The lengths where the parts change: empty, the single-frame limit
+/// and one byte past it, and whole multiples of `MAX_FRAME`.
 #[test]
-fn send_report_refuses_an_oversized_report_like_send_server() {
-    let source = ResponseSource::Computed;
-    let header = ServerMsg::Report {
-        digest: 7,
-        payload_digest: 9,
-        source,
-        payload: vec![0; MAX_FRAME],
+fn send_report_round_trips_at_the_frame_edges() {
+    for source in [
+        ResponseSource::Computed,
+        ResponseSource::Memory,
+        ResponseSource::Disk,
+    ] {
+        let limit = MAX_FRAME - header_len(source);
+        for len in [0, 1, limit - 1, limit, limit + 1, 2 * limit + 1] {
+            check_report(0x5ed0, source, len);
+        }
+        for frames in 1..=4 {
+            check_report(0xf4a3e, source, frames * MAX_FRAME);
+        }
     }
-    .encode()
-    .len()
-        - MAX_FRAME;
-    for (extra, fits) in [(0, true), (1, false), (4_000, false)] {
-        let payload = vec![b'r'; MAX_FRAME - header + extra];
-        let ((sent, sent_bytes), (want, want_bytes)) = report_frames(7, 9, source, payload);
-        assert_eq!(sent_bytes, want_bytes);
-        if fits {
-            assert!(sent.is_ok() && want.is_ok());
-            assert_eq!(sent_bytes.len(), 4 + MAX_FRAME);
-            continue;
-        }
-        assert!(sent_bytes.is_empty(), "an oversized report wrote bytes");
-        match (sent, want) {
-            (Err(WireError::Oversized { len }), Err(WireError::Oversized { len: want })) => {
-                assert_eq!(len, want);
-                assert_eq!(len, MAX_FRAME + extra);
-            }
-            other => panic!("expected two Oversized errors, got {other:?}"),
-        }
+}
+
+/// A report frame is the header, then the bytes `bytes` raw payload.
+fn report_frame(bytes: &str, body: &[u8]) -> Vec<u8> {
+    let mut message = format!(
+        "rsp report\ndigest {:016x}\npayload_digest {:016x}\nsource cold\nbytes {bytes}\n\n",
+        1, 2
+    )
+    .into_bytes();
+    message.extend_from_slice(body);
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &message).unwrap();
+    frame
+}
+
+/// A hostile report header is never trusted with memory: one declaring
+/// `u32::MAX` or `usize::MAX` bytes and then hanging up reads as a
+/// disconnect (reserving `usize::MAX` bytes would panic instead), as
+/// does a report cut off between its parts. A part past the declared
+/// length is malformed.
+#[test]
+fn report_reassembly_distrusts_the_declared_length() {
+    for declared in ["4294967295", "18446744073709551615"] {
+        let wire = report_frame(declared, b"");
+        assert!(
+            matches!(recv_server(&mut &wire[..]), Err(WireError::Disconnected)),
+            "bytes {declared}"
+        );
+    }
+    let mut cut = report_frame("10", b"four");
+    write_frame(&mut cut, b"five!").unwrap();
+    assert!(matches!(
+        recv_server(&mut &cut[..]),
+        Err(WireError::Disconnected)
+    ));
+    let mut overshoot = report_frame("10", b"four");
+    write_frame(&mut overshoot, b"seven!!").unwrap();
+    match recv_server(&mut &overshoot[..]) {
+        Err(WireError::Malformed { reason }) => assert!(reason.contains("overshoots"), "{reason}"),
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+    let mut exact = report_frame("10", b"four");
+    write_frame(&mut exact, b"six!!!").unwrap();
+    match recv_server(&mut &exact[..]).unwrap() {
+        ServerMsg::Report { payload, .. } => assert_eq!(payload, b"foursix!!!"),
+        other => panic!("expected a report, got {other:?}"),
     }
 }
 
